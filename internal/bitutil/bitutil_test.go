@@ -2,7 +2,6 @@ package bitutil
 
 import (
 	"bytes"
-	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -68,12 +67,44 @@ func TestXORBitsPanicsOnMismatch(t *testing.T) {
 	XORBits([]byte{1}, []byte{1, 0})
 }
 
-func TestCRC32MatchesStdlib(t *testing.T) {
-	f := func(data []byte) bool {
-		return CRC32(data) == crc32.ChecksumIEEE(data)
+// crc32Bytewise is the reflected IEEE 802.3 table walk CRC32 used before
+// it moved onto hash/crc32: the reference every frame and cold-tier
+// segment written by earlier builds was checksummed with.
+func crc32Bytewise(data []byte) uint32 {
+	var table [256]uint32
+	for i := range table {
+		crc := uint32(i)
+		for j := 0; j < 8; j++ {
+			if crc&1 != 0 {
+				crc = crc>>1 ^ 0xEDB88320
+			} else {
+				crc >>= 1
+			}
+		}
+		table[i] = crc
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	crc := ^uint32(0)
+	for _, b := range data {
+		crc = table[byte(crc)^b] ^ crc>>8
+	}
+	return ^crc
+}
+
+func TestCRC32MatchesBytewiseTable(t *testing.T) {
+	if got := CRC32([]byte("123456789")); got != 0xCBF43926 {
+		t.Fatalf("CRC32(\"123456789\") = %#x, want the IEEE check value 0xCBF43926", got)
+	}
+	rng := rand.New(rand.NewSource(7))
+	lengths := []int{0, 1, 15, 16, 63, 64, 65, 4096} // hash/crc32's kernel boundaries
+	for len(lengths) < 2000 {
+		lengths = append(lengths, rng.Intn(4097))
+	}
+	for _, n := range lengths {
+		data := make([]byte, n)
+		rng.Read(data)
+		if got, want := CRC32(data), crc32Bytewise(data); got != want {
+			t.Fatalf("len %d: CRC32 = %#x, bytewise table = %#x", n, got, want)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package bitutil
 
+import "hash/crc32"
+
 // CRC16CCITT computes the CRC-16/CCITT-FALSE checksum (polynomial 0x1021,
 // initial value 0xFFFF) over data. SoftRate protects the link-layer header
 // with this separate CRC so that the sender and receiver identities can be
@@ -19,37 +21,14 @@ func CRC16CCITT(data []byte) uint16 {
 	return crc
 }
 
-// crc32Table is the reflected CRC-32 (IEEE 802.3) lookup table, built once
-// at init. We implement CRC-32 locally rather than importing hash/crc32 so
-// the PHY package can checksum raw bit streams without allocation churn and
-// so the implementation is visible for the property tests that check CRC
-// linearity.
-var crc32Table [256]uint32
-
-func init() {
-	const poly = 0xEDB88320
-	for i := range crc32Table {
-		crc := uint32(i)
-		for j := 0; j < 8; j++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ poly
-			} else {
-				crc >>= 1
-			}
-		}
-		crc32Table[i] = crc
-	}
-}
-
 // CRC32 computes the IEEE 802.3 CRC-32 over data, as used by the 802.11 FCS
-// that decides whether a received frame is error-free.
-func CRC32(data []byte) uint32 {
-	crc := ^uint32(0)
-	for _, b := range data {
-		crc = crc32Table[byte(crc)^b] ^ crc>>8
-	}
-	return ^crc
-}
+// that decides whether a received frame is error-free and by the cold
+// tier's record framing. It is the repo's single CRC-32 entry point; the
+// arithmetic is hash/crc32's (slicing-by-8, or carry-less multiply where
+// the CPU has it), which the tests pin to the bytewise reflected table
+// this function used to walk, so frames and segments checksummed before
+// the switch still verify.
+func CRC32(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // AppendCRC32 returns data with its CRC-32 appended big-endian, forming the
 // over-the-air frame body the PHY encodes.

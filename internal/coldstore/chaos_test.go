@@ -15,14 +15,12 @@ import (
 func TestCompactOnceVictimReadFault(t *testing.T) {
 	inj := faultfs.Wrap(faultfs.OS{}, 13, faultfs.Rates{ReadErr: 1})
 	inj.Arm(false)
-	// The compact threshold is sized so the armed supersedes below cross
-	// it. While reads fault, markDead cannot re-read a superseded
-	// record's width and accounts only the frame overhead — so the dead
-	// ratio of the 13-record sealed segment (64-byte states at 1 KiB
-	// segments) grows by recOverhead/(13*(recOverhead+64)) per
-	// supersede, not by a full record.
+	// The compact threshold is sized so the last of the armed supersedes
+	// below crosses it: each one moves a whole record of the 13-record
+	// sealed segment (64-byte states at 1 KiB segments) from live to
+	// dead — the index knows the record's length, no read needed.
 	const sealedRecs, stateW, superseded = 13, 64, 6
-	ratio := superseded * float64(recOverhead) / (sealedRecs * float64(recOverhead+stateW))
+	ratio := float64(superseded) / sealedRecs
 	s := openT(t, t.TempDir(), Config{SegmentBytes: 1 << 10, CompactRatio: ratio * 0.99, FS: inj})
 
 	// Fill past one rotation with unique ids: no dead bytes anywhere, so
@@ -74,8 +72,10 @@ func TestCompactOnceVictimReadFault(t *testing.T) {
 		}
 	}
 	check("after failed compaction")
+	// The background compactor, woken by the supersedes above, may get to
+	// the healed disk first; either way the segment must be reclaimed.
 	progressed, err = s.CompactOnce()
-	if err != nil || !progressed {
+	if err != nil || (!progressed && s.Stats().Compactions == 0) {
 		t.Fatalf("CompactOnce retry on a healed disk: progressed=%v err=%v", progressed, err)
 	}
 	check("after successful compaction")

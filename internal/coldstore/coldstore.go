@@ -3,8 +3,8 @@
 // in-memory index. It exists so that resident memory tracks the *hot*
 // link population instead of the total one — at 10M+ links the RAM cost
 // of an idle link drops from its full archived state (up to ~1.7 KB for
-// SampleRate, plus map overhead) to one index entry (a 16-byte
-// linkID → location pair plus map overhead).
+// SampleRate, plus map overhead) to one 16-byte entry of a flat index
+// table: about 23 bytes per link at any population.
 //
 // Design, in the spirit of every log-structured store:
 //
@@ -14,10 +14,23 @@
 //     syscall (group commit). Records are CRC-framed — [width u16,
 //     algo u8, linkID u64, state, crc32 over all of it] — so a torn
 //     tail is detectable.
-//   - Reads are single-shot. The index maps a link to (segment, offset);
-//     Take issues one pread of at most the largest record width and
-//     validates the CRC before handing the state back. A restored link's
-//     record becomes dead — the hot store owns the state again.
+//   - The index (index.go) is an open-addressing table of [linkID u64,
+//     segment slot u16, offset u32, state width u16] entries. It carries
+//     the record's length, so a read is exact and superseding or
+//     restoring a record needs no I/O to account its bytes dead. Linear
+//     probing in hash order, backward-shift deletion, and 64 partitions
+//     that grow one at a time, so no insert rehashes the whole index.
+//   - Reads go through a small read-through cache of aligned segment
+//     blocks (blockcache.go). Append-only segments make it coherent
+//     without invalidation: committed bytes never change, the growing
+//     tail is tracked by a per-block valid length, failed reads are not
+//     cached, and a deleted segment's blocks go with it. The cache fills
+//     only through Config.FS, so a fault injector still sees every byte.
+//   - Restores are batched. TakeBatch resolves any number of links under
+//     one lock acquisition: every index probe first, then the reads in
+//     segment/offset order, each CRC-checked before its state is handed
+//     back. A restored link's record becomes dead — the hot store owns
+//     the state again. Take is TakeBatch of one.
 //   - Segments rotate at a size threshold. Superseded and restored
 //     records make a segment's dead ratio grow; a background compactor
 //     rewrites any segment past Config.CompactRatio by re-appending its
@@ -40,9 +53,11 @@
 package coldstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -69,10 +84,14 @@ const (
 	recHeaderLen = 2 + 1 + 8
 	recOverhead  = recHeaderLen + 4
 
-	// maxStateLen bounds a record's state width: anything larger in a
-	// segment is corruption, not a controller snapshot (the widest
-	// registered state is SampleRate's ~1.7 KB).
-	maxStateLen = 1 << 16
+	// maxStateLen bounds a record's state width to what the frame's u16
+	// width field can say (the widest registered state is SampleRate's
+	// ~1.7 KB).
+	maxStateLen = 1<<16 - 1
+
+	// maxKeptBatchBuf is the largest PutBatch serialization buffer kept
+	// for reuse.
+	maxKeptBatchBuf = 1 << 20
 
 	// DefaultSegmentBytes is the rotation threshold when
 	// Config.SegmentBytes is zero.
@@ -88,7 +107,9 @@ type Config struct {
 	Dir string
 	// SegmentBytes is the size at which the active segment is rotated.
 	// A batch is never split across segments, so a segment may exceed
-	// this by up to one batch. 0 means DefaultSegmentBytes.
+	// this by up to one batch — but never 4 GiB, the largest offset an
+	// index entry can carry; Open rejects a larger value. 0 means
+	// DefaultSegmentBytes.
 	SegmentBytes int
 	// CompactRatio is the dead/total byte ratio past which a sealed
 	// segment is compacted, in (0, 1]; 1 rewrites only fully-dead
@@ -115,7 +136,8 @@ type Record struct {
 
 // segment is one on-disk log file.
 type segment struct {
-	id        uint32
+	id        uint32 // names the file; never reused
+	slot      uint16 // position in Store.segs, what index entries carry
 	f         segmentFile
 	size      int64 // committed bytes, including the header
 	liveBytes int64 // record bytes still referenced by the index
@@ -139,23 +161,25 @@ type Store struct {
 	segmentBytes int64
 	compactRatio float64
 
-	mu      sync.Mutex
-	segs    map[uint32]*segment
-	active  *segment
-	nextSeg uint32
-	// index maps linkID → (segment ID << 32 | byte offset). A Go map of
-	// two uint64s costs ~16 payload bytes per link plus bucket overhead
-	// — the whole point of the tier: this is all an idle link keeps in
-	// RAM.
-	index map[uint64]uint64
-	// maxRec is the largest committed record length; Take preads this
-	// much so a restore is one syscall regardless of the record's width.
-	maxRec int64
+	mu sync.Mutex
+	// segs holds the live segments by slot (nil = free slot). Index
+	// entries name a segment by slot, not by ID: IDs grow for the life of
+	// the directory, slots are reused, so 16 bits bound the segments live
+	// at once rather than the segments ever written.
+	segs      []*segment
+	freeSlots []uint16
+	active    *segment
+	nextSeg   uint32
+	// index is all an idle link keeps in RAM — the whole point of the
+	// tier.
+	index index
+	cache blockCache
 	// perAlgo counts live indexed links per algorithm ID.
 	perAlgo [256]int64
 
-	batchBuf []byte // PutBatch serialization buffer, reused
-	readBuf  []byte // Take/Peek pread buffer, reused
+	batchBuf []byte    // PutBatch serialization buffer, reused
+	readBuf  []byte    // direct-read buffer for block-straddling records, reused
+	takeRefs []takeRef // TakeBatch probe results, reused
 
 	spills      uint64
 	restores    uint64
@@ -169,8 +193,6 @@ type Store struct {
 	closed    bool
 }
 
-func pack(seg uint32, off int64) uint64   { return uint64(seg)<<32 | uint64(uint32(off)) }
-func unpack(v uint64) (uint32, int64)     { return uint32(v >> 32), int64(v & 0xffffffff) }
 func segName(id uint32) string            { return fmt.Sprintf("seg-%08d.slog", id) }
 func (s *Store) segPath(id uint32) string { return filepath.Join(s.cfg.Dir, segName(id)) }
 
@@ -180,6 +202,9 @@ func (s *Store) segPath(id uint32) string { return filepath.Join(s.cfg.Dir, segN
 func Open(cfg Config) (*Store, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
+	}
+	if int64(cfg.SegmentBytes) > maxSegOffset {
+		return nil, fmt.Errorf("coldstore: SegmentBytes %d is beyond the %d-byte offset an index entry carries", cfg.SegmentBytes, int64(maxSegOffset))
 	}
 	if cfg.CompactRatio <= 0 {
 		cfg.CompactRatio = DefaultCompactRatio
@@ -198,8 +223,6 @@ func Open(cfg Config) (*Store, error) {
 		fs:           cfg.FS,
 		segmentBytes: int64(cfg.SegmentBytes),
 		compactRatio: cfg.CompactRatio,
-		segs:         make(map[uint32]*segment),
-		index:        make(map[uint64]uint64),
 		compactCh:    make(chan struct{}, 1),
 		stopCh:       make(chan struct{}),
 	}
@@ -209,7 +232,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s.done.Add(1)
 	go s.compactLoop()
-	s.kickCompact()
+	s.compactCh <- struct{}{} // recovery may have left compactable segments
 	return s, nil
 }
 
@@ -232,21 +255,21 @@ func (s *Store) recover() error {
 		if err != nil {
 			return err
 		}
+		if err := s.addSegment(sg); err != nil {
+			sg.f.Close()
+			return err
+		}
 		if err := s.scanSegment(sg); err != nil {
 			return err
 		}
-		s.segs[id] = sg
-		if id >= s.nextSeg {
-			s.nextSeg = id + 1
-		}
+		s.nextSeg = id + 1
+		// The highest segment resumes as the active one.
+		s.active = sg
 	}
-	// The highest segment resumes as the active one; with none, start
-	// fresh at segment 0.
-	if len(ids) > 0 {
-		s.active = s.segs[ids[len(ids)-1]]
+	if s.active != nil {
 		return nil
 	}
-	return s.rotateLocked()
+	return s.rotateLocked() // an empty directory starts at segment 0
 }
 
 // openSegment opens an existing segment file, repairing a torn header
@@ -279,8 +302,40 @@ func (s *Store) openSegment(id uint32) (*segment, error) {
 		f.Close()
 		return nil, fmt.Errorf("coldstore: %s: not a cold-tier segment", s.segPath(id))
 	}
+	if size > maxSegOffset {
+		f.Close()
+		return nil, fmt.Errorf("coldstore: %s: %d bytes is beyond the %d-byte offset an index entry carries", s.segPath(id), size, int64(maxSegOffset))
+	}
 	sg.size = size
 	return sg, nil
+}
+
+// addSegment gives sg a slot in s.segs.
+func (s *Store) addSegment(sg *segment) error {
+	if n := len(s.freeSlots); n > 0 {
+		sg.slot = s.freeSlots[n-1]
+		s.freeSlots = s.freeSlots[:n-1]
+		s.segs[sg.slot] = sg
+	} else if len(s.segs) < maxSegSlots {
+		sg.slot = uint16(len(s.segs))
+		s.segs = append(s.segs, sg)
+	} else {
+		return fmt.Errorf("coldstore: %d segments are live, the most the index can name", maxSegSlots)
+	}
+	return nil
+}
+
+// removeSegment closes and deletes a segment that no index entry points
+// into, and releases its slot and cached blocks.
+func (s *Store) removeSegment(sg *segment) error {
+	sg.f.Close()
+	if err := s.fs.Remove(s.segPath(sg.id)); err != nil {
+		return err
+	}
+	s.cache.drop(sg)
+	s.segs[sg.slot] = nil
+	s.freeSlots = append(s.freeSlots, sg.slot)
+	return nil
 }
 
 func (s *Store) writeHeader(sg *segment) error {
@@ -315,7 +370,7 @@ func (s *Store) scanSegment(sg *segment) error {
 			break // torn: not even a frame
 		}
 		w := int(binary.LittleEndian.Uint16(rec[0:2]))
-		if w > maxStateLen || len(rec) < recOverhead+w {
+		if len(rec) < recOverhead+w {
 			break // torn: width runs past the tail
 		}
 		n := recOverhead + w
@@ -325,7 +380,7 @@ func (s *Store) scanSegment(sg *segment) error {
 		}
 		algo := rec[2]
 		id := binary.LittleEndian.Uint64(rec[3:11])
-		s.indexPut(id, algo, sg, int64(headerLen+off), int64(n))
+		s.indexPut(id, algo, sg, int64(headerLen+off), w)
 		off += n
 	}
 	if int64(headerLen+off) != sg.size {
@@ -340,46 +395,48 @@ func (s *Store) scanSegment(sg *segment) error {
 	return nil
 }
 
-// indexPut points the index at a freshly scanned or written record,
-// marking any superseded record dead in its segment.
-func (s *Store) indexPut(id uint64, algo uint8, sg *segment, off, n int64) {
-	if old, ok := s.index[id]; ok {
-		oldSeg, oldOff := unpack(old)
-		if osg := s.segs[oldSeg]; osg != nil {
-			s.markDead(osg, oldOff)
-		} else if oldSeg == sg.id {
-			s.markDead(sg, oldOff)
-		}
+// indexPut points the index at a freshly scanned or written record of
+// state width w, marking any superseded record dead in its segment.
+func (s *Store) indexPut(id uint64, algo uint8, sg *segment, off int64, w int) {
+	if old, ok := s.index.put(id, makeLoc(sg.slot, off, w)); ok {
+		s.markDead(old)
 	} else {
 		s.perAlgo[algo]++
 	}
-	s.index[id] = pack(sg.id, off)
-	sg.liveBytes += n
+	sg.liveBytes += int64(recOverhead + w)
 	sg.liveRecs++
-	if n > s.maxRec {
-		s.maxRec = n
-	}
 }
 
-// markDead moves one record at off from live to dead accounting. The
-// record length is re-read from the frame header; segments are only
-// ever appended to, so the frame at a live offset is always intact.
-func (s *Store) markDead(sg *segment, off int64) {
-	var hdr [2]byte
-	n := int64(recOverhead)
-	if _, err := sg.f.ReadAt(hdr[:], off); err == nil {
-		n += int64(binary.LittleEndian.Uint16(hdr[:]))
-	}
-	s.markDeadN(sg, n)
-}
-
-// markDeadN is markDead with the record length already in hand (the
-// restore path just read the frame, so no extra pread is needed).
-func (s *Store) markDeadN(sg *segment, n int64) {
+// markDead moves the record at l from live to dead accounting and wakes
+// the compactor if that tips its segment over the threshold.
+func (s *Store) markDead(l loc) {
+	sg := s.segs[l.slot()]
+	n := int64(l.recLen())
 	sg.liveBytes -= n
 	sg.deadBytes += n
 	sg.liveRecs--
 	sg.deadRecs++
+	s.kickIfCompactable(sg)
+}
+
+// compactable reports whether sg is sealed and either fully dead or
+// past the dead-ratio threshold.
+func (s *Store) compactable(sg *segment) bool {
+	return sg != s.active && (sg.liveRecs == 0 || sg.deadRatio() >= s.compactRatio)
+}
+
+// kickIfCompactable nudges the background compactor when sg has become
+// worth rewriting. A segment's standing changes only when one of its
+// records dies or when it is sealed, so checking the segment just
+// touched at those two points sees every crossing without scanning the
+// segment list per record.
+func (s *Store) kickIfCompactable(sg *segment) {
+	if s.compactable(sg) {
+		select {
+		case s.compactCh <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // rotateLocked seals the active segment and starts a new one.
@@ -390,30 +447,32 @@ func (s *Store) rotateLocked() error {
 		return err
 	}
 	sg := &segment{id: id, f: f}
-	if err := s.writeHeader(sg); err != nil {
+	err = s.writeHeader(sg)
+	if err == nil {
+		err = s.addSegment(sg)
+	}
+	if err != nil {
 		f.Close()
 		s.fs.Remove(s.segPath(id))
 		return err
 	}
 	s.nextSeg++
-	s.segs[id] = sg
+	sealed := s.active
 	s.active = sg
+	if sealed != nil {
+		s.kickIfCompactable(sealed)
+	}
 	return nil
 }
 
 // appendRecord serializes one record into buf.
 func appendRecord(buf []byte, r Record) []byte {
 	start := len(buf)
-	var hdr [recHeaderLen]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], uint16(len(r.State)))
-	hdr[2] = r.Algo
-	binary.LittleEndian.PutUint64(hdr[3:11], r.LinkID)
-	buf = append(buf, hdr[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.State)))
+	buf = append(buf, r.Algo)
+	buf = binary.LittleEndian.AppendUint64(buf, r.LinkID)
 	buf = append(buf, r.State...)
-	crc := crc32IEEE(buf[start:])
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	return append(buf, tail[:]...)
+	return binary.LittleEndian.AppendUint32(buf, crc32IEEE(buf[start:]))
 }
 
 // PutBatch group-commits a batch of encoded states: one serialization
@@ -433,17 +492,23 @@ func (s *Store) PutBatch(recs []Record) error {
 		return err
 	}
 	s.spills += uint64(len(recs))
-	s.maybeKickCompactLocked()
 	return nil
 }
 
 func (s *Store) putLocked(recs []Record) error {
+	batchLen := int64(0)
 	for _, r := range recs {
 		if len(r.State) > maxStateLen {
 			return fmt.Errorf("coldstore: link %d state is %d bytes, beyond the %d-byte record bound", r.LinkID, len(r.State), maxStateLen)
 		}
+		batchLen += int64(recOverhead + len(r.State))
 	}
-	if s.active.size >= s.segmentBytes {
+	if headerLen+batchLen > maxSegOffset {
+		return fmt.Errorf("coldstore: a %d-byte batch cannot fit one segment", batchLen)
+	}
+	// Rotate at the size threshold, and before a batch that would carry
+	// the segment past the largest offset an index entry can name.
+	if s.active.size >= s.segmentBytes || s.active.size+batchLen > maxSegOffset {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
@@ -452,7 +517,13 @@ func (s *Store) putLocked(recs []Record) error {
 	for _, r := range recs {
 		buf = appendRecord(buf, r)
 	}
-	s.batchBuf = buf[:0]
+	// Keep the buffer for the next batch unless this one was unusually
+	// large (a compaction rewrite, a shutdown SpillAll): an eviction
+	// generation is kilobytes, and a segment's worth of live records
+	// should not stay pinned behind it.
+	if s.batchBuf = buf[:0]; cap(buf) > maxKeptBatchBuf {
+		s.batchBuf = nil
+	}
 	sg := s.active
 	if _, err := sg.f.WriteAt(buf, sg.size); err != nil {
 		// A partial append is exactly the torn-tail shape recovery
@@ -462,82 +533,143 @@ func (s *Store) putLocked(recs []Record) error {
 	}
 	if s.cfg.Sync {
 		if err := sg.f.Sync(); err != nil {
+			// The bytes landed but were never committed. Left in place, a
+			// shorter batch written over their start would leave the rest
+			// behind as a run of CRC-valid records for recovery to
+			// resurrect; trim them like a failed write.
+			sg.f.Truncate(sg.size)
 			return err
 		}
 	}
 	off := sg.size
 	sg.size += int64(len(buf))
 	for _, r := range recs {
-		n := int64(recOverhead + len(r.State))
-		s.indexPut(r.LinkID, r.Algo, sg, off, n)
-		off += n
+		s.indexPut(r.LinkID, r.Algo, sg, off, len(r.State))
+		off += int64(recOverhead + len(r.State))
 	}
 	return nil
 }
 
-// readRecord preads and validates the record for id. Returns the algo
-// and a view of the state inside s.readBuf (valid until the next call;
-// caller holds s.mu).
-func (s *Store) readRecord(id uint64) (uint8, []byte, bool, error) {
-	ref, ok := s.index[id]
-	if !ok {
-		return 0, nil, false, nil
+// readRecord fetches and validates the record for id at l. Returns the
+// algo and a view of the state inside the block cache or s.readBuf
+// (valid until the next call; caller holds s.mu).
+func (s *Store) readRecord(id uint64, l loc) (uint8, []byte, error) {
+	sg := s.segs[l.slot()]
+	w := l.width()
+	if l.off()+int64(l.recLen()) > sg.size {
+		return 0, nil, fmt.Errorf("coldstore: link %d record overruns its segment", id)
 	}
-	segID, off := unpack(ref)
-	sg := s.segs[segID]
-	if sg == nil {
-		return 0, nil, false, fmt.Errorf("coldstore: link %d indexed in missing segment %d", id, segID)
+	rec, err := s.cache.read(sg, l.off(), l.recLen(), &s.readBuf)
+	if err != nil {
+		return 0, nil, err
 	}
-	n := s.maxRec
-	if rem := sg.size - off; n > rem {
-		n = rem
+	if int(binary.LittleEndian.Uint16(rec[0:2])) != w {
+		return 0, nil, fmt.Errorf("coldstore: link %d record is not the width its index entry says", id)
 	}
-	if int64(cap(s.readBuf)) < n {
-		s.readBuf = make([]byte, n)
-	}
-	buf := s.readBuf[:n]
-	if _, err := sg.f.ReadAt(buf, off); err != nil {
-		return 0, nil, false, err
-	}
-	if len(buf) < recOverhead {
-		return 0, nil, false, fmt.Errorf("coldstore: link %d record truncated", id)
-	}
-	w := int(binary.LittleEndian.Uint16(buf[0:2]))
-	if recOverhead+w > len(buf) {
-		return 0, nil, false, fmt.Errorf("coldstore: link %d record overruns its segment", id)
-	}
-	rec := buf[:recOverhead+w]
 	if got := binary.LittleEndian.Uint64(rec[3:11]); got != id {
-		return 0, nil, false, fmt.Errorf("coldstore: index for link %d points at link %d", id, got)
+		return 0, nil, fmt.Errorf("coldstore: index for link %d points at link %d", id, got)
 	}
 	if crc32IEEE(rec[:len(rec)-4]) != binary.LittleEndian.Uint32(rec[len(rec)-4:]) {
-		return 0, nil, false, fmt.Errorf("coldstore: link %d record failed its CRC", id)
+		return 0, nil, fmt.Errorf("coldstore: link %d record failed its CRC", id)
 	}
-	return rec[2], rec[recHeaderLen : recHeaderLen+w], true, nil
+	return rec[2], rec[recHeaderLen : recHeaderLen+w], nil
 }
 
-// Take restores one link: a single pread, CRC validation, and removal
-// from the index (the caller owns the state again; the record becomes
-// dead). The state is appended to dst. ok is false when the link is not
-// in the tier.
-func (s *Store) Take(id uint64, dst []byte) (algo uint8, state []byte, ok bool, err error) {
-	t0 := time.Now()
+// Taken is TakeBatch's answer for one link.
+type Taken struct {
+	// State is the link's encoded state, a slice of the buffer TakeBatch
+	// returned; set only when OK.
+	State []byte
+	Algo  uint8
+	// OK reports the link was in the tier and is now restored. It is
+	// false, with a nil Err, for a link the tier does not hold.
+	OK bool
+	// Err is why a link the tier does hold could not be read back; its
+	// record stays indexed.
+	Err error
+}
+
+// clockBase anchors TakeBatch's timing: time.Since of a fixed instant is
+// one monotonic clock read, where time.Now also reads the wall clock.
+var clockBase = time.Now()
+
+// takeRef is one index hit of a TakeBatch: where the record is and which
+// of the batch's ids asked for it.
+type takeRef struct {
+	loc loc
+	pos int32
+}
+
+// TakeBatch restores ids[i] into out[i] for every i, exactly as
+// len(ids) calls of Take in order would — a link named twice is restored
+// to its first mention and absent for the second — but under one lock
+// acquisition, with every index probe issued before the first read and
+// the reads made in segment/offset order. States are appended to dst;
+// results to out. Both are returned.
+func (s *Store) TakeBatch(ids []uint64, dst []byte, out []Taken) ([]byte, []Taken) {
+	t0 := time.Since(clockBase)
+	base := len(out)
 	s.mu.Lock()
-	a, view, ok, err := s.readRecord(id)
-	if err != nil || !ok {
-		s.mu.Unlock()
-		return 0, nil, false, err
+	refs := s.takeRefs[:0]
+	stateBytes := 0
+	for i, id := range ids {
+		out = append(out, Taken{})
+		if l, ok := s.index.get(id); ok {
+			refs = append(refs, takeRef{loc: l, pos: int32(i)})
+			stateBytes += l.width()
+		}
 	}
-	dst = append(dst, view...)
-	segID, _ := unpack(s.index[id])
-	delete(s.index, id)
-	s.perAlgo[a]--
-	s.markDeadN(s.segs[segID], int64(recOverhead+len(view)))
-	s.restores++
-	s.maybeKickCompactLocked()
+	slices.SortFunc(refs, func(a, b takeRef) int {
+		return cmp.Or(cmp.Compare(a.loc, b.loc), cmp.Compare(a.pos, b.pos))
+	})
+	// One growth up front: the State slices handed out below must not be
+	// left behind by a later append.
+	dst = slices.Grow(dst, stateBytes)
+	var restored uint64
+	var taken loc // the last record restored; a repeat of it is a duplicate id
+	for _, r := range refs {
+		if r.loc == taken {
+			continue
+		}
+		id := ids[r.pos]
+		t := &out[base+int(r.pos)]
+		algo, state, err := s.readRecord(id, r.loc)
+		if err != nil {
+			t.Err = err
+			continue
+		}
+		at := len(dst)
+		dst = append(dst, state...)
+		*t = Taken{State: dst[at:len(dst):len(dst)], Algo: algo, OK: true}
+		s.index.del(id)
+		s.perAlgo[algo]--
+		s.markDead(r.loc)
+		taken = r.loc
+		restored++
+	}
+	s.takeRefs = refs[:0]
+	s.restores += restored
 	s.mu.Unlock()
-	s.restoreLat.Observe(time.Since(t0))
-	return a, dst, true, nil
+	if restored > 0 {
+		// One clock pair for the batch, recorded as each restored link's
+		// share, so RestoreLatency.Count stays equal to Restores.
+		s.restoreLat.ObserveN((time.Since(clockBase)-t0)/time.Duration(restored), restored)
+	}
+	return dst, out
+}
+
+// Take restores one link — TakeBatch of one: a cached or single read,
+// CRC validation, and removal from the index (the caller owns the state
+// again; the record becomes dead). The state is appended to dst. ok is
+// false when the link is not in the tier.
+func (s *Store) Take(id uint64, dst []byte) (algo uint8, state []byte, ok bool, err error) {
+	ids := [1]uint64{id}
+	var out [1]Taken
+	dst, res := s.TakeBatch(ids[:], dst, out[:0])
+	if !res[0].OK {
+		return 0, nil, false, res[0].Err
+	}
+	return res[0].Algo, dst, true, nil
 }
 
 // Peek reads a link's state without removing it (the link store's Peek
@@ -545,8 +677,12 @@ func (s *Store) Take(id uint64, dst []byte) (algo uint8, state []byte, ok bool, 
 func (s *Store) Peek(id uint64, dst []byte) (algo uint8, state []byte, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a, view, ok, err := s.readRecord(id)
-	if err != nil || !ok {
+	l, ok := s.index.get(id)
+	if !ok {
+		return 0, nil, false, nil
+	}
+	a, view, err := s.readRecord(id, l)
+	if err != nil {
 		return 0, nil, false, err
 	}
 	return a, append(dst, view...), true, nil
@@ -556,26 +692,7 @@ func (s *Store) Peek(id uint64, dst []byte) (algo uint8, state []byte, ok bool, 
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
-}
-
-// kickCompact nudges the background compactor (nonblocking).
-func (s *Store) kickCompact() {
-	select {
-	case s.compactCh <- struct{}{}:
-	default:
-	}
-}
-
-// maybeKickCompactLocked kicks the compactor if any sealed segment is
-// past the dead-ratio threshold.
-func (s *Store) maybeKickCompactLocked() {
-	for _, sg := range s.segs {
-		if sg != s.active && (sg.liveRecs == 0 || sg.deadRatio() >= s.compactRatio) {
-			s.kickCompact()
-			return
-		}
-	}
+	return s.index.len()
 }
 
 // compactLoop drains compaction kicks until Close.
@@ -608,10 +725,7 @@ func (s *Store) CompactOnce() (bool, error) {
 	}
 	var victim *segment
 	for _, sg := range s.segs {
-		if sg == s.active {
-			continue
-		}
-		if sg.liveRecs > 0 && sg.deadRatio() < s.compactRatio {
+		if sg == nil || !s.compactable(sg) {
 			continue
 		}
 		if victim == nil || sg.deadRatio() > victim.deadRatio() {
@@ -622,51 +736,35 @@ func (s *Store) CompactOnce() (bool, error) {
 		return false, nil
 	}
 	if victim.liveRecs > 0 {
-		// Re-append the live records through the ordinary put path. The
-		// whole segment is read once; records whose index entry still
-		// points into it are live, everything else is garbage to drop.
+		// Re-append the live records through the ordinary put path, which
+		// supersedes their index entries (or, on error, changes none, and
+		// the segment survives for a later compaction to retry). The whole
+		// segment is read once; records whose index entry still points
+		// into it are live, everything else is garbage to drop.
 		data := make([]byte, victim.size-headerLen)
 		if _, err := victim.f.ReadAt(data, headerLen); err != nil {
 			return false, err
 		}
 		var live []Record
-		var liveOffs []int64
 		off := int64(headerLen)
 		for rel := 0; rel < len(data); {
 			rec := data[rel:]
 			w := int(binary.LittleEndian.Uint16(rec[0:2]))
 			n := recOverhead + w
 			id := binary.LittleEndian.Uint64(rec[3:11])
-			if ref, ok := s.index[id]; ok {
-				if segID, recOff := unpack(ref); segID == victim.id && recOff == off {
-					live = append(live, Record{LinkID: id, Algo: rec[2], State: rec[recHeaderLen : recHeaderLen+w]})
-					liveOffs = append(liveOffs, off)
-					// Drop the index entry so putLocked re-adding it does
-					// not mark the victim's copy dead (the whole segment
-					// is deleted below) or double-count the link's algo.
-					delete(s.index, id)
-					s.perAlgo[rec[2]]--
-				}
+			if l, ok := s.index.get(id); ok && l == makeLoc(victim.slot, off, w) {
+				live = append(live, Record{LinkID: id, Algo: rec[2], State: rec[recHeaderLen : recHeaderLen+w]})
 			}
 			rel += n
 			off += int64(n)
 		}
 		if err := s.putLocked(live); err != nil {
-			// putLocked made no index changes on error; re-point the live
-			// records at the victim so no state is lost. The segment
-			// survives until a later compaction retries.
-			for i, r := range live {
-				s.index[r.LinkID] = pack(victim.id, liveOffs[i])
-				s.perAlgo[r.Algo]++
-			}
 			return false, err
 		}
 	}
-	victim.f.Close()
-	if err := s.fs.Remove(s.segPath(victim.id)); err != nil {
+	if err := s.removeSegment(victim); err != nil {
 		return false, err
 	}
-	delete(s.segs, victim.id)
 	s.compactions++
 	return true, nil
 }
@@ -710,14 +808,17 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := Stats{
-		Links:       len(s.index),
-		Segments:    len(s.segs),
+		Links:       s.index.len(),
+		Segments:    len(s.segs) - len(s.freeSlots),
 		Spills:      s.spills,
 		Restores:    s.restores,
 		Compactions: s.compactions,
 		TornTails:   s.tornTails,
 	}
 	for _, sg := range s.segs {
+		if sg == nil {
+			continue
+		}
 		out.LiveBytes += sg.liveBytes
 		out.DeadBytes += sg.deadBytes
 		out.DiskBytes += sg.size
@@ -737,7 +838,9 @@ func (s *Store) Stats() Stats {
 
 func (s *Store) closeFiles() {
 	for _, sg := range s.segs {
-		sg.f.Close()
+		if sg != nil {
+			sg.f.Close()
+		}
 	}
 }
 
@@ -757,6 +860,9 @@ func (s *Store) Close() error {
 	defer s.mu.Unlock()
 	var err error
 	for _, sg := range s.segs {
+		if sg == nil {
+			continue
+		}
 		if s.cfg.Sync {
 			if e := sg.f.Sync(); e != nil && err == nil {
 				err = e

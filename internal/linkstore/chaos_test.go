@@ -177,10 +177,15 @@ func TestColdRestoreFaultFallsThroughFresh(t *testing.T) {
 	clk.Advance(50 * time.Millisecond)
 	st.EvictIdle() // disarmed: spills reach the disk
 
-	// Pick a link whose state actually lives on disk.
+	// Pick a link whose state actually lives on disk. The search runs
+	// armed: a link the tier holds answers with the injected read fault
+	// (and a failed read caches nothing), where a disarmed Peek would pull
+	// the record's block into the tier's read cache and the restore below
+	// would never reach the faulty disk.
+	inj.Arm(true)
 	victim := -1
 	for i := 0; i < nLinks; i++ {
-		if _, _, ok, err := cold.Peek(uint64(i)+1, nil); err == nil && ok {
+		if _, _, _, err := cold.Peek(uint64(i)+1, nil); faultfs.IsInjected(err) {
 			victim = i
 			break
 		}
@@ -189,7 +194,6 @@ func TestColdRestoreFaultFallsThroughFresh(t *testing.T) {
 		t.Fatal("eviction churn left no link on disk")
 	}
 
-	inj.Arm(true)
 	op, fb := feedback(victim, 9e-4)
 	got := st.Apply(op)
 	fresh := spec.New()

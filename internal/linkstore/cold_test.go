@@ -318,3 +318,68 @@ func TestColdPeekReachesDisk(t *testing.T) {
 		t.Fatal("Peek drained the cold tier")
 	}
 }
+
+// TestColdLinkInTwoNonAdjacentRuns: one batch names a disk-resident link
+// in two runs with another disk-resident link between them. Both runs are
+// set aside and answered by a single batched restore that names the link
+// twice; the first run must get the spilled state, the second must find
+// the link hot and continue from the first run's result — the decisions
+// of a store that never evicted anything.
+func TestColdLinkInTwoNonAdjacentRuns(t *testing.T) {
+	clk := &fakeClock{}
+	cold := openCold(t, t.TempDir())
+	defer cold.Close()
+	st := New(Config{Shards: 1, TTL: time.Second, Clock: clk.Now, Cold: cold, ColdFront: 2})
+	ref := New(Config{Shards: 1, Clock: clk.Now})
+	const a, b = 7, 8
+	warm := []Op{
+		{LinkID: a, Kind: core.KindBER, RateIndex: 0, BER: 1e-7},
+		{LinkID: b, Kind: core.KindSilentLoss},
+		{LinkID: a, Kind: core.KindBER, RateIndex: 1, BER: 1e-7},
+	}
+	out, want := make([]int32, 4), make([]int32, 4)
+	st.ApplyBatch(warm, out)
+	ref.ApplyBatch(warm, want)
+
+	clk.Advance(2 * time.Second)
+	st.EvictIdle()
+	if n, err := st.SpillAll(); err != nil || n != 2 {
+		t.Fatalf("SpillAll = %d, %v; want both links on disk", n, err)
+	}
+	before := st.Stats()
+
+	batch := []Op{
+		{LinkID: a, Kind: core.KindBER, RateIndex: 2, BER: 1e-2},
+		{LinkID: b, Kind: core.KindSilentLoss},
+		{LinkID: a, Kind: core.KindBER, RateIndex: 1, BER: 1e-7},
+		{LinkID: a, Kind: core.KindBER, RateIndex: 2, BER: 1e-7},
+	}
+	st.ApplyBatch(batch, out)
+	ref.ApplyBatch(batch, want)
+	for i := range batch {
+		if out[i] != want[i] {
+			t.Fatalf("op %d: decision %d, a never-evicted store decides %d", i, out[i], want[i])
+		}
+	}
+	for _, id := range []uint64{a, b} {
+		got, _ := softPeek(t, st, id)
+		exp, _ := softPeek(t, ref, id)
+		if got != exp {
+			t.Fatalf("link %d ends at %+v, a never-evicted store at %+v", id, got, exp)
+		}
+	}
+	after := st.Stats()
+	if d := after.Restores - before.Restores; d != 2 {
+		t.Fatalf("%d restores, want one per link", d)
+	}
+	// The second run of link a (two ops) and nothing else found its link hot.
+	if d := after.Hits - before.Hits; d != 2 {
+		t.Fatalf("%d hits, want 2", d)
+	}
+	if after.Creates != before.Creates || after.ColdRestoreErrors != 0 {
+		t.Fatalf("creates %d → %d, restore errors %d", before.Creates, after.Creates, after.ColdRestoreErrors)
+	}
+	if cs := cold.Stats(); cs.Restores != 2 || cs.Links != 0 || cs.RestoreLatency.Count != cs.Restores {
+		t.Fatalf("cold tier: %d restores, %d links left, %d latency observations", cs.Restores, cs.Links, cs.RestoreLatency.Count)
+	}
+}

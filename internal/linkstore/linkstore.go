@@ -25,8 +25,10 @@
 //     generations: recently evicted links restore from RAM, and when the
 //     current generation fills, the older one is spilled wholesale to the
 //     disk tier in one group-committed batch (internal/coldstore). A
-//     returning link is looked up front-first, then restored from disk
-//     with a single read. Because spill and restore carry the same
+//     returning link is looked up front-first, then restored from disk:
+//     a shard visit collects the links only the disk tier can answer for
+//     and restores them in one coldstore.TakeBatch before applying their
+//     ops in batch order. Because spill and restore carry the same
 //     encoded state bytes the RAM archive does, decisions stay
 //     byte-identical across evict → spill → restore — resident memory is
 //     then bounded by the hot set + front + cold index instead of the
@@ -337,10 +339,16 @@ type shard struct {
 	// record headers pointing into it.
 	spillBuf  []byte
 	spillRecs []coldstore.Record
-	spillOffs []int
-	coldBuf   []byte           // Take destination, reused
-	slabs     []slab           // indexed by algo ID
-	scratch   []ctl.Controller // indexed by algo ID, built lazily
+	// coldIDs/coldRuns are the visit's deferred work: the links only the
+	// disk tier can answer for and, for each, its run's bounds in the
+	// visit's index slice. coldBuf/coldOut receive the TakeBatch that
+	// resolves them. All reused.
+	coldIDs  []uint64
+	coldRuns [][2]int32
+	coldBuf  []byte
+	coldOut  []coldstore.Taken
+	slabs    []slab           // indexed by algo ID
+	scratch  []ctl.Controller // indexed by algo ID, built lazily
 	// soft caches the unwrapped core controller of any *ctl.SoftRate
 	// scratch: the overwhelmingly common algorithm skips the interface
 	// round trip (DecodeState/Apply/EncodeState collapse to two uint32
@@ -542,38 +550,50 @@ func (sh *shard) scratchFor(st *Store, a ctl.Algo) ctl.Controller {
 	return c
 }
 
-// createLocked builds the entry for a link absent from the hot map:
-// revived from either RAM-archive generation or the cold tier (keeping
-// its original algorithm), or created fresh with the op's. Caller holds
-// sh.mu.
-func (sh *shard) createLocked(st *Store, id uint64, algo ctl.Algo) entry {
+// missLocked builds the entry for a link absent from the hot map when
+// RAM alone can: revived from either RAM-archive generation (keeping its
+// original algorithm), or — with no disk tier to ask — created fresh
+// with the op's. It reports false for a link only the cold tier can
+// answer for. Caller holds sh.mu.
+func (sh *shard) missLocked(st *Store, id uint64, algo ctl.Algo) (entry, bool) {
 	if !st.cfg.DropOnEvict {
 		if a, ok := sh.archive[id]; ok {
 			delete(sh.archive, id)
-			return sh.reviveLocked(st, a)
+			return sh.reviveLocked(st, a), true
 		}
 		if a, ok := sh.archiveOld[id]; ok {
 			delete(sh.archiveOld, id)
-			return sh.reviveLocked(st, a)
+			return sh.reviveLocked(st, a), true
 		}
 		if st.cold != nil {
-			if e, ok := sh.coldRestoreLocked(st, id); ok {
-				return e
-			}
+			return entry{}, false
 		}
 	}
-	w := st.widths[algo]
-	e := entry{algo: algo}
-	if w <= inlineState {
-		copy(e.state[:w], st.fresh[algo])
-	} else {
-		slot := sh.slabs[algo].alloc(w, st.slabReserve)
-		e.setSlot(slot)
-		copy(sh.slabs[algo].at(slot, w), st.fresh[algo])
-	}
+	return sh.freshLocked(st, st.resolveAlgo(algo)), true
+}
+
+// freshLocked creates a link that has no state anywhere. Caller holds
+// sh.mu.
+func (sh *shard) freshLocked(st *Store, algo ctl.Algo) entry {
+	e := sh.entryWithLocked(st, algo, st.fresh[algo])
 	sh.stats.Creates++
 	sh.perAlgo[algo].creates++
 	sh.perAlgo[algo].live++
+	return e
+}
+
+// entryWithLocked builds a hot entry holding state: inline when it fits,
+// in a freshly allocated slab slot otherwise. Caller holds sh.mu.
+func (sh *shard) entryWithLocked(st *Store, algo ctl.Algo, state []byte) entry {
+	w := st.widths[algo]
+	e := entry{algo: algo}
+	if w <= inlineState {
+		copy(e.state[:w], state)
+	} else {
+		slot := sh.slabs[algo].alloc(w, st.slabReserve)
+		e.setSlot(slot)
+		copy(sh.slabs[algo].at(slot, w), state)
+	}
 	return e
 }
 
@@ -581,14 +601,7 @@ func (sh *shard) createLocked(st *Store, id uint64, algo ctl.Algo) entry {
 // holds sh.mu and has removed a from its generation map.
 func (sh *shard) reviveLocked(st *Store, a archived) entry {
 	w := st.widths[a.algo]
-	e := entry{algo: a.algo}
-	if w <= inlineState {
-		copy(e.state[:w], a.state(w))
-	} else {
-		slot := sh.slabs[a.algo].alloc(w, st.slabReserve)
-		e.setSlot(slot)
-		copy(sh.slabs[a.algo].at(slot, w), a.state(w))
-	}
+	e := sh.entryWithLocked(st, a.algo, a.state(w))
 	sh.stats.Restores++
 	sh.perAlgo[a.algo].restores++
 	sh.perAlgo[a.algo].archived--
@@ -597,79 +610,97 @@ func (sh *shard) reviveLocked(st *Store, a archived) entry {
 	return e
 }
 
-// coldRestoreLocked takes a link's state back from the disk tier: one
-// read, CRC-checked, carrying the exact bytes the link spilled with (so
-// the restored controller is byte-identical to the evicted one). A
-// failed or unparseable restore counts a cold error and falls through
-// to a fresh controller — never a half-decoded one. Caller holds sh.mu.
-func (sh *shard) coldRestoreLocked(st *Store, id uint64) (entry, bool) {
-	algoB, state, ok, err := st.cold.Take(id, sh.coldBuf[:0])
-	if err != nil {
-		st.coldRestoreErrors.Add(1)
-		return entry{}, false
-	}
-	if !ok {
-		return entry{}, false
-	}
-	sh.coldBuf = state[:0]
-	a := ctl.Algo(algoB)
-	if int(a) >= len(st.widths) || st.widths[a] != len(state) {
+// fromColdLocked turns the disk tier's answer for one link into its hot
+// entry. A restored state carries the exact CRC-checked bytes the link
+// spilled with, so the controller is byte-identical to the evicted one.
+// A link the tier does not hold is created fresh with the op's
+// algorithm; so is one whose restore failed or came back unparseable,
+// after counting a cold error — never a half-decoded controller. Caller
+// holds sh.mu.
+func (sh *shard) fromColdLocked(st *Store, t *coldstore.Taken, algo ctl.Algo) entry {
+	if t.OK {
+		a := ctl.Algo(t.Algo)
+		if int(a) < len(st.widths) && st.widths[a] == len(t.State) {
+			e := sh.entryWithLocked(st, a, t.State)
+			sh.stats.Restores++
+			sh.perAlgo[a].restores++
+			sh.perAlgo[a].live++
+			return e
+		}
 		// A record from an unregistered algorithm or the wrong width —
 		// possible only across an incompatible binary change. Refuse it.
 		st.coldRestoreErrors.Add(1)
-		return entry{}, false
+	} else if t.Err != nil {
+		st.coldRestoreErrors.Add(1)
 	}
-	w := st.widths[a]
-	e := entry{algo: a}
-	if w <= inlineState {
-		copy(e.state[:w], state)
-	} else {
-		slot := sh.slabs[a].alloc(w, st.slabReserve)
-		e.setSlot(slot)
-		copy(sh.slabs[a].at(slot, w), state)
-	}
-	sh.stats.Restores++
-	sh.perAlgo[a].restores++
-	sh.perAlgo[a].live++
-	return e, true
+	return sh.freshLocked(st, st.resolveAlgo(algo))
 }
 
 // applyShardLocked services a shard's slice of one batch: idxs index into
 // ops/out in batch order. Contiguous ops for the same link — the natural
 // shape when a sender batches several frames' feedback per station — are
 // serviced as one run: one map lookup, one TTL stamp, and one state
-// decode/encode for the whole run instead of one per op. Caller holds
-// sh.mu.
+// decode/encode for the whole run instead of one per op. Runs whose link
+// only the disk tier can answer for are set aside and resolved together
+// once the rest of the visit is served. Caller holds sh.mu.
 func (sh *shard) applyShardLocked(st *Store, ops []Op, idxs []int32, out []int32, nowTick uint32) {
-	for k := 0; k < len(idxs); {
+	for k, j := 0, 0; k < len(idxs); k = j {
 		id := ops[idxs[k]].LinkID
-		j := k + 1
-		for j < len(idxs) && ops[idxs[j]].LinkID == id {
-			j++
+		for j = k + 1; j < len(idxs) && ops[idxs[j]].LinkID == id; j++ {
 		}
-		sh.applyRunLocked(st, ops, idxs[k:j], out, nowTick)
-		k = j
+		run := idxs[k:j]
+		// Hot path: the link exists and its algorithm is already bound, so
+		// the op's Algo field doesn't even need resolving.
+		e, ok := sh.links[id]
+		if ok {
+			sh.stats.Hits += uint64(len(run))
+		} else if e, ok = sh.missLocked(st, id, ops[run[0]].Algo); ok {
+			// Later ops of a creating run find the link hot, exactly as the
+			// op-at-a-time accounting would report.
+			sh.stats.Hits += uint64(len(run) - 1)
+		} else {
+			sh.coldIDs = append(sh.coldIDs, id)
+			sh.coldRuns = append(sh.coldRuns, [2]int32{int32(k), int32(j)})
+			continue
+		}
+		sh.applyRunLocked(st, id, e, ops, run, out, nowTick)
+	}
+	if len(sh.coldIDs) != 0 {
+		sh.applyColdRunsLocked(st, ops, idxs, out, nowTick)
 	}
 }
 
-// applyRunLocked runs one link's consecutive ops against a shard. The
-// link's state is materialized once, every op of the run applied, and the
-// result written back once — for in-place-capable wide-state algorithms
-// (ctl.InPlace) it is never materialized at all and each op mutates the
-// slab slot directly. Caller holds sh.mu.
-func (sh *shard) applyRunLocked(st *Store, ops []Op, run []int32, out []int32, nowTick uint32) {
-	id := ops[run[0]].LinkID
-	// Hot path: the link exists and its algorithm is already bound, so
-	// the op's Algo field doesn't even need resolving.
-	e, ok := sh.links[id]
-	if ok {
-		sh.stats.Hits += uint64(len(run))
-	} else {
-		e = sh.createLocked(st, id, st.resolveAlgo(ops[run[0]].Algo))
-		// Later ops of a creating run find the link hot, exactly as the
-		// op-at-a-time accounting would report.
-		sh.stats.Hits += uint64(len(run) - 1)
+// applyColdRunsLocked restores the visit's deferred links from the disk
+// tier in one TakeBatch and applies their runs in batch order. Deferring
+// a run reorders it only against other links' runs, which share no
+// state with it; a link's own runs were all deferred together and keep
+// their order. Caller holds sh.mu.
+func (sh *shard) applyColdRunsLocked(st *Store, ops []Op, idxs []int32, out []int32, nowTick uint32) {
+	sh.coldBuf, sh.coldOut = st.cold.TakeBatch(sh.coldIDs, sh.coldBuf[:0], sh.coldOut[:0])
+	for i, r := range sh.coldRuns {
+		id := sh.coldIDs[i]
+		run := idxs[r[0]:r[1]]
+		// A link deferred twice in one visit was restored by its first run
+		// and is hot for the second, whose own (absent) answer goes unused.
+		e, ok := sh.links[id]
+		if ok {
+			sh.stats.Hits += uint64(len(run))
+		} else {
+			e = sh.fromColdLocked(st, &sh.coldOut[i], ops[run[0]].Algo)
+			sh.stats.Hits += uint64(len(run) - 1)
+		}
+		sh.applyRunLocked(st, id, e, ops, run, out, nowTick)
 	}
+	sh.coldIDs, sh.coldRuns = sh.coldIDs[:0], sh.coldRuns[:0]
+}
+
+// applyRunLocked runs one link's consecutive ops against its entry e
+// (looked up, revived or created by the caller) and stores the result in
+// the hot map. The link's state is materialized once, every op of the
+// run applied, and the result written back once — for in-place-capable
+// wide-state algorithms (ctl.InPlace) it is never materialized at all and
+// each op mutates the slab slot directly. Caller holds sh.mu.
+func (sh *shard) applyRunLocked(st *Store, id uint64, e entry, ops []Op, run []int32, out []int32, nowTick uint32) {
 	if sr := sh.soft[e.algo]; sr != nil {
 		// SoftRate fast path (scratch built eagerly in New): the 8-byte
 		// inline state is decoded, applied and re-encoded with no
@@ -897,21 +928,21 @@ func (sh *shard) spillGenLocked(st *Store, gen map[uint64]archived) error {
 		return nil
 	}
 	recs := sh.spillRecs[:0]
-	offs := sh.spillOffs[:0]
 	buf := sh.spillBuf[:0]
 	for id, a := range gen {
-		offs = append(offs, len(buf))
 		buf = append(buf, a.state(st.widths[a.algo])...)
 		recs = append(recs, coldstore.Record{LinkID: id, Algo: uint8(a.algo)})
 	}
 	// buf may have reallocated while filling; point the records at the
 	// final backing array only now.
+	off := 0
 	for i := range recs {
 		w := st.widths[recs[i].Algo]
-		recs[i].State = buf[offs[i] : offs[i]+w]
+		recs[i].State = buf[off : off+w]
+		off += w
 	}
 	err := st.cold.PutBatch(recs)
-	sh.spillBuf, sh.spillRecs, sh.spillOffs = buf[:0], recs[:0], offs[:0]
+	sh.spillBuf, sh.spillRecs = buf[:0], recs[:0]
 	st.coldSpillResult(err)
 	if err != nil {
 		st.coldSpillErrors.Add(1)
@@ -946,7 +977,7 @@ func (st *Store) Apply(op Op) int {
 	idx := [1]int32{0}
 	var out [1]int32
 	sh.mu.Lock()
-	sh.applyRunLocked(st, ops[:], idx[:], out[:], nowTick)
+	sh.applyShardLocked(st, ops[:], idx[:], out[:], nowTick)
 	sh.maybeSweepLocked(st, now)
 	sh.mu.Unlock()
 	return int(out[0])
