@@ -1,12 +1,16 @@
 package coldstore
 
 const (
-	// Restores walk the log roughly in the order it was written — links
-	// idle out, spill and come back in arrival order — so a few aligned
-	// blocks cover the records about to be asked for. The cache is a
-	// fixed 48 × 16 KiB = 768 KiB, direct-mapped; its frames are
-	// allocated on first fill. (On the benchmark's cold-churn workload 32
-	// frames cost a tenth of the throughput and 64 add nothing.)
+	// Links that idle out together come back together, so restores walk
+	// the log roughly in the order it was written — but only roughly: the
+	// link store spills one batch per shard, in map order, so links that
+	// left at the same moment are scattered over 64 shards' batches. The
+	// cache has to hold that whole stretch of log, not a few streams'
+	// worth of read-ahead, which is why its total size is what counts: on
+	// the benchmark's cold-churn workload 48 frames of 4, 8 and 16 KiB
+	// serve 0.87, 1.00 and 1.18 M decisions/s, 32 frames of 16 KiB cost a
+	// tenth and 64 add nothing. It is a fixed 48 × 16 KiB = 768 KiB,
+	// direct-mapped; a frame's block is allocated on its first fill.
 	blockShift  = 14
 	blockSize   = 1 << blockShift
 	cacheFrames = 48
@@ -37,46 +41,39 @@ type blockFrame struct {
 
 // read returns the n bytes at off in sg, which must lie below sg.size.
 // The result aliases a frame or *scratch and is valid until the next
-// read.
-//
-// A block is filled on its second touch. The first touch of a block
-// only claims the frame and reads the record itself, exact-length, into
-// *scratch: restores that land all over the log (links returning in an
-// order unrelated to the one they left in) then cost one small read
-// each, as they would uncached, instead of a block each. A record that
-// straddles a block boundary is always read that way.
+// read. A record that straddles a block boundary is read directly,
+// exact-length, into *scratch.
 func (c *blockCache) read(sg *segment, off int64, n int, scratch *[]byte) ([]byte, error) {
 	block := off >> blockShift
 	rel := int(off & (blockSize - 1))
+	if rel+n > blockSize {
+		if cap(*scratch) < n {
+			*scratch = make([]byte, n)
+		}
+		buf := (*scratch)[:n]
+		if _, err := sg.f.ReadAt(buf, off); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
 	// Consecutive blocks of one segment take consecutive frames, and the
 	// per-segment stride keeps two segments' tails apart.
 	fr := &c.frames[(uint64(block)+uint64(sg.id)*29)%cacheFrames]
-	straddles := rel+n > blockSize
-	if !straddles && fr.sg == sg && fr.block == block {
-		if rel+n > fr.valid {
-			if fr.data == nil {
-				fr.data = make([]byte, blockSize)
-			}
-			start := block << blockShift
-			end := int(min(sg.size-start, blockSize))
-			if _, err := sg.f.ReadAt(fr.data[fr.valid:end], start+int64(fr.valid)); err != nil {
-				return nil, err
-			}
-			fr.valid = end
-		}
-		return fr.data[rel : rel+n], nil
-	}
-	if !straddles {
+	if fr.sg != sg || fr.block != block {
 		fr.sg, fr.block, fr.valid = sg, block, 0
 	}
-	if cap(*scratch) < n {
-		*scratch = make([]byte, n)
+	if rel+n > fr.valid {
+		if fr.data == nil {
+			fr.data = make([]byte, blockSize)
+		}
+		start := block << blockShift
+		end := int(min(sg.size-start, blockSize))
+		if _, err := sg.f.ReadAt(fr.data[fr.valid:end], start+int64(fr.valid)); err != nil {
+			return nil, err
+		}
+		fr.valid = end
 	}
-	buf := (*scratch)[:n]
-	if _, err := sg.f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return fr.data[rel : rel+n], nil
 }
 
 // drop forgets every block of sg (the segment is being deleted).

@@ -58,9 +58,9 @@ func peekT(t *testing.T, s *Store, id uint64, w int) {
 }
 
 // TestBlockCacheActiveTailGrowth: a block of the active segment is
-// fetched on its second touch up to the committed size; when the segment
-// grows, a read past the cached part fetches only the new suffix, and
-// everything already fetched is served without touching the file.
+// fetched up to the committed size; when the segment grows, a read past
+// the cached part fetches only the new suffix, and everything already
+// fetched is served without touching the file.
 func TestBlockCacheActiveTailGrowth(t *testing.T) {
 	fs := &readLogFS{}
 	s := openT(t, t.TempDir(), Config{FS: fs})
@@ -70,13 +70,9 @@ func TestBlockCacheActiveTailGrowth(t *testing.T) {
 	}
 	fs.take()
 
-	peekT(t, s, 3, w) // first touch: the record alone
-	if got := fs.take(); len(got) != 1 || got[0] != (readAtCall{headerLen + 2*rec, rec}) {
-		t.Fatalf("first touch read %v, want the one record", got)
-	}
-	peekT(t, s, 7, w) // second touch: the block, as far as it is committed
+	peekT(t, s, 3, w)
 	if got := fs.take(); len(got) != 1 || got[0] != (readAtCall{0, headerLen + 10*rec}) {
-		t.Fatalf("second touch read %v, want the committed block", got)
+		t.Fatalf("first read of the block read %v, want the block as far as it is committed", got)
 	}
 	for id := uint64(1); id <= 10; id++ {
 		peekT(t, s, id, w)
@@ -109,8 +105,7 @@ func TestBlockCacheDropsCompactedSegment(t *testing.T) {
 	for id := uint64(1); id <= n; id++ {
 		putOne(t, s, id, 1, stateFor(id, w))
 	}
-	for id := uint64(1); id <= n; id++ { // twice: every block is cached
-		peekT(t, s, id, w)
+	for id := uint64(1); id <= n; id++ { // every block is cached
 		peekT(t, s, id, w)
 	}
 	s.mu.Lock()
@@ -138,7 +133,6 @@ func TestBlockCacheDropsCompactedSegment(t *testing.T) {
 	}
 	s.mu.Unlock()
 	for id := uint64(2); id <= n; id += 2 {
-		peekT(t, s, id, w)
 		peekT(t, s, id, w)
 	}
 }
@@ -196,7 +190,6 @@ func TestBlockCacheReadErrorNotCached(t *testing.T) {
 	for id := uint64(1); id <= 10; id++ {
 		putOne(t, s, id, 1, stateFor(id, w))
 	}
-	peekT(t, s, 1, w) // first touch claims the frame
 
 	inj.Arm(true)
 	if _, _, _, err := s.Peek(2, nil); !faultfs.IsInjected(err) {

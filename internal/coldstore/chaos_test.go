@@ -3,6 +3,7 @@ package coldstore
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"softrate/internal/faultfs"
 )
@@ -79,4 +80,36 @@ func TestCompactOnceVictimReadFault(t *testing.T) {
 		t.Fatalf("CompactOnce retry on a healed disk: progressed=%v err=%v", progressed, err)
 	}
 	check("after successful compaction")
+}
+
+// TestFailedCompactionIsRetried: compaction kicks are sent only when a
+// segment's standing changes, so after a compaction fails nothing else
+// may ever wake the compactor for that segment. With the store left
+// completely alone after the fault heals, the compactor must come back
+// on its own and reclaim it.
+func TestFailedCompactionIsRetried(t *testing.T) {
+	inj := faultfs.Wrap(faultfs.OS{}, 13, faultfs.Rates{ReadErr: 1})
+	inj.Arm(false)
+	s := openT(t, t.TempDir(), Config{SegmentBytes: 1 << 10, CompactRatio: 0.4, FS: inj})
+	const n, stateW = 24, 64
+	for id := uint64(1); id <= n; id++ {
+		putOne(t, s, id, 1, stateFor(id, stateW))
+	}
+	// Supersede over a faulty disk until the sealed segment crosses the
+	// threshold and the background compactor's read of it has failed.
+	inj.Arm(true)
+	for id := uint64(1); id <= n/2 && inj.Stats().ReadFaults == 0; id++ {
+		putOne(t, s, id, 1, stateFor(id+1000, stateW))
+		time.Sleep(10 * time.Millisecond)
+	}
+	if inj.Stats().ReadFaults == 0 {
+		t.Fatal("the background compactor never attempted the sealed segment")
+	}
+	inj.Arm(false)
+	for deadline := time.Now().Add(10 * compactRetry); s.Stats().Compactions == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("a failed compaction was never retried")
+		}
+		time.Sleep(compactRetry / 20)
+	}
 }

@@ -19,7 +19,9 @@
 //     the record's length, so a read is exact and superseding or
 //     restoring a record needs no I/O to account its bytes dead. Linear
 //     probing in hash order, backward-shift deletion, and 64 partitions
-//     that grow one at a time, so no insert rehashes the whole index.
+//     that grow one at a time, so no insert rehashes the whole index. The
+//     hash is keyed per process: link IDs come off the wire, and nobody
+//     outside can aim them at one slot.
 //   - Reads go through a small read-through cache of aligned segment
 //     blocks (blockcache.go). Append-only segments make it coherent
 //     without invalidation: committed bytes never change, the growing
@@ -35,7 +37,8 @@
 //     records make a segment's dead ratio grow; a background compactor
 //     rewrites any segment past Config.CompactRatio by re-appending its
 //     live records and deleting the file, so disk usage tracks the live
-//     population.
+//     population. It is woken when a record dies or a segment is sealed,
+//     and by its own timer after a compaction that failed.
 //   - Recovery is a scan. Open rebuilds the index by reading every
 //     segment in ID order (later segments supersede earlier ones, later
 //     offsets supersede earlier ones); the first CRC or framing failure
@@ -92,6 +95,10 @@ const (
 	// maxKeptBatchBuf is the largest PutBatch serialization buffer kept
 	// for reuse.
 	maxKeptBatchBuf = 1 << 20
+
+	// compactRetry is how long the background compactor waits before it
+	// tries again after a failed compaction.
+	compactRetry = time.Second
 
 	// DefaultSegmentBytes is the rotation threshold when
 	// Config.SegmentBytes is zero.
@@ -168,6 +175,7 @@ type Store struct {
 	// at once rather than the segments ever written.
 	segs      []*segment
 	freeSlots []uint16
+	maxSegs   int // maxSegSlots; a field so a test can reach the limit
 	active    *segment
 	nextSeg   uint32
 	// index is all an idle link keeps in RAM — the whole point of the
@@ -223,6 +231,7 @@ func Open(cfg Config) (*Store, error) {
 		fs:           cfg.FS,
 		segmentBytes: int64(cfg.SegmentBytes),
 		compactRatio: cfg.CompactRatio,
+		maxSegs:      maxSegSlots,
 		compactCh:    make(chan struct{}, 1),
 		stopCh:       make(chan struct{}),
 	}
@@ -316,11 +325,11 @@ func (s *Store) addSegment(sg *segment) error {
 		sg.slot = s.freeSlots[n-1]
 		s.freeSlots = s.freeSlots[:n-1]
 		s.segs[sg.slot] = sg
-	} else if len(s.segs) < maxSegSlots {
+	} else if len(s.segs) < s.maxSegs {
 		sg.slot = uint16(len(s.segs))
 		s.segs = append(s.segs, sg)
 	} else {
-		return fmt.Errorf("coldstore: %d segments are live, the most the index can name", maxSegSlots)
+		return fmt.Errorf("coldstore: %d segments are live, the most the index can name", s.maxSegs)
 	}
 	return nil
 }
@@ -468,11 +477,16 @@ func (s *Store) rotateLocked() error {
 // appendRecord serializes one record into buf.
 func appendRecord(buf []byte, r Record) []byte {
 	start := len(buf)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.State)))
-	buf = append(buf, r.Algo)
-	buf = binary.LittleEndian.AppendUint64(buf, r.LinkID)
+	var hdr [recHeaderLen]byte
+	binary.LittleEndian.PutUint16(hdr[0:2], uint16(len(r.State)))
+	hdr[2] = r.Algo
+	binary.LittleEndian.PutUint64(hdr[3:11], r.LinkID)
+	buf = append(buf, hdr[:]...)
 	buf = append(buf, r.State...)
-	return binary.LittleEndian.AppendUint32(buf, crc32IEEE(buf[start:]))
+	crc := crc32IEEE(buf[start:])
+	var tail [4]byte
+	binary.LittleEndian.PutUint32(tail[:], crc)
+	return append(buf, tail[:]...)
 }
 
 // PutBatch group-commits a batch of encoded states: one serialization
@@ -590,7 +604,9 @@ type Taken struct {
 }
 
 // clockBase anchors TakeBatch's timing: time.Since of a fixed instant is
-// one monotonic clock read, where time.Now also reads the wall clock.
+// one monotonic clock read, where time.Now also reads the wall clock —
+// 28 ns of a 207 ns Take, and a shard visit restores only a link or two
+// per call.
 var clockBase = time.Now()
 
 // takeRef is one index hit of a TakeBatch: where the record is and which
@@ -695,19 +711,29 @@ func (s *Store) Len() int {
 	return s.index.len()
 }
 
-// compactLoop drains compaction kicks until Close.
+// compactLoop drains compaction kicks until Close. Kicks come only when
+// a segment's standing changes, so a compaction that fails — a transient
+// read or write fault, a Remove that did not take — would wait for some
+// other segment's kick; the loop re-arms itself after compactRetry
+// instead.
 func (s *Store) compactLoop() {
 	defer s.done.Done()
+	var retry <-chan time.Time
 	for {
 		select {
 		case <-s.stopCh:
 			return
 		case <-s.compactCh:
-			for {
-				progressed, err := s.CompactOnce()
-				if err != nil || !progressed {
-					break
-				}
+		case <-retry:
+		}
+		retry = nil
+		for {
+			progressed, err := s.CompactOnce()
+			if err != nil {
+				retry = time.After(compactRetry)
+			}
+			if err != nil || !progressed {
+				break
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package coldstore
 
-import "softrate/internal/bitutil"
+import (
+	"math/rand/v2"
+
+	"softrate/internal/bitutil"
+)
 
 // loc is where one record lives, packed so that sorting raw values sorts
 // by segment, then offset: [segment slot u16 | byte offset u32 | state
@@ -49,10 +53,10 @@ const (
 	// entry per insert pay for it.
 	indexLoadNum, indexLoadDen = 17, 20
 	indexFirstHomes            = 64
-	// indexSlack is how many slots past the last home a partition keeps
-	// for the entries displaced off its end (there is no wrap-around);
+	// indexSlack is how many slots past the last home a partition starts
+	// with for the entries displaced off its end (there is no wrap-around);
 	// at these loads a displacement of 64 has probability below e^-20,
-	// and an insert that would need more grows the partition early.
+	// and an insert that needs more lengthens the slack by a slot.
 	indexSlack = 64
 )
 
@@ -78,15 +82,20 @@ type indexPart struct {
 	used  int
 }
 
+// hashSeed keys the index hash for the life of the process. Link IDs
+// arrive off the wire and Mix64 is invertible: unkeyed, a client could
+// pick IDs that all hash alike and make every probe walk the pile.
+var hashSeed = rand.Uint64()
+
 // hash32 orders a partition's entries; the same mix's top bits pick the
 // partition.
-func hash32(id uint64) uint32 { return uint32(bitutil.Mix64(id) >> 24) }
+func hash32(id uint64) uint32 { return uint32(bitutil.Mix64(id^hashSeed) >> 24) }
 
 func (p *indexPart) home(h uint32) int { return int(uint64(h) * uint64(p.homes) >> 32) }
 
 // part returns id's partition number and its hash there.
 func part(id uint64) (int, uint32) {
-	m := bitutil.Mix64(id)
+	m := bitutil.Mix64(id ^ hashSeed)
 	return int(m >> indexPartShift), uint32(m >> 24)
 }
 
@@ -133,29 +142,27 @@ func (ix *index) put(id uint64, l loc) (old loc, replaced bool) {
 		// early step, and saves a second lookup after every real one.
 		p.grow(k)
 	}
-	for {
-		i, found := p.find(id, h)
-		if found {
-			old = p.slots[i].loc
-			p.slots[i].loc = l
-			return old, true
-		}
-		// Open slot i by moving everything up to the next empty slot one
-		// to the right — unless that is the last slot, which stays empty.
-		e := i
-		for p.slots[e].loc != 0 {
-			e++
-		}
-		if e == len(p.slots)-1 {
-			p.grow(k)
-			continue
-		}
-		copy(p.slots[i+1:e+1], p.slots[i:e])
-		p.slots[i] = indexSlot{key: id, loc: l}
-		p.used++
-		ix.n++
-		return 0, false
+	i, found := p.find(id, h)
+	if found {
+		old = p.slots[i].loc
+		p.slots[i].loc = l
+		return old, true
 	}
+	// Open slot i by moving everything up to the next empty slot one to
+	// the right. The last slot stays empty: a cluster that reaches it gets
+	// one more slot of slack, however its hashes are spread.
+	e := i
+	for p.slots[e].loc != 0 {
+		e++
+	}
+	if e == len(p.slots)-1 {
+		p.slots = append(p.slots, indexSlot{})
+	}
+	copy(p.slots[i+1:e+1], p.slots[i:e])
+	p.slots[i] = indexSlot{key: id, loc: l}
+	p.used++
+	ix.n++
+	return 0, false
 }
 
 // del removes the link and returns where it was.

@@ -120,8 +120,9 @@ func TestIndexAgainstMap(t *testing.T) {
 
 // TestIndexEndOfTableCluster piles links onto the last home slot of a
 // partition's first table. There is no wrap-around: the cluster runs on
-// into the slack past the homes, stays reachable there, survives the
-// growth steps the load threshold triggers along the way, and closes up
+// into the slack past the homes and lengthens it, stays reachable there,
+// survives the growth steps the load threshold triggers along the way,
+// and closes up
 // correctly when links are deleted from its front.
 func TestIndexEndOfTableCluster(t *testing.T) {
 	var ix index
@@ -149,10 +150,10 @@ func TestIndexEndOfTableCluster(t *testing.T) {
 	}
 }
 
-// TestIndexSlackExhaustedGrowsEarly fills a partition's slack directly —
-// below the load threshold — so the only way to place the next link is
-// the early grow.
-func TestIndexSlackExhaustedGrowsEarly(t *testing.T) {
+// TestIndexSlackExhaustedLengthens fills a partition's slack directly —
+// below the load threshold — so the next link fits only if the slack
+// gets longer.
+func TestIndexSlackExhaustedLengthens(t *testing.T) {
 	var ix index
 	model := make(map[uint64]uint64)
 	// A table with many homes and few entries, all hashing to its last
@@ -171,9 +172,61 @@ func TestIndexSlackExhaustedGrowsEarly(t *testing.T) {
 			checkIndex(t, &ix, model)
 		}
 	}
-	if p.homes == homes {
-		t.Fatalf("%d links on the last home of a %d-slack table never grew it", n, indexSlack)
+	if p.homes != homes || len(p.slots) != homes+n {
+		t.Fatalf("%d links on the last home: %d homes, %d slots; want %d homes and the slack lengthened to %d slots", n, p.homes, len(p.slots), homes, homes+n)
 	}
+}
+
+// unmix64 inverts bitutil.Mix64.
+func unmix64(x uint64) uint64 {
+	inv := func(m uint64) uint64 { // Newton's iteration for m⁻¹ mod 2^64
+		y := m
+		for range 6 {
+			y *= 2 - m*y
+		}
+		return y
+	}
+	x ^= x>>31 ^ x>>62
+	x *= inv(0x94d049bb133111eb)
+	x ^= x>>27 ^ x>>54
+	x *= inv(0xbf58476d1ce4e5b9)
+	return x ^ x>>30 ^ x>>60
+}
+
+// TestIndexIdenticalHashesAtTop inserts several slacks' worth of links
+// whose hash is the largest there is, all in one partition: no growth
+// step can spread them, so each insert has to make its own room — in
+// space proportional to the pile — and growth steps along the way have
+// to carry the pile over. (Crafting them takes the process's hash seed.)
+func TestIndexIdenticalHashesAtTop(t *testing.T) {
+	var ix index
+	model := make(map[uint64]uint64)
+	const k = indexParts - 1
+	n := 5 * indexSlack
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = unmix64(uint64(k)<<indexPartShift|0xFFFFFFFF<<24|uint64(i)) ^ hashSeed
+		if pk, h := part(ids[i]); pk != k || h != 0xFFFFFFFF {
+			t.Fatalf("crafted id %d lands in partition %d with hash %#x", i, pk, h)
+		}
+	}
+	for i, id := range ids {
+		l := makeLoc(3, int64(headerLen+i), 8)
+		ix.put(id, l)
+		model[id] = uint64(l)
+		checkIndex(t, &ix, model)
+	}
+	p := &ix.parts[k]
+	if len(p.slots) > p.homes+n {
+		t.Fatalf("%d same-hash links took %d slots past %d homes", n, len(p.slots)-p.homes, p.homes)
+	}
+	for _, id := range ids[:n/2] {
+		if _, ok := ix.del(id); !ok {
+			t.Fatalf("del(%d) missed", id)
+		}
+		delete(model, id)
+	}
+	checkIndex(t, &ix, model)
 }
 
 func TestLocRoundTrip(t *testing.T) {

@@ -257,6 +257,48 @@ func TestSegmentOffsetBound(t *testing.T) {
 	}
 }
 
+// TestLiveSegmentLimit: an index entry names its segment by a 16-bit
+// slot, so only so many segments can be live at once. At the limit a
+// PutBatch that needs a fresh segment fails without touching what is
+// stored, and works again once a segment has been reclaimed.
+func TestLiveSegmentLimit(t *testing.T) {
+	// SegmentBytes 1 seals a segment after every batch.
+	s := openT(t, t.TempDir(), Config{SegmentBytes: 1})
+	const limit = 4
+	s.mu.Lock()
+	s.maxSegs = limit
+	s.mu.Unlock()
+	var stored []uint64
+	var err error
+	for id := uint64(1); id <= 2*limit; id++ {
+		if err = s.PutBatch([]Record{{LinkID: id, Algo: 1, State: stateFor(id, 8)}}); err != nil {
+			break
+		}
+		stored = append(stored, id)
+	}
+	if err == nil {
+		t.Fatalf("%d one-batch segments fit under a limit of %d", len(stored), limit)
+	}
+	// The empty first segment holds a slot until the background compactor
+	// reclaims it, so the limit is met after limit-1 or limit batches.
+	if st := s.Stats(); st.Segments > limit || st.Links != len(stored) || len(stored) < limit-1 {
+		t.Fatalf("at the limit of %d: %d segments, %d links indexed, %d batches stored", limit, st.Segments, st.Links, len(stored))
+	}
+	for _, id := range stored {
+		peekT(t, s, id, 8)
+	}
+	// Restoring a link leaves its segment fully dead; reclaiming it frees
+	// the slot (the background compactor may already have).
+	if _, _, ok, err := s.Take(stored[0], nil); !ok || err != nil {
+		t.Fatalf("Take(%d): ok=%v err=%v", stored[0], ok, err)
+	}
+	if _, err := s.CompactOnce(); err != nil {
+		t.Fatal(err)
+	}
+	putOne(t, s, 100, 1, stateFor(100, 8))
+	peekT(t, s, 100, 8)
+}
+
 // TestOversizeBatchBufferNotKept: the serialization buffer of an
 // unusually large batch — a compaction rewrite, a shutdown SpillAll — is
 // released, not pinned for the life of the store.

@@ -333,12 +333,6 @@ type shard struct {
 	links      map[uint64]entry
 	archive    map[uint64]archived
 	archiveOld map[uint64]archived
-	// spillBuf/spillRecs are the rotation scratch: one flat byte buffer
-	// holding every spilled state (archived values are copied out of the
-	// map iteration variable, whose inline array is reused) and the
-	// record headers pointing into it.
-	spillBuf  []byte
-	spillRecs []coldstore.Record
 	// coldIDs/coldRuns are the visit's deferred work: the links only the
 	// disk tier can answer for and, for each, its run's bounds in the
 	// visit's index slice. coldBuf/coldOut receive the TakeBatch that
@@ -916,6 +910,19 @@ func (sh *shard) rotateArchiveLocked(st *Store, now int64) bool {
 	return true
 }
 
+// spillScratch is the flat copy of one archive generation that
+// spillGenLocked hands to the cold tier: every spilled state in one byte
+// buffer and the record headers pointing into it. It is pooled, not kept
+// per shard: a shard spills for microseconds at a time, and a generation's
+// worth of headers held by each of 64 shards is resident memory the tier
+// exists to give back.
+type spillScratch struct {
+	buf  []byte
+	recs []coldstore.Record
+}
+
+var spillPool = sync.Pool{New: func() any { return new(spillScratch) }}
+
 // spillGenLocked writes every record of one archive generation to the
 // cold tier in a single batch and empties the generation. The states are
 // first copied into one flat reusable buffer: map iteration yields
@@ -927,8 +934,10 @@ func (sh *shard) spillGenLocked(st *Store, gen map[uint64]archived) error {
 	if len(gen) == 0 {
 		return nil
 	}
-	recs := sh.spillRecs[:0]
-	buf := sh.spillBuf[:0]
+	sc := spillPool.Get().(*spillScratch)
+	defer spillPool.Put(sc)
+	recs := sc.recs[:0]
+	buf := sc.buf[:0]
 	for id, a := range gen {
 		buf = append(buf, a.state(st.widths[a.algo])...)
 		recs = append(recs, coldstore.Record{LinkID: id, Algo: uint8(a.algo)})
@@ -942,7 +951,7 @@ func (sh *shard) spillGenLocked(st *Store, gen map[uint64]archived) error {
 		off += w
 	}
 	err := st.cold.PutBatch(recs)
-	sh.spillBuf, sh.spillRecs = buf[:0], recs[:0]
+	sc.buf, sc.recs = buf[:0], recs[:0]
 	st.coldSpillResult(err)
 	if err != nil {
 		st.coldSpillErrors.Add(1)
