@@ -165,12 +165,17 @@ type Model struct {
 	MeanSNRdB func(t float64) float64
 	// Fading is the small-scale process; nil means a pure AWGN channel.
 	Fading *Rayleigh
+
+	// constMean records that MeanSNRdB is NewStaticModel's constant, so a
+	// fading-free model is one value at every instant. Replacing MeanSNRdB
+	// on a model built by NewStaticModel is unsupported.
+	constMean bool
 }
 
 // NewStaticModel returns a channel with a constant mean SNR and optional
 // fading.
 func NewStaticModel(snrDB float64, fading *Rayleigh) *Model {
-	return &Model{MeanSNRdB: func(float64) float64 { return snrDB }, Fading: fading}
+	return &Model{MeanSNRdB: func(float64) float64 { return snrDB }, Fading: fading, constMean: true}
 }
 
 // NewWalkingModel composes a linear move-away trajectory with a path-loss
@@ -201,6 +206,22 @@ func (m *Model) Gain(t float64) complex128 {
 func (m *Model) SNR(t float64) float64 {
 	g := m.Gain(t)
 	return real(g)*real(g) + imag(g)*imag(g)
+}
+
+// SampleSNRdB fills dst with the instantaneous SNR in dB at len(dst)
+// consecutive symbol midpoints: dst[j] is the SNR at t0 + (j+0.5)·T. A
+// constant-mean model without fading evaluates its one value once.
+func (m *Model) SampleSNRdB(dst []float64, t0, T float64) {
+	if m.constMean && m.Fading == nil {
+		v := LinearToDB(m.SNR(t0))
+		for j := range dst {
+			dst[j] = v
+		}
+		return
+	}
+	for j := range dst {
+		dst[j] = LinearToDB(m.SNR(t0 + (float64(j)+0.5)*T))
+	}
 }
 
 // DBToLinear converts decibels to a linear power ratio.

@@ -208,6 +208,35 @@ func TestWalkingModelSNRDecreases(t *testing.T) {
 	}
 }
 
+func TestSampleSNRdBMatchesPointwise(t *testing.T) {
+	// The batched sweep is the per-symbol evaluation, bit for bit — also
+	// where a static model answers from its one constant, and after a
+	// static model is given fading.
+	fadedLater := NewStaticModel(12, nil)
+	fadedLater.Fading = NewRayleigh(rand.New(rand.NewSource(3)), 60, 0)
+	models := map[string]*Model{
+		"static":       NewStaticModel(-5, nil),
+		"static+fade":  NewStaticModel(18, NewRayleigh(rand.New(rand.NewSource(1)), 400, 0)),
+		"faded later":  fadedLater,
+		"time-varying": {MeanSNRdB: func(t float64) float64 { return 20 - 3*t }},
+		"walking": NewWalkingModel(rand.New(rand.NewSource(2)),
+			LinearTrajectory{StartDist: 2, Speed: 1.2}, PathLoss{RefSNRdB: 26, RefDist: 1, Exponent: 2.2}),
+	}
+	const T = 8e-6
+	for name, m := range models {
+		for _, t0 := range []float64{0, 0.0375, 7.5} {
+			got := make([]float64, 37)
+			m.SampleSNRdB(got, t0, T)
+			for j, g := range got {
+				want := LinearToDB(m.SNR(t0 + (float64(j)+0.5)*T))
+				if math.Float64bits(g) != math.Float64bits(want) {
+					t.Fatalf("%s: sample %d from t0=%v is %v, pointwise %v", name, j, t0, g, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDBConversions(t *testing.T) {
 	if DBToLinear(20) != 100 {
 		t.Fatal("20 dB != 100x")

@@ -142,6 +142,10 @@ var (
 	byName     = map[string]Spec{}
 	maxAlgoID  Algo
 	registered []Spec
+	// isRegistered mirrors registry's key set for the wire codec, which
+	// validates an ID per record and wants neither a map probe nor a Spec
+	// copy.
+	isRegistered [256]bool
 )
 
 // Register adds an algorithm to the registry. It panics on a duplicate ID
@@ -162,6 +166,7 @@ func Register(s Spec) {
 		panic(fmt.Sprintf("ctl: %s declares state width %d but builds %d", s.Name, s.StateLen, got))
 	}
 	registry[s.ID] = s
+	isRegistered[s.ID] = true
 	byName[s.Name] = s
 	if s.ID > maxAlgoID {
 		maxAlgoID = s.ID
@@ -176,6 +181,10 @@ func Lookup(id Algo) (Spec, bool) {
 	s, ok := registry[id]
 	return s, ok
 }
+
+// Registered reports whether id is a registered algorithm; like Lookup it
+// is false for AlgoDefault.
+func Registered(id Algo) bool { return isRegistered[id] }
 
 // ByName resolves a registry name (e.g. "softrate", "rraa").
 func ByName(name string) (Spec, bool) {

@@ -52,6 +52,14 @@ func TestRegistryInvariants(t *testing.T) {
 	}
 }
 
+func TestRegisteredAgreesWithLookup(t *testing.T) {
+	for id := 0; id < 256; id++ {
+		if _, ok := Lookup(Algo(id)); Registered(Algo(id)) != ok {
+			t.Fatalf("Registered(%d) = %v, Lookup says %v", id, !ok, ok)
+		}
+	}
+}
+
 func TestFreshControllersEncodeIdentically(t *testing.T) {
 	for _, spec := range Specs() {
 		a := make([]byte, spec.StateLen)

@@ -33,6 +33,11 @@ type BERModel struct {
 	// Lambda[rateIdx][k] is the error-event rate per info bit at
 	// SNRdB[k]; 0 means no frame errors were observed.
 	Lambda [][]float64
+
+	// tab caches the tables' interpolation form, built on first query.
+	// Changing SNRdB, BER or Lambda after the first query is unsupported:
+	// queries keep answering from the tables as they were.
+	tab atomic.Pointer[berTables]
 }
 
 // CalibrationConfig controls Calibrate.
@@ -285,95 +290,221 @@ func Calibrate(cc CalibrationConfig) *BERModel {
 // axis; beyond the grid it clamps to 0.5 below and extrapolates the final
 // slope above (floored at 1e-12).
 func (m *BERModel) BERAt(ri int, snrDB float64) float64 {
-	return m.interp(m.BER[ri], snrDB, 0.5, 1e-12)
+	return m.tables().ber[ri].at(m.locate(snrDB, 0))
 }
 
 // LambdaAt returns the interpolated error-event rate per info bit.
 func (m *BERModel) LambdaAt(ri int, snrDB float64) float64 {
-	return m.interp(m.Lambda[ri], snrDB, 1e-2, 0)
-}
-
-// interp interpolates log(v) linearly over the dB grid. Zeros in v are
-// treated as the floor value; results at or below the floor return floor.
-func (m *BERModel) interp(v []float64, snrDB, ceil, floor float64) float64 {
-	g := m.SNRdB
-	logv := func(i int) float64 {
-		x := v[i]
-		if x <= floor || x == 0 {
-			if floor == 0 {
-				return math.Inf(-1)
-			}
-			x = floor
-		}
-		return math.Log(x)
-	}
-	switch {
-	case snrDB <= g[0]:
-		return ceil
-	case snrDB >= g[len(g)-1]:
-		// Extrapolate with the slope of the last decade of grid.
-		n := len(g)
-		a, b := logv(n-6), logv(n-1)
-		if math.IsInf(a, -1) || math.IsInf(b, -1) {
-			return floor
-		}
-		slope := (b - a) / (g[n-1] - g[n-6])
-		x := b + slope*(snrDB-g[n-1])
-		val := math.Exp(x)
-		if val < floor {
-			return floor
-		}
-		if val > ceil {
-			return ceil
-		}
-		return val
-	}
-	// Binary-search-free scan (grids are small).
-	k := 0
-	for k+1 < len(g) && g[k+1] < snrDB {
-		k++
-	}
-	a, b := logv(k), logv(k+1)
-	if math.IsInf(a, -1) && math.IsInf(b, -1) {
-		return floor
-	}
-	if math.IsInf(b, -1) {
-		b = math.Log(math.Max(floor, 1e-15))
-	}
-	if math.IsInf(a, -1) {
-		a = math.Log(math.Max(floor, 1e-15))
-	}
-	f := (snrDB - g[k]) / (g[k+1] - g[k])
-	val := math.Exp(a + f*(b-a))
-	if val > ceil {
-		return ceil
-	}
-	if val < floor {
-		return floor
-	}
-	return val
+	return m.tables().lam[ri].at(m.locate(snrDB, 0))
 }
 
 // DeliverProb returns the probability that a frame of nInfoBits at rate ri
 // survives a sequence of per-symbol SNRs, each symbol carrying bitsPerSym
 // info bits: P = exp(-Σ λ(snr_j)·bits_j).
 func (m *BERModel) DeliverProb(ri int, snrsDB []float64, bitsPerSym float64) float64 {
-	var lam float64
-	for _, s := range snrsDB {
-		lam += m.LambdaAt(ri, s) * bitsPerSym
-	}
-	return math.Exp(-lam)
+	return m.DeliverProbOver(ri, m.Locate(nil, snrsDB), bitsPerSym)
 }
 
 // MeanBER returns the mean post-decode BER over a sequence of per-symbol
 // SNRs at rate ri.
 func (m *BERModel) MeanBER(ri int, snrsDB []float64) float64 {
-	if len(snrsDB) == 0 {
+	return m.MeanBEROver(ri, m.Locate(nil, snrsDB))
+}
+
+// Cursor is one SNR sample located on a model's calibration grid: which
+// grid segment it falls in and how far along it. Locating is the part of
+// an interpolation that depends only on the sample, so one Cursor serves
+// the BER and λ tables of every rate — the trace generator locates each
+// symbol of a time slot once and evaluates all rates from the result. A
+// Cursor is only meaningful to the model that produced it.
+type Cursor struct {
+	// seg is the interior segment k (SNRdB[k] < snr <= SNRdB[k+1]), or
+	// segBelow / segAbove beyond the grid.
+	seg int32
+	// frac is the position within the segment in [0, 1]; above the grid
+	// it is the distance past the last grid point in dB.
+	frac float64
+}
+
+const (
+	segBelow = -1
+	segAbove = -2
+)
+
+// locate places one SNR sample on the grid, scanning from segment hint
+// (grids are small, and consecutive symbols of a frame rarely leave their
+// predecessor's segment). On an ascending grid every hint finds the same
+// segment. NaN lands in segment 0 with a NaN fraction, so it propagates
+// through at.
+func (m *BERModel) locate(snrDB float64, hint int) Cursor {
+	g := m.SNRdB
+	switch {
+	case snrDB <= g[0]:
+		return Cursor{seg: segBelow}
+	case snrDB >= g[len(g)-1]:
+		return Cursor{seg: segAbove, frac: snrDB - g[len(g)-1]}
+	}
+	k := hint
+	for k > 0 && !(g[k] < snrDB) {
+		k--
+	}
+	for k+1 < len(g) && g[k+1] < snrDB {
+		k++
+	}
+	return Cursor{seg: int32(k), frac: (snrDB - g[k]) / (g[k+1] - g[k])}
+}
+
+// Locate appends the cursor of every sample of snrsDB to dst and returns
+// the extended slice.
+func (m *BERModel) Locate(dst []Cursor, snrsDB []float64) []Cursor {
+	hint := 0
+	for _, s := range snrsDB {
+		c := m.locate(s, hint)
+		if c.seg >= 0 {
+			hint = int(c.seg)
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// MeanBEROver is MeanBER over already-located samples.
+func (m *BERModel) MeanBEROver(ri int, cur []Cursor) float64 {
+	if len(cur) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, s := range snrsDB {
-		sum += m.BERAt(ri, s)
+	return m.tables().ber[ri].sum(cur, 1) / float64(len(cur))
+}
+
+// DeliverProbOver is DeliverProb over already-located samples.
+func (m *BERModel) DeliverProbOver(ri int, cur []Cursor, bitsPerSym float64) float64 {
+	return math.Exp(-m.tables().lam[ri].sum(cur, bitsPerSym))
+}
+
+// logTable is one rate's BER or λ row prepared for interpolation of
+// log(v) linearly over the dB grid, so that an evaluation takes no
+// logarithm of a table entry. Entries at or below floor are treated as
+// floor; with a zero floor (λ) they have no logarithm, and a segment
+// between two of them evaluates to zero.
+type logTable struct {
+	ceil, floor float64
+	// a[k] is the log value at SNRdB[k] and d[k] the log difference to
+	// SNRdB[k+1]. a[k] = -Inf marks a segment with both ends at a zero
+	// floor; a single zero end stands in as 1e-15.
+	a, d []float64
+	// extB is the log value at the last grid point and extSlope the slope
+	// over the last five segments, for extrapolating above the grid.
+	// extB = -Inf means no slope exists (a zero-floor end, or a grid of
+	// fewer than six points) and evaluates to floor.
+	extB, extSlope float64
+}
+
+func newLogTable(g, v []float64, ceil, floor float64) logTable {
+	logv := make([]float64, len(v))
+	for i, x := range v {
+		switch {
+		case x > floor || x != x: // NaN entries stay NaN
+			logv[i] = math.Log(x)
+		case floor == 0:
+			logv[i] = math.Inf(-1)
+		default:
+			logv[i] = math.Log(floor)
+		}
 	}
-	return sum / float64(len(snrsDB))
+	n := len(g)
+	t := logTable{ceil: ceil, floor: floor, extB: math.Inf(-1)}
+	if n < 2 {
+		return t
+	}
+	t.a, t.d = make([]float64, n-1), make([]float64, n-1)
+	tiny := math.Log(math.Max(floor, 1e-15))
+	for k := range t.a {
+		a, b := logv[k], logv[k+1]
+		switch {
+		case math.IsInf(a, -1) && math.IsInf(b, -1):
+			t.a[k] = a
+			continue
+		case math.IsInf(b, -1):
+			b = tiny
+		case math.IsInf(a, -1):
+			a = tiny
+		}
+		t.a[k], t.d[k] = a, b-a
+	}
+	if n >= 6 {
+		// Extrapolate with the slope of the last decade of grid.
+		if a, b := logv[n-6], logv[n-1]; !math.IsInf(a, -1) && !math.IsInf(b, -1) {
+			t.extB, t.extSlope = b, (b-a)/(g[n-1]-g[n-6])
+		}
+	}
+	return t
+}
+
+// at evaluates the table at a located sample.
+func (t *logTable) at(c Cursor) float64 {
+	var x float64
+	switch c.seg {
+	case segBelow:
+		return t.ceil
+	case segAbove:
+		if math.IsInf(t.extB, -1) {
+			return t.floor
+		}
+		x = t.extB + t.extSlope*c.frac
+	default:
+		a := t.a[c.seg]
+		if math.IsInf(a, -1) {
+			return t.floor
+		}
+		x = a + c.frac*t.d[c.seg]
+	}
+	val := math.Exp(x)
+	if val > t.ceil {
+		return t.ceil
+	}
+	if val < t.floor {
+		return t.floor
+	}
+	return val
+}
+
+// sum returns Σ at(cur[j])·w, added in sample order. A run of identical
+// cursors — every symbol of a frame on a fading-free link — is evaluated
+// once.
+func (t *logTable) sum(cur []Cursor, w float64) float64 {
+	var s, val float64
+	prev := Cursor{seg: math.MinInt32}
+	for _, c := range cur {
+		if c != prev {
+			val, prev = t.at(c), c
+		}
+		s += val * w
+	}
+	return s
+}
+
+// berTables is the interpolation form of a BERModel's BER and Lambda rows.
+type berTables struct {
+	ber, lam []logTable
+}
+
+// tables returns the model's interpolation tables, building them on first
+// use. Concurrent first users may each build a copy; the copies are
+// identical and any one of them wins.
+func (m *BERModel) tables() *berTables {
+	if t := m.tab.Load(); t != nil {
+		return t
+	}
+	t := &berTables{
+		ber: make([]logTable, len(m.BER)),
+		lam: make([]logTable, len(m.Lambda)),
+	}
+	for ri, v := range m.BER {
+		t.ber[ri] = newLogTable(m.SNRdB, v, 0.5, 1e-12)
+	}
+	for ri, v := range m.Lambda {
+		t.lam[ri] = newLogTable(m.SNRdB, v, 1e-2, 0)
+	}
+	m.tab.Store(t)
+	return t
 }

@@ -230,10 +230,8 @@ func decodeV2(payload []byte, dst []linkstore.Op) ([]linkstore.Op, error) {
 	for i := 0; i < n; i++ {
 		rec := payload[i*RecordSizeV2 : (i+1)*RecordSizeV2]
 		algo := ctl.Algo(rec[8])
-		if algo != ctl.AlgoDefault {
-			if _, ok := ctl.Lookup(algo); !ok {
-				return dst, fmt.Errorf("server: record %d: unknown algorithm %d", i, rec[8])
-			}
+		if algo != ctl.AlgoDefault && !ctl.Registered(algo) {
+			return dst, fmt.Errorf("server: record %d: unknown algorithm %d", i, rec[8])
 		}
 		kind := core.FeedbackKind(rec[9])
 		if kind >= core.NumKinds {

@@ -1,0 +1,231 @@
+package trace
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"softrate/internal/channel"
+	"softrate/internal/ofdm"
+	"softrate/internal/phy"
+	"softrate/internal/rate"
+)
+
+// referenceGenerate is Generate as it stood before the channel sweep was
+// shared across rates: every rate re-samples the fading process and
+// consumes the generator as it goes. It is the specification Generate is
+// pinned to, bit for bit.
+func referenceGenerate(gc GenConfig) *LinkTrace {
+	gc.fill()
+	rng := rand.New(rand.NewSource(gc.Seed))
+	nSlots := int(gc.Duration / gc.Interval)
+	lt := &LinkTrace{
+		Interval:  gc.Interval,
+		FrameBits: (gc.PayloadBytes + 4) * 8,
+	}
+	T := gc.Mode.SymbolTime()
+	effJitter := make([]float64, nSlots)
+	for s := range effJitter {
+		effJitter[s] = rng.NormFloat64() * gc.EffJitterDB
+	}
+	for ri, r := range gc.Rates {
+		snaps := make([]Snapshot, nSlots)
+		num, den := r.Code.Fraction()
+		nSym := gc.Mode.DataSymbols((lt.FrameBits+6)*den/num, r.Scheme)
+		bitsPerSym := float64(gc.Mode.InfoBitsPerSymbol(r))
+		for s := 0; s < nSlots; s++ {
+			t0 := float64(s) * gc.Interval
+			preSNR := referenceSampleSNR(gc.Model, t0, T, ofdm.PreambleSymbols)
+			dataSNR := referenceSampleSNR(gc.Model, t0+float64(ofdm.PreambleSymbols)*T, T, nSym)
+			for j := range dataSNR {
+				dataSNR[j] += effJitter[s]
+			}
+			var preLin float64
+			for _, s := range preSNR {
+				preLin += channel.DBToLinear(s)
+			}
+			preLin /= float64(len(preSNR))
+			detected := preLin >= gc.DetectSINR
+
+			ber := gc.BERModel.MeanBER(ri, dataSNR)
+			ber *= math.Exp(rng.NormFloat64() * gc.BERJitter)
+			if ber > 0.5 {
+				ber = 0.5
+			}
+			dp := gc.BERModel.DeliverProb(ri, dataSNR, bitsPerSym)
+			if !detected {
+				dp = 0
+			}
+			snaps[s] = Snapshot{
+				Detected:    detected,
+				Delivered:   detected && rng.Float64() < dp,
+				DeliverProb: dp,
+				BER:         ber,
+				SNRdB:       channel.LinearToDB(preLin) + rng.NormFloat64()*gc.SNRNoiseDB,
+			}
+		}
+		lt.Snapshots = append(lt.Snapshots, snaps)
+	}
+	return lt
+}
+
+func referenceSampleSNR(m *channel.Model, t0, T float64, n int) []float64 {
+	out := make([]float64, n)
+	for j := 0; j < n; j++ {
+		out[j] = channel.LinearToDB(m.SNR(t0 + (float64(j)+0.5)*T))
+	}
+	return out
+}
+
+// genChannels names the channel shapes the equivalence and benchmark
+// cases share; mkChannel builds a fresh model of one, so no state leaks
+// between cases.
+var genChannels = []string{"walking", "static", "static-5dB", "lowfade", "fastfade", "above-grid"}
+
+func mkChannel(name string, seed int64) *channel.Model {
+	rng := rand.New(rand.NewSource(seed))
+	switch name {
+	case "walking":
+		return channel.NewWalkingModel(rng,
+			channel.LinearTrajectory{StartDist: 2, Speed: 1.2},
+			channel.PathLoss{RefSNRdB: 26, RefDist: 1, Exponent: 2.2})
+	case "static":
+		return channel.NewStaticModel(16, nil)
+	case "static-5dB":
+		// Below the detection threshold: no slot takes the delivery draw.
+		return channel.NewStaticModel(-5, nil)
+	case "lowfade":
+		// Fades across the detection threshold, so which slots take the
+		// delivery draw depends on the channel.
+		return channel.NewStaticModel(1, channel.NewRayleigh(rng, 40, 0))
+	case "fastfade":
+		return channel.NewStaticModel(18, channel.NewRayleigh(rng, 400, 0))
+	case "above-grid":
+		// Beyond the 30 dB end of the calibration grid: extrapolation.
+		return channel.NewStaticModel(35, nil)
+	}
+	panic("unknown channel " + name)
+}
+
+func requireSameTrace(t *testing.T, got, want *LinkTrace) {
+	t.Helper()
+	if got.Interval != want.Interval || got.FrameBits != want.FrameBits || len(got.Snapshots) != len(want.Snapshots) {
+		t.Fatalf("header: got (%v, %d, %d rates), want (%v, %d, %d rates)",
+			got.Interval, got.FrameBits, len(got.Snapshots), want.Interval, want.FrameBits, len(want.Snapshots))
+	}
+	bits := math.Float64bits
+	for ri := range want.Snapshots {
+		if len(got.Snapshots[ri]) != len(want.Snapshots[ri]) {
+			t.Fatalf("rate %d: %d slots, want %d", ri, len(got.Snapshots[ri]), len(want.Snapshots[ri]))
+		}
+		for s, w := range want.Snapshots[ri] {
+			g := got.Snapshots[ri][s]
+			if g.Detected != w.Detected || g.Delivered != w.Delivered ||
+				bits(g.DeliverProb) != bits(w.DeliverProb) || bits(g.BER) != bits(w.BER) || bits(g.SNRdB) != bits(w.SNRdB) {
+				t.Fatalf("rate %d slot %d: got %+v, want %+v", ri, s, g, w)
+			}
+		}
+	}
+}
+
+// TestGenerateMatchesReference pins the one-sweep-per-slot Generate to
+// the per-rate reference on every Snapshot field.
+func TestGenerateMatchesReference(t *testing.T) {
+	eval := rate.Evaluation()
+	rateSets := []struct {
+		name  string
+		rates []rate.Rate
+	}{
+		{"six", nil},
+		// The longer frame second, so the shared sweep is not sized by
+		// the first rate.
+		{"two", []rate.Rate{eval[3], eval[0]}},
+	}
+	detected := map[bool]int{}
+	for _, ch := range genChannels {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, payload := range []int{0, 250} {
+				for _, rs := range rateSets {
+					for _, interval := range []float64{1e-3, 0.5e-3} {
+						name := fmt.Sprintf("%s/seed%d/payload%d/%s/%gms", ch, seed, payload, rs.name, interval*1e3)
+						t.Run(name, func(t *testing.T) {
+							mk := func() GenConfig {
+								return GenConfig{
+									Model:        mkChannel(ch, seed),
+									Rates:        rs.rates,
+									Duration:     0.06,
+									Interval:     interval,
+									PayloadBytes: payload,
+									Seed:         seed + 100,
+								}
+							}
+							want := referenceGenerate(mk())
+							requireSameTrace(t, Generate(mk()), want)
+							if ch == "lowfade" {
+								for _, sn := range want.Snapshots[0] {
+									detected[sn.Detected]++
+								}
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+	if detected[true] == 0 || detected[false] == 0 {
+		t.Fatalf("lowfade slots detected/undetected %d/%d: the conditional delivery draw was not mixed within a trace",
+			detected[true], detected[false])
+	}
+}
+
+// TestGenerateConcurrentFirstUse runs Generate from eight goroutines at
+// once on a calibration nobody has queried yet — the default's rows under
+// a fresh model, so the case is cold wherever it runs in the package — and
+// the calls race to build its interpolation tables. CI runs it under
+// -race.
+func TestGenerateConcurrentFirstUse(t *testing.T) {
+	d := phy.DefaultBERModel
+	cold := &phy.BERModel{SNRdB: d.SNRdB, BER: d.BER, Lambda: d.Lambda}
+	out := make([]*LinkTrace, 8)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = Generate(GenConfig{Model: mkChannel("walking", 1), BERModel: cold, Duration: 0.05, Seed: 2})
+		}()
+	}
+	wg.Wait()
+	want := Generate(GenConfig{Model: mkChannel("walking", 1), Duration: 0.05, Seed: 2})
+	for _, lt := range out {
+		requireSameTrace(t, lt, want)
+	}
+}
+
+// TestGenerateAllocations pins that Generate's allocation count depends
+// on the number of rates, never on the number of slots.
+func TestGenerateAllocations(t *testing.T) {
+	for _, dur := range []float64{0.02, 0.2} {
+		model := mkChannel("walking", 1)
+		allocs := testing.AllocsPerRun(3, func() {
+			Generate(GenConfig{Model: model, Duration: dur, Seed: 2})
+		})
+		if allocs > 32 {
+			t.Errorf("%v s trace: %v allocations, want <= 32", dur, allocs)
+		}
+	}
+}
+
+func BenchmarkGenerate(b *testing.B) {
+	for _, ch := range []string{"walking", "static", "fastfade"} {
+		b.Run(ch, func(b *testing.B) {
+			model := mkChannel(ch, 1)
+			b.ReportAllocs()
+			for b.Loop() {
+				Generate(GenConfig{Model: model, Duration: 2, Seed: 2})
+			}
+		})
+	}
+}

@@ -12,7 +12,10 @@
 // (phy.BERModel). Crucially, all rates of a link share one fading process
 // evaluated at identical times, satisfying the consistency requirement the
 // paper verifies ("the BER across the various bit rates is monotonic in
-// 96% of such 5 ms cycles").
+// 96% of such 5 ms cycles"). That sharing is structural: Generate sweeps
+// the channel once per time slot and every rate reads a prefix of the same
+// SNR series, rather than each rate recomputing a process that merely
+// evaluates to the same values.
 package trace
 
 import (
@@ -202,6 +205,15 @@ func (gc *GenConfig) fill() {
 // Generate builds a LinkTrace by sweeping the channel model across time
 // and querying the PHY calibration per rate — the software-radio trace
 // collection of Table 4, one level down.
+//
+// The channel is swept once per time slot: the preamble and data SNR
+// series are sampled at the longest traced frame's symbol count and
+// located on the calibration grid once, and each rate evaluates its BER
+// and λ tables over the prefix its own frame occupies. The random draws
+// follow in a second pass, because the order they are taken from the one
+// generator is part of what a Seed means and it is rate-major: per rate,
+// per slot, BER jitter, the delivery draw when the preamble is detected,
+// SNR noise.
 func Generate(gc GenConfig) *LinkTrace {
 	gc.fill()
 	rng := rand.New(rand.NewSource(gc.Seed))
@@ -217,58 +229,72 @@ func Generate(gc GenConfig) *LinkTrace {
 	for s := range effJitter {
 		effJitter[s] = rng.NormFloat64() * gc.EffJitterDB
 	}
-	for ri, r := range gc.Rates {
-		snaps := make([]Snapshot, nSlots)
-		nSym := gc.Mode.DataSymbols((lt.FrameBits+6)*2, r.Scheme) // rate-1/2 upper bound is fine for symbol count shape
-		// Use the precise symbol count for the punctured stream.
-		num, den := r.Code.Fraction()
-		nSym = gc.Mode.DataSymbols((lt.FrameBits+6)*den/num, r.Scheme)
-		bitsPerSym := float64(gc.Mode.InfoBitsPerSymbol(r))
-		for s := 0; s < nSlots; s++ {
-			t0 := float64(s) * gc.Interval
-			// Per-symbol SNR across the frame duration, preamble first.
-			preSNR := lt.sampleSNR(gc.Model, t0, T, ofdm.PreambleSymbols)
-			dataSNR := lt.sampleSNR(gc.Model, t0+float64(ofdm.PreambleSymbols)*T, T, nSym)
-			for j := range dataSNR {
-				dataSNR[j] += effJitter[s]
-			}
-			var preLin float64
-			for _, s := range preSNR {
-				preLin += channel.DBToLinear(s)
-			}
-			preLin /= float64(len(preSNR))
-			detected := preLin >= gc.DetectSINR
 
-			ber := gc.BERModel.MeanBER(ri, dataSNR)
-			ber *= math.Exp(rng.NormFloat64() * gc.BERJitter)
-			if ber > 0.5 {
-				ber = 0.5
-			}
-			dp := gc.BERModel.DeliverProb(ri, dataSNR, bitsPerSym)
+	// Per-rate frame length in symbols (the precise count for the
+	// punctured stream) and info bits per symbol.
+	nSym := make([]int, len(gc.Rates))
+	bitsPerSym := make([]float64, len(gc.Rates))
+	maxSym := 0
+	for ri, r := range gc.Rates {
+		num, den := r.Code.Fraction()
+		nSym[ri] = gc.Mode.DataSymbols((lt.FrameBits+6)*den/num, r.Scheme)
+		bitsPerSym[ri] = float64(gc.Mode.InfoBitsPerSymbol(r))
+		maxSym = max(maxSym, nSym[ri])
+	}
+	lt.Snapshots = make([][]Snapshot, len(gc.Rates))
+	for ri := range lt.Snapshots {
+		lt.Snapshots[ri] = make([]Snapshot, nSlots)
+	}
+
+	// Pass 1, slot-major: everything that is a function of the channel.
+	preSNR := make([]float64, ofdm.PreambleSymbols)
+	dataSNR := make([]float64, maxSym)
+	cur := make([]phy.Cursor, 0, maxSym)
+	for s := 0; s < nSlots; s++ {
+		t0 := float64(s) * gc.Interval
+		// Per-symbol SNR across the frame duration, preamble first.
+		gc.Model.SampleSNRdB(preSNR, t0, T)
+		gc.Model.SampleSNRdB(dataSNR, t0+float64(ofdm.PreambleSymbols)*T, T)
+		for j := range dataSNR {
+			dataSNR[j] += effJitter[s]
+		}
+		var preLin float64
+		for _, s := range preSNR {
+			preLin += channel.DBToLinear(s)
+		}
+		preLin /= float64(len(preSNR))
+		detected := preLin >= gc.DetectSINR
+		preDB := channel.LinearToDB(preLin)
+
+		cur = gc.BERModel.Locate(cur[:0], dataSNR)
+		for ri := range gc.Rates {
+			frame := cur[:nSym[ri]]
+			dp := gc.BERModel.DeliverProbOver(ri, frame, bitsPerSym[ri])
 			if !detected {
 				dp = 0
 			}
-			snaps[s] = Snapshot{
+			lt.Snapshots[ri][s] = Snapshot{
 				Detected:    detected,
-				Delivered:   detected && rng.Float64() < dp,
 				DeliverProb: dp,
-				BER:         ber,
-				SNRdB:       channel.LinearToDB(preLin) + rng.NormFloat64()*gc.SNRNoiseDB,
+				BER:         gc.BERModel.MeanBEROver(ri, frame),
+				SNRdB:       preDB,
 			}
 		}
-		lt.Snapshots = append(lt.Snapshots, snaps)
+	}
+
+	// Pass 2, rate-major: the draws.
+	for _, snaps := range lt.Snapshots {
+		for s := range snaps {
+			sn := &snaps[s]
+			sn.BER *= math.Exp(rng.NormFloat64() * gc.BERJitter)
+			if sn.BER > 0.5 {
+				sn.BER = 0.5
+			}
+			sn.Delivered = sn.Detected && rng.Float64() < sn.DeliverProb
+			sn.SNRdB += rng.NormFloat64() * gc.SNRNoiseDB
+		}
 	}
 	return lt
-}
-
-// sampleSNR evaluates the channel's instantaneous SNR (dB) at n symbol
-// midpoints starting at t0.
-func (lt *LinkTrace) sampleSNR(m *channel.Model, t0, T float64, n int) []float64 {
-	out := make([]float64, n)
-	for j := 0; j < n; j++ {
-		out[j] = channel.LinearToDB(m.SNR(t0 + (float64(j)+0.5)*T))
-	}
-	return out
 }
 
 // NewSynthetic builds a trace directly from per-rate snapshot series, for
