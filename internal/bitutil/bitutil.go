@@ -4,7 +4,17 @@
 // reproducible from a seed.
 package bitutil
 
-import "math/rand"
+import (
+	"math/rand"
+	randv2 "math/rand/v2"
+)
+
+// HashSeed draws the key of a hash table whose keys arrive off the wire —
+// the link store's hot tables, the cold tier's index. Mix64 is invertible:
+// unkeyed, a client could pick link IDs that all hash alike and make
+// every probe walk the pile. It is the one source of that randomness so
+// that a test can pin it.
+var HashSeed = randv2.Uint64
 
 // Mix64 applies the SplitMix64 finalizer (Steele, Lea & Flood: "Fast
 // splittable pseudorandom number generators", OOPSLA 2014): an invertible

@@ -1,10 +1,6 @@
 package coldstore
 
-import (
-	"math/rand/v2"
-
-	"softrate/internal/bitutil"
-)
+import "softrate/internal/bitutil"
 
 // loc is where one record lives, packed so that sorting raw values sorts
 // by segment, then offset: [segment slot u16 | byte offset u32 | state
@@ -82,10 +78,8 @@ type indexPart struct {
 	used  int
 }
 
-// hashSeed keys the index hash for the life of the process. Link IDs
-// arrive off the wire and Mix64 is invertible: unkeyed, a client could
-// pick IDs that all hash alike and make every probe walk the pile.
-var hashSeed = rand.Uint64()
+// hashSeed keys the index hash for the life of the process.
+var hashSeed = bitutil.HashSeed()
 
 // hash32 orders a partition's entries; the same mix's top bits pick the
 // partition.

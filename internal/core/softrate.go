@@ -205,9 +205,8 @@ type band struct {
 
 // SoftRate is the sender-side algorithm state.
 type SoftRate struct {
-	cfg       Config
-	cur       int
-	silentRun int
+	cfg Config
+	st  State
 
 	bands []band // per-rate (α_i, β_i)
 
@@ -260,10 +259,10 @@ func New(cfg Config) *SoftRate {
 }
 
 // CurrentRate returns the rate the sender will use for the next frame.
-func (s *SoftRate) CurrentRate() rate.Rate { return s.cfg.Rates[s.cur] }
+func (s *SoftRate) CurrentRate() rate.Rate { return s.cfg.Rates[s.st.RateIndex] }
 
 // CurrentIndex returns the index of the current rate in the configured set.
-func (s *SoftRate) CurrentIndex() int { return s.cur }
+func (s *SoftRate) CurrentIndex() int { return int(s.st.RateIndex) }
 
 // Thresholds exposes (α_i, β_i) for rate index i, mainly for tests,
 // documentation and the threshold-ablation bench.
@@ -271,107 +270,116 @@ func (s *SoftRate) Thresholds(i int) (alpha, beta float64) {
 	return s.bands[i].alpha, s.bands[i].beta
 }
 
-// OnFeedback processes one per-frame BER feedback and adjusts the rate in
-// the direction of the optimal one, moving multiple levels when the BER is
-// far outside the optimal band. The path is allocation-free and avoids
-// math.Pow (thresholds are precomputed in New) — it is the inner loop of
-// the softrated decision service.
-//
-// Only a clean (non-collision) feedback clears the silent-loss run: the
-// run counter exists to detect signal loss, and feedback for a frame
-// damaged by interference carries no fresh evidence that the *signal* is
-// strong — its excised BER already drives the threshold rule. If
-// collisions reset the counter, sporadic interference could mask a
-// genuinely weakening link indefinitely (§3.3; postamble disambiguation in
-// §3.2 is the mechanism that positively rules out attenuation).
-func (s *SoftRate) OnFeedback(fb Feedback) {
-	if !fb.Collision {
-		s.silentRun = 0
-	}
-	i := fb.RateIndex
-	if i < 0 || i >= len(s.cfg.Rates) {
-		i = s.cur
-	}
-	b := fb.BER
-	th := s.bands[i]
-	stride := s.cfg.MaxJump - 1
-	switch {
-	case b > th.beta:
-		// Jump n levels down while the BER exceeds β_i by DownMargin per
-		// extra level.
-		n := 1
-		for n < s.cfg.MaxJump && b > s.downJump[i*stride+n-1] {
-			n++
+// Step is the §3.3 rule as a pure function: the link's state after one
+// feedback event of the given kind; the next frame's rate is the result's
+// RateIndex. It only reads s, so one SoftRate serves any number of links
+// and goroutines, and it clamps st as Restore does. rateIndex and ber are
+// ignored for the kinds that carry no BER (silent loss, postamble);
+// unknown kinds are treated as silent losses — the conservative reading
+// of garbage feedback. Allocation-free and without math.Pow (thresholds
+// are precomputed in New): it is the inner loop of the softrated decision
+// service.
+func (s *SoftRate) Step(st State, kind FeedbackKind, rateIndex int, ber float64) State {
+	top := len(s.cfg.Rates) - 1
+	cur := clamp(int(st.RateIndex), 0, top)
+	run := clamp(int(st.SilentRun), 0, s.cfg.SilentLossRun-1)
+	switch kind {
+	case KindBER, KindCollision:
+		// Only a clean (non-collision) feedback clears the silent-loss run:
+		// the run counter exists to detect signal loss, and feedback for a
+		// frame damaged by interference carries no fresh evidence that the
+		// *signal* is strong — its excised BER already drives the threshold
+		// rule. If collisions reset the counter, sporadic interference could
+		// mask a genuinely weakening link indefinitely (§3.3; postamble
+		// disambiguation in §3.2 is the mechanism that positively rules out
+		// attenuation).
+		if kind == KindBER {
+			run = 0
 		}
-		s.cur = clamp(i-n, 0, len(s.cfg.Rates)-1)
-	case b < th.alpha:
-		// Jump n levels up while the BER clears α_i by UpMargin per
-		// extra level.
-		n := 1
-		for n < s.cfg.MaxJump && b < s.upJump[i*stride+n-1] {
-			n++
+		i := rateIndex
+		if i < 0 || i > top {
+			i = cur
 		}
-		s.cur = clamp(i+n, 0, len(s.cfg.Rates)-1)
+		th := s.bands[i]
+		stride := s.cfg.MaxJump - 1
+		switch {
+		case ber > th.beta:
+			// Jump n levels down while the BER exceeds β_i by DownMargin per
+			// extra level.
+			n := 1
+			for n < s.cfg.MaxJump && ber > s.downJump[i*stride+n-1] {
+				n++
+			}
+			cur = max(i-n, 0)
+		case ber < th.alpha:
+			// Jump n levels up while the BER clears α_i by UpMargin per
+			// extra level.
+			n := 1
+			for n < s.cfg.MaxJump && ber < s.upJump[i*stride+n-1] {
+				n++
+			}
+			cur = min(i+n, top)
+		default:
+			cur = i
+		}
+	case KindPostamble:
+		// The receiver saw the postamble (so it ACKed) but the preamble —
+		// and with it the body — was lost to a collision: interference, not
+		// attenuation, so the rate stays (§3.2). Unlike a collision-tagged
+		// BER feedback, the postamble positively proves the receiver still
+		// hears the sender, so it clears the silent-loss run.
+		run = 0
 	default:
-		s.cur = clamp(i, 0, len(s.cfg.Rates)-1)
+		// No feedback of any kind. After SilentLossRun consecutive silent
+		// losses the sender concludes the signal is too weak for the
+		// receiver to even detect frames and steps down one rate (§3.2).
+		run++
+		if run >= s.cfg.SilentLossRun {
+			run = 0
+			cur = max(cur-1, 0)
+		}
 	}
+	return State{RateIndex: int32(cur), SilentRun: int32(run)}
+}
+
+// Apply runs Step on the controller's own state and returns the rate
+// index chosen for the next frame.
+func (s *SoftRate) Apply(kind FeedbackKind, rateIndex int, ber float64) int {
+	s.st = s.Step(s.st, kind, rateIndex, ber)
+	return int(s.st.RateIndex)
+}
+
+// OnFeedback processes one per-frame BER feedback: a KindBER step, or a
+// KindCollision one when the receiver tagged the frame.
+func (s *SoftRate) OnFeedback(fb Feedback) {
+	kind := KindBER
+	if fb.Collision {
+		kind = KindCollision
+	}
+	s.st = s.Step(s.st, kind, fb.RateIndex, fb.BER)
 }
 
 // OnSilentLoss records a transmission for which no feedback of any kind
-// arrived. After SilentLossRun consecutive silent losses the sender
-// concludes the signal is too weak for the receiver to even detect frames
-// and steps down one rate (§3.2).
-func (s *SoftRate) OnSilentLoss() {
-	s.silentRun++
-	if s.silentRun >= s.cfg.SilentLossRun {
-		s.silentRun = 0
-		s.cur = clamp(s.cur-1, 0, len(s.cfg.Rates)-1)
-	}
-}
+// arrived.
+func (s *SoftRate) OnSilentLoss() { s.st = s.Step(s.st, KindSilentLoss, 0, 0) }
 
-// OnPostambleFeedback handles the postamble-only reception case: the
-// receiver saw the postamble (so it ACKed) but the preamble — and with it
-// the body — was lost to a collision. The sender learns the loss was
-// interference, not attenuation, and keeps its rate (§3.2). Unlike a
-// collision-tagged BER feedback, the postamble positively proves the
-// receiver still hears the sender, so it clears the silent-loss run.
-func (s *SoftRate) OnPostambleFeedback() {
-	s.silentRun = 0
-}
-
-// Apply dispatches one feedback event by kind and returns the rate index
-// chosen for the next frame. It is the single entry point the decision
-// service uses; rateIndex and ber are ignored for the kinds that carry no
-// BER (silent loss, postamble). Unknown kinds are treated as silent losses
-// — the conservative reading of garbage feedback.
-func (s *SoftRate) Apply(kind FeedbackKind, rateIndex int, ber float64) int {
-	switch kind {
-	case KindBER:
-		s.OnFeedback(Feedback{RateIndex: rateIndex, BER: ber})
-	case KindCollision:
-		s.OnFeedback(Feedback{RateIndex: rateIndex, BER: ber, Collision: true})
-	case KindPostamble:
-		s.OnPostambleFeedback()
-	default:
-		s.OnSilentLoss()
-	}
-	return s.cur
-}
+// OnPostambleFeedback handles the postamble-only reception case.
+func (s *SoftRate) OnPostambleFeedback() { s.st = s.Step(s.st, KindPostamble, 0, 0) }
 
 // Snapshot captures the controller's dynamic state. Together with Restore
 // it makes controllers relocatable: a store can evict an idle link to an
 // 8-byte State and later rebuild an equivalent controller from any
 // instance built with the same Config.
 func (s *SoftRate) Snapshot() State {
-	return State{RateIndex: int32(s.cur), SilentRun: int32(s.silentRun)}
+	return s.st
 }
 
 // Restore overwrites the controller's dynamic state with a snapshot,
 // clamping out-of-range values (a snapshot may have been taken under a
 // different rate-set size).
 func (s *SoftRate) Restore(st State) {
-	s.cur = clamp(int(st.RateIndex), 0, len(s.cfg.Rates)-1)
-	s.silentRun = clamp(int(st.SilentRun), 0, s.cfg.SilentLossRun-1)
+	s.st.RateIndex = int32(clamp(int(st.RateIndex), 0, len(s.cfg.Rates)-1))
+	s.st.SilentRun = int32(clamp(int(st.SilentRun), 0, s.cfg.SilentLossRun-1))
 }
 
 // PredictBER applies the §3.3 prediction heuristic: each rate step changes

@@ -54,7 +54,7 @@ func TestStartsAtLowestRate(t *testing.T) {
 
 func TestRateHoldsInsideOptimalBand(t *testing.T) {
 	s := New(DefaultConfig())
-	s.cur = 3
+	s.st.RateIndex = 3
 	alpha, beta := s.Thresholds(3)
 	mid := math.Sqrt(alpha * beta)
 	s.OnFeedback(Feedback{RateIndex: 3, BER: mid})
@@ -65,7 +65,7 @@ func TestRateHoldsInsideOptimalBand(t *testing.T) {
 
 func TestRateStepsUpOnLowBER(t *testing.T) {
 	s := New(DefaultConfig())
-	s.cur = 2
+	s.st.RateIndex = 2
 	alpha, _ := s.Thresholds(2)
 	s.OnFeedback(Feedback{RateIndex: 2, BER: alpha / 2})
 	if s.CurrentIndex() != 3 {
@@ -75,7 +75,7 @@ func TestRateStepsUpOnLowBER(t *testing.T) {
 
 func TestRateJumpsTwoUpOnVeryLowBER(t *testing.T) {
 	s := New(DefaultConfig())
-	s.cur = 2
+	s.st.RateIndex = 2
 	_, beta := s.Thresholds(2)
 	// BER below beta/UpMargin^2 justifies a two-level jump (e.g. 1e-9
 	// against an 1e-5 threshold, the paper's example).
@@ -87,7 +87,7 @@ func TestRateJumpsTwoUpOnVeryLowBER(t *testing.T) {
 
 func TestRateStepsDownOnHighBER(t *testing.T) {
 	s := New(DefaultConfig())
-	s.cur = 3
+	s.st.RateIndex = 3
 	_, beta := s.Thresholds(3)
 	s.OnFeedback(Feedback{RateIndex: 3, BER: beta * 5})
 	if s.CurrentIndex() != 2 {
@@ -101,7 +101,7 @@ func TestRateJumpsTwoDownOnVeryHighBER(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FrameBits = 10000
 	s := New(cfg)
-	s.cur = 3
+	s.st.RateIndex = 3
 	s.OnFeedback(Feedback{RateIndex: 3, BER: 0.05})
 	if s.CurrentIndex() != 1 {
 		t.Fatalf("index %d after BER 0.05, want 1", s.CurrentIndex())
@@ -110,13 +110,13 @@ func TestRateJumpsTwoDownOnVeryHighBER(t *testing.T) {
 
 func TestJumpsClampAtTableEdges(t *testing.T) {
 	s := New(DefaultConfig())
-	s.cur = 0
+	s.st.RateIndex = 0
 	s.OnFeedback(Feedback{RateIndex: 0, BER: 0.4})
 	if s.CurrentIndex() != 0 {
 		t.Fatal("fell below the lowest rate")
 	}
-	s.cur = len(s.cfg.Rates) - 1
-	s.OnFeedback(Feedback{RateIndex: s.cur, BER: 0})
+	s.st.RateIndex = int32(len(s.cfg.Rates) - 1)
+	s.OnFeedback(Feedback{RateIndex: s.CurrentIndex(), BER: 0})
 	if s.CurrentIndex() != len(s.cfg.Rates)-1 {
 		t.Fatal("climbed past the highest rate")
 	}
@@ -126,7 +126,7 @@ func TestMaxJumpBound(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxJump = 1
 	s := New(cfg)
-	s.cur = 4
+	s.st.RateIndex = 4
 	s.OnFeedback(Feedback{RateIndex: 4, BER: 0.4})
 	if s.CurrentIndex() != 3 {
 		t.Fatalf("MaxJump=1 moved %d levels", 4-s.CurrentIndex())
@@ -135,7 +135,7 @@ func TestMaxJumpBound(t *testing.T) {
 
 func TestSilentLossRule(t *testing.T) {
 	s := New(DefaultConfig())
-	s.cur = 4
+	s.st.RateIndex = 4
 	s.OnSilentLoss()
 	s.OnSilentLoss()
 	if s.CurrentIndex() != 4 {
@@ -155,7 +155,7 @@ func TestSilentLossRule(t *testing.T) {
 
 func TestFeedbackResetsSilentRun(t *testing.T) {
 	s := New(DefaultConfig())
-	s.cur = 4
+	s.st.RateIndex = 4
 	alpha, beta := s.Thresholds(4)
 	s.OnSilentLoss()
 	s.OnSilentLoss()
@@ -171,7 +171,7 @@ func TestPostambleFeedbackKeepsRate(t *testing.T) {
 	// Postamble-only receptions indicate collisions; the rate must hold
 	// and the silent-run counter reset.
 	s := New(DefaultConfig())
-	s.cur = 4
+	s.st.RateIndex = 4
 	s.OnSilentLoss()
 	s.OnSilentLoss()
 	s.OnPostambleFeedback()
@@ -187,7 +187,7 @@ func TestCollisionFeedbackUsesInterferenceFreeBER(t *testing.T) {
 	// must not lower the rate — this is the core robustness property
 	// versus frame-level schemes (§6.4).
 	s := New(DefaultConfig())
-	s.cur = 4
+	s.st.RateIndex = 4
 	alpha, beta := s.Thresholds(4)
 	for i := 0; i < 20; i++ {
 		s.OnFeedback(Feedback{RateIndex: 4, BER: math.Sqrt(alpha * beta), Collision: true})
@@ -201,7 +201,7 @@ func TestFeedbackForStaleRateAdjustsRelativeToIt(t *testing.T) {
 	// Feedback is interpreted relative to the rate the frame was actually
 	// sent at, not the sender's current rate.
 	s := New(DefaultConfig())
-	s.cur = 5
+	s.st.RateIndex = 5
 	_, beta2 := s.Thresholds(2)
 	s.OnFeedback(Feedback{RateIndex: 2, BER: beta2 * 2}) // rate 2 too fast
 	if s.CurrentIndex() != 1 {
@@ -232,9 +232,9 @@ func TestConvergenceFromConstantChannelBER(t *testing.T) {
 				opt = i
 			}
 		}
-		s.cur = rng.Intn(len(s.cfg.Rates))
+		s.st.RateIndex = int32(rng.Intn(len(s.cfg.Rates)))
 		for step := 0; step < 20; step++ {
-			s.OnFeedback(Feedback{RateIndex: s.cur, BER: berAt(s.cur)})
+			s.OnFeedback(Feedback{RateIndex: s.CurrentIndex(), BER: berAt(s.CurrentIndex())})
 		}
 		// Must sit at opt or at most one step below (alpha margins are
 		// deliberately conservative).
@@ -284,7 +284,7 @@ func TestCollisionFeedbackPreservesSilentRun(t *testing.T) {
 	// third silent loss must still complete the run of three and drop the
 	// rate — otherwise sporadic interference could mask a weak link forever.
 	s := New(DefaultConfig())
-	s.cur = 4
+	s.st.RateIndex = 4
 	alpha, beta := s.Thresholds(4)
 	inBand := math.Sqrt(alpha * beta)
 	s.OnSilentLoss()
@@ -303,7 +303,7 @@ func TestCleanFeedbackStillResetsSilentRunAmongCollisions(t *testing.T) {
 	// The counterpart: one clean reception is positive evidence the signal
 	// is fine, and clears the run even when collisions surround it.
 	s := New(DefaultConfig())
-	s.cur = 4
+	s.st.RateIndex = 4
 	alpha, beta := s.Thresholds(4)
 	inBand := math.Sqrt(alpha * beta)
 	s.OnSilentLoss()
@@ -323,7 +323,7 @@ func TestCleanFeedbackStillResetsSilentRunAmongCollisions(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := New(DefaultConfig())
-	s.cur = 4
+	s.st.RateIndex = 4
 	s.OnSilentLoss()
 	s.OnSilentLoss()
 	st := s.Snapshot()
@@ -402,7 +402,7 @@ func TestApplyDispatchMatchesMethods(t *testing.T) {
 	}
 	// Unknown kinds degrade to silent losses.
 	c := New(DefaultConfig())
-	c.cur = 3
+	c.st.RateIndex = 3
 	for i := 0; i < 3; i++ {
 		c.Apply(FeedbackKind(200), 0, 0)
 	}

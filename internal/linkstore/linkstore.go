@@ -7,8 +7,12 @@
 //     last-used stamp, not a full controller. Every controller built from
 //     one ctl.Spec is identical except for that state, so each shard keeps
 //     one scratch controller per algorithm and services a link by
-//     DecodeState → Apply → EncodeState. Controllers are thus relocatable
-//     between shards, processes, and machines.
+//     DecodeState → Apply → EncodeState (SoftRate, whose rule is the pure
+//     core.Step, shares one read-only controller store-wide). Controllers
+//     are thus relocatable between shards, processes, and machines.
+//   - A shard's live links sit in a flat open-addressing table (table.go)
+//     whose 24-byte slots hold key, state, stamp and algorithm together: a
+//     decision that hits probes once and updates the slot in place.
 //   - State bytes live in per-shard, per-algorithm slabs (flat byte arrays
 //     of fixed-width slots with a free list), so the hot path touches no
 //     per-op heap allocation regardless of algorithm.
@@ -20,7 +24,7 @@
 //     configurable idle TTL. Evicted state moves to a per-shard archive
 //     (linkID → encoded state, no stamp), so a link that comes back after
 //     an idle period resumes exactly where it left off — eviction is
-//     invisible to the protocol, it only sheds hot-map bookkeeping.
+//     invisible to the protocol, it only sheds hot-table bookkeeping.
 //   - With Config.Cold the archive becomes a small bounded front of two
 //     generations: recently evicted links restore from RAM, and when the
 //     current generation fills, the older one is spilled wholesale to the
@@ -46,9 +50,11 @@
 package linkstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +79,7 @@ type Config struct {
 	// Spec's StateLen — the store slab-allocates at that width — and all
 	// controllers of one algorithm must be interchangeable up to state.
 	NewController func(ctl.Algo) ctl.Controller
-	// TTL is the idle time after which a link is evicted from the hot map
+	// TTL is the idle time after which a link is evicted from the hot table
 	// (0 disables eviction).
 	TTL time.Duration
 	// DropOnEvict discards evicted state instead of archiving it: a
@@ -83,11 +89,11 @@ type Config struct {
 	// Clock returns the current time in nanoseconds (default
 	// time.Now().UnixNano; injectable for deterministic tests).
 	Clock func() int64
-	// ExpectedLinks pre-sizes each shard's hot map and (lazily, on first
+	// ExpectedLinks pre-sizes each shard's hot table and (lazily, on first
 	// use per algorithm) its state slabs for about this many links store-
 	// wide. Without it, growing a store to millions of links goes through
-	// O(log n) map rehashes and slab doublings, each a full copy under the
-	// shard lock — the batch_max_ns cold spikes. 0 starts small.
+	// O(log n) table and slab regrowths, each a full copy under the shard
+	// lock — the batch_max_ns cold spikes. 0 starts small.
 	ExpectedLinks int
 	// ExpectedLinksPerAlgo refines the slab reserve for stores serving a
 	// mix of algorithms: each algorithm's slabs reserve for about this
@@ -158,15 +164,15 @@ func (op *Op) feedback() ctl.Feedback {
 
 // ShardStats counts one shard's activity. Counters are cumulative.
 type ShardStats struct {
-	// Hits is the number of operations that found the link in the hot map.
+	// Hits is the number of operations that found the link in the hot table.
 	Hits uint64
 	// Creates is the number of links created fresh.
 	Creates uint64
 	// Restores is the number of links revived from the archive.
 	Restores uint64
-	// Evictions is the number of links moved out of the hot map by TTL.
+	// Evictions is the number of links moved out of the hot table by TTL.
 	Evictions uint64
-	// Live is the current hot-map size.
+	// Live is the current hot-table population.
 	Live int
 	// Archived is the current RAM-archive size (both front generations
 	// when a cold tier is attached).
@@ -231,30 +237,12 @@ const (
 	breakerMaxBackoff = 10 * time.Second
 )
 
-// inlineState is the largest encoded state kept inline in the entry.
-const inlineState = 8
-
 // tickShift converts clock nanoseconds to the entry timestamp unit:
 // 2^20 ns ≈ 1.05 ms per tick, 2^32 ticks ≈ 52 days of store uptime
 // before the stamp wraps. Ages are computed in wrapping uint32
 // arithmetic, so a wrap can at worst delay one eviction by a sweep
 // period — it cannot corrupt state.
 const tickShift = 20
-
-// entry is the hot-map value, deliberately 16 bytes: for algorithms
-// whose encoded state fits inlineState bytes (SoftRate's 8), the state
-// lives directly in the entry — map bucket and state share a cache
-// line, exactly the memory shape of the SoftRate-only store this layer
-// grew from. Wider states live in the per-algorithm slab, and the slot
-// index is overlaid on the (then unused) state bytes.
-type entry struct {
-	state    [inlineState]byte // encoded state (w <= 8) or LE slab slot in [0:4)
-	lastUsed uint32            // ticks since the store epoch
-	algo     ctl.Algo
-}
-
-func (e *entry) slot() uint32     { return binary.LittleEndian.Uint32(e.state[0:4]) }
-func (e *entry) setSlot(v uint32) { binary.LittleEndian.PutUint32(e.state[0:4], v) }
 
 // archInline is the largest encoded state archived without a heap
 // allocation (covers SoftRate's 8 bytes and both SNR schemes' 20).
@@ -323,14 +311,20 @@ type algoCounters struct {
 	archivedBytes                int64
 }
 
+// shard is one lock stripe. What every visit touches — lock, table header,
+// hit counter, sweep stamp — fills the first cache line and the size is a
+// whole number of lines, so a visit never writes a line another shard's
+// lock is on.
 type shard struct {
-	mu sync.Mutex
-	// links is the hot map; archive the RAM tier of evicted state. With a
-	// cold tier, archive is the current front generation and archiveOld
-	// the previous one: a filled current generation rotates, spilling
-	// archiveOld to disk in one batch (archiveOld stays nil without a
-	// cold tier, and lookups of a nil map are free).
-	links      map[uint64]entry
+	mu        sync.Mutex
+	links     linkTable // the live links
+	hits      uint64    // ops that found their link live
+	lastSweep int64
+	// archive is the RAM tier of evicted state. With a cold tier it is the
+	// current front generation and archiveOld the previous one: a filled
+	// current generation rotates, spilling archiveOld to disk in one batch
+	// (archiveOld stays nil without a cold tier, and lookups of a nil map
+	// are free).
 	archive    map[uint64]archived
 	archiveOld map[uint64]archived
 	// coldIDs/coldRuns are the visit's deferred work: the links only the
@@ -343,21 +337,14 @@ type shard struct {
 	coldOut  []coldstore.Taken
 	slabs    []slab           // indexed by algo ID
 	scratch  []ctl.Controller // indexed by algo ID, built lazily
-	// soft caches the unwrapped core controller of any *ctl.SoftRate
-	// scratch: the overwhelmingly common algorithm skips the interface
-	// round trip (DecodeState/Apply/EncodeState collapse to two uint32
-	// loads, the §3.3 threshold rule, and two stores).
-	soft []*core.SoftRate // indexed by algo ID; nil for other types
 	// inplace caches scratch controllers that run directly against their
 	// slab slot (ctl.InPlace): wide-state ops then skip the DecodeState /
 	// EncodeState round trip entirely — for SampleRate that round trip is
 	// ~3.4 KB of serialization per op and dominates the algorithm's
 	// serving cost.
-	inplace   []ctl.InPlace  // indexed by algo ID; nil when unsupported
-	perAlgo   []algoCounters // indexed by algo ID
-	smallBuf  [inlineState]byte
-	stats     ShardStats
-	lastSweep int64
+	inplace []ctl.InPlace  // indexed by algo ID; nil when unsupported
+	perAlgo []algoCounters // indexed by algo ID; ShardStats sums them
+	_       [48]byte
 }
 
 // Store is the sharded link-state store.
@@ -370,6 +357,11 @@ type Store struct {
 	defaultAlgo ctl.Algo
 	widths      []int    // indexed by algo ID; -1 = unregistered
 	fresh       [][]byte // indexed by algo ID: a new controller's state
+	// soft holds the core controller of every algorithm built as a
+	// *ctl.SoftRate: the overwhelmingly common algorithm skips the interface
+	// round trip (DecodeState/Apply/EncodeState collapse to two uint32
+	// loads, core.Step, and two stores). Step only reads it.
+	soft        []*core.SoftRate // indexed by algo ID; nil for other types
 	build       func(ctl.Algo) ctl.Controller
 	workers     int // parallel ApplyBatch executors (<=1: sequential)
 	slabReserve int // per-shard slab capacity hint, in slots
@@ -433,6 +425,7 @@ func New(cfg Config) *Store {
 	nAlgos := int(ctl.MaxID()) + 1
 	st.widths = make([]int, nAlgos)
 	st.fresh = make([][]byte, nAlgos)
+	st.soft = make([]*core.SoftRate, nAlgos)
 	for i := range st.widths {
 		st.widths[i] = -1
 	}
@@ -442,6 +435,9 @@ func New(cfg Config) *Store {
 		st.widths[spec.ID] = w
 		st.fresh[spec.ID] = make([]byte, w)
 		c.EncodeState(st.fresh[spec.ID])
+		if s, ok := c.(*ctl.SoftRate); ok && w == 8 {
+			st.soft[spec.ID] = s.SR
+		}
 	}
 	if st.widths[st.defaultAlgo] < 0 {
 		panic("linkstore: default algorithm is not registered")
@@ -461,7 +457,7 @@ func New(cfg Config) *Store {
 		// With a cold tier the archive is a bounded front: each shard
 		// holds two generations of genCap links, so the store-wide RAM
 		// budget is ColdFront regardless of population. Presize to the
-		// budget, not the (now meaningless) hot-map hint.
+		// budget, not the (now meaningless) hot-table hint.
 		front := cfg.ColdFront
 		if front <= 0 {
 			front = DefaultColdFront
@@ -473,22 +469,21 @@ func New(cfg Config) *Store {
 		archSize = st.genCap
 	}
 	st.shards = make([]shard, n)
+	seed := bitutil.HashSeed() // one table key per store, for its life
+	// A shard's share of the links is Poisson around perShard: three
+	// standard deviations of room and a shard in a thousand grows.
+	tableLinks := perShard + 3*int(math.Sqrt(float64(perShard)))
 	for i := range st.shards {
-		st.shards[i].links = make(map[uint64]entry, perShard)
+		st.shards[i].links = newLinkTable(seed, tableLinks)
 		// Without a cold tier the archive only fills under TTL churn and
-		// rarely holds the whole population; an eighth of the hot-map hint
+		// rarely holds the whole population; an eighth of the hot-table hint
 		// avoids doubling the up-front footprint while still skipping the
 		// early rehashes. With one, it is presized to its generation cap.
 		st.shards[i].archive = make(map[uint64]archived, archSize)
 		st.shards[i].slabs = make([]slab, nAlgos)
 		st.shards[i].scratch = make([]ctl.Controller, nAlgos)
-		st.shards[i].soft = make([]*core.SoftRate, nAlgos)
 		st.shards[i].inplace = make([]ctl.InPlace, nAlgos)
 		st.shards[i].perAlgo = make([]algoCounters, nAlgos)
-		// The default algorithm's scratch is built eagerly: it serves
-		// every op that doesn't name an algorithm, and pre-building keeps
-		// scratchFor off the fast path for SoftRate defaults.
-		st.shards[i].scratchFor(st, st.defaultAlgo)
 	}
 	st.scratchPool.New = func() any {
 		return &batchScratch{perShard: make([][]int32, n), shards: make([]int32, 0, n)}
@@ -510,7 +505,8 @@ func (st *Store) resolveAlgo(a ctl.Algo) ctl.Algo {
 }
 
 // shardIndex mixes the link ID through the SplitMix64 finalizer so that
-// sequential IDs spread evenly across shards.
+// sequential IDs spread evenly across shards. This mix is unkeyed (a link's
+// shard is the same in every process); the tables inside the shards are not.
 func (st *Store) shardIndex(id uint64) int {
 	return int(bitutil.Mix64(id) & st.mask)
 }
@@ -535,16 +531,14 @@ func (sh *shard) scratchFor(st *Store, a ctl.Algo) ctl.Controller {
 	if c == nil {
 		c = st.build(a)
 		sh.scratch[a] = c
-		if s, ok := c.(*ctl.SoftRate); ok && c.StateLen() == 8 {
-			sh.soft[a] = s.SR
-		} else if ip, ok := c.(ctl.InPlace); ok && ip.InPlaceOK() && st.widths[a] > inlineState {
+		if ip, ok := c.(ctl.InPlace); ok && ip.InPlaceOK() && st.widths[a] > inlineState {
 			sh.inplace[a] = ip
 		}
 	}
 	return c
 }
 
-// missLocked builds the entry for a link absent from the hot map when
+// missLocked builds the entry for a link absent from the hot table when
 // RAM alone can: revived from either RAM-archive generation (keeping its
 // original algorithm), or — with no disk tier to ask — created fresh
 // with the op's. It reports false for a link only the cold tier can
@@ -570,7 +564,6 @@ func (sh *shard) missLocked(st *Store, id uint64, algo ctl.Algo) (entry, bool) {
 // sh.mu.
 func (sh *shard) freshLocked(st *Store, algo ctl.Algo) entry {
 	e := sh.entryWithLocked(st, algo, st.fresh[algo])
-	sh.stats.Creates++
 	sh.perAlgo[algo].creates++
 	sh.perAlgo[algo].live++
 	return e
@@ -596,7 +589,6 @@ func (sh *shard) entryWithLocked(st *Store, algo ctl.Algo, state []byte) entry {
 func (sh *shard) reviveLocked(st *Store, a archived) entry {
 	w := st.widths[a.algo]
 	e := sh.entryWithLocked(st, a.algo, a.state(w))
-	sh.stats.Restores++
 	sh.perAlgo[a.algo].restores++
 	sh.perAlgo[a.algo].archived--
 	sh.perAlgo[a.algo].archivedBytes -= int64(w)
@@ -616,7 +608,6 @@ func (sh *shard) fromColdLocked(st *Store, t *coldstore.Taken, algo ctl.Algo) en
 		a := ctl.Algo(t.Algo)
 		if int(a) < len(st.widths) && st.widths[a] == len(t.State) {
 			e := sh.entryWithLocked(st, a, t.State)
-			sh.stats.Restores++
 			sh.perAlgo[a].restores++
 			sh.perAlgo[a].live++
 			return e
@@ -633,7 +624,7 @@ func (sh *shard) fromColdLocked(st *Store, t *coldstore.Taken, algo ctl.Algo) en
 // applyShardLocked services a shard's slice of one batch: idxs index into
 // ops/out in batch order. Contiguous ops for the same link — the natural
 // shape when a sender batches several frames' feedback per station — are
-// serviced as one run: one map lookup, one TTL stamp, and one state
+// serviced as one run: one table probe, one TTL stamp, and one state
 // decode/encode for the whole run instead of one per op. Runs whose link
 // only the disk tier can answer for are set aside and resolved together
 // once the rest of the visit is served. Caller holds sh.mu.
@@ -645,21 +636,22 @@ func (sh *shard) applyShardLocked(st *Store, ops []Op, idxs []int32, out []int32
 		run := idxs[k:j]
 		// Hot path: the link exists and its algorithm is already bound, so
 		// the op's Algo field doesn't even need resolving.
-		e, ok := sh.links[id]
-		if ok {
-			sh.stats.Hits += uint64(len(run))
-		} else if e, ok = sh.missLocked(st, id, ops[run[0]].Algo); ok {
+		e := sh.links.get(id)
+		if e != nil {
+			sh.hits += uint64(len(run))
+		} else if miss, ok := sh.missLocked(st, id, ops[run[0]].Algo); ok {
 			// Later ops of a creating run find the link hot, exactly as the
 			// op-at-a-time accounting would report.
-			sh.stats.Hits += uint64(len(run) - 1)
+			e = sh.links.put(id, miss)
+			sh.hits += uint64(len(run) - 1)
 		} else {
 			sh.coldIDs = append(sh.coldIDs, id)
 			sh.coldRuns = append(sh.coldRuns, [2]int32{int32(k), int32(j)})
 			continue
 		}
-		sh.applyRunLocked(st, id, e, ops, run, out, nowTick)
+		sh.applyRunLocked(st, e, ops, run, out, nowTick)
 	}
-	if len(sh.coldIDs) != 0 {
+	if st.cold != nil && len(sh.coldIDs) != 0 {
 		sh.applyColdRunsLocked(st, ops, idxs, out, nowTick)
 	}
 }
@@ -676,99 +668,87 @@ func (sh *shard) applyColdRunsLocked(st *Store, ops []Op, idxs []int32, out []in
 		run := idxs[r[0]:r[1]]
 		// A link deferred twice in one visit was restored by its first run
 		// and is hot for the second, whose own (absent) answer goes unused.
-		e, ok := sh.links[id]
-		if ok {
-			sh.stats.Hits += uint64(len(run))
+		e := sh.links.get(id)
+		if e != nil {
+			sh.hits += uint64(len(run))
 		} else {
-			e = sh.fromColdLocked(st, &sh.coldOut[i], ops[run[0]].Algo)
-			sh.stats.Hits += uint64(len(run) - 1)
+			e = sh.links.put(id, sh.fromColdLocked(st, &sh.coldOut[i], ops[run[0]].Algo))
+			sh.hits += uint64(len(run) - 1)
 		}
-		sh.applyRunLocked(st, id, e, ops, run, out, nowTick)
+		sh.applyRunLocked(st, e, ops, run, out, nowTick)
 	}
 	sh.coldIDs, sh.coldRuns = sh.coldIDs[:0], sh.coldRuns[:0]
 }
 
-// applyRunLocked runs one link's consecutive ops against its entry e
-// (looked up, revived or created by the caller) and stores the result in
-// the hot map. The link's state is materialized once, every op of the
-// run applied, and the result written back once — for in-place-capable
-// wide-state algorithms (ctl.InPlace) it is never materialized at all and
-// each op mutates the slab slot directly. Caller holds sh.mu.
-func (sh *shard) applyRunLocked(st *Store, id uint64, e entry, ops []Op, run []int32, out []int32, nowTick uint32) {
-	if sr := sh.soft[e.algo]; sr != nil {
-		// SoftRate fast path (scratch built eagerly in New): the 8-byte
-		// inline state is decoded, applied and re-encoded with no
-		// interface dispatch and no slab touch. Byte layout matches
-		// ctl.SoftRate's EncodeState/DecodeState exactly.
-		sr.Restore(core.State{
+// applyRunLocked runs one link's consecutive ops against its entry e, a
+// slot of the hot table (found, or just put there revived or fresh, by
+// the caller), and leaves the result in it. The link's state is
+// materialized once, every op of the run applied, and the result written
+// back once — for in-place-capable wide-state algorithms (ctl.InPlace) it
+// is never materialized at all and each op mutates the slab slot
+// directly. Caller holds sh.mu.
+func (sh *shard) applyRunLocked(st *Store, e *entry, ops []Op, run []int32, out []int32, nowTick uint32) {
+	e.lastUsed = nowTick
+	if sr := st.soft[e.algo]; sr != nil {
+		// SoftRate fast path: the 8-byte inline state is decoded, stepped
+		// and re-encoded with no interface dispatch and no slab touch. Byte
+		// layout matches ctl.SoftRate's EncodeState/DecodeState exactly.
+		s := core.State{
 			RateIndex: int32(binary.LittleEndian.Uint32(e.state[0:4])),
 			SilentRun: int32(binary.LittleEndian.Uint32(e.state[4:8])),
-		})
-		for _, i := range run {
-			out[i] = int32(sr.Apply(ops[i].Kind, int(ops[i].RateIndex), ops[i].BER))
 		}
-		snap := sr.Snapshot()
-		binary.LittleEndian.PutUint32(e.state[0:4], uint32(snap.RateIndex))
-		binary.LittleEndian.PutUint32(e.state[4:8], uint32(snap.SilentRun))
-	} else if w := st.widths[e.algo]; w > inlineState {
-		c := sh.scratchFor(st, e.algo)
-		buf := sh.slabs[e.algo].at(e.slot(), w)
-		if ip := sh.inplace[e.algo]; ip != nil {
-			for _, i := range run {
-				ri, ok := ip.ApplyInPlace(buf, ops[i].feedback())
-				if !ok {
-					// Unreachable through the public API (slots only ever
-					// hold what EncodeState wrote); recover to a fresh
-					// controller rather than poisoning the shard.
-					copy(buf, st.fresh[e.algo])
-					c.DecodeState(buf)
-					ri = c.Apply(ops[i].feedback())
-					c.EncodeState(buf)
-				}
-				out[i] = int32(ri)
-			}
-		} else {
-			if err := c.DecodeState(buf); err != nil {
-				// Unreachable through the public API; recover as above.
+		for _, i := range run {
+			s = sr.Step(s, ops[i].Kind, int(ops[i].RateIndex), ops[i].BER)
+			out[i] = s.RateIndex
+		}
+		binary.LittleEndian.PutUint32(e.state[0:4], uint32(s.RateIndex))
+		binary.LittleEndian.PutUint32(e.state[4:8], uint32(s.SilentRun))
+		return
+	}
+	// Every other algorithm runs the shard's scratch controller on the
+	// state's own bytes, in the table slot or the slab. A decode failure is
+	// unreachable through the public API (they only ever hold what
+	// EncodeState wrote); recover to a fresh controller, don't poison the
+	// shard.
+	c := sh.scratchFor(st, e.algo)
+	buf := sh.stateOf(st, e)
+	if ip := sh.inplace[e.algo]; ip != nil {
+		for _, i := range run {
+			ri, ok := ip.ApplyInPlace(buf, ops[i].feedback())
+			if !ok {
 				copy(buf, st.fresh[e.algo])
 				c.DecodeState(buf)
+				ri = c.Apply(ops[i].feedback())
+				c.EncodeState(buf)
 			}
-			for _, i := range run {
-				out[i] = int32(c.Apply(ops[i].feedback()))
-			}
-			c.EncodeState(buf)
+			out[i] = int32(ri)
 		}
-	} else if w > 0 {
-		// Small-state interface path: bounce through the shard's scratch
-		// buffer rather than slicing e.state directly — a slice of a
-		// local escaping into an interface call would force the compiler
-		// to heap-allocate every entry, on every path of this function.
-		c := sh.scratchFor(st, e.algo)
-		buf := sh.smallBuf[:w]
-		copy(buf, e.state[:w])
-		if err := c.DecodeState(buf); err != nil {
-			copy(buf, st.fresh[e.algo])
-			c.DecodeState(buf)
-		}
-		for _, i := range run {
-			out[i] = int32(c.Apply(ops[i].feedback()))
-		}
-		c.EncodeState(buf)
-		copy(e.state[:w], buf)
-	} else {
-		c := sh.scratchFor(st, e.algo)
-		for _, i := range run {
-			out[i] = int32(c.Apply(ops[i].feedback()))
-		}
+		return
 	}
-	e.lastUsed = nowTick
-	sh.links[id] = e
+	if err := c.DecodeState(buf); err != nil {
+		copy(buf, st.fresh[e.algo])
+		c.DecodeState(buf)
+	}
+	for _, i := range run {
+		out[i] = int32(c.Apply(ops[i].feedback()))
+	}
+	c.EncodeState(buf)
+}
+
+// stateOf returns the live link's encoded state where it lives: in the
+// entry, or in its slab slot. Caller holds sh.mu.
+func (sh *shard) stateOf(st *Store, e *entry) []byte {
+	w := st.widths[e.algo]
+	if w <= inlineState {
+		return e.state[:w]
+	}
+	return sh.slabs[e.algo].at(e.slot(), w)
 }
 
 // archiveLocked moves one hot entry's state into the RAM archive's
 // current generation and frees its slab slot. Caller holds sh.mu and
 // deletes the entry from sh.links itself.
-func (sh *shard) archiveLocked(st *Store, id uint64, e entry) {
+func (sh *shard) archiveLocked(st *Store, id uint64, e *entry) {
 	w := st.widths[e.algo]
 	if !st.cfg.DropOnEvict {
 		a := archived{algo: e.algo}
@@ -776,11 +756,7 @@ func (sh *shard) archiveLocked(st *Store, id uint64, e entry) {
 			if w > archInline {
 				a.spill = make([]byte, w)
 			}
-			if w <= inlineState {
-				copy(a.state(w), e.state[:w])
-			} else {
-				copy(a.state(w), sh.slabs[e.algo].at(e.slot(), w))
-			}
+			copy(a.state(w), sh.stateOf(st, e))
 		}
 		sh.archive[id] = a
 		sh.perAlgo[e.algo].archived++
@@ -796,15 +772,13 @@ func (sh *shard) archiveLocked(st *Store, id uint64, e entry) {
 // sweepLocked evicts idle links. Caller holds sh.mu.
 func (sh *shard) sweepLocked(st *Store, now int64) int {
 	nowTick := st.tickOf(now)
-	evicted := 0
-	for id, e := range sh.links {
-		if nowTick-e.lastUsed >= st.ttlTicks { // wrapping age in ticks
-			sh.archiveLocked(st, id, e)
-			delete(sh.links, id)
-			evicted++
+	evicted := sh.links.evict(func(id uint64, e *entry) bool {
+		if nowTick-e.lastUsed < st.ttlTicks { // wrapping age in ticks
+			return false
 		}
-	}
-	sh.stats.Evictions += uint64(evicted)
+		sh.archiveLocked(st, id, e)
+		return true
+	})
 	sh.lastSweep = now
 	// Rotate until the RAM front fits its budget again. One sweep can
 	// idle out far more than genCap links at once (a synchronized
@@ -1115,27 +1089,15 @@ func (st *Store) Peek(id uint64) (ctl.Algo, []byte, bool) {
 	sh := st.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.links[id]; ok {
-		w := st.widths[e.algo]
-		out := make([]byte, w)
-		if w <= inlineState {
-			copy(out, e.state[:w])
-		} else {
-			copy(out, sh.slabs[e.algo].at(e.slot(), w))
-		}
-		return e.algo, out, true
+	if e := sh.links.get(id); e != nil {
+		return e.algo, bytes.Clone(sh.stateOf(st, e)), true
 	}
-	if a, ok := sh.archive[id]; ok {
-		w := st.widths[a.algo]
-		out := make([]byte, w)
-		copy(out, a.state(w))
-		return a.algo, out, true
+	a, ok := sh.archive[id]
+	if !ok {
+		a, ok = sh.archiveOld[id]
 	}
-	if a, ok := sh.archiveOld[id]; ok {
-		w := st.widths[a.algo]
-		out := make([]byte, w)
-		copy(out, a.state(w))
-		return a.algo, out, true
+	if ok {
+		return a.algo, bytes.Clone(a.state(st.widths[a.algo])), true
 	}
 	if st.cold != nil {
 		if algoB, state, ok, err := st.cold.Peek(id, nil); err == nil && ok {
@@ -1167,11 +1129,10 @@ func (st *Store) SpillAll() (int, error) {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		for id, e := range sh.links {
+		sh.links.evict(func(id uint64, e *entry) bool {
 			sh.archiveLocked(st, id, e)
-			sh.stats.Evictions++
-			delete(sh.links, id)
-		}
+			return true
+		})
 		n := len(sh.archive) + len(sh.archiveOld)
 		err := sh.spillGenLocked(st, sh.archiveOld)
 		if err == nil {
@@ -1205,17 +1166,8 @@ func (st *Store) EvictIdle() int {
 	return total
 }
 
-// Len returns the number of links in the hot maps.
-func (st *Store) Len() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		n += len(sh.links)
-		sh.mu.Unlock()
-	}
-	return n
-}
+// Len returns the number of links in the hot tables.
+func (st *Store) Len() int { return st.Stats().Live }
 
 // Stats aggregates all shards' counters.
 func (st *Store) Stats() Stats {
@@ -1225,9 +1177,7 @@ func (st *Store) Stats() Stats {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		s := sh.stats
-		s.Live = len(sh.links)
-		s.Archived = len(sh.archive) + len(sh.archiveOld)
+		s := sh.statsLocked()
 		for a := range sh.perAlgo {
 			c := &sh.perAlgo[a]
 			perAlgo[a].creates += c.creates
@@ -1244,13 +1194,13 @@ func (st *Store) Stats() Stats {
 		out.Evictions += s.Evictions
 		out.Live += s.Live
 		out.Archived += s.Archived
+		out.ArchivedBytes += s.ArchivedBytes
 	}
 	for a := range perAlgo {
 		c := perAlgo[a]
 		if c.creates == 0 && c.restores == 0 && c.evictions == 0 && c.live == 0 && c.archived == 0 {
 			continue
 		}
-		out.ArchivedBytes += c.archivedBytes
 		out.Algos = append(out.Algos, AlgoStats{
 			Algo: ctl.Algo(a), Creates: c.creates, Restores: c.restores,
 			Evictions: c.evictions, Live: c.live, Archived: c.archived,
@@ -1270,6 +1220,19 @@ func (st *Store) Stats() Stats {
 	return out
 }
 
+// statsLocked snapshots the shard's counters. Caller holds sh.mu.
+func (sh *shard) statsLocked() ShardStats {
+	s := ShardStats{Hits: sh.hits, Live: sh.links.len(), Archived: len(sh.archive) + len(sh.archiveOld)}
+	for a := range sh.perAlgo {
+		c := &sh.perAlgo[a]
+		s.Creates += c.creates
+		s.Restores += c.restores
+		s.Evictions += c.evictions
+		s.ArchivedBytes += c.archivedBytes
+	}
+	return s
+}
+
 // PerShard returns a snapshot of each shard's stats (for balance checks
 // and the softrated stats endpoint).
 func (st *Store) PerShard() []ShardStats {
@@ -1277,12 +1240,7 @@ func (st *Store) PerShard() []ShardStats {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		out[i] = sh.stats
-		out[i].Live = len(sh.links)
-		out[i].Archived = len(sh.archive) + len(sh.archiveOld)
-		for a := range sh.perAlgo {
-			out[i].ArchivedBytes += sh.perAlgo[a].archivedBytes
-		}
+		out[i] = sh.statsLocked()
 		sh.mu.Unlock()
 	}
 	return out

@@ -269,7 +269,7 @@ func (s *Server) WritePrometheus(w io.Writer) {
 		obs.PromHistogramSamples(w, "softrated_op_latency_seconds", `algo="`+st.Algos[i].Algo+`"`, &st.Algos[i].opHist)
 	}
 
-	obs.PromGauge(w, "softrated_links_live", "", "links in the hot maps", float64(st.Store.Live))
+	obs.PromGauge(w, "softrated_links_live", "", "links in the hot tables", float64(st.Store.Live))
 	obs.PromGauge(w, "softrated_links_archived", "", "evicted links in the RAM archive", float64(st.Store.Archived))
 	obs.PromGauge(w, "softrated_links_archived_bytes", "", "encoded state held by the RAM archive", float64(st.Store.ArchivedBytes))
 	obs.PromCounter(w, "softrated_store_hits_total", "", "ops that found their link hot", st.Store.Hits)
