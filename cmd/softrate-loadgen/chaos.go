@@ -137,6 +137,7 @@ func runStallConns(addr string, n int, stop <-chan struct{}) *sync.WaitGroup {
 			frame := make([]byte, 4, 4+len(payload))
 			binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 			frame = append(frame, payload...)
+			rest := frame
 			for {
 				select {
 				case <-stop:
@@ -144,11 +145,17 @@ func runStallConns(addr string, n int, stop <-chan struct{}) *sync.WaitGroup {
 				default:
 				}
 				conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
-				if _, err := conn.Write(frame); err != nil {
+				n, err := conn.Write(rest)
+				if rest = rest[n:]; len(rest) == 0 {
+					rest = frame
+				}
+				if err != nil {
 					if ne, ok := err.(net.Error); ok && ne.Timeout() {
 						// Our own send buffer is full: the server has stopped
 						// reading because its responses to us are stuck — which
-						// is the point. Keep holding the socket open.
+						// is the point. Keep holding the socket open, and resume
+						// the frame where the write stopped so the stream stays
+						// well-framed.
 						continue
 					}
 					return // evicted by the server's write deadline

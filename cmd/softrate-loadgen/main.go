@@ -14,15 +14,15 @@
 //
 //	softrate-loadgen -clients 4 -links 10000 -duration 10s          # in-process server
 //	softrate-loadgen -addr 127.0.0.1:7447 -clients 8 -links 100000  # against softrated
-//	softrate-loadgen -tcp -pipeline 8                               # loopback TCP, 8 batches in flight per conn
+//	softrate-loadgen -transport tcp -pipeline 8                     # loopback TCP, 8 batches in flight per conn
 //	softrate-loadgen -mix hidden -verify                            # hidden-terminal mix + determinism check
 //	softrate-loadgen -algo all -verify -prewarm                     # §6.1 head-to-head, warm store, every decision checked
 //	softrate-loadgen -format json -bench-out BENCH_loadgen.json     # machine-readable report
 //
-// -pipeline N keeps N batches in flight per TCP connection (the v3
-// framing): each client's links are partitioned into N independent
-// closed loops, so every link still sees its previous decision before its
-// next frame while the connection never runs stop-and-wait. -prewarm
+// -pipeline N keeps N batches in flight per connection, socket or ring:
+// each client's links are partitioned into N independent closed loops, so
+// every link still sees its previous decision before its next frame while
+// the connection never runs stop-and-wait. -prewarm
 // drives every link's first event through the server before the timed
 // region, so the report measures the steady state rather than map and
 // slab growth.
@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -85,7 +86,6 @@ type options struct {
 	pipeline int
 	prewarm  bool
 	workers  int
-	tcpLoop  bool
 
 	transport  string
 	serveExec  string
@@ -127,11 +127,10 @@ func main() {
 	flag.StringVar(&opt.format, "format", "text", "report format: text | json")
 	flag.StringVar(&opt.benchOut, "bench-out", "", "also write the JSON report to this file (e.g. BENCH_loadgen.json)")
 	flag.StringVar(&opt.trendOut, "trend-out", "", "append a stamped throughput record (git sha, go version, cpus) to this JSONL trend ledger (e.g. BENCH_TREND.jsonl); gate it with softrate-benchtrend")
-	flag.IntVar(&opt.pipeline, "pipeline", 0, "batches in flight per TCP connection (v3 framing; <=1 = classic stop-and-wait; needs -addr or -tcp)")
+	flag.IntVar(&opt.pipeline, "pipeline", 1, "batches in flight per connection, socket or ring (1 = stop-and-wait; more needs a wire transport)")
 	flag.BoolVar(&opt.prewarm, "prewarm", false, "touch every link once before the timed region (pre-grown maps/slabs; measures steady state)")
 	flag.IntVar(&opt.workers, "workers", 0, "in-process/loopback store: fan each batch's shard visits across this many goroutines (<=1 = sequential)")
-	flag.BoolVar(&opt.tcpLoop, "tcp", false, "serve over a loopback TCP listener even without -addr (measures the transport on one host)")
-	flag.StringVar(&opt.transport, "transport", "", "transport to drive: tcp | udp | shm (empty = in-process, or tcp when -addr/-tcp is set)")
+	flag.StringVar(&opt.transport, "transport", "", "transport to drive: tcp | udp | shm, over loopback unless -addr/-shm/-serve-exec names a server (empty = in-process, or tcp when -addr is set)")
 	flag.StringVar(&opt.serveExec, "serve-exec", "", "fork this softrated binary as a separate server process and drive it over -transport (multi-process bench mode)")
 	flag.StringVar(&opt.shmPath, "shm", "", "attach to an external server's shm ring files at this path prefix (connect-only; needs -transport shm)")
 	flag.IntVar(&opt.shmBytes, "shm-ring-bytes", 0, "per-ring capacity for in-process/forked shm servers (0 = default)")
@@ -153,13 +152,11 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
 
-	if opt.clients < 1 || opt.links < opt.clients || opt.batch < 1 {
-		fmt.Fprintln(os.Stderr, "loadgen: need clients >= 1, links >= clients, batch >= 1")
+	if opt.clients < 1 || opt.links < opt.clients || opt.batch < 1 || opt.pipeline < 1 {
+		fmt.Fprintln(os.Stderr, "loadgen: need clients >= 1, links >= clients, batch >= 1, pipeline >= 1")
 		os.Exit(2)
 	}
-	// Normalize the transport selection: -tcp and -addr are the legacy
-	// spellings of -transport tcp.
-	if opt.transport == "" && (opt.tcpLoop || opt.addr != "") {
+	if opt.transport == "" && opt.addr != "" {
 		opt.transport = "tcp"
 	}
 	switch opt.transport {
@@ -168,11 +165,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loadgen: unknown -transport %q (want tcp | udp | shm)\n", opt.transport)
 		os.Exit(2)
 	}
-	if opt.transport == "tcp" && opt.addr == "" {
-		opt.tcpLoop = true
-	}
 	if opt.pipeline > 1 && opt.transport == "" {
-		fmt.Fprintln(os.Stderr, "loadgen: -pipeline needs a wire transport (-transport, -addr or -tcp); the in-process path has no wire to pipeline")
+		fmt.Fprintln(os.Stderr, "loadgen: -pipeline needs a wire transport (-transport or -addr); the in-process path has no wire to pipeline")
 		os.Exit(2)
 	}
 	if opt.shmPath != "" && opt.transport != "shm" {
@@ -193,7 +187,7 @@ func main() {
 	}
 	if opt.coldLinks > 0 {
 		if opt.pipeline > 1 || opt.transport == "udp" {
-			fmt.Fprintln(os.Stderr, "loadgen: -cold-links drives the stop-and-wait replay paths (no -pipeline > 1, no -transport udp)")
+			fmt.Fprintln(os.Stderr, "loadgen: -cold-links walks one ordered lap per client over a lossless transport (no -pipeline > 1, no -transport udp)")
 			os.Exit(2)
 		}
 		if opt.hotFrac < 0 || opt.hotFrac > 1 {
@@ -284,37 +278,59 @@ func algosFor(arg string) ([]ctl.Spec, error) {
 	return out, nil
 }
 
-// decider abstracts the two transports.
-type decider interface {
-	Decide(ops []linkstore.Op, out []int32) ([]int32, error)
+// conn is one client's path to the server: an in-process call or one
+// client connection carrying the window's batches. submit sends s.ops;
+// wait blocks for the answer and fills s.out — answered is false only on
+// the lossy transport, when the decision timed out (the links keep their
+// rates).
+type conn interface {
+	submit(s *slot) error
+	wait(s *slot) (answered bool, err error)
 }
 
-// asyncDecider is the pipelined surface: several batches in flight per
-// connection, answered in submission order.
-type asyncDecider interface {
-	decider
-	Submit(ops []linkstore.Op) (*server.Pending, error)
-	Wait(p *server.Pending, out []int32) ([]int32, error)
+// inprocConn calls Server.Decide directly: a depth-1 conn whose whole
+// exchange happens in wait.
+type inprocConn struct{ srv *server.Server }
+
+func (c inprocConn) submit(*slot) error { return nil }
+func (c inprocConn) wait(s *slot) (bool, error) {
+	c.srv.Decide(s.ops, s.out)
+	return true, nil
 }
 
-type inProcess struct{ srv *server.Server }
+// pipeConn is a lossless, in-order client: TCP or a shared-memory ring.
+type pipeConn struct{ cli *server.Client }
 
-func (p inProcess) Decide(ops []linkstore.Op, out []int32) ([]int32, error) {
-	return p.srv.Decide(ops, out), nil
+func (c pipeConn) submit(s *slot) (err error) {
+	s.p, err = c.cli.Submit(s.ops)
+	return err
 }
 
-type tcpDecider struct{ cli *server.Client }
-
-func (t tcpDecider) Decide(ops []linkstore.Op, out []int32) ([]int32, error) {
-	return t.cli.Decide(ops, out)
+func (c pipeConn) wait(s *slot) (bool, error) {
+	_, err := c.cli.Wait(s.p, s.out)
+	return err == nil, err
 }
 
-func (t tcpDecider) Submit(ops []linkstore.Op) (*server.Pending, error) {
-	return t.cli.Submit(ops)
+// udpConn is the lossy client. With -verify each submitted batch is
+// registered with the arrival-driven mirror: the bare checkers advance
+// only when a response proves the server applied it (the OnResponse
+// hook), so a batch shed by an overloaded server leaves both sides
+// untouched.
+type udpConn struct {
+	cli *server.UDPClient
+	uv  *udpVerifier // nil without -verify
 }
 
-func (t tcpDecider) Wait(p *server.Pending, out []int32) ([]int32, error) {
-	return t.cli.Wait(p, out)
+func (c udpConn) submit(s *slot) (err error) {
+	if s.p, err = c.cli.Submit(s.ops); err == nil && c.uv != nil {
+		c.uv.track(s.p.Seq(), s.ops, s.batch)
+	}
+	return err
+}
+
+func (c udpConn) wait(s *slot) (bool, error) {
+	_, ok, err := c.cli.Wait(s.p, s.out)
+	return ok, err
 }
 
 // maxRates bounds the chosen-rate distribution (the full Table 2 set).
@@ -667,33 +683,30 @@ func run(opt options) error {
 		warmed.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			dr := &driver{opt: opt, links: clients[c]}
+			dr := &driver{opt: opt, links: clients[c], window: 1}
 			if pops != nil {
 				dr.pop = pops[c]
 			}
+			fail := func(err error) {
+				results[c].err = err
+				warmed.Done()
+			}
+			var udp *server.UDPClient
 			switch opt.transport {
 			case "":
-				dr.d = inProcess{srv}
+				dr.c = inprocConn{srv}
 			case "tcp":
-				var cli *server.Client
-				var err error
-				if opt.pipeline > 1 {
-					cli, err = server.DialPipelined(opt.addr, opt.pipeline)
-				} else {
-					cli, err = server.Dial(opt.addr)
-				}
+				cli, err := server.DialPipelined(opt.addr, opt.pipeline)
 				if err != nil {
-					results[c].err = err
-					warmed.Done()
+					fail(err)
 					return
 				}
 				defer cli.Close()
-				dr.d = tcpDecider{cli}
+				dr.c, dr.window = pipeConn{cli}, opt.pipeline
 			case "udp":
-				cli, err := server.DialUDP(udpAddr, max(opt.pipeline, 1), opt.udpTimeout)
+				cli, err := server.DialUDP(udpAddr, opt.pipeline, opt.udpTimeout)
 				if err != nil {
-					results[c].err = err
-					warmed.Done()
+					fail(err)
 					return
 				}
 				defer cli.Close()
@@ -713,27 +726,30 @@ func run(opt options) error {
 					p := opt.udpDrop
 					cli.DropResponse = func(uint32) bool { return rng.Float64() < p }
 				}
-				dr.udp = cli
+				udp = cli
+				dr.c, dr.window = udpConn{cli, dr.uv}, opt.pipeline
 			case "shm":
-				cli, err := dialFreeRing(shmPrefix, shmRings, max(opt.pipeline, 1))
+				cli, err := dialFreeRing(shmPrefix, shmRings, opt.pipeline)
 				if err != nil {
-					results[c].err = err
-					warmed.Done()
+					fail(err)
 					return
 				}
 				defer cli.Close()
-				dr.d = shmDecider{cli}
+				dr.c, dr.window = pipeConn{cli}, opt.pipeline
 			}
-			if opt.prewarm && !dr.prewarm() {
+			if opt.prewarm && !dr.replay(nil) {
 				results[c] = dr.res
 				warmed.Done()
 				return
 			}
+			// Measurements restart here; the warmed link state is kept.
+			dr.res = clientResult{}
 			warmed.Done()
 			<-startCh
-			results[c] = dr.run(&stop)
-			if dr.udp != nil {
-				results[c].udp = dr.udp.Stats()
+			dr.replay(&stop)
+			results[c] = dr.res
+			if udp != nil {
+				results[c].udp = udp.Stats()
 			}
 		}(c)
 	}
@@ -977,22 +993,6 @@ func printText(rep benchReport, srv *server.Server, opt options) {
 	}
 }
 
-// shmDecider adapts a shared-memory client to the loadgen's pipelined
-// decider surface (the SHMClient already speaks server.Pending).
-type shmDecider struct{ cli *server.SHMClient }
-
-func (s shmDecider) Decide(ops []linkstore.Op, out []int32) ([]int32, error) {
-	return s.cli.Decide(ops, out)
-}
-
-func (s shmDecider) Submit(ops []linkstore.Op) (*server.Pending, error) {
-	return s.cli.Submit(ops)
-}
-
-func (s shmDecider) Wait(p *server.Pending, out []int32) ([]int32, error) {
-	return s.cli.Wait(p, out)
-}
-
 // dialFreeRing attaches the first free shm ring under prefix. Concurrent
 // clients race for slots (Attach is a CAS), so losers rescan until the
 // deadline; with one ring per client everyone lands somewhere.
@@ -1215,26 +1215,22 @@ func (b *batchBuilder) fill(max int, now time.Time, ops []linkstore.Op, batch []
 	return ops, batch
 }
 
-// driver is one client's replay engine. Exactly one of d and udp is
-// set: UDP gets its own replay paths because its loss contract inverts
-// the bookkeeping — a timed-out decision means "keep the current rate",
-// not "fail", and the -verify checkers advance only when a response
-// arrives and proves the server applied the batch (see udpVerifier; a
-// batch the server shed under overload was never applied, so the mirror
-// must not move either).
+// driver is one client's replay engine over one conn.
 type driver struct {
-	d     decider
-	udp   *server.UDPClient
-	uv    *udpVerifier // UDP -verify mirror, nil otherwise
-	opt   options
-	links []*link
-	pop   *coldPop // cold-churn slice, nil without -cold-links
-	res   clientResult
+	c      conn
+	window int          // batches in flight (1 = stop-and-wait)
+	uv     *udpVerifier // UDP -verify mirror, nil otherwise
+	opt    options
+	links  []*link
+	pop    *coldPop // cold-churn slice, nil without -cold-links
+	res    clientResult
 }
 
 // absorb applies one answered batch to the closed loop: next rates, the
-// chosen-rate histogram, and the -verify check against bare controllers.
-// Returns false when a mismatch ends the run.
+// chosen-rate histogram, and the -verify check against bare controllers
+// (on UDP that comparison already ran in the OnResponse hook when the
+// response arrived — see udpVerifier — so the checkers are not advanced
+// again here). Returns false when a mismatch ends the run.
 func (dr *driver) absorb(ops []linkstore.Op, batch []*link, out []int32) bool {
 	res := &dr.res
 	for i, l := range batch {
@@ -1257,7 +1253,7 @@ func (dr *driver) absorb(ops []linkstore.Op, batch []*link, out []int32) bool {
 		if ri := out[i]; ri >= 0 && int(ri) < maxRates {
 			res.rateCounts[ri]++
 		}
-		if l.bare != nil || l.bareSoft != nil {
+		if dr.uv == nil && (l.bare != nil || l.bareSoft != nil) {
 			var want int
 			if l.bareSoft != nil {
 				want = l.bareSoft.Apply(ops[i].Kind, int(ops[i].RateIndex), ops[i].BER)
@@ -1281,74 +1277,9 @@ func (dr *driver) absorb(ops []linkstore.Op, batch []*link, out []int32) bool {
 	return true
 }
 
-// prewarm drives every link's first trace event through the server (and
-// the -verify checkers), so maps, slabs and the closed loop are all
-// established before the timed region. Measurements are then reset; the
-// warmed link state is kept. Returns false on error.
-func (dr *driver) prewarm() bool {
-	if dr.udp != nil {
-		return dr.prewarmUDP()
-	}
-	bb := batchBuilder{links: dr.links}
-	ops := make([]linkstore.Op, 0, dr.opt.batch)
-	batch := make([]*link, 0, dr.opt.batch)
-	out := make([]int32, dr.opt.batch)
-	for remaining := len(dr.links); remaining > 0; {
-		ops, batch = bb.fill(min(dr.opt.batch, remaining), time.Now(), ops, batch)
-		if len(ops) == 0 {
-			break // every remaining link is idle-gapped or exhausted
-		}
-		if _, err := dr.d.Decide(ops, out); err != nil {
-			dr.res.err = err
-			return false
-		}
-		if !dr.absorb(ops, batch, out) {
-			return false
-		}
-		remaining -= len(ops)
-	}
-	dr.res.decisions = 0
-	dr.res.lat = stats.Histogram{}
-	dr.res.rateCounts = [maxRates]uint64{}
-	return true
-}
-
-// run replays until stop flips: classic stop-and-wait batches, or — for a
-// pipelined transport with -pipeline > 1 — a sliding window of batches in
-// flight.
-func (dr *driver) run(stop *atomic.Bool) clientResult {
-	if dr.udp != nil {
-		return dr.runUDP(stop)
-	}
-	if ad, ok := dr.d.(asyncDecider); ok && dr.opt.pipeline > 1 {
-		return dr.runPipelined(ad, stop)
-	}
-	bb := batchBuilder{links: dr.links, cold: dr.pop, hotFrac: dr.opt.hotFrac}
-	ops := make([]linkstore.Op, 0, dr.opt.batch)
-	batch := make([]*link, 0, dr.opt.batch)
-	out := make([]int32, dr.opt.batch)
-	for !stop.Load() {
-		ops, batch = bb.fill(dr.opt.batch, time.Now(), ops, batch)
-		if len(ops) == 0 {
-			time.Sleep(time.Millisecond) // every link is waiting out its idle gap
-			continue
-		}
-		t0 := time.Now()
-		if _, err := dr.d.Decide(ops, out); err != nil {
-			dr.res.err = err
-			return dr.res
-		}
-		dr.res.lat.Observe(time.Since(t0))
-		dr.res.decisions += uint64(len(ops))
-		if !dr.absorb(ops, batch, out) {
-			return dr.res
-		}
-	}
-	return dr.res
-}
-
-// pipeSlot is one in-flight batch of the pipelined window.
-type pipeSlot struct {
+// slot is one batch of the window: a cohort of links, its built batch,
+// and the request in flight for it.
+type slot struct {
 	bb     batchBuilder
 	ops    []linkstore.Op
 	batch  []*link
@@ -1356,242 +1287,109 @@ type pipeSlot struct {
 	p      *server.Pending
 	t0     time.Time
 	busy   bool
-	filled bool // batch built but not yet accepted by Submit
+	filled bool // batch built but not yet accepted by submit
+	quota  int  // ops this slot may still send
 }
 
-// runPipelined keeps up to -pipeline batches in flight on one
-// connection. The client's links are partitioned into one cohort per
-// window slot: a cohort is an independent closed loop (each of its links
-// sees its previous decision before its next frame), so deep pipelining
-// never reorders a link's feedback stream — exactly the property the
-// per-link -verify check proves.
-func (dr *driver) runPipelined(ad asyncDecider, stop *atomic.Bool) clientResult {
-	depth := dr.opt.pipeline
-	if depth > len(dr.links) {
-		depth = len(dr.links)
-	}
-	slots := make([]pipeSlot, depth)
+// replay is the windowed closed loop. The client's links are partitioned
+// into one cohort per window slot: a cohort is an independent closed loop
+// (each of its links sees its previous decision before its next frame),
+// so a deep window never reorders a link's feedback stream — exactly the
+// property the per-link -verify check proves. With a stop flag it replays
+// until the flag flips; with nil it is the prewarm pass, driving every
+// link's first trace event through the server (and the -verify checkers)
+// once, so maps, slabs and the closed loop are all established before the
+// timed region. A decision that times out on the lossy transport is a
+// lost decision: its cohort's links keep their current rates and the loop
+// moves on (a lost response still warmed the server: the request arrived
+// and was applied). Returns false when an error or a -verify mismatch,
+// recorded in dr.res, ended it.
+func (dr *driver) replay(stop *atomic.Bool) bool {
+	slots := make([]slot, min(dr.window, len(dr.links)))
 	for i := range slots {
 		slots[i].ops = make([]linkstore.Op, 0, dr.opt.batch)
 		slots[i].batch = make([]*link, 0, dr.opt.batch)
 		slots[i].out = make([]int32, dr.opt.batch)
+		slots[i].quota = math.MaxInt
 	}
 	for i, l := range dr.links {
-		s := &slots[i%depth]
+		s := &slots[i%len(slots)]
 		s.bb.links = append(s.bb.links, l)
 	}
-	queue := make([]int, 0, depth) // busy slots in submission order
+	if stop == nil {
+		for i := range slots {
+			slots[i].quota = len(slots[i].bb.links)
+		}
+	} else {
+		slots[0].bb.cold, slots[0].bb.hotFrac = dr.pop, dr.opt.hotFrac // -cold-links implies one slot
+	}
+	queue := make([]int, 0, len(slots)) // busy slots in submission order
 	for {
-		stopped := stop.Load()
-		if !stopped {
-			for si := range slots {
-				s := &slots[si]
-				if s.busy {
-					continue
-				}
-				if !s.filled {
-					s.ops, s.batch = s.bb.fill(dr.opt.batch, time.Now(), s.ops, s.batch)
-					if len(s.ops) == 0 {
-						continue // cohort fully idle right now
-					}
-					s.filled = true
-				}
-				// Latency is stamped after the batch is built, like the
-				// stop-and-wait path: it measures submit → response, not
-				// client-side trace synthesis.
-				t0 := time.Now()
-				p, err := ad.Submit(s.ops)
-				if errors.Is(err, server.ErrPipelineFull) {
-					// Response-byte budget reached before the window depth
-					// (deep -pipeline with a large -batch): drain one
-					// response first; the built batch stays queued.
-					break
-				}
-				if err != nil {
-					dr.res.err = err
-					return dr.res
-				}
-				s.p, s.t0, s.busy, s.filled = p, t0, true, false
-				queue = append(queue, si)
+		stopped := stop != nil && stop.Load()
+		open := 0 // slots that may still send
+		for si := 0; si < len(slots) && !stopped; si++ {
+			s := &slots[si]
+			if s.quota == 0 {
+				continue
 			}
-		}
-		if len(queue) == 0 {
-			if stopped {
-				return dr.res
+			open++
+			if s.busy {
+				continue
 			}
-			time.Sleep(time.Millisecond) // every cohort is idle-gapped
-			continue
-		}
-		si := queue[0]
-		queue = append(queue[:0], queue[1:]...)
-		s := &slots[si]
-		if _, err := ad.Wait(s.p, s.out); err != nil {
-			dr.res.err = err
-			return dr.res
-		}
-		dr.res.lat.Observe(time.Since(s.t0))
-		dr.res.decisions += uint64(len(s.ops))
-		if !dr.absorb(s.ops, s.batch, s.out) {
-			return dr.res
-		}
-		s.busy = false
-	}
-}
-
-// udpSlot is one in-flight datagram batch of the UDP window.
-type udpSlot struct {
-	bb    batchBuilder
-	ops   []linkstore.Op
-	batch []*link
-	out   []int32
-	p     *server.UDPPending
-	t0    time.Time
-	busy  bool
-}
-
-// submitUDP sends slot s's built batch and, with -verify, registers it
-// with the arrival-driven mirror: the bare checkers advance only when a
-// response proves the server applied it (the OnResponse hook), so a
-// batch shed by an overloaded server leaves both sides untouched.
-func (dr *driver) submitUDP(s *udpSlot) (*server.UDPPending, error) {
-	p, err := dr.udp.Submit(s.ops)
-	if err == nil && dr.uv != nil {
-		dr.uv.track(p.Seq(), s.ops, s.batch)
-	}
-	return p, err
-}
-
-// absorbUDP applies one answered batch to the closed loop: next rates
-// and the chosen-rate histogram (the -verify comparison already ran in
-// the OnResponse hook when the response arrived).
-func (dr *driver) absorbUDP(s *udpSlot, out []int32) {
-	for i, l := range s.batch {
-		l.rate = out[i]
-		if ri := out[i]; ri >= 0 && int(ri) < maxRates {
-			dr.res.rateCounts[ri]++
-		}
-	}
-}
-
-// checkUDPVerify folds the hook-side mismatch (if any) into the client
-// result. Called after every Wait — including timed-out ones, since the
-// hook also fires for responses that arrive after their timeout.
-func (dr *driver) checkUDPVerify() bool {
-	if dr.uv == nil || dr.uv.mismatch == "" {
-		return true
-	}
-	dr.res.mismatch = dr.uv.mismatch
-	return false
-}
-
-// prewarmUDP is prewarm over the datagram transport. A dropped response
-// still warms the server side (the request arrived and was applied), so
-// the pass completes regardless of injected loss.
-func (dr *driver) prewarmUDP() bool {
-	s := udpSlot{
-		bb:    batchBuilder{links: dr.links},
-		ops:   make([]linkstore.Op, 0, dr.opt.batch),
-		batch: make([]*link, 0, dr.opt.batch),
-		out:   make([]int32, dr.opt.batch),
-	}
-	for remaining := len(dr.links); remaining > 0; {
-		s.ops, s.batch = s.bb.fill(min(dr.opt.batch, remaining), time.Now(), s.ops, s.batch)
-		if len(s.ops) == 0 {
-			break // every remaining link is idle-gapped or exhausted
-		}
-		p, err := dr.submitUDP(&s)
-		if err != nil {
-			dr.res.err = err
-			return false
-		}
-		out, ok, err := dr.udp.Wait(p, s.out)
-		if err != nil {
-			dr.res.err = err
-			return false
-		}
-		if ok {
-			dr.absorbUDP(&s, out)
-		}
-		if !dr.checkUDPVerify() {
-			return false
-		}
-		remaining -= len(s.ops)
-	}
-	dr.res.decisions = 0
-	dr.res.lat = stats.Histogram{}
-	dr.res.rateCounts = [maxRates]uint64{}
-	return true
-}
-
-// runUDP keeps up to -pipeline datagram batches in flight (cohort
-// partitioning as in runPipelined, so per-link feedback order is
-// preserved). A timed-out batch is a lost decision: its cohort's links
-// keep their current rates and the loop moves on — loss does not poison
-// the client, does not end the run, and (with -verify) every response
-// that does arrive is still checked byte-for-byte.
-func (dr *driver) runUDP(stop *atomic.Bool) clientResult {
-	depth := dr.opt.pipeline
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > len(dr.links) {
-		depth = len(dr.links)
-	}
-	slots := make([]udpSlot, depth)
-	for i := range slots {
-		slots[i].ops = make([]linkstore.Op, 0, dr.opt.batch)
-		slots[i].batch = make([]*link, 0, dr.opt.batch)
-		slots[i].out = make([]int32, dr.opt.batch)
-	}
-	for i, l := range dr.links {
-		s := &slots[i%depth]
-		s.bb.links = append(s.bb.links, l)
-	}
-	queue := make([]int, 0, depth) // busy slots in submission order
-	for {
-		stopped := stop.Load()
-		if !stopped {
-			for si := range slots {
-				s := &slots[si]
-				if s.busy {
-					continue
-				}
-				s.ops, s.batch = s.bb.fill(dr.opt.batch, time.Now(), s.ops, s.batch)
+			if !s.filled {
+				s.ops, s.batch = s.bb.fill(min(dr.opt.batch, s.quota), time.Now(), s.ops, s.batch)
 				if len(s.ops) == 0 {
+					if stop == nil {
+						s.quota = 0 // every remaining link is idle-gapped or exhausted
+					}
 					continue // cohort fully idle right now
 				}
-				t0 := time.Now()
-				p, err := dr.submitUDP(s)
-				if err != nil {
-					dr.res.err = err
-					return dr.res
-				}
-				s.p, s.t0, s.busy = p, t0, true
-				queue = append(queue, si)
+				s.filled = true
 			}
+			// Latency is stamped after the batch is built: it measures
+			// submit → response, not client-side trace synthesis.
+			s.t0 = time.Now()
+			err := dr.c.submit(s)
+			if errors.Is(err, server.ErrPipelineFull) {
+				// Response-byte budget reached before the window depth
+				// (deep -pipeline with a large -batch): drain one
+				// response first; the built batch stays queued.
+				break
+			}
+			if err != nil {
+				dr.res.err = err
+				return false
+			}
+			s.busy, s.filled = true, false
+			s.quota -= len(s.ops)
+			queue = append(queue, si)
 		}
 		if len(queue) == 0 {
-			if stopped {
-				return dr.res
+			if stopped || open == 0 {
+				return true
 			}
 			time.Sleep(time.Millisecond) // every cohort is idle-gapped
 			continue
 		}
-		si := queue[0]
+		s := &slots[queue[0]]
 		queue = append(queue[:0], queue[1:]...)
-		s := &slots[si]
-		out, ok, err := dr.udp.Wait(s.p, s.out)
+		answered, err := dr.c.wait(s)
 		if err != nil {
 			dr.res.err = err
-			return dr.res
+			return false
 		}
-		if ok {
+		if answered {
 			dr.res.lat.Observe(time.Since(s.t0))
 			dr.res.decisions += uint64(len(s.ops))
-			dr.absorbUDP(s, out)
+			if !dr.absorb(s.ops, s.batch, s.out) {
+				return false
+			}
 		}
-		if !dr.checkUDPVerify() {
-			return dr.res
+		// The UDP mirror's hook also fires for responses that arrive
+		// after their timeout, so its verdict is checked after every wait.
+		if dr.uv != nil && dr.uv.mismatch != "" {
+			dr.res.mismatch = dr.uv.mismatch
+			return false
 		}
 		s.busy = false
 	}

@@ -1,9 +1,9 @@
 // Command softrated runs the SoftRate decision service over TCP: a
 // sharded store of per-link §3.3 controllers answering batched feedback
 // frames with next-rate decisions (see internal/server for the wire
-// format). Pipelined (v3) clients are served automatically — the framing
-// is negotiated per request, so one listener serves stop-and-wait v1/v2
-// peers and deep-pipeline v3 peers side by side.
+// format). Every request carries an ID its response echoes, so a client
+// may run stop-and-wait or keep a deep window in flight on the same
+// listener.
 //
 // Usage:
 //
@@ -22,8 +22,7 @@
 // SIGINT/SIGTERM take the identical drain path (-drain-grace bounds how
 // long stragglers may hold it open).
 //
-// Drive it with cmd/softrate-loadgen (use its -pipeline flag for the v3
-// framing).
+// Drive it with cmd/softrate-loadgen (its -pipeline flag sets the window).
 package main
 
 import (
@@ -51,7 +50,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":7447", "TCP listen address")
-		algo        = flag.String("algo", "softrate", "default algorithm for links whose feedback doesn't name one ("+strings.Join(ctl.Names(), "|")+"); v2 records may select any registered algorithm per link")
+		algo        = flag.String("algo", "softrate", "default algorithm for links whose feedback doesn't name one ("+strings.Join(ctl.Names(), "|")+"); a record may select any registered algorithm per link")
 		shards      = flag.Int("shards", 64, "lock stripes in the link store (rounded up to a power of two)")
 		ttl         = flag.Duration("ttl", 60*time.Second, "idle TTL before a link is evicted from the hot map (0 = never)")
 		dropOnEvict = flag.Bool("drop-on-evict", false, "discard evicted link state instead of archiving it")
@@ -264,10 +263,10 @@ func finalSnapshot(srv *server.Server) {
 	printStats(srv.Stats())
 	st := srv.Status()
 	// Per-transport breakdown: which transport carried the traffic, and
-	// how well the datagram burst loops amortized (rx/bursts).
+	// how well the burst loop amortized on each (requests per burst).
 	fmt.Fprintf(os.Stderr,
-		"softrated: transports | tcp reqs v1=%d v2=%d v3=%d conns=%d | udp rx=%d tx=%d bursts=%d drops=%d | shm rx=%d tx=%d bursts=%d drops=%d rings=%d\n",
-		st.Transport.RequestsV1, st.Transport.RequestsV2, st.Transport.RequestsV3, st.Transport.ConnsAccepted,
+		"softrated: transports | tcp reqs=%d bursts=%d conns=%d | udp rx=%d tx=%d bursts=%d drops=%d | shm rx=%d tx=%d bursts=%d drops=%d rings=%d\n",
+		st.Transport.Requests, st.Transport.Bursts, st.Transport.ConnsAccepted,
 		st.UDP.DatagramsRx, st.UDP.DatagramsTx, st.UDP.Bursts, st.UDP.Drops,
 		st.SHM.DatagramsRx, st.SHM.DatagramsTx, st.SHM.Bursts, st.SHM.Drops, st.SHM.RingsAttached)
 	blob, err := json.Marshal(st)

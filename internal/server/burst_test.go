@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
+	"net"
 	"testing"
+	"time"
 
 	"softrate/internal/core"
 	"softrate/internal/ctl"
@@ -20,6 +23,12 @@ func TestBurstBucket(t *testing.T) {
 	}
 }
 
+// handleConn serves one established connection through the TCP transport
+// and the shared burst loop, as Serve does for an accepted one.
+func (s *Server) handleConn(conn net.Conn) {
+	s.serve(s.newTCPTransport(conn), &s.tcp)
+}
+
 // packDatagrams encodes payloads in the fuzz corpus shape consumed by
 // FuzzServeDatagrams: [u16 len][payload] repeated.
 func packDatagrams(payloads ...[]byte) []byte {
@@ -31,35 +40,60 @@ func packDatagrams(payloads ...[]byte) []byte {
 	return b
 }
 
-// FuzzServeDatagrams throws arbitrary datagram bursts at the burst
-// engine — the shared core of the UDP and shm transports. The input is
-// split into up to BurstSize payloads ([u16 len][bytes] framing), which
-// covers bad version bytes, truncated records, and duplicate/stale seq
-// values by construction. Properties on every burst:
+// responseBytes is the wire form of a response: ID, count, one rate byte
+// per record.
+func responseBytes(reqID uint32, rates []int32) []byte {
+	resp := binary.LittleEndian.AppendUint32(nil, reqID)
+	resp = binary.LittleEndian.AppendUint32(resp, uint32(len(rates)))
+	for _, ri := range rates {
+		resp = append(resp, uint8(ri))
+	}
+	return resp
+}
+
+// replayResponse feeds one payload to an in-process mirror the way a
+// server with no burst loop would — one DecodeRequest, one Decide — and
+// returns the response bytes, or ok=false for a malformed payload.
+func replayResponse(mirror *Server, payload []byte) (resp []byte, ok bool) {
+	ops, reqID, _, err := DecodeRequest(payload, nil)
+	if err != nil {
+		return nil, false
+	}
+	return responseBytes(reqID, mirror.Decide(ops, make([]int32, len(ops)))), true
+}
+
+// FuzzServeDatagrams throws arbitrary payload bursts at the burst engine
+// and at the one serve loop behind every transport. The input is split
+// into up to BurstSize payloads ([u16 len][bytes] framing), which covers
+// bad version bytes, truncated records, retired framings and
+// duplicate/stale request IDs by construction. Properties on every burst:
 //
 //   - the engine never panics and never desyncs: exactly the payloads
 //     that decode cleanly are marked ok and get a response, malformed
 //     ones only bump the drop counter;
 //   - every ok payload's response is byte-identical to an in-process
 //     replay: a mirror server fed the same payloads one DecodeRequest +
-//     one Decide at a time produces the same seq echo, count, and rates
+//     one Decide at a time produces the same ID echo, count, and rates
 //     — batching a burst into one Decide is unobservable;
 //   - counters add up (rx = payload count, drops = malformed count,
-//     version counters = well-formed count).
+//     requests = well-formed count);
+//   - the same burst written as one run of length-prefixed frames to a
+//     served TCP connection is answered identically up to its first
+//     malformed frame, which ends the connection.
 func FuzzServeDatagrams(f *testing.F) {
-	v1 := AppendOps(nil, []linkstore.Op{{LinkID: 1, Kind: core.KindBER, RateIndex: 3, BER: 1e-5}})
-	v2 := AppendOpsV2(nil, []linkstore.Op{{LinkID: 2, Algo: ctl.AlgoRRAA, Kind: core.KindBER, BER: 1e-4, SNRdB: 11}})
 	v3 := AppendOpsV3(nil, 7, []linkstore.Op{
 		{LinkID: 3, Algo: ctl.AlgoSampleRate, Kind: core.KindBER, RateIndex: 2, BER: 1e-6, Airtime: 5e-4, Delivered: true},
 		{LinkID: 4, Kind: core.KindSilentLoss},
 	})
+	other := AppendOpsV3(nil, 8, []linkstore.Op{{LinkID: 2, Algo: ctl.AlgoRRAA, Kind: core.KindBER, BER: 1e-4, SNRdB: 11}})
 	dup := AppendOpsV3(nil, 7, []linkstore.Op{{LinkID: 3, Kind: core.KindPostamble, RateIndex: 1}})
-	f.Add(packDatagrams(v3, v1, v2))
-	f.Add(packDatagrams(v3, dup, v3))            // duplicate/stale seq in one burst
-	f.Add(packDatagrams(v3[:len(v3)-1], v3))     // truncated v3 record beside a good one
-	f.Add(packDatagrams([]byte{0x7f, 0, 0}, v1)) // bad version byte
-	f.Add(packDatagrams(nil, v2, []byte{VersionV3}))
-	f.Add(packDatagrams(bytes.Repeat([]byte{0xff}, RecordSize)))
+	v2 := AppendOpsV2(nil, []linkstore.Op{{LinkID: 2, Kind: core.KindBER, BER: 1e-4}})
+	f.Add(packDatagrams(v3, other, dup))
+	f.Add(packDatagrams(v3, dup, v3))                // duplicate/stale IDs in one burst
+	f.Add(packDatagrams(v3[:len(v3)-1], v3))         // truncated record beside a good one
+	f.Add(packDatagrams(v3, []byte{0x7f, 0, 0}, v3)) // bad version byte mid-burst
+	f.Add(packDatagrams(nil, other, []byte{VersionV3}))
+	f.Add(packDatagrams(v3, v2, make([]byte, 18), other)) // retired v2 and v1 framings
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv := New(Config{Store: linkstore.Config{Shards: 4}})
@@ -75,7 +109,7 @@ func FuzzServeDatagrams(f *testing.F) {
 			data = data[n:]
 		}
 
-		eng := newBurstEngine(srv, &srv.udp)
+		eng := newBurstEngine(srv, &srv.udp, true)
 		eng.reset()
 		for _, p := range payloads {
 			eng.add(p)
@@ -86,79 +120,148 @@ func FuzzServeDatagrams(f *testing.F) {
 		if len(dgs) != len(payloads) {
 			t.Fatalf("%d slots for %d payloads", len(dgs), len(payloads))
 		}
-		var out []int32
-		wellFormed, malformed := 0, 0
+		want := make([][]byte, len(payloads)) // nil = malformed
+		wellFormed := 0
 		for i := range dgs {
-			d := &dgs[i]
-			ops, reqID, tagged, err := DecodeRequest(payloads[i], nil)
-			if (err == nil) != d.ok {
-				t.Fatalf("payload %d (%d bytes): engine ok=%v, DecodeRequest err=%v", i, len(payloads[i]), d.ok, err)
+			resp, ok := replayResponse(mirror, payloads[i])
+			if ok != dgs[i].ok {
+				t.Fatalf("payload %d (%d bytes): engine ok=%v, in-process replay ok=%v", i, len(payloads[i]), dgs[i].ok, ok)
 			}
-			if err != nil {
-				malformed++
+			if !ok {
 				continue
 			}
 			wellFormed++
-			if cap(out) < len(ops) {
-				out = make([]int32, len(ops))
-			}
-			mirror.Decide(ops, out[:len(ops)])
-			want := make([]byte, 0, 8+len(ops))
-			if tagged {
-				want = binary.LittleEndian.AppendUint32(want, reqID)
-			}
-			want = binary.LittleEndian.AppendUint32(want, uint32(len(ops)))
-			for _, ri := range out[:len(ops)] {
-				want = append(want, uint8(ri))
-			}
-			if got := eng.response(d); !bytes.Equal(got, want) {
-				t.Fatalf("payload %d: burst response %x != in-process replay %x", i, got, want)
+			want[i] = resp
+			if got := eng.response(&dgs[i]); !bytes.Equal(got, resp) {
+				t.Fatalf("payload %d: burst response %x != in-process replay %x", i, got, resp)
 			}
 		}
 		st := srv.udp.status()
-		if int(st.DatagramsRx) != len(payloads) || int(st.Drops) != malformed {
-			t.Fatalf("counters rx=%d drops=%d, want rx=%d drops=%d", st.DatagramsRx, st.Drops, len(payloads), malformed)
+		if int(st.DatagramsRx) != len(payloads) || int(st.Drops) != len(payloads)-wellFormed || int(st.Requests) != wellFormed {
+			t.Fatalf("counters rx=%d drops=%d requests=%d, want %d, %d, %d",
+				st.DatagramsRx, st.Drops, st.Requests, len(payloads), len(payloads)-wellFormed, wellFormed)
 		}
-		if got := int(st.RequestsV1 + st.RequestsV2 + st.RequestsV3); got != wellFormed {
-			t.Fatalf("version counters sum to %d, want %d well-formed", got, wellFormed)
+
+		// The same burst over a served TCP connection: one Write, so the
+		// loop finds the frames already buffered and gathers them as it
+		// would a pipelined window. A fresh pair of servers, so the
+		// decisions start from the same store state.
+		remote := New(Config{Store: linkstore.Config{Shards: 4}})
+		cli, peer := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			remote.handleConn(peer)
+			close(done)
+		}()
+		cli.SetDeadline(time.Now().Add(30 * time.Second))
+		var stream, wantStream []byte
+		for i, p := range payloads {
+			stream = append(stream, frame(p)...)
+			if want[i] == nil {
+				break // the connection ends here
+			}
+			wantStream = append(wantStream, want[i]...)
 		}
+		go cli.Write(stream) // net.Pipe is unbuffered: write while reading
+		got := make([]byte, len(wantStream))
+		if _, err := io.ReadFull(cli, got); err != nil {
+			t.Fatalf("tcp: reading %d response bytes: %v", len(wantStream), err)
+		}
+		if !bytes.Equal(got, wantStream) {
+			t.Fatalf("tcp: responses %x != in-process replay %x", got, wantStream)
+		}
+		cli.Close()
+		<-done
 	})
 }
 
 // TestBurstEngineZeroAlloc pins the tentpole perf property: a warm burst
-// engine — metrics on, full BurstSize bursts — runs reset/add/finish and
-// reads back every response without a single allocation.
+// — metrics on, full BurstSize bursts — allocates nothing, both in the
+// engine itself (reset/add/finish and reading back every response) and
+// through the TCP transport's gather/send/flush around it.
 func TestBurstEngineZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins are meaningless under -race")
 	}
 	srv := New(Config{Store: linkstore.Config{Shards: 8}})
-	eng := newBurstEngine(srv, &srv.udp)
-
 	rng := rand.New(rand.NewSource(42))
 	payloads := make([][]byte, BurstSize)
+	var stream []byte
 	for i := range payloads {
-		ops := randOps(rng, 48, 200)
-		payloads[i] = AppendOpsV3(nil, uint32(i), ops)
+		payloads[i] = AppendOpsV3(nil, uint32(i), randOps(rng, 48, 200))
+		stream = append(stream, frame(payloads[i])...)
 	}
-	burst := func() {
-		eng.reset()
-		for _, p := range payloads {
-			eng.add(p)
-		}
-		eng.finish()
-		for i := range eng.dgrams() {
-			d := &eng.dgrams()[i]
-			if !d.ok {
-				t.Fatal("a pre-encoded payload failed to decode")
+
+	t.Run("engine", func(t *testing.T) {
+		eng := newBurstEngine(srv, &srv.udp, true)
+		burst := func() {
+			eng.reset()
+			for _, p := range payloads {
+				eng.add(p)
 			}
-			if len(eng.response(d)) == 0 {
-				t.Fatal("empty response")
+			eng.finish()
+			for i := range eng.dgrams() {
+				d := &eng.dgrams()[i]
+				if !d.ok {
+					t.Fatal("a pre-encoded payload failed to decode")
+				}
+				if len(eng.response(d)) == 0 {
+					t.Fatal("empty response")
+				}
 			}
 		}
-	}
-	burst() // warm: size the reusable buffers, populate the link store
-	if allocs := testing.AllocsPerRun(50, burst); allocs != 0 {
-		t.Fatalf("warm burst path allocated %.1f times per burst, want 0", allocs)
-	}
+		burst() // warm: size the reusable buffers, populate the link store
+		if allocs := testing.AllocsPerRun(50, burst); allocs != 0 {
+			t.Fatalf("warm burst path allocated %.1f times per burst, want 0", allocs)
+		}
+	})
+
+	t.Run("tcp", func(t *testing.T) {
+		// A connection whose read side replays the same burst of frames
+		// forever and whose write side discards: what a pipelined client
+		// with a full window looks like to the transport.
+		conn := &replayConn{stream: stream}
+		tr := srv.newTCPTransport(conn)
+		eng := newBurstEngine(srv, &srv.tcp, false)
+		burst := func() {
+			eng.reset()
+			if err := tr.gather(eng, false); err != nil {
+				t.Fatal(err)
+			}
+			if eng.n != BurstSize {
+				t.Fatalf("gathered %d of the %d buffered frames", eng.n, BurstSize)
+			}
+			eng.finish()
+			for i := range eng.dgrams() {
+				d := &eng.dgrams()[i]
+				if err := tr.send(d, eng.response(d)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.flush(false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		burst()
+		if allocs := testing.AllocsPerRun(50, burst); allocs != 0 {
+			t.Fatalf("warm TCP burst allocated %.1f times per burst, want 0", allocs)
+		}
+		if conn.written == 0 {
+			t.Fatal("no response bytes reached the connection")
+		}
+	})
 }
+
+// replayConn is a net.Conn that reads one byte stream over and over, one
+// whole copy per Read, and counts what is written to it.
+type replayConn struct {
+	net.Conn
+	stream  []byte
+	written int
+}
+
+func (c *replayConn) Read(p []byte) (int, error)       { return copy(p, c.stream), nil }
+func (c *replayConn) Write(p []byte) (int, error)      { c.written += len(p); return len(p), nil }
+func (c *replayConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *replayConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *replayConn) Close() error                     { return nil }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"io"
 	"net"
@@ -28,9 +27,9 @@ func frame(payload []byte) []byte {
 //
 //   - the handler never panics, whatever the peer sends;
 //   - every well-formed request in the prefix before the first protocol
-//     violation is answered in order, a v3 request's response echoes its
-//     request ID, the count matches the batch, and the rate bytes equal
-//     an in-process replay's decisions;
+//     violation is answered in order, the response echoes its request ID,
+//     the count matches the batch, and the rate bytes equal an in-process
+//     replay's decisions;
 //   - at the first violation (oversized length, undecodable payload) the
 //     connection is dropped without taking the server down: a fresh
 //     connection is served and continues from the same store state.
@@ -38,18 +37,18 @@ func FuzzServeFraming(f *testing.F) {
 	opsA := []linkstore.Op{{LinkID: 1, Kind: core.KindBER, RateIndex: 3, BER: 1e-5}}
 	opsB := []linkstore.Op{{LinkID: 1, Kind: core.KindSilentLoss}, {LinkID: 2, Kind: core.KindPostamble, RateIndex: 2}}
 	v3a := AppendOpsV3(nil, 7, opsA)
-	v2b := AppendOpsV2(nil, opsB)
+	v3b := AppendOpsV3(nil, 8, opsB)
 	oversized := make([]byte, 4)
 	binary.LittleEndian.PutUint32(oversized, maxPayload+1)
 
 	f.Add(frame(v3a))
-	f.Add(append(frame(v3a), frame(v2b)...))
-	f.Add(append(frame(v2b), frame(v3a)...))
-	f.Add(append(frame(v3a), oversized...))              // drop on length
-	f.Add(append(frame(v3a), frame([]byte{1, 2, 3})...)) // drop on decode
-	f.Add(frame(v3a)[:7])                                // truncated mid-payload
-	f.Add(frame(nil))                                    // empty v1 batch
-	f.Add(frame(AppendOpsV3(nil, 0xffffffff, nil)))      // empty pipelined batch
+	f.Add(append(frame(v3a), frame(v3b)...))
+	f.Add(append(frame(v3b), frame(AppendOpsV2(nil, opsB))...)) // drop on a retired framing
+	f.Add(append(frame(v3a), oversized...))                     // drop on length
+	f.Add(append(frame(v3a), frame([]byte{1, 2, 3})...))        // drop on decode
+	f.Add(frame(v3a)[:7])                                       // truncated mid-payload
+	f.Add(frame(nil))                                           // empty payload: not a request
+	f.Add(frame(AppendOpsV3(nil, 0xffffffff, nil)))             // empty batch
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<15 {
@@ -80,7 +79,7 @@ func FuzzServeFraming(f *testing.F) {
 				break // incomplete trailing frame
 			}
 			payload := rest[4 : 4+int(n)]
-			ops, reqID, tagged, err := DecodeRequest(payload, nil)
+			ops, reqID, _, err := DecodeRequest(payload, nil)
 			if err != nil {
 				break // the server drops after consuming this frame
 			}
@@ -90,27 +89,19 @@ func FuzzServeFraming(f *testing.F) {
 				t.Fatalf("write of a well-formed frame failed: %v", err)
 			}
 			want := local.Decide(ops, make([]int32, len(ops)))
-			hdrLen := 4
-			if tagged {
-				hdrLen = 8
-			}
-			resp := make([]byte, hdrLen+len(ops))
+			resp := make([]byte, 8+len(ops))
 			if _, err := io.ReadFull(cli, resp); err != nil {
 				t.Fatalf("reading the response for a well-formed frame: %v", err)
 			}
-			off := 0
-			if tagged {
-				if got := binary.LittleEndian.Uint32(resp[:4]); got != reqID {
-					t.Fatalf("response echoed request ID %d, want %d", got, reqID)
-				}
-				off = 4
+			if got := binary.LittleEndian.Uint32(resp[:4]); got != reqID {
+				t.Fatalf("response echoed request ID %d, want %d", got, reqID)
 			}
-			if got := binary.LittleEndian.Uint32(resp[off : off+4]); got != uint32(len(ops)) {
+			if got := binary.LittleEndian.Uint32(resp[4:8]); got != uint32(len(ops)) {
 				t.Fatalf("response count %d for a batch of %d", got, len(ops))
 			}
 			for i := range ops {
-				if int32(resp[off+4+i]) != want[i] {
-					t.Fatalf("op %d: remote rate %d != in-process replay %d", i, resp[off+4+i], want[i])
+				if int32(resp[8+i]) != want[i] {
+					t.Fatalf("op %d: remote rate %d != in-process replay %d", i, resp[8+i], want[i])
 				}
 			}
 		}
@@ -156,8 +147,8 @@ func FuzzServeFraming(f *testing.F) {
 }
 
 // FuzzClientPipelinedResponses feeds an arbitrary response stream to a
-// pipelined Client with two batches in flight and checks the client-side
-// half of the v3 contract:
+// TCP Client with two batches in flight and checks the client-side half
+// of the lossless contract:
 //
 //   - no panic on any stream;
 //   - a stream that is exactly the two in-order responses (IDs 0 and 1,
@@ -205,13 +196,7 @@ func FuzzClientPipelinedResponses(f *testing.F) {
 			srvConn.Close()
 		}()
 
-		cli := &Client{
-			conn:  cliConn,
-			br:    bufio.NewReaderSize(cliConn, 64<<10),
-			bw:    bufio.NewWriterSize(cliConn, 64<<10),
-			depth: 2,
-			ring:  make([]Pending, 2),
-		}
+		cli := newStreamClient(cliConn, 2)
 		mkOps := func(n int) []linkstore.Op {
 			ops := make([]linkstore.Op, n)
 			for i := range ops {
@@ -306,13 +291,7 @@ func FuzzClientPipelinedResponses(f *testing.F) {
 				close(done)
 			}()
 			c2.SetDeadline(time.Now().Add(30 * time.Second))
-			fresh := &Client{
-				conn:  c2,
-				br:    bufio.NewReaderSize(c2, 64<<10),
-				bw:    bufio.NewWriterSize(c2, 64<<10),
-				depth: 2,
-				ring:  make([]Pending, 2),
-			}
+			fresh := newStreamClient(c2, 2)
 			if _, err := fresh.Decide(ops1, out); err != nil {
 				t.Fatalf("fresh client after poisoning failed: %v", err)
 			}

@@ -9,98 +9,66 @@ import (
 	"softrate/internal/linkstore"
 )
 
-// FuzzDecodeBatch throws arbitrary payloads at the versioned batch
-// decoder. Properties checked on every input:
+// FuzzDecodeBatch throws arbitrary payloads at the request decoder.
+// Properties checked on every input:
 //
-//   - no panic, ever (the TCP handler feeds DecodeBatch peer-controlled
+//   - no panic, ever (every transport feeds DecodeRequest peer-controlled
 //     bytes after only a length check);
-//   - an accepted payload yields a record count consistent with its
-//     framing (v1: len/RecordSize; v2: (len-1)/RecordSizeV2) and only
-//     validated field
-//     values (known kinds and algorithms, sane BER/airtime/SNR);
-//   - accepted batches survive a v2 re-encode → decode round trip
-//     unchanged — decode is a bijection onto the validated op space.
+//   - exactly the payloads of the request shape — version byte 0x03 and
+//     5+28·n bytes — can be accepted: anything shaped like the retired v1
+//     (18·n bytes) or v2 (0x02 + 28·n bytes) framings is an error, never
+//     ops;
+//   - an accepted payload yields (len-5)/28 records holding only validated
+//     field values (known kinds and algorithms, sane BER/airtime/SNR), and
+//     a rejected one yields no ops and no tag;
+//   - accepted batches survive a re-encode → decode round trip unchanged,
+//     and re-encode to the very bytes that were decoded — decode is a
+//     bijection onto the validated op space.
 func FuzzDecodeBatch(f *testing.F) {
-	// Seed corpus: valid v1, valid v2, empty variants, and the malformed
-	// shapes the unit tests cover (truncation, bad kind, bad BER, bad
-	// algo, bad flags, length confusions).
+	// Seed corpus: valid requests, empty variants, the malformed shapes
+	// the unit tests cover (truncation, bad kind, bad BER, bad algo, bad
+	// flags, length confusions) and the retired framings.
 	f.Add([]byte{})
-	f.Add([]byte{VersionV2})
-	v1 := AppendOps(nil, []linkstore.Op{
-		{LinkID: 1, Kind: core.KindBER, RateIndex: 3, BER: 1e-5},
-		{LinkID: math.MaxUint64, Kind: core.KindPostamble, RateIndex: 255},
-	})
-	f.Add(v1)
-	f.Add(v1[:RecordSize-1]) // truncated v1
-	bad := append([]byte(nil), v1...)
-	bad[8] = byte(core.NumKinds) // invalid kind
-	f.Add(bad)
-	v2 := AppendOpsV2(nil, []linkstore.Op{
-		{LinkID: 2, Algo: ctl.AlgoRRAA, Kind: core.KindBER, RateIndex: 1, BER: 1e-4, SNRdB: 11, Airtime: 1e-3, Delivered: true},
-		{LinkID: 3, Algo: ctl.AlgoSampleRate, Kind: core.KindSilentLoss, SNRdB: float32(math.NaN())},
-	})
-	f.Add(v2)
-	f.Add(v2[:len(v2)-1]) // truncated v2 record
-	f.Add(append(v2, 0))  // even length: neither framing
-	badAlgo := append([]byte(nil), v2...)
-	badAlgo[1+8] = 250 // unregistered algorithm
-	f.Add(badAlgo)
-	badFlags := append([]byte(nil), v2...)
-	badFlags[1+11] = 0xfe // undefined flag bits
-	f.Add(badFlags)
-	nanBER := append([]byte(nil), v1...)
-	for i := 10; i < 18; i++ {
-		nanBER[i] = 0xff // NaN BER bits
-	}
-	f.Add(nanBER)
+	f.Add([]byte{VersionV3})
 	v3 := AppendOpsV3(nil, 0x01020304, []linkstore.Op{
-		{LinkID: 9, Algo: ctl.AlgoSampleRate, Kind: core.KindBER, RateIndex: 2, BER: 1e-6, SNRdB: float32(math.NaN()), Airtime: 5e-4, Delivered: true},
+		{LinkID: 2, Algo: ctl.AlgoRRAA, Kind: core.KindBER, RateIndex: 1, BER: 1e-4, SNRdB: 11, Airtime: 1e-3, Delivered: true},
+		{LinkID: math.MaxUint64, Algo: ctl.AlgoSampleRate, Kind: core.KindPostamble, RateIndex: 255, SNRdB: float32(math.NaN())},
 	})
 	f.Add(v3)
-	f.Add(v3[:headerSizeV3])      // empty pipelined batch
-	f.Add(v3[:len(v3)-1])         // truncated v3 record
-	f.Add(append(v3, 0, 0, 0, 0)) // length in no framing class
+	f.Add(v3[:headerSizeV3])      // empty batch
+	f.Add(v3[:len(v3)-1])         // truncated record
+	f.Add(append(v3, 0, 0, 0, 0)) // length outside the request class
+	mutate := func(off int, b ...byte) []byte {
+		m := append([]byte(nil), v3...)
+		copy(m[off:], b)
+		return m
+	}
+	f.Add(mutate(headerSizeV3+9, byte(core.NumKinds)))                             // invalid kind
+	f.Add(mutate(headerSizeV3+8, 250))                                             // unregistered algorithm
+	f.Add(mutate(headerSizeV3+11, 0xfe))                                           // undefined flag bits
+	f.Add(mutate(headerSizeV3+12, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)) // NaN BER bits
+	f.Add(mutate(0, VersionV2))                                                    // request-sized, wrong version
+	v2 := AppendOpsV2(nil, []linkstore.Op{{LinkID: 3, Algo: ctl.AlgoSampleRate, Kind: core.KindSilentLoss, SNRdB: float32(math.NaN())}})
+	f.Add(v2)                                             // retired v2 framing
+	f.Add(v2[:1])                                         // empty v2
+	f.Add(make([]byte, 36))                               // retired v1 framing: two 18-byte records
+	f.Add(append([]byte{VersionV3}, make([]byte, 17)...)) // v1-sized, request-led
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// The full request surface first: DecodeRequest must never panic,
-		// must tag exactly the v3 length class, and must agree with
-		// DecodeBatch on everything else.
-		reqOps, reqID, tagged, reqErr := DecodeRequest(payload, nil)
-		isV3 := len(payload) >= headerSizeV3 && payload[0] == VersionV3 &&
+		ops, reqID, tagged, err := DecodeRequest(payload, nil)
+		isRequest := len(payload) >= headerSizeV3 && payload[0] == VersionV3 &&
 			(len(payload)-headerSizeV3)%RecordSizeV2 == 0
-		if tagged != isV3 {
-			t.Fatalf("tagged=%v for a payload of length %d (v3 shape: %v, err %v)",
-				tagged, len(payload), isV3, reqErr)
-		}
-		if tagged && reqErr == nil {
-			// A tagged decode must survive a v3 re-encode unchanged.
-			re, id2, tag2, err := DecodeRequest(AppendOpsV3(nil, reqID, reqOps), nil)
-			if err != nil || !tag2 || id2 != reqID || len(re) != len(reqOps) {
-				t.Fatalf("v3 round trip broke: id %d→%d tagged=%v err=%v", reqID, id2, tag2, err)
-			}
-		}
-
-		ops, err := DecodeBatch(payload, nil)
 		if err != nil {
+			if tagged || len(ops) != 0 {
+				t.Fatalf("rejected payload left %d ops, tagged=%v", len(ops), tagged)
+			}
 			return
 		}
-		if isV3 {
-			t.Fatalf("a v3-shaped payload of length %d was accepted by the batch decoder", len(payload))
+		if !isRequest || !tagged {
+			t.Fatalf("accepted a %d-byte payload led by %#x (request shape: %v, tagged %v)", len(payload), payload[0], isRequest, tagged)
 		}
-		if !tagged && (reqErr != nil || len(reqOps) != len(ops)) {
-			t.Fatalf("DecodeRequest disagrees with DecodeBatch on an untagged payload: %v", reqErr)
-		}
-		var wantN int
-		switch {
-		case len(payload)%RecordSize == 0:
-			wantN = len(payload) / RecordSize
-		case payload[0] == VersionV2 && (len(payload)-1)%RecordSizeV2 == 0:
-			wantN = (len(payload) - 1) / RecordSizeV2
-		default:
-			t.Fatalf("accepted a payload of length %d that matches neither framing", len(payload))
-		}
-		if len(ops) != wantN {
-			t.Fatalf("decoded %d ops from a %d-byte payload, framing says %d", len(ops), len(payload), wantN)
+		if want := (len(payload) - headerSizeV3) / RecordSizeV2; len(ops) != want {
+			t.Fatalf("decoded %d ops from a %d-byte payload, framing says %d", len(ops), len(payload), want)
 		}
 		for i, op := range ops {
 			if op.Kind >= core.NumKinds {
@@ -121,13 +89,13 @@ func FuzzDecodeBatch(f *testing.F) {
 				t.Fatalf("op %d: infinite SNR accepted", i)
 			}
 		}
-		// Round trip through the richer encoding: nothing may change.
-		re, err := DecodeBatch(AppendOpsV2(nil, ops), nil)
-		if err != nil {
-			t.Fatalf("re-encode of accepted ops rejected: %v", err)
+		again := AppendOpsV3(nil, reqID, ops)
+		if string(again) != string(payload) {
+			t.Fatalf("re-encode of an accepted payload changed its bytes:\n got %x\nwant %x", again, payload)
 		}
-		if len(re) != len(ops) {
-			t.Fatalf("round trip count %d != %d", len(re), len(ops))
+		re, id2, tag2, err := DecodeRequest(again, nil)
+		if err != nil || !tag2 || id2 != reqID || len(re) != len(ops) {
+			t.Fatalf("round trip broke: id %d→%d tagged=%v err=%v", reqID, id2, tag2, err)
 		}
 		for i := range ops {
 			if !opsEqual(re[i], ops[i]) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"net"
@@ -210,132 +211,43 @@ func TestDecideDoesNotAllocateSteadyState(t *testing.T) {
 	}
 }
 
-// TestDrainAnswersInFlight: a drain must answer and flush every request
-// the server has received before closing, and Serve must return nil.
-func TestDrainAnswersInFlight(t *testing.T) {
+// See TestTCPEndToEndMatchesInProcess: this name runs its row of the
+// conformance table over TCP.
+func TestDrainAnswersInFlight(t *testing.T) { runConformance(t, "tcp", "drain-answers-in-flight") }
+
+// TestTransportCounters serves a request and a violation over TCP and a
+// request over UDP, then checks each transport's own counters and the
+// exposition.
+func TestTransportCounters(t *testing.T) {
 	srv := New(Config{Store: linkstore.Config{Shards: 4}})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(l) }()
-
-	cli, err := DialPipelined(l.Addr().String(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	ops := churnOps(rand.New(rand.NewSource(1)), ctl.AlgoDefault, 50, 32, 1)
-	pendings := make([]*Pending, 4)
-	for i := range pendings {
-		if pendings[i], err = cli.Submit(ops); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out := make([]int32, len(ops))
-	// First Wait flushes all four requests to the server.
-	if _, err := cli.Wait(pendings[0], out); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond) // server has surely buffered the rest
-
-	drained := make(chan struct{})
-	go func() {
-		srv.Drain(2 * time.Second)
-		close(drained)
-	}()
-
-	for _, p := range pendings[1:] {
-		if _, err := cli.Wait(p, out); err != nil {
-			t.Fatalf("in-flight batch dropped by drain: %v", err)
-		}
-	}
-
-	select {
-	case <-drained:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Drain never returned")
-	}
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("Serve returned %v after drain, want nil", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Serve never returned after drain")
-	}
-
-	st := srv.Status()
-	if !st.Transport.Draining {
-		t.Fatal("Transport.Draining not set after drain")
-	}
-	if st.Transport.ConnsActive != 0 {
-		t.Fatalf("%d connections still active after drain", st.Transport.ConnsActive)
-	}
-	if st.Transport.RequestsV3 != 4 {
-		t.Fatalf("requests_v3 = %d, want 4", st.Transport.RequestsV3)
-	}
-	// New work is refused after the drain.
-	if _, err := Dial(l.Addr().String()); err == nil {
-		t.Fatal("Dial succeeded after drain closed the listener")
-	}
-}
-
-// TestTransportCountersByVersion serves one batch per framing version and
-// one violation, then checks the counters and the exposition.
-func TestTransportCountersByVersion(t *testing.T) {
-	srv := New(Config{Store: linkstore.Config{Shards: 4}})
-	defer srv.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	addr := l.Addr().String()
+	addr := startTCP(t, srv)
+	uaddr := startUDP(t, srv)
 
 	ops := []linkstore.Op{{LinkID: 9, Kind: core.KindBER, RateIndex: 3, BER: 1e-5}}
 	out := make([]int32, 1)
-
-	// v2 then v1 on one classic connection.
-	cli, err := Dial(addr)
+	cli, err := DialPipelined(addr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cli.Decide(ops, out); err != nil {
 		t.Fatal(err)
 	}
-	var raw [4 + RecordSize]byte
-	buf := AppendOps(raw[:4], ops)
-	binaryPutLen(raw[:4], uint32(len(buf)-4))
-	if _, err := cli.conn.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	var resp [5]byte
-	if _, err := io.ReadFull(cli.br, resp[:]); err != nil {
-		t.Fatal(err)
-	}
 	cli.Close()
-
-	// v3 on a pipelined connection.
-	pcli, err := DialPipelined(addr, 2)
+	ucli, err := DialUDP(uaddr, 1, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pcli.Decide(ops, out); err != nil {
-		t.Fatal(err)
+	if _, ok, err := ucli.Decide(ops, out); err != nil || !ok {
+		t.Fatalf("udp decide: ok=%v err=%v", ok, err)
 	}
-	pcli.Close()
+	ucli.Close()
 
 	// Framing violation: an oversized length prefix.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bad [4]byte
-	binaryPutLen(bad[:], uint32(maxPayload+1))
-	conn.Write(bad[:])
+	conn.Write(binary.LittleEndian.AppendUint32(nil, maxPayload+1))
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatal("server kept the connection after an oversized prefix")
 	}
@@ -343,13 +255,14 @@ func TestTransportCountersByVersion(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		ts := srv.transportStatus()
-		if ts.RequestsV1 == 1 && ts.RequestsV2 == 1 && ts.RequestsV3 == 1 &&
-			ts.FramingErrors == 1 && ts.ConnsAccepted == 3 {
+		st := srv.Status()
+		ts := st.Transport
+		if ts.Requests == 1 && ts.Bursts == 1 && ts.FramingErrors == 1 && ts.ConnsAccepted == 2 &&
+			st.UDP.Requests == 1 && st.SHM.Requests == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("transport counters never converged: %+v", ts)
+			t.Fatalf("transport counters never converged: %+v udp %+v", ts, st.UDP)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -357,22 +270,16 @@ func TestTransportCountersByVersion(t *testing.T) {
 	var sb strings.Builder
 	srv.WritePrometheus(&sb)
 	for _, want := range []string{
-		`softrated_requests_total{version="v1"} 1`,
-		`softrated_requests_total{version="v2"} 1`,
-		`softrated_requests_total{version="v3"} 1`,
-		`softrated_framing_errors_total 1`,
-		`softrated_conns_accepted_total 3`,
+		"softrated_requests_total 1",
+		"softrated_bursts_total 1",
+		"softrated_udp_requests_total 1",
+		"softrated_shm_requests_total 0",
+		"softrated_framing_errors_total 1",
+		"softrated_conns_accepted_total 2",
 		"softrated_batch_latency_seconds_bucket",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, sb.String())
 		}
 	}
-}
-
-func binaryPutLen(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
 }

@@ -122,12 +122,20 @@ func TestSlowClientEvicted(t *testing.T) {
 
 	// Write without ever reading until the server cuts us off. Our own
 	// sends start timing out once the server stops reading (its writes
-	// to us are stuck — the point); keep the socket open through those.
+	// to us are stuck — the point); keep the socket open through those,
+	// resuming a partly written frame where it stopped so the stream stays
+	// well-framed and the only thing wrong with this peer is that it
+	// never reads.
 	evicted := false
+	rest := frame
 	overall := time.Now().Add(10 * time.Second)
 	for time.Now().Before(overall) {
 		conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-		if _, err := conn.Write(frame); err != nil {
+		n, err := conn.Write(rest)
+		if rest = rest[n:]; len(rest) == 0 {
+			rest = frame
+		}
+		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				continue
 			}
@@ -147,7 +155,7 @@ func TestSlowClientEvicted(t *testing.T) {
 	}
 
 	// The server is still healthy for everyone else.
-	cli, err := Dial(l.Addr().String())
+	cli, err := DialPipelined(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/binary"
-	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -13,201 +12,14 @@ import (
 	"softrate/internal/linkstore"
 )
 
-// TestPipelinedEndToEndMatchesInProcess drives a depth-4 pipelined
-// connection with a full window of batches in flight and checks every
-// decision against an in-process replay — including waiting on pendings
-// out of submission order, which parks earlier responses in the ring.
-func TestPipelinedEndToEndMatchesInProcess(t *testing.T) {
-	remote := New(Config{Store: linkstore.Config{Shards: 32}})
-	local := New(Config{Store: linkstore.Config{Shards: 32}})
-	addr := startTCP(t, remote)
-
-	const depth = 4
-	cli, err := DialPipelined(addr, depth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	rng := rand.New(rand.NewSource(17))
-	got := make([]int32, 200)
-	want := make([]int32, 200)
-	for round := 0; round < 25; round++ {
-		// Disjoint link ranges per slot keep per-link order trivially
-		// preserved while the batches interleave on the wire.
-		batches := make([][]linkstore.Op, depth)
-		pendings := make([]*Pending, depth)
-		for d := 0; d < depth; d++ {
-			ops := randOps(rng, 50, 100)
-			for j := range ops {
-				ops[j].LinkID += uint64(d) * 10000
-			}
-			batches[d] = ops
-			if pendings[d], err = cli.Submit(ops); err != nil {
-				t.Fatalf("round %d submit %d: %v", round, d, err)
-			}
-		}
-		if _, err := cli.Submit(batches[0]); !errors.Is(err, ErrPipelineFull) {
-			t.Fatalf("submit past the window returned %v, want ErrPipelineFull", err)
-		}
-		// Wait newest-first on odd rounds: responses still arrive oldest-
-		// first and must land in their ring slots.
-		for k := 0; k < depth; k++ {
-			d := k
-			if round%2 == 1 {
-				d = depth - 1 - k
-			}
-			if _, err := cli.Wait(pendings[d], got); err != nil {
-				t.Fatalf("round %d wait %d: %v", round, d, err)
-			}
-			local.Decide(batches[d], want)
-			for i := range batches[d] {
-				if got[i] != want[i] {
-					t.Fatalf("round %d slot %d op %d: pipelined %d != in-process %d",
-						round, d, i, got[i], want[i])
-				}
-			}
-		}
-	}
-	if st := remote.Stats(); st.Frames != 25*depth*50 {
-		t.Fatalf("remote served %d frames, want %d", st.Frames, 25*depth*50)
-	}
-}
-
-// TestPipelinedDecideInterleavesWithClassicClients checks a pipelined and
-// a classic client can share one server, and that Decide on a pipelined
-// client is just Submit+Wait.
-func TestPipelinedDecideInterleavesWithClassicClients(t *testing.T) {
-	remote := New(Config{Store: linkstore.Config{Shards: 8}})
-	local := New(Config{Store: linkstore.Config{Shards: 8}})
-	addr := startTCP(t, remote)
-
-	pip, err := DialPipelined(addr, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pip.Close()
-	classic, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer classic.Close()
-
-	rng := rand.New(rand.NewSource(5))
-	got := make([]int32, 64)
-	want := make([]int32, 64)
-	for i := 0; i < 30; i++ {
-		cli := pip
-		if i%2 == 1 {
-			cli = classic
-		}
-		ops := randOps(rng, 64, 50)
-		for j := range ops {
-			ops[j].LinkID += uint64(i%2) * 1000 // disjoint per client
-		}
-		if _, err := cli.Decide(ops, got); err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-		local.Decide(ops, want)
-		for j := range ops {
-			if got[j] != want[j] {
-				t.Fatalf("round %d op %d: %d != %d", i, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-// TestPipelineSlotHeldUntilWaited pins the ring-slot lifetime: an
-// answered-but-unwaited Pending still occupies its slot, so a Submit
-// that would land on it reports ErrPipelineFull instead of silently
-// rebinding the parked response to a new request; and a Pending can be
-// waited on exactly once.
+// See TestTCPEndToEndMatchesInProcess: these names run their rows of the
+// conformance table over TCP.
+func TestPipelinedEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "tcp", "window") }
 func TestPipelineSlotHeldUntilWaited(t *testing.T) {
-	remote := New(Config{Store: linkstore.Config{Shards: 8}})
-	local := New(Config{Store: linkstore.Config{Shards: 8}})
-	addr := startTCP(t, remote)
-	cli, err := DialPipelined(addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	rng := rand.New(rand.NewSource(33))
-	mkBatch := func(base uint64) []linkstore.Op {
-		ops := randOps(rng, 32, 50)
-		for i := range ops {
-			ops[i].LinkID += base
-		}
-		return ops
-	}
-	a, b, c := mkBatch(0), mkBatch(1000), mkBatch(2000)
-	pA, err := cli.Submit(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pB, err := cli.Submit(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]int32, 32)
-	// Waiting on B first parks A's response in its slot...
-	if _, err := cli.Wait(pB, out); err != nil {
-		t.Fatal(err)
-	}
-	// ...so a depth-2 client has no free slot for C yet.
-	if _, err := cli.Submit(c); !errors.Is(err, ErrPipelineFull) {
-		t.Fatalf("Submit onto a parked slot returned %v, want ErrPipelineFull", err)
-	}
-	// Collecting A frees the slot and must yield A's decisions, not C's.
-	want := make([]int32, 32)
-	local.Decide(a, want)
-	got, err := cli.Wait(pA, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parked batch op %d: got %d, want %d", i, got[i], want[i])
-		}
-	}
-	if _, err := cli.Wait(pA, out); err == nil {
-		t.Fatal("second Wait on a collected Pending succeeded")
-	}
-	pC, err := cli.Submit(c)
-	if err != nil {
-		t.Fatalf("Submit after collecting the parked slot: %v", err)
-	}
-	if _, err := cli.Wait(pC, out); err != nil {
-		t.Fatal(err)
-	}
+	runConformance(t, "tcp", "slot-held-until-waited")
 }
-
-// TestSubmitNeedsPipelinedClient pins the mode split: Submit is a
-// pipelined-only API, and a bad Wait is rejected.
-func TestSubmitNeedsPipelinedClient(t *testing.T) {
-	srv := New(Config{})
-	addr := startTCP(t, srv)
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Submit([]linkstore.Op{{LinkID: 1}}); err == nil {
-		t.Fatal("Submit on a classic client succeeded")
-	}
-	out := make([]int32, 1)
-	if _, err := cli.Decide([]linkstore.Op{{LinkID: 1, Kind: core.KindSilentLoss}}, out); err != nil {
-		t.Fatalf("classic client was broken by the rejected Submit: %v", err)
-	}
-
-	pip, err := DialPipelined(addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pip.Close()
-	if _, err := pip.Wait(&Pending{id: 7}, out); err == nil {
-		t.Fatal("Wait on a never-submitted Pending succeeded")
-	}
+func TestValidationErrorsDoNotPoison(t *testing.T) {
+	runConformance(t, "tcp", "validation-does-not-poison")
 }
 
 // misbehavingServer accepts one connection, answers its first request
@@ -234,13 +46,14 @@ func misbehavingServer(t *testing.T) string {
 		if _, err := io.ReadFull(conn, payload); err != nil {
 			return
 		}
-		ops, _, _, err := DecodeRequest(payload, nil)
+		ops, reqID, _, err := DecodeRequest(payload, nil)
 		if err != nil {
 			return
 		}
 		// Claim one extra record and send that many rate bytes.
-		resp := make([]byte, 4+len(ops)+1)
-		binary.LittleEndian.PutUint32(resp[0:4], uint32(len(ops)+1))
+		resp := make([]byte, 8+len(ops)+1)
+		binary.LittleEndian.PutUint32(resp[0:4], reqID)
+		binary.LittleEndian.PutUint32(resp[4:8], uint32(len(ops)+1))
 		conn.Write(resp)
 		// Hold the connection open until the test finishes.
 		io.ReadFull(conn, hdr[:])
@@ -254,7 +67,7 @@ func misbehavingServer(t *testing.T) string {
 // resynchronizing on garbage.
 func TestClientPoisonedAfterDesync(t *testing.T) {
 	addr := misbehavingServer(t)
-	cli, err := Dial(addr)
+	cli, err := DialPipelined(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,39 +89,15 @@ func TestClientPoisonedAfterDesync(t *testing.T) {
 	}
 }
 
-// TestValidationErrorsDoNotPoison: rejecting a bad argument writes
-// nothing, so the connection stays usable.
-func TestValidationErrorsDoNotPoison(t *testing.T) {
-	srv := New(Config{})
-	addr := startTCP(t, srv)
-	cli, err := DialPipelined(addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	out := make([]int32, 4)
-	if _, err := cli.Decide([]linkstore.Op{{LinkID: 1, RateIndex: 1000}}, out); err == nil {
-		t.Fatal("unencodable rate index accepted")
-	}
-	if _, err := cli.Decide([]linkstore.Op{{LinkID: 1, Kind: core.KindSilentLoss}}, out); err != nil {
-		t.Fatalf("client unusable after a validation error: %v", err)
-	}
-}
-
-// TestCodecV3RoundTrip pins the pipelined framing: length class, request
-// ID round trip, and byte-level compatibility with v2 records.
+// TestCodecV3RoundTrip pins the request framing: its length class, the
+// request ID round trip, and that payloads shaped like the retired v1 and
+// v2 framings are errors, never ops.
 func TestCodecV3RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ops := randOps(rng, 100, 1<<40)
 	buf := AppendOpsV3(nil, 0xdeadbeef, ops)
 	if want := headerSizeV3 + len(ops)*RecordSizeV2; len(buf) != want {
 		t.Fatalf("encoded %d bytes, want %d", len(buf), want)
-	}
-	if len(buf)%2 != 1 || len(buf)%RecordSize == 0 {
-		t.Fatal("v3 payload length collides with the v1 length class")
-	}
-	if (len(buf)-1)%RecordSizeV2 == 0 {
-		t.Fatal("v3 payload length collides with the v2 length class")
 	}
 	got, reqID, tagged, err := DecodeRequest(buf, nil)
 	if err != nil {
@@ -325,13 +114,16 @@ func TestCodecV3RoundTrip(t *testing.T) {
 			t.Fatalf("op %d: %+v != %+v", i, got[i], ops[i])
 		}
 	}
-	// The records after the v3 header are exactly the v2 encoding.
-	v2 := AppendOpsV2(nil, ops)
-	if string(buf[headerSizeV3:]) != string(v2[1:]) {
-		t.Fatal("v3 record bytes drifted from the v2 encoding")
+	// dst is reused, and a decode that fails leaves nothing behind.
+	if again, _, _, err := DecodeRequest(buf, got); err != nil || &again[0] != &got[0] {
+		t.Fatalf("decode into a sufficient dst reallocated (err %v)", err)
 	}
-	// And v1/v2 payloads pass through DecodeRequest untagged.
-	if _, id, tagged, err := DecodeRequest(v2, nil); err != nil || tagged || id != 0 {
-		t.Fatalf("v2 payload through DecodeRequest: id=%d tagged=%v err=%v", id, tagged, err)
+	v1 := make([]byte, 18*14) // 14 v1 records: 252 bytes, not 5+28n
+	v2 := AppendOpsV2(nil, ops)
+	v3len := append([]byte{VersionV2}, make([]byte, headerSizeV3-1+RecordSizeV2)...) // request-sized, v2-led
+	for name, p := range map[string][]byte{"v1": v1, "v2": v2, "v2-led request": v3len} {
+		if ops, id, tagged, err := DecodeRequest(p, nil); err == nil || tagged || id != 0 || len(ops) != 0 {
+			t.Fatalf("%s-shaped payload through DecodeRequest: %d ops id=%d tagged=%v err=%v", name, len(ops), id, tagged, err)
+		}
 	}
 }

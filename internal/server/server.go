@@ -2,9 +2,10 @@
 // should this link transmit at next?" for batches of per-frame feedback.
 // Per-link SoftRate controllers live in a sharded linkstore; the server
 // adds the request/response surface — an in-process API for embedding
-// (the load generator, simulators, a future MAC offload path) and a
-// length-prefixed TCP transport for remote senders (see tcp.go) — plus
-// service-level counters.
+// (the load generator, simulators, a future MAC offload path) and three
+// wire transports (TCP, UDP datagrams, shared-memory rings) that are thin
+// carriers under one serving loop (serve.go) and one wire framing
+// (codec.go) — plus service-level counters.
 //
 // The paper's controller (§3.3) is inherently an online per-link service:
 // every ACK carries a SoftPHY BER estimate and the sender needs the next
@@ -31,7 +32,7 @@ type Config struct {
 	// MaxInflight, when > 0, bounds the Decide batches in flight across
 	// every transport and in-process caller. Lossless transports (TCP,
 	// shm) block at the gate — bounded admission, backpressure through
-	// the connection — while the UDP burst loop sheds whole bursts when
+	// the connection — while the lossy one (UDP) sheds whole bursts when
 	// the gate is saturated (the datagram loss contract: the client
 	// times out and keeps its rate). 0 means unbounded.
 	MaxInflight int
@@ -90,11 +91,10 @@ type Server struct {
 	batchLat    [maxAlgoSlots]obs.Latency
 	opLat       [maxAlgoSlots]obs.Latency
 
-	tcp tcpState
-	// Datagram transport counters (the lifecycle — conns, drain, stop —
-	// is shared in tcp; only the accounting is per transport).
-	udp dgramState
-	shm dgramState
+	// group is the lifecycle every serving member shares (serve.go); the
+	// accounting is per transport.
+	group         serveGroup
+	tcp, udp, shm counters
 
 	// gate is the Decide admission semaphore (nil = unbounded): a
 	// buffered channel of MaxInflight tokens, so acquire/release are
@@ -114,7 +114,7 @@ func New(cfg Config) *Server {
 }
 
 // gateSaturated reports that the admission gate exists and every token is
-// taken — the UDP burst loop's shed signal. It is a racy read by design:
+// taken — a lossy transport's shed signal. It is a racy read by design:
 // admission is decided per burst without taking the gate, so a burst that
 // squeaks past a momentarily full gate just blocks briefly in Decide.
 func (s *Server) gateSaturated() bool {
@@ -172,7 +172,7 @@ func (s *Server) Decide(ops []linkstore.Op, out []int32) []int32 {
 	return res
 }
 
-// EvictIdle force-sweeps the store (also run periodically by Serve).
+// EvictIdle force-sweeps the store (also run periodically while serving).
 func (s *Server) EvictIdle() int { return s.store.EvictIdle() }
 
 // Stats returns a snapshot of the service counters.
@@ -187,9 +187,9 @@ func (s *Server) Stats() Stats {
 	return out
 }
 
-// sweeper periodically evicts idle links until stop is closed. Serve
-// starts one when the store has a TTL; in-process embedders rely on the
-// store's own incremental sweeps instead.
+// sweeper periodically evicts idle links until stop is closed. The serve
+// group starts one when the store has a TTL; in-process embedders rely on
+// the store's own incremental sweeps instead.
 func (s *Server) sweeper(interval time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(interval)
 	defer t.Stop()

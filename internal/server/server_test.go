@@ -1,8 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -23,7 +23,7 @@ func randOps(rng *rand.Rand, n, links int) []linkstore.Op {
 			Kind:      core.FeedbackKind(rng.Intn(int(core.NumKinds))),
 			RateIndex: int32(rng.Intn(6)),
 			BER:       rng.Float64() * 0.01,
-			SNRdB:     float32(math.NaN()), // what a v1 record decodes to
+			SNRdB:     float32(math.NaN()), // the wire's "unknown SNR"
 		}
 	}
 	return ops
@@ -40,31 +40,9 @@ func opsEqual(a, b linkstore.Op) bool {
 	return a == b && sa == sb
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	ops := randOps(rng, 500, 1<<62) // huge ID space: exercises all 8 bytes
-	ops = append(ops, linkstore.Op{LinkID: math.MaxUint64, Kind: core.KindPostamble, RateIndex: 255, BER: 0.5, SNRdB: float32(math.NaN())})
-	buf := AppendOps(nil, ops)
-	if len(buf) != len(ops)*RecordSize {
-		t.Fatalf("encoded %d bytes for %d ops, want %d", len(buf), len(ops), len(ops)*RecordSize)
-	}
-	got, err := DecodeOps(buf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("decoded %d ops, want %d", len(got), len(ops))
-	}
-	for i := range ops {
-		if !opsEqual(got[i], ops[i]) {
-			t.Fatalf("op %d: %+v != %+v", i, got[i], ops[i])
-		}
-	}
-}
-
-func TestCodecV2RoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	ops := randOps(rng, 300, 1<<62)
+// fullOps fills every wire field, across every registered algorithm.
+func fullOps(rng *rand.Rand, n int) []linkstore.Op {
+	ops := randOps(rng, n, 1<<62) // huge ID space: exercises all 8 bytes
 	algos := ctl.Specs()
 	for i := range ops {
 		ops[i].Algo = algos[i%len(algos)].ID
@@ -74,17 +52,21 @@ func TestCodecV2RoundTrip(t *testing.T) {
 			ops[i].SNRdB = rng.Float32()*30 - 2
 		}
 	}
-	ops = append(ops, linkstore.Op{LinkID: math.MaxUint64, Algo: ctl.AlgoDefault, Kind: core.KindPostamble, RateIndex: 255, BER: 0.5, SNRdB: float32(math.NaN())})
-	buf := AppendOpsV2(nil, ops)
-	if want := 1 + len(ops)*RecordSizeV2; len(buf) != want {
+	return append(ops, linkstore.Op{LinkID: math.MaxUint64, Algo: ctl.AlgoDefault, Kind: core.KindPostamble, RateIndex: 255, BER: 0.5, SNRdB: float32(math.NaN())})
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	ops := fullOps(rand.New(rand.NewSource(1)), 500)
+	buf := AppendOpsV3(nil, 0xdeadbeef, ops)
+	if want := headerSizeV3 + len(ops)*RecordSizeV2; len(buf) != want {
 		t.Fatalf("encoded %d bytes for %d ops, want %d", len(buf), len(ops), want)
 	}
-	if len(buf)%2 != 1 {
-		t.Fatal("v2 payloads must be odd-length (that is what keeps them distinguishable from v1)")
-	}
-	got, err := DecodeBatch(buf, nil)
+	got, reqID, tagged, err := DecodeRequest(buf, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !tagged || reqID != 0xdeadbeef {
+		t.Fatalf("decoded tagged=%v reqID=%#x, want true/0xdeadbeef", tagged, reqID)
 	}
 	if len(got) != len(ops) {
 		t.Fatalf("decoded %d ops, want %d", len(got), len(ops))
@@ -96,91 +78,64 @@ func TestCodecV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecV1GoldenBytes pins the v1 wire format: a payload captured from
-// the PR 2 era codec must decode identically under the versioned decoder,
-// byte for byte.
-func TestCodecV1GoldenBytes(t *testing.T) {
-	// Two hand-assembled v1 records: link 0x0102030405060708 / kind 0 /
-	// rate 3 / BER 1.5e-5, and link 2 / kind 3 (postamble) / rate 0 / BER 0.
-	golden := []byte{
-		0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // linkID LE
-		0x00,                                           // kind ber
-		0x03,                                           // rate 3
-		0x69, 0x1d, 0x55, 0x4d, 0x10, 0x75, 0xef, 0x3e, // 1.5e-5 LE f64
-		0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-		0x03,
-		0x00,
-		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+// TestCodecV2RoundTrip pins the record encoder requests are built on
+// (and bench/gen.go digests with): AppendOpsV2's block is the 0x02 byte
+// plus exactly the records of a request, and re-headed as a request it
+// decodes to the same ops — while the bare block itself is not a request.
+func TestCodecV2RoundTrip(t *testing.T) {
+	ops := fullOps(rand.New(rand.NewSource(4)), 300)
+	block := AppendOpsV2(nil, ops)
+	if want := 1 + len(ops)*RecordSizeV2; len(block) != want || block[0] != VersionV2 {
+		t.Fatalf("encoded %d bytes (lead %#x) for %d ops, want %d led by %#x", len(block), block[0], len(ops), want, VersionV2)
 	}
-	ops, err := DecodeBatch(golden, nil)
-	if err != nil {
-		t.Fatal(err)
+	req := AppendOpsV3(nil, 7, ops)
+	if string(req[headerSizeV3:]) != string(block[1:]) {
+		t.Fatal("request record bytes drifted from the AppendOpsV2 encoding")
 	}
-	want := []linkstore.Op{
-		{LinkID: 0x0102030405060708, Kind: core.KindBER, RateIndex: 3, BER: 1.5e-5, SNRdB: float32(math.NaN())},
-		{LinkID: 2, Kind: core.KindPostamble, RateIndex: 0, BER: 0, SNRdB: float32(math.NaN())},
+	got, _, _, err := DecodeRequest(append(append([]byte(nil), req[:headerSizeV3]...), block[1:]...), nil)
+	if err != nil || len(got) != len(ops) {
+		t.Fatalf("re-headed block decoded %d ops (err %v), want %d", len(got), err, len(ops))
 	}
-	if len(ops) != len(want) {
-		t.Fatalf("decoded %d ops, want %d", len(ops), len(want))
-	}
-	for i := range want {
-		if !opsEqual(ops[i], want[i]) {
-			t.Fatalf("op %d: %+v != %+v", i, ops[i], want[i])
-		}
-		if ops[i].Algo != ctl.AlgoDefault || ops[i].Airtime != 0 || ops[i].Delivered {
-			t.Fatalf("op %d: v1 decode invented v2 fields: %+v", i, ops[i])
+	for i := range ops {
+		if !opsEqual(got[i], ops[i]) {
+			t.Fatalf("op %d: %+v != %+v", i, got[i], ops[i])
 		}
 	}
-	// And the current v1 encoder still emits exactly these bytes.
-	if got := AppendOps(nil, want); !bytes.Equal(got, golden) {
-		t.Fatalf("AppendOps drifted from the golden v1 bytes:\n got %x\nwant %x", got, golden)
+	if _, _, tagged, err := DecodeRequest(block, nil); err == nil || tagged {
+		t.Fatal("a bare AppendOpsV2 block was accepted as a request")
 	}
 }
 
 func TestCodecRejectsMalformedPayloads(t *testing.T) {
-	good := AppendOp(nil, linkstore.Op{LinkID: 1, Kind: core.KindBER, BER: 1e-5})
-
-	if _, err := DecodeOps(good[:RecordSize-1], nil); err == nil {
-		t.Fatal("truncated record accepted")
+	good := AppendOpsV3(nil, 1, []linkstore.Op{{LinkID: 1, Algo: ctl.AlgoRRAA, Kind: core.KindBER, BER: 1e-5, SNRdB: 12}})
+	rec := headerSizeV3 // offset of the one record
+	mutate := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		f(b)
+		return b
 	}
-
-	bad := append([]byte(nil), good...)
-	bad[8] = byte(core.NumKinds) // first invalid kind
-	if _, err := DecodeOps(bad, nil); err == nil {
-		t.Fatal("invalid kind accepted")
+	cases := map[string][]byte{
+		"empty":             nil,
+		"truncated record":  good[:len(good)-1],
+		"truncated header":  good[:headerSizeV3-1],
+		"wrong version":     mutate(func(b []byte) { b[0] = VersionV2 }),
+		"invalid kind":      mutate(func(b []byte) { b[rec+9] = byte(core.NumKinds) }),
+		"unknown algorithm": mutate(func(b []byte) { b[rec+8] = 200 }),
+		"undefined flag":    mutate(func(b []byte) { b[rec+11] = 0x80 }),
+		"infinite SNR":      mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[rec+24:], math.Float32bits(float32(math.Inf(1)))) }),
+		"negative airtime":  mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[rec+20:], math.Float32bits(-1)) }),
+		"oversized batch":   append([]byte{VersionV3, 0, 0, 0, 0}, make([]byte, (MaxBatch+1)*RecordSizeV2)...),
 	}
-
-	goodV2 := AppendOpsV2(nil, []linkstore.Op{{LinkID: 1, Algo: ctl.AlgoRRAA, Kind: core.KindBER, BER: 1e-5, SNRdB: 12}})
-	bad = append([]byte(nil), goodV2...)
-	bad[1+8] = 200 // unregistered algorithm
-	if _, err := DecodeBatch(bad, nil); err == nil {
-		t.Fatal("unknown v2 algorithm accepted")
-	}
-	bad = append([]byte(nil), goodV2...)
-	bad[1+11] = 0x80 // undefined flag bit
-	if _, err := DecodeBatch(bad, nil); err == nil {
-		t.Fatal("undefined v2 flags accepted")
-	}
-	if _, err := DecodeBatch(goodV2[:len(goodV2)-1], nil); err == nil {
-		t.Fatal("truncated v2 record accepted")
-	}
-
 	for _, v := range []float64{math.NaN(), math.Inf(1), -1e-3} {
-		bad = append([]byte(nil), good...)
-		binary.LittleEndian.PutUint64(bad[10:18], math.Float64bits(v))
-		if _, err := DecodeOps(bad, nil); err == nil {
-			t.Fatalf("invalid BER %v accepted", v)
+		cases[fmt.Sprintf("BER %v", v)] = mutate(func(b []byte) { binary.LittleEndian.PutUint64(b[rec+12:], math.Float64bits(v)) })
+	}
+	for name, payload := range cases {
+		if ops, _, tagged, err := DecodeRequest(payload, nil); err == nil || tagged || len(ops) != 0 {
+			t.Errorf("%s: accepted (%d ops, tagged=%v)", name, len(ops), tagged)
 		}
 	}
-
-	huge := make([]byte, (MaxBatch+1)*RecordSize)
-	if _, err := DecodeOps(huge, nil); err == nil {
-		t.Fatal("oversized batch accepted")
-	}
-	hugeV2 := make([]byte, 1+(MaxBatch+1)*RecordSizeV2)
-	hugeV2[0] = VersionV2
-	if _, err := DecodeBatch(hugeV2, nil); err == nil {
-		t.Fatal("oversized v2 batch accepted")
+	if _, _, _, err := DecodeRequest(good, nil); err != nil {
+		t.Fatalf("the unmutated payload was rejected: %v", err)
 	}
 }
 
@@ -237,36 +192,9 @@ func startTCP(t *testing.T, srv *Server) string {
 	return l.Addr().String()
 }
 
-func TestTCPEndToEndMatchesInProcess(t *testing.T) {
-	remote := New(Config{Store: linkstore.Config{Shards: 32}})
-	local := New(Config{Store: linkstore.Config{Shards: 32}})
-	addr := startTCP(t, remote)
-
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	rng := rand.New(rand.NewSource(2))
-	got := make([]int32, 300)
-	want := make([]int32, 300)
-	for batch := 0; batch < 20; batch++ {
-		ops := randOps(rng, 300, 500)
-		if _, err := cli.Decide(ops, got); err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		local.Decide(ops, want)
-		for i := range ops {
-			if got[i] != want[i] {
-				t.Fatalf("batch %d op %d: TCP %d != in-process %d", batch, i, got[i], want[i])
-			}
-		}
-	}
-	if st := remote.Stats(); st.Frames != 300*20 {
-		t.Fatalf("remote served %d frames, want %d", st.Frames, 300*20)
-	}
-}
+// The conformance table (conformance_test.go) holds the exchange each of
+// these names checks; they run their rows over their carrier.
+func TestTCPEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "tcp", "byte-identity") }
 
 func TestTCPConcurrentClients(t *testing.T) {
 	srv := New(Config{Store: linkstore.Config{Shards: 32, TTL: 50 * time.Millisecond}})
@@ -279,7 +207,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cli, err := Dial(addr)
+			cli, err := DialPipelined(addr, 1)
 			if err != nil {
 				errs <- err
 				return
@@ -330,7 +258,7 @@ func TestTCPServerSurvivesGarbageAndShortWrites(t *testing.T) {
 	}
 	conn.Close()
 
-	// Misaligned payload: same story.
+	// Undecodable payload: same story.
 	conn, err = net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +273,7 @@ func TestTCPServerSurvivesGarbageAndShortWrites(t *testing.T) {
 	conn.Close()
 
 	// A healthy client still gets service afterwards.
-	cli, err := Dial(addr)
+	cli, err := DialPipelined(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

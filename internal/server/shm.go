@@ -1,37 +1,32 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"time"
 
-	"softrate/internal/linkstore"
 	"softrate/internal/server/shmring"
 )
 
 // Shared-memory ring transport. A co-located client maps one shmring
 // region (a request ring + a response ring over one mmap'd file) and
-// exchanges exactly the datagram payloads of udp.go — requests are v3
-// payloads [0x03][seq u32][records...], responses [seq][count][rates] —
-// but over SPSC rings instead of a socket, so the data path has no
-// syscalls at all: a decision round trip is two memcpys and two atomic
-// publishes.
+// exchanges exactly the payloads of codec.go, one per ring message, over
+// SPSC rings instead of a socket, so the data path has no syscalls at
+// all: a decision round trip is two memcpys and two atomic publishes.
 //
 // Unlike UDP, the rings are lossless and strictly in order, so the
-// client mirrors the pipelined TCP Client's contract (in-order response
-// matching, sticky poison on desync — a sequence mismatch means shared
-// state is corrupt, not that a packet went missing).
+// client is the lossless Client of client.go (in-order response matching,
+// sticky poison on desync — a sequence mismatch means shared state is
+// corrupt, not that a packet went missing).
 //
-// The server polls every region in one goroutine: each sweep collects
-// up to BurstSize requests across the attached rings into one burst
-// engine — one Decide for the whole sweep — and pushes the responses
-// into each ring. An idle transport backs off from Gosched spinning to
-// millisecond sleeps so a co-resident client (this is a co-location
-// transport; on a small host client and server share cores) gets the
-// CPU back.
+// The server polls every region from one serve loop: each burst collects
+// up to BurstSize requests across the attached rings — one Decide for the
+// whole sweep — and pushes the responses into each ring. An idle
+// transport backs off from Gosched spinning to millisecond sleeps so a
+// co-resident client (this is a co-location transport; on a small host
+// client and server share cores) gets the CPU back.
 
 // shm backoff schedule: spin (yield) while work is fresh, then sleep,
 // deepening toward shmIdleSleep as the rings stay empty.
@@ -68,159 +63,179 @@ func (s *Server) ServeSHM(regions []*shmring.Region) error {
 	if len(regions) == 0 {
 		return errors.New("server: ServeSHM needs at least one region")
 	}
-	s.tcp.mu.Lock()
-	if s.tcp.closed {
-		s.tcp.mu.Unlock()
-		return errors.New("server: already closed")
-	}
-	s.tcp.init()
-	if s.tcp.draining.Load() {
-		s.tcp.mu.Unlock()
-		return nil
-	}
-	s.tcp.loops++
-	s.tcp.wg.Add(1)
-	stop := s.tcp.stop
-	startSweeper := s.ttl > 0 && !s.tcp.sweeping
-	if startSweeper {
-		s.tcp.sweeping = true
-		s.tcp.wg.Add(1)
-	}
-	s.tcp.mu.Unlock()
-	if startSweeper {
-		go func() {
-			defer s.tcp.wg.Done()
-			s.sweeper(s.ttl/4+time.Millisecond, stop)
-		}()
-	}
-	defer func() {
-		s.tcp.mu.Lock()
-		s.tcp.loops--
-		s.tcp.mu.Unlock()
-		s.tcp.wg.Done()
-	}()
-
-	eng := newBurstEngine(s, &s.shm)
-	attached := make([]bool, len(regions))
-	empties := 0
-	for {
-		select {
-		case <-stop:
-			return nil // force close: abandon whatever is still queued
-		default:
-		}
-		draining := s.tcp.draining.Load()
-		if draining {
-			for _, g := range regions {
-				g.SetDraining()
-			}
-		}
-
-		served := s.sweepSHM(eng, regions, attached, stop)
-
-		if draining && served == 0 {
-			// Draining and a full sweep found nothing: every request that
-			// made it into a ring before the flag went up is answered.
-			return nil
-		}
-		if served > 0 {
-			empties = 0
-			continue
-		}
-		empties++
-		switch {
-		case empties < shmSpinSweeps:
-			runtime.Gosched()
-		case empties < 4*shmSpinSweeps:
-			time.Sleep(shmBusySleep)
-		default:
-			time.Sleep(shmIdleSleep)
-		}
-	}
+	t := &shmTransport{regions: regions, attached: make([]bool, len(regions)), st: &s.shm, group: &s.group}
+	return s.serve(t, &s.shm)
 }
 
-// sweepSHM runs one polling sweep: reclaim closed rings, gather up to
-// BurstSize requests across the attached ones, decide them in one
-// batch, and push the responses. Returns the number of requests served.
-func (s *Server) sweepSHM(eng *burstEngine, regions []*shmring.Region, attached []bool, stop <-chan struct{}) int {
-	eng.reset()
-	for ri, g := range regions {
+// shmTransport is one served set of regions.
+type shmTransport struct {
+	regions  []*shmring.Region
+	attached []bool
+	empties  int // consecutive sweeps that found nothing
+	st       *counters
+	group    *serveGroup
+}
+
+// lossy is false: at a saturated gate a ring's requests wait their turn.
+func (t *shmTransport) lossy() bool { return false }
+
+// wake and Close do nothing: the sweep never blocks longer than
+// shmIdleSleep, and the caller owns the regions.
+func (t *shmTransport) wake(time.Time) {}
+func (t *shmTransport) Close() error   { return nil }
+
+// gather runs one polling sweep: reclaim closed rings and take up to
+// BurstSize requests across the attached ones. An empty sweep backs off
+// before returning.
+func (t *shmTransport) gather(e *burstEngine, draining bool) error {
+	for ri, g := range t.regions {
+		if draining {
+			g.SetDraining()
+		}
 		switch g.State() {
 		case shmring.StateAttached:
-			if !attached[ri] {
-				attached[ri] = true
-				s.shm.ringsAttached.Add(1)
+			if !t.attached[ri] {
+				t.attached[ri] = true
+				t.st.ringsAttached.Add(1)
 			}
 		case shmring.StateClosing:
-			if g.Reclaim() && attached[ri] {
-				attached[ri] = false
-				s.shm.ringsAttached.Add(-1)
+			if g.Reclaim() && t.attached[ri] {
+				t.attached[ri] = false
+				t.st.ringsAttached.Add(-1)
 			}
 			continue
 		default:
 			continue
 		}
 		req := g.Request()
-		for eng.n < BurstSize {
+		for e.n < BurstSize {
 			payload, ok := req.Peek()
 			if !ok {
 				break
 			}
-			eng.add(payload).ring = ri
+			e.add(payload).ring = ri
 			req.Advance() // the engine decoded in place; the bytes are free
 		}
-		if eng.n == BurstSize {
+		if e.n == BurstSize {
 			break
 		}
 	}
-	if eng.n == 0 {
-		return 0
-	}
-	eng.finish()
-	for i := range eng.dgrams() {
-		d := &eng.dgrams()[i]
-		if !d.ok {
-			continue
+	switch {
+	case e.n > 0:
+		t.empties = 0
+	case draining:
+		// Draining and a full sweep found nothing: every request that made
+		// it into a ring before the flag went up is answered.
+		return io.EOF
+	default:
+		t.empties++
+		switch {
+		case t.empties < shmSpinSweeps:
+			runtime.Gosched()
+		case t.empties < 4*shmSpinSweeps:
+			time.Sleep(shmBusySleep)
+		default:
+			time.Sleep(shmIdleSleep)
 		}
-		g := regions[d.ring]
-		resp := eng.response(d)
-		for !g.Response().Push(resp) {
-			// Response ring full: the client is alive (SPSC — only it can
-			// make room) unless it just closed; spin it out.
-			if g.State() != shmring.StateAttached {
-				s.shm.txErrs.Inc()
-				break
-			}
-			select {
-			case <-stop:
-				s.shm.txErrs.Inc()
-				return eng.n
-			default:
-				runtime.Gosched()
-			}
-		}
-		s.shm.tx.Inc()
 	}
-	return eng.n
+	return nil
 }
 
-// SHMClient is a shared-memory client for the decision service. It is
-// not safe for concurrent use; attach one client per region. Its
-// Submit/Wait/Decide contract matches the pipelined TCP Client —
-// lossless, in order, sticky poison on desync — so callers can treat
-// the two interchangeably.
-type SHMClient struct {
+// send pushes one response into its ring, waiting out a full ring: the
+// client is alive (SPSC — only it can make room) unless it just closed or
+// the server is force-closing, and then the response is abandoned.
+func (t *shmTransport) send(d *dgram, resp []byte) error {
+	g := t.regions[d.ring]
+	for !g.Response().Push(resp) {
+		if g.State() != shmring.StateAttached {
+			return errors.New("server: shm client detached with a response outstanding")
+		}
+		select {
+		case <-t.group.stop:
+			return errors.New("server: closed with a shm response outstanding")
+		default:
+			runtime.Gosched()
+		}
+	}
+	return nil
+}
+
+func (t *shmTransport) flush(bool) error { return nil }
+
+// ringCarrier moves client payloads over one attached region. timeout
+// bounds how long a stuck ring is polled before the client gives up.
+type ringCarrier struct {
 	g       *shmring.Region
 	timeout time.Duration
-	buf     []byte
-	err     error // sticky poison
+	rbuf    []byte
+}
 
-	depth      int
-	nextID     uint32
-	nextRespID uint32
-	subSlot    int
-	respSlot   int
-	ring       []Pending
+// send pushes one request, briefly blocking while the ring is full.
+// Deadline checks ride the backoff tiers: the warm spin tier never reads
+// the clock (a Push retry is tens of nanoseconds, so a time.Now() per
+// spin would dominate the loop), and past it one read per sleep is noise
+// against the sleep itself.
+func (c *ringCarrier) send(payload []byte) error {
+	var deadline time.Time
+	for spins := 0; ; spins++ {
+		if c.g.Draining() {
+			return ErrDraining
+		}
+		if c.g.Request().Push(payload) {
+			return nil
+		}
+		if spins < shmSpinSweeps {
+			runtime.Gosched()
+			continue
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(c.timeout)
+		} else if !time.Now().Before(deadline) {
+			return errors.New("server: shm request ring full past timeout (server gone?)")
+		}
+		if spins < 4*shmSpinSweeps {
+			time.Sleep(shmBusySleep)
+		} else {
+			time.Sleep(shmIdleSleep)
+		}
+	}
+}
+
+// recv polls for the next response. As in send, the warm spin tier is
+// clock-free: the deadline is armed when the first sleep tier is reached
+// and checked once per sleep, so a response that lands within the spin
+// window costs zero time.Now() calls.
+func (c *ringCarrier) recv(time.Time) ([]byte, error) {
+	var deadline time.Time
+	for empties := 0; ; empties++ {
+		if resp, ok := c.g.Response().Peek(); ok {
+			c.rbuf = append(c.rbuf[:0], resp...)
+			c.g.Response().Advance()
+			return c.rbuf, nil
+		}
+		// The server answers everything already in the request ring before
+		// it exits a drain, so give the response a moment to land before
+		// declaring the in-flight window lost.
+		if empties > 4*shmSpinSweeps && c.g.Draining() {
+			return nil, ErrDraining
+		}
+		if empties < shmSpinSweeps {
+			runtime.Gosched()
+			continue
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(c.timeout)
+		} else if !time.Now().Before(deadline) {
+			return nil, errors.New("server: shm response timeout (server gone?)")
+		}
+		time.Sleep(shmBusySleep)
+	}
+}
+
+// close detaches from the region (the server reclaims it) and unmaps.
+func (c *ringCarrier) close() error {
+	c.g.ClientClose()
+	return c.g.Close()
 }
 
 // DialSHM maps the region file at path and claims it. depth bounds the
@@ -247,175 +262,6 @@ func DialSHM(path string, depth int, timeout time.Duration) (*SHMClient, error) 
 		g.Close()
 		return nil, fmt.Errorf("server: shm region %s already has a client attached", path)
 	}
-	return &SHMClient{g: g, timeout: timeout, depth: depth, ring: make([]Pending, depth)}, nil
+	car := &ringCarrier{g: g, timeout: timeout}
+	return &Client{core: clientCore{car: car, maxMsg: MaxDatagram, ring: make([]Pending, depth)}}, nil
 }
-
-// Close detaches from the region (the server reclaims it) and unmaps.
-func (c *SHMClient) Close() error {
-	c.g.ClientClose()
-	return c.g.Close()
-}
-
-func (c *SHMClient) poison(err error) error {
-	if c.err == nil {
-		c.err = fmt.Errorf("server: client poisoned by earlier error: %w", err)
-		clientPoisons.Inc()
-	}
-	return err
-}
-
-// Submit encodes one batch as a v3 message and pushes it into the
-// request ring without waiting. Returns ErrPipelineFull when the whole
-// depth is in flight; blocks (briefly) when the ring itself is full.
-func (c *SHMClient) Submit(ops []linkstore.Op) (*Pending, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	if c.g.Draining() {
-		return nil, c.poison(ErrDraining)
-	}
-	p := &c.ring[c.subSlot]
-	if p.live {
-		return nil, ErrPipelineFull
-	}
-	if err := validate(ops); err != nil {
-		return nil, err
-	}
-	if need := headerSizeV3 + len(ops)*RecordSizeV2; need > MaxDatagram {
-		return nil, fmt.Errorf("server: batch of %d records needs %d bytes, above the %d-byte message bound", len(ops), need, MaxDatagram)
-	}
-	id := c.nextID
-	c.buf = AppendOpsV3(c.buf[:0], id, ops)
-	// Deadline checks ride the backoff tiers: the warm spin tier never
-	// reads the clock (a Push retry is tens of nanoseconds, so a
-	// time.Now() per spin would dominate the loop), and past it one read
-	// per sleep is noise against the sleep itself.
-	var deadline time.Time
-	spins := 0
-	for !c.g.Request().Push(c.buf) {
-		if c.g.Draining() {
-			return nil, c.poison(ErrDraining)
-		}
-		spins++
-		if spins < shmSpinSweeps {
-			runtime.Gosched()
-			continue
-		}
-		if deadline.IsZero() {
-			deadline = time.Now().Add(c.timeout)
-		} else if !time.Now().Before(deadline) {
-			return nil, c.poison(errors.New("server: shm request ring full past timeout (server gone?)"))
-		}
-		if spins < 4*shmSpinSweeps {
-			time.Sleep(shmBusySleep)
-		} else {
-			time.Sleep(shmIdleSleep)
-		}
-	}
-	c.nextID++
-	c.subSlot++
-	if c.subSlot == c.depth {
-		c.subSlot = 0
-	}
-	p.id, p.n, p.live, p.done = id, len(ops), true, false
-	return p, nil
-}
-
-// Wait blocks until p's response arrives and writes its rate indices to
-// out (at least p's batch size long). Responses arrive in submission
-// order; waiting on a newer Pending parks the older ones, so Wait order
-// is free — but each Pending may be waited on exactly once.
-func (c *SHMClient) Wait(p *Pending, out []int32) ([]int32, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	if p == nil || !p.live {
-		return nil, errors.New("server: Wait on a Pending that is not in flight")
-	}
-	// As in Submit, the warm spin tier is clock-free: the deadline is
-	// armed when the first sleep tier is reached and checked once per
-	// sleep, so a response that lands within the spin window costs zero
-	// time.Now() calls.
-	var deadline time.Time
-	empties := 0
-	for !p.done {
-		resp, ok := c.g.Response().Peek()
-		if !ok {
-			if c.g.Draining() {
-				// The server answers everything already in the request ring
-				// before it exits, so give the response a moment to land
-				// before declaring the in-flight window lost.
-				if empties > 4*shmSpinSweeps {
-					return nil, c.poison(ErrDraining)
-				}
-			}
-			empties++
-			if empties < shmSpinSweeps {
-				runtime.Gosched()
-				continue
-			}
-			if deadline.IsZero() {
-				deadline = time.Now().Add(c.timeout)
-			} else if !time.Now().Before(deadline) {
-				return nil, c.poison(errors.New("server: shm response timeout (server gone?)"))
-			}
-			time.Sleep(shmBusySleep)
-			continue
-		}
-		empties = 0
-		err := c.acceptSHM(resp)
-		c.g.Response().Advance()
-		if err != nil {
-			return nil, c.poison(err)
-		}
-	}
-	for i, b := range p.rates {
-		out[i] = int32(b)
-	}
-	p.live = false
-	return out[:p.n], nil
-}
-
-// acceptSHM parses one response message and parks it in its ring slot.
-// Any mismatch is a desync: shared-memory messages cannot be lost or
-// reordered, so the only explanation is corrupt state — poison.
-func (c *SHMClient) acceptSHM(b []byte) error {
-	if len(b) < 8 {
-		return fmt.Errorf("server: shm response of %d bytes, need at least 8", len(b))
-	}
-	id := binary.LittleEndian.Uint32(b[0:4])
-	count := binary.LittleEndian.Uint32(b[4:8])
-	if id != c.nextRespID {
-		return fmt.Errorf("server: response for request %d, expected %d", id, c.nextRespID)
-	}
-	q := &c.ring[c.respSlot]
-	if q.id != id || !q.live || q.done {
-		return fmt.Errorf("server: response for request %d, which is not in flight", id)
-	}
-	if int(count) != q.n || len(b)-8 != q.n {
-		return fmt.Errorf("server: response count %d (%d bytes) for a batch of %d", count, len(b)-8, q.n)
-	}
-	if cap(q.rates) < q.n {
-		q.rates = make([]byte, q.n)
-	}
-	q.rates = q.rates[:q.n]
-	copy(q.rates, b[8:])
-	q.done = true
-	c.nextRespID++
-	c.respSlot++
-	if c.respSlot == c.depth {
-		c.respSlot = 0
-	}
-	return nil
-}
-
-// Decide is Submit immediately followed by its Wait.
-func (c *SHMClient) Decide(ops []linkstore.Op, out []int32) ([]int32, error) {
-	p, err := c.Submit(ops)
-	if err != nil {
-		return nil, err
-	}
-	return c.Wait(p, out)
-}
-
-var _ io.Closer = (*SHMClient)(nil)

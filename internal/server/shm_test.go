@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -50,90 +49,11 @@ func TestRingPath(t *testing.T) {
 	}
 }
 
-func TestSHMEndToEndMatchesInProcess(t *testing.T) {
-	remote := New(Config{Store: linkstore.Config{Shards: 32}})
-	local := New(Config{Store: linkstore.Config{Shards: 32}})
-	prefix := startSHM(t, remote, 1)
-
-	cli, err := DialSHM(prefix, 1, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	rng := rand.New(rand.NewSource(3))
-	got := make([]int32, 300)
-	want := make([]int32, 300)
-	for batch := 0; batch < 20; batch++ {
-		ops := randOps(rng, 300, 500)
-		res, err := cli.Decide(ops, got)
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		if len(res) != len(ops) {
-			t.Fatalf("batch %d: %d rates for %d ops", batch, len(res), len(ops))
-		}
-		local.Decide(ops, want)
-		for i := range ops {
-			if got[i] != want[i] {
-				t.Fatalf("batch %d op %d: shm %d != in-process %d", batch, i, got[i], want[i])
-			}
-		}
-	}
-	if st := remote.Stats(); st.Frames != 300*20 {
-		t.Fatalf("remote served %d frames, want %d", st.Frames, 300*20)
-	}
-	if s := remote.Status(); s.SHM.DatagramsRx != 20 || s.SHM.RequestsV3 != 20 || s.SHM.Drops != 0 {
-		t.Fatalf("shm counters %+v, want 20 v3 messages and no drops", s.SHM)
-	}
-}
-
-// TestSHMPipelinedWaitOrderFree mirrors the TCP pipelining contract:
-// several batches in flight, Waits in reverse order, responses park in
-// their slots, everything byte-identical to an in-process mirror.
-func TestSHMPipelinedWaitOrderFree(t *testing.T) {
-	remote := New(Config{Store: linkstore.Config{Shards: 16}})
-	local := New(Config{Store: linkstore.Config{Shards: 16}})
-	prefix := startSHM(t, remote, 1)
-
-	const depth = 8
-	cli, err := DialSHM(prefix, depth, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	rng := rand.New(rand.NewSource(7))
-	out := make([]int32, 64)
-	want := make([]int32, 64)
-	for round := 0; round < 20; round++ {
-		var batches [depth][]linkstore.Op
-		var pend [depth]*Pending
-		for s := 0; s < depth; s++ {
-			ops := randOps(rng, 64, 50)
-			for j := range ops {
-				ops[j].LinkID += uint64(s) * 1000 // disjoint cohorts per slot
-			}
-			p, err := cli.Submit(ops)
-			if err != nil {
-				t.Fatalf("round %d slot %d: %v", round, s, err)
-			}
-			batches[s], pend[s] = ops, p
-		}
-		for s := depth - 1; s >= 0; s-- { // reverse order: older responses park
-			res, err := cli.Wait(pend[s], out)
-			if err != nil {
-				t.Fatalf("round %d slot %d: %v", round, s, err)
-			}
-			local.Decide(batches[s], want)
-			for i := range res {
-				if res[i] != want[i] {
-					t.Fatalf("round %d slot %d op %d: shm %d != in-process %d", round, s, i, res[i], want[i])
-				}
-			}
-		}
-	}
-}
+// See TestTCPEndToEndMatchesInProcess: these names run their rows of the
+// conformance table over the rings.
+func TestSHMEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "shm", "byte-identity") }
+func TestSHMPipelinedWaitOrderFree(t *testing.T)   { runConformance(t, "shm", "window") }
+func TestSHMDrain(t *testing.T)                    { runConformance(t, "shm", "drain-answers-in-flight") }
 
 // TestSHMMultiRingConcurrentClients runs one client per ring from
 // separate goroutines, disjoint link cohorts, all against one serve
@@ -218,44 +138,51 @@ func TestSHMAttachExclusiveAndReclaim(t *testing.T) {
 	}
 }
 
-// TestSHMDrain: Drain answers what is already in the rings, the serve
-// loop exits, and the client's next Submit fails with ErrDraining.
-func TestSHMDrain(t *testing.T) {
+// TestSHMAbandonedResponseCountedOnce: a client that detaches with
+// responses outstanding leaves the server holding responses it cannot
+// push. Each is one transmit error — not an error and a transmit — so
+// tx + tx_errors is exactly the responses the server attempted.
+func TestSHMAbandonedResponseCountedOnce(t *testing.T) {
 	srv := New(Config{Store: linkstore.Config{Shards: 4}})
-	prefix := filepath.Join(t.TempDir(), "ring")
-	g, err := shmring.Create(prefix, shmring.MinCapacity)
+	prefix := startSHM(t, srv, 1)
+	g, err := shmring.Open(prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeSHM([]*shmring.Region{g}) }()
-
-	cli, err := DialSHM(prefix, 1, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	if !g.Attach() {
+		t.Fatal("fresh ring refused the attach")
 	}
-	defer cli.Close()
-	out := make([]int32, 1)
-	if _, err := cli.Decide([]linkstore.Op{{LinkID: 1, Kind: core.KindBER, BER: 1e-5}}, out); err != nil {
-		t.Fatal(err)
-	}
-
-	srv.Drain(time.Second)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("ServeSHM after drain: %v", err)
+	// Nobody reads the response ring, so after ~120 of these 508-byte
+	// responses it is full and the server spins in send — at which point
+	// it stops reading requests and the request ring jams too.
+	rng := rand.New(rand.NewSource(8))
+	stalled := false
+	for i := 0; i < 400 && !stalled; i++ {
+		payload := AppendOpsV3(nil, uint32(i), randOps(rng, 500, 500))
+		for since := time.Now(); !g.Request().Push(payload); time.Sleep(50 * time.Microsecond) {
+			if stalled = time.Since(since) > 200*time.Millisecond; stalled {
+				break
+			}
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeSHM did not exit after Drain")
 	}
-	if _, err := cli.Submit([]linkstore.Op{{LinkID: 1, Kind: core.KindBER, BER: 1e-5}}); !errors.Is(err, ErrDraining) {
-		t.Fatalf("post-drain Submit returned %v, want ErrDraining", err)
+	if !stalled {
+		t.Fatal("the server never stalled on the full response ring")
 	}
-	// And the poison is sticky, like the TCP client's.
-	if _, err := cli.Decide([]linkstore.Op{{LinkID: 1, Kind: core.KindSilentLoss}}, out); err == nil {
-		t.Fatal("client usable after ErrDraining poison")
+	g.ClientClose() // detach with responses outstanding
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Status().SHM.RingsAttached != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("ring never reclaimed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	g.Close()
+	st := srv.Status().SHM
+	if st.TxErrors == 0 {
+		t.Fatalf("no response was abandoned: %+v", st)
+	}
+	if st.DatagramsTx+st.TxErrors != st.Requests {
+		t.Fatalf("tx %d + tx_errors %d != %d responses attempted", st.DatagramsTx, st.TxErrors, st.Requests)
 	}
 }
 

@@ -40,20 +40,22 @@ type AlgoStatus struct {
 	opHist    stats.Histogram
 }
 
-// TransportStatus is the TCP transport's counter snapshot.
+// TransportStatus is the TCP transport's counter snapshot (plus the
+// process-wide drain flag and client-poison count).
 type TransportStatus struct {
 	// ConnsAccepted counts accepted connections; ConnsActive is the
 	// current open count.
 	ConnsAccepted uint64 `json:"conns_accepted"`
 	ConnsActive   int64  `json:"conns_active"`
-	// RequestsV1/V2/V3 count request batches by wire framing version.
-	RequestsV1 uint64 `json:"requests_v1"`
-	RequestsV2 uint64 `json:"requests_v2"`
-	RequestsV3 uint64 `json:"requests_v3"`
+	// Requests counts well-formed request payloads; Bursts the burst-loop
+	// iterations that served them (Requests/Bursts is how many requests a
+	// pipelined window amortizes one Decide and one flush over).
+	Requests uint64 `json:"requests"`
+	Bursts   uint64 `json:"bursts"`
 	// FramingErrors counts protocol violations (oversized or undecodable
 	// payloads); each drops its connection.
 	FramingErrors uint64 `json:"framing_errors"`
-	// ClientsPoisoned counts Client-side poisonings in this process —
+	// ClientsPoisoned counts client-side poisonings in this process —
 	// nonzero only for loopback/embedded clients (a remote softrated
 	// always reports 0 here; its clients poison themselves).
 	ClientsPoisoned uint64 `json:"clients_poisoned"`
@@ -98,11 +100,8 @@ type DatagramStatus struct {
 	// Shed counts datagrams dropped unserved because the admission gate
 	// was saturated (UDP only; the loss contract covers them).
 	Shed uint64 `json:"shed"`
-	// RequestsV1/V2/V3 count well-formed request payloads by framing
-	// version.
-	RequestsV1 uint64 `json:"requests_v1"`
-	RequestsV2 uint64 `json:"requests_v2"`
-	RequestsV3 uint64 `json:"requests_v3"`
+	// Requests counts well-formed request payloads.
+	Requests uint64 `json:"requests"`
 	// RingsAttached is the number of shm rings with a live client (always
 	// 0 for UDP).
 	RingsAttached int64 `json:"rings_attached"`
@@ -112,8 +111,8 @@ type DatagramStatus struct {
 // bucket order.
 var burstBucketLabels = [burstBucketCount]string{"1", "2", "4", "8", "16", "32"}
 
-// dgramStatus snapshots one datagram transport's counters.
-func (st *dgramState) status() DatagramStatus {
+// status snapshots one datagram transport's counters.
+func (st *counters) status() DatagramStatus {
 	out := DatagramStatus{
 		DatagramsRx:   st.rx.Load(),
 		DatagramsTx:   st.tx.Load(),
@@ -122,9 +121,7 @@ func (st *dgramState) status() DatagramStatus {
 		Drops:         st.drops.Load(),
 		TxErrors:      st.txErrs.Load(),
 		Shed:          st.shed.Load(),
-		RequestsV1:    st.reqV1.Load(),
-		RequestsV2:    st.reqV2.Load(),
-		RequestsV3:    st.reqV3.Load(),
+		Requests:      st.reqs.Load(),
 		RingsAttached: st.ringsAttached.Load(),
 	}
 	for i, label := range burstBucketLabels {
@@ -150,8 +147,8 @@ type Status struct {
 	Store    linkstore.Stats        `json:"store"`
 	PerShard []linkstore.ShardStats `json:"per_shard"`
 	// Transport is the TCP transport's counter snapshot; UDP and SHM the
-	// datagram transports' (request counters are per transport, so the
-	// three sections together break total traffic out by transport).
+	// datagram transports' (each section has its own requests counter, so
+	// the three together break total traffic out by transport).
 	Transport TransportStatus `json:"transport"`
 	UDP       DatagramStatus  `json:"udp"`
 	SHM       DatagramStatus  `json:"shm"`
@@ -201,7 +198,16 @@ func (s *Server) Status() Status {
 	}
 	out.Store = s.store.Stats()
 	out.PerShard = s.store.PerShard()
-	out.Transport = s.transportStatus()
+	out.Transport = TransportStatus{
+		ConnsAccepted:      s.tcp.accepted.Load(),
+		ConnsActive:        s.tcp.active.Load(),
+		Requests:           s.tcp.reqs.Load(),
+		Bursts:             s.tcp.bursts.Load(),
+		FramingErrors:      s.tcp.drops.Load(),
+		ClientsPoisoned:    clientPoisons.Load(),
+		SlowClientsEvicted: s.tcp.slowEvicted.Load(),
+		Draining:           s.group.draining.Load(),
+	}
 	out.UDP = s.udp.status()
 	out.SHM = s.shm.status()
 	if s.gate != nil {
@@ -228,10 +234,7 @@ func writeDatagramProm(w io.Writer, transport string, d *DatagramStatus) {
 	obs.PromCounter(w, p+"_drops_total", "", transport+" malformed payloads dropped without a response", d.Drops)
 	obs.PromCounter(w, p+"_tx_errors_total", "", transport+" responses the transport failed to write", d.TxErrors)
 	obs.PromCounter(w, p+"_shed_total", "", transport+" datagrams shed unserved at a saturated admission gate", d.Shed)
-	obs.PromHeader(w, p+"_requests_total", "counter", transport+" request payloads by wire framing version")
-	obs.PromSample(w, p+"_requests_total", `version="v1"`, float64(d.RequestsV1))
-	obs.PromSample(w, p+"_requests_total", `version="v2"`, float64(d.RequestsV2))
-	obs.PromSample(w, p+"_requests_total", `version="v3"`, float64(d.RequestsV3))
+	obs.PromCounter(w, p+"_requests_total", "", transport+" well-formed request payloads", d.Requests)
 	if transport == "shm" {
 		obs.PromGauge(w, p+"_rings_attached", "", "shm rings with a live client", float64(d.RingsAttached))
 	}
@@ -317,10 +320,8 @@ func (s *Server) WritePrometheus(w io.Writer) {
 
 	obs.PromCounter(w, "softrated_conns_accepted_total", "", "TCP connections accepted", st.Transport.ConnsAccepted)
 	obs.PromGauge(w, "softrated_conns_active", "", "open TCP connections", float64(st.Transport.ConnsActive))
-	obs.PromHeader(w, "softrated_requests_total", "counter", "request batches by wire framing version")
-	obs.PromSample(w, "softrated_requests_total", `version="v1"`, float64(st.Transport.RequestsV1))
-	obs.PromSample(w, "softrated_requests_total", `version="v2"`, float64(st.Transport.RequestsV2))
-	obs.PromSample(w, "softrated_requests_total", `version="v3"`, float64(st.Transport.RequestsV3))
+	obs.PromCounter(w, "softrated_requests_total", "", "well-formed TCP request payloads", st.Transport.Requests)
+	obs.PromCounter(w, "softrated_bursts_total", "", "TCP burst-loop iterations serving >= 1 request", st.Transport.Bursts)
 	obs.PromCounter(w, "softrated_framing_errors_total", "", "protocol violations (each drops its connection)", st.Transport.FramingErrors)
 	obs.PromCounter(w, "softrated_clients_poisoned_total", "", "in-process clients poisoned by transport errors", st.Transport.ClientsPoisoned)
 	obs.PromCounter(w, "softrated_slow_clients_evicted_total", "", "TCP connections evicted by the write-deadline policy", st.Transport.SlowClientsEvicted)

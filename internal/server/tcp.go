@@ -7,603 +7,259 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"softrate/internal/linkstore"
-	"softrate/internal/obs"
 )
 
-// TCP transport: each request batch is a uint32 little-endian payload
-// length followed by that many bytes of feedback records (codec.go); each
-// response is a uint32 record count followed by one rate-index byte per
-// record, in request order (v3 responses are additionally prefixed with
-// the request ID).
-//
-// Classic (v1/v2) connections are stop-and-wait: one batch in flight,
-// each response flushed before the next request is read. With the v3
-// framing a client keeps up to its pipeline depth of batches in flight;
-// the server still answers strictly in arrival order, but it only
-// flushes its write buffer when no further request bytes are already
-// buffered — so a full pipeline amortizes one syscall-and-wakeup round
-// trip over many batches instead of paying it per batch. That deferral
-// is safe with any conforming client: a client always finishes writing
-// (and flushing) a request before it waits for responses, so bytes the
-// server sees buffered are always the prefix of work it can finish
-// without waiting on the peer.
+// TCP transport: each request payload (codec.go) is prefixed with its
+// uint32 little-endian length; responses are self-delimiting. A client
+// keeps up to its pipeline depth of requests in flight; the server
+// answers strictly in arrival order, taking every complete frame its read
+// buffer already holds as one burst, and only flushes its write buffer
+// when no further request bytes are buffered — so a full pipeline pays
+// one syscall-and-wakeup round trip, and one trip through the store's
+// shard routing, per window instead of per batch. Deferring the flush is
+// safe with any conforming client: a client always finishes writing (and
+// flushing) a request before it waits for responses, so bytes the server
+// sees buffered are always the prefix of work it can finish without
+// waiting on the peer.
 
-// maxPayload is the largest accepted batch payload (a full pipelined
-// batch: v3 header plus MaxBatch records).
-const maxPayload = headerSizeV3 + MaxBatch*RecordSizeV2
+const tcpBufSize = 64 << 10
 
-type tcpState struct {
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	stop      chan struct{}
-	closed    bool
-	sweeping  bool
-	draining  atomic.Bool
-	wg        sync.WaitGroup
-	// loops counts serve loops that are not socket connections (the shm
-	// transport); Drain waits for them alongside conns.
-	loops int
+// errFraming ends a connection whose peer violated the framing.
+var errFraming = errors.New("server: framing violation")
 
-	// Transport counters (see TransportStatus for meanings). Recording is
-	// one atomic per event, off the per-record path: versions count per
-	// request batch, connections per accept.
-	accepted      obs.Counter
-	active        obs.Gauge
-	reqV1         obs.Counter
-	reqV2         obs.Counter
-	reqV3         obs.Counter
-	framingErrors obs.Counter
-	slowEvicted   obs.Counter
-}
+// acceptLoop is a listener's membership in the serve group: a drain or
+// Close closes the listener, which ends its Serve.
+type acceptLoop struct{ l net.Listener }
 
-// clientPoisons counts Client poisonings process-wide (the client side
-// lives in this package; a softrated process only sees nonzero here when
-// clients share its process, e.g. loadgen -tcp loopback).
-var clientPoisons obs.Counter
+func (a acceptLoop) wake(time.Time) { a.l.Close() }
+func (a acceptLoop) Close() error   { return a.l.Close() }
 
-// transportStatus snapshots the transport counters.
-func (s *Server) transportStatus() TransportStatus {
-	return TransportStatus{
-		ConnsAccepted:      s.tcp.accepted.Load(),
-		ConnsActive:        s.tcp.active.Load(),
-		RequestsV1:         s.tcp.reqV1.Load(),
-		RequestsV2:         s.tcp.reqV2.Load(),
-		RequestsV3:         s.tcp.reqV3.Load(),
-		FramingErrors:      s.tcp.framingErrors.Load(),
-		ClientsPoisoned:    clientPoisons.Load(),
-		SlowClientsEvicted: s.tcp.slowEvicted.Load(),
-		Draining:           s.tcp.draining.Load(),
-	}
-}
-
-func (t *tcpState) init() {
-	if t.listeners == nil {
-		t.listeners = make(map[net.Listener]struct{})
-		t.conns = make(map[net.Conn]struct{})
-		t.stop = make(chan struct{})
-	}
-}
-
-// Serve accepts and serves connections on l until Close is called or the
-// listener fails. It may be called on several listeners concurrently. If
-// the store has an eviction TTL, the first Serve starts one background
-// sweeper so fully idle deployments still shed links; the sweeper (like
-// any open connections) runs until Close — call Close even after Serve
-// returns an error to release it.
+// Serve accepts and serves connections on l until Close or Drain is
+// called or the listener fails; l is closed when Serve returns. It may be
+// called on several listeners concurrently, alongside ServeUDP and
+// ServeSHM: they all share one store and one lifecycle. Open connections
+// (like the sweeper) run until Close — call Close even after Serve
+// returns an error to release them.
 func (s *Server) Serve(l net.Listener) error {
-	s.tcp.mu.Lock()
-	if s.tcp.closed {
-		s.tcp.mu.Unlock()
-		return errors.New("server: already closed")
+	al := acceptLoop{l}
+	if joined, err := s.join(al); !joined {
+		return err
 	}
-	s.tcp.init()
-	s.tcp.listeners[l] = struct{}{}
-	stop := s.tcp.stop
-	// wg.Add must happen while the closed check still holds (under the
-	// lock), or Close's Wait could observe a zero counter and return
-	// before a goroutine spawned here starts.
-	startSweeper := s.ttl > 0 && !s.tcp.sweeping
-	if startSweeper {
-		s.tcp.sweeping = true
-		s.tcp.wg.Add(1)
-	}
-	s.tcp.mu.Unlock()
-
-	if startSweeper {
-		go func() {
-			defer s.tcp.wg.Done()
-			s.sweeper(s.ttl/4+time.Millisecond, stop)
-		}()
-	}
-
+	defer s.leave(al)
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			select {
-			case <-stop:
-				return nil // orderly shutdown
-			default:
-				if s.tcp.draining.Load() {
-					return nil // orderly drain closed the listener
-				}
-				return err
+			if s.group.quiescing() {
+				return nil // a drain or Close closed the listener
 			}
+			return err
 		}
-		s.tcp.mu.Lock()
-		if s.tcp.closed || s.tcp.draining.Load() {
-			s.tcp.mu.Unlock()
+		t := s.newTCPTransport(conn)
+		if joined, _ := s.join(t); !joined {
 			conn.Close()
 			return nil
 		}
-		s.tcp.conns[conn] = struct{}{}
-		s.tcp.wg.Add(1) // under the lock: pairs with the closed check above
-		s.tcp.mu.Unlock()
 		s.tcp.accepted.Inc()
 		s.tcp.active.Add(1)
 		go func() {
-			defer s.tcp.wg.Done()
-			s.handleConn(conn)
-			s.tcp.mu.Lock()
-			delete(s.tcp.conns, conn)
-			s.tcp.mu.Unlock()
+			defer s.leave(t)
+			s.run(t, &s.tcp)
 			s.tcp.active.Add(-1)
 		}()
 	}
 }
 
-// Drain gracefully quiesces the TCP transport: listeners close so no new
-// connection is accepted, every open connection finishes the requests it
-// has already received — the in-flight pipelined window is answered and
-// flushed — and idle connections are woken by a read deadline at now +
-// grace. Once every connection has drained (or grace expires and the
-// stragglers are force-closed), the sweeper stops and Drain returns with
-// the server fully closed. This is the shutdown primitive cluster-level
-// link migration needs: after Drain returns, every accepted request has
-// a flushed response and the store is quiescent, so its state can be
-// snapshotted or handed off. Concurrent and repeated calls are safe.
-func (s *Server) Drain(grace time.Duration) {
-	s.tcp.mu.Lock()
-	s.tcp.init()
-	if s.tcp.closed {
-		s.tcp.mu.Unlock()
-		s.tcp.wg.Wait()
-		return
-	}
-	s.tcp.draining.Store(true)
-	for l := range s.tcp.listeners {
-		l.Close()
-	}
-	deadline := time.Now().Add(grace)
-	for c := range s.tcp.conns {
-		// Wake handlers blocked reading an idle connection; handlers mid-
-		// request keep reading (their bytes arrive long before the
-		// deadline) and re-check the draining flag between requests.
-		c.SetReadDeadline(deadline)
-	}
-	s.tcp.mu.Unlock()
-
-	for time.Now().Before(deadline) {
-		s.tcp.mu.Lock()
-		n := len(s.tcp.conns) + s.tcp.loops
-		s.tcp.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	s.Close() // force-closes stragglers, stops the sweeper, waits handlers out
+// tcpTransport is one accepted connection.
+type tcpTransport struct {
+	conn         net.Conn
+	br           *bufio.Reader
+	bw           *bufio.Writer
+	st           *counters
+	writeTimeout time.Duration
+	big          []byte // scratch for the rare frame larger than the read buffer
+	err          error  // first write error
 }
 
-// Close shuts down all listeners and connections and waits for handler
-// goroutines to drain.
-func (s *Server) Close() {
-	s.tcp.mu.Lock()
-	s.tcp.init()
-	if s.tcp.closed {
-		s.tcp.mu.Unlock()
-		s.tcp.wg.Wait()
-		return
+func (s *Server) newTCPTransport(conn net.Conn) *tcpTransport {
+	return &tcpTransport{
+		conn: conn, st: &s.tcp, writeTimeout: s.writeTimeout,
+		br: bufio.NewReaderSize(conn, tcpBufSize),
+		bw: bufio.NewWriterSize(conn, tcpBufSize),
 	}
-	s.tcp.closed = true
-	close(s.tcp.stop)
-	for l := range s.tcp.listeners {
-		l.Close()
-	}
-	for c := range s.tcp.conns {
-		c.Close()
-	}
-	s.tcp.mu.Unlock()
-	s.tcp.wg.Wait()
 }
 
-// handleConn runs the request loop for one connection; buffers are reused
-// across batches so steady-state service is allocation-free.
-func (s *Server) handleConn(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	var (
-		hdr     [4]byte
-		payload []byte
-		ops     []linkstore.Op
-		out     []int32
-		resp    []byte
-	)
-	for {
-		if s.tcp.draining.Load() && br.Buffered() == 0 {
-			// Graceful drain: everything this connection submitted has been
-			// answered and flushed (the flush below runs whenever the read
-			// buffer empties); stop before blocking on a next request.
-			return
+func (t *tcpTransport) lossy() bool { return false }
+
+// wake bounds an idle connection's blocking read at the drain deadline; a
+// connection mid-request keeps reading (its bytes arrive long before the
+// deadline) and sees the draining flag at its next gather.
+func (t *tcpTransport) wake(deadline time.Time) { t.conn.SetReadDeadline(deadline) }
+
+func (t *tcpTransport) Close() error { return t.conn.Close() }
+
+// gather blocks for one frame, then takes every further frame that is
+// already complete in the read buffer, up to BurstSize frames or MaxBatch
+// records (one frame alone may carry MaxBatch, so a burst's scratch is
+// bounded by twice that). Frames are decoded in place from the buffer. A
+// frame that violates the framing — an oversized length prefix or an
+// undecodable payload — ends the burst and the connection; the frames
+// before it are still answered.
+func (t *tcpTransport) gather(e *burstEngine, draining bool) error {
+	if draining && t.br.Buffered() == 0 {
+		// Everything this connection submitted has been answered and
+		// flushed (flush runs whenever the read buffer empties); stop
+		// before blocking on a next request.
+		return io.EOF
+	}
+	for e.n < BurstSize && len(e.ops) < MaxBatch {
+		if e.n > 0 && t.br.Buffered() < 4 {
+			return nil
 		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return // EOF, peer gone, or the drain deadline expired while idle
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n > maxPayload {
-			s.tcp.framingErrors.Inc()
-			return // protocol violation: drop the connection
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return
-		}
-		ops2, reqID, tagged, err := DecodeRequest(payload, ops)
+		hdr, err := t.br.Peek(4)
 		if err != nil {
-			s.tcp.framingErrors.Inc()
-			return
+			return err // EOF, peer gone, or the drain deadline expired while idle
 		}
-		ops = ops2
-		switch {
-		case tagged:
-			s.tcp.reqV3.Inc()
-		case len(payload)%RecordSize == 0:
-			s.tcp.reqV1.Inc()
-		default:
-			s.tcp.reqV2.Inc()
+		n := int(binary.LittleEndian.Uint32(hdr))
+		if n > maxPayload {
+			t.st.drops.Inc()
+			return errFraming
 		}
-		if cap(out) < len(ops) {
-			out = make([]int32, len(ops))
-		}
-		s.Decide(ops, out[:len(ops)])
-
-		// Response: [reqID?][count][one rate byte per record], written
-		// with indexed stores into a right-sized reused buffer.
-		need := 4 + len(ops)
-		if tagged {
-			need += 4
-		}
-		if cap(resp) < need {
-			resp = make([]byte, need)
-		}
-		resp = resp[:need]
-		off := 0
-		if tagged {
-			binary.LittleEndian.PutUint32(resp[0:4], reqID)
-			off = 4
-		}
-		binary.LittleEndian.PutUint32(resp[off:off+4], uint32(len(ops)))
-		for i, ri := range out[:len(ops)] {
-			resp[off+4+i] = uint8(ri)
-		}
-		// Slow-client eviction: arm the write deadline only when this
-		// iteration can actually touch the socket (the buffered write
-		// below would overflow into a flush, or the explicit flush runs).
-		// A peer that has stopped reading then errors out of the write
-		// within WriteTimeout instead of pinning this handler — and the
-		// drain path — on a full socket buffer forever.
-		flushing := br.Buffered() == 0
-		if s.writeTimeout > 0 && (flushing || bw.Available() < len(resp)) {
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		}
-		if _, err := bw.Write(resp); err != nil {
-			s.noteWriteError(err)
-			return
-		}
-		// Pipelining: defer the flush while more request bytes are already
-		// buffered — the pending responses go out in one write once the
-		// burst is served. (bufio transparently flushes earlier if the
-		// responses outgrow the buffer.)
-		if flushing {
-			if err := bw.Flush(); err != nil {
-				s.noteWriteError(err)
-				return
+		var ok bool
+		if 4+n <= tcpBufSize {
+			if e.n > 0 && t.br.Buffered() < 4+n {
+				return nil // incomplete: it leads the next burst
 			}
+			frame, err := t.br.Peek(4 + n)
+			if err != nil {
+				return err
+			}
+			ok = e.add(frame[4:]).ok
+			t.br.Discard(4 + n)
+		} else {
+			// Larger than the read buffer, so it cannot be already
+			// buffered: it is read through a scratch, as a burst's first.
+			if e.n > 0 {
+				return nil
+			}
+			if cap(t.big) < n {
+				t.big = make([]byte, n)
+			}
+			t.br.Discard(4)
+			if _, err := io.ReadFull(t.br, t.big[:n]); err != nil {
+				return err
+			}
+			ok = e.add(t.big[:n]).ok
 		}
-	}
-}
-
-// noteWriteError counts a response write that failed on its deadline: a
-// stuck peer evicted by the slow-client policy (other write errors — the
-// peer vanished mid-write — just end the handler as before).
-func (s *Server) noteWriteError(err error) {
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		s.tcp.slowEvicted.Inc()
-	}
-}
-
-// Client is a TCP client for the decision service. It is not safe for
-// concurrent use; open one Client per sending goroutine.
-//
-// A Client is poisoned by its first transport or protocol error: the
-// connection's framing state is then unknown (there may be unread
-// response bytes on the wire), so instead of silently reading garbage,
-// every subsequent call fails fast with the original error. Dial again to
-// recover. Argument-validation errors (oversized batch, unencodable rate
-// index) are detected before anything is written and do not poison.
-type Client struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	buf  []byte
-	err  error // sticky poison
-
-	// Pipelined mode (DialPipelined): up to depth requests in flight,
-	// answered in order and matched by request ID through a reused
-	// response ring. Slots are assigned by rotating cursors, not by
-	// reqID arithmetic, so the uint32 request IDs may wrap freely.
-	depth      int
-	nextID     uint32
-	nextRespID uint32
-	subSlot    int // ring slot the next Submit takes
-	respSlot   int // ring slot the next response belongs to
-	respBytes  int // response bytes in flight, against maxPipelineBytes
-	ring       []Pending
-}
-
-// maxPipelineBytes bounds the response bytes outstanding on a pipelined
-// connection. The client only reads responses inside Wait, so an
-// unbounded Submit burst could fill the server's write buffer and both
-// socket buffers with responses until the server blocks writing and
-// stops reading — a mutual write-write deadlock. Keeping all in-flight
-// responses within the server's own 64 KB write buffer means the server
-// can always finish serving everything the client has submitted without
-// blocking on the socket. A batch's response is 8 bytes + one byte per
-// record.
-const maxPipelineBytes = 32 << 10
-
-// Pending is one in-flight pipelined batch. It stays owned by the Client:
-// valid from the Submit that returned it until its Wait returns, after
-// which the slot (and its response buffer) is reused by a later Submit
-// and the Pending may not be waited on again.
-type Pending struct {
-	id    uint32
-	n     int
-	live  bool // occupies its ring slot: submitted, Wait not yet returned
-	done  bool // response received (possibly parked awaiting its Wait)
-	rates []byte
-}
-
-// ErrPipelineFull is returned by Submit when the connection cannot take
-// another batch: either every ring slot is occupied — its full depth of
-// batches submitted and not yet Waited on (a parked, already-answered
-// batch still holds its slot until its Wait collects it) — or the new
-// batch's response would push the outstanding response bytes past the
-// deadlock-safety budget. Wait on the oldest Pending first.
-var ErrPipelineFull = errors.New("server: pipeline full")
-
-// Dial connects to a softrated server in classic stop-and-wait mode.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-	}, nil
-}
-
-// DialPipelined connects to a softrated server in pipelined (v3) mode:
-// up to depth batches may be in flight at once via Submit/Wait (further
-// capped by the maxPipelineBytes response budget), and Decide becomes a
-// Submit immediately followed by its Wait.
-func DialPipelined(addr string, depth int) (*Client, error) {
-	if depth < 1 {
-		return nil, fmt.Errorf("server: pipeline depth %d, need at least 1", depth)
-	}
-	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	c.depth = depth
-	c.ring = make([]Pending, depth)
-	return c, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// poison records the first transport/protocol error and returns it; all
-// later calls fail fast with a wrapped form of it.
-func (c *Client) poison(err error) error {
-	if c.err == nil {
-		c.err = fmt.Errorf("server: client poisoned by earlier error: %w", err)
-		clientPoisons.Inc()
-	}
-	return err
-}
-
-// validate rejects batches the wire cannot carry, before any bytes move.
-func validate(ops []linkstore.Op) error {
-	if len(ops) > MaxBatch {
-		return fmt.Errorf("server: batch of %d exceeds maximum %d", len(ops), MaxBatch)
-	}
-	for i := range ops {
-		// The wire record has one byte for the rate index; reject rather
-		// than truncate to a different, valid-looking index.
-		if ops[i].RateIndex < 0 || ops[i].RateIndex > 255 {
-			return fmt.Errorf("server: op %d: rate index %d not encodable in one byte", i, ops[i].RateIndex)
+		if !ok {
+			return errFraming
 		}
 	}
 	return nil
 }
 
-// Submit sends one batch in the pipelined framing without waiting for its
-// response and returns its Pending token. The write lands in the client's
-// buffer; it reaches the wire by the time any Wait needs it (or when the
-// buffer fills), so a burst of Submits travels as one segment. Requires a
-// DialPipelined client with in-flight capacity.
-func (c *Client) Submit(ops []linkstore.Op) (*Pending, error) {
-	if c.err != nil {
-		return nil, c.err
+func (t *tcpTransport) send(_ *dgram, resp []byte) error {
+	// Slow-client eviction: arm the write deadline only when this write
+	// can actually touch the socket (it would overflow the buffer into a
+	// flush). A peer that has stopped reading then errors out of the write
+	// within WriteTimeout instead of pinning this loop — and the drain
+	// path — on a full socket buffer forever.
+	if t.writeTimeout > 0 && t.bw.Available() < len(resp) {
+		t.conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
 	}
-	if c.depth == 0 {
-		return nil, errors.New("server: Submit needs a pipelined client (use DialPipelined)")
-	}
-	p := &c.ring[c.subSlot]
-	if p.live {
-		// The slot's previous batch was submitted but its Wait has not
-		// returned yet (it may be parked, answered but uncollected);
-		// reusing the slot would hand its response to the wrong Pending.
-		return nil, ErrPipelineFull
-	}
-	if need := 8 + len(ops); c.respBytes > 0 && c.respBytes+need > maxPipelineBytes {
-		// A lone oversized batch is allowed (with nothing else in flight
-		// it is effectively stop-and-wait); stacking it is not.
-		return nil, ErrPipelineFull
-	}
-	if err := validate(ops); err != nil {
-		return nil, err
-	}
-	id := c.nextID
-	c.nextID++
-	c.subSlot++
-	if c.subSlot == c.depth {
-		c.subSlot = 0
-	}
-	c.respBytes += 8 + len(ops)
-	p.id, p.n, p.live, p.done = id, len(ops), true, false
-
-	c.buf = c.buf[:0]
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(headerSizeV3+len(ops)*RecordSizeV2))
-	c.buf = append(c.buf, hdr[:]...)
-	c.buf = AppendOpsV3(c.buf, id, ops)
-	if _, err := c.bw.Write(c.buf); err != nil {
-		return nil, c.poison(err)
-	}
-
-	return p, nil
+	_, err := t.bw.Write(resp)
+	return t.note(err)
 }
 
-// Wait blocks until p's response arrives and writes its rate indices to
-// out (which must be at least as long as p's batch), then releases p's
-// ring slot for a later Submit. Responses arrive in submission order;
-// waiting on a newer Pending parks the older ones' responses in their
-// ring slots, so Wait order is free — but each Pending may be waited on
-// exactly once.
-func (c *Client) Wait(p *Pending, out []int32) ([]int32, error) {
-	if c.err != nil {
-		return nil, c.err
+// flush pushes the burst's responses to the socket unless more request
+// bytes are already buffered — the pending responses then go out in one
+// write once those are served (on the final burst nothing more will be,
+// so what is pending goes out now). Any write error ends the connection.
+func (t *tcpTransport) flush(final bool) error {
+	if t.err == nil && t.bw.Buffered() > 0 && (final || t.br.Buffered() == 0) {
+		if t.writeTimeout > 0 {
+			t.conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
+		}
+		t.note(t.bw.Flush())
 	}
-	if p == nil || !p.live {
-		return nil, errors.New("server: Wait on a Pending that is not in flight")
-	}
-	for !p.done {
-		if err := c.bw.Flush(); err != nil {
-			return nil, c.poison(err)
-		}
-		var hdr [8]byte
-		if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-			return nil, c.poison(err)
-		}
-		id := binary.LittleEndian.Uint32(hdr[0:4])
-		count := binary.LittleEndian.Uint32(hdr[4:8])
-		if id != c.nextRespID {
-			return nil, c.poison(fmt.Errorf("server: response for request %d, expected %d", id, c.nextRespID))
-		}
-		q := &c.ring[c.respSlot]
-		if q.id != id || !q.live || q.done {
-			return nil, c.poison(fmt.Errorf("server: response for request %d, which is not in flight", id))
-		}
-		if int(count) != q.n {
-			return nil, c.poison(fmt.Errorf("server: response count %d for a batch of %d", count, q.n))
-		}
-		if cap(q.rates) < q.n {
-			q.rates = make([]byte, q.n)
-		}
-		q.rates = q.rates[:q.n]
-		if _, err := io.ReadFull(c.br, q.rates); err != nil {
-			return nil, c.poison(err)
-		}
-		q.done = true
-		c.nextRespID++
-		c.respSlot++
-		if c.respSlot == c.depth {
-			c.respSlot = 0
-		}
-		c.respBytes -= 8 + q.n
-	}
-	for i, b := range p.rates {
-		out[i] = int32(b)
-	}
-	p.live = false // slot free for reuse from here on
-	return out[:p.n], nil
+	return t.err
 }
 
-// Decide sends one batch and writes the returned rate indices to out
-// (which must be at least len(ops) long), returning out[:len(ops)]. On a
-// classic client it runs the stop-and-wait v2 exchange (the server
-// accepts v1 from older peers, but only v2 carries per-link algorithm
-// selection and the frame-level feedback fields); on a pipelined client
-// it is Submit immediately followed by its Wait and may interleave with
-// other in-flight batches.
-func (c *Client) Decide(ops []linkstore.Op, out []int32) ([]int32, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	if c.depth > 0 {
-		p, err := c.Submit(ops)
-		if err != nil {
-			return nil, err
+// note records the connection's first write error; one that failed on its
+// deadline is a stuck peer evicted by the slow-client policy.
+func (t *tcpTransport) note(err error) error {
+	if err != nil && t.err == nil {
+		t.err = err
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.st.slowEvicted.Inc()
 		}
-		return c.Wait(p, out)
 	}
-	if err := validate(ops); err != nil {
-		return nil, err
-	}
-	c.buf = c.buf[:0]
+	return err
+}
+
+// streamCarrier moves client payloads over a TCP connection: requests are
+// length-prefixed into a write buffer that reaches the wire by the time a
+// response is awaited (or when it fills), so a burst of Submits travels
+// as one segment.
+type streamCarrier struct {
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	rbuf []byte
+}
+
+func (c *streamCarrier) send(payload []byte) error {
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(1+len(ops)*RecordSizeV2))
-	c.buf = append(c.buf, hdr[:]...)
-	c.buf = AppendOpsV2(c.buf, ops)
-	if _, err := c.bw.Write(c.buf); err != nil {
-		return nil, c.poison(err)
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	if _, err := c.bw.Write(hdr[:]); err != nil {
+		return err
 	}
+	_, err := c.bw.Write(payload)
+	return err
+}
+
+// recv flushes pending requests and reads one response. The count field
+// sizes the read, so it is bounded here; the core checks it against the
+// request.
+func (c *streamCarrier) recv(time.Time) ([]byte, error) {
 	if err := c.bw.Flush(); err != nil {
-		return nil, c.poison(err)
+		return nil, err
 	}
+	hdr, err := c.br.Peek(8)
+	if err != nil {
+		return nil, err
+	}
+	count := binary.LittleEndian.Uint32(hdr[4:8])
+	if count > MaxBatch {
+		return nil, fmt.Errorf("server: response claims %d records, above the maximum %d", count, MaxBatch)
+	}
+	if need := 8 + int(count); cap(c.rbuf) < need {
+		c.rbuf = make([]byte, need)
+	}
+	c.rbuf = c.rbuf[:8+count]
+	_, err = io.ReadFull(c.br, c.rbuf)
+	return c.rbuf, err
+}
 
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return nil, c.poison(err)
+func (c *streamCarrier) close() error { return c.conn.Close() }
+
+// DialPipelined connects to a softrated server over TCP: up to depth
+// batches may be in flight at once via Submit/Wait (further capped by the
+// maxPipelineBytes response budget); depth 1 is stop-and-wait.
+func DialPipelined(addr string, depth int) (*Client, error) {
+	if depth < 1 {
+		return nil, fmt.Errorf("server: pipeline depth %d, need at least 1", depth)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if int(n) != len(ops) {
-		// The connection now has n unread rate bytes in transit; poisoning
-		// keeps a later call from reading them as a length prefix.
-		return nil, c.poison(fmt.Errorf("server: response count %d for a batch of %d", n, len(ops)))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
 	}
-	c.buf = c.buf[:0]
-	if cap(c.buf) < int(n) {
-		c.buf = make([]byte, n)
-	}
-	c.buf = c.buf[:n]
-	if _, err := io.ReadFull(c.br, c.buf); err != nil {
-		return nil, c.poison(err)
-	}
-	for i, b := range c.buf {
-		out[i] = int32(b)
-	}
-	return out[:len(ops)], nil
+	return newStreamClient(conn, depth), nil
+}
+
+// newStreamClient wraps an established connection.
+func newStreamClient(conn net.Conn, depth int) *Client {
+	car := &streamCarrier{conn: conn,
+		br: bufio.NewReaderSize(conn, tcpBufSize), bw: bufio.NewWriterSize(conn, tcpBufSize)}
+	return &Client{core: clientCore{car: car, ring: make([]Pending, depth), maxMsg: maxPayload, budget: maxPipelineBytes}}
 }

@@ -1,24 +1,17 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
+	"io"
 	"net"
-	"net/netip"
 	"syscall"
 	"time"
 
 	"softrate/internal/linkstore"
 )
 
-// UDP datagram transport. Each datagram is one self-contained request
-// payload — exactly the framings of codec.go with no length prefix (the
-// datagram boundary is the frame): the canonical form is the v3 payload
-// [0x03][seq u32][28-byte records...], and bare v1/v2 payloads from older
-// peers are accepted too. A response datagram echoes the request's seq
-// (v3) followed by the uint32 record count and one rate byte per record;
-// v1/v2 requests get the count and rates without a seq echo.
+// UDP datagram transport. Each datagram is one self-contained payload of
+// codec.go — the datagram boundary is the frame.
 //
 // The transport is deliberately connectionless and loss-tolerant: rate
 // feedback is naturally tolerant of a dropped decision — the sender just
@@ -26,196 +19,107 @@ import (
 // retransmission, no ordering guarantee, and no per-peer state on the
 // server. A request that never arrives is never answered; a response
 // that is lost times out on the client, which treats it as "keep the
-// current rate" and moves on. Unlike the TCP Client's sticky poison
-// (where a framing error means the stream position is unknowable), a
-// lost or malformed datagram cannot desync anything: every datagram
-// stands alone.
+// current rate" and moves on. A lost or malformed datagram cannot desync
+// anything: every datagram stands alone.
 //
-// The server side is an explicit burst loop (see burst.go): block for
-// one datagram, then drain — without blocking — whatever else the socket
-// buffer already holds, up to BurstSize, route the whole burst through
-// one Decide, and write the responses back-to-back. Under load the
-// socket buffer refills while a burst is being served, so the per-burst
-// amortization sustains itself; an idle socket costs one poll wakeup per
-// udpPollInterval.
+// A burst is one datagram: Go's net package cannot take what else a
+// socket has queued without risking a block (a read under an expired
+// deadline fails before it reaches the socket), so gathering several
+// needs recvmmsg or a raw non-blocking read behind gather — see ROADMAP.
+// An idle socket costs one poll wakeup per udpPollInterval.
 
-// udpPollInterval bounds how long the UDP read loop blocks before
-// re-checking the draining/closed flags: drains and Close are noticed
+// udpPollInterval bounds how long the UDP read blocks before the serve
+// loop re-checks the draining/closed flags: drains and Close are noticed
 // within this interval even if no datagram ever arrives.
 const udpPollInterval = 100 * time.Millisecond
 
-// aLongTimeAgo is an expired deadline: reads with it return immediately
-// with a timeout once the socket buffer is empty (the non-blocking drain
-// phase of the burst loop).
-var aLongTimeAgo = time.Unix(1, 0)
+// maxResponse is the largest response a datagram request can draw: the
+// header plus one rate byte per record a MaxDatagram request holds.
+const maxResponse = 8 + (MaxDatagram-headerSizeV3)/RecordSizeV2
 
-// ServeUDP serves the datagram transport on conn until Close or Drain.
-// It may run concurrently with Serve (TCP) and other ServeUDP calls on
-// other sockets; they all share one store and one lifecycle (the
-// connection participates in Drain: the burst in hand is fully answered
-// before the loop exits, and everything still unread in the socket
-// buffer is — by the transport's loss contract — indistinguishable from
-// a datagram lost in flight). Returns nil on orderly shutdown.
+// ServeUDP serves the datagram transport on conn until Close or Drain,
+// then closes it. It may run concurrently with Serve, ServeSHM and other
+// ServeUDP calls on other sockets; they all share one store and one
+// lifecycle. Returns nil on orderly shutdown.
 func (s *Server) ServeUDP(conn *net.UDPConn) error {
-	s.tcp.mu.Lock()
-	if s.tcp.closed {
-		s.tcp.mu.Unlock()
-		return errors.New("server: already closed")
-	}
-	s.tcp.init()
-	if s.tcp.draining.Load() {
-		s.tcp.mu.Unlock()
-		return nil
-	}
-	s.tcp.conns[conn] = struct{}{}
-	s.tcp.wg.Add(1)
-	stop := s.tcp.stop
-	startSweeper := s.ttl > 0 && !s.tcp.sweeping
-	if startSweeper {
-		s.tcp.sweeping = true
-		s.tcp.wg.Add(1)
-	}
-	s.tcp.mu.Unlock()
-	if startSweeper {
-		go func() {
-			defer s.tcp.wg.Done()
-			s.sweeper(s.ttl/4+time.Millisecond, stop)
-		}()
-	}
-	defer func() {
-		s.tcp.mu.Lock()
-		delete(s.tcp.conns, conn)
-		s.tcp.mu.Unlock()
-		conn.Close()
-		s.tcp.wg.Done()
-	}()
+	return s.serve(&udpTransport{conn: conn, buf: make([]byte, MaxDatagram)}, &s.udp)
+}
 
-	eng := newBurstEngine(s, &s.udp)
-	slab := make([]byte, BurstSize*MaxDatagram)
-	var addrs [BurstSize]netip.AddrPort
-	var sizes [BurstSize]int
+// udpTransport is one served socket.
+type udpTransport struct {
+	conn *net.UDPConn
+	buf  []byte // receive scratch
+}
+
+func (t *udpTransport) lossy() bool { return true }
+
+// wake cuts the blocking read short (an expired deadline fails it at
+// once) so the drain is noticed without waiting out the poll interval.
+func (t *udpTransport) wake(time.Time) { t.conn.SetReadDeadline(time.Unix(1, 0)) }
+
+func (t *udpTransport) Close() error { return t.conn.Close() }
+
+// gather waits — bounded, so flag flips are noticed — for one datagram.
+// Once draining, anything still unread in the socket buffer is, by the
+// loss contract, a datagram lost in flight.
+func (t *udpTransport) gather(e *burstEngine, draining bool) error {
+	if draining {
+		return io.EOF
+	}
+	t.conn.SetReadDeadline(time.Now().Add(udpPollInterval))
+	n, addr, err := t.conn.ReadFromUDPAddrPort(t.buf)
+	if err != nil {
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			return nil
+		}
+		return err
+	}
+	e.add(t.buf[:n]).addr = addr
+	return nil
+}
+
+func (t *udpTransport) send(d *dgram, resp []byte) error {
+	_, err := t.conn.WriteToUDPAddrPort(resp, d.addr)
+	return err
+}
+
+func (t *udpTransport) flush(bool) error { return nil }
+
+// datagramCarrier moves client payloads over a connected UDP socket.
+type datagramCarrier struct {
+	conn *net.UDPConn
+	rbuf []byte
+}
+
+func (c *datagramCarrier) send(payload []byte) error {
+	if _, err := c.conn.Write(payload); err != nil && !errors.Is(err, syscall.ECONNREFUSED) {
+		// ECONNREFUSED is a queued ICMP port-unreachable from an earlier
+		// send — the server is down or restarting. Under the loss contract
+		// that is a sent-and-lost datagram (the Wait will time out), not a
+		// client failure. Anything else is a real socket error.
+		return err
+	}
+	return nil
+}
+
+func (c *datagramCarrier) recv(deadline time.Time) ([]byte, error) {
+	c.conn.SetReadDeadline(deadline)
 	for {
-		if s.tcp.draining.Load() {
-			return nil
+		n, err := c.conn.Read(c.rbuf)
+		if errors.Is(err, syscall.ECONNREFUSED) {
+			continue // ICMP unreachable: loss, not failure (see send)
 		}
-		select {
-		case <-stop:
-			return nil
-		default:
-		}
-		// Blocking phase: wait (bounded, so flag flips are noticed) for
-		// the burst's first datagram.
-		conn.SetReadDeadline(time.Now().Add(udpPollInterval))
-		n, addr, err := conn.ReadFromUDPAddrPort(slab[:MaxDatagram])
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			if s.tcp.draining.Load() {
-				return nil
-			}
-			select {
-			case <-stop:
-				return nil
-			default:
-			}
-			return err
-		}
-		sizes[0], addrs[0] = n, addr
-		count := 1
-		// Drain phase: everything already queued, without blocking.
-		conn.SetReadDeadline(aLongTimeAgo)
-		for count < BurstSize {
-			n, addr, err := conn.ReadFromUDPAddrPort(slab[count*MaxDatagram : (count+1)*MaxDatagram])
-			if err != nil {
-				break // empty buffer (timeout) or a transient error: burst done
-			}
-			sizes[count], addrs[count] = n, addr
-			count++
-		}
-
-		// Overload shedding: with the admission gate saturated, drop the
-		// whole burst before decoding — no Decide, no responses. Under
-		// the transport's loss contract this is indistinguishable from
-		// the datagrams being lost in flight (clients time out and keep
-		// their rates; crucially, the ops are NOT applied, so answered
-		// decisions elsewhere stay byte-identical), and it keeps a
-		// datagram flood from queueing unboundedly behind the lossless
-		// transports at the gate.
-		if s.gateSaturated() {
-			s.udp.shed.Add(uint64(count))
-			continue
-		}
-		eng.reset()
-		for i := 0; i < count; i++ {
-			eng.add(slab[i*MaxDatagram : i*MaxDatagram+sizes[i]]).addr = addrs[i]
-		}
-		eng.finish()
-		for i := range eng.dgrams() {
-			d := &eng.dgrams()[i]
-			if !d.ok {
-				continue
-			}
-			if _, err := conn.WriteToUDPAddrPort(eng.response(d), d.addr); err != nil {
-				s.udp.txErrs.Inc()
-				continue
-			}
-			s.udp.tx.Inc()
-		}
+		return c.rbuf[:n], err
 	}
 }
 
-// UDPClient is a datagram client for the decision service. It is not
-// safe for concurrent use; open one per sending goroutine.
-//
-// Semantics differ from the TCP Client on purpose: there is no sticky
-// poison. Datagram loss is normal operation — a Wait that times out
-// reports ok=false ("the decision is lost; keep the current rate") and
-// the client remains fully usable; late and duplicate responses are
-// counted and discarded. Only socket-level failures (the socket closed,
-// the kernel refusing the write) surface as errors.
-type UDPClient struct {
-	conn    *net.UDPConn
-	timeout time.Duration
-	ring    []UDPPending
-	nextSeq uint32
-	buf     []byte // encode scratch
-	rbuf    []byte // receive scratch
+func (c *datagramCarrier) close() error { return c.conn.Close() }
 
-	// DropResponse, when non-nil, is consulted for every response
-	// datagram after parsing and before matching; returning true discards
-	// it as if the network had dropped it. It exists for loss-injection
-	// tests and CI chaos smokes — leave nil in production.
-	DropResponse func(seq uint32) bool
-
-	// OnResponse, when non-nil, observes every well-formed response
-	// datagram the moment it arrives — before the DropResponse shim and
-	// regardless of whether the request is still in flight (late and
-	// duplicate responses fire it too). A response existing proves the
-	// server APPLIED seq's ops, which is exactly what an exact-replay
-	// verifier needs to know: a request the server shed produces no
-	// response and never fires the hook. rates is only valid during the
-	// call. Leave nil in production.
-	OnResponse func(seq uint32, rates []byte)
-
-	stats UDPClientStats
-}
-
-// UDPPending is one in-flight datagram request. It is owned by the
-// client: valid from the Submit that returned it until its Wait returns.
-type UDPPending struct {
-	seq      uint32
-	n        int
-	live     bool
-	done     bool
-	deadline time.Time
-	rates    []byte
-}
-
-// Seq is the request's datagram sequence number — the key OnResponse
-// reports, so external verifiers can correlate submissions with the
-// responses that prove them applied.
-func (p *UDPPending) Seq() uint32 { return p.seq }
+// UDPClient is a datagram client for the decision service, with the lossy
+// contract of client.go: no poison, a timed-out Wait reports ok=false. It
+// is not safe for concurrent use; open one per sending goroutine. Its
+// DropResponse and OnResponse fields are test and verification hooks.
+type UDPClient struct{ clientCore }
 
 // UDPClientStats counts the client's datagram fates.
 type UDPClientStats struct {
@@ -257,51 +161,8 @@ func DialUDP(addr string, window int, timeout time.Duration) (*UDPClient, error)
 	if timeout <= 0 {
 		timeout = 50 * time.Millisecond
 	}
-	return &UDPClient{
-		conn:    conn,
-		timeout: timeout,
-		ring:    make([]UDPPending, window),
-		rbuf:    make([]byte, MaxDatagram),
-	}, nil
-}
-
-// Close closes the socket.
-func (c *UDPClient) Close() error { return c.conn.Close() }
-
-// Submit encodes one batch as a single v3 datagram and sends it without
-// waiting. Returns ErrPipelineFull when the whole window is in flight
-// (Wait on one first — possibly timing it out — to free a slot).
-func (c *UDPClient) Submit(ops []linkstore.Op) (*UDPPending, error) {
-	var p *UDPPending
-	for i := range c.ring {
-		if !c.ring[i].live {
-			p = &c.ring[i]
-			break
-		}
-	}
-	if p == nil {
-		return nil, ErrPipelineFull
-	}
-	if err := validate(ops); err != nil {
-		return nil, err
-	}
-	if need := headerSizeV3 + len(ops)*RecordSizeV2; need > MaxDatagram {
-		return nil, fmt.Errorf("server: batch of %d records needs %d bytes, above the %d-byte datagram bound", len(ops), need, MaxDatagram)
-	}
-	seq := c.nextSeq
-	c.nextSeq++
-	c.buf = AppendOpsV3(c.buf[:0], seq, ops)
-	if _, err := c.conn.Write(c.buf); err != nil && !errors.Is(err, syscall.ECONNREFUSED) {
-		// ECONNREFUSED is a queued ICMP port-unreachable from an earlier
-		// send — the server is down or restarting. Under the loss contract
-		// that is a sent-and-lost datagram (the Wait will time out), not a
-		// client failure. Anything else is a real socket error.
-		return nil, err
-	}
-	c.stats.Sent++
-	p.seq, p.n, p.live, p.done = seq, len(ops), true, false
-	p.deadline = time.Now().Add(c.timeout)
-	return p, nil
+	car := &datagramCarrier{conn: conn, rbuf: make([]byte, maxResponse)}
+	return &UDPClient{clientCore{car: car, lossy: true, timeout: timeout, maxMsg: MaxDatagram, ring: make([]Pending, window)}}, nil
 }
 
 // Wait blocks until p's response arrives or p's timeout expires. On a
@@ -312,77 +173,7 @@ func (c *UDPClient) Submit(ops []linkstore.Op) (*UDPPending, error) {
 // waiting it absorbs responses for other in-flight requests (they park
 // in their slots), so Wait order is free.
 func (c *UDPClient) Wait(p *UDPPending, out []int32) ([]int32, bool, error) {
-	if p == nil || !p.live {
-		return nil, false, errors.New("server: Wait on a request that is not in flight")
-	}
-	for !p.done {
-		now := time.Now()
-		if !now.Before(p.deadline) {
-			p.live = false
-			c.stats.Timeouts++
-			return nil, false, nil
-		}
-		c.conn.SetReadDeadline(p.deadline)
-		n, err := c.conn.Read(c.rbuf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				p.live = false
-				c.stats.Timeouts++
-				return nil, false, nil
-			}
-			if errors.Is(err, syscall.ECONNREFUSED) {
-				continue // ICMP unreachable: loss, not failure (see Submit)
-			}
-			return nil, false, err
-		}
-		c.accept(c.rbuf[:n])
-	}
-	for i, b := range p.rates {
-		out[i] = int32(b)
-	}
-	p.live = false
-	return out[:p.n], true, nil
-}
-
-// accept parses one response datagram and parks it in its slot. Anything
-// that doesn't match a live request — late, duplicate, malformed — is
-// counted and dropped; nothing a peer sends can wedge the client.
-func (c *UDPClient) accept(b []byte) {
-	if len(b) < 8 {
-		c.stats.Malformed++
-		return
-	}
-	seq := binary.LittleEndian.Uint32(b[0:4])
-	count := binary.LittleEndian.Uint32(b[4:8])
-	if uint64(len(b)-8) != uint64(count) {
-		c.stats.Malformed++
-		return
-	}
-	if c.OnResponse != nil {
-		c.OnResponse(seq, b[8:])
-	}
-	if c.DropResponse != nil && c.DropResponse(seq) {
-		c.stats.Injected++
-		return
-	}
-	for i := range c.ring {
-		q := &c.ring[i]
-		if q.live && !q.done && q.seq == seq {
-			if int(count) != q.n {
-				c.stats.Malformed++
-				return
-			}
-			if cap(q.rates) < q.n {
-				q.rates = make([]byte, q.n)
-			}
-			q.rates = q.rates[:q.n]
-			copy(q.rates, b[8:])
-			q.done = true
-			c.stats.Answered++
-			return
-		}
-	}
-	c.stats.Stale++
+	return c.wait(p, out)
 }
 
 // Decide is Submit immediately followed by its Wait: one stop-and-wait
@@ -393,5 +184,5 @@ func (c *UDPClient) Decide(ops []linkstore.Op, out []int32) ([]int32, bool, erro
 	if err != nil {
 		return nil, false, err
 	}
-	return c.Wait(p, out)
+	return c.wait(p, out)
 }

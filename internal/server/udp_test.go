@@ -30,46 +30,10 @@ func startUDP(t *testing.T, srv *Server) string {
 	return conn.LocalAddr().String()
 }
 
-func TestUDPEndToEndMatchesInProcess(t *testing.T) {
-	remote := New(Config{Store: linkstore.Config{Shards: 32}})
-	local := New(Config{Store: linkstore.Config{Shards: 32}})
-	addr := startUDP(t, remote)
-
-	cli, err := DialUDP(addr, 1, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	rng := rand.New(rand.NewSource(2))
-	got := make([]int32, 300)
-	want := make([]int32, 300)
-	for batch := 0; batch < 20; batch++ {
-		ops := randOps(rng, 300, 500)
-		res, ok, err := cli.Decide(ops, got)
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		if !ok {
-			t.Fatalf("batch %d: decision lost on loopback with a 1s timeout", batch)
-		}
-		if len(res) != len(ops) {
-			t.Fatalf("batch %d: %d rates for %d ops", batch, len(res), len(ops))
-		}
-		local.Decide(ops, want)
-		for i := range ops {
-			if got[i] != want[i] {
-				t.Fatalf("batch %d op %d: UDP %d != in-process %d", batch, i, got[i], want[i])
-			}
-		}
-	}
-	if st := remote.Stats(); st.Frames != 300*20 {
-		t.Fatalf("remote served %d frames, want %d", st.Frames, 300*20)
-	}
-	if s := remote.Status(); s.UDP.DatagramsRx != 20 || s.UDP.RequestsV3 != 20 || s.UDP.Drops != 0 {
-		t.Fatalf("udp counters %+v, want 20 v3 datagrams and no drops", s.UDP)
-	}
-}
+// See TestTCPEndToEndMatchesInProcess: these names run their rows of the
+// conformance table over UDP.
+func TestUDPEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "udp", "byte-identity") }
+func TestServeUDPDrain(t *testing.T)               { runConformance(t, "udp", "drain-answers-in-flight") }
 
 // TestUDPWindowedMatchesInProcess exercises the windowed client (several
 // datagrams in flight, so the server actually forms multi-datagram
@@ -138,7 +102,7 @@ func TestUDPWindowedMatchesInProcess(t *testing.T) {
 // TestUDPClientLossSemantics drives the client against a hand-rolled
 // peer socket so response loss, reordering and duplication are exact:
 // a timed-out decision reports ok=false and does NOT poison the client
-// (unlike the TCP client, where a framing error is sticky), out-of-order
+// (unlike the lossless Client, where a framing error is sticky), out-of-order
 // responses park in their slots, and late duplicates are counted stale
 // and dropped.
 func TestUDPClientLossSemantics(t *testing.T) {
@@ -318,10 +282,10 @@ func TestServeUDPGarbageDatagrams(t *testing.T) {
 	}
 	defer raw.Close()
 	for _, garbage := range [][]byte{
-		{0x7f},                     // bad version, matches no length class
-		{0x03, 1, 2, 3},            // v3 header truncated
-		make([]byte, RecordSize+1), // misaligned v1
-		make([]byte, headerSizeV3+RecordSizeV2-1), // truncated v3 record
+		{0x7f},               // bad version byte
+		{VersionV3, 1, 2, 3}, // header truncated
+		make([]byte, 19),     // no version byte, no valid length
+		append([]byte{VersionV3}, make([]byte, headerSizeV3+RecordSizeV2-2)...), // truncated record
 	} {
 		if _, err := raw.Write(garbage); err != nil {
 			t.Fatal(err)
@@ -388,43 +352,5 @@ func TestServeUDPConcurrentClients(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Frames != clients*50*64 {
 		t.Fatalf("served %d frames, want %d", st.Frames, clients*50*64)
-	}
-}
-
-// TestServeUDPDrain: Drain answers what has arrived and winds the
-// datagram loop down; requests sent after the drain get no response —
-// by the loss contract, indistinguishable from a lost datagram.
-func TestServeUDPDrain(t *testing.T) {
-	srv := New(Config{Store: linkstore.Config{Shards: 4}})
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeUDP(conn) }()
-
-	cli, err := DialUDP(conn.LocalAddr().String(), 1, 300*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	out := make([]int32, 1)
-	if _, ok, err := cli.Decide([]linkstore.Op{{LinkID: 1, Kind: core.KindBER, BER: 1e-5}}, out); err != nil || !ok {
-		t.Fatalf("pre-drain decide: ok=%v err=%v", ok, err)
-	}
-
-	srv.Drain(time.Second)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("ServeUDP after drain: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeUDP did not exit after Drain")
-	}
-
-	// Post-drain requests are lost decisions, not errors.
-	if _, ok, err := cli.Decide([]linkstore.Op{{LinkID: 1, Kind: core.KindBER, BER: 1e-5}}, out); err != nil || ok {
-		t.Fatalf("post-drain decide: ok=%v err=%v; want a quiet timeout", ok, err)
 	}
 }
