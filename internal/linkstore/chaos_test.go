@@ -333,3 +333,57 @@ func TestSpillAllReportsEveryShardFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestSpillAllCountsCommittedBatches: a shard's older generation reaches
+// the disk and the write of its younger one then fails. SpillAll must
+// count the links the first batch durably wrote, keep the second batch's
+// in RAM, and spill exactly those once the disk has room.
+func TestSpillAllCountsCommittedBatches(t *testing.T) {
+	clk := &fakeClock{}
+	// The budget, counted only while armed, holds the older generation's
+	// two 8-byte records and not the younger one's twenty.
+	inj := faultfs.Wrap(faultfs.OS{}, 3, faultfs.Rates{WriteBudget: 100})
+	inj.Arm(false)
+	cold := openColdFS(t, t.TempDir(), inj)
+	defer cold.Close()
+	st := New(Config{Shards: 1, TTL: time.Second, Clock: clk.Now, Cold: cold, ColdFront: 4})
+	ref := New(Config{Shards: 1})
+	const older, younger = 2, 20
+	touch := func(from, to int) {
+		t.Helper()
+		for id := from; id < to; id++ {
+			op := Op{LinkID: uint64(id) + 1, Kind: core.KindBER, BER: 1e-7}
+			if got, want := st.Apply(op), ref.Apply(op); got != want {
+				t.Fatalf("link %d: decision %d, a never-evicted store decides %d", id, got, want)
+			}
+		}
+	}
+	touch(0, older)
+	clk.Advance(2 * time.Second)
+	st.EvictIdle() // fills the two-link generation, which rotates to old
+	touch(older, older+younger)
+	if s := st.Stats(); s.Archived != older || s.Live != younger || cold.Len() != 0 {
+		t.Fatalf("before the drain: %d archived, %d live, %d on disk", s.Archived, s.Live, cold.Len())
+	}
+
+	inj.Arm(true)
+	n, err := st.SpillAll()
+	if !faultfs.IsInjected(err) {
+		t.Fatalf("SpillAll over a full disk: error %v, want the injected one", err)
+	}
+	if n != older || cold.Len() != older {
+		t.Fatalf("SpillAll reports %d links spilled with %d on disk, want %d: the older generation was committed", n, cold.Len(), older)
+	}
+	if s := st.Stats(); s.Live != 0 || s.Archived != younger {
+		t.Fatalf("after the failed drain: %d live, %d archived, want 0 and %d kept in RAM", s.Live, s.Archived, younger)
+	}
+
+	inj.Arm(false)
+	if n, err := st.SpillAll(); err != nil || n != younger {
+		t.Fatalf("second SpillAll = %d, %v; want the %d links the first kept", n, err, younger)
+	}
+	touch(0, older+younger) // every link resumes from disk
+	if s := st.Stats(); s.Creates != older+younger || s.ColdErrors != 1 {
+		t.Fatalf("%d creates, %d cold errors; want %d and the one failed batch", s.Creates, s.ColdErrors, older+younger)
+	}
+}

@@ -1,6 +1,7 @@
 package linkstore
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,18 +10,16 @@ import (
 	"softrate/internal/ctl"
 )
 
-// benchChurn drives idle-skew evict/restore churn: each cycle touches a
-// rotating window of the population and sweeps, so every touched link is
-// a restore (a link recurs only after nLinks/window further cycles —
-// long after its state left the RAM front, when the store has a cold
-// tier) and every cycle evicts the previous window. One b.N iteration is
-// one window, so the reported links/s is evict+restore pairs per second.
-func benchChurn(b *testing.B, st *Store, clk *fakeClock, nLinks, window int, algo ctl.Algo) {
+// churnTouch returns the first half of a churn cycle: each call touches
+// the next window of the population, round-robin, and then lets it idle
+// past a one-second TTL, so the sweep that follows evicts exactly that
+// window.
+func churnTouch(st *Store, clk *fakeClock, nLinks, window int, algo ctl.Algo) func() {
 	const batch = 128
 	ops := make([]Op, batch)
 	out := make([]int32, batch)
 	pos := 0
-	cycle := func() {
+	return func() {
 		for base := 0; base < window; base += batch {
 			n := 0
 			for i := 0; i < batch && base+i < window; i++ {
@@ -31,6 +30,19 @@ func benchChurn(b *testing.B, st *Store, clk *fakeClock, nLinks, window int, alg
 		}
 		pos = (pos + window) % nLinks
 		clk.Advance(2 * time.Second)
+	}
+}
+
+// benchChurn drives idle-skew evict/restore churn: each cycle touches a
+// rotating window of the population and sweeps, so every touched link is
+// a restore (a link recurs only after nLinks/window further cycles —
+// long after its state left the RAM front, when the store has a cold
+// tier) and every cycle evicts the previous window. One b.N iteration is
+// one window, so the reported links/s is evict+restore pairs per second.
+func benchChurn(b *testing.B, st *Store, clk *fakeClock, nLinks, window int, algo ctl.Algo) {
+	touch := churnTouch(st, clk, nLinks, window, algo)
+	cycle := func() {
+		touch()
 		st.EvictIdle()
 	}
 	for i := 0; i < nLinks/window+2; i++ {
@@ -51,6 +63,114 @@ func BenchmarkEvictRestoreRAMArchive(b *testing.B) {
 	clk := &fakeClock{}
 	st := New(Config{Shards: 64, TTL: time.Second, Clock: clk.Now, ExpectedLinks: nLinks})
 	benchChurn(b, st, clk, nLinks, 512, ctl.AlgoSoftRate)
+}
+
+// BenchmarkEvictRevive is the flag flip on its own: every cycle revives
+// the whole population and then idles all of it out again, with no cold
+// tier, for an inline state and for a wide one that stays in its slab slot.
+func BenchmarkEvictRevive(b *testing.B) {
+	for _, arm := range []struct {
+		name string
+		algo ctl.Algo
+	}{{"softrate", ctl.AlgoSoftRate}, {"samplerate", ctl.AlgoSampleRate}} {
+		b.Run(arm.name, func(b *testing.B) {
+			const nLinks = 2048
+			clk := &fakeClock{}
+			st := New(Config{Shards: 64, TTL: time.Second, Clock: clk.Now, ExpectedLinks: nLinks})
+			benchChurn(b, st, clk, nLinks, nLinks, arm.algo)
+		})
+	}
+}
+
+// BenchmarkIdleTail is the store without a cold tier late in a long run: a
+// small live set in service over an archive of idle links far larger than
+// it, which idled out a live set's worth at a time and are never seen
+// again. Archived links keep their slots in the shard tables, so both arms
+// grow with the archive: hit is one decision on a live link, picked at
+// random so the table's spread shows as cache misses, and sweep is one
+// shard's TTL sweep that finds nothing to evict.
+func BenchmarkIdleTail(b *testing.B) {
+	for _, idle := range []int{0, 1 << 20} {
+		const live, batch = 8192, 128
+		clk := &fakeClock{}
+		st := New(Config{Shards: 64, TTL: time.Second, Clock: clk.Now, ExpectedLinks: live})
+		ops := make([]Op, batch)
+		out := make([]int32, batch)
+		for base := live; base < live+idle; base += live {
+			for off := 0; off < live; off += batch {
+				for i := range ops {
+					ops[i] = Op{LinkID: uint64(base + off + i + 1), Kind: core.KindSilentLoss}
+				}
+				st.ApplyBatch(ops, out)
+			}
+			clk.Advance(2 * time.Second)
+			if n := st.EvictIdle(); n != live {
+				b.Fatalf("sweep evicted %d links, want %d", n, live)
+			}
+		}
+		pick := uint32(1)
+		hit := func() {
+			for i := range ops {
+				pick = pick*1664525 + 1013904223
+				ops[i] = Op{LinkID: uint64(pick>>8)%live + 1, Kind: core.KindSilentLoss}
+			}
+			st.ApplyBatch(ops, out)
+		}
+		for i := 0; i < 4*live/batch; i++ {
+			hit() // create the live set, then touch it warm
+		}
+		b.Run(fmt.Sprintf("idle=%d/hit", idle), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hit()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/decision")
+		})
+		b.Run(fmt.Sprintf("idle=%d/sweep", idle), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n := st.EvictIdle(); n != 0 {
+					b.Fatalf("sweep evicted %d links of a live set just touched", n)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.NumShards())/1e3, "µs/shard")
+		})
+	}
+}
+
+// BenchmarkSweepRotate times the sweep alone on a store with a cold tier:
+// each iteration idles out a window four generations wide, so the sweep
+// tags it, rotates until the front fits and group-commits what fell off.
+// Touching the window again is untimed.
+func BenchmarkSweepRotate(b *testing.B) {
+	const nLinks, window = 8192, 2048
+	cold, err := coldstore.Open(coldstore.Config{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cold.Close()
+	clk := &fakeClock{}
+	st := New(Config{Shards: 64, TTL: time.Second, Clock: clk.Now, ExpectedLinks: nLinks,
+		Cold: cold, ColdFront: 1024})
+	touch := churnTouch(st, clk, nLinks, window, ctl.AlgoSoftRate)
+	for i := 0; i < nLinks/window+2; i++ {
+		touch()
+		st.EvictIdle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		touch()
+		b.StartTimer()
+		if n := st.EvictIdle(); n != window {
+			b.Fatalf("sweep evicted %d links, want %d", n, window)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/window, "ns/evicted")
+	if cold.Stats().Spills == 0 {
+		b.Fatal("benchmark never spilled")
+	}
 }
 
 // BenchmarkEvictRestoreColdTier is the B side: the same churn through a

@@ -1,7 +1,10 @@
 package linkstore
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -381,5 +384,57 @@ func TestColdLinkInTwoNonAdjacentRuns(t *testing.T) {
 	}
 	if cs := cold.Stats(); cs.Restores != 2 || cs.Links != 0 || cs.RestoreLatency.Count != cs.Restores {
 		t.Fatalf("cold tier: %d restores, %d links left, %d latency observations", cs.Restores, cs.Links, cs.RestoreLatency.Count)
+	}
+}
+
+// TestColdSegmentsByteIdentical pins the on-disk layout: with the table
+// key fixed (TestMain), two stores fed one op stream on a virtual clock
+// leave byte-identical segment files, because a generation spills in
+// table order. One default-sized segment holds the run, so no compaction
+// pass rewrites anything on its own schedule.
+func TestColdSegmentsByteIdentical(t *testing.T) {
+	batches := churnBatches(5, 300, 64, 400)
+	run := func() map[string][]byte {
+		dir := t.TempDir()
+		cold, err := coldstore.Open(coldstore.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk := &fakeClock{}
+		st := New(Config{Shards: 4, TTL: 10 * time.Millisecond, Clock: clk.Now, Cold: cold, ColdFront: 64})
+		out := make([]int32, 64)
+		for _, ops := range batches {
+			st.ApplyBatch(ops, out)
+			clk.Advance(3 * time.Millisecond)
+		}
+		if _, err := st.SpillAll(); err != nil {
+			t.Fatal(err)
+		}
+		if s := cold.Stats(); s.Spills < 2000 || s.Restores == 0 {
+			t.Fatalf("churn barely reached the disk: %d spills, %d restores", s.Spills, s.Restores)
+		}
+		if err := cold.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		image := map[string][]byte{}
+		for _, f := range files {
+			if image[f.Name()], err = os.ReadFile(filepath.Join(dir, f.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return image
+	}
+	a, b := run(), run()
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("runs left %d and %d files", len(a), len(b))
+	}
+	for name, want := range a {
+		if got, ok := b[name]; !ok || !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes in one run, %d (present %v) in the other, or different ones", name, len(want), len(got), ok)
+		}
 	}
 }

@@ -10,30 +10,34 @@
 //     DecodeState → Apply → EncodeState (SoftRate, whose rule is the pure
 //     core.Step, shares one read-only controller store-wide). Controllers
 //     are thus relocatable between shards, processes, and machines.
-//   - A shard's live links sit in a flat open-addressing table (table.go)
-//     whose 24-byte slots hold key, state, stamp and algorithm together: a
-//     decision that hits probes once and updates the slot in place.
-//   - State bytes live in per-shard, per-algorithm slabs (flat byte arrays
-//     of fixed-width slots with a free list), so the hot path touches no
-//     per-op heap allocation regardless of algorithm.
+//   - Every link a shard holds in RAM, live or archived, sits in one flat
+//     open-addressing table (table.go) whose 24-byte slots hold key, state,
+//     stamp, algorithm and tier tag together: a decision that hits probes
+//     once and updates the slot in place.
+//   - State wider than a slot's 8 bytes lives in per-shard, per-algorithm
+//     slabs (flat byte arrays of fixed-width slots with a free list), so
+//     the hot path touches no per-op heap allocation regardless of
+//     algorithm.
 //   - A link's algorithm is chosen at first touch — from the op's Algo
 //     field, or the store's default for AlgoDefault — and sticks for the
 //     link's lifetime, including across eviction and restore. One store
 //     serves any per-link mix of the registered §6.1 algorithms.
 //   - Links are created lazily on first touch and evicted after a
-//     configurable idle TTL. Evicted state moves to a per-shard archive
-//     (linkID → encoded state, no stamp), so a link that comes back after
-//     an idle period resumes exactly where it left off — eviction is
-//     invisible to the protocol, it only sheds hot-table bookkeeping.
+//     configurable idle TTL. Eviction tags the link's slot as archived and
+//     leaves its state where it is (in the slot, or in its slab slot), so
+//     a link that comes back after an idle period has the tag cleared and
+//     resumes exactly where it left off — eviction is invisible to the
+//     protocol, it only takes the link out of the live count.
 //   - With Config.Cold the archive becomes a small bounded front of two
-//     generations: recently evicted links restore from RAM, and when the
-//     current generation fills, the older one is spilled wholesale to the
-//     disk tier in one group-committed batch (internal/coldstore). A
+//     generations, told apart by the tag: recently evicted links restore
+//     from RAM, and when the current generation fills, the older one is
+//     spilled wholesale to the disk tier in one group-committed batch, in
+//     table order (internal/coldstore), and its slots are deleted. A
 //     returning link is looked up front-first, then restored from disk:
 //     a shard visit collects the links only the disk tier can answer for
 //     and restores them in one coldstore.TakeBatch before applying their
 //     ops in batch order. Because spill and restore carry the same
-//     encoded state bytes the RAM archive does, decisions stay
+//     encoded state bytes the table does, decisions stay
 //     byte-identical across evict → spill → restore — resident memory is
 //     then bounded by the hot set + front + cold index instead of the
 //     total link population.
@@ -172,10 +176,10 @@ type ShardStats struct {
 	Restores uint64
 	// Evictions is the number of links moved out of the hot table by TTL.
 	Evictions uint64
-	// Live is the current hot-table population.
+	// Live is the number of links in service.
 	Live int
-	// Archived is the current RAM-archive size (both front generations
-	// when a cold tier is attached).
+	// Archived is the number of links the table holds evicted (both front
+	// generations when a cold tier is attached).
 	Archived int
 	// ArchivedBytes is the encoded state held by the RAM archive, in
 	// bytes — the real memory picture, since a SampleRate link archives
@@ -229,37 +233,12 @@ type Stats struct {
 // tier is attached and Config.ColdFront is zero.
 const DefaultColdFront = 65536
 
-// Cold-tier breaker schedule: trip after this many consecutive spill
-// failures, then probe with exponential backoff between these bounds.
-const (
-	breakerTripAfter  = 3
-	breakerMinBackoff = 100 * time.Millisecond
-	breakerMaxBackoff = 10 * time.Second
-)
-
 // tickShift converts clock nanoseconds to the entry timestamp unit:
 // 2^20 ns ≈ 1.05 ms per tick, 2^32 ticks ≈ 52 days of store uptime
 // before the stamp wraps. Ages are computed in wrapping uint32
 // arithmetic, so a wrap can at worst delay one eviction by a sweep
 // period — it cannot corrupt state.
 const tickShift = 20
-
-// archInline is the largest encoded state archived without a heap
-// allocation (covers SoftRate's 8 bytes and both SNR schemes' 20).
-const archInline = 24
-
-type archived struct {
-	spill  []byte
-	inline [archInline]byte
-	algo   ctl.Algo
-}
-
-func (a *archived) state(w int) []byte {
-	if w <= archInline {
-		return a.inline[:w]
-	}
-	return a.spill
-}
 
 // slab is one shard's state storage for one algorithm: fixed-width slots
 // in a flat byte array with a free list.
@@ -317,16 +296,17 @@ type algoCounters struct {
 // lock is on.
 type shard struct {
 	mu        sync.Mutex
-	links     linkTable // the live links
+	links     linkTable // every link in RAM: live, or tagged archived
 	hits      uint64    // ops that found their link live
 	lastSweep int64
-	// archive is the RAM tier of evicted state. With a cold tier it is the
-	// current front generation and archiveOld the previous one: a filled
-	// current generation rotates, spilling archiveOld to disk in one batch
-	// (archiveOld stays nil without a cold tier, and lookups of a nil map
-	// are free).
-	archive    map[uint64]archived
-	archiveOld map[uint64]archived
+	// genLen counts the table's archived links by tier tag (1 or 2; index
+	// tierLive is unused), and curTier is the tag evictions stamp. With a
+	// cold tier a filled current generation rotates: the other one is
+	// spilled to disk in one batch and, emptied, becomes current. Without
+	// one there is never a rotation and generation 1 holds every evicted
+	// link.
+	genLen  [3]int32
+	curTier uint8
 	// coldIDs/coldRuns are the visit's deferred work: the links only the
 	// disk tier can answer for and, for each, its run's bounds in the
 	// visit's index slice. coldBuf/coldOut receive the TakeBatch that
@@ -346,6 +326,13 @@ type shard struct {
 	perAlgo []algoCounters // indexed by algo ID; ShardStats sums them
 	_       [48]byte
 }
+
+// oldTier is the tier tag of the archive generation that is not current.
+func (sh *shard) oldTier() uint8 { return 3 - sh.curTier }
+
+// archivedLen is how many of the table's links are archived, both
+// generations together.
+func (sh *shard) archivedLen() int { return int(sh.genLen[1] + sh.genLen[2]) }
 
 // Store is the sharded link-state store.
 type Store struct {
@@ -369,22 +356,11 @@ type Store struct {
 	genCap      int // per-shard archive-generation cap (links), 0 = unbounded
 	shards      []shard
 
-	// Cold-tier failure accounting and the degradation breaker. Spill
-	// failures never lose state — the failing generation stays resident —
-	// so the breaker's job is purely to stop hammering a broken disk:
-	// after breakerTripAfter consecutive spill failures rotations stop
-	// attempting disk I/O (the RAM archive grows unbounded, exactly the
-	// no-cold-tier behavior) and one probe spill is allowed per backoff
-	// interval, doubling up to breakerMaxBackoff until a probe succeeds.
+	// Cold-tier failure accounting, and the breaker every spill outcome
+	// feeds (breaker.go).
 	coldSpillErrors   atomic.Uint64
 	coldRestoreErrors atomic.Uint64
-	breakerTrips      atomic.Uint64
-	spillRetries      atomic.Uint64
-	breakerMu         sync.Mutex
-	breakerOpen       bool
-	consecSpillFails  int
-	retryAt           int64 // clock ns of the next allowed probe while open
-	retryBackoff      int64 // current backoff ns, doubling to the cap
+	breaker           breaker
 
 	scratchPool sync.Pool // *batchScratch, for ApplyBatch routing
 }
@@ -452,12 +428,10 @@ func New(cfg Config) *Store {
 		st.slabReserve = cfg.ExpectedLinksPerAlgo/n + 1
 	}
 	st.cold = cfg.Cold
-	archSize := perShard / 8
 	if st.cold != nil {
 		// With a cold tier the archive is a bounded front: each shard
 		// holds two generations of genCap links, so the store-wide RAM
-		// budget is ColdFront regardless of population. Presize to the
-		// budget, not the (now meaningless) hot-table hint.
+		// budget is ColdFront regardless of population.
 		front := cfg.ColdFront
 		if front <= 0 {
 			front = DefaultColdFront
@@ -466,20 +440,17 @@ func New(cfg Config) *Store {
 		if st.genCap < 1 {
 			st.genCap = 1
 		}
-		archSize = st.genCap
 	}
 	st.shards = make([]shard, n)
 	seed := bitutil.HashSeed() // one table key per store, for its life
-	// A shard's share of the links is Poisson around perShard: three
-	// standard deviations of room and a shard in a thousand grows.
-	tableLinks := perShard + 3*int(math.Sqrt(float64(perShard)))
+	// A shard's share of the live links is Poisson around perShard: three
+	// standard deviations of room and a shard in a thousand grows. The
+	// bounded front sits in the same table; an unbounded archive (no cold
+	// tier) grows it as links idle out.
+	tableLinks := perShard + 3*int(math.Sqrt(float64(perShard))) + 2*st.genCap
 	for i := range st.shards {
 		st.shards[i].links = newLinkTable(seed, tableLinks)
-		// Without a cold tier the archive only fills under TTL churn and
-		// rarely holds the whole population; an eighth of the hot-table hint
-		// avoids doubling the up-front footprint while still skipping the
-		// early rehashes. With one, it is presized to its generation cap.
-		st.shards[i].archive = make(map[uint64]archived, archSize)
+		st.shards[i].curTier = 1
 		st.shards[i].slabs = make([]slab, nAlgos)
 		st.shards[i].scratch = make([]ctl.Controller, nAlgos)
 		st.shards[i].inplace = make([]ctl.InPlace, nAlgos)
@@ -538,28 +509,6 @@ func (sh *shard) scratchFor(st *Store, a ctl.Algo) ctl.Controller {
 	return c
 }
 
-// missLocked builds the entry for a link absent from the hot table when
-// RAM alone can: revived from either RAM-archive generation (keeping its
-// original algorithm), or — with no disk tier to ask — created fresh
-// with the op's. It reports false for a link only the cold tier can
-// answer for. Caller holds sh.mu.
-func (sh *shard) missLocked(st *Store, id uint64, algo ctl.Algo) (entry, bool) {
-	if !st.cfg.DropOnEvict {
-		if a, ok := sh.archive[id]; ok {
-			delete(sh.archive, id)
-			return sh.reviveLocked(st, a), true
-		}
-		if a, ok := sh.archiveOld[id]; ok {
-			delete(sh.archiveOld, id)
-			return sh.reviveLocked(st, a), true
-		}
-		if st.cold != nil {
-			return entry{}, false
-		}
-	}
-	return sh.freshLocked(st, st.resolveAlgo(algo)), true
-}
-
 // freshLocked creates a link that has no state anywhere. Caller holds
 // sh.mu.
 func (sh *shard) freshLocked(st *Store, algo ctl.Algo) entry {
@@ -584,16 +533,17 @@ func (sh *shard) entryWithLocked(st *Store, algo ctl.Algo, state []byte) entry {
 	return e
 }
 
-// reviveLocked turns a RAM-archived state back into a hot entry. Caller
-// holds sh.mu and has removed a from its generation map.
-func (sh *shard) reviveLocked(st *Store, a archived) entry {
-	w := st.widths[a.algo]
-	e := sh.entryWithLocked(st, a.algo, a.state(w))
-	sh.perAlgo[a.algo].restores++
-	sh.perAlgo[a.algo].archived--
-	sh.perAlgo[a.algo].archivedBytes -= int64(w)
-	sh.perAlgo[a.algo].live++
-	return e
+// reviveLocked puts an archived link back in service where it sits: the
+// tag goes, the state (and a wide state's slab slot) never moved. Caller
+// holds sh.mu.
+func (sh *shard) reviveLocked(st *Store, e *entry) {
+	sh.genLen[e.tier]--
+	e.tier = tierLive
+	c := &sh.perAlgo[e.algo]
+	c.restores++
+	c.archived--
+	c.archivedBytes -= int64(st.widths[e.algo])
+	c.live++
 }
 
 // fromColdLocked turns the disk tier's answer for one link into its hot
@@ -637,12 +587,16 @@ func (sh *shard) applyShardLocked(st *Store, ops []Op, idxs []int32, out []int32
 		// Hot path: the link exists and its algorithm is already bound, so
 		// the op's Algo field doesn't even need resolving.
 		e := sh.links.get(id)
-		if e != nil {
+		if e != nil && e.tier == tierLive {
 			sh.hits += uint64(len(run))
-		} else if miss, ok := sh.missLocked(st, id, ops[run[0]].Algo); ok {
-			// Later ops of a creating run find the link hot, exactly as the
-			// op-at-a-time accounting would report.
-			e = sh.links.put(id, miss)
+		} else if e != nil {
+			// Later ops of a reviving or creating run find the link hot,
+			// exactly as the op-at-a-time accounting would report.
+			sh.reviveLocked(st, e)
+			sh.hits += uint64(len(run) - 1)
+		} else if st.cold == nil || st.cfg.DropOnEvict {
+			// Not in RAM and no tier holding evicted state to ask: a new link.
+			e = sh.links.put(id, sh.freshLocked(st, st.resolveAlgo(ops[run[0]].Algo)))
 			sh.hits += uint64(len(run) - 1)
 		} else {
 			sh.coldIDs = append(sh.coldIDs, id)
@@ -735,8 +689,8 @@ func (sh *shard) applyRunLocked(st *Store, e *entry, ops []Op, run []int32, out 
 	c.EncodeState(buf)
 }
 
-// stateOf returns the live link's encoded state where it lives: in the
-// entry, or in its slab slot. Caller holds sh.mu.
+// stateOf returns the link's encoded state where it lives, in service or
+// archived: in the entry, or in its slab slot. Caller holds sh.mu.
 func (sh *shard) stateOf(st *Store, e *entry) []byte {
 	w := st.widths[e.algo]
 	if w <= inlineState {
@@ -745,198 +699,124 @@ func (sh *shard) stateOf(st *Store, e *entry) []byte {
 	return sh.slabs[e.algo].at(e.slot(), w)
 }
 
-// archiveLocked moves one hot entry's state into the RAM archive's
-// current generation and frees its slab slot. Caller holds sh.mu and
-// deletes the entry from sh.links itself.
-func (sh *shard) archiveLocked(st *Store, id uint64, e *entry) {
-	w := st.widths[e.algo]
-	if !st.cfg.DropOnEvict {
-		a := archived{algo: e.algo}
-		if w > 0 {
-			if w > archInline {
-				a.spill = make([]byte, w)
-			}
-			copy(a.state(w), sh.stateOf(st, e))
-		}
-		sh.archive[id] = a
-		sh.perAlgo[e.algo].archived++
-		sh.perAlgo[e.algo].archivedBytes += int64(w)
+// evictLocked takes one live link out of service. Its state stays where
+// it is and the entry is tagged with the current archive generation —
+// unless DropOnEvict discards it, when evictLocked reports true for the
+// caller's scan to delete the slot. Caller holds sh.mu.
+func (sh *shard) evictLocked(st *Store, e *entry) (drop bool) {
+	c := &sh.perAlgo[e.algo]
+	c.evictions++
+	c.live--
+	if st.cfg.DropOnEvict {
+		sh.freeStateLocked(st, e)
+		return true
 	}
-	if w > inlineState {
+	e.tier = sh.curTier
+	sh.genLen[e.tier]++
+	c.archived++
+	c.archivedBytes += int64(st.widths[e.algo])
+	return false
+}
+
+// freeStateLocked returns a wide state's slab slot, ahead of the entry's
+// deletion. Caller holds sh.mu.
+func (sh *shard) freeStateLocked(st *Store, e *entry) {
+	if st.widths[e.algo] > inlineState {
 		sh.slabs[e.algo].free = append(sh.slabs[e.algo].free, e.slot())
 	}
-	sh.perAlgo[e.algo].evictions++
-	sh.perAlgo[e.algo].live--
 }
 
 // sweepLocked evicts idle links. Caller holds sh.mu.
 func (sh *shard) sweepLocked(st *Store, now int64) int {
 	nowTick := st.tickOf(now)
-	evicted := sh.links.evict(func(id uint64, e *entry) bool {
+	evicted := 0
+	sh.links.scan(tierLive, func(_ uint64, e *entry) bool {
 		if nowTick-e.lastUsed < st.ttlTicks { // wrapping age in ticks
 			return false
 		}
-		sh.archiveLocked(st, id, e)
-		return true
+		evicted++
+		return sh.evictLocked(st, e)
 	})
 	sh.lastSweep = now
 	// Rotate until the RAM front fits its budget again. One sweep can
 	// idle out far more than genCap links at once (a synchronized
 	// population — everything created in one burst — ages out in one
-	// pass), and a single rotation would park that burst in archiveOld
-	// without ever reaching disk: the next sweep would see an empty
-	// current generation and stand down, leaving the budget violated
+	// pass), and a single rotation would park that burst in the old
+	// generation without ever reaching disk: the next sweep would see an
+	// empty current generation and stand down, leaving the budget violated
 	// indefinitely. The loop runs at most twice per sweep in practice
-	// (spill old, swap the burst into old, spill it too).
+	// (spill old, make the burst old, spill it too).
 	for st.genCap > 0 &&
-		(len(sh.archive) >= st.genCap || len(sh.archive)+len(sh.archiveOld) > 2*st.genCap) {
-		if !sh.rotateArchiveLocked(st, now) {
+		(int(sh.genLen[sh.curTier]) >= st.genCap || sh.archivedLen() > 2*st.genCap) {
+		if !sh.rotateLocked(st, now) {
 			break // spill error or open breaker: keep both generations in RAM
 		}
 	}
 	return evicted
 }
 
-// coldSpillAllowed reports whether a rotation may attempt a disk spill
-// now, and whether that attempt is a half-open probe of an open breaker.
-// Granting a probe re-arms retryAt immediately, so concurrently sweeping
-// shards don't all probe a disk that just failed.
-func (st *Store) coldSpillAllowed(now int64) (allowed, probe bool) {
-	st.breakerMu.Lock()
-	defer st.breakerMu.Unlock()
-	if !st.breakerOpen {
-		return true, false
-	}
-	if now >= st.retryAt {
-		st.retryAt = now + st.retryBackoff
-		return true, true
-	}
-	return false, false
-}
-
-// coldSpillResult feeds one spill outcome into the breaker: any success
-// closes it and resets the backoff; breakerTripAfter consecutive failures
-// open it, and each further failure doubles the probe backoff up to
-// breakerMaxBackoff.
-func (st *Store) coldSpillResult(err error) {
-	st.breakerMu.Lock()
-	defer st.breakerMu.Unlock()
-	if err == nil {
-		st.breakerOpen = false
-		st.consecSpillFails = 0
-		st.retryBackoff = 0
-		return
-	}
-	st.consecSpillFails++
-	if !st.breakerOpen {
-		if st.consecSpillFails < breakerTripAfter {
-			return
-		}
-		st.breakerOpen = true
-		st.breakerTrips.Add(1)
-	}
-	if st.retryBackoff == 0 {
-		st.retryBackoff = breakerMinBackoff.Nanoseconds()
-	} else if st.retryBackoff < breakerMaxBackoff.Nanoseconds() {
-		st.retryBackoff *= 2
-		if st.retryBackoff > breakerMaxBackoff.Nanoseconds() {
-			st.retryBackoff = breakerMaxBackoff.Nanoseconds()
-		}
-	}
-	st.retryAt = st.cfg.Clock() + st.retryBackoff
-}
-
-// ColdDegraded reports whether the cold-tier breaker is open (the store
-// is running on the unbounded RAM archive until a probe spill succeeds).
-func (st *Store) ColdDegraded() bool {
-	st.breakerMu.Lock()
-	defer st.breakerMu.Unlock()
-	return st.breakerOpen
-}
-
-// rotateArchiveLocked ages the archive one generation: the old
-// generation is spilled to the cold tier in one group-committed batch
-// and its (emptied) map becomes the new current generation. On a spill
-// error both generations stay in RAM — nothing is lost, the rotation
-// retries at the next sweep — and the rotation reports failure. While
-// the breaker is open the spill isn't even attempted (beyond one
-// backoff-paced probe): the store has formally degraded to the
-// unbounded RAM archive. Caller holds sh.mu.
-func (sh *shard) rotateArchiveLocked(st *Store, now int64) bool {
-	if len(sh.archiveOld) > 0 {
-		allowed, probe := st.coldSpillAllowed(now)
-		if !allowed {
+// rotateLocked ages the archive one generation: the old generation is
+// spilled to the cold tier and, emptied, becomes the current one. On a
+// spill error both generations stay in RAM — nothing is lost, the
+// rotation retries at the next sweep — and the rotation reports failure.
+// While the breaker is open the spill isn't even attempted (beyond one
+// backoff-paced probe): the store has formally degraded to the unbounded
+// RAM archive. Caller holds sh.mu.
+func (sh *shard) rotateLocked(st *Store, now int64) bool {
+	if old := sh.oldTier(); sh.genLen[old] > 0 {
+		if !st.breaker.allow(now) {
 			return false
 		}
-		if probe {
-			st.spillRetries.Add(1)
+		if _, err := sh.spillTierLocked(st, old, now); err != nil {
+			return false
 		}
 	}
-	if err := sh.spillGenLocked(st, sh.archiveOld); err != nil {
-		return false
-	}
-	old := sh.archiveOld
-	if old == nil {
-		old = make(map[uint64]archived, st.genCap)
-	}
-	sh.archiveOld = sh.archive
-	sh.archive = old
+	sh.curTier = sh.oldTier()
 	return true
 }
 
-// spillScratch is the flat copy of one archive generation that
-// spillGenLocked hands to the cold tier: every spilled state in one byte
-// buffer and the record headers pointing into it. It is pooled, not kept
-// per shard: a shard spills for microseconds at a time, and a generation's
-// worth of headers held by each of 64 shards is resident memory the tier
-// exists to give back.
-type spillScratch struct {
-	buf  []byte
-	recs []coldstore.Record
-}
+// spillPool holds the record headers of a spill in flight. They are
+// pooled, not kept per shard: a shard spills for microseconds at a time,
+// and a generation's worth of headers held by each of 64 shards is
+// resident memory the tier exists to give back.
+var spillPool = sync.Pool{New: func() any { return new([]coldstore.Record) }}
 
-var spillPool = sync.Pool{New: func() any { return new(spillScratch) }}
-
-// spillGenLocked writes every record of one archive generation to the
-// cold tier in a single batch and empties the generation. The states are
-// first copied into one flat reusable buffer: map iteration yields
-// archived values whose inline array lives in the (reused) loop
-// variable, so records must not point into it — and the flat layout is
-// exactly what the cold tier's group commit serializes anyway. Caller
-// holds sh.mu.
-func (sh *shard) spillGenLocked(st *Store, gen map[uint64]archived) error {
-	if len(gen) == 0 {
-		return nil
+// spillTierLocked writes every link of one archive generation to the cold
+// tier in a single group-committed batch, in table order, and then
+// deletes them from the table; it returns how many that was. The records
+// point at the states where they lie, in the table and the slabs, which
+// hold still under sh.mu and which PutBatch does not retain. On an error
+// nothing was committed and the generation stays in RAM as it was. The
+// outcome feeds the breaker. Caller holds sh.mu.
+func (sh *shard) spillTierLocked(st *Store, tier uint8, now int64) (int, error) {
+	if sh.genLen[tier] == 0 {
+		return 0, nil
 	}
-	sc := spillPool.Get().(*spillScratch)
-	defer spillPool.Put(sc)
-	recs := sc.recs[:0]
-	buf := sc.buf[:0]
-	for id, a := range gen {
-		buf = append(buf, a.state(st.widths[a.algo])...)
-		recs = append(recs, coldstore.Record{LinkID: id, Algo: uint8(a.algo)})
-	}
-	// buf may have reallocated while filling; point the records at the
-	// final backing array only now.
-	off := 0
-	for i := range recs {
-		w := st.widths[recs[i].Algo]
-		recs[i].State = buf[off : off+w]
-		off += w
-	}
+	pooled := spillPool.Get().(*[]coldstore.Record)
+	recs := (*pooled)[:0]
+	sh.links.scan(tier, func(id uint64, e *entry) bool {
+		recs = append(recs, coldstore.Record{LinkID: id, Algo: uint8(e.algo), State: sh.stateOf(st, e)})
+		return false
+	})
 	err := st.cold.PutBatch(recs)
-	sc.buf, sc.recs = buf[:0], recs[:0]
-	st.coldSpillResult(err)
+	n := len(recs)
+	clear(recs) // the pool must not pin the table the records point into
+	*pooled = recs[:0]
+	spillPool.Put(pooled)
+	st.breaker.result(now, err)
 	if err != nil {
 		st.coldSpillErrors.Add(1)
-		return err
+		return 0, err
 	}
-	for _, a := range gen {
-		sh.perAlgo[a.algo].archived--
-		sh.perAlgo[a.algo].archivedBytes -= int64(st.widths[a.algo])
-	}
-	clear(gen)
-	return nil
+	sh.links.scan(tier, func(_ uint64, e *entry) bool {
+		c := &sh.perAlgo[e.algo]
+		c.archived--
+		c.archivedBytes -= int64(st.widths[e.algo])
+		sh.freeStateLocked(st, e)
+		return true
+	})
+	sh.genLen[tier] = 0
+	return n, nil
 }
 
 // maybeSweepLocked runs a TTL sweep if one is due. A shard sweeps at most
@@ -1089,15 +969,8 @@ func (st *Store) Peek(id uint64) (ctl.Algo, []byte, bool) {
 	sh := st.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e := sh.links.get(id); e != nil {
+	if e := sh.links.get(id); e != nil { // in service or archived alike
 		return e.algo, bytes.Clone(sh.stateOf(st, e)), true
-	}
-	a, ok := sh.archive[id]
-	if !ok {
-		a, ok = sh.archiveOld[id]
-	}
-	if ok {
-		return a.algo, bytes.Clone(a.state(st.widths[a.algo])), true
 	}
 	if st.cold != nil {
 		if algoB, state, ok, err := st.cold.Peek(id, nil); err == nil && ok {
@@ -1107,13 +980,13 @@ func (st *Store) Peek(id uint64) (ctl.Algo, []byte, bool) {
 	return ctl.AlgoDefault, nil, false
 }
 
-// SpillAll moves every link — hot, and both RAM-archive generations —
+// SpillAll moves every link — live, and both RAM-archive generations —
 // into the cold tier and empties the store. It is the graceful-shutdown
 // half of the crash-restart contract: after SpillAll, a process that
 // reopens the same cold directory restores every link byte-identically,
 // including links that had been taken back from disk since their last
-// spill. Returns the number of links spilled; a no-op without a cold
-// tier. Every shard is attempted regardless of earlier failures (and
+// spill. Returns the number of links spilled, counting every batch that
+// was committed; a no-op without a cold tier. Every shard is attempted regardless of earlier failures (and
 // regardless of the breaker — this is the last chance to persist); a
 // failing shard keeps its state in RAM, and the returned error joins
 // every shard's failure (errors.Join, each wrapped with its shard index)
@@ -1129,24 +1002,28 @@ func (st *Store) SpillAll() (int, error) {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		sh.links.evict(func(id uint64, e *entry) bool {
-			sh.archiveLocked(st, id, e)
-			return true
-		})
-		n := len(sh.archive) + len(sh.archiveOld)
-		err := sh.spillGenLocked(st, sh.archiveOld)
-		if err == nil {
-			err = sh.spillGenLocked(st, sh.archive)
-		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-		} else {
+		sh.links.scan(tierLive, func(_ uint64, e *entry) bool { return sh.evictLocked(st, e) })
+		// Older generation first, as a rotation would; a failed batch
+		// committed nothing, and the younger one is then not attempted.
+		for _, tier := range [2]uint8{sh.oldTier(), sh.curTier} {
+			n, err := sh.spillTierLocked(st, tier, now)
 			total += n
+			if err != nil {
+				errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+				break
+			}
 		}
 		sh.lastSweep = now
 		sh.mu.Unlock()
 	}
 	return total, errors.Join(errs...)
+}
+
+// ColdDegraded reports whether the cold-tier breaker is open (the store
+// is running on the unbounded RAM archive until a probe spill succeeds).
+func (st *Store) ColdDegraded() bool {
+	open, _, _ := st.breaker.snapshot()
+	return open
 }
 
 // EvictIdle sweeps every shard now, evicting links idle for at least the
@@ -1166,7 +1043,7 @@ func (st *Store) EvictIdle() int {
 	return total
 }
 
-// Len returns the number of links in the hot tables.
+// Len returns the number of links in service.
 func (st *Store) Len() int { return st.Stats().Live }
 
 // Stats aggregates all shards' counters.
@@ -1214,15 +1091,14 @@ func (st *Store) Stats() Stats {
 	out.ColdSpillErrors = st.coldSpillErrors.Load()
 	out.ColdRestoreErrors = st.coldRestoreErrors.Load()
 	out.ColdErrors = out.ColdSpillErrors + out.ColdRestoreErrors
-	out.ColdDegraded = st.ColdDegraded()
-	out.BreakerTrips = st.breakerTrips.Load()
-	out.SpillRetries = st.spillRetries.Load()
+	out.ColdDegraded, out.BreakerTrips, out.SpillRetries = st.breaker.snapshot()
 	return out
 }
 
 // statsLocked snapshots the shard's counters. Caller holds sh.mu.
 func (sh *shard) statsLocked() ShardStats {
-	s := ShardStats{Hits: sh.hits, Live: sh.links.len(), Archived: len(sh.archive) + len(sh.archiveOld)}
+	archived := sh.archivedLen()
+	s := ShardStats{Hits: sh.hits, Live: sh.links.len() - archived, Archived: archived}
 	for a := range sh.perAlgo {
 		c := &sh.perAlgo[a]
 		s.Creates += c.creates

@@ -10,23 +10,30 @@ import (
 // inlineState is the largest encoded state kept inline in the entry.
 const inlineState = 8
 
-// entry is a live link, deliberately 16 bytes: for algorithms whose
+// tierLive is the tier tag of a link in service. Any other tag is one of
+// the RAM archive's two generations (1 and 2): the link idled out and is
+// waiting, where it was, to come back or be spilled.
+const tierLive = 0
+
+// entry is a link in RAM, deliberately 16 bytes: for algorithms whose
 // encoded state fits inlineState bytes (SoftRate's 8), the state lives
 // directly in the entry. Wider states live in the per-algorithm slab, and
-// the slot index is overlaid on the (then unused) state bytes.
+// the slot index is overlaid on the (then unused) state bytes. Eviction
+// and revival change tier and nothing else.
 type entry struct {
 	state    [inlineState]byte // encoded state (w <= 8) or LE slab slot in [0:4)
 	lastUsed uint32            // ticks since the store epoch
-	algo     ctl.Algo          // never ctl.AlgoDefault for a live link
+	algo     ctl.Algo          // never ctl.AlgoDefault for a stored link
+	tier     uint8             // tierLive or an archive generation
 }
 
 func (e *entry) slot() uint32     { return binary.LittleEndian.Uint32(e.state[0:4]) }
 func (e *entry) setSlot(v uint32) { binary.LittleEndian.PutUint32(e.state[0:4], v) }
 
-// tableSlot is 24 bytes — key, state, stamp and algorithm together — so a
-// decision that hits touches only the cache line its probe lands on (two
-// for the slot in four that straddles). algo ctl.AlgoDefault, which is
-// never stored, marks an empty slot.
+// tableSlot is 24 bytes — key, state, stamp, algorithm and tier together —
+// so a decision that hits touches only the cache line its probe lands on
+// (two for the slot in four that straddles). algo ctl.AlgoDefault, which
+// is never stored, marks an empty slot.
 type tableSlot struct {
 	id uint64
 	entry
@@ -55,7 +62,8 @@ const (
 // slot is always empty. So a lookup stops at the first empty slot or
 // larger hash, growing is one in-order copy, and a deletion only moves
 // links toward lower slots: an ascending scan that deletes as it goes
-// still visits every link exactly once.
+// still visits every link exactly once. A link takes the same slot live or
+// archived: only scan reads tier, to pick the links it shows.
 type linkTable struct {
 	slots []tableSlot // homes, then slack; the last is never filled
 	homes uint32
@@ -141,13 +149,14 @@ func (t *linkTable) delAt(i int) {
 	t.used--
 }
 
-// evict deletes every link drop reports true for, in one ascending scan,
-// and returns how many that was. drop sees each link exactly once and may
-// read the entry but not keep it.
-func (t *linkTable) evict(drop func(id uint64, e *entry) bool) int {
+// scan shows visit every link of one tier exactly once, in ascending slot
+// order, deletes those it reports true for and returns how many that was.
+// visit may update the entry in place, tier included; the pointer is good
+// until the next deletion.
+func (t *linkTable) scan(tier uint8, visit func(id uint64, e *entry) bool) int {
 	n := 0
 	for i := 0; i < len(t.slots); {
-		if s := &t.slots[i]; s.algo != ctl.AlgoDefault && drop(s.id, &s.entry) {
+		if s := &t.slots[i]; s.algo != ctl.AlgoDefault && s.tier == tier && visit(s.id, &s.entry) {
 			t.delAt(i) // may pull the next link into slot i: look at it again
 			n++
 		} else {

@@ -69,9 +69,9 @@ func checkTable(t *testing.T, tb *linkTable, model map[uint64]entry) {
 }
 
 // driveTable interprets prog as put / update-in-place / get / delete /
-// scan-and-evict steps over a 64-key universe on a table that starts at
-// its smallest size, mirroring each in a Go map, and checks the table
-// against the map after every step.
+// scan-and-evict / tag / revive / spill-a-generation steps over a 64-key
+// universe on a table that starts at its smallest size, mirroring each in
+// a Go map, and checks the table against the map after every step.
 func driveTable(t *testing.T, seed uint64, prog []byte) {
 	keys := tableKeys(seed, 64)
 	tb := newLinkTable(seed, 0)
@@ -81,7 +81,7 @@ func driveTable(t *testing.T, seed uint64, prog []byte) {
 		op, arg := prog[pc], prog[pc+1]
 		id := keys[int(arg)%len(keys)]
 		stamp++
-		switch op % 6 {
+		switch op % 9 {
 		case 0, 1: // put: insert, or replace the link's entry
 			e := entry{lastUsed: stamp, algo: ctl.Algo(1 + arg%5)}
 			binary.LittleEndian.PutUint64(e.state[:], uint64(stamp)<<8|uint64(arg))
@@ -113,17 +113,24 @@ func driveTable(t *testing.T, seed uint64, prog []byte) {
 				tb.delAt(i)
 				delete(model, id)
 			}
-		case 5: // scan and evict the links whose stamp arg selects
+		case 5: // scan one tier and evict its links whose stamp arg selects
+			tier := arg >> 6 % 3
+			inTier := 0
+			for _, e := range model {
+				if e.tier == tier {
+					inTier++
+				}
+			}
 			visits := map[uint64]int{}
-			n := tb.evict(func(id uint64, e *entry) bool {
+			n := tb.scan(tier, func(id uint64, e *entry) bool {
 				visits[id]++
-				if want, ok := model[id]; !ok || want != *e {
-					t.Fatalf("step %d: scan saw link %d = %+v, model %+v (present %v)", pc, id, *e, want, ok)
+				if want, ok := model[id]; !ok || want != *e || e.tier != tier {
+					t.Fatalf("step %d: scan of tier %d saw link %d = %+v, model %+v (present %v)", pc, tier, id, *e, want, ok)
 				}
 				return (e.lastUsed^uint32(arg))&3 == 0
 			})
-			if len(visits) != len(model) {
-				t.Fatalf("step %d: scan visited %d links of %d", pc, len(visits), len(model))
+			if len(visits) != inTier {
+				t.Fatalf("step %d: scan visited %d links of tier %d's %d", pc, len(visits), tier, inTier)
 			}
 			for id, k := range visits {
 				if k != 1 {
@@ -136,6 +143,41 @@ func driveTable(t *testing.T, seed uint64, prog []byte) {
 			}
 			if n != 0 {
 				t.Fatalf("step %d: evict's count is off by %d", pc, n)
+			}
+		case 6, 7: // tag as one of two generations (6), or revive (7), in place
+			e, want := tb.get(id), model[id]
+			if _, ok := model[id]; ok != (e != nil) {
+				t.Fatalf("step %d: get(%d) = %v, model present %v", pc, id, e, ok)
+			}
+			if e != nil {
+				tier := tierLive
+				if op%9 == 6 {
+					tier = 1 + int(arg>>6&1)
+				}
+				e.tier, want.tier = uint8(tier), uint8(tier)
+				model[id] = want
+			}
+		case 8: // spill a generation: collect it in one scan, delete it in the next
+			gen := 1 + arg&1
+			var collected []uint64
+			if n := tb.scan(gen, func(id uint64, _ *entry) bool {
+				collected = append(collected, id)
+				return false
+			}); n != 0 {
+				t.Fatalf("step %d: a scan that deletes nothing deleted %d links", pc, n)
+			}
+			checkTable(t, &tb, model)
+			for k, id := range collected {
+				if model[id].tier != gen {
+					t.Fatalf("step %d: collected link %d, tier %d in the model", pc, id, model[id].tier)
+				}
+				if k > 0 && tb.hash(id) < tb.hash(collected[k-1]) {
+					t.Fatalf("step %d: link %d collected out of table order", pc, id)
+				}
+				delete(model, id)
+			}
+			if n := tb.scan(gen, func(uint64, *entry) bool { return true }); n != len(collected) {
+				t.Fatalf("step %d: deleted %d links of generation %d, collected %d", pc, n, gen, len(collected))
 			}
 		}
 		checkTable(t, &tb, model)
@@ -165,6 +207,7 @@ func FuzzLinkTable(f *testing.F) {
 	f.Add(uint64(1), fill)
 	f.Add(uint64(2), append(append([]byte(nil), fill...), 5, 0, 5, 1, 4, 7, 5, 2, 0, 7))
 	f.Add(uint64(3), []byte{0, 1, 4, 1, 2, 1, 5, 0})
+	f.Add(uint64(4), append(append([]byte(nil), fill...), 6, 3, 6, 67, 6, 4, 7, 3, 8, 1, 6, 9, 8, 0, 8, 1))
 	f.Fuzz(func(t *testing.T, seed uint64, prog []byte) {
 		driveTable(t, seed, prog)
 	})
@@ -188,7 +231,7 @@ func TestLinkTableSlackGrows(t *testing.T) {
 	if len(tb.slots) <= slots+tableSlack {
 		t.Fatalf("table has %d slots after %d links at its last home, started with %d", len(tb.slots), len(model), slots)
 	}
-	if n := tb.evict(func(uint64, *entry) bool { return true }); n != 2*tableSlack {
+	if n := tb.scan(tierLive, func(uint64, *entry) bool { return true }); n != 2*tableSlack {
 		t.Fatalf("evicted %d links, want %d", n, 2*tableSlack)
 	}
 	checkTable(t, &tb, map[uint64]entry{})
@@ -283,7 +326,7 @@ func BenchmarkLinkTable(b *testing.B) {
 		// One pass evicts the idle half of a full table; refilling it is
 		// untimed.
 		for i := 0; i < b.N; i++ {
-			evicted := tb.evict(func(id uint64, _ *entry) bool { return id&1 == 0 })
+			evicted := tb.scan(tierLive, func(id uint64, _ *entry) bool { return id&1 == 0 })
 			b.StopTimer()
 			if evicted != n/2 {
 				b.Fatalf("evicted %d links, want %d", evicted, n/2)
