@@ -64,8 +64,16 @@ func (v *udpVerifier) track(seq uint32, ops []linkstore.Op, links []*link) {
 		links: append([]*link(nil), links...),
 	}
 	v.order = append(v.order, seq)
-	for len(v.order) > 0 && len(v.inflight) > maxTrackedFlights {
-		delete(v.inflight, v.order[0])
+	// onResponse deletes answered seqs from inflight only; pop them off the
+	// head here, and forget the oldest unanswered one once it is more than
+	// maxTrackedFlights submissions old, so order stays about as long as
+	// the window instead of growing by one seq per batch.
+	for len(v.order) > 0 {
+		head := v.order[0]
+		if _, ok := v.inflight[head]; ok && len(v.order) <= maxTrackedFlights {
+			break
+		}
+		delete(v.inflight, head)
 		v.order = v.order[1:]
 	}
 }

@@ -10,11 +10,8 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
-	"softrate/internal/coldstore"
 	"softrate/internal/core"
 	"softrate/internal/ctl"
 	"softrate/internal/linkstore"
@@ -148,116 +145,4 @@ func makeColdPops(algos []ctl.Spec, opt options) []*coldPop {
 		}
 	}
 	return pops
-}
-
-// microResult is one arm of the -micro linkstore A/B: evict/restore
-// churn throughput with the RAM archive vs the disk-backed cold tier.
-type microResult struct {
-	Name         string  `json:"name"`
-	Algo         string  `json:"algo"`
-	Links        int     `json:"links"`
-	Window       int     `json:"window"`
-	Cycles       int     `json:"cycles"`
-	LinksPerSec  float64 `json:"links_per_sec"`
-	DiskSpills   uint64  `json:"disk_spills,omitempty"`
-	DiskRestores uint64  `json:"disk_restores,omitempty"`
-}
-
-// runMicro drives the linkstore directly (no transport, fake clock)
-// through the same rotating-window churn as the committed Go benchmarks
-// in internal/linkstore: every touched link is a restore, every cycle
-// evicts the previous window. Three arms: RAM archive, cold tier, and
-// cold tier with the widest state (SampleRate ~1.7 KB).
-func runMicro(dur time.Duration) ([]microResult, error) {
-	var out []microResult
-	arms := []struct {
-		name   string
-		algo   ctl.Algo
-		links  int
-		window int
-		cold   bool
-	}{
-		{"evict-restore/ram-archive", ctl.AlgoSoftRate, 8192, 512, false},
-		{"evict-restore/cold-tier", ctl.AlgoSoftRate, 8192, 512, true},
-		{"evict-restore/cold-tier-wide", ctl.AlgoSampleRate, 2048, 256, true},
-	}
-	for _, arm := range arms {
-		r, err := microChurn(arm.name, arm.algo, arm.links, arm.window, arm.cold, dur)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-func specByID(id ctl.Algo) ctl.Spec {
-	for _, s := range ctl.Specs() {
-		if s.ID == id {
-			return s
-		}
-	}
-	panic(fmt.Sprintf("loadgen: algorithm %d not registered", id))
-}
-
-func microChurn(name string, algo ctl.Algo, nLinks, window int, useCold bool, dur time.Duration) (microResult, error) {
-	res := microResult{Name: name, Algo: specByID(algo).Name, Links: nLinks, Window: window}
-
-	var mu sync.Mutex
-	var now int64
-	clock := func() int64 { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now += int64(d); mu.Unlock() }
-
-	var cold *coldstore.Store
-	cfg := linkstore.Config{Shards: 64, TTL: time.Second, Clock: clock, ExpectedLinks: nLinks}
-	if useCold {
-		dir, err := os.MkdirTemp("", "softrate-micro-")
-		if err != nil {
-			return res, err
-		}
-		defer os.RemoveAll(dir)
-		cold, err = coldstore.Open(coldstore.Config{Dir: dir})
-		if err != nil {
-			return res, err
-		}
-		defer cold.Close()
-		cfg.Cold = cold
-		cfg.ColdFront = 2 * window // front smaller than the population: restores hit disk
-	}
-	st := linkstore.New(cfg)
-
-	const batch = 128
-	ops := make([]linkstore.Op, batch)
-	outBuf := make([]int32, batch)
-	pos := 0
-	cycle := func() {
-		for base := 0; base < window; base += batch {
-			n := 0
-			for i := 0; i < batch && base+i < window; i++ {
-				ops[n] = linkstore.Op{LinkID: uint64((pos+base+i)%nLinks) + 1, Algo: algo, Kind: core.KindSilentLoss}
-				n++
-			}
-			st.ApplyBatch(ops[:n], outBuf)
-		}
-		pos = (pos + window) % nLinks
-		advance(2 * time.Second)
-		st.EvictIdle()
-	}
-	for i := 0; i < nLinks/window+2; i++ {
-		cycle() // populate and push the whole population through eviction
-	}
-	start := time.Now()
-	for time.Since(start) < dur {
-		cycle()
-		res.Cycles++
-	}
-	res.LinksPerSec = float64(window) * float64(res.Cycles) / time.Since(start).Seconds()
-	if cold != nil {
-		cs := cold.Stats()
-		res.DiskSpills, res.DiskRestores = cs.Spills, cs.Restores
-		if cs.Restores == 0 {
-			return res, fmt.Errorf("microbench %s never restored from disk", name)
-		}
-	}
-	return res, nil
 }

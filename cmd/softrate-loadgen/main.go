@@ -17,7 +17,6 @@
 //	softrate-loadgen -transport tcp -pipeline 8                     # loopback TCP, 8 batches in flight per conn
 //	softrate-loadgen -mix hidden -verify                            # hidden-terminal mix + determinism check
 //	softrate-loadgen -algo all -verify -prewarm                     # §6.1 head-to-head, warm store, every decision checked
-//	softrate-loadgen -format json -bench-out BENCH_loadgen.json     # machine-readable report
 //
 // -pipeline N keeps N batches in flight per connection, socket or ring:
 // each client's links are partitioned into N independent closed loops, so
@@ -52,7 +51,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"softrate/internal/benchtrend"
 	"softrate/internal/channel"
 	"softrate/internal/coldstore"
 	"softrate/internal/core"
@@ -81,11 +79,8 @@ type options struct {
 	verify   bool
 	minRate  float64
 	format   string
-	benchOut string
-	trendOut string
 	pipeline int
 	prewarm  bool
-	workers  int
 
 	transport  string
 	serveExec  string
@@ -100,7 +95,6 @@ type options struct {
 	coldFront    int
 	compactRatio float64
 	minSpills    uint64
-	micro        bool
 
 	maxInflight  int
 	writeTimeout time.Duration
@@ -125,11 +119,8 @@ func main() {
 	flag.BoolVar(&opt.verify, "verify", false, "check every decision against a bare per-link controller (with -addr the server must be fresh: reused link IDs carry state from earlier runs)")
 	flag.Float64Var(&opt.minRate, "min-rate", 0, "fail unless this many decisions/sec are sustained (summed over algorithms)")
 	flag.StringVar(&opt.format, "format", "text", "report format: text | json")
-	flag.StringVar(&opt.benchOut, "bench-out", "", "also write the JSON report to this file (e.g. BENCH_loadgen.json)")
-	flag.StringVar(&opt.trendOut, "trend-out", "", "append a stamped throughput record (git sha, go version, cpus) to this JSONL trend ledger (e.g. BENCH_TREND.jsonl); gate it with softrate-benchtrend")
 	flag.IntVar(&opt.pipeline, "pipeline", 1, "batches in flight per connection, socket or ring (1 = stop-and-wait; more needs a wire transport)")
 	flag.BoolVar(&opt.prewarm, "prewarm", false, "touch every link once before the timed region (pre-grown maps/slabs; measures steady state)")
-	flag.IntVar(&opt.workers, "workers", 0, "in-process/loopback store: fan each batch's shard visits across this many goroutines (<=1 = sequential)")
 	flag.StringVar(&opt.transport, "transport", "", "transport to drive: tcp | udp | shm, over loopback unless -addr/-shm/-serve-exec names a server (empty = in-process, or tcp when -addr is set)")
 	flag.StringVar(&opt.serveExec, "serve-exec", "", "fork this softrated binary as a separate server process and drive it over -transport (multi-process bench mode)")
 	flag.StringVar(&opt.shmPath, "shm", "", "attach to an external server's shm ring files at this path prefix (connect-only; needs -transport shm)")
@@ -142,7 +133,6 @@ func main() {
 	flag.IntVar(&opt.coldFront, "cold-front", 0, "with -cold-dir: RAM-archive link budget in front of the cold tier (0 = server default)")
 	flag.Float64Var(&opt.compactRatio, "compact-ratio", 0, "with -cold-dir: dead-byte ratio that triggers cold segment compaction (0 = server default)")
 	flag.Uint64Var(&opt.minSpills, "min-spills", 0, "fail unless the in-process server spilled at least this many links to the cold tier")
-	flag.BoolVar(&opt.micro, "micro", false, "also run the in-process linkstore evict/restore A/B microbench (RAM archive vs cold tier) and embed it in the report")
 	flag.IntVar(&opt.maxInflight, "max-inflight", 0, "served store (in-process, loopback or -serve-exec child): bound Decide batches in flight; lossless transports queue, UDP sheds (0 = unbounded)")
 	flag.DurationVar(&opt.writeTimeout, "tcp-write-timeout", 0, "served store: evict a TCP peer write-blocked this long (0 = never)")
 	flag.Float64Var(&opt.chaosCold, "chaos-cold", 0, "with -cold-dir: inject write-path faults into the cold tier at this per-op probability (spills fail and retry; answered decisions stay exact)")
@@ -382,20 +372,14 @@ type algoReport struct {
 	Archived  int    `json:"store_archived,omitempty"`
 }
 
-// benchReport is the -format json / -bench-out artifact.
+// benchReport is the -format json report.
 type benchReport struct {
-	// GitSHA, GoVersion and NumCPU stamp the environment that produced
-	// the numbers, so a committed artifact is comparable across hosts.
-	GitSHA          string       `json:"git_sha"`
-	GoVersion       string       `json:"go_version"`
-	NumCPU          int          `json:"num_cpu"`
 	Transport       string       `json:"transport"`
 	Mix             string       `json:"mix"`
 	LinksPerAlgo    int          `json:"links_per_algo"`
 	ClientsPerAlgo  int          `json:"clients_per_algo"`
 	Batch           int          `json:"batch"`
 	Pipeline        int          `json:"pipeline,omitempty"`
-	StoreWorkers    int          `json:"store_workers,omitempty"`
 	Prewarmed       bool         `json:"prewarmed,omitempty"`
 	ElapsedSec      float64      `json:"elapsed_sec"`
 	TotalDecisions  uint64       `json:"total_decisions"`
@@ -417,8 +401,6 @@ type benchReport struct {
 	// (in-process/loopback servers report the counters; -serve-exec runs
 	// record only the shape — the child logs its own final status).
 	Chaos *chaosReport `json:"chaos,omitempty"`
-	// Micro holds the -micro linkstore evict/restore A/B results.
-	Micro []microResult `json:"linkstore_microbench,omitempty"`
 }
 
 // chaosReport is the chaos/overload slice of the report.
@@ -487,7 +469,6 @@ func run(opt options) error {
 			// TTL-bounded slice of the hot map, so it needs no reserve).
 			ExpectedLinks:        opt.links * len(algos),
 			ExpectedLinksPerAlgo: opt.links,
-			BatchWorkers:         opt.workers,
 			Cold:                 coldTier,
 			ColdFront:            opt.coldFront,
 		},
@@ -496,11 +477,8 @@ func run(opt options) error {
 		})
 	}
 
-	// transport labels the run for the report; transportDim is the
-	// canonical trend-ledger dimension (no addresses, so records from
-	// different hosts stay comparable).
 	var srv *server.Server
-	transport, transportDim := "in-process", "in-process"
+	transport := "in-process"
 	udpAddr := ""
 	shmPrefix := opt.shmPath
 	shmRings := opt.clients * len(algos) // one ring per client goroutine
@@ -513,7 +491,6 @@ func run(opt options) error {
 		}
 		defer child.stop()
 		childTCP = child.tcpAddr
-		transportDim = opt.transport + "-exec"
 		switch opt.transport {
 		case "tcp":
 			opt.addr = child.tcpAddr
@@ -531,7 +508,7 @@ func run(opt options) error {
 			srv = newLocalServer()
 		case "tcp":
 			if opt.addr != "" {
-				transport, transportDim = "tcp:"+opt.addr, "tcp"
+				transport = "tcp:" + opt.addr
 				break
 			}
 			srv = newLocalServer()
@@ -542,11 +519,11 @@ func run(opt options) error {
 			go srv.Serve(l)
 			defer srv.Close()
 			opt.addr = l.Addr().String()
-			transport, transportDim = "tcp-loopback", "tcp-loopback"
+			transport = "tcp-loopback"
 		case "udp":
 			if opt.addr != "" {
 				udpAddr = opt.addr
-				transport, transportDim = "udp:"+opt.addr, "udp"
+				transport = "udp:" + opt.addr
 				break
 			}
 			srv = newLocalServer()
@@ -557,10 +534,10 @@ func run(opt options) error {
 			go srv.ServeUDP(uconn)
 			defer srv.Close()
 			udpAddr = uconn.LocalAddr().String()
-			transport, transportDim = "udp-loopback", "udp-loopback"
+			transport = "udp-loopback"
 		case "shm":
 			if shmPrefix != "" {
-				transport, transportDim = "shm:"+shmPrefix, "shm"
+				transport = "shm:" + shmPrefix
 				break
 			}
 			srv = newLocalServer()
@@ -586,7 +563,7 @@ func run(opt options) error {
 			}()
 			go srv.ServeSHM(regions)
 			defer srv.Close() // LIFO: the serve loop stops before the regions unmap
-			transport, transportDim = "shm-loopback", "shm-loopback"
+			transport = "shm-loopback"
 		}
 	}
 
@@ -764,16 +741,12 @@ func run(opt options) error {
 	// grouped by algorithm, so latency histograms attribute cleanly).
 	var total uint64
 	report := benchReport{
-		GitSHA:         benchtrend.GitSHA(),
-		GoVersion:      runtime.Version(),
-		NumCPU:         runtime.NumCPU(),
 		Transport:      transport,
 		Mix:            opt.mix,
 		LinksPerAlgo:   opt.links,
 		ClientsPerAlgo: opt.clients,
 		Batch:          opt.batch,
 		Pipeline:       opt.pipeline,
-		StoreWorkers:   opt.workers,
 		Prewarmed:      opt.prewarm,
 		ElapsedSec:     elapsed.Seconds(),
 		Verified:       opt.verify,
@@ -869,54 +842,6 @@ func run(opt options) error {
 		report.UDPDrop = opt.udpDrop
 	}
 
-	if opt.micro {
-		fmt.Fprintln(os.Stderr, "loadgen: running linkstore evict/restore microbench (RAM archive vs cold tier)...")
-		mr, err := runMicro(2 * time.Second)
-		if err != nil {
-			return err
-		}
-		report.Micro = mr
-	}
-
-	if opt.benchOut != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(opt.benchOut, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if opt.trendOut != "" {
-		// Trend records carry only higher-is-better throughput figures:
-		// the ledger's gate (softrate-benchtrend) compares against the
-		// historical median with a minimum ratio.
-		metrics := map[string]float64{"decisions_per_sec": report.DecisionsPerSec}
-		for _, ar := range report.Algos {
-			metrics["decisions_per_sec."+ar.Algo] = ar.DecisionsPerSec
-		}
-		if opt.coldLinks > 0 && report.ResidentBytes > 0 {
-			// Lower-is-better: gated by softrate-benchtrend -lower-better.
-			metrics["resident_bytes"] = float64(report.ResidentBytes)
-		}
-		rec := benchtrend.Stamp("loadgen", metrics)
-		rec.Transport = transportDim
-		if opt.coldLinks > 0 {
-			// Cold-churn rows form their own trend dimension: their
-			// decisions/s and resident bytes are not comparable to the
-			// plain replay workload's.
-			rec.Transport = transportDim + "-coldchurn"
-		}
-		if opt.chaosCold > 0 {
-			// Fault-injection rows likewise: churn under injected faults
-			// pays retry and fallback costs no clean run has.
-			rec.Transport += "-chaos"
-		}
-		if err := benchtrend.Append(opt.trendOut, rec); err != nil {
-			return err
-		}
-	}
-
 	if opt.format == "json" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -978,10 +903,6 @@ func printText(rep benchReport, srv *server.Server, opt options) {
 	if ch := rep.Chaos; ch != nil {
 		fmt.Printf("chaos: spill-errors=%d restore-errors=%d breaker-trips=%d retries=%d degraded=%v shed=%d slow-evicted=%d\n",
 			ch.ColdSpillErrors, ch.ColdRestoreErrors, ch.BreakerTrips, ch.SpillRetries, ch.ColdDegraded, ch.UDPShed, ch.SlowEvicted)
-	}
-	for _, m := range rep.Micro {
-		fmt.Printf("micro %-30s %11.0f links/s (%s, %d links, window %d, spills=%d restores=%d)\n",
-			m.Name+":", m.LinksPerSec, m.Algo, m.Links, m.Window, m.DiskSpills, m.DiskRestores)
 	}
 	if rep.UDPStats != nil {
 		u := rep.UDPStats

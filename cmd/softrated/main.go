@@ -9,7 +9,6 @@
 //
 //	softrated -addr :7447 -shards 128 -ttl 30s
 //	softrated -addr :7447 -expected-links 2000000   # pre-size for the fleet
-//	softrated -addr :7447 -batch-workers 8          # parallel ApplyBatch
 //	softrated -addr :7447 -stats 5s                 # periodic stats to stderr
 //	softrated -addr :7447 -admin 127.0.0.1:7448     # ops plane (see below)
 //
@@ -56,7 +55,6 @@ func main() {
 		dropOnEvict = flag.Bool("drop-on-evict", false, "discard evicted link state instead of archiving it")
 		statsEvery  = flag.Duration("stats", 0, "print service stats to stderr at this interval (0 = only at exit)")
 		expected    = flag.Int("expected-links", 0, "pre-size shard maps and state slabs for this many links (0 = grow on demand)")
-		workers     = flag.Int("batch-workers", 0, "fan each batch's shard visits across this many goroutines (<=1 = sequential; decisions are byte-identical either way)")
 		adminAddr   = flag.String("admin", "", "serve the HTTP ops plane on this address (/statusz /metrics /healthz /drainz /debug/pprof); empty = off")
 		drainGrace  = flag.Duration("drain-grace", 5*time.Second, "graceful-drain deadline: how long /drainz or SIGINT/SIGTERM waits for in-flight connections before force-closing")
 		udpAddr     = flag.String("udp", "", "also serve the loss-tolerant UDP datagram transport on this address; empty = off")
@@ -114,7 +112,6 @@ func main() {
 		TTL:           *ttl,
 		DropOnEvict:   *dropOnEvict,
 		ExpectedLinks: *expected,
-		BatchWorkers:  *workers,
 		Cold:          cold,
 		ColdFront:     *coldFront,
 	},

@@ -43,10 +43,8 @@
 //     total link population.
 //   - Locking is striped per shard; batches are routed shard-by-shard so a
 //     batch of B feedbacks takes O(shards-touched) lock acquisitions, not
-//     O(B). With Config.BatchWorkers one caller's batch additionally fans
-//     its shard visits out across cores, byte-identically to the
-//     sequential executor (per-link order is per-shard order, and shards
-//     are independent).
+//     O(B). Concurrency comes from concurrent callers: each visits its
+//     touched shards one after another.
 //   - Within a shard visit, contiguous ops for one link are serviced as a
 //     run: one lookup and one state materialization for the run, and
 //     wide-state algorithms that implement ctl.InPlace (SampleRate) are
@@ -115,14 +113,6 @@ type Config struct {
 	// set: links evicted more recently than roughly this many evictions
 	// ago restore without disk I/O. 0 means DefaultColdFront.
 	ColdFront int
-	// BatchWorkers, when > 1, lets a single ApplyBatch call fan its shard
-	// visits out across up to this many goroutines (the batch is already
-	// routed shard-by-shard; shards are independent, so per-link order —
-	// which is per-shard order — is preserved and the output and resulting
-	// store state are byte-identical to the sequential executor at any
-	// worker count). 0 or 1 keeps ApplyBatch single-threaded; concurrency
-	// then comes from concurrent callers, as before.
-	BatchWorkers int
 }
 
 // Op is one feedback event addressed to one link. It is deliberately 32
@@ -350,7 +340,6 @@ type Store struct {
 	// loads, core.Step, and two stores). Step only reads it.
 	soft        []*core.SoftRate // indexed by algo ID; nil for other types
 	build       func(ctl.Algo) ctl.Controller
-	workers     int // parallel ApplyBatch executors (<=1: sequential)
 	slabReserve int // per-shard slab capacity hint, in slots
 	cold        *coldstore.Store
 	genCap      int // per-shard archive-generation cap (links), 0 = unbounded
@@ -418,7 +407,6 @@ func New(cfg Config) *Store {
 	if st.widths[st.defaultAlgo] < 0 {
 		panic("linkstore: default algorithm is not registered")
 	}
-	st.workers = cfg.BatchWorkers
 	perShard := 0
 	if cfg.ExpectedLinks > 0 {
 		perShard = cfg.ExpectedLinks/n + 1
@@ -866,17 +854,11 @@ type BatchStats struct {
 	Mixed bool
 }
 
-// minParallelOps is the smallest batch the parallel executor bothers
-// with: below it, the goroutine handoff costs more than the shard visits.
-const minParallelOps = 64
-
 // ApplyBatch processes ops and writes the chosen rate index of ops[i] to
 // out[i], which must be at least len(ops) long. Ops are routed shard by
 // shard — each touched shard's lock is taken exactly once — while per-link
 // ordering is preserved (a link's ops live in one shard and are applied in
-// batch order). With Config.BatchWorkers > 1 the shard visits of one call
-// run concurrently; outputs and resulting store state are byte-identical
-// either way. Returns out[:len(ops)].
+// batch order). Returns out[:len(ops)].
 func (st *Store) ApplyBatch(ops []Op, out []int32) []int32 {
 	return st.ApplyBatchStats(ops, out, nil)
 }
@@ -907,12 +889,8 @@ func (st *Store) ApplyBatchStats(ops []Op, out []int32, bs *BatchStats) []int32 
 		}
 	}
 	scratch.shards = touched
-	if st.workers > 1 && len(touched) > 1 && len(ops) >= minParallelOps {
-		st.applyShardsParallel(ops, out, scratch, nowTick, now)
-	} else {
-		for _, si := range touched {
-			st.applyOneShard(ops, out, scratch, si, nowTick, now)
-		}
+	for _, si := range touched {
+		st.applyOneShard(ops, out, scratch, si, nowTick, now)
 	}
 	st.scratchPool.Put(scratch)
 	return out[:len(ops)]
@@ -927,39 +905,6 @@ func (st *Store) applyOneShard(ops []Op, out []int32, scratch *batchScratch, si 
 	sh.maybeSweepLocked(st, now)
 	sh.mu.Unlock()
 	scratch.perShard[si] = scratch.perShard[si][:0]
-}
-
-// applyShardsParallel fans one batch's shard visits out over up to
-// st.workers goroutines (the caller is one of them). Shards are handed
-// out via an atomic cursor; each is visited by exactly one worker, and
-// out[] writes are disjoint by construction, so no further coordination
-// is needed and the result is byte-identical to the sequential loop.
-func (st *Store) applyShardsParallel(ops []Op, out []int32, scratch *batchScratch, nowTick uint32, now int64) {
-	touched := scratch.shards
-	n := st.workers
-	if n > len(touched) {
-		n = len(touched)
-	}
-	var cursor atomic.Int64
-	work := func() {
-		for {
-			k := cursor.Add(1) - 1
-			if k >= int64(len(touched)) {
-				return
-			}
-			st.applyOneShard(ops, out, scratch, touched[k], nowTick, now)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	for i := 0; i < n-1; i++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // Peek returns the link's algorithm and a copy of its encoded controller

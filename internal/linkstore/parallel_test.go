@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,22 +49,38 @@ func churnBatches(seed int64, nBatches, batchLen, nLinks int) [][]Op {
 	return batches
 }
 
-// replay drives the batches through a fresh store with the given worker
-// count and returns every batch's outputs plus the final per-link state.
-func replay(t *testing.T, workers int, batches [][]Op, nLinks int) ([][]int32, []byte) {
+// replay drives rounds through a fresh TTL store — rounds[r][c] is caller
+// c's batch in round r — and returns every op's decision, indexed like
+// rounds, plus the final per-link state of links 1..nLinks. With
+// concurrent set each caller applies its batch from its own goroutine;
+// otherwise one goroutine applies the round's batches in caller order.
+// Either way the clock advances only once every caller has finished the
+// round.
+func replay(t *testing.T, concurrent bool, rounds [][][]Op, nLinks int) ([][][]int32, []byte) {
 	t.Helper()
 	clk := &fakeClock{}
-	st := New(Config{
-		Shards:       8,
-		TTL:          5 * time.Millisecond,
-		Clock:        clk.Now,
-		BatchWorkers: workers,
-	})
-	outs := make([][]int32, len(batches))
-	for b, ops := range batches {
-		out := make([]int32, len(ops))
-		st.ApplyBatch(ops, out)
-		outs[b] = out
+	st := New(Config{Shards: 8, TTL: 5 * time.Millisecond, Clock: clk.Now})
+	outs := make([][][]int32, len(rounds))
+	for r, batches := range rounds {
+		outs[r] = make([][]int32, len(batches))
+		for c, ops := range batches {
+			outs[r][c] = make([]int32, len(ops))
+		}
+		if concurrent {
+			var wg sync.WaitGroup
+			for c, ops := range batches {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					st.ApplyBatch(ops, outs[r][c])
+				}()
+			}
+			wg.Wait() // the round's barrier
+		} else {
+			for c, ops := range batches {
+				st.ApplyBatch(ops, outs[r][c])
+			}
+		}
 		clk.Advance(time.Millisecond) // ages links; forces eviction churn
 	}
 	if st.Stats().Evictions == 0 {
@@ -77,30 +94,45 @@ func replay(t *testing.T, workers int, batches [][]Op, nLinks int) ([][]int32, [
 	return outs, state.Bytes()
 }
 
-// TestParallelApplyBatchByteIdentical is the parallel executor's
-// acceptance property: at every worker count, each batch's outputs and
-// the final encoded state of every link are byte-identical to the
-// sequential executor — across all apply paths (SoftRate inline, small
-// slab states, SampleRate in-place) and under eviction/restore churn.
-// The CI race step runs this under -race, which also proves the worker
-// fan-out is data-race-free.
+// TestParallelApplyBatchByteIdentical is the concurrent-caller acceptance
+// property: two goroutines applying batches at once, each on its own
+// link-ID range, decide every op and leave every link's encoded state
+// exactly as one caller replaying the same ops sequentially does — across
+// all apply paths (SoftRate inline, small slab states, SampleRate
+// in-place) and under eviction/restore churn, since both callers share
+// the shards and the sweeps. The CI race step runs this under -race,
+// which also proves concurrent callers are data-race-free.
 func TestParallelApplyBatchByteIdentical(t *testing.T) {
-	const nLinks = 200
-	batches := churnBatches(77, 120, 512, nLinks)
-	wantOuts, wantState := replay(t, 1, batches, nLinks)
-	for _, workers := range []int{4, 8} {
-		gotOuts, gotState := replay(t, workers, batches, nLinks)
-		for b := range wantOuts {
-			for i := range wantOuts[b] {
-				if gotOuts[b][i] != wantOuts[b][i] {
-					t.Fatalf("workers=%d batch %d op %d: decided %d, sequential %d",
-						workers, b, i, gotOuts[b][i], wantOuts[b][i])
+	const nLinks, callers = 200, 2
+	perCaller := make([][][]Op, callers)
+	for c := range perCaller {
+		perCaller[c] = churnBatches(77+int64(c), 120, 512, nLinks)
+		for _, ops := range perCaller[c] {
+			for i := range ops {
+				ops[i].LinkID += uint64(c * nLinks) // disjoint ranges
+			}
+		}
+	}
+	rounds := make([][][]Op, len(perCaller[0]))
+	for r := range rounds {
+		for c := range perCaller {
+			rounds[r] = append(rounds[r], perCaller[c][r])
+		}
+	}
+	wantOuts, wantState := replay(t, false, rounds, callers*nLinks)
+	gotOuts, gotState := replay(t, true, rounds, callers*nLinks)
+	for r := range wantOuts {
+		for c := range wantOuts[r] {
+			for i := range wantOuts[r][c] {
+				if gotOuts[r][c][i] != wantOuts[r][c][i] {
+					t.Fatalf("round %d caller %d op %d: decided %d, sequential %d",
+						r, c, i, gotOuts[r][c][i], wantOuts[r][c][i])
 				}
 			}
 		}
-		if !bytes.Equal(gotState, wantState) {
-			t.Fatalf("workers=%d: final store state diverged from sequential", workers)
-		}
+	}
+	if !bytes.Equal(gotState, wantState) {
+		t.Fatal("final store state under concurrent callers diverged from sequential")
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 // can service a feedback op without the DecodeState → EncodeState round
 // trip. For SampleRate that round trip is ~1.7 KB of parsing and
 // re-serialization per op while the op itself touches one ring slot and a
-// few counters — it dominates the serving cost of the algorithm (the
-// SampleRate row of BENCH_loadgen.json).
+// few counters — it dominates the serving cost of the algorithm
+// (BenchmarkSampleRateInPlace vs BenchmarkSampleRateCodec in
+// internal/linkstore/bench_test.go).
 //
 // The contract is strict byte equivalence: for any snapshot buffer,
 // ApplyEncoded(buf, res) leaves buf exactly as DecodeState(buf) →
