@@ -3,6 +3,7 @@ package coldstore
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
 
 const benchBatch = 4096
@@ -75,6 +76,60 @@ func benchTakeBatch(b *testing.B, shuffled bool) {
 func BenchmarkTakeBatch(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) { benchTakeBatch(b, false) })
 	b.Run("random", func(b *testing.B) { benchTakeBatch(b, true) })
+}
+
+// BenchmarkCompactOnce compacts one half-dead segment of the default
+// 64 MiB, SoftRate-width records, and reports the compaction's length and
+// the longest stretch it held the store's lock: the gap between two
+// slices, lock re-acquisition included. The background compactor, woken
+// by the restore that takes the segment to half dead, does the work.
+func BenchmarkCompactOnce(b *testing.B) {
+	var total, longest time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := benchStore(b)
+		recs := make([]Record, benchBatch)
+		state := make([]byte, 8)
+		n := 0
+		for s.Stats().Segments < 2 {
+			benchRecords(uint64(n), state, recs)
+			if err := s.PutBatch(recs); err != nil {
+				b.Fatal(err)
+			}
+			n += benchBatch
+		}
+		s.mu.Lock()
+		victim := int((s.segs[0].size - headerLen) / (recOverhead + 8))
+		var last time.Time
+		s.betweenSlices = func() {
+			longest = max(longest, time.Since(last))
+			last = time.Now()
+		}
+		s.mu.Unlock()
+		ids := make([]uint64, 0, victim/2)
+		for id := 0; id < victim; id += 2 {
+			ids = append(ids, uint64(id))
+		}
+		var buf []byte
+		var out []Taken
+		for k := 0; k < len(ids); k += 128 {
+			if k+128 >= len(ids) {
+				b.StartTimer()
+				s.mu.Lock()
+				last = time.Now()
+				s.mu.Unlock()
+			}
+			buf, out = s.TakeBatch(ids[k:min(k+128, len(ids))], buf[:0], out[:0])
+		}
+		t0 := time.Now()
+		for s.Stats().Compactions == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		total += time.Since(t0)
+		s.Close()
+	}
+	b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "ms/compaction")
+	b.ReportMetric(float64(longest.Microseconds())/1e3, "max-hold-ms")
 }
 
 // BenchmarkIndexGetPutDel is one insert, one hit, one miss and one delete

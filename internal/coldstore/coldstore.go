@@ -37,8 +37,10 @@
 //     records make a segment's dead ratio grow; a background compactor
 //     rewrites any segment past Config.CompactRatio by re-appending its
 //     live records and deleting the file, so disk usage tracks the live
-//     population. It is woken when a record dies or a segment is sealed,
-//     and by its own timer after a compaction that failed.
+//     population. It rewrites a segment 256 KiB at a time and releases
+//     the lock in between, so restores and spills never wait for a whole
+//     segment. It is woken when a record dies or a segment is sealed, and
+//     by its own timer after a compaction that failed.
 //   - Recovery is a scan. Open rebuilds the index by reading every
 //     segment in ID order (later segments supersede earlier ones, later
 //     offsets supersede earlier ones); the first CRC or framing failure
@@ -99,6 +101,14 @@ const (
 	// compactRetry is how long the background compactor waits before it
 	// tries again after a failed compaction.
 	compactRetry = time.Second
+
+	// compactSlice is how much of a victim segment one step of a
+	// compaction reads and rewrites under s.mu. The lock is released
+	// between steps, so a restore or spill waits for one slice — a few
+	// milliseconds at most — where a whole half-live 64 MiB segment held
+	// it for most of a second (BenchmarkCompactOnce). It exceeds the
+	// largest record, so every slice makes progress.
+	compactSlice = 256 << 10
 
 	// DefaultSegmentBytes is the rotation threshold when
 	// Config.SegmentBytes is zero.
@@ -188,6 +198,13 @@ type Store struct {
 	batchBuf []byte    // PutBatch serialization buffer, reused
 	readBuf  []byte    // direct-read buffer for block-straddling records, reused
 	takeRefs []takeRef // TakeBatch probe results, reused
+
+	// compactMu makes compactions take turns: one runs in slices, letting
+	// go of s.mu between them, and its victim must not be picked again
+	// meanwhile. betweenSlices, set only by tests, runs after each slice
+	// with s.mu released.
+	compactMu     sync.Mutex
+	betweenSlices func()
 
 	spills      uint64
 	restores    uint64
@@ -502,48 +519,50 @@ func (s *Store) PutBatch(recs []Record) error {
 	if s.closed {
 		return fmt.Errorf("coldstore: store is closed")
 	}
-	if err := s.putLocked(recs); err != nil {
+	buf, err := s.putLocked(recs, s.batchBuf)
+	// Keep the buffer for the next batch unless this one was unusually
+	// large (a shutdown SpillAll): an eviction generation is kilobytes, and
+	// a segment's worth of live records should not stay pinned behind it.
+	if s.batchBuf = buf; cap(buf) > maxKeptBatchBuf {
+		s.batchBuf = nil
+	}
+	if err != nil {
 		return err
 	}
 	s.spills += uint64(len(recs))
 	return nil
 }
 
-func (s *Store) putLocked(recs []Record) error {
+// putLocked appends recs to the active segment as one write, serialized
+// into buf, and indexes them. It returns buf emptied, for reuse.
+func (s *Store) putLocked(recs []Record, buf []byte) ([]byte, error) {
+	buf = buf[:0]
 	batchLen := int64(0)
 	for _, r := range recs {
 		if len(r.State) > maxStateLen {
-			return fmt.Errorf("coldstore: link %d state is %d bytes, beyond the %d-byte record bound", r.LinkID, len(r.State), maxStateLen)
+			return buf, fmt.Errorf("coldstore: link %d state is %d bytes, beyond the %d-byte record bound", r.LinkID, len(r.State), maxStateLen)
 		}
 		batchLen += int64(recOverhead + len(r.State))
 	}
 	if headerLen+batchLen > maxSegOffset {
-		return fmt.Errorf("coldstore: a %d-byte batch cannot fit one segment", batchLen)
+		return buf, fmt.Errorf("coldstore: a %d-byte batch cannot fit one segment", batchLen)
 	}
 	// Rotate at the size threshold, and before a batch that would carry
 	// the segment past the largest offset an index entry can name.
 	if s.active.size >= s.segmentBytes || s.active.size+batchLen > maxSegOffset {
 		if err := s.rotateLocked(); err != nil {
-			return err
+			return buf, err
 		}
 	}
-	buf := s.batchBuf[:0]
 	for _, r := range recs {
 		buf = appendRecord(buf, r)
-	}
-	// Keep the buffer for the next batch unless this one was unusually
-	// large (a compaction rewrite, a shutdown SpillAll): an eviction
-	// generation is kilobytes, and a segment's worth of live records
-	// should not stay pinned behind it.
-	if s.batchBuf = buf[:0]; cap(buf) > maxKeptBatchBuf {
-		s.batchBuf = nil
 	}
 	sg := s.active
 	if _, err := sg.f.WriteAt(buf, sg.size); err != nil {
 		// A partial append is exactly the torn-tail shape recovery
 		// handles; trim it now so the in-process store stays coherent.
 		sg.f.Truncate(sg.size)
-		return err
+		return buf[:0], err
 	}
 	if s.cfg.Sync {
 		if err := sg.f.Sync(); err != nil {
@@ -552,7 +571,7 @@ func (s *Store) putLocked(recs []Record) error {
 			// behind as a run of CRC-valid records for recovery to
 			// resurrect; trim them like a failed write.
 			sg.f.Truncate(sg.size)
-			return err
+			return buf[:0], err
 		}
 	}
 	off := sg.size
@@ -561,7 +580,7 @@ func (s *Store) putLocked(recs []Record) error {
 		s.indexPut(r.LinkID, r.Algo, sg, off, len(r.State))
 		off += int64(recOverhead + len(r.State))
 	}
-	return nil
+	return buf[:0], nil
 }
 
 // readRecord fetches and validates the record for id at l. Returns the
@@ -743,7 +762,17 @@ func (s *Store) compactLoop() {
 // segment with the worst dead ratio at or past the threshold. Returns
 // whether a segment was reclaimed. Exported for tests and for callers
 // that want compaction on their own schedule.
+//
+// The victim is rewritten a slice at a time, each slice under its own
+// hold of s.mu, so restores and spills run in between: a record may be
+// restored or superseded before its slice is read, and it is live only if
+// its index entry still points at it then. The victim is removed once no
+// live record is left in it. A failed slice leaves the records moved so
+// far where they went and the rest in the victim, for a later compaction
+// to finish.
 func (s *Store) CompactOnce() (bool, error) {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -761,31 +790,22 @@ func (s *Store) CompactOnce() (bool, error) {
 	if victim == nil {
 		return false, nil
 	}
+	c := compaction{victim: victim, off: headerLen}
 	if victim.liveRecs > 0 {
-		// Re-append the live records through the ordinary put path, which
-		// supersedes their index entries (or, on error, changes none, and
-		// the segment survives for a later compaction to retry). The whole
-		// segment is read once; records whose index entry still points
-		// into it are live, everything else is garbage to drop.
-		data := make([]byte, victim.size-headerLen)
-		if _, err := victim.f.ReadAt(data, headerLen); err != nil {
+		c.buf = make([]byte, compactSlice)
+	}
+	for victim.liveRecs > 0 && c.off < victim.size {
+		if err := s.compactSliceLocked(&c); err != nil {
 			return false, err
 		}
-		var live []Record
-		off := int64(headerLen)
-		for rel := 0; rel < len(data); {
-			rec := data[rel:]
-			w := int(binary.LittleEndian.Uint16(rec[0:2]))
-			n := recOverhead + w
-			id := binary.LittleEndian.Uint64(rec[3:11])
-			if l, ok := s.index.get(id); ok && l == makeLoc(victim.slot, off, w) {
-				live = append(live, Record{LinkID: id, Algo: rec[2], State: rec[recHeaderLen : recHeaderLen+w]})
-			}
-			rel += n
-			off += int64(n)
+		hook := s.betweenSlices
+		s.mu.Unlock()
+		if hook != nil {
+			hook()
 		}
-		if err := s.putLocked(live); err != nil {
-			return false, err
+		s.mu.Lock()
+		if s.closed {
+			return false, nil
 		}
 	}
 	if err := s.removeSegment(victim); err != nil {
@@ -793,6 +813,52 @@ func (s *Store) CompactOnce() (bool, error) {
 	}
 	s.compactions++
 	return true, nil
+}
+
+// compaction is one victim's rewrite in progress.
+type compaction struct {
+	victim *segment
+	off    int64    // where the next slice starts
+	buf    []byte   // the slice read, compactSlice bytes
+	live   []Record // the slice's live records, pointing into buf
+	out    []byte   // their serialization
+}
+
+// compactSliceLocked reads the victim's next slice and re-appends its
+// live records through the ordinary put path, which supersedes their
+// index entries (or, on error, changes none). A record the slice cuts off
+// starts the next one. Caller holds s.mu.
+func (s *Store) compactSliceLocked(c *compaction) error {
+	data := c.buf[:min(int64(len(c.buf)), c.victim.size-c.off)]
+	if _, err := c.victim.f.ReadAt(data, c.off); err != nil {
+		return err
+	}
+	c.live = c.live[:0]
+	rel := 0
+	for len(data)-rel >= recOverhead {
+		rec := data[rel:]
+		w := int(binary.LittleEndian.Uint16(rec[0:2]))
+		n := recOverhead + w
+		if n > len(rec) {
+			break
+		}
+		id := binary.LittleEndian.Uint64(rec[3:11])
+		if l, ok := s.index.get(id); ok && l == makeLoc(c.victim.slot, c.off+int64(rel), w) {
+			c.live = append(c.live, Record{LinkID: id, Algo: rec[2], State: rec[recHeaderLen : recHeaderLen+w]})
+		}
+		rel += n
+	}
+	if rel == 0 {
+		// Every record is shorter than a slice: the bytes at off are not
+		// one, and retrying would never get past them.
+		return fmt.Errorf("coldstore: %s: no record at offset %d", s.segPath(c.victim.id), c.off)
+	}
+	var err error
+	if c.out, err = s.putLocked(c.live, c.out); err != nil {
+		return err
+	}
+	c.off += int64(rel)
+	return nil
 }
 
 // LatencySnapshot returns the merged restore-latency histogram.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -146,6 +147,136 @@ func TestRotationAndCompaction(t *testing.T) {
 		if err != nil || !ok || !bytes.Equal(got, stateFor(id, 32)) {
 			t.Fatalf("post-compaction Take(%d): ok=%v err=%v", id, ok, err)
 		}
+	}
+}
+
+// TestCompactionYieldsBetweenSlices: a compaction lets go of the lock
+// between slices of its victim, and what runs there — a restore and a
+// superseding spill of records the compaction has not reached yet — must
+// neither be lost nor undone: every link restores its latest state, the
+// victim is gone, and each segment's live and dead counts add up.
+func TestCompactionYieldsBetweenSlices(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Config{SegmentBytes: 1 << 20})
+	const n, w, batch = 20000, 64, 500
+	recLen := int64(recOverhead + w)
+	want := map[uint64][]byte{}
+	for base := uint64(1); base <= n; base += batch {
+		recs := make([]Record, batch)
+		for i := range recs {
+			id := base + uint64(i)
+			recs[i] = Record{LinkID: id, Algo: 1, State: stateFor(id, w)}
+			want[id] = recs[i].State
+		}
+		if err := s.PutBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	victimRecs := (s.segs[0].size - headerLen) / recLen
+	s.mu.Unlock()
+	if victimRecs*recLen < 3*compactSlice || s.Stats().Segments != 2 {
+		t.Fatalf("segment 0 holds %d records over %d segments: too few for three slices", victimRecs, s.Stats().Segments)
+	}
+
+	// Links past the first slices of segment 0, odd so the kill below
+	// leaves them live: the hook restores the first group and supersedes
+	// the second, each the first time it runs.
+	var mu sync.Mutex
+	calls := 0
+	taken, superseded := map[uint64]bool{}, map[uint64][]byte{}
+	hook := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if calls++; calls > 1 {
+			return
+		}
+		var ids []uint64
+		var recs []Record
+		for id := uint64(victimRecs-1000) | 1; id < uint64(victimRecs); id += 2 {
+			if id < uint64(victimRecs-500) {
+				ids = append(ids, id)
+				continue
+			}
+			superseded[id] = stateFor(id+n, w)
+			recs = append(recs, Record{LinkID: id, Algo: 1, State: superseded[id]})
+		}
+		_, out := s.TakeBatch(ids, nil, nil)
+		for i, r := range out {
+			if !r.OK || !bytes.Equal(r.State, stateFor(ids[i], w)) {
+				t.Errorf("restore of link %d between slices: %+v", ids[i], r)
+			}
+			taken[ids[i]] = true
+		}
+		if err := s.PutBatch(recs); err != nil {
+			t.Errorf("superseding spill between slices: %v", err)
+		}
+	}
+	s.mu.Lock()
+	s.betweenSlices = hook
+	s.mu.Unlock()
+
+	// Kill every even link of segment 0: at half dead it is a victim, and
+	// the background compactor may start on it while this loop runs.
+	for id := uint64(2); id <= uint64(victimRecs); id += 2 {
+		if _, _, ok, err := s.Take(id, nil); !ok || err != nil {
+			t.Fatalf("Take(%d): ok=%v err=%v", id, ok, err)
+		}
+		delete(want, id)
+	}
+	for {
+		progressed, err := s.CompactOnce()
+		if err != nil {
+			t.Fatalf("CompactOnce: %v", err)
+		}
+		if !progressed {
+			break
+		}
+	}
+	mu.Lock()
+	if calls < 3 {
+		t.Fatalf("the hook ran %d times: the victim was not compacted in slices", calls)
+	}
+	for id := range taken {
+		delete(want, id)
+	}
+	for id, state := range superseded {
+		want[id] = state
+	}
+	mu.Unlock()
+	if _, err := os.Stat(filepath.Join(dir, segName(0))); !os.IsNotExist(err) {
+		t.Fatalf("the victim's file is still there: %v", err)
+	}
+
+	s.mu.Lock()
+	liveRecs := int64(0)
+	for _, sg := range s.segs {
+		if sg == nil {
+			continue
+		}
+		if sg.id == 0 {
+			t.Errorf("the victim still holds slot %d", sg.slot)
+		}
+		if sg.liveBytes != sg.liveRecs*recLen || sg.deadBytes != sg.deadRecs*recLen ||
+			sg.liveBytes+sg.deadBytes != sg.size-headerLen {
+			t.Errorf("segment %d: %d live records in %d bytes, %d dead in %d, %d bytes written",
+				sg.id, sg.liveRecs, sg.liveBytes, sg.deadRecs, sg.deadBytes, sg.size-headerLen)
+		}
+		liveRecs += sg.liveRecs
+	}
+	if int(liveRecs) != s.index.len() || s.index.len() != len(want) {
+		t.Errorf("segments count %d live records, the index %d, want %d links", liveRecs, s.index.len(), len(want))
+	}
+	s.mu.Unlock()
+
+	for id := uint64(1); id <= n; id++ {
+		_, state, ok, err := s.Take(id, nil)
+		if exp, live := want[id]; err != nil || ok != live || !bytes.Equal(state, exp) {
+			t.Fatalf("Take(%d): ok=%v err=%v, want present %v with its latest state", id, ok, err, live)
+		}
+	}
+	if st := s.Stats(); st.Links != 0 || st.LiveBytes != 0 {
+		t.Fatalf("after restoring every link: %+v", st)
 	}
 }
 

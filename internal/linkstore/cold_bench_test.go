@@ -141,35 +141,46 @@ func BenchmarkIdleTail(b *testing.B) {
 // BenchmarkSweepRotate times the sweep alone on a store with a cold tier:
 // each iteration idles out a window four generations wide, so the sweep
 // tags it, rotates until the front fits and group-commits what fell off.
-// Touching the window again is untimed.
+// Touching the window again is untimed. The small arm's 64 tables hold
+// ~300 slots each and stay in cache; the large arm's hold ~3 000 each,
+// 4.5 MiB together, so the walk pays for every slot it reads.
 func BenchmarkSweepRotate(b *testing.B) {
-	const nLinks, window = 8192, 2048
-	cold, err := coldstore.Open(coldstore.Config{Dir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cold.Close()
-	clk := &fakeClock{}
-	st := New(Config{Shards: 64, TTL: time.Second, Clock: clk.Now, ExpectedLinks: nLinks,
-		Cold: cold, ColdFront: 1024})
-	touch := churnTouch(st, clk, nLinks, window, ctl.AlgoSoftRate)
-	for i := 0; i < nLinks/window+2; i++ {
-		touch()
-		st.EvictIdle()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		touch()
-		b.StartTimer()
-		if n := st.EvictIdle(); n != window {
-			b.Fatalf("sweep evicted %d links, want %d", n, window)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/window, "ns/evicted")
-	if cold.Stats().Spills == 0 {
-		b.Fatal("benchmark never spilled")
+	for _, arm := range []struct {
+		name                  string
+		nLinks, window, front int
+	}{
+		{"links=8192", 8192, 2048, 1024},
+		{"links=106496", 106496, 26624, 13312},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			cold, err := coldstore.Open(coldstore.Config{Dir: b.TempDir()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cold.Close()
+			clk := &fakeClock{}
+			st := New(Config{Shards: 64, TTL: time.Second, Clock: clk.Now, ExpectedLinks: arm.nLinks,
+				Cold: cold, ColdFront: arm.front})
+			touch := churnTouch(st, clk, arm.nLinks, arm.window, ctl.AlgoSoftRate)
+			for i := 0; i < arm.nLinks/arm.window+2; i++ {
+				touch()
+				st.EvictIdle()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				touch()
+				b.StartTimer()
+				if n := st.EvictIdle(); n != arm.window {
+					b.Fatalf("sweep evicted %d links, want %d", n, arm.window)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(arm.window), "ns/evicted")
+			if cold.Stats().Spills == 0 {
+				b.Fatal("benchmark never spilled")
+			}
+		})
 	}
 }
 

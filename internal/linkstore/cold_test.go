@@ -2,9 +2,12 @@ package linkstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -387,6 +390,46 @@ func TestColdLinkInTwoNonAdjacentRuns(t *testing.T) {
 	}
 }
 
+// TestColdChurnExactCounts is the benchmark's cold-churn at toy size on the
+// fake clock: a hot set touched every few batches, and a cold population
+// walked round-robin past the TTL and past a front far smaller than it, a
+// seventh of it SampleRate so spills also point into slabs. Every count
+// below repeats exactly, run to run and across versions of the sweep; the
+// pinned values are what the three-walk sweep produced.
+func TestColdChurnExactCounts(t *testing.T) {
+	const hot, hotPer, cold, coldPer, laps = 50, 4, 2016, 28, 5
+	clk := &fakeClock{}
+	cs := openCold(t, t.TempDir())
+	defer cs.Close()
+	st := New(Config{Shards: 4, TTL: 20 * time.Millisecond, Clock: clk.Now, Cold: cs, ColdFront: 800,
+		ExpectedLinks: hot + coldPer*20})
+	ops := make([]Op, hotPer+coldPer)
+	out := make([]int32, len(ops))
+	h, c := 0, 0
+	for b := 0; b < laps*cold/coldPer; b++ {
+		for i := range ops {
+			var id uint64
+			if i < hotPer {
+				id, h = uint64(h%hot)+1, h+1
+			} else {
+				id, c = uint64(hot+c%cold)+1, c+1
+			}
+			algo := ctl.AlgoSoftRate
+			if id%7 == 0 {
+				algo = ctl.AlgoSampleRate
+			}
+			ops[i] = Op{LinkID: id, Algo: algo, Kind: core.KindBER, RateIndex: int32(b % 6), BER: 1e-5, Delivered: true}
+		}
+		st.ApplyBatch(ops, out)
+		clk.Advance(time.Millisecond)
+	}
+	s := st.Stats()
+	got := [5]uint64{s.Creates, s.Restores, s.Evictions, s.Cold.Spills, s.Cold.Restores}
+	if want := [5]uint64{2066, 8064, 9408, 8780, 8064}; got != want || s.ColdErrors != 0 {
+		t.Fatalf("creates, restores, evictions, cold spills, cold restores = %v, want %v (cold errors %d)", got, want, s.ColdErrors)
+	}
+}
+
 // TestColdSegmentsByteIdentical pins the on-disk layout: with the table
 // key fixed (TestMain), two stores fed one op stream on a virtual clock
 // leave byte-identical segment files, because a generation spills in
@@ -436,5 +479,23 @@ func TestColdSegmentsByteIdentical(t *testing.T) {
 		if got, ok := b[name]; !ok || !bytes.Equal(got, want) {
 			t.Fatalf("%s: %d bytes in one run, %d (present %v) in the other, or different ones", name, len(want), len(got), ok)
 		}
+	}
+	// Two runs of one binary cannot see a spill order that changed between
+	// versions; the image's digest under TestMain's default key can.
+	if os.Getenv("LINKSTORE_HASH_SEED") != "" {
+		return
+	}
+	names := make([]string, 0, len(a))
+	for name := range a {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		h.Write([]byte(name))
+		h.Write(a[name])
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "851d711642cd3d2675231839373a08ea61e4a76ca6e2ac96de37527e0d50fba0"; got != want {
+		t.Fatalf("segment image SHA-256 %s, want %s: the spill order changed", got, want)
 	}
 }

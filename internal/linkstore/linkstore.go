@@ -32,15 +32,19 @@
 //     generations, told apart by the tag: recently evicted links restore
 //     from RAM, and when the current generation fills, the older one is
 //     spilled wholesale to the disk tier in one group-committed batch, in
-//     table order (internal/coldstore), and its slots are deleted. A
-//     returning link is looked up front-first, then restored from disk:
-//     a shard visit collects the links only the disk tier can answer for
-//     and restores them in one coldstore.TakeBatch before applying their
-//     ops in batch order. Because spill and restore carry the same
-//     encoded state bytes the table does, decisions stay
-//     byte-identical across evict → spill → restore — resident memory is
-//     then bounded by the hot set + front + cold index instead of the
-//     total link population.
+//     table order (internal/coldstore), and its slots are deleted. A sweep
+//     does all of this in one walk of the shard's table (archive.go): the
+//     walk evicts and records where every archived link sits, the spill
+//     reads the generation from those slots, and the spilled slots are
+//     then deleted highest first, so no deletion moves a slot still to
+//     come. A returning link is looked up front-first, then restored from
+//     disk: a shard visit collects the links only the disk tier can answer
+//     for and restores them in one coldstore.TakeBatch before applying
+//     their ops in batch order. Because spill and restore carry the same
+//     encoded state bytes the table does, decisions stay byte-identical
+//     across evict → spill → restore — resident memory is then bounded by
+//     the hot set + front + cold index instead of the total link
+//     population.
 //   - Locking is striped per shard; batches are routed shard-by-shard so a
 //     batch of B feedbacks takes O(shards-touched) lock acquisitions, not
 //     O(B). Concurrency comes from concurrent callers: each visits its
@@ -54,8 +58,6 @@ package linkstore
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -91,11 +93,13 @@ type Config struct {
 	// Clock returns the current time in nanoseconds (default
 	// time.Now().UnixNano; injectable for deterministic tests).
 	Clock func() int64
-	// ExpectedLinks pre-sizes each shard's hot table and (lazily, on first
-	// use per algorithm) its state slabs for about this many links store-
-	// wide. Without it, growing a store to millions of links goes through
-	// O(log n) table and slab regrowths, each a full copy under the shard
-	// lock — the batch_max_ns cold spikes. 0 starts small.
+	// ExpectedLinks is about how many links the store touches within one
+	// TTL (with no TTL, how many it holds). It pre-sizes each shard's hot
+	// table — adding the sweep lag itself: a link stays live for up to
+	// TTL/4 past its TTL — and (lazily, on first use per algorithm) its
+	// state slabs. Without it, growing a store to millions of links goes
+	// through O(log n) table and slab regrowths, each a full copy under
+	// the shard lock — the batch_max_ns cold spikes. 0 starts small.
 	ExpectedLinks int
 	// ExpectedLinksPerAlgo refines the slab reserve for stores serving a
 	// mix of algorithms: each algorithm's slabs reserve for about this
@@ -219,10 +223,6 @@ type Stats struct {
 	SpillRetries uint64
 }
 
-// DefaultColdFront is the store-wide RAM-archive link budget when a cold
-// tier is attached and Config.ColdFront is zero.
-const DefaultColdFront = 65536
-
 // tickShift converts clock nanoseconds to the entry timestamp unit:
 // 2^20 ns ≈ 1.05 ms per tick, 2^32 ticks ≈ 52 days of store uptime
 // before the stamp wraps. Ages are computed in wrapping uint32
@@ -316,13 +316,6 @@ type shard struct {
 	perAlgo []algoCounters // indexed by algo ID; ShardStats sums them
 	_       [48]byte
 }
-
-// oldTier is the tier tag of the archive generation that is not current.
-func (sh *shard) oldTier() uint8 { return 3 - sh.curTier }
-
-// archivedLen is how many of the table's links are archived, both
-// generations together.
-func (sh *shard) archivedLen() int { return int(sh.genLen[1] + sh.genLen[2]) }
 
 // Store is the sharded link-state store.
 type Store struct {
@@ -431,11 +424,17 @@ func New(cfg Config) *Store {
 	}
 	st.shards = make([]shard, n)
 	seed := bitutil.HashSeed() // one table key per store, for its life
-	// A shard's share of the live links is Poisson around perShard: three
-	// standard deviations of room and a shard in a thousand grows. The
-	// bounded front sits in the same table; an unbounded archive (no cold
-	// tier) grows it as links idle out.
-	tableLinks := perShard + 3*int(math.Sqrt(float64(perShard))) + 2*st.genCap
+	// A shard sweeps every TTL/4, so a link stays live for up to TTL/4
+	// past its TTL: the live links are those touched within 5/4 of one.
+	// A shard's share of them is Poisson around its mean: three standard
+	// deviations of room and a shard in a thousand grows. The bounded
+	// front sits in the same table; an unbounded archive (no cold tier)
+	// grows it as links idle out.
+	live := perShard
+	if st.ttl > 0 {
+		live += live / 4
+	}
+	tableLinks := live + 3*int(math.Sqrt(float64(live))) + 2*st.genCap
 	for i := range st.shards {
 		st.shards[i].links = newLinkTable(seed, tableLinks)
 		st.shards[i].curTier = 1
@@ -519,19 +518,6 @@ func (sh *shard) entryWithLocked(st *Store, algo ctl.Algo, state []byte) entry {
 		copy(sh.slabs[algo].at(slot, w), state)
 	}
 	return e
-}
-
-// reviveLocked puts an archived link back in service where it sits: the
-// tag goes, the state (and a wide state's slab slot) never moved. Caller
-// holds sh.mu.
-func (sh *shard) reviveLocked(st *Store, e *entry) {
-	sh.genLen[e.tier]--
-	e.tier = tierLive
-	c := &sh.perAlgo[e.algo]
-	c.restores++
-	c.archived--
-	c.archivedBytes -= int64(st.widths[e.algo])
-	c.live++
 }
 
 // fromColdLocked turns the disk tier's answer for one link into its hot
@@ -687,136 +673,6 @@ func (sh *shard) stateOf(st *Store, e *entry) []byte {
 	return sh.slabs[e.algo].at(e.slot(), w)
 }
 
-// evictLocked takes one live link out of service. Its state stays where
-// it is and the entry is tagged with the current archive generation —
-// unless DropOnEvict discards it, when evictLocked reports true for the
-// caller's scan to delete the slot. Caller holds sh.mu.
-func (sh *shard) evictLocked(st *Store, e *entry) (drop bool) {
-	c := &sh.perAlgo[e.algo]
-	c.evictions++
-	c.live--
-	if st.cfg.DropOnEvict {
-		sh.freeStateLocked(st, e)
-		return true
-	}
-	e.tier = sh.curTier
-	sh.genLen[e.tier]++
-	c.archived++
-	c.archivedBytes += int64(st.widths[e.algo])
-	return false
-}
-
-// freeStateLocked returns a wide state's slab slot, ahead of the entry's
-// deletion. Caller holds sh.mu.
-func (sh *shard) freeStateLocked(st *Store, e *entry) {
-	if st.widths[e.algo] > inlineState {
-		sh.slabs[e.algo].free = append(sh.slabs[e.algo].free, e.slot())
-	}
-}
-
-// sweepLocked evicts idle links. Caller holds sh.mu.
-func (sh *shard) sweepLocked(st *Store, now int64) int {
-	nowTick := st.tickOf(now)
-	evicted := 0
-	sh.links.scan(tierLive, func(_ uint64, e *entry) bool {
-		if nowTick-e.lastUsed < st.ttlTicks { // wrapping age in ticks
-			return false
-		}
-		evicted++
-		return sh.evictLocked(st, e)
-	})
-	sh.lastSweep = now
-	// Rotate until the RAM front fits its budget again. One sweep can
-	// idle out far more than genCap links at once (a synchronized
-	// population — everything created in one burst — ages out in one
-	// pass), and a single rotation would park that burst in the old
-	// generation without ever reaching disk: the next sweep would see an
-	// empty current generation and stand down, leaving the budget violated
-	// indefinitely. The loop runs at most twice per sweep in practice
-	// (spill old, make the burst old, spill it too).
-	for st.genCap > 0 &&
-		(int(sh.genLen[sh.curTier]) >= st.genCap || sh.archivedLen() > 2*st.genCap) {
-		if !sh.rotateLocked(st, now) {
-			break // spill error or open breaker: keep both generations in RAM
-		}
-	}
-	return evicted
-}
-
-// rotateLocked ages the archive one generation: the old generation is
-// spilled to the cold tier and, emptied, becomes the current one. On a
-// spill error both generations stay in RAM — nothing is lost, the
-// rotation retries at the next sweep — and the rotation reports failure.
-// While the breaker is open the spill isn't even attempted (beyond one
-// backoff-paced probe): the store has formally degraded to the unbounded
-// RAM archive. Caller holds sh.mu.
-func (sh *shard) rotateLocked(st *Store, now int64) bool {
-	if old := sh.oldTier(); sh.genLen[old] > 0 {
-		if !st.breaker.allow(now) {
-			return false
-		}
-		if _, err := sh.spillTierLocked(st, old, now); err != nil {
-			return false
-		}
-	}
-	sh.curTier = sh.oldTier()
-	return true
-}
-
-// spillPool holds the record headers of a spill in flight. They are
-// pooled, not kept per shard: a shard spills for microseconds at a time,
-// and a generation's worth of headers held by each of 64 shards is
-// resident memory the tier exists to give back.
-var spillPool = sync.Pool{New: func() any { return new([]coldstore.Record) }}
-
-// spillTierLocked writes every link of one archive generation to the cold
-// tier in a single group-committed batch, in table order, and then
-// deletes them from the table; it returns how many that was. The records
-// point at the states where they lie, in the table and the slabs, which
-// hold still under sh.mu and which PutBatch does not retain. On an error
-// nothing was committed and the generation stays in RAM as it was. The
-// outcome feeds the breaker. Caller holds sh.mu.
-func (sh *shard) spillTierLocked(st *Store, tier uint8, now int64) (int, error) {
-	if sh.genLen[tier] == 0 {
-		return 0, nil
-	}
-	pooled := spillPool.Get().(*[]coldstore.Record)
-	recs := (*pooled)[:0]
-	sh.links.scan(tier, func(id uint64, e *entry) bool {
-		recs = append(recs, coldstore.Record{LinkID: id, Algo: uint8(e.algo), State: sh.stateOf(st, e)})
-		return false
-	})
-	err := st.cold.PutBatch(recs)
-	n := len(recs)
-	clear(recs) // the pool must not pin the table the records point into
-	*pooled = recs[:0]
-	spillPool.Put(pooled)
-	st.breaker.result(now, err)
-	if err != nil {
-		st.coldSpillErrors.Add(1)
-		return 0, err
-	}
-	sh.links.scan(tier, func(_ uint64, e *entry) bool {
-		c := &sh.perAlgo[e.algo]
-		c.archived--
-		c.archivedBytes -= int64(st.widths[e.algo])
-		sh.freeStateLocked(st, e)
-		return true
-	})
-	sh.genLen[tier] = 0
-	return n, nil
-}
-
-// maybeSweepLocked runs a TTL sweep if one is due. A shard sweeps at most
-// every TTL/4, so the amortized per-op eviction cost stays constant while
-// no link outlives its TTL by more than 25%. Caller holds sh.mu.
-func (sh *shard) maybeSweepLocked(st *Store, now int64) {
-	if st.ttl <= 0 || now-sh.lastSweep < st.ttl/4 {
-		return
-	}
-	sh.sweepLocked(st, now)
-}
-
 // Apply routes one feedback event to its link's controller and returns the
 // chosen next-rate index. The link is created (or revived from the
 // archive) if absent.
@@ -923,69 +779,6 @@ func (st *Store) Peek(id uint64) (ctl.Algo, []byte, bool) {
 		}
 	}
 	return ctl.AlgoDefault, nil, false
-}
-
-// SpillAll moves every link — live, and both RAM-archive generations —
-// into the cold tier and empties the store. It is the graceful-shutdown
-// half of the crash-restart contract: after SpillAll, a process that
-// reopens the same cold directory restores every link byte-identically,
-// including links that had been taken back from disk since their last
-// spill. Returns the number of links spilled, counting every batch that
-// was committed; a no-op without a cold tier. Every shard is attempted regardless of earlier failures (and
-// regardless of the breaker — this is the last chance to persist); a
-// failing shard keeps its state in RAM, and the returned error joins
-// every shard's failure (errors.Join, each wrapped with its shard index)
-// so a partial drain spill is diagnosable from the exit dump. The
-// per-failure counts also land in Stats.ColdSpillErrors.
-func (st *Store) SpillAll() (int, error) {
-	if st.cold == nil {
-		return 0, nil
-	}
-	now := st.cfg.Clock()
-	total := 0
-	var errs []error
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		sh.links.scan(tierLive, func(_ uint64, e *entry) bool { return sh.evictLocked(st, e) })
-		// Older generation first, as a rotation would; a failed batch
-		// committed nothing, and the younger one is then not attempted.
-		for _, tier := range [2]uint8{sh.oldTier(), sh.curTier} {
-			n, err := sh.spillTierLocked(st, tier, now)
-			total += n
-			if err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-				break
-			}
-		}
-		sh.lastSweep = now
-		sh.mu.Unlock()
-	}
-	return total, errors.Join(errs...)
-}
-
-// ColdDegraded reports whether the cold-tier breaker is open (the store
-// is running on the unbounded RAM archive until a probe spill succeeds).
-func (st *Store) ColdDegraded() bool {
-	open, _, _ := st.breaker.snapshot()
-	return open
-}
-
-// EvictIdle sweeps every shard now, evicting links idle for at least the
-// TTL, and returns the number evicted. A no-op when TTL is zero.
-func (st *Store) EvictIdle() int {
-	if st.ttl <= 0 {
-		return 0
-	}
-	now := st.cfg.Clock()
-	total := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		total += sh.sweepLocked(st, now)
-		sh.mu.Unlock()
-	}
-	return total
 }
 
 // Len returns the number of links in service.

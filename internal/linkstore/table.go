@@ -61,9 +61,9 @@ const (
 // each at or after its home with no empty slot in between, and the last
 // slot is always empty. So a lookup stops at the first empty slot or
 // larger hash, growing is one in-order copy, and a deletion only moves
-// links toward lower slots: an ascending scan that deletes as it goes
+// links toward lower slots: an ascending walk that deletes as it goes
 // still visits every link exactly once. A link takes the same slot live or
-// archived: only scan reads tier, to pick the links it shows.
+// archived: the table never reads tier.
 type linkTable struct {
 	slots []tableSlot // homes, then slack; the last is never filled
 	homes uint32
@@ -138,7 +138,9 @@ func (t *linkTable) put(id uint64, e entry) *entry {
 
 // delAt empties slot i, which must hold a link, by backward shift: every
 // following link that is displaced from its home moves one slot toward
-// it, up to the first that is not, or the first empty slot.
+// it, up to the first that is not, or the first empty slot. Links below
+// slot i never move, so slots deleted highest first each still hold the
+// link they held before the first deletion.
 func (t *linkTable) delAt(i int) {
 	j := i + 1
 	for t.slots[j].algo != ctl.AlgoDefault && t.home(t.hash(t.slots[j].id)) < j {
@@ -149,14 +151,16 @@ func (t *linkTable) delAt(i int) {
 	t.used--
 }
 
-// scan shows visit every link of one tier exactly once, in ascending slot
-// order, deletes those it reports true for and returns how many that was.
-// visit may update the entry in place, tier included; the pointer is good
-// until the next deletion.
-func (t *linkTable) scan(tier uint8, visit func(id uint64, e *entry) bool) int {
+// walk shows visit every link exactly once, in ascending slot order, with
+// the slot it is in, deletes those it reports true for and returns how
+// many that was. visit may update the entry in place, tier included; the
+// pointer is good until the next deletion. A deletion moves only links
+// above it, so the slot visit saw a kept link in still holds that link
+// when the walk ends.
+func (t *linkTable) walk(visit func(i int, id uint64, e *entry) bool) int {
 	n := 0
 	for i := 0; i < len(t.slots); {
-		if s := &t.slots[i]; s.algo != ctl.AlgoDefault && s.tier == tier && visit(s.id, &s.entry) {
+		if s := &t.slots[i]; s.algo != ctl.AlgoDefault && visit(i, s.id, &s.entry) {
 			t.delAt(i) // may pull the next link into slot i: look at it again
 			n++
 		} else {

@@ -3,6 +3,7 @@ package linkstore
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -22,6 +23,12 @@ func tableKeys(seed uint64, n int) []uint64 {
 		}
 	}
 	return keys
+}
+
+// scan is a walk over the links of one tier: it shows visit only those
+// and deletes the ones it reports true for, as each is visited.
+func (t *linkTable) scan(tier uint8, visit func(id uint64, e *entry) bool) int {
+	return t.walk(func(_ int, id uint64, e *entry) bool { return e.tier == tier && visit(id, e) })
 }
 
 // checkTable verifies the table's structural invariants and that it holds
@@ -235,6 +242,54 @@ func TestLinkTableSlackGrows(t *testing.T) {
 		t.Fatalf("evicted %d links, want %d", n, 2*tableSlack)
 	}
 	checkTable(t, &tb, map[uint64]entry{})
+}
+
+// TestLinkTableDescendingDeletes pins what a spill's deletion rests on:
+// deleting a set of slots highest first leaves exactly the table a walk
+// deleting the same links as it reaches them does, slot for slot, in
+// tables whose tail has piled past the initial slack as well.
+func TestLinkTableDescendingDeletes(t *testing.T) {
+	grown := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		for _, n := range []int{10, 64, 300, 1000} {
+			keys := tableKeys(seed, n)
+			a := newLinkTable(seed, 0)
+			for _, id := range keys {
+				a.put(id, entry{algo: ctl.AlgoSoftRate, lastUsed: uint32(id)})
+			}
+			if len(a.slots) > int(a.homes)+tableSlack {
+				grown++
+			}
+			b := a
+			b.slots = slices.Clone(a.slots)
+			doomed, model := map[uint64]bool{}, map[uint64]entry{}
+			for _, id := range keys {
+				if rng.Intn(3) == 0 {
+					doomed[id] = true
+				} else {
+					model[id] = *a.get(id)
+				}
+			}
+			a.scan(tierLive, func(id uint64, _ *entry) bool { return doomed[id] })
+			var at []int
+			for i, s := range b.slots {
+				if s.algo != ctl.AlgoDefault && doomed[s.id] {
+					at = append(at, i)
+				}
+			}
+			for k := len(at) - 1; k >= 0; k-- {
+				b.delAt(at[k])
+			}
+			if !slices.Equal(a.slots, b.slots) || a.used != b.used {
+				t.Fatalf("seed %d, %d links: deleting %d slots highest first leaves a different table than a walk", seed, n, len(at))
+			}
+			checkTable(t, &b, model)
+		}
+	}
+	if grown == 0 {
+		t.Fatal("no table's tail piled past its slack")
+	}
 }
 
 // probeLens returns the mean and the longest probe sequence over ids.

@@ -59,10 +59,15 @@ type Stats struct {
 // maxAlgoSlots bounds the per-algorithm metric arrays: slot 0 collects
 // mixed batches (ops naming more than one algorithm in one Decide) plus
 // any algorithm ID at or past the bound; slots 1.. are the registered
-// ctl.Algo IDs (currently 1-5). Sized as an array so the zero-value
-// obs.Latency stripes live inline in the Server — no per-batch pointer
-// chase and nothing to allocate on the hot path.
+// ctl.Algo IDs (currently 1-5).
 const maxAlgoSlots = 8
+
+// algoLatency is one slot's pair of latency histograms, 74 KB of stripes.
+// A server sees one or two algorithms, so a slot's pair is allocated the
+// first time a batch lands there rather than all eight inline.
+type algoLatency struct {
+	batch, op obs.Latency
+}
 
 // algoSlot maps an algorithm ID to its metric slot.
 func algoSlot(a ctl.Algo) int {
@@ -84,12 +89,11 @@ type Server struct {
 
 	// Per-algorithm hot-path metrics, attributed by the batch's uniform
 	// resolved algorithm (slot 0 = mixed batches). Recording is
-	// allocation-free: counters are single atomics and the latency
-	// histograms are stripe-locked (obs.Latency).
+	// allocation-free once a slot's histograms exist: counters are single
+	// atomics and the latency histograms are stripe-locked (obs.Latency).
 	algoBatches [maxAlgoSlots]obs.Counter
 	algoFrames  [maxAlgoSlots]obs.Counter
-	batchLat    [maxAlgoSlots]obs.Latency
-	opLat       [maxAlgoSlots]obs.Latency
+	algoLat     [maxAlgoSlots]atomic.Pointer[algoLatency]
 
 	// group is the lifecycle every serving member shares (serve.go); the
 	// accounting is per transport.
@@ -163,13 +167,26 @@ func (s *Server) Decide(ops []linkstore.Op, out []int32) []int32 {
 	if !bs.Mixed {
 		slot = algoSlot(bs.Algo)
 	}
+	// The histograms exist before the batch is counted, so a Status that
+	// sees the count finds them.
+	lat := s.latencyFor(slot)
 	s.algoBatches[slot].Inc()
-	s.batchLat[slot].Observe(d)
+	lat.batch.Observe(d)
 	if n := uint64(len(ops)); n > 0 {
 		s.algoFrames[slot].Add(n)
-		s.opLat[slot].ObserveN(d/time.Duration(n), n)
+		lat.op.ObserveN(d/time.Duration(n), n)
 	}
 	return res
+}
+
+// latencyFor returns the slot's histograms, allocating them on the slot's
+// first batch; when two batches race to do that, one allocation wins.
+func (s *Server) latencyFor(slot int) *algoLatency {
+	if l := s.algoLat[slot].Load(); l != nil {
+		return l
+	}
+	s.algoLat[slot].CompareAndSwap(nil, new(algoLatency))
+	return s.algoLat[slot].Load()
 }
 
 // EvictIdle force-sweeps the store (also run periodically while serving).

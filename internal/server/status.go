@@ -185,12 +185,13 @@ func (s *Server) Status() Status {
 		if batches == 0 {
 			continue
 		}
+		lat := s.algoLat[slot].Load() // set before the slot's first batch was counted
 		as := AlgoStatus{
 			Algo:      slotName(slot),
 			Batches:   batches,
 			Frames:    s.algoFrames[slot].Load(),
-			batchHist: s.batchLat[slot].Snapshot(),
-			opHist:    s.opLat[slot].Snapshot(),
+			batchHist: lat.batch.Snapshot(),
+			opHist:    lat.op.Snapshot(),
 		}
 		as.BatchLatency = obs.Summarize(&as.batchHist)
 		as.OpLatency = obs.Summarize(&as.opHist)
