@@ -79,7 +79,9 @@ func replayResponse(mirror *Server, payload []byte) (resp []byte, ok bool) {
 //     requests = well-formed count);
 //   - the same burst written as one run of length-prefixed frames to a
 //     served TCP connection is answered identically up to its first
-//     malformed frame, which ends the connection.
+//     malformed frame, which ends the connection;
+//   - the same burst sent as datagrams to a served UDP socket has every
+//     well-formed payload answered, in order, with the replay's bytes.
 func FuzzServeDatagrams(f *testing.F) {
 	v3 := AppendOpsV3(nil, 7, []linkstore.Op{
 		{LinkID: 3, Algo: ctl.AlgoSampleRate, Kind: core.KindBER, RateIndex: 2, BER: 1e-6, Airtime: 5e-4, Delivered: true},
@@ -172,6 +174,51 @@ func FuzzServeDatagrams(f *testing.F) {
 		}
 		cli.Close()
 		<-done
+
+		// The same burst as datagrams from one client socket to a served
+		// UDP socket, queued before the serve loop reads, so it drains them
+		// as bursts of its own making. Malformed datagrams go unanswered;
+		// the rest come back in order, the last an empty request that
+		// proves the loop has read everything before it.
+		sentinel := AppendOpsV3(nil, 1<<31, nil)
+		payloads = append(payloads, sentinel)
+		resp, _ := replayResponse(mirror, sentinel)
+		want = append(want, resp)
+		udpSrv := New(Config{Store: linkstore.Config{Shards: 4}})
+		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := net.DialUDP("udp", nil, conn.LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		for _, p := range payloads {
+			if _, err := raw.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		served := make(chan error, 1)
+		go func() { served <- udpSrv.ServeUDP(conn) }()
+		raw.SetReadDeadline(time.Now().Add(30 * time.Second))
+		buf := make([]byte, maxResponse)
+		for i, w := range want {
+			if w == nil {
+				continue
+			}
+			n, err := raw.Read(buf)
+			if err != nil {
+				t.Fatalf("udp: reading the response to payload %d: %v", i, err)
+			}
+			if !bytes.Equal(buf[:n], w) {
+				t.Fatalf("udp: payload %d answered %x, in-process replay %x", i, buf[:n], w)
+			}
+		}
+		udpSrv.Close()
+		if err := <-served; err != nil {
+			t.Fatalf("ServeUDP: %v", err)
+		}
 	})
 }
 
@@ -238,7 +285,7 @@ func TestBurstEngineZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := tr.flush(false); err != nil {
+			if _, err := tr.flush(false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -248,6 +295,64 @@ func TestBurstEngineZeroAlloc(t *testing.T) {
 		}
 		if conn.written == 0 {
 			t.Fatal("no response bytes reached the connection")
+		}
+	})
+
+	t.Run("udp", func(t *testing.T) {
+		// A real loopback socket. Before each burst a client queues four
+		// of the requests, which fit one drain's op budget; the burst
+		// gathers what the socket holds, queues every response and sends
+		// them in one flush, and the client reads them back.
+		srvConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srvConn.Close()
+		cli, err := net.DialUDP("udp", nil, srvConn.LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		tr, err := newUDPTransport(srvConn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := newBurstEngine(srv, &srv.udp, true)
+		rbuf := make([]byte, maxResponse)
+		const queued = 4
+		burst := func() {
+			for _, p := range payloads[:queued] {
+				if _, err := cli.Write(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for got := 0; got < queued; {
+				eng.reset()
+				if err := tr.gather(eng, false); err != nil {
+					t.Fatal(err)
+				}
+				eng.finish()
+				for i := range eng.dgrams() {
+					d := &eng.dgrams()[i]
+					if err := tr.send(d, eng.response(d)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if failed, err := tr.flush(false); err != nil || failed != 0 {
+					t.Fatalf("flush: %d failed, %v", failed, err)
+				}
+				got += eng.n
+			}
+			cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+			for range queued {
+				if _, err := cli.Read(rbuf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		burst()
+		if allocs := testing.AllocsPerRun(50, burst); allocs != 0 {
+			t.Fatalf("warm UDP burst allocated %.1f times per burst, want 0", allocs)
 		}
 	})
 }

@@ -36,12 +36,14 @@ type transport interface {
 	// With draining set it must not wait for new traffic: it reports
 	// io.EOF once everything the peer had already submitted is gathered.
 	gather(e *burstEngine, draining bool) error
-	// send writes one response; an error means it was not delivered.
+	// send writes or queues one response; an error means it will not be
+	// delivered.
 	send(d *dgram, resp []byte) error
-	// flush ends a burst's responses; final is set when gather reported
-	// the transport done, so nothing may be held back for a later burst.
-	// An error ends the transport.
-	flush(final bool) error
+	// flush ends a burst's responses and reports how many of those send
+	// accepted were not delivered after all; final is set when gather
+	// reported the transport done, so nothing may be held back for a
+	// later burst. An error ends the transport.
+	flush(final bool) (failed int, err error)
 	// lossy is the loss policy: a lossy transport sheds bursts at a
 	// saturated admission gate (its clients time out and keep their
 	// rates), a lossless one blocks there.
@@ -149,6 +151,7 @@ func (s *Server) run(t transport, st *counters) error {
 		eng.reset()
 		err := t.gather(eng, g.draining.Load())
 		eng.finish()
+		sent := 0
 		for i := range eng.dgrams() {
 			d := &eng.dgrams()[i]
 			if !d.ok {
@@ -157,10 +160,14 @@ func (s *Server) run(t transport, st *counters) error {
 			if t.send(d, eng.response(d)) != nil {
 				st.txErrs.Inc()
 			} else {
-				st.tx.Inc()
+				sent++
 			}
 		}
-		if ferr := t.flush(err != nil); err == nil {
+		// A response counts as written only once its flush delivered it.
+		failed, ferr := t.flush(err != nil)
+		st.tx.Add(uint64(sent - failed))
+		st.txErrs.Add(uint64(failed))
+		if err == nil {
 			err = ferr
 		}
 		if err == io.EOF || (err != nil && g.quiescing()) {

@@ -15,11 +15,20 @@ import (
 	"softrate/internal/linkstore"
 )
 
-func randOps(rng *rand.Rand, n, links int) []linkstore.Op {
+// randOps draws n ops over the link IDs [0, links). links is an int64 so
+// that ID spaces past 32 bits compile on 32-bit platforms too; the IDs
+// are the draws rng.Intn(links) makes on 64-bit ones.
+func randOps(rng *rand.Rand, n int, links int64) []linkstore.Op {
 	ops := make([]linkstore.Op, n)
 	for i := range ops {
+		var id int64
+		if links <= math.MaxInt32 {
+			id = int64(rng.Int31n(int32(links)))
+		} else {
+			id = rng.Int63n(links)
+		}
 		ops[i] = linkstore.Op{
-			LinkID:    uint64(rng.Intn(links)),
+			LinkID:    uint64(id),
 			Kind:      core.FeedbackKind(rng.Intn(int(core.NumKinds))),
 			RateIndex: int32(rng.Intn(6)),
 			BER:       rng.Float64() * 0.01,

@@ -160,7 +160,7 @@ func (t *shmTransport) send(d *dgram, resp []byte) error {
 	return nil
 }
 
-func (t *shmTransport) flush(bool) error { return nil }
+func (t *shmTransport) flush(bool) (int, error) { return 0, nil }
 
 // ringCarrier moves client payloads over one attached region. timeout
 // bounds how long a stuck ring is polled before the client gives up.

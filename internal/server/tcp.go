@@ -175,14 +175,14 @@ func (t *tcpTransport) send(_ *dgram, resp []byte) error {
 // bytes are already buffered — the pending responses then go out in one
 // write once those are served (on the final burst nothing more will be,
 // so what is pending goes out now). Any write error ends the connection.
-func (t *tcpTransport) flush(final bool) error {
+func (t *tcpTransport) flush(final bool) (int, error) {
 	if t.err == nil && t.bw.Buffered() > 0 && (final || t.br.Buffered() == 0) {
 		if t.writeTimeout > 0 {
 			t.conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
 		}
 		t.note(t.bw.Flush())
 	}
-	return t.err
+	return 0, t.err
 }
 
 // note records the connection's first write error; one that failed on its

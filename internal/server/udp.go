@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"io"
 	"net"
 	"syscall"
 	"time"
@@ -22,11 +21,13 @@ import (
 // current rate" and moves on. A lost or malformed datagram cannot desync
 // anything: every datagram stands alone.
 //
-// A burst is one datagram: Go's net package cannot take what else a
-// socket has queued without risking a block (a read under an expired
-// deadline fails before it reaches the socket), so gathering several
-// needs recvmmsg or a raw non-blocking read behind gather — see ROADMAP.
-// An idle socket costs one poll wakeup per udpPollInterval.
+// A burst is what the socket already holds. On linux/amd64 and
+// linux/arm64 (udp_linux.go) gather waits for the first datagram, then
+// drains the rest with non-blocking reads, and the burst's responses
+// leave in one sendmmsg. Elsewhere (udp_portable.go) a burst is one
+// datagram: Go's net package cannot take what else a socket has queued
+// without risking a block. An idle socket costs one poll wakeup per
+// udpPollInterval.
 
 // udpPollInterval bounds how long the UDP read blocks before the serve
 // loop re-checks the draining/closed flags: drains and Close are noticed
@@ -42,13 +43,11 @@ const maxResponse = 8 + (MaxDatagram-headerSizeV3)/RecordSizeV2
 // ServeUDP calls on other sockets; they all share one store and one
 // lifecycle. Returns nil on orderly shutdown.
 func (s *Server) ServeUDP(conn *net.UDPConn) error {
-	return s.serve(&udpTransport{conn: conn, buf: make([]byte, MaxDatagram)}, &s.udp)
-}
-
-// udpTransport is one served socket.
-type udpTransport struct {
-	conn *net.UDPConn
-	buf  []byte // receive scratch
+	t, err := newUDPTransport(conn)
+	if err != nil {
+		return err
+	}
+	return s.serve(t, &s.udp)
 }
 
 func (t *udpTransport) lossy() bool { return true }
@@ -59,31 +58,14 @@ func (t *udpTransport) wake(time.Time) { t.conn.SetReadDeadline(time.Unix(1, 0))
 
 func (t *udpTransport) Close() error { return t.conn.Close() }
 
-// gather waits — bounded, so flag flips are noticed — for one datagram.
-// Once draining, anything still unread in the socket buffer is, by the
-// loss contract, a datagram lost in flight.
-func (t *udpTransport) gather(e *burstEngine, draining bool) error {
-	if draining {
-		return io.EOF
+// readResult is what gather returns for a read error: a timeout means
+// the poll interval passed with nothing to read.
+func readResult(err error) error {
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		return nil
 	}
-	t.conn.SetReadDeadline(time.Now().Add(udpPollInterval))
-	n, addr, err := t.conn.ReadFromUDPAddrPort(t.buf)
-	if err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			return nil
-		}
-		return err
-	}
-	e.add(t.buf[:n]).addr = addr
-	return nil
-}
-
-func (t *udpTransport) send(d *dgram, resp []byte) error {
-	_, err := t.conn.WriteToUDPAddrPort(resp, d.addr)
 	return err
 }
-
-func (t *udpTransport) flush(bool) error { return nil }
 
 // datagramCarrier moves client payloads over a connected UDP socket.
 type datagramCarrier struct {

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -311,6 +314,84 @@ func TestServeUDPGarbageDatagrams(t *testing.T) {
 			t.Fatalf("udp drops = %d, want 4", srv.Status().UDP.Drops)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// misaddressed serves a UDP socket but readdresses its bad-th datagram to
+// an IPv6 peer, which the IPv4 socket cannot reach, and reports the
+// transport done once it has gathered total datagrams.
+type misaddressed struct {
+	*udpTransport
+	bad, total, seen int
+}
+
+func (m *misaddressed) gather(e *burstEngine, draining bool) error {
+	err := m.udpTransport.gather(e, draining)
+	for i := range e.dgrams() {
+		if m.seen == m.bad {
+			e.dg[i].addr = netip.MustParseAddrPort("[2001:db8::1]:9")
+		}
+		m.seen++
+	}
+	if err == nil && m.seen == m.total {
+		return io.EOF
+	}
+	return err
+}
+
+// TestUDPTxCountsDelivered: a response counts as sent once it is
+// delivered, not when it is queued. One undeliverable response mid-burst
+// costs one tx error and nothing else: every other peer is answered, and
+// the final flush — the transport reported done with the burst in hand —
+// still delivers everything it queued.
+func TestUDPTxCountsDelivered(t *testing.T) {
+	const peers, bad = 5, 2
+	cfg := Config{Store: linkstore.Config{Shards: 8}}
+	srv, mirror := New(cfg), New(cfg)
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := newUDPTransport(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	clients := make([]*net.UDPConn, peers)
+	want := make([][]byte, peers)
+	for i := range clients {
+		c, err := net.DialUDP("udp", nil, conn.LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[i] = c
+		p := AppendOpsV3(nil, uint32(i), randOps(rng, 16, 100))
+		if _, err := c.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		want[i], _ = replayResponse(mirror, p)
+	}
+	if err := srv.serve(&misaddressed{udpTransport: tr, bad: bad, total: peers}, &srv.udp); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+
+	buf := make([]byte, maxResponse)
+	for i, c := range clients {
+		c.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		n, err := c.Read(buf)
+		if i == bad {
+			if err == nil {
+				t.Fatalf("the readdressed peer's client got %x", buf[:n])
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(buf[:n], want[i]) {
+			t.Fatalf("peer %d: answered %x (err %v), in-process replay %x", i, buf[:n], err, want[i])
+		}
+	}
+	if st := srv.Status().UDP; st.DatagramsRx != peers || st.DatagramsTx != peers-1 || st.TxErrors != 1 {
+		t.Fatalf("udp status rx %d tx %d tx_errors %d; want %d, %d, 1", st.DatagramsRx, st.DatagramsTx, st.TxErrors, peers, peers-1)
 	}
 }
 
