@@ -130,7 +130,7 @@ func main() {
 	flag.IntVar(&opt.coldLinks, "cold-links", 0, "per-algorithm cold population churned round-robin behind the hot set: each link is touched once per lap and idles past the TTL before its next turn, so every touch is an evict/restore (0 = off)")
 	flag.Float64Var(&opt.hotFrac, "hot-frac", 0.1, "with -cold-links: fraction of each batch replaying the hot trace-driven links; the rest churns the cold population")
 	flag.StringVar(&opt.coldDir, "cold-dir", "", "in-process/loopback server (or the -serve-exec child): spill evicted links to a disk cold tier in this directory")
-	flag.IntVar(&opt.coldFront, "cold-front", 0, "with -cold-dir: RAM-archive link budget in front of the cold tier (0 = server default)")
+	flag.IntVar(&opt.coldFront, "cold-front", 0, "RAM-archive link budget in front of the cold tier, on disk or in memory (0 = server default)")
 	flag.Float64Var(&opt.compactRatio, "compact-ratio", 0, "with -cold-dir: dead-byte ratio that triggers cold segment compaction (0 = server default)")
 	flag.Uint64Var(&opt.minSpills, "min-spills", 0, "fail unless the in-process server spilled at least this many links to the cold tier")
 	flag.IntVar(&opt.maxInflight, "max-inflight", 0, "served store (in-process, loopback or -serve-exec child): bound Decide batches in flight; lossless transports queue, UDP sheds (0 = unbounded)")
@@ -197,8 +197,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen: -cold-dir configures the served store; with a remote server pass it to softrated instead (or use -serve-exec)")
 		os.Exit(2)
 	}
-	if opt.minSpills > 0 && (!localStore || opt.coldDir == "") {
-		fmt.Fprintln(os.Stderr, "loadgen: -min-spills needs an in-process or loopback server with -cold-dir")
+	if opt.minSpills > 0 && !localStore {
+		fmt.Fprintln(os.Stderr, "loadgen: -min-spills needs an in-process or loopback server")
 		os.Exit(2)
 	}
 	if opt.chaosCold > 0 && opt.coldDir == "" {
@@ -855,13 +855,8 @@ func run(opt options) error {
 	if opt.minRate > 0 && report.DecisionsPerSec < opt.minRate {
 		return fmt.Errorf("sustained %.0f decisions/sec, below the required %.0f", report.DecisionsPerSec, opt.minRate)
 	}
-	if opt.minSpills > 0 {
-		if report.Cold == nil {
-			return fmt.Errorf("-min-spills set but the server has no cold tier")
-		}
-		if report.Cold.Spills < opt.minSpills {
-			return fmt.Errorf("cold tier spilled %d links, below the required %d", report.Cold.Spills, opt.minSpills)
-		}
+	if opt.minSpills > 0 && report.Cold.Spills < opt.minSpills {
+		return fmt.Errorf("cold tier spilled %d links, below the required %d", report.Cold.Spills, opt.minSpills)
 	}
 	return nil
 }
@@ -952,11 +947,11 @@ type childServer struct {
 func startServeExec(opt options, shmRings int) (*childServer, error) {
 	c := &childServer{}
 	args := []string{"-addr", "127.0.0.1:0", "-shards", fmt.Sprint(opt.shards), "-ttl", opt.ttl.String()}
+	if opt.coldFront > 0 {
+		args = append(args, "-cold-front", fmt.Sprint(opt.coldFront))
+	}
 	if opt.coldDir != "" {
 		args = append(args, "-cold-dir", opt.coldDir)
-		if opt.coldFront > 0 {
-			args = append(args, "-cold-front", fmt.Sprint(opt.coldFront))
-		}
 		if opt.compactRatio > 0 {
 			args = append(args, "-compact-ratio", fmt.Sprint(opt.compactRatio))
 		}

@@ -61,8 +61,8 @@ func main() {
 		shmPath     = flag.String("shm", "", "also serve the shared-memory ring transport: create region files at this path (ring i > 0 appends .i) for co-located clients; empty = off")
 		shmRings    = flag.Int("shm-rings", 1, "shm region files to create (one co-located client per ring)")
 		shmBytes    = flag.Int("shm-ring-bytes", shmring.DefaultCapacity, "per-ring capacity in bytes (power of two)")
-		coldDir     = flag.String("cold-dir", "", "spill idle links to an append-only segment log in this directory (bounded resident memory; recovered at startup); empty = keep every idle link in RAM")
-		coldFront   = flag.Int("cold-front", 0, "RAM-archive link budget in front of the cold tier (recently evicted links restore without disk I/O); 0 = default "+fmt.Sprint(linkstore.DefaultColdFront))
+		coldDir     = flag.String("cold-dir", "", "spill idle links to an append-only segment log in this directory (recovered at startup); empty = in-memory tier, lost at exit")
+		coldFront   = flag.Int("cold-front", 0, "RAM-archive link budget in front of the cold tier (recently evicted links restore without a cold-tier read); 0 = default "+fmt.Sprint(linkstore.DefaultColdFront))
 		compactRat  = flag.Float64("compact-ratio", 0, "dead-byte ratio past which a cold segment is rewritten, in (0,1]; 0 = default "+fmt.Sprint(coldstore.DefaultCompactRatio))
 		maxInflight = flag.Int("max-inflight", 0, "bound the Decide batches in flight across all transports: lossless transports queue at the gate, the UDP burst loop sheds; 0 = unbounded")
 		writeTO     = flag.Duration("tcp-write-timeout", 0, "evict a TCP peer whose socket stays write-blocked this long (a stuck client can't pin a handler or the drain); 0 = never")

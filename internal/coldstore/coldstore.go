@@ -1,10 +1,11 @@
-// Package coldstore is the link store's disk tier: an append-only
+// Package coldstore is the link store's cold tier: an append-only
 // segment log of encoded per-link controller states with a compact
-// in-memory index. It exists so that resident memory tracks the *hot*
-// link population instead of the total one — at 10M+ links the RAM cost
-// of an idle link drops from its full archived state (up to ~1.7 KB for
-// SampleRate, plus map overhead) to one 16-byte entry of a flat index
-// table: about 23 bytes per link at any population.
+// in-memory index, on disk or, for a store given no directory, over an
+// in-memory file system (faultfs.Mem). It exists so that the link tables
+// track the *hot* link population instead of the total one — on disk, at
+// 10M+ links, the RAM cost of an idle link drops from its full archived
+// state (up to ~1.7 KB for SampleRate) to one 16-byte entry of a flat
+// index table: about 23 bytes per link at any population.
 //
 // Design, in the spirit of every log-structured store:
 //
@@ -65,6 +66,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"softrate/internal/faultfs"
@@ -139,7 +141,8 @@ type Config struct {
 	// fsync per generation.
 	Sync bool
 	// FS is the filesystem the tier runs on. Nil means the real one
-	// (faultfs.OS); chaos runs pass a faultfs.Injector here.
+	// (faultfs.OS); chaos runs pass a faultfs.Injector here, and a link
+	// store with no directory a faultfs.Mem.
 	FS faultfs.FS
 }
 
@@ -191,6 +194,9 @@ type Store struct {
 	// index is all an idle link keeps in RAM — the whole point of the
 	// tier.
 	index index
+	// links is index.len(), stored under s.mu after every change so Len
+	// can read it without the lock: a link store asks it on every miss.
+	links atomic.Int64
 	cache blockCache
 	// perAlgo counts live indexed links per algorithm ID.
 	perAlgo [256]int64
@@ -210,12 +216,23 @@ type Store struct {
 	restores    uint64
 	compactions uint64
 	tornTails   uint64
-	restoreLat  obs.Latency
+	// restoreLat is allocated by the first restore: its stripes are most of
+	// an empty store's footprint, and a tier that is never read from (a
+	// store whose links never idle out) should not carry them.
+	restoreLat *obs.Latency
 
-	compactCh chan struct{}
-	stopCh    chan struct{}
-	done      sync.WaitGroup
-	closed    bool
+	// The compactor goroutine runs only while there may be a segment to
+	// reclaim: a kick starts it and it exits once a pass finds nothing, so
+	// an idle tier — such as the in-memory one a link store opens for
+	// itself and never closes — holds none. kicked is a kick it has not
+	// yet acted on; wake carries a kick to a compactor waiting out a
+	// failed pass.
+	compacting bool
+	kicked     bool
+	wake       chan struct{}
+	stopCh     chan struct{}
+	done       sync.WaitGroup
+	closed     bool
 }
 
 func segName(id uint32) string            { return fmt.Sprintf("seg-%08d.slog", id) }
@@ -249,16 +266,30 @@ func Open(cfg Config) (*Store, error) {
 		segmentBytes: int64(cfg.SegmentBytes),
 		compactRatio: cfg.CompactRatio,
 		maxSegs:      maxSegSlots,
-		compactCh:    make(chan struct{}, 1),
+		wake:         make(chan struct{}, 1),
 		stopCh:       make(chan struct{}),
 	}
+	// Recovery marks superseded records dead as it scans, and each kick
+	// that makes would start the compactor on a half-built store: hold it
+	// off as if it were running, and check every segment once the scan is
+	// done. The first kick there starts it, and it takes s.mu and may
+	// remove segments, so the check holds the lock.
+	s.compacting = true
 	if err := s.recover(); err != nil {
 		s.closeFiles()
 		return nil, err
 	}
-	s.done.Add(1)
-	go s.compactLoop()
-	s.compactCh <- struct{}{} // recovery may have left compactable segments
+	s.links.Store(int64(s.index.len()))
+	s.mu.Lock()
+	s.compacting, s.kicked = false, false
+	select {
+	case <-s.wake:
+	default:
+	}
+	for _, sg := range s.segs {
+		s.kickIfCompactable(sg)
+	}
+	s.mu.Unlock()
 	return s, nil
 }
 
@@ -451,17 +482,26 @@ func (s *Store) compactable(sg *segment) bool {
 	return sg != s.active && (sg.liveRecs == 0 || sg.deadRatio() >= s.compactRatio)
 }
 
-// kickIfCompactable nudges the background compactor when sg has become
-// worth rewriting. A segment's standing changes only when one of its
-// records dies or when it is sealed, so checking the segment just
-// touched at those two points sees every crossing without scanning the
-// segment list per record.
+// kickIfCompactable wakes the background compactor, starting it if it is
+// not running, when sg has become worth rewriting. A segment's standing
+// changes only when one of its records dies or when it is sealed, so
+// checking the segment just touched at those two points sees every
+// crossing without scanning the segment list per record. Caller holds
+// s.mu.
 func (s *Store) kickIfCompactable(sg *segment) {
-	if s.compactable(sg) {
-		select {
-		case s.compactCh <- struct{}{}:
-		default:
-		}
+	if !s.compactable(sg) || s.closed {
+		return
+	}
+	s.kicked = true
+	if !s.compacting {
+		s.compacting = true
+		s.done.Add(1)
+		go s.compactLoop()
+		return
+	}
+	select { // cut short a running compactor's retry wait
+	case s.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -580,6 +620,7 @@ func (s *Store) putLocked(recs []Record, buf []byte) ([]byte, error) {
 		s.indexPut(r.LinkID, r.Algo, sg, off, len(r.State))
 		off += int64(recOverhead + len(r.State))
 	}
+	s.links.Store(int64(s.index.len()))
 	return buf[:0], nil
 }
 
@@ -684,11 +725,16 @@ func (s *Store) TakeBatch(ids []uint64, dst []byte, out []Taken) ([]byte, []Take
 	}
 	s.takeRefs = refs[:0]
 	s.restores += restored
+	s.links.Store(int64(s.index.len()))
+	if restored > 0 && s.restoreLat == nil {
+		s.restoreLat = new(obs.Latency)
+	}
+	lat := s.restoreLat
 	s.mu.Unlock()
 	if restored > 0 {
 		// One clock pair for the batch, recorded as each restored link's
 		// share, so RestoreLatency.Count stays equal to Restores.
-		s.restoreLat.ObserveN((time.Since(clockBase)-t0)/time.Duration(restored), restored)
+		lat.ObserveN((time.Since(clockBase)-t0)/time.Duration(restored), restored)
 	}
 	return dst, out
 }
@@ -724,38 +770,45 @@ func (s *Store) Peek(id uint64, dst []byte) (algo uint8, state []byte, ok bool, 
 }
 
 // Len returns the number of links in the tier.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.index.len()
-}
+func (s *Store) Len() int { return int(s.links.Load()) }
 
-// compactLoop drains compaction kicks until Close. Kicks come only when
-// a segment's standing changes, so a compaction that fails — a transient
-// read or write fault, a Remove that did not take — would wait for some
-// other segment's kick; the loop re-arms itself after compactRetry
-// instead.
+// compactLoop compacts until a pass reclaims nothing and no kick came in
+// meanwhile, or until Close. Kicks come only when a segment's standing
+// changes, so a compaction that fails — a transient read or write fault, a
+// Remove that did not take — would wait for some other segment's kick; the
+// loop kicks itself after compactRetry instead, or at once on a new kick.
 func (s *Store) compactLoop() {
 	defer s.done.Done()
-	var retry <-chan time.Time
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-s.compactCh:
-		case <-retry:
+	for s.takeKick() {
+		progressed, err := s.CompactOnce()
+		for err == nil && progressed {
+			progressed, err = s.CompactOnce()
 		}
-		retry = nil
-		for {
-			progressed, err := s.CompactOnce()
-			if err != nil {
-				retry = time.After(compactRetry)
+		if err != nil {
+			select {
+			case <-s.stopCh:
+				continue
+			case <-s.wake:
+			case <-time.After(compactRetry):
 			}
-			if err != nil || !progressed {
-				break
-			}
+			s.mu.Lock()
+			s.kicked = true
+			s.mu.Unlock()
 		}
 	}
+}
+
+// takeKick consumes a pending kick for the compactor, or, with none
+// pending or the store closed, records that the compactor has stopped.
+func (s *Store) takeKick() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.kicked && !s.closed {
+		s.kicked = false
+		return true
+	}
+	s.compacting = false
+	return false
 }
 
 // CompactOnce rewrites (or, when fully dead, deletes) the sealed
@@ -861,11 +914,6 @@ func (s *Store) compactSliceLocked(c *compaction) error {
 	return nil
 }
 
-// LatencySnapshot returns the merged restore-latency histogram.
-func (s *Store) LatencySnapshot() stats.Histogram {
-	return s.restoreLat.Snapshot()
-}
-
 // Stats is a point-in-time view of the tier.
 type Stats struct {
 	// Links is the number of links resident in the tier; Segments the
@@ -885,20 +933,20 @@ type Stats struct {
 	// partial tails found at recovery.
 	Compactions uint64 `json:"compactions_total"`
 	TornTails   uint64 `json:"torn_tails_total"`
-	// RestoreLatency digests the disk-restore latency histogram;
-	// RestoreHist is the full merged histogram behind it (for the
-	// Prometheus renderer — omitted from JSON).
+	// RestoreLatency digests the restore latency histogram; RestoreHist
+	// is the full merged histogram behind it (for the Prometheus renderer
+	// — omitted from JSON). A pointer, so taking a snapshot puts no
+	// histogram-sized frame on the polling goroutine's stack.
 	RestoreLatency obs.LatencySummary `json:"restore_latency"`
-	RestoreHist    stats.Histogram    `json:"-"`
+	RestoreHist    *stats.Histogram   `json:"-"`
 	// AlgoLinks counts resident links per algorithm ID.
 	AlgoLinks map[uint8]int `json:"algo_links,omitempty"`
 }
 
 // Stats snapshots the tier's counters.
 func (s *Store) Stats() Stats {
-	hist := s.restoreLat.Snapshot()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	lat := s.restoreLat
 	out := Stats{
 		Links:       s.index.len(),
 		Segments:    len(s.segs) - len(s.freeSlots),
@@ -906,6 +954,7 @@ func (s *Store) Stats() Stats {
 		Restores:    s.restores,
 		Compactions: s.compactions,
 		TornTails:   s.tornTails,
+		RestoreHist: new(stats.Histogram),
 	}
 	for _, sg := range s.segs {
 		if sg == nil {
@@ -915,7 +964,7 @@ func (s *Store) Stats() Stats {
 		out.DeadBytes += sg.deadBytes
 		out.DiskBytes += sg.size
 	}
-	for a, n := range s.perAlgo {
+	for a, n := range &s.perAlgo {
 		if n != 0 {
 			if out.AlgoLinks == nil {
 				out.AlgoLinks = make(map[uint8]int)
@@ -923,8 +972,11 @@ func (s *Store) Stats() Stats {
 			out.AlgoLinks[uint8(a)] = int(n)
 		}
 	}
-	out.RestoreLatency = obs.Summarize(&hist)
-	out.RestoreHist = hist
+	s.mu.Unlock()
+	if lat != nil {
+		lat.MergeInto(out.RestoreHist)
+	}
+	out.RestoreLatency = obs.Summarize(out.RestoreHist)
 	return out
 }
 

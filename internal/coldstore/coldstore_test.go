@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"softrate/internal/faultfs"
 )
 
 func openT(t *testing.T, dir string, cfg Config) *Store {
@@ -146,6 +148,72 @@ func TestRotationAndCompaction(t *testing.T) {
 		_, got, ok, err := s.Take(id, nil)
 		if err != nil || !ok || !bytes.Equal(got, stateFor(id, 32)) {
 			t.Fatalf("post-compaction Take(%d): ok=%v err=%v", id, ok, err)
+		}
+	}
+}
+
+// TestCompactorStopsWhenIdle: the background compactor runs only while a
+// segment may be reclaimed. A store with nothing to reclaim runs none;
+// kicked by dead segments, it reclaims them and exits, so a tier nobody
+// closes (the link store's in-memory one) holds no goroutine.
+func TestCompactorStopsWhenIdle(t *testing.T) {
+	s := openT(t, "", Config{SegmentBytes: 1 << 10, FS: new(faultfs.Mem)})
+	running := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.compacting
+	}
+	const n = 200
+	for id := uint64(1); id <= n; id++ {
+		putOne(t, s, id, 1, stateFor(id, 32))
+	}
+	if st := s.Stats(); st.Segments < 3 || running() {
+		t.Fatalf("%d segments, compactor running %v: want several, all live, and no compactor", st.Segments, running())
+	}
+	for id := uint64(1); id <= n; id++ {
+		if _, _, ok, err := s.Take(id, nil); !ok || err != nil {
+			t.Fatalf("Take(%d): ok=%v err=%v", id, ok, err)
+		}
+	}
+	s.done.Wait() // the takes' kicks started the compactor; this is its exit
+	if st := s.Stats(); running() || st.Segments != 1 {
+		t.Fatalf("compactor running %v with %d segments left, want it done and stopped with the active one", running(), st.Segments)
+	}
+}
+
+// TestReopenCompactsDeadSegments: a directory with several fully dead
+// segments is reclaimed by the compactor that Open starts for the first of
+// them while it is still scanning the rest. Under -race this checks that
+// the scan and the compactor share the lock.
+func TestReopenCompactsDeadSegments(t *testing.T) {
+	// Two logs of the same links, the second one newer: appended to the
+	// first under later segment IDs, it supersedes every record there.
+	dir, newer := t.TempDir(), t.TempDir()
+	const n = 200
+	var newSegs int
+	for v, d := range []string{dir, newer} {
+		s := openT(t, d, Config{SegmentBytes: 1 << 10})
+		for id := uint64(1); id <= n; id++ {
+			putOne(t, s, id, 1, stateFor(id+uint64(v)*n, 32))
+		}
+		newSegs = s.Stats().Segments
+		s.Close()
+	}
+	old, _ := os.ReadDir(dir)
+	for i := range newSegs {
+		if err := os.Rename(filepath.Join(newer, segName(uint32(i))), filepath.Join(dir, segName(uint32(len(old)+i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := openT(t, dir, Config{SegmentBytes: 1 << 10})
+	s.done.Wait()
+	if st := s.Stats(); st.Links != n || st.Segments != newSegs {
+		t.Fatalf("reopened: %d links in %d segments, want %d in the newer log's %d", st.Links, st.Segments, n, newSegs)
+	}
+	for id := uint64(1); id <= n; id++ {
+		if _, state, ok, err := s.Peek(id, nil); !ok || err != nil || !bytes.Equal(state, stateFor(id+n, 32)) {
+			t.Fatalf("Peek(%d): ok=%v err=%v, or not the newer state", id, ok, err)
 		}
 	}
 }

@@ -11,16 +11,16 @@ import (
 // The archive front. A TTL sweep takes idle links out of service where
 // they sit: their table slots are tagged with the current archive
 // generation and their state stays put. A link that comes back has the
-// tag cleared. With a cold tier, a filled generation rotates out to disk
-// in one group-committed batch and its slots are deleted.
+// tag cleared. A filled generation rotates out to the cold tier in one
+// group-committed batch and its slots are deleted.
 //
 // A sweep does all of its table work in one walk: it evicts idle links
 // and records the slot of every archived link, by tier. A rotation builds
 // its spill from those positions, in slot order, and once every spill the
 // sweep needs has committed, the spilled slots are deleted highest first.
 
-// DefaultColdFront is the store-wide RAM-archive link budget when a cold
-// tier is attached and Config.ColdFront is zero.
+// DefaultColdFront is the store-wide RAM-archive link budget when
+// Config.ColdFront is zero.
 const DefaultColdFront = 65536
 
 // oldTier is the tier tag of the archive generation that is not current.
@@ -87,21 +87,10 @@ type walkScratch struct {
 // tier exists to give back.
 var walkPool = sync.Pool{New: func() any { return new(walkScratch) }}
 
-// spillScratch returns pooled walk scratch when the archive can spill —
-// to a cold tier that keeps evicted state — and nil when a walk only
-// evicts.
-func (st *Store) spillScratch() *walkScratch {
-	if st.cold == nil || st.cfg.DropOnEvict {
-		return nil
-	}
-	return walkPool.Get().(*walkScratch)
-}
-
 // walkLocked is a sweep's one pass over the shard's table. It evicts
 // every live link idle for at least minAge ticks (0 evicts them all) and
-// returns how many that was. With sc it also records the slot of every
-// archived link, the ones it just evicted included, by tier. Caller holds
-// sh.mu.
+// returns how many that was. It records the slot of every archived link in
+// sc, the ones it just evicted included, by tier. Caller holds sh.mu.
 func (sh *shard) walkLocked(st *Store, nowTick, minAge uint32, sc *walkScratch) int {
 	evicted := 0
 	sh.links.walk(func(i int, _ uint64, e *entry) bool {
@@ -114,9 +103,7 @@ func (sh *shard) walkLocked(st *Store, nowTick, minAge uint32, sc *walkScratch) 
 				return true
 			}
 		}
-		if sc != nil {
-			sc.at[e.tier] = append(sc.at[e.tier], int32(i))
-		}
+		sc.at[e.tier] = append(sc.at[e.tier], int32(i))
 		return false
 	})
 	return evicted
@@ -125,7 +112,7 @@ func (sh *shard) walkLocked(st *Store, nowTick, minAge uint32, sc *walkScratch) 
 // sweepLocked evicts idle links and rotates the archive until it fits its
 // budget. Caller holds sh.mu.
 func (sh *shard) sweepLocked(st *Store, now int64) int {
-	sc := st.spillScratch()
+	sc := walkPool.Get().(*walkScratch)
 	evicted := sh.walkLocked(st, st.tickOf(now), st.ttlTicks, sc)
 	sh.lastSweep = now
 	// Rotate until the RAM front fits its budget again. One sweep can
@@ -136,8 +123,7 @@ func (sh *shard) sweepLocked(st *Store, now int64) int {
 	// empty current generation and stand down, leaving the budget violated
 	// indefinitely. The loop runs at most twice per sweep in practice
 	// (spill old, make the burst old, spill it too).
-	for st.genCap > 0 &&
-		(int(sh.genLen[sh.curTier]) >= st.genCap || sh.archivedLen() > 2*st.genCap) {
+	for int(sh.genLen[sh.curTier]) >= st.genCap || sh.archivedLen() > 2*st.genCap {
 		if !sh.rotateLocked(st, now, sc) {
 			break // spill error or open breaker: keep both generations in RAM
 		}
@@ -201,9 +187,6 @@ func (sh *shard) spillTierLocked(st *Store, tier uint8, now int64, sc *walkScrat
 // its link when its turn comes; it frees their slab slots and settles
 // their counters. Then it returns sc to the pool. Caller holds sh.mu.
 func (sh *shard) dropSpilledLocked(st *Store, sc *walkScratch) {
-	if sc == nil {
-		return
-	}
 	var a, b []int32 // each ascending; merged from the top
 	if sc.spilled[1] {
 		a = sc.at[1]
@@ -247,25 +230,22 @@ func (sh *shard) maybeSweepLocked(st *Store, now int64) {
 // half of the crash-restart contract: after SpillAll, a process that
 // reopens the same cold directory restores every link byte-identically,
 // including links that had been taken back from disk since their last
-// spill. Returns the number of links spilled, counting every batch that
-// was committed; a no-op without a cold tier. Every shard is attempted
-// regardless of earlier failures (and regardless of the breaker — this is
-// the last chance to persist); a failing shard keeps its state in RAM,
-// and the returned error joins every shard's failure (errors.Join, each
-// wrapped with its shard index) so a partial drain spill is diagnosable
-// from the exit dump. The per-failure counts also land in
+// spill (an in-memory tier ends with the process). Returns the number of
+// links spilled, counting every batch that was committed. Every shard is
+// attempted regardless of earlier failures (and regardless of the breaker
+// — this is the last chance to persist); a failing shard keeps its state
+// in RAM, and the returned error joins every shard's failure (errors.Join,
+// each wrapped with its shard index) so a partial drain spill is
+// diagnosable from the exit dump. The per-failure counts also land in
 // Stats.ColdSpillErrors.
 func (st *Store) SpillAll() (int, error) {
-	if st.cold == nil {
-		return 0, nil
-	}
 	now := st.cfg.Clock()
 	total := 0
 	var errs []error
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		sc := st.spillScratch()
+		sc := walkPool.Get().(*walkScratch)
 		sh.walkLocked(st, 0, 0, sc)
 		// Older generation first, as a rotation would; a failed batch
 		// committed nothing, and the younger one is then not attempted.

@@ -16,8 +16,8 @@ const (
 // breaker is the cold tier's degradation switch. A failed spill never
 // loses state — the failing generation stays resident — so its only job
 // is to stop hammering a broken disk: after breakerTripAfter consecutive
-// failures it opens, rotations stop attempting disk I/O (the RAM archive
-// grows unbounded, exactly the no-cold-tier behaviour), and one probe
+// failures it opens, rotations stop attempting cold-tier writes (the RAM
+// archive grows without bound until one lands), and one probe
 // spill is allowed per backoff interval, the interval doubling up to
 // breakerMaxBackoff until a probe succeeds. It reads no clock: every
 // transition takes the caller's now, in nanoseconds.

@@ -2,6 +2,7 @@ package linkstore
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -56,18 +57,23 @@ func benchChurn(b *testing.B, st *Store, clk *fakeClock, nLinks, window int, alg
 	b.ReportMetric(float64(window)*float64(b.N)/b.Elapsed().Seconds(), "links/s")
 }
 
-// BenchmarkEvictRestoreRAMArchive is the A side: eviction churn with the
-// unbounded in-RAM archive (the pre-cold-tier store).
+// BenchmarkEvictRestoreRAMArchive is the A side: eviction churn over a
+// population the RAM front holds whole, so every restore is a revival in
+// place and nothing reaches the cold tier.
 func BenchmarkEvictRestoreRAMArchive(b *testing.B) {
 	const nLinks = 8192
 	clk := &fakeClock{}
-	st := New(Config{Shards: 64, TTL: time.Second, Clock: clk.Now, ExpectedLinks: nLinks})
+	st := New(Config{Shards: 64, TTL: time.Second, Clock: clk.Now, ExpectedLinks: nLinks, ColdFront: 4 * nLinks})
 	benchChurn(b, st, clk, nLinks, 512, ctl.AlgoSoftRate)
+	if n := st.Stats().Cold.Spills; n != 0 {
+		b.Fatalf("%d links reached the cold tier", n)
+	}
 }
 
 // BenchmarkEvictRevive is the flag flip on its own: every cycle revives
-// the whole population and then idles all of it out again, with no cold
-// tier, for an inline state and for a wide one that stays in its slab slot.
+// the whole population and then idles all of it out again into a RAM
+// front that holds it whole, for an inline state and for a wide one that
+// stays in its slab slot.
 func BenchmarkEvictRevive(b *testing.B) {
 	for _, arm := range []struct {
 		name string
@@ -76,26 +82,38 @@ func BenchmarkEvictRevive(b *testing.B) {
 		b.Run(arm.name, func(b *testing.B) {
 			const nLinks = 2048
 			clk := &fakeClock{}
-			st := New(Config{Shards: 64, TTL: time.Second, Clock: clk.Now, ExpectedLinks: nLinks})
+			st := New(Config{Shards: 64, TTL: time.Second, Clock: clk.Now, ExpectedLinks: nLinks, ColdFront: 4 * nLinks})
 			benchChurn(b, st, clk, nLinks, nLinks, arm.algo)
+			if n := st.Stats().Cold.Spills; n != 0 {
+				b.Fatalf("%d links reached the cold tier", n)
+			}
 		})
 	}
 }
 
-// BenchmarkIdleTail is the store without a cold tier late in a long run: a
-// small live set in service over an archive of idle links far larger than
-// it, which idled out a live set's worth at a time and are never seen
-// again. Archived links keep their slots in the shard tables, so both arms
-// grow with the archive: hit is one decision on a live link, picked at
-// random so the table's spread shows as cache misses, and sweep is one
-// shard's TTL sweep that finds nothing to evict.
+// BenchmarkIdleTail is the default store, its cold tier in memory, late in
+// a long run: a small live set in service over idle links far more
+// numerous than it, which idled out a live set's worth at a time and are
+// never seen again. All but the RAM front's worth of them sit in the
+// in-memory tier, out of the shard tables, so neither arm should grow with
+// them: hit is one decision on a live link, picked at random so the
+// table's spread shows as cache misses, and sweep is one shard's TTL sweep
+// that finds nothing to evict. B/idle-link is what the idle population
+// added to the heap, after a collection, per idle link.
 func BenchmarkIdleTail(b *testing.B) {
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
 	for _, idle := range []int{0, 1 << 20} {
 		const live, batch = 8192, 128
 		clk := &fakeClock{}
 		st := New(Config{Shards: 64, TTL: time.Second, Clock: clk.Now, ExpectedLinks: live})
 		ops := make([]Op, batch)
 		out := make([]int32, batch)
+		heap0 := heap()
 		for base := live; base < live+idle; base += live {
 			for off := 0; off < live; off += batch {
 				for i := range ops {
@@ -108,6 +126,7 @@ func BenchmarkIdleTail(b *testing.B) {
 				b.Fatalf("sweep evicted %d links, want %d", n, live)
 			}
 		}
+		idleBytes := heap() - heap0
 		pick := uint32(1)
 		hit := func() {
 			for i := range ops {
@@ -125,6 +144,9 @@ func BenchmarkIdleTail(b *testing.B) {
 				hit()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/decision")
+			if idle > 0 {
+				b.ReportMetric(float64(idleBytes)/float64(idle), "B/idle-link")
+			}
 		})
 		b.Run(fmt.Sprintf("idle=%d/sweep", idle), func(b *testing.B) {
 			b.ReportAllocs()

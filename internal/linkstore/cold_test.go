@@ -25,15 +25,28 @@ func openCold(t *testing.T, dir string) *coldstore.Store {
 	return c
 }
 
+// forEachTier runs f over a disk tier and again with Config.Cold nil,
+// which puts the same segment log in memory.
+func forEachTier(t *testing.T, f func(t *testing.T, cold *coldstore.Store)) {
+	t.Run("disk", func(t *testing.T) {
+		cold := openCold(t, t.TempDir())
+		defer cold.Close()
+		f(t, cold)
+	})
+	t.Run("mem", func(t *testing.T) { f(t, nil) })
+}
+
 // TestColdTierDeterminismMixedAlgorithms is TestMixedAlgorithmsPerLink
-// with a disk tier behind a deliberately tiny RAM front: eviction churn
-// pushes links through spill → disk → restore, and every decision must
+// with a cold tier behind a deliberately tiny RAM front: eviction churn
+// pushes links through spill → tier → restore, and every decision must
 // still match a bare controller byte-for-byte. This is the -verify
-// contract extended over the cold tier.
+// contract extended over the cold tier, on disk and in memory.
 func TestColdTierDeterminismMixedAlgorithms(t *testing.T) {
+	forEachTier(t, testColdTierDeterminismMixedAlgorithms)
+}
+
+func testColdTierDeterminismMixedAlgorithms(t *testing.T, cold *coldstore.Store) {
 	clk := &fakeClock{}
-	cold := openCold(t, t.TempDir())
-	defer cold.Close()
 	st := New(Config{
 		Shards: 4, TTL: 10 * time.Millisecond, Clock: clk.Now,
 		Cold: cold, ColdFront: 16, // ~2 links per generation per shard
@@ -239,9 +252,11 @@ func TestArchivedBytesAccounting(t *testing.T) {
 // where the next sweep (seeing an empty current generation) would leave
 // it violating the ColdFront budget forever.
 func TestColdFrontBudgetMassIdle(t *testing.T) {
+	forEachTier(t, testColdFrontBudgetMassIdle)
+}
+
+func testColdFrontBudgetMassIdle(t *testing.T, cold *coldstore.Store) {
 	clk := &fakeClock{}
-	cold := openCold(t, t.TempDir())
-	defer cold.Close()
 	const front = 16
 	st := New(Config{Shards: 4, TTL: 10 * time.Millisecond, Clock: clk.Now,
 		Cold: cold, ColdFront: front})
@@ -264,8 +279,8 @@ func TestColdFrontBudgetMassIdle(t *testing.T) {
 	if s.Archived > front {
 		t.Fatalf("RAM archive holds %d links after a mass idle-out, budget is %d", s.Archived, front)
 	}
-	if got := int(s.Archived) + cold.Len(); got != nLinks {
-		t.Fatalf("front (%d) + disk (%d) = %d links, want %d", s.Archived, cold.Len(), got, nLinks)
+	if got := s.Archived + s.Cold.Links; got != nLinks {
+		t.Fatalf("front (%d) + cold tier (%d) = %d links, want %d", s.Archived, s.Cold.Links, got, nLinks)
 	}
 
 	// The second lap restores every link — almost all from disk — and the
@@ -395,12 +410,15 @@ func TestColdLinkInTwoNonAdjacentRuns(t *testing.T) {
 // walked round-robin past the TTL and past a front far smaller than it, a
 // seventh of it SampleRate so spills also point into slabs. Every count
 // below repeats exactly, run to run and across versions of the sweep; the
-// pinned values are what the three-walk sweep produced.
+// pinned values are what the three-walk sweep produced, and a tier in
+// memory must give them too.
 func TestColdChurnExactCounts(t *testing.T) {
+	forEachTier(t, testColdChurnExactCounts)
+}
+
+func testColdChurnExactCounts(t *testing.T, cs *coldstore.Store) {
 	const hot, hotPer, cold, coldPer, laps = 50, 4, 2016, 28, 5
 	clk := &fakeClock{}
-	cs := openCold(t, t.TempDir())
-	defer cs.Close()
 	st := New(Config{Shards: 4, TTL: 20 * time.Millisecond, Clock: clk.Now, Cold: cs, ColdFront: 800,
 		ExpectedLinks: hot + coldPer*20})
 	ops := make([]Op, hotPer+coldPer)

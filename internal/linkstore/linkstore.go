@@ -28,23 +28,24 @@
 //     a link that comes back after an idle period has the tag cleared and
 //     resumes exactly where it left off — eviction is invisible to the
 //     protocol, it only takes the link out of the live count.
-//   - With Config.Cold the archive becomes a small bounded front of two
-//     generations, told apart by the tag: recently evicted links restore
-//     from RAM, and when the current generation fills, the older one is
-//     spilled wholesale to the disk tier in one group-committed batch, in
-//     table order (internal/coldstore), and its slots are deleted. A sweep
+//   - The archive is a small bounded front of two generations, told apart
+//     by the tag: recently evicted links restore from RAM, and when the
+//     current generation fills, the older one is spilled wholesale to the
+//     cold tier in one group-committed batch, in table order
+//     (internal/coldstore), and its slots are deleted. The cold tier is
+//     Config.Cold, a segment log on disk, or without one the same log over
+//     an in-memory file system (faultfs.Mem), lost at exit. A sweep
 //     does all of this in one walk of the shard's table (archive.go): the
 //     walk evicts and records where every archived link sits, the spill
 //     reads the generation from those slots, and the spilled slots are
 //     then deleted highest first, so no deletion moves a slot still to
 //     come. A returning link is looked up front-first, then restored from
-//     disk: a shard visit collects the links only the disk tier can answer
-//     for and restores them in one coldstore.TakeBatch before applying
-//     their ops in batch order. Because spill and restore carry the same
-//     encoded state bytes the table does, decisions stay byte-identical
-//     across evict → spill → restore — resident memory is then bounded by
-//     the hot set + front + cold index instead of the total link
-//     population.
+//     the cold tier: a shard visit collects the links only the tier can
+//     answer for and restores them in one coldstore.TakeBatch before
+//     applying their ops in batch order. Because spill and restore carry
+//     the same encoded state bytes the table does, decisions stay
+//     byte-identical across evict → spill → restore, and the table holds
+//     the hot set and the front, not the total link population.
 //   - Locking is striped per shard; batches are routed shard-by-shard so a
 //     batch of B feedbacks takes O(shards-touched) lock acquisitions, not
 //     O(B). Concurrency comes from concurrent callers: each visits its
@@ -67,6 +68,7 @@ import (
 	"softrate/internal/coldstore"
 	"softrate/internal/core"
 	"softrate/internal/ctl"
+	"softrate/internal/faultfs"
 )
 
 // Config parameterizes a Store.
@@ -108,14 +110,14 @@ type Config struct {
 	// factor-of-algorithms memory overcommit for a heterogeneous fleet
 	// of wide-state links.
 	ExpectedLinksPerAlgo int
-	// Cold, when non-nil, is the disk tier idle links overflow to: the
-	// RAM archive becomes a bounded two-generation front of about
-	// ColdFront links, and each filled generation is group-committed to
-	// Cold in one batch. Nil keeps the unbounded in-RAM archive.
+	// Cold is the tier idle links overflow to past a RAM front of about
+	// ColdFront links, one group-committed batch per filled generation.
+	// Nil opens it over a fresh faultfs.Mem: idle links then stay in this
+	// process's memory, at about a record and an index entry each.
 	Cold *coldstore.Store
-	// ColdFront is the store-wide RAM-archive budget (links) when Cold is
-	// set: links evicted more recently than roughly this many evictions
-	// ago restore without disk I/O. 0 means DefaultColdFront.
+	// ColdFront is the store-wide RAM-archive budget (links): links
+	// evicted more recently than roughly this many evictions ago restore
+	// without a cold-tier read. 0 means DefaultColdFront.
 	ColdFront int
 }
 
@@ -172,8 +174,8 @@ type ShardStats struct {
 	Evictions uint64
 	// Live is the number of links in service.
 	Live int
-	// Archived is the number of links the table holds evicted (both front
-	// generations when a cold tier is attached).
+	// Archived is the number of links the table holds evicted, both front
+	// generations together.
 	Archived int
 	// ArchivedBytes is the encoded state held by the RAM archive, in
 	// bytes — the real memory picture, since a SampleRate link archives
@@ -201,7 +203,7 @@ type Stats struct {
 	// Algos holds per-algorithm churn for every registered algorithm that
 	// saw traffic, in ID order.
 	Algos []AlgoStats
-	// Cold is the attached disk tier's snapshot, nil without one.
+	// Cold is the cold tier's snapshot.
 	Cold *coldstore.Stats
 	// ColdErrors counts cold-tier operations that failed (the store falls
 	// back to a fresh controller on a failed restore and keeps spill
@@ -222,6 +224,10 @@ type Stats struct {
 	BreakerTrips uint64
 	SpillRetries uint64
 }
+
+// memSegmentBytes is the in-memory tier's segment size: only a sealed segment
+// is compacted, so it bounds the dead records a churning store holds.
+const memSegmentBytes = 1 << 20
 
 // tickShift converts clock nanoseconds to the entry timestamp unit:
 // 2^20 ns ≈ 1.05 ms per tick, 2^32 ticks ≈ 52 days of store uptime
@@ -290,11 +296,9 @@ type shard struct {
 	hits      uint64    // ops that found their link live
 	lastSweep int64
 	// genLen counts the table's archived links by tier tag (1 or 2; index
-	// tierLive is unused), and curTier is the tag evictions stamp. With a
-	// cold tier a filled current generation rotates: the other one is
-	// spilled to disk in one batch and, emptied, becomes current. Without
-	// one there is never a rotation and generation 1 holds every evicted
-	// link.
+	// tierLive is unused), and curTier is the tag evictions stamp. A filled
+	// current generation rotates: the other one is spilled to the cold tier
+	// in one batch and, emptied, becomes current.
 	genLen  [3]int32
 	curTier uint8
 	// coldIDs/coldRuns are the visit's deferred work: the links only the
@@ -335,7 +339,7 @@ type Store struct {
 	build       func(ctl.Algo) ctl.Controller
 	slabReserve int // per-shard slab capacity hint, in slots
 	cold        *coldstore.Store
-	genCap      int // per-shard archive-generation cap (links), 0 = unbounded
+	genCap      int // per-shard archive-generation cap (links)
 	shards      []shard
 
 	// Cold-tier failure accounting, and the breaker every spill outcome
@@ -408,33 +412,34 @@ func New(cfg Config) *Store {
 	if cfg.ExpectedLinksPerAlgo > 0 {
 		st.slabReserve = cfg.ExpectedLinksPerAlgo/n + 1
 	}
-	st.cold = cfg.Cold
-	if st.cold != nil {
-		// With a cold tier the archive is a bounded front: each shard
-		// holds two generations of genCap links, so the store-wide RAM
-		// budget is ColdFront regardless of population.
-		front := cfg.ColdFront
-		if front <= 0 {
-			front = DefaultColdFront
-		}
-		st.genCap = front / (2 * n)
-		if st.genCap < 1 {
-			st.genCap = 1
+	if st.cold = cfg.Cold; st.cold == nil {
+		var err error
+		if st.cold, err = coldstore.Open(coldstore.Config{FS: new(faultfs.Mem), SegmentBytes: memSegmentBytes}); err != nil {
+			panic("linkstore: in-memory cold tier: " + err.Error()) // Mem never fails
 		}
 	}
+	// Each shard's archive holds two generations of genCap links, so the
+	// store-wide RAM budget is ColdFront regardless of population.
+	front := cfg.ColdFront
+	if front <= 0 {
+		front = DefaultColdFront
+	}
+	st.genCap = max(1, front/(2*n))
 	st.shards = make([]shard, n)
 	seed := bitutil.HashSeed() // one table key per store, for its life
 	// A shard sweeps every TTL/4, so a link stays live for up to TTL/4
 	// past its TTL: the live links are those touched within 5/4 of one.
 	// A shard's share of them is Poisson around its mean: three standard
-	// deviations of room and a shard in a thousand grows. The bounded
-	// front sits in the same table; an unbounded archive (no cold tier)
-	// grows it as links idle out.
-	live := perShard
+	// deviations of room and a shard in a thousand grows. The front sits
+	// in the same table, and only a store that archives reserves it.
+	live, archive := perShard, 0
 	if st.ttl > 0 {
 		live += live / 4
+		if !cfg.DropOnEvict {
+			archive = 2 * st.genCap
+		}
 	}
-	tableLinks := live + 3*int(math.Sqrt(float64(live))) + 2*st.genCap
+	tableLinks := live + 3*int(math.Sqrt(float64(live))) + archive
 	for i := range st.shards {
 		st.shards[i].links = newLinkTable(seed, tableLinks)
 		st.shards[i].curTier = 1
@@ -568,8 +573,9 @@ func (sh *shard) applyShardLocked(st *Store, ops []Op, idxs []int32, out []int32
 			// exactly as the op-at-a-time accounting would report.
 			sh.reviveLocked(st, e)
 			sh.hits += uint64(len(run) - 1)
-		} else if st.cold == nil || st.cfg.DropOnEvict {
-			// Not in RAM and no tier holding evicted state to ask: a new link.
+		} else if st.cfg.DropOnEvict || st.cold.Len() == 0 {
+			// Not in RAM, and nothing to ask an empty tier for (only this
+			// shard spills this link, under sh.mu): a new link.
 			e = sh.links.put(id, sh.freshLocked(st, st.resolveAlgo(ops[run[0]].Algo)))
 			sh.hits += uint64(len(run) - 1)
 		} else {
@@ -579,12 +585,12 @@ func (sh *shard) applyShardLocked(st *Store, ops []Op, idxs []int32, out []int32
 		}
 		sh.applyRunLocked(st, e, ops, run, out, nowTick)
 	}
-	if st.cold != nil && len(sh.coldIDs) != 0 {
+	if len(sh.coldIDs) != 0 {
 		sh.applyColdRunsLocked(st, ops, idxs, out, nowTick)
 	}
 }
 
-// applyColdRunsLocked restores the visit's deferred links from the disk
+// applyColdRunsLocked restores the visit's deferred links from the cold
 // tier in one TakeBatch and applies their runs in batch order. Deferring
 // a run reorders it only against other links' runs, which share no
 // state with it; a link's own runs were all deferred together and keep
@@ -773,10 +779,8 @@ func (st *Store) Peek(id uint64) (ctl.Algo, []byte, bool) {
 	if e := sh.links.get(id); e != nil { // in service or archived alike
 		return e.algo, bytes.Clone(sh.stateOf(st, e)), true
 	}
-	if st.cold != nil {
-		if algoB, state, ok, err := st.cold.Peek(id, nil); err == nil && ok {
-			return ctl.Algo(algoB), state, true
-		}
+	if algoB, state, ok, err := st.cold.Peek(id, nil); err == nil && ok {
+		return ctl.Algo(algoB), state, true
 	}
 	return ctl.AlgoDefault, nil, false
 }
@@ -822,10 +826,8 @@ func (st *Store) Stats() Stats {
 			ArchivedBytes: c.archivedBytes,
 		})
 	}
-	if st.cold != nil {
-		cs := st.cold.Stats()
-		out.Cold = &cs
-	}
+	cs := st.cold.Stats()
+	out.Cold = &cs
 	out.ColdSpillErrors = st.coldSpillErrors.Load()
 	out.ColdRestoreErrors = st.coldRestoreErrors.Load()
 	out.ColdErrors = out.ColdSpillErrors + out.ColdRestoreErrors

@@ -106,13 +106,20 @@ func (l *Latency) Count() uint64 {
 // smeared but bucket-consistent view (each stripe is internally exact).
 func (l *Latency) Snapshot() stats.Histogram {
 	var out stats.Histogram
+	l.MergeInto(&out)
+	return out
+}
+
+// MergeInto adds every stripe to out, as Snapshot does, but puts no
+// histogram-sized value on the stack, for callers that keep theirs on the
+// heap.
+func (l *Latency) MergeInto(out *stats.Histogram) {
 	for i := range l.stripes {
 		s := &l.stripes[i]
 		s.mu.Lock()
 		out.Merge(&s.h)
 		s.mu.Unlock()
 	}
-	return out
 }
 
 // Reset clears all stripes (between benchmark phases; not used while

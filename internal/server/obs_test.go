@@ -283,3 +283,23 @@ func TestTransportCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultServerExportsColdTier: a server built with no configuration
+// at all still has a cold tier (in memory), so /statusz carries its block
+// and /metrics its families, reading zero before anything idles out.
+func TestDefaultServerExportsColdTier(t *testing.T) {
+	srv := New(Config{})
+	if c := srv.Status().Store.Cold; c == nil || c.Links != 0 || c.Spills != 0 {
+		t.Fatalf("default server's cold block: %+v, want present and empty", c)
+	}
+	var sb strings.Builder
+	srv.WritePrometheus(&sb)
+	for _, want := range []string{
+		"\nsoftrated_cold_links 0\n",
+		"\nsoftrated_cold_spilled_links_total 0\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, sb.String())
+		}
+	}
+}

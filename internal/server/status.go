@@ -295,29 +295,28 @@ func (s *Server) WritePrometheus(w io.Writer) {
 		obs.PromSample(w, "softrated_store_churn_by_algo_total", `algo="`+name+`",event="evict"`, float64(as.Evictions))
 	}
 
-	if c := st.Store.Cold; c != nil {
-		obs.PromGauge(w, "softrated_cold_links", "", "links resident in the disk tier", float64(c.Links))
-		obs.PromGauge(w, "softrated_cold_segments", "", "disk-tier segment files", float64(c.Segments))
-		obs.PromGauge(w, "softrated_cold_live_bytes", "", "disk-tier record bytes still referenced by the index", float64(c.LiveBytes))
-		obs.PromGauge(w, "softrated_cold_dead_bytes", "", "disk-tier record bytes superseded or restored (compaction reclaims them)", float64(c.DeadBytes))
-		obs.PromGauge(w, "softrated_cold_disk_bytes", "", "total disk-tier segment bytes", float64(c.DiskBytes))
-		obs.PromCounter(w, "softrated_cold_spilled_links_total", "", "links group-committed to the disk tier", c.Spills)
-		obs.PromCounter(w, "softrated_cold_restored_links_total", "", "links restored from the disk tier", c.Restores)
-		obs.PromCounter(w, "softrated_cold_compactions_total", "", "disk-tier segments reclaimed by compaction", c.Compactions)
-		obs.PromCounter(w, "softrated_cold_torn_tails_total", "", "partial batch tails truncated at recovery", c.TornTails)
-		obs.PromCounter(w, "softrated_cold_errors_total", "", "failed cold-tier operations (the store fell back without losing state)", st.Store.ColdErrors)
-		obs.PromCounter(w, "softrated_cold_spill_errors_total", "", "failed generation spills (each kept its generation resident in RAM)", st.Store.ColdSpillErrors)
-		obs.PromCounter(w, "softrated_cold_restore_errors_total", "", "failed disk restores (each fell through to a fresh controller)", st.Store.ColdRestoreErrors)
-		degraded := 0.0
-		if st.Store.ColdDegraded {
-			degraded = 1
-		}
-		obs.PromGauge(w, "softrated_cold_degraded", "", "1 while the cold-tier breaker is open and the store runs on the unbounded RAM archive", degraded)
-		obs.PromCounter(w, "softrated_cold_breaker_trips_total", "", "cold-tier breaker closed-to-open transitions", st.Store.BreakerTrips)
-		obs.PromCounter(w, "softrated_cold_spill_retries_total", "", "half-open probe spills attempted while the breaker was open", st.Store.SpillRetries)
-		obs.PromHeader(w, "softrated_cold_restore_latency_seconds", "histogram", "disk-restore latency")
-		obs.PromHistogramSamples(w, "softrated_cold_restore_latency_seconds", "", &c.RestoreHist)
+	c := st.Store.Cold
+	obs.PromGauge(w, "softrated_cold_links", "", "links resident in the cold tier", float64(c.Links))
+	obs.PromGauge(w, "softrated_cold_segments", "", "cold-tier segment files", float64(c.Segments))
+	obs.PromGauge(w, "softrated_cold_live_bytes", "", "cold-tier record bytes still referenced by the index", float64(c.LiveBytes))
+	obs.PromGauge(w, "softrated_cold_dead_bytes", "", "cold-tier record bytes superseded or restored (compaction reclaims them)", float64(c.DeadBytes))
+	obs.PromGauge(w, "softrated_cold_disk_bytes", "", "total cold-tier segment bytes", float64(c.DiskBytes))
+	obs.PromCounter(w, "softrated_cold_spilled_links_total", "", "links group-committed to the cold tier", c.Spills)
+	obs.PromCounter(w, "softrated_cold_restored_links_total", "", "links restored from the cold tier", c.Restores)
+	obs.PromCounter(w, "softrated_cold_compactions_total", "", "cold-tier segments reclaimed by compaction", c.Compactions)
+	obs.PromCounter(w, "softrated_cold_torn_tails_total", "", "partial batch tails truncated at recovery", c.TornTails)
+	obs.PromCounter(w, "softrated_cold_errors_total", "", "failed cold-tier operations (the store fell back without losing state)", st.Store.ColdErrors)
+	obs.PromCounter(w, "softrated_cold_spill_errors_total", "", "failed generation spills (each kept its generation resident in RAM)", st.Store.ColdSpillErrors)
+	obs.PromCounter(w, "softrated_cold_restore_errors_total", "", "failed cold-tier restores (each fell through to a fresh controller)", st.Store.ColdRestoreErrors)
+	degraded := 0.0
+	if st.Store.ColdDegraded {
+		degraded = 1
 	}
+	obs.PromGauge(w, "softrated_cold_degraded", "", "1 while the cold-tier breaker is open and the store runs on the unbounded RAM archive", degraded)
+	obs.PromCounter(w, "softrated_cold_breaker_trips_total", "", "cold-tier breaker closed-to-open transitions", st.Store.BreakerTrips)
+	obs.PromCounter(w, "softrated_cold_spill_retries_total", "", "half-open probe spills attempted while the breaker was open", st.Store.SpillRetries)
+	obs.PromHeader(w, "softrated_cold_restore_latency_seconds", "histogram", "cold-tier restore latency")
+	obs.PromHistogramSamples(w, "softrated_cold_restore_latency_seconds", "", c.RestoreHist)
 
 	obs.PromCounter(w, "softrated_conns_accepted_total", "", "TCP connections accepted", st.Transport.ConnsAccepted)
 	obs.PromGauge(w, "softrated_conns_active", "", "open TCP connections", float64(st.Transport.ConnsActive))
