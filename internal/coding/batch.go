@@ -1,6 +1,10 @@
 package coding
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+)
 
 // Lockstep batch decoder. A BatchWorkspace lays B frames' channel LLRs out
 // as structure-of-arrays planes — plane[t*lanes+l] holds frame l's value at
@@ -8,6 +12,16 @@ import "math/bits"
 // so the per-step branch-metric table, the output-table indexing, and the
 // max*/comb combines amortize across the batch and run through the
 // vectorized row primitives of combine.go.
+//
+// A BCJR group runs in two phases of two halves each. Phase 1's halves are
+// the forward (α) and the backward (β) recursion, which do not read each
+// other; Phase 2's are the APP accumulation over two disjoint trellis
+// ranges, which read both planes and write disjoint outputs. Each half has
+// its own scratch (bcjrHalf), so the second half of each phase can run on
+// a package-level helper goroutine while the caller runs the first: a
+// decode uses two cores when the helper is idle and runs both halves
+// itself when another workspace holds it. The arithmetic is the same
+// either way.
 //
 // The batch path is contractually bit-identical to the single-frame
 // decoders: for every job, DecodeBCJRBatch produces exactly the bytes and
@@ -48,7 +62,9 @@ type BatchResult struct {
 // BatchWorkspace holds the structure-of-arrays planes of the lockstep batch
 // decoder. Like Workspace it is owned by one goroutine at a time, performs
 // zero heap allocations in steady state once warm, and reuse is
-// contractually invisible in its outputs.
+// contractually invisible in its outputs. Inside a DecodeBCJRBatch call it
+// may lend one half of each phase to the package's helper goroutine; the
+// call returns only after the helper is done with it.
 type BatchWorkspace struct {
 	// Quantized enables the float32 max-log fast path for
 	// DecodeBCJRBatch(..., MaxLog). It is an approximate mode: outputs are
@@ -59,12 +75,11 @@ type BatchWorkspace struct {
 	llrP   []float64 // [2*steps][lanes] transposed channel LLRs
 	alphaP []float64 // [(steps+1)*numStates][lanes] forward plane
 	betaP  []float64 // [(steps+1)*numStates][lanes] backward plane
-	bmP    []float64 // [8][lanes] fwd+bwd per-step branch metric rows
-	bmBlk  []float64 // [appBlockT*4][lanes] APP block branch metric rows
-	numBlk []float64 // [appBlockT][lanes] APP accumulators, input 1
-	denBlk []float64 // [appBlockT][lanes] APP accumulators, input 0
-	appAcc []uint64  // [appBlockT*17] block kernel acc records + fix words
+	g      bcjrGroup
+	half   [2]bcjrHalf
+	task   splitTask
 
+	bmP     []float64 // [4][lanes] Viterbi per-step branch metric rows
 	metricP []float64 // [numStates][lanes] Viterbi path metrics
 	nextP   []float64 // [numStates][lanes]
 	survP   []uint8   // [steps][numStates][lanes] Viterbi traceback
@@ -78,14 +93,81 @@ type BatchWorkspace struct {
 	qNum    []float32
 	qDen    []float32
 
-	maxP []float64  // [lanes] normalizeLanes per-lane maxima
-	fixF [64]uint64 // forward-leg fixup lane masks from the step kernels
-	fixB [64]uint64 // backward-leg fixup lane masks
-
 	infoFlat []byte
 	llrFlat  []float64
 	results  []BatchResult
 	order    []int
+}
+
+// bcjrGroup is the BCJR group being decoded. decodeBCJRGroup writes it
+// before the phases start; the halves only read it.
+type bcjrGroup struct {
+	lanes           []int
+	mode            BCJRMode
+	L, nInfo, steps int
+	mid             int  // Phase 2 split, an appBlockT boundary
+	nv              int  // lanes through the vector kernels
+	wide            bool // ... and those are the AVX-512 ones
+}
+
+// bcjrHalf is one half's scratch: in Phase 1 half 0 runs the forward
+// recursion on it and half 1 the backward one; in Phase 2 half 0
+// accumulates the APP over [0, mid) and half 1 over [mid, nInfo).
+type bcjrHalf struct {
+	bm     []float64  // [4][lanes] recursion step branch metric rows
+	maxP   []float64  // [lanes] normalizeLanes per-lane maxima
+	fix    [64]uint64 // step kernel fixup lane masks, by table entry
+	bmBlk  []float64  // [appBlockT*4][lanes] APP block branch metric rows
+	numBlk []float64  // [appBlockT][lanes] APP accumulators, input 1
+	denBlk []float64  // [appBlockT][lanes] APP accumulators, input 0
+	appAcc []uint64   // [appBlockT*17] block kernel acc records + fix words
+}
+
+// splitTask hands half 1 of a phase to the helper goroutine. Each
+// BatchWorkspace owns one, so the handoff allocates nothing.
+type splitTask struct {
+	w     *BatchWorkspace
+	phase func(*BatchWorkspace, int)
+	done  sync.WaitGroup
+}
+
+func (t *splitTask) run() {
+	t.phase(t.w, 1)
+	t.done.Done()
+}
+
+// The helper goroutine starts with the first split and lives for the rest
+// of the process, parked in its receive while no decode needs it.
+var (
+	helperOnce  sync.Once
+	helperTasks chan *splitTask // unbuffered: a send succeeds only while the helper waits
+	helperRuns  atomic.Uint64   // halves the helper has run; tests read it
+)
+
+func splitHelper() {
+	for t := range helperTasks {
+		helperRuns.Add(1)
+		t.run()
+	}
+}
+
+// split runs phase over both halves and returns when both are done: half 1
+// on the helper goroutine if it is idle, otherwise here, then half 0 here.
+func (w *BatchWorkspace) split(phase func(*BatchWorkspace, int)) {
+	helperOnce.Do(func() {
+		helperTasks = make(chan *splitTask)
+		go splitHelper()
+	})
+	t := &w.task
+	t.w, t.phase = w, phase
+	t.done.Add(1)
+	select {
+	case helperTasks <- t:
+	default:
+		t.run()
+	}
+	phase(w, 0)
+	t.done.Wait()
 }
 
 // grow32 is growF for float32 slices.
@@ -222,9 +304,9 @@ func sentinelRow(row []float64) {
 // AVX2 hardware (bit-identical; normalization is mode-independent
 // arithmetic, so both BCJR modes use it); the ragged tail — and non-AVX2
 // configurations in full — run the scalar passes with the per-lane maxima
-// staged in w.maxP. Per lane the comparison and subtraction order matches
+// staged in h.maxP. Per lane the comparison and subtraction order matches
 // the single-frame normalize exactly.
-func (w *BatchWorkspace) normalizeLanes(plane []float64, L int) {
+func (h *bcjrHalf) normalizeLanes(plane []float64, L int) {
 	lo := 0
 	if hasAVX512Jacobian {
 		if nv := L &^ 7; nv > 0 {
@@ -241,8 +323,8 @@ func (w *BatchWorkspace) normalizeLanes(plane []float64, L int) {
 	if lo == L {
 		return
 	}
-	w.maxP = growF(w.maxP, L)
-	maxP := w.maxP
+	h.maxP = growF(h.maxP, L)
+	maxP := h.maxP
 	copy(maxP[lo:], plane[lo:L])
 	for s := 1; s < numStates; s++ {
 		row := plane[s*L : (s+1)*L : (s+1)*L]
@@ -282,119 +364,125 @@ func (w *BatchWorkspace) decodeBCJRGroup(jobs []BatchJob, lanes []int, mode BCJR
 	nInfo := jobs[lanes[0]].NInfo
 	steps := nInfo + TailBits
 	w.transposeLLRs(jobs, lanes, steps)
-	llrP := w.llrP
-	w.bmP = growF(w.bmP, 8*L)
-	bmF := w.bmP[0*L : 4*L : 4*L]
-	bmB := w.bmP[4*L : 8*L : 8*L]
-
-	rowSz := numStates * L
-	w.alphaP = growF(w.alphaP, (steps+1)*rowSz)
-	w.betaP = growF(w.betaP, (steps+1)*rowSz)
-	alphaP, betaP := w.alphaP, w.betaP
+	w.alphaP = growF(w.alphaP, (steps+1)*numStates*L)
+	w.betaP = growF(w.betaP, (steps+1)*numStates*L)
 
 	// Each recursion step runs as one whole-step table walk: the first nv
 	// lanes through the vector kernels (log-MAP on AVX2 hardware), the
 	// ragged tail — and the MaxLog / non-AVX2 configurations in full —
 	// through the scalar walk. Both rebuild every destination row, so no
 	// sentinel initialization pass is needed.
-	nv := 0
-	wide := false
+	w.g = bcjrGroup{lanes: lanes, mode: mode, L: L, nInfo: nInfo, steps: steps, mid: nInfo / 2 / appBlockT * appBlockT}
 	if mode == LogMAP {
 		if hasAVX512Jacobian && L >= 8 {
-			nv = L &^ 7
-			wide = true
+			w.g.nv, w.g.wide = L&^7, true
 		} else if hasFastJacobian {
-			nv = L &^ 3
+			w.g.nv = L &^ 3
 		}
 	}
-	stride := L * 8
+	w.split((*BatchWorkspace).recursion)
+	w.split((*BatchWorkspace).app)
+}
 
-	// Phase 1: the forward and backward recursions advance together, one
-	// dual-step call per iteration (forward step t, backward step
-	// steps-1-t). Each recursion's per-step work is a serial dependency, but
-	// the two recursions are independent of each other, so pairing them
-	// keeps twice as many Jacobian chains in the reorder window.
-	anchorRow(alphaP[:rowSz], L)
-	anchorRow(betaP[steps*rowSz:(steps+1)*rowSz], L)
-	for t := 0; t < steps; t++ {
-		tb := steps - 1 - t
-		stepBM(bmF, llrP, t, L)
-		stepBM(bmB, llrP, tb, L)
-		aCur := alphaP[t*rowSz : (t+1)*rowSz : (t+1)*rowSz]
-		aNxt := alphaP[(t+1)*rowSz : (t+2)*rowSz : (t+2)*rowSz]
-		bSrc := betaP[(tb+1)*rowSz : (tb+2)*rowSz : (tb+2)*rowSz]
-		bDst := betaP[tb*rowSz : (tb+1)*rowSz : (tb+1)*rowSz]
-		if nv > 0 {
+// recursion is Phase 1 for half h: the forward recursion over alphaP (h ==
+// 0) or the backward one over betaP (h == 1). Each step's work depends on
+// the step before, but the two directions never read each other's plane.
+// The vector kernel walks the step table's two 32-entry halves as its two
+// legs, which keeps two independent Jacobian chains in the reorder window.
+func (w *BatchWorkspace) recursion(h int) {
+	g, hs := &w.g, &w.half[h]
+	L, steps, rowSz := g.L, g.steps, numStates*g.L
+	hs.bm = growF(hs.bm, 4*L)
+	bm := hs.bm
+	plane, table, anchor := w.alphaP, &fwdStepTable, 0
+	if h == 1 {
+		plane, table, anchor = w.betaP, &bwdStepTable, steps
+	}
+	anchorRow(plane[anchor*rowSz:(anchor+1)*rowSz], L)
+	for k := 0; k < steps; k++ {
+		t, src, dst := k, k, k+1
+		if h == 1 {
+			t = steps - 1 - k
+			src, dst = t+1, t
+		}
+		stepBM(bm, w.llrP, t, L)
+		s := plane[src*rowSz : (src+1)*rowSz : (src+1)*rowSz]
+		d := plane[dst*rowSz : (dst+1)*rowSz : (dst+1)*rowSz]
+		if g.nv > 0 {
 			var fixed uint64
-			if wide {
-				fixed = stepCombineDualAVX512(&aNxt[0], &aCur[0], &bmF[0], &bDst[0], &bSrc[0], &bmB[0],
-					&fwdStepTable[0], &bwdStepTable[0], &w.fixF[0], &w.fixB[0], nv, stride)
+			if g.wide {
+				fixed = stepCombineDualAVX512(&d[0], &s[0], &bm[0], &d[0], &s[0], &bm[0],
+					&table[0], &table[256], &hs.fix[0], &hs.fix[32], g.nv, L*8)
 			} else {
-				fixed = stepCombineDualAVX2(&aNxt[0], &aCur[0], &bmF[0], &bDst[0], &bSrc[0], &bmB[0],
-					&fwdStepTable[0], &bwdStepTable[0], &w.fixF[0], &w.fixB[0], nv, stride)
+				fixed = stepCombineDualAVX2(&d[0], &s[0], &bm[0], &d[0], &s[0], &bm[0],
+					&table[0], &table[256], &hs.fix[0], &hs.fix[32], g.nv, L*8)
 			}
 			if fixed != 0 {
-				w.applyStepFixups(&w.fixF, aNxt, aCur, bmF, &fwdStepTable, L, mode)
-				w.applyStepFixups(&w.fixB, bDst, bSrc, bmB, &bwdStepTable, L, mode)
+				applyStepFixups(&hs.fix, d, s, bm, table, L, g.mode)
 			}
 		}
-		if nv < L {
-			stepCombineLanes(aNxt, aCur, bmF, &fwdStepTable, nv, L, L, mode)
-			stepCombineLanes(bDst, bSrc, bmB, &bwdStepTable, nv, L, L, mode)
+		if g.nv < L {
+			stepCombineLanes(d, s, bm, table, g.nv, L, L, g.mode)
 		}
-		w.normalizeLanes(aNxt, L)
-		w.normalizeLanes(bDst, L)
+		hs.normalizeLanes(d, L)
 	}
+}
 
-	// Phase 2: APP accumulation in blocks of appBlockT trellis steps. Each
-	// step's maxStar fold is serial by construction (the fold order is
-	// observable in the output bits), but the steps are mutually
-	// independent, so the block kernel interleaves them and hides the chain
-	// latency.
-	w.bmBlk = growF(w.bmBlk, appBlockT*4*L)
-	w.numBlk = growF(w.numBlk, appBlockT*L)
-	w.denBlk = growF(w.denBlk, appBlockT*L)
+// app is Phase 2 for half h: APP accumulation over [0, mid) (h == 0) or
+// [mid, nInfo) (h == 1), in blocks of appBlockT trellis steps. Each step's
+// maxStar fold is serial by construction (the fold order is observable in
+// the output bits), but the steps are mutually independent, so the block
+// kernel interleaves them and hides the chain latency, and the two halves
+// write disjoint outputs.
+func (w *BatchWorkspace) app(h int) {
+	g, hs := &w.g, &w.half[h]
+	L, rowSz, stride, mode := g.L, numStates*g.L, g.L*8, g.mode
+	lo, hi := 0, g.mid
+	if h == 1 {
+		lo, hi = g.mid, g.nInfo
+	}
+	alphaP, betaP := w.alphaP, w.betaP
+	hs.bmBlk = growF(hs.bmBlk, appBlockT*4*L)
+	hs.numBlk = growF(hs.numBlk, appBlockT*L)
+	hs.denBlk = growF(hs.denBlk, appBlockT*L)
 	recW := 9 // acc record: {den[4], num[4], fix}
-	if wide {
+	if g.wide {
 		recW = 17 // {den[8], num[8], fix}
 	}
-	if cap(w.appAcc) < appBlockT*17 {
-		w.appAcc = make([]uint64, appBlockT*17)
+	if cap(hs.appAcc) < appBlockT*17 {
+		hs.appAcc = make([]uint64, appBlockT*17)
 	}
-	w.appAcc = w.appAcc[:appBlockT*17]
-	numBlk, denBlk := w.numBlk, w.denBlk
-	for t0 := 0; t0 < nInfo; t0 += appBlockT {
-		ka := appBlockT
-		if t0+ka > nInfo {
-			ka = nInfo - t0
-		}
+	hs.appAcc = hs.appAcc[:appBlockT*17]
+	bmBlk, numBlk, denBlk := hs.bmBlk, hs.numBlk, hs.denBlk
+	for t0 := lo; t0 < hi; t0 += appBlockT {
+		ka := min(appBlockT, hi-t0)
 		for j := 0; j < ka; j++ {
-			stepBM(w.bmBlk[j*4*L:(j+1)*4*L:(j+1)*4*L], llrP, t0+j, L)
+			stepBM(bmBlk[j*4*L:(j+1)*4*L:(j+1)*4*L], w.llrP, t0+j, L)
 		}
-		if nv > 0 {
-			if wide {
-				stepAPPBlockAVX512(&numBlk[0], &denBlk[0], &alphaP[t0*rowSz], &betaP[(t0+1)*rowSz], &w.bmBlk[0], &appStepTable[0], &w.appAcc[0], nv, stride, ka)
+		if g.nv > 0 {
+			if g.wide {
+				stepAPPBlockAVX512(&numBlk[0], &denBlk[0], &alphaP[t0*rowSz], &betaP[(t0+1)*rowSz], &bmBlk[0], &appStepTable[0], &hs.appAcc[0], g.nv, stride, ka)
 			} else {
-				stepAPPBlockAVX2(&numBlk[0], &denBlk[0], &alphaP[t0*rowSz], &betaP[(t0+1)*rowSz], &w.bmBlk[0], &appStepTable[0], &w.appAcc[0], nv, stride, ka)
+				stepAPPBlockAVX2(&numBlk[0], &denBlk[0], &alphaP[t0*rowSz], &betaP[(t0+1)*rowSz], &bmBlk[0], &appStepTable[0], &hs.appAcc[0], g.nv, stride, ka)
 			}
 		}
 		for j := 0; j < ka; j++ {
 			t := t0 + j
 			at := alphaP[t*rowSz : (t+1)*rowSz : (t+1)*rowSz]
 			bt := betaP[(t+1)*rowSz : (t+2)*rowSz : (t+2)*rowSz]
-			bmj := w.bmBlk[j*4*L : (j+1)*4*L : (j+1)*4*L]
-			if nv > 0 {
-				mask := w.appAcc[j*recW+recW-1]
+			bmj := bmBlk[j*4*L : (j+1)*4*L : (j+1)*4*L]
+			if g.nv > 0 {
+				mask := hs.appAcc[j*recW+recW-1]
 				for mask != 0 {
 					l := bits.TrailingZeros64(mask)
 					mask &^= 1 << uint(l)
 					numBlk[j*L+l], denBlk[j*L+l] = appLane(at, bt, bmj, L, l, mode)
 				}
 			}
-			for l := nv; l < L; l++ {
+			for l := g.nv; l < L; l++ {
 				numBlk[j*L+l], denBlk[j*L+l] = appLane(at, bt, bmj, L, l, mode)
 			}
-			for l, ji := range lanes {
+			for l, ji := range g.lanes {
 				r := &w.results[ji]
 				llr := numBlk[j*L+l] - denBlk[j*L+l]
 				r.LLR[t] = llr

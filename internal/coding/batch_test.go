@@ -1,8 +1,11 @@
 package coding
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -261,6 +264,121 @@ func FuzzBatchDecodeMatchesSingle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// splitJobs builds a batch of three groups of L lanes each, one per trellis
+// length: 200 and 37 information bits split Phase 2 at 96 and 16, and 5
+// leaves half 0 no APP steps at all. Every third job draws its LLRs from
+// FuzzBatchDecodeMatchesSingle's value mix (NaN, ±Inf, 0, 1e30-scale), the
+// rest are noisy codewords.
+func splitJobs(rng *rand.Rand, L int) []BatchJob {
+	var jobs []BatchJob
+	for _, nInfo := range []int{200, 37, 5} {
+		for l := 0; l < L; l++ {
+			if len(jobs)%3 != 0 {
+				j := makeBatchJob(rng, (nInfo+7)/8, Rate12, 0.7)
+				j.NInfo = nInfo
+				jobs = append(jobs, j)
+				continue
+			}
+			llrs := make([]float64, 2*(nInfo+TailBits))
+			for k := range llrs {
+				switch rng.Intn(12) {
+				case 0:
+					llrs[k] = math.Inf(1)
+				case 1:
+					llrs[k] = math.Inf(-1)
+				case 2:
+					llrs[k] = math.NaN()
+				case 3:
+					llrs[k] = 0
+				case 4:
+					llrs[k] = rng.NormFloat64() * 1e30
+				default:
+					llrs[k] = rng.NormFloat64() * 20
+				}
+			}
+			jobs = append(jobs, BatchJob{LLRs: llrs, NInfo: nInfo})
+		}
+	}
+	return jobs
+}
+
+// checkSplitBatch decodes jobs on bw and requires every result to match a
+// fresh single-frame decode bit for bit.
+func checkSplitBatch(bw *BatchWorkspace, jobs []BatchJob, mode BCJRMode) error {
+	got := bw.DecodeBCJRBatch(jobs, mode)
+	for i, j := range jobs {
+		var sw Workspace
+		wantInfo, wantLLR := sw.DecodeBCJR(j.LLRs, j.NInfo, mode)
+		for k := range wantInfo {
+			if got[i].Info[k] != wantInfo[k] || !sameBits(got[i].LLR[k], wantLLR[k]) {
+				return fmt.Errorf("mode=%v job %d (nInfo %d) bit %d: info %d llr %v, want %d %v",
+					mode, i, j.NInfo, k, got[i].Info[k], got[i].LLR[k], wantInfo[k], wantLLR[k])
+			}
+		}
+	}
+	return nil
+}
+
+// TestBatchSplitMatchesSingle runs the two halves of each phase on two
+// goroutines and requires the single-frame bits: first one workspace, which
+// must have used the helper, then four decoding at once, so the helper is
+// busy for some of them and they run both halves themselves.
+func TestBatchSplitMatchesSingle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rng := rand.New(rand.NewSource(29))
+	modes := []BCJRMode{LogMAP, MaxLog}
+	var bw BatchWorkspace
+	before := helperRuns.Load()
+	for _, L := range []int{1, 8, 9, 16, 64} {
+		jobs := splitJobs(rng, L)
+		for _, mode := range modes {
+			if err := checkSplitBatch(&bw, jobs, mode); err != nil {
+				t.Fatalf("L=%d: %v", L, err)
+			}
+		}
+	}
+	if helperRuns.Load() == before {
+		t.Fatal("the helper goroutine never ran a half")
+	}
+
+	// A decode below splits twice (once per phase) for each of its three
+	// groups, so splits counts what the helper runs if it is never busy.
+	const workers, rounds = 4, 3
+	splits := uint64(workers * rounds * len(modes) * 3 * 2)
+	for try := 0; ; try++ {
+		before = helperRuns.Load()
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		for g := 0; g < workers; g++ {
+			jobs := splitJobs(rand.New(rand.NewSource(int64(g))), 9)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var bw BatchWorkspace
+				for r := 0; r < rounds; r++ {
+					for _, mode := range modes {
+						if errs[g] = checkSplitBatch(&bw, jobs, mode); errs[g] != nil {
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("worker %d: %v", g, err)
+			}
+		}
+		if helperRuns.Load()-before < splits {
+			return // some halves ran inline next to the helper's
+		}
+		if try == 10 {
+			t.Fatal("four concurrent decoders never found the helper busy")
+		}
+	}
 }
 
 func BenchmarkDecodeBCJRBatch8(b *testing.B) {

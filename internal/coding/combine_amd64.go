@@ -83,12 +83,12 @@ func combineRows2AVX2(dst, src, bm *float64, n int) uint64
 //go:noescape
 func combineRows3AVX2(dst, a, bm, b *float64, n int) uint64
 
-// stepCombineDualAVX2 runs one forward and one backward trellis recursion
-// step (64 table entries each, see combine_step.go) over n lanes, n a
-// multiple of 4. Rows are stride bytes apart. fixA/fixB[entry] receive the
-// entries' fixup lane masks; fixup lanes are left unstored for
-// applyStepFixups. The return value is the OR of all masks, so callers skip
-// both fixup scans when it is zero.
+// stepCombineDualAVX2 walks two legs of 32 table entries each (see
+// combine_step.go) over n lanes, n a multiple of 4; the batch decoder
+// passes the two halves of one recursion step's table. Rows are stride
+// bytes apart. fixA/fixB[entry] receive the entries' fixup lane masks;
+// fixup lanes are left unstored for applyStepFixups. The return value is
+// the OR of all masks, so callers skip the fixup scan when it is zero.
 //
 //go:noescape
 func stepCombineDualAVX2(dstA, srcA, bmA, dstB, srcB, bmB *float64, tableA, tableB *uint8, fixA, fixB *uint64, n, stride int) uint64
@@ -120,7 +120,7 @@ func stepAPPBlockAVX512(num, den, alpha, beta, bm *float64, table *uint8, acc *u
 //go:noescape
 func normalizeLanesAVX512(plane *float64, n, stride int)
 
-// normalizeLanesAVX2 is the vector form of BatchWorkspace.normalizeLanes
+// normalizeLanesAVX2 is the vector form of bcjrHalf.normalizeLanes
 // over n lanes (a multiple of 4), bit-identical to the scalar passes.
 //
 //go:noescape

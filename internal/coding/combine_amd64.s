@@ -349,21 +349,20 @@ r3cond:
 
 // func stepCombineDualAVX2(dstA, srcA, bmA, dstB, srcB, bmB *float64, tableA, tableB *uint8, fixA, fixB *uint64, n, stride int) uint64
 //
-// One forward AND one backward trellis recursion step in a single call. The
-// two recursions (plane set A with tableA, plane set B with tableB) are
-// mutually independent, so running their per-entry work back to back gives
-// the out-of-order core two adjacent, data-independent Jacobian chains per
-// loop iteration — roughly a 1.4x throughput gain over single-step calls,
-// which are limited by how few ~115-instruction iterations fit in the
-// reorder window.
+// Two legs of 32 table entries each in a single call (plane set A with
+// tableA, plane set B with tableB). The batch decoder passes the two halves
+// of one recursion step's 64-entry table: every entry rebuilds its own
+// destination row, so the legs are data-independent and running their
+// per-entry work back to back gives the out-of-order core two adjacent
+// Jacobian chains per loop iteration.
 //
-// Per 64-entry table row (combine_step.go layout) the destination row is
-// rebuilt from its two candidates over n lanes (n a multiple of 4), with
-// candidate A assigned first and candidate B folded via the combine core.
-// Rows are stride bytes apart in all planes. fixA/fixB[entry] receive the
-// per-entry fixup lane masks; fixup lanes are not stored. Returns the OR of
-// all masks so the caller skips both fixup scans in the (overwhelmingly
-// common) clean case.
+// Per table entry (combine_step.go layout) the destination row is rebuilt
+// from its two candidates over n lanes (n a multiple of 4), with candidate
+// A assigned first and candidate B folded via the combine core. Rows are
+// stride bytes apart in all planes. fixA/fixB[entry] receive the per-entry
+// fixup lane masks; fixup lanes are not stored. Returns the OR of all masks
+// so the caller skips the fixup scan in the (overwhelmingly common) clean
+// case.
 //
 // Frame locals: per-entry row pointers for leg A at 0/8/16/24 (srcA, bmA,
 // srcB, bmB) and 32 (dst), for leg B at 40/48/56/64/72, entry index at 80.
@@ -374,7 +373,7 @@ TEXT ·stepCombineDualAVX2(SB), NOSPLIT, $88-104
 
 dcentry:
 	MOVQ 80(SP), DX
-	CMPQ DX, $64
+	CMPQ DX, $32
 	JGE  dcdone
 	MOVQ stride+88(FP), R11
 	MOVQ tableA+48(FP), BX
@@ -884,7 +883,7 @@ TEXT ·stepCombineDualAVX512(SB), NOSPLIT, $88-104
 
 dzentry:
 	MOVQ 80(SP), DX
-	CMPQ DX, $64
+	CMPQ DX, $32
 	JGE  dzdone
 	MOVQ stride+88(FP), R11
 	MOVQ tableA+48(FP), BX

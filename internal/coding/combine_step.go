@@ -95,7 +95,7 @@ func stepCombineLanes(dst, src, bm []float64, table *[512]uint8, lo, hi, L int, 
 
 // applyStepFixups redoes, in scalar code, every (entry, lane) the vector
 // step kernel flagged and left unstored.
-func (w *BatchWorkspace) applyStepFixups(fix *[64]uint64, dst, src, bm []float64, table *[512]uint8, L int, mode BCJRMode) {
+func applyStepFixups(fix *[64]uint64, dst, src, bm []float64, table *[512]uint8, L int, mode BCJRMode) {
 	for e := range fix {
 		mask := fix[e]
 		for mask != 0 {

@@ -63,6 +63,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"softrate/internal/bitutil"
 	"softrate/internal/coldstore"
@@ -286,11 +287,19 @@ type algoCounters struct {
 	archivedBytes                int64
 }
 
-// shard is one lock stripe. What every visit touches — lock, table header,
-// hit counter, sweep stamp — fills the first cache line and the size is a
-// whole number of lines, so a visit never writes a line another shard's
+// shard is one lock stripe: its fields, padded to a whole number of cache
+// lines on every GOARCH, so a visit never writes a line another shard's
 // lock is on.
 type shard struct {
+	shardFields
+	_ [(cacheLine - unsafe.Sizeof(shardFields{})%cacheLine) % cacheLine]byte
+}
+
+const cacheLine = 64
+
+// shardFields is what a shard holds. What every visit touches — lock,
+// table header, hit counter, sweep stamp — fills the first cache line.
+type shardFields struct {
 	mu        sync.Mutex
 	links     linkTable // every link in RAM: live, or tagged archived
 	hits      uint64    // ops that found their link live
@@ -318,7 +327,6 @@ type shard struct {
 	// serving cost.
 	inplace []ctl.InPlace  // indexed by algo ID; nil when unsupported
 	perAlgo []algoCounters // indexed by algo ID; ShardStats sums them
-	_       [48]byte
 }
 
 // Store is the sharded link-state store.

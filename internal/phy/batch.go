@@ -17,7 +17,10 @@ import (
 // coding.BatchWorkspace at flush time. The split makes the batch path
 // bit-identical to the sequential path on the same noise stream, which the
 // tests pin; it exists because the decoder dominates receive cost and the
-// batch decoder runs several frames per trellis step.
+// batch decoder runs several frames per trellis step. A flush also uses a
+// second core: the batch decoder runs the backward recursion and half of
+// the APP pass on its helper goroutine when that is idle (and both halves
+// itself when it is not), with no allocation and the same bits either way.
 
 // pendRx is one queued reception awaiting its deferred decodes.
 type pendRx struct {
