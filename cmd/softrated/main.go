@@ -21,7 +21,12 @@
 // SIGINT/SIGTERM take the identical drain path (-drain-grace bounds how
 // long stragglers may hold it open).
 //
-// Drive it with cmd/softrate-loadgen (its -pipeline flag sets the window).
+// Its clients are internal/server's DialPipelined (TCP; the window sets
+// the batches in flight), DialUDP and DialSHM. `bash bench/run.sh
+// -workload wire-tcp` (or wire-udp, wire-shm) drives it for throughput,
+// and `go test ./cmd/softrated/` runs it as a child process — faults,
+// kill -9, restart, drain — checking every answer against bare
+// controllers.
 package main
 
 import (
@@ -46,7 +51,12 @@ import (
 	"softrate/internal/server/shmring"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run serves until a drain and returns the exit status. Every return
+// after the first shm ring exists goes through its deferred cleanup, so
+// a failed start or a failed serve loop never leaves a ring file behind.
+func run() int {
 	var (
 		addr        = flag.String("addr", ":7447", "TCP listen address")
 		algo        = flag.String("algo", "softrate", "default algorithm for links whose feedback doesn't name one ("+strings.Join(ctl.Names(), "|")+"); a record may select any registered algorithm per link")
@@ -74,7 +84,7 @@ func main() {
 	spec, ok := ctl.ByName(*algo)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "softrated: unknown -algo %q (registered: %s)\n", *algo, strings.Join(ctl.Names(), ", "))
-		os.Exit(2)
+		return 2
 	}
 
 	var cold *coldstore.Store
@@ -96,7 +106,7 @@ func main() {
 		cold, err = coldstore.Open(ccfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "softrated:", err)
-			os.Exit(1)
+			return 1
 		}
 		if inj != nil {
 			inj.Arm(true)
@@ -122,7 +132,7 @@ func main() {
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintf(os.Stderr, "softrated: listening on %s (%d shards, ttl %v, default algo %s)\n", l.Addr(), *shards, *ttl, spec.Name)
 
@@ -135,7 +145,7 @@ func main() {
 		al, err := net.Listen("tcp", *adminAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "softrated: admin on http://%s\n", al.Addr())
 		go func() {
@@ -152,18 +162,25 @@ func main() {
 		uaddr, err := net.ResolveUDPAddr("udp", *udpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		uconn, err := net.ListenUDP("udp", uaddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "softrated: udp on %s (burst %d)\n", uconn.LocalAddr(), server.BurstSize)
 		go func() { done <- srv.ServeUDP(uconn) }()
 	}
 
+	// The server owns the region files: unlink them on the way out so a
+	// stale region can never be attached to a dead server.
 	var ringFiles []string
+	defer func() {
+		for _, p := range ringFiles {
+			os.Remove(p)
+		}
+	}()
 	if *shmPath != "" {
 		if *shmRings < 1 {
 			*shmRings = 1
@@ -174,7 +191,7 @@ func main() {
 			g, err := shmring.Create(p, *shmBytes)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			defer g.Close()
 			regions[i] = g
@@ -183,14 +200,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "softrated: shm rings at %s (%d rings, %d bytes each)\n", *shmPath, *shmRings, *shmBytes)
 		go func() { done <- srv.ServeSHM(regions) }()
 	}
-	// The server owns the region files: unlink them on the way out so a
-	// stale region can never be attached to a dead server.
-	removeRings := func() {
-		for _, p := range ringFiles {
-			os.Remove(p)
-		}
-	}
-	defer removeRings()
 
 	var ticker *time.Ticker
 	var tick <-chan time.Time
@@ -216,19 +225,20 @@ func main() {
 			<-done // Drain already waited out every serve loop; collect one exit
 			shutdownCold(srv, cold)
 			finalSnapshot(srv)
-			return
+			return 0
 		case err := <-done:
+			// A serve loop returns nil when a drain (via /drainz) wound it
+			// down, and an error when it failed. Either way bring the
+			// remaining transports down — Close waits for their loops, so
+			// no ring is unmapped under one.
+			srv.Close()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
-			// A serve loop returns nil when a drain (via /drainz) wound it
-			// down; make sure the remaining transports are down too, then
-			// dump the same final snapshot as the signal path.
-			srv.Close()
 			shutdownCold(srv, cold)
 			finalSnapshot(srv)
-			return
+			return 0
 		}
 	}
 }

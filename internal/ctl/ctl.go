@@ -12,8 +12,8 @@
 // The package also keeps the algorithm registry: each servable algorithm
 // has a stable one-byte ID (part of the softrated v2 wire protocol), a
 // name for CLI flags, a fixed state width, and a constructor producing the
-// canonical serving configuration. Stores, the wire codec, and the load
-// generator all resolve algorithms through it.
+// canonical serving configuration. Stores and the wire codec resolve
+// algorithms through it.
 package ctl
 
 import (

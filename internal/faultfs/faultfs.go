@@ -146,9 +146,9 @@ type Rates struct {
 // write errors, torn writes, failed syncs and small stalls — everything
 // that can hit the spill/compaction path — with the read path left clean
 // so answered decisions stay byte-identical (a failed spill keeps state
-// in RAM; a failed restore would not). softrated -chaos-cold and
-// softrate-loadgen -chaos-cold both build their schedule through this, so
-// an in-process run and a forwarded -serve-exec run inject the same way.
+// in RAM; a failed restore would not). softrated -chaos-cold builds its
+// schedule through this, as do the in-process chaos tests, so both inject
+// the same way.
 func ChaosRates(rate float64) Rates {
 	if rate <= 0 {
 		return Rates{}

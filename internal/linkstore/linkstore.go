@@ -123,7 +123,7 @@ type Config struct {
 }
 
 // Op is one feedback event addressed to one link. It is deliberately 32
-// bytes — the loadgen builds millions per second and batches of them must
+// bytes — a server decodes millions per second and batches of them must
 // stay cache-resident — so the physical quantities that don't need 52
 // mantissa bits (SNR in dB, airtime in seconds) travel as float32.
 type Op struct {
@@ -713,7 +713,7 @@ type BatchStats struct {
 	Kinds [core.NumKinds]uint64
 	// Algo is the batch's resolved algorithm when every op resolves to the
 	// same one — the common shape, since a sender batches one station's
-	// feedback and the loadgen partitions clients per algorithm. When ops
+	// feedback and a station runs one algorithm. When ops
 	// resolve to more than one algorithm, Mixed is set and Algo holds the
 	// first. Resolution follows each op's Algo field against the store
 	// default; a pre-existing link bound to a different algorithm still

@@ -55,7 +55,7 @@ const maxPipelineBytes = 32 << 10
 
 // clientPoisons counts client poisonings process-wide (a softrated
 // process only sees nonzero here when clients share its process, e.g. a
-// loopback loadgen).
+// test or benchmark serving itself over loopback).
 var clientPoisons obs.Counter
 
 // ErrPipelineFull is returned by Submit when the client cannot take
@@ -81,11 +81,6 @@ type Pending struct {
 
 // UDPPending is the datagram client's name for Pending.
 type UDPPending = Pending
-
-// Seq is the request's ID on the wire — the key UDPClient.OnResponse
-// reports, so external verifiers can correlate submissions with the
-// responses that prove them applied.
-func (p *Pending) Seq() uint32 { return p.id }
 
 // Response-matching verdicts. A lossless client is poisoned by any of
 // them; a lossy one counts errStale as stale and the rest as malformed.
@@ -114,18 +109,9 @@ type clientCore struct {
 
 	// DropResponse, when non-nil, is consulted for every response after
 	// parsing and before matching; returning true discards it as if the
-	// network had dropped it. It exists for loss-injection tests and CI
-	// chaos smokes — leave nil in production.
+	// network had dropped it. It exists for loss-injection tests — leave
+	// nil in production.
 	DropResponse func(seq uint32) bool
-
-	// OnResponse, when non-nil, observes every well-formed response the
-	// moment it arrives — before the DropResponse shim and regardless of
-	// whether the request is still in flight (late and duplicate responses
-	// fire it too). A response existing proves the server APPLIED seq's
-	// ops, which is exactly what an exact-replay verifier needs to know: a
-	// request the server shed produces no response and never fires the
-	// hook. rates is only valid during the call. Leave nil in production.
-	OnResponse func(seq uint32, rates []byte)
 
 	stats UDPClientStats
 }
@@ -266,9 +252,6 @@ func (c *clientCore) accept(b []byte) error {
 	count := binary.LittleEndian.Uint32(b[4:8])
 	if uint64(len(b)-8) != uint64(count) {
 		return errShortResponse
-	}
-	if c.OnResponse != nil {
-		c.OnResponse(id, b[8:])
 	}
 	if c.DropResponse != nil && c.DropResponse(id) {
 		c.stats.Injected++

@@ -114,11 +114,18 @@ func TestSlowClientEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	rng := rand.New(rand.NewSource(6))
-	payload := AppendOpsV3(nil, 0, randOps(rng, 4096, 2048))
-	frame := make([]byte, 4, 4+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
+	// Empty requests cost the server almost nothing per answer byte, and a
+	// small receive buffer holds few answers: the server's writes block
+	// soon, even under the race detector.
+	if err := conn.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	payload := AppendOpsV3(nil, 0, nil)
+	var frame []byte // a thousand requests a write
+	for range 1000 {
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+		frame = append(frame, payload...)
+	}
 
 	// Write without ever reading until the server cuts us off. Our own
 	// sends start timing out once the server stops reading (its writes
@@ -160,7 +167,7 @@ func TestSlowClientEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	ops := randOps(rng, 32, 64)
+	ops := randOps(rand.New(rand.NewSource(6)), 32, 64)
 	out := make([]int32, len(ops))
 	if _, err := cli.Decide(ops, out); err != nil {
 		t.Fatalf("well-behaved client after an eviction: %v", err)

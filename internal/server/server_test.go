@@ -151,35 +151,74 @@ func TestCodecRejectsMalformedPayloads(t *testing.T) {
 func TestDecideMatchesBareControllersAt10kLinks(t *testing.T) {
 	// The acceptance determinism property at the server layer: 10k links,
 	// randomized interleaved batches, every decision byte-identical to a
-	// bare per-link core.SoftRate replay.
+	// bare per-link replay. "softrate" sends randOps' records (default
+	// algorithm, unknown SNR) against core.SoftRate; "mixed" binds link i
+	// to ctl.Specs()[i%5] and sets every field the §6.1 algorithms read.
 	const nLinks = 10000
-	srv := New(Config{Store: linkstore.Config{Shards: 128}})
-	bare := make([]*core.SoftRate, nLinks)
-	for i := range bare {
-		bare[i] = core.New(core.DefaultConfig())
-	}
-	rng := rand.New(rand.NewSource(9))
-	out := make([]int32, 512)
-	for batch := 0; batch < 100; batch++ {
-		ops := randOps(rng, 512, nLinks)
-		srv.Decide(ops, out)
-		for i, op := range ops {
-			want := bare[op.LinkID].Apply(op.Kind, int(op.RateIndex), op.BER)
-			if int(out[i]) != want {
-				t.Fatalf("batch %d op %d link %d: server %d != bare %d", batch, i, op.LinkID, out[i], want)
-			}
+	specs := ctl.Specs()
+	for _, mixed := range []bool{false, true} {
+		name := "softrate"
+		if mixed {
+			name = "mixed"
 		}
-	}
-	st := srv.Stats()
-	if st.Frames != 512*100 || st.Batches != 100 {
-		t.Fatalf("stats %+v, want 51200 frames in 100 batches", st)
-	}
-	var kindSum uint64
-	for _, c := range st.Kinds {
-		kindSum += c
-	}
-	if kindSum != st.Frames {
-		t.Fatalf("kind counters sum to %d, want %d", kindSum, st.Frames)
+		t.Run(name, func(t *testing.T) {
+			var bare func(op linkstore.Op) int
+			if mixed {
+				ctls := make([]ctl.Controller, nLinks)
+				for i := range ctls {
+					ctls[i] = specs[i%len(specs)].New()
+				}
+				bare = func(op linkstore.Op) int {
+					return ctls[op.LinkID].Apply(ctl.Feedback{
+						Kind:      op.Kind,
+						RateIndex: int(op.RateIndex),
+						BER:       op.BER,
+						SNRdB:     float64(op.SNRdB),
+						Airtime:   float64(op.Airtime),
+						Delivered: op.Delivered,
+					})
+				}
+			} else {
+				ctls := make([]*core.SoftRate, nLinks)
+				for i := range ctls {
+					ctls[i] = core.New(core.DefaultConfig())
+				}
+				bare = func(op linkstore.Op) int { return ctls[op.LinkID].Apply(op.Kind, int(op.RateIndex), op.BER) }
+			}
+			srv := New(Config{Store: linkstore.Config{Shards: 128}})
+			rng := rand.New(rand.NewSource(9))
+			out := make([]int32, 512)
+			for batch := 0; batch < 100; batch++ {
+				ops := randOps(rng, 512, nLinks)
+				if mixed {
+					for i := range ops {
+						ops[i].Algo = specs[ops[i].LinkID%uint64(len(specs))].ID
+						ops[i].Airtime = rng.Float32() * 1e-3
+						ops[i].Delivered = rng.Intn(3) > 0
+						if rng.Intn(4) > 0 { // else the wire's unknown SNR
+							ops[i].SNRdB = rng.Float32()*30 - 2
+						}
+					}
+				}
+				srv.Decide(ops, out)
+				for i, op := range ops {
+					if want := bare(op); int(out[i]) != want {
+						t.Fatalf("batch %d op %d link %d (algo %d): server %d != bare %d", batch, i, op.LinkID, op.Algo, out[i], want)
+					}
+				}
+			}
+			st := srv.Stats()
+			if st.Frames != 512*100 || st.Batches != 100 {
+				t.Fatalf("stats %+v, want 51200 frames in 100 batches", st)
+			}
+			var kindSum uint64
+			for _, c := range st.Kinds {
+				kindSum += c
+			}
+			if kindSum != st.Frames {
+				t.Fatalf("kind counters sum to %d, want %d", kindSum, st.Frames)
+			}
+		})
 	}
 }
 

@@ -100,7 +100,7 @@ func (c *datagramCarrier) close() error { return c.conn.Close() }
 // UDPClient is a datagram client for the decision service, with the lossy
 // contract of client.go: no poison, a timed-out Wait reports ok=false. It
 // is not safe for concurrent use; open one per sending goroutine. Its
-// DropResponse and OnResponse fields are test and verification hooks.
+// DropResponse field is a loss-injection hook for tests.
 type UDPClient struct{ clientCore }
 
 // UDPClientStats counts the client's datagram fates.

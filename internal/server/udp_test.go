@@ -40,8 +40,8 @@ func TestServeUDPDrain(t *testing.T)               { runConformance(t, "udp", "d
 
 // TestUDPWindowedMatchesInProcess exercises the windowed client (several
 // datagrams in flight, so the server actually forms multi-datagram
-// bursts) with disjoint link cohorts per slot, exactly as the loadgen
-// partitions them: per-link feedback order is then submit order, and a
+// bursts) with disjoint link cohorts per slot, as a windowed sender must
+// partition them: per-link feedback order is then submit order, and a
 // mirror server fed the same batches one Decide each must agree
 // byte-for-byte.
 func TestUDPWindowedMatchesInProcess(t *testing.T) {

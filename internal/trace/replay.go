@@ -8,7 +8,7 @@ import (
 
 // This file implements frame-by-frame trace replay: the bridge between a
 // captured LinkTrace and anything that consumes sender-side feedback
-// events — the softrated load generator, determinism harnesses, and any
+// events — the benchmark's load generator (bench/), determinism tests, and any
 // future experiment that walks a trace one transmission at a time. It
 // centralizes the slot-walking and outcome-derivation logic that would
 // otherwise be re-implemented per consumer.

@@ -147,8 +147,8 @@ func TestFramesEmptyTrace(t *testing.T) {
 
 func TestFramesDrivesControllerLikeDirectReplay(t *testing.T) {
 	// Closing the loop through the iterator must be equivalent to walking
-	// the snapshots by hand — the property the loadgen determinism check
-	// builds on.
+	// the snapshots by hand — the property a closed-loop replay through
+	// the decision service builds on.
 	lt := synthTrace(6, 80)
 	it := lt.Frames(9)
 
