@@ -18,17 +18,28 @@ import (
 	"softrate/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run generates and writes one trace and returns the exit status: 2 for
+// bad flags, 1 when the trace cannot be written.
+func run(args []string) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	var (
-		kind     = flag.String("kind", "walking", "channel kind: walking | fading | static")
-		duration = flag.Float64("duration", 10, "trace duration in seconds")
-		doppler  = flag.Float64("doppler", 40, "Doppler spread in Hz (fading kind)")
-		snr      = flag.Float64("snr", 18, "mean SNR in dB (fading/static kinds)")
-		payload  = flag.Int("payload", 1400, "frame payload bytes the trace describes")
-		seed     = flag.Int64("seed", 1, "PRNG seed")
-		out      = flag.String("o", "", "output file (default stdout)")
+		kind     = fs.String("kind", "walking", "channel kind: walking | fading | static")
+		duration = fs.Float64("duration", 10, "trace duration in seconds (at least one 1 ms slot)")
+		doppler  = fs.Float64("doppler", 40, "Doppler spread in Hz (fading kind)")
+		snr      = fs.Float64("snr", 18, "mean SNR in dB (fading/static kinds)")
+		payload  = fs.Int("payload", 1400, "frame payload bytes the trace describes")
+		seed     = fs.Int64("seed", 1, "PRNG seed")
+		out      = fs.String("o", "", "output file (default stdout)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if !(*duration >= trace.DefaultInterval) {
+		fmt.Fprintf(os.Stderr, "-duration %v is shorter than one %v s slot\n", *duration, trace.DefaultInterval)
+		return 2
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	var model *channel.Model
@@ -43,7 +54,7 @@ func main() {
 		model = channel.NewStaticModel(*snr, nil)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown kind %q\n", *kind)
-		os.Exit(2)
+		return 2
 	}
 
 	lt := trace.Generate(trace.GenConfig{
@@ -53,20 +64,17 @@ func main() {
 		Seed:         *seed + 1,
 	})
 
-	w := os.Stdout
+	var err error
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+		err = trace.SaveFile(*out, lt)
+	} else {
+		err = trace.Save(os.Stdout, lt)
 	}
-	if err := trace.Save(w, lt); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d rates x %d slots (%.1f s, monotone-BER fraction %.2f)\n",
 		lt.NumRates(), len(lt.Snapshots[0]), lt.Duration(), lt.MonotoneBERFraction())
+	return 0
 }

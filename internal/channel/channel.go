@@ -12,6 +12,7 @@ package channel
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -26,10 +27,10 @@ const DefaultOscillators = 16
 // process to every bit rate (the consistency requirement of §6.1).
 type Rayleigh struct {
 	doppler float64
-	// Per-oscillator angular frequencies and phases for the I and Q rails.
-	wI, wQ     []float64
-	phiI, phiQ []float64
-	scale      float64
+	// Per-oscillator angular frequencies and phases, packed I rail
+	// (0..n-1) then Q rail (n..2n-1), so one cosine sweep covers both.
+	w, phi []float64
+	scale  float64
 }
 
 // NewRayleigh builds a Rayleigh fading process with maximum Doppler shift
@@ -41,10 +42,8 @@ func NewRayleigh(rng *rand.Rand, dopplerHz float64, n int) *Rayleigh {
 	}
 	r := &Rayleigh{
 		doppler: dopplerHz,
-		wI:      make([]float64, n),
-		wQ:      make([]float64, n),
-		phiI:    make([]float64, n),
-		phiQ:    make([]float64, n),
+		w:       make([]float64, 2*n),
+		phi:     make([]float64, 2*n),
 		scale:   1 / math.Sqrt(float64(n)),
 	}
 	theta := (rng.Float64()*2 - 1) * math.Pi
@@ -52,10 +51,10 @@ func NewRayleigh(rng *rand.Rand, dopplerHz float64, n int) *Rayleigh {
 	for k := 0; k < n; k++ {
 		// Zheng–Xiao arrival angles: alpha_k = (2*pi*k - pi + theta)/(4n).
 		alpha := (2*math.Pi*float64(k+1) - math.Pi + theta) / (4 * float64(n))
-		r.wI[k] = wd * math.Cos(alpha)
-		r.wQ[k] = wd * math.Sin(alpha)
-		r.phiI[k] = (rng.Float64()*2 - 1) * math.Pi
-		r.phiQ[k] = (rng.Float64()*2 - 1) * math.Pi
+		r.w[k] = wd * math.Cos(alpha)
+		r.w[n+k] = wd * math.Sin(alpha)
+		r.phi[k] = (rng.Float64()*2 - 1) * math.Pi
+		r.phi[n+k] = (rng.Float64()*2 - 1) * math.Pi
 	}
 	return r
 }
@@ -63,14 +62,59 @@ func NewRayleigh(rng *rand.Rand, dopplerHz float64, n int) *Rayleigh {
 // Doppler returns the maximum Doppler shift of the process in Hz.
 func (r *Rayleigh) Doppler() float64 { return r.doppler }
 
-// Gain returns the complex channel gain at time t (seconds).
+// Gain returns the complex channel gain at time t (seconds). With the
+// AVX2 kernel it is gainScalar's value bit for bit: the same cosines,
+// summed per rail from zero in ascending oscillator order.
 func (r *Rayleigh) Gain(t float64) complex128 {
+	if !hasCosKernel {
+		return r.gainScalar(t)
+	}
+	n := len(r.w) / 2
+	var c [cosBlock]float64
 	var hi, hq float64
-	for k := range r.wI {
-		hi += math.Cos(r.wI[k]*t + r.phiI[k])
-		hq += math.Cos(r.wQ[k]*t + r.phiQ[k])
+	for base := 0; base < 2*n; base += cosBlock {
+		m := min(cosBlock, 2*n-base)
+		cosLanes(c[:m], r.w[base:base+m], r.phi[base:base+m], t)
+		split := min(max(n-base, 0), m) // lanes of c before the Q rail
+		for _, v := range c[:split] {
+			hi += v
+		}
+		for _, v := range c[split:m] {
+			hq += v
+		}
 	}
 	return complex(hi*r.scale, hq*r.scale)
+}
+
+// gainScalar is Gain without the vector kernel: the path on hosts without
+// AVX2 and off amd64, and the reference the kernel is tested against.
+func (r *Rayleigh) gainScalar(t float64) complex128 {
+	n := len(r.w) / 2
+	var hi, hq float64
+	for k := 0; k < n; k++ {
+		hi += math.Cos(r.w[k]*t + r.phi[k])
+		hq += math.Cos(r.w[n+k]*t + r.phi[n+k])
+	}
+	return complex(hi*r.scale, hq*r.scale)
+}
+
+// cosBlock is how many lanes Gain evaluates per kernel call: both rails
+// of DefaultOscillators in one.
+const cosBlock = 2 * DefaultOscillators
+
+// cosLanes sets dst[i] = math.Cos(w[i]*t + phi[i]) bit for bit, len(dst)
+// at most 64, with the kernel over the leading multiple of four lanes.
+func cosLanes(dst, w, phi []float64, t float64) {
+	n := len(dst) &^ 3
+	if n > 0 {
+		for fix := cosLanesAVX2(&dst[0], &w[0], &phi[0], t, n); fix != 0; fix &= fix - 1 {
+			i := bits.TrailingZeros64(fix)
+			dst[i] = math.Cos(w[i]*t + phi[i])
+		}
+	}
+	for i := n; i < len(dst); i++ {
+		dst[i] = math.Cos(w[i]*t + phi[i])
+	}
 }
 
 // CoherenceTime returns the approximate channel coherence time for a given

@@ -2,6 +2,8 @@
 
 package coding
 
+import "softrate/internal/cpufeat"
+
 // The vectorized log-MAP row combine requires AVX2 (256-bit integer ops)
 // and FMA3. On such hardware math.Exp's amd64 assembly takes its FMA path
 // (math.useFMA is AVX&&FMA), which is the operation sequence the kernels
@@ -12,7 +14,7 @@ package coding
 // collisions, arguments within ulps of u==2 inside Log1p) are reported in
 // the returned fixup mask and re-run through the scalar code by the
 // wrappers in combine.go.
-var hasFastJacobian = detectFastJacobian()
+var hasFastJacobian = cpufeat.AVX2 && cpufeat.FMA
 
 // hasAVX512Jacobian additionally requires AVX512 F/DQ/VL (and OS ZMM+opmask
 // state support): the 8-lane step kernels use ZMM vectors, opmask-register
@@ -20,55 +22,7 @@ var hasFastJacobian = detectFastJacobian()
 // The arithmetic is the same lane-wise IEEE sequence as the 4-lane kernels,
 // so the bit-identity contract is unchanged; the wider vectors halve the
 // number of long-latency Jacobian chains per trellis step.
-var hasAVX512Jacobian = hasFastJacobian && detectAVX512Jacobian()
-
-func detectAVX512Jacobian() bool {
-	maxID, _, _, _ := cpuidx(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	// The OS must save/restore opmask, ZMM-high, and high-ZMM register
-	// state in addition to the XMM/YMM state hasFastJacobian checked.
-	if lo, _ := xgetbv0(); lo&0xE6 != 0xE6 {
-		return false
-	}
-	const (
-		cpuidAVX512F  = 1 << 16
-		cpuidAVX512DQ = 1 << 17
-		cpuidAVX512VL = 1 << 31
-	)
-	_, b7, _, _ := cpuidx(7, 0)
-	return b7&cpuidAVX512F != 0 && b7&cpuidAVX512DQ != 0 && b7&cpuidAVX512VL != 0
-}
-
-func detectFastJacobian() bool {
-	maxID, _, _, _ := cpuidx(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	const (
-		cpuidFMA     = 1 << 12
-		cpuidOSXSAVE = 1 << 27
-		cpuidAVX     = 1 << 28
-		cpuidAVX2    = 1 << 5
-	)
-	_, _, c1, _ := cpuidx(1, 0)
-	if c1&cpuidOSXSAVE == 0 || c1&cpuidAVX == 0 || c1&cpuidFMA == 0 {
-		return false
-	}
-	// The OS must save/restore the XMM and YMM register state.
-	if lo, _ := xgetbv0(); lo&0x6 != 0x6 {
-		return false
-	}
-	_, b7, _, _ := cpuidx(7, 0)
-	return b7&cpuidAVX2 != 0
-}
-
-// cpuidx executes CPUID with the given leaf/subleaf.
-func cpuidx(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv0 reads extended control register 0 (OS AVX state support).
-func xgetbv0() (eax, edx uint32)
+var hasAVX512Jacobian = hasFastJacobian && cpufeat.AVX512
 
 // combineRows2AVX2 is the vector form of combineRows2's LogMAP loop over
 // n&^3 lanes (n must be a multiple of 4 and at most maxBatchLanes). Lanes

@@ -31,20 +31,33 @@ func Load(r io.Reader) (*LinkTrace, error) {
 	if err := json.NewDecoder(gz).Decode(&lt); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	if lt.Interval <= 0 || len(lt.Snapshots) == 0 {
-		return nil, fmt.Errorf("trace: malformed trace (interval %v, %d rates)", lt.Interval, len(lt.Snapshots))
+	slots := 0
+	if len(lt.Snapshots) > 0 {
+		slots = len(lt.Snapshots[0])
+	}
+	if lt.Interval <= 0 || slots == 0 {
+		return nil, fmt.Errorf("trace: malformed trace (interval %v, %d rates x %d slots)", lt.Interval, len(lt.Snapshots), slots)
+	}
+	for ri, snaps := range lt.Snapshots {
+		if len(snaps) != slots {
+			return nil, fmt.Errorf("trace: malformed trace (rate %d has %d slots, rate 0 %d)", ri, len(snaps), slots)
+		}
 	}
 	return &lt, nil
 }
 
-// SaveFile writes a trace to path.
+// SaveFile writes a trace to path, reporting a failed close as a failed
+// write.
 func SaveFile(path string, lt *LinkTrace) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return Save(f, lt)
+	if err := Save(f, lt); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // LoadFile reads a trace from path.

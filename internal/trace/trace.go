@@ -142,7 +142,7 @@ type GenConfig struct {
 	Mode ofdm.Mode
 	// Duration is the trace length in seconds.
 	Duration float64
-	// Interval is the snapshot spacing (default 1 ms).
+	// Interval is the snapshot spacing (default DefaultInterval).
 	Interval float64
 	// PayloadBytes is the frame size snapshots describe (default 1400).
 	PayloadBytes int
@@ -169,6 +169,10 @@ type GenConfig struct {
 	Seed int64
 }
 
+// DefaultInterval is Generate's snapshot spacing when GenConfig.Interval
+// is unset: 1 ms, the paper's trace slot.
+const DefaultInterval = 1e-3
+
 func (gc *GenConfig) fill() {
 	if gc.BERModel == nil {
 		gc.BERModel = phy.DefaultBERModel
@@ -180,7 +184,7 @@ func (gc *GenConfig) fill() {
 		gc.Mode = ofdm.Simulation
 	}
 	if gc.Interval <= 0 {
-		gc.Interval = 1e-3
+		gc.Interval = DefaultInterval
 	}
 	if gc.PayloadBytes <= 0 {
 		gc.PayloadBytes = 1400

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"softrate/internal/channel"
@@ -161,6 +162,32 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a gzip"))); err == nil {
 		t.Fatal("expected error on garbage input")
+	}
+}
+
+func TestLoadRejectsEmptyOrRaggedGrid(t *testing.T) {
+	snap := Snapshot{Detected: true, DeliverProb: 1}
+	for name, grid := range map[string][][]Snapshot{
+		"no slots":   {{}, {}},
+		"ragged":     {{snap, snap}, {snap}},
+		"empty rate": {{snap}, {}},
+	} {
+		var buf bytes.Buffer
+		if err := Save(&buf, NewSynthetic(1e-3, 11200, grid)); err != nil {
+			t.Fatal(err)
+		}
+		if lt, err := Load(&buf); err == nil {
+			t.Errorf("%s: Load accepted a %d-rate grid with %d slots at rate 0", name, lt.NumRates(), len(lt.Snapshots[0]))
+		}
+	}
+}
+
+func TestSaveFileReportsWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	if err := SaveFile("/dev/full", walkingTrace(12, 0.5)); err == nil {
+		t.Fatal("SaveFile to /dev/full reported success")
 	}
 }
 
