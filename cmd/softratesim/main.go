@@ -12,97 +12,67 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"strings"
 
 	"softrate/internal/channel"
-	"softrate/internal/core"
-	"softrate/internal/ctl"
 	"softrate/internal/netsim"
-	"softrate/internal/ofdm"
-	"softrate/internal/rate"
-	"softrate/internal/ratectl"
 	"softrate/internal/trace"
 )
 
-func lossless() []float64 {
-	rs := rate.Evaluation()
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		out[i] = ofdm.Simulation.PayloadAirtime(1400, r, false)
-	}
-	return out
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-func factoryFor(alg string) (netsim.AdapterFactory, error) {
-	switch alg {
-	case "softrate":
-		return func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.NewSoftRate(core.DefaultConfig())
-		}, nil
-	case "omniscient":
-		return func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.Wrap(&ratectl.Omniscient{Oracle: fwd.BestRateAt})
-		}, nil
-	case "snr":
-		return func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			th := ratectl.TrainThresholds(fwd.TrainingSamples(), fwd.NumRates(), 0.9)
-			return ctl.Wrap(ratectl.NewSNRBased(th, "SNR (trained)"))
-		}, nil
-	case "charm":
-		return func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			th := ratectl.TrainThresholds(fwd.TrainingSamples(), fwd.NumRates(), 0.9)
-			return ctl.Wrap(ratectl.NewCHARM(th))
-		}, nil
-	case "rraa":
-		return func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.Wrap(ratectl.NewRRAA(rate.Evaluation(), lossless(), true))
-		}, nil
-	case "samplerate":
-		return func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.Wrap(ratectl.NewSampleRate(rate.Evaluation(), lossless(), rand.New(rand.NewSource(rng.Int63()))))
-		}, nil
+// run simulates the chosen algorithms, writes one result row per algorithm
+// to stdout and returns the exit status: 2 for bad flags.
+func run(args []string, stdout io.Writer) int {
+	var keys []string
+	for _, a := range netsim.Algorithms() {
+		keys = append(keys, a.Key)
 	}
-	return nil, fmt.Errorf("unknown algorithm %q", alg)
-}
-
-func main() {
+	fs := flag.NewFlagSet("softratesim", flag.ContinueOnError)
 	var (
-		alg      = flag.String("alg", "softrate", "softrate | omniscient | snr | charm | rraa | samplerate | all")
-		chanKind = flag.String("channel", "walking", "walking | fading | static")
-		doppler  = flag.Float64("doppler", 40, "Doppler Hz (fading)")
-		snr      = flag.Float64("snr", 18, "mean SNR dB (fading/static)")
-		duration = flag.Float64("duration", 10, "seconds")
-		flows    = flag.Int("flows", 1, "number of TCP flows/clients")
-		seed     = flag.Int64("seed", 1, "PRNG seed")
+		alg      = fs.String("alg", "softrate", strings.Join(keys, " | ")+" | all")
+		chanKind = fs.String("channel", "walking", "walking | fading | static")
+		doppler  = fs.Float64("doppler", 40, "Doppler Hz (fading)")
+		snr      = fs.Float64("snr", 18, "mean SNR dB (fading/static)")
+		duration = fs.Float64("duration", 10, "seconds (at least one 1 ms slot)")
+		flows    = fs.Int("flows", 1, "number of TCP flows/clients")
+		seed     = fs.Int64("seed", 1, "PRNG seed")
 	)
-	flag.Parse()
-
-	mkModel := func(rng *rand.Rand) *channel.Model {
-		switch *chanKind {
-		case "walking":
-			return channel.NewWalkingModel(rng,
-				channel.LinearTrajectory{StartDist: 2, Speed: 1.2},
-				channel.PathLoss{RefSNRdB: 26, RefDist: 1, Exponent: 2.2})
-		case "fading":
-			return channel.NewStaticModel(*snr, channel.NewRayleigh(rng, *doppler, 0))
-		case "static":
-			return channel.NewStaticModel(*snr, nil)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	bad := func(format string, a ...any) int {
+		fmt.Fprintf(os.Stderr, format+"\n", a...)
+		return 2
+	}
+	if *flows < 1 {
+		return bad("-flows %d: need at least one flow", *flows)
+	}
+	if !(*duration >= trace.DefaultInterval) {
+		return bad("-duration %v is shorter than one %v s slot", *duration, trace.DefaultInterval)
+	}
+	var algs []netsim.Algorithm
+	for _, a := range netsim.Algorithms() {
+		if *alg == "all" || *alg == a.Key {
+			algs = append(algs, a)
 		}
-		fmt.Fprintf(os.Stderr, "unknown channel %q\n", *chanKind)
-		os.Exit(2)
-		return nil
+	}
+	if len(algs) == 0 {
+		return bad("unknown algorithm %q (want %s | all)", *alg, strings.Join(keys, " | "))
 	}
 
 	var fwd, rev []*trace.LinkTrace
 	for i := 0; i < *flows; i++ {
 		for j := 0; j < 2; j++ {
 			s := *seed + int64(2*i+j)
-			lt := trace.Generate(trace.GenConfig{
-				Model:    mkModel(rand.New(rand.NewSource(s))),
-				Duration: *duration,
-				Seed:     s + 100,
-			})
+			model, err := channel.NewKind(*chanKind, rand.New(rand.NewSource(s)), *snr, *doppler)
+			if err != nil { // an unknown kind fails here, before the first trace
+				return bad("%v", err)
+			}
+			lt := trace.Generate(trace.GenConfig{Model: model, Duration: *duration, Seed: s + 100})
 			if j == 0 {
 				fwd = append(fwd, lt)
 			} else {
@@ -111,24 +81,16 @@ func main() {
 		}
 	}
 
-	algs := []string{*alg}
-	if *alg == "all" {
-		algs = []string{"omniscient", "softrate", "snr", "charm", "rraa", "samplerate"}
-	}
 	for _, a := range algs {
-		factory, err := factoryFor(a)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		cfg := netsim.DefaultConfig()
 		cfg.Duration = *duration
 		cfg.Seed = *seed
-		res := netsim.RunUplink(cfg, fwd, rev, factory)
-		fmt.Printf("%-12s aggregate %7.2f Mbps", a, res.AggregateBps/1e6)
+		res := netsim.RunUplink(cfg, fwd, rev, a.Factory)
+		fmt.Fprintf(stdout, "%-12s aggregate %7.2f Mbps", a.Key, res.AggregateBps/1e6)
 		for i, f := range res.Flows {
-			fmt.Printf("  flow%d %.2f Mbps (retx %d, timeouts %d)", i, f.ThroughputBps/1e6, f.Retransmits, f.Timeouts)
+			fmt.Fprintf(stdout, "  flow%d %.2f Mbps (retx %d, timeouts %d)", i, f.ThroughputBps/1e6, f.Retransmits, f.Timeouts)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }

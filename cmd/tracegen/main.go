@@ -41,19 +41,9 @@ func run(args []string) int {
 		return 2
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	var model *channel.Model
-	switch *kind {
-	case "walking":
-		model = channel.NewWalkingModel(rng,
-			channel.LinearTrajectory{StartDist: 2, Speed: 1.2},
-			channel.PathLoss{RefSNRdB: 26, RefDist: 1, Exponent: 2.2})
-	case "fading":
-		model = channel.NewStaticModel(*snr, channel.NewRayleigh(rng, *doppler, 0))
-	case "static":
-		model = channel.NewStaticModel(*snr, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown kind %q\n", *kind)
+	model, err := channel.NewKind(*kind, rand.New(rand.NewSource(*seed)), *snr, *doppler)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
@@ -64,7 +54,6 @@ func run(args []string) int {
 		Seed:         *seed + 1,
 	})
 
-	var err error
 	if *out != "" {
 		err = trace.SaveFile(*out, lt)
 	} else {

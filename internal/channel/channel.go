@@ -11,6 +11,7 @@
 package channel
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -234,6 +235,31 @@ func NewWalkingModel(rng *rand.Rand, traj LinearTrajectory, pl PathLoss) *Model 
 		MeanSNRdB: func(t float64) float64 { return pl.SNRdB(traj.Distance(t)) },
 		Fading:    NewRayleigh(rng, fd, DefaultOscillators),
 	}
+}
+
+// NewTable4Walking returns the paper's Table 4 "Walking" channel: the
+// sender starts 2 m from the receiver and walks away at 1.2 m/s, over a
+// path loss of 26 dB SNR at 1 m with exponent 2.2.
+func NewTable4Walking(rng *rand.Rand) *Model {
+	return NewWalkingModel(rng,
+		LinearTrajectory{StartDist: 2, Speed: 1.2},
+		PathLoss{RefSNRdB: 26, RefDist: 1, Exponent: 2.2})
+}
+
+// NewKind builds a channel by the name the command-line tools take:
+// "walking" (Table 4's walking channel; snrDB and dopplerHz unused),
+// "fading" (Rayleigh fading at dopplerHz around a constant snrDB) or
+// "static" (a constant snrDB, no fading).
+func NewKind(kind string, rng *rand.Rand, snrDB, dopplerHz float64) (*Model, error) {
+	switch kind {
+	case "walking":
+		return NewTable4Walking(rng), nil
+	case "fading":
+		return NewStaticModel(snrDB, NewRayleigh(rng, dopplerHz, 0)), nil
+	case "static":
+		return NewStaticModel(snrDB, nil), nil
+	}
+	return nil, fmt.Errorf("unknown channel kind %q (want walking | fading | static)", kind)
 }
 
 // Gain returns the composite complex gain at time t. |Gain|^2 is the

@@ -100,10 +100,7 @@ func runAblationExcision(o Options) []*Table {
 		cfg.Seed = o.Seed + 91
 		cfg.CSProb = 0.2
 		cfg.MAC.InterferenceDetectionProb = detectP
-		res := netsim.RunUplink(cfg, fwd, rev, func(i int, f *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.NewSoftRate(core.DefaultConfig())
-		})
-		return res.AggregateBps
+		return netsim.RunUplink(cfg, fwd, rev, netsim.SoftRate).AggregateBps
 	}
 	// Two trials: detector on at the measured 80% accuracy, detector off
 	// (every collision reads as noise).
@@ -175,7 +172,7 @@ func runAblationHARQ(o Options) []*Table {
 		return core.New(cfg)
 	}
 	// One trial per recovery model (each owns its SoftRate instance).
-	rates := rateSet()
+	rates := rate.Evaluation()
 	recoveries := []core.ErrorRecovery{core.FrameARQ{}, core.HybridARQ{}}
 	thresholds := engine.Map(o.Workers, len(recoveries), func(i int) [][2]float64 {
 		s := mk(recoveries[i])
@@ -217,7 +214,7 @@ func runAblationSilent(o Options) []*Table {
 		cfg.Duration = dur
 		cfg.Seed = o.Seed + 93
 		cfg.CSProb = 0.5
-		res := netsim.RunUplink(cfg, fwd, rev, func(i int, f *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
+		res := netsim.RunUplink(cfg, fwd, rev, func(*trace.LinkTrace, *rand.Rand) ctl.Controller {
 			c := core.DefaultConfig()
 			c.SilentLossRun = run
 			return ctl.NewSoftRate(c)

@@ -4,11 +4,8 @@ import (
 	"math/rand"
 
 	"softrate/internal/channel"
-	"softrate/internal/core"
-	"softrate/internal/ctl"
 	"softrate/internal/experiments/engine"
 	"softrate/internal/netsim"
-	"softrate/internal/ratectl"
 	"softrate/internal/trace"
 )
 
@@ -20,10 +17,7 @@ func init() {
 // mkWalkingTrace generates one walking-mobility link trace (Table 4,
 // "Walking": sender moving away from the receiver at walking speed).
 func mkWalkingTrace(s int64, dur float64) *trace.LinkTrace {
-	rng := rand.New(rand.NewSource(s))
-	model := channel.NewWalkingModel(rng,
-		channel.LinearTrajectory{StartDist: 2, Speed: 1.2},
-		channel.PathLoss{RefSNRdB: 26, RefDist: 1, Exponent: 2.2})
+	model := channel.NewTable4Walking(rand.New(rand.NewSource(s)))
 	return trace.Generate(trace.GenConfig{Model: model, Duration: dur, Seed: s + 500})
 }
 
@@ -38,43 +32,6 @@ func walkingLinkTraces(workers, n int, dur float64, seed int64) (fwd, rev []*tra
 		rev = append(rev, traces[2*i+1])
 	}
 	return fwd, rev
-}
-
-// algorithmFactories returns the §6.1 algorithm set, keyed by display
-// name, in the paper's legend order. Each factory builds a fresh adapter
-// per link; training-based algorithms train on the link's own trace (the
-// paper computes SNR-BER relationships "from the traces used for
-// evaluation").
-func algorithmFactories() []struct {
-	name    string
-	factory netsim.AdapterFactory
-} {
-	lossless := losslessAirtimes()
-	return []struct {
-		name    string
-		factory netsim.AdapterFactory
-	}{
-		{"Omniscient", func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.Wrap(&ratectl.Omniscient{Oracle: fwd.BestRateAt})
-		}},
-		{"SoftRate", func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.NewSoftRate(core.DefaultConfig())
-		}},
-		{"SNR (trained)", func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			th := ratectl.TrainThresholds(fwd.TrainingSamples(), fwd.NumRates(), 0.9)
-			return ctl.Wrap(ratectl.NewSNRBased(th, "SNR (trained)"))
-		}},
-		{"CHARM", func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			th := ratectl.TrainThresholds(fwd.TrainingSamples(), fwd.NumRates(), 0.9)
-			return ctl.Wrap(ratectl.NewCHARM(th))
-		}},
-		{"RRAA", func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.Wrap(ratectl.NewRRAA(rateSet(), lossless, true))
-		}},
-		{"SampleRate", func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.Wrap(ratectl.NewSampleRate(rateSet(), lossless, rand.New(rand.NewSource(rng.Int63()))))
-		}},
-	}
 }
 
 // runFig13 reproduces Figure 13: aggregate TCP throughput versus number of
@@ -111,7 +68,7 @@ func runFig13(o Options) []*Table {
 	}
 	// Stage 2: one trial per (algorithm, client count, repetition); the
 	// traces are shared read-only across trials.
-	algs := algorithmFactories()
+	algs := netsim.Algorithms()
 	type runKey struct{ a, n, r int }
 	var keys []runKey
 	for a := range algs {
@@ -126,11 +83,11 @@ func runFig13(o Options) []*Table {
 		cfg := netsim.DefaultConfig()
 		cfg.Duration = dur
 		cfg.Seed = o.Seed + int64(k.n+10*k.r)
-		return netsim.RunUplink(cfg, fwd[k.r][:k.n], rev[k.r][:k.n], algs[k.a].factory).AggregateBps
+		return netsim.RunUplink(cfg, fwd[k.r][:k.n], rev[k.r][:k.n], algs[k.a].Factory).AggregateBps
 	})
 	results := map[string][]float64{}
 	for ai, alg := range algs {
-		row := []string{alg.name}
+		row := []string{alg.Name}
 		for n := 1; n <= maxN; n++ {
 			var sum float64
 			for r := 0; r < reps; r++ {
@@ -138,7 +95,7 @@ func runFig13(o Options) []*Table {
 			}
 			meanBps := sum / reps
 			row = append(row, fmtMbps(meanBps))
-			results[alg.name] = append(results[alg.name], meanBps)
+			results[alg.Name] = append(results[alg.Name], meanBps)
 		}
 		out.AddRow(row...)
 	}
@@ -180,12 +137,9 @@ func runFig14(o Options) []*Table {
 	}
 	type acc struct{ under, ok, over float64 }
 	// One trial per algorithm; Omniscient is skipped (trivially accurate).
-	var algs []struct {
-		name    string
-		factory netsim.AdapterFactory
-	}
-	for _, alg := range algorithmFactories() {
-		if alg.name != "Omniscient" {
+	var algs []netsim.Algorithm
+	for _, alg := range netsim.Algorithms() {
+		if alg.Name != "Omniscient" {
 			algs = append(algs, alg)
 		}
 	}
@@ -194,7 +148,7 @@ func runFig14(o Options) []*Table {
 		cfg.Duration = dur
 		cfg.Seed = o.Seed + 17
 		cfg.RecordTx = true
-		res := netsim.RunUplink(cfg, fwd, rev, algs[i].factory)
+		res := netsim.RunUplink(cfg, fwd, rev, algs[i].Factory)
 		var c [3]int
 		for _, r := range res.ClientStats[0].Records {
 			switch {
@@ -216,8 +170,8 @@ func runFig14(o Options) []*Table {
 			continue
 		}
 		a := acc{float64(under) / total, float64(ok) / total, float64(over) / total}
-		accs[alg.name] = a
-		out.AddRow(alg.name, fmtPct(a.under), fmtPct(a.ok), fmtPct(a.over))
+		accs[alg.Name] = a
+		out.AddRow(alg.Name, fmtPct(a.under), fmtPct(a.ok), fmtPct(a.over))
 	}
 	if a, found := accs["SoftRate"]; found {
 		out.AddNote("SoftRate accurate fraction: %s (paper: over 80%%)", fmtPct(a.ok))

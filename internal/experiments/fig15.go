@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 
+	"softrate/internal/ctl"
 	"softrate/internal/experiments/engine"
 	"softrate/internal/mac"
+	"softrate/internal/rate"
 	"softrate/internal/ratectl"
 	"softrate/internal/sim"
 	"softrate/internal/trace"
@@ -112,14 +114,15 @@ func convergenceTime(recs []mac.TxRecord, switchT float64, wantRate int) float64
 // both directions.
 func runFig15(o Options) []*Table {
 	dur := 6.0
-	lossless := losslessAirtimes()
 	// One trial per algorithm timeline; adapters are stateful, so each
-	// trial constructs its own.
+	// trial constructs its own. They are bare adapters, not netsim's: a
+	// timeline has no netsim rng, so SampleRate is seeded from o.Seed.
+	rates, lossless := rate.Evaluation(), ctl.NominalAirtimes()
 	timelines := engine.Map(o.Workers, 2, func(i int) []mac.TxRecord {
 		if i == 0 {
-			return rateTimeline(ratectl.NewRRAA(rateSet(), lossless, false), dur, o.Seed+1)
+			return rateTimeline(ratectl.NewRRAA(rates, lossless, false), dur, o.Seed+1)
 		}
-		return rateTimeline(ratectl.NewSampleRate(rateSet(), lossless, rand.New(rand.NewSource(o.Seed))), dur, o.Seed+2)
+		return rateTimeline(ratectl.NewSampleRate(rates, lossless, rand.New(rand.NewSource(o.Seed))), dur, o.Seed+2)
 	})
 	recsR, recsS := timelines[0], timelines[1]
 
@@ -134,7 +137,7 @@ func runFig15(o Options) []*Table {
 			if r.Time > t {
 				break
 			}
-			last = rateSet()[r.RateIndex].Name()
+			last = rates[r.RateIndex].Name()
 		}
 		return last
 	}

@@ -5,10 +5,10 @@ import (
 	"math/rand"
 
 	"softrate/internal/channel"
-	"softrate/internal/core"
 	"softrate/internal/ctl"
 	"softrate/internal/experiments/engine"
 	"softrate/internal/netsim"
+	"softrate/internal/rate"
 	"softrate/internal/ratectl"
 	"softrate/internal/trace"
 )
@@ -49,7 +49,6 @@ func runFig16(o Options) []*Table {
 		Title:  "Normalized TCP throughput vs channel coherence time (fast fading)",
 		Header: []string{"coherence", "SoftRate", "SNR (untrained)", "RRAA", "SampleRate"},
 	}
-	lossless := losslessAirtimes()
 	coherences := []float64{1e-3, 500e-6, 200e-6, 100e-6}
 	// Average over independent trace pairs to damp TCP variance. Stage 1:
 	// one generation trial per (coherence, repetition) trace pair.
@@ -59,25 +58,19 @@ func runFig16(o Options) []*Table {
 		f, b := fastFadingTraces(tc, dur, o.Seed+int64(tc*1e7)+int64(777*r))
 		return [2]*trace.LinkTrace{f, b}
 	})
-	algs := []struct {
-		name    string
-		factory netsim.AdapterFactory
-	}{
-		{"Omniscient", func(i int, f *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.Wrap(&ratectl.Omniscient{Oracle: f.BestRateAt})
-		}},
-		{"SoftRate", func(i int, f *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.NewSoftRate(core.DefaultConfig())
-		}},
-		{"SNR (untrained)", func(i int, f *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
+	// SNR trained on walking traces and RRAA without adaptive RTS are this
+	// figure's own configurations, so only three entries come from netsim.
+	rates, lossless := rate.Evaluation(), ctl.NominalAirtimes()
+	algs := []netsim.AdapterFactory{
+		netsim.Omniscient,
+		netsim.SoftRate,
+		func(*trace.LinkTrace, *rand.Rand) ctl.Controller {
 			return ctl.Wrap(ratectl.NewSNRBased(walkTrained, "SNR (untrained)"))
-		}},
-		{"RRAA", func(i int, f *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.Wrap(ratectl.NewRRAA(rateSet(), lossless, false))
-		}},
-		{"SampleRate", func(i int, f *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.Wrap(ratectl.NewSampleRate(rateSet(), lossless, rand.New(rand.NewSource(rng.Int63()))))
-		}},
+		},
+		func(*trace.LinkTrace, *rand.Rand) ctl.Controller {
+			return ctl.Wrap(ratectl.NewRRAA(rates, lossless, false))
+		},
+		netsim.SampleRate,
 	}
 	// Stage 2: one trial per (coherence, algorithm), each averaging its
 	// repetitions in order so float accumulation is stable.
@@ -89,7 +82,7 @@ func runFig16(o Options) []*Table {
 			cfg.Duration = dur
 			cfg.Seed = o.Seed + 71 + int64(r)
 			pair := pairSets[ci*reps+r]
-			res := netsim.RunUplink(cfg, []*trace.LinkTrace{pair[0]}, []*trace.LinkTrace{pair[1]}, algs[ai].factory)
+			res := netsim.RunUplink(cfg, []*trace.LinkTrace{pair[0]}, []*trace.LinkTrace{pair[1]}, algs[ai])
 			sum += res.AggregateBps
 		}
 		return sum / reps

@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"softrate/internal/channel"
-	"softrate/internal/core"
-	"softrate/internal/ctl"
 	"softrate/internal/experiments/engine"
 	"softrate/internal/netsim"
-	"softrate/internal/ratectl"
 	"softrate/internal/trace"
 )
 
@@ -36,34 +32,19 @@ func staticShortRangeTraces(workers, n int, dur float64, seed int64) (fwd, rev [
 	return fwd, rev
 }
 
-// interferenceAlgorithms returns the §6.4 algorithm set. SoftRate (Ideal)
-// gets postambles and perfect interference detection; present SoftRate
-// detects 80% of collisions and has no postambles.
-func interferenceAlgorithms() []struct {
+// interferenceAlgorithms is the §6.4 algorithm set. SoftRate (Ideal) gets
+// postambles and perfect interference detection; present SoftRate detects
+// 80% of collisions and has no postambles.
+var interferenceAlgorithms = []struct {
 	name      string
 	postamble bool
 	detectP   float64
 	factory   netsim.AdapterFactory
-} {
-	lossless := losslessAirtimes()
-	softFactory := func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-		return ctl.NewSoftRate(core.DefaultConfig())
-	}
-	return []struct {
-		name      string
-		postamble bool
-		detectP   float64
-		factory   netsim.AdapterFactory
-	}{
-		{"SoftRate (Ideal)", true, 1.0, softFactory},
-		{"SoftRate", false, 0.8, softFactory},
-		{"RRAA", false, 0.8, func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.Wrap(ratectl.NewRRAA(rateSet(), lossless, true)) // adaptive RTS on
-		}},
-		{"SampleRate", false, 0.8, func(i int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-			return ctl.Wrap(ratectl.NewSampleRate(rateSet(), lossless, rand.New(rand.NewSource(rng.Int63()))))
-		}},
-	}
+}{
+	{"SoftRate (Ideal)", true, 1.0, netsim.SoftRate},
+	{"SoftRate", false, 0.8, netsim.SoftRate},
+	{"RRAA", false, 0.8, netsim.RRAA},
+	{"SampleRate", false, 0.8, netsim.SampleRate},
 }
 
 // runFig17 reproduces Figure 17: aggregate TCP throughput of five
@@ -84,7 +65,7 @@ func runFig17(o Options) []*Table {
 	}
 	// One trial per (carrier-sense probability, algorithm) cell.
 	css := []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
-	algs := interferenceAlgorithms()
+	algs := interferenceAlgorithms
 	bps := engine.Map(o.Workers, len(css)*len(algs), func(t int) float64 {
 		cs, alg := css[t/len(algs)], algs[t%len(algs)]
 		cfg := netsim.DefaultConfig()
@@ -130,7 +111,7 @@ func runFig18(o Options) []*Table {
 		Header: []string{"algorithm", "underselect", "accurate", "overselect"},
 	}
 	// One trial per algorithm, counting (under, accurate, over) picks.
-	algs := interferenceAlgorithms()
+	algs := interferenceAlgorithms
 	counts := engine.Map(o.Workers, len(algs), func(i int) [3]int {
 		alg := algs[i]
 		cfg := netsim.DefaultConfig()

@@ -67,8 +67,8 @@ func DefaultConfig() Config {
 // servable and vice versa (wrap bare ratectl adapters with ctl.Wrap). The
 // factory receives the link's forward trace so oracle- and training-based
 // algorithms can be constructed; honest algorithms must only use it for
-// training, never for lookahead.
-type AdapterFactory func(stationIdx int, fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller
+// training, never for lookahead. Algorithms lists the §6.1 factories.
+type AdapterFactory func(fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller
 
 // FlowResult summarizes one TCP flow.
 type FlowResult struct {
@@ -166,7 +166,7 @@ func RunUplink(cfg Config, fwdTraces, revTraces []*trace.LinkTrace, factory Adap
 	// AP: one station, per-client adapters and reverse traces.
 	apAdapters := make([]ctl.Controller, n)
 	for i := 0; i < n; i++ {
-		apAdapters[i] = factory(n+i, revTraces[i], rng)
+		apAdapters[i] = factory(revTraces[i], rng)
 	}
 	ap := med.NewStation(apAdapters[0], revTraces[0])
 	ap.MaxQueue = cfg.APQueue
@@ -182,7 +182,7 @@ func RunUplink(cfg Config, fwdTraces, revTraces []*trace.LinkTrace, factory Adap
 
 	for i := 0; i < n; i++ {
 		i := i
-		clients[i] = med.NewStation(factory(i, fwdTraces[i], rng), fwdTraces[i])
+		clients[i] = med.NewStation(factory(fwdTraces[i], rng), fwdTraces[i])
 		clients[i].MaxQueue = cfg.ClientQueue
 		clients[i].RecordTx = cfg.RecordTx
 

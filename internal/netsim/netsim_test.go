@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"softrate/internal/channel"
-	"softrate/internal/core"
 	"softrate/internal/ctl"
 	"softrate/internal/ratectl"
 	"softrate/internal/trace"
@@ -33,12 +32,8 @@ func genTraces(n int, meanSNR float64, doppler float64, dur float64, seed int64)
 	return fwd, rev
 }
 
-func softRateFactory(int, *trace.LinkTrace, *rand.Rand) ctl.Controller {
-	return ctl.NewSoftRate(core.DefaultConfig())
-}
-
 func fixedFactory(idx int) AdapterFactory {
-	return func(int, *trace.LinkTrace, *rand.Rand) ctl.Controller {
+	return func(*trace.LinkTrace, *rand.Rand) ctl.Controller {
 		return ctl.Wrap(&ratectl.Fixed{Index: idx})
 	}
 }
@@ -47,7 +42,7 @@ func TestSingleFlowStaticChannel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 5
 	fwd, rev := genTraces(1, 25, 0, 3, 1)
-	res := RunUplink(cfg, fwd, rev, softRateFactory)
+	res := RunUplink(cfg, fwd, rev, SoftRate)
 	// A clean 25 dB channel supports 36 Mbps wireless; TCP goodput after
 	// MAC overheads should land well above 5 Mbps.
 	if res.AggregateBps < 5e6 {
@@ -62,7 +57,7 @@ func TestSoftRateBeatsBadFixedRate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 5
 	fwd, rev := genTraces(1, 14, 40, 5, 7)
-	soft := RunUplink(cfg, fwd, rev, softRateFactory)
+	soft := RunUplink(cfg, fwd, rev, SoftRate)
 	tooFast := RunUplink(cfg, fwd, rev, fixedFactory(5)) // QAM16 3/4 at 14 dB mean + fading: mostly losses
 	if soft.AggregateBps <= tooFast.AggregateBps {
 		t.Fatalf("SoftRate %.2f Mbps not above overdriven fixed rate %.2f",
@@ -74,9 +69,9 @@ func TestMoreClientsShareTheMedium(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 4
 	f1, r1 := genTraces(1, 25, 0, 2, 11)
-	one := RunUplink(cfg, f1, r1, softRateFactory)
+	one := RunUplink(cfg, f1, r1, SoftRate)
 	f3, r3 := genTraces(3, 25, 0, 2, 11)
-	three := RunUplink(cfg, f3, r3, softRateFactory)
+	three := RunUplink(cfg, f3, r3, SoftRate)
 	// Aggregate should not degrade much; per-flow must drop.
 	if three.AggregateBps < one.AggregateBps*0.5 {
 		t.Fatalf("aggregate collapsed with 3 clients: %.2f vs %.2f Mbps",
@@ -93,9 +88,9 @@ func TestHiddenTerminalsHurt(t *testing.T) {
 	cfg.Duration = 4
 	fwd, rev := genTraces(3, 25, 0, 2, 21)
 	cfg.CSProb = 1
-	good := RunUplink(cfg, fwd, rev, softRateFactory)
+	good := RunUplink(cfg, fwd, rev, SoftRate)
 	cfg.CSProb = 0
-	bad := RunUplink(cfg, fwd, rev, softRateFactory)
+	bad := RunUplink(cfg, fwd, rev, SoftRate)
 	if bad.AggregateBps >= good.AggregateBps {
 		t.Fatalf("hidden terminals did not reduce throughput: %.2f vs %.2f Mbps",
 			bad.AggregateBps/1e6, good.AggregateBps/1e6)
@@ -107,7 +102,7 @@ func TestRecordTx(t *testing.T) {
 	cfg.Duration = 2
 	cfg.RecordTx = true
 	fwd, rev := genTraces(1, 20, 40, 2, 31)
-	res := RunUplink(cfg, fwd, rev, softRateFactory)
+	res := RunUplink(cfg, fwd, rev, SoftRate)
 	if len(res.ClientStats[0].Records) == 0 {
 		t.Fatal("no transmission records collected")
 	}
@@ -125,8 +120,8 @@ func TestDeterministicResults(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 2
 	fwd, rev := genTraces(2, 18, 40, 2, 41)
-	a := RunUplink(cfg, fwd, rev, softRateFactory)
-	b := RunUplink(cfg, fwd, rev, softRateFactory)
+	a := RunUplink(cfg, fwd, rev, SoftRate)
+	b := RunUplink(cfg, fwd, rev, SoftRate)
 	if math.Abs(a.AggregateBps-b.AggregateBps) > 1e-9 {
 		t.Fatalf("non-deterministic: %.0f vs %.0f bps", a.AggregateBps, b.AggregateBps)
 	}
@@ -139,5 +134,5 @@ func TestMismatchedTracesPanic(t *testing.T) {
 		}
 	}()
 	fwd, _ := genTraces(2, 20, 0, 1, 51)
-	RunUplink(DefaultConfig(), fwd, nil, softRateFactory)
+	RunUplink(DefaultConfig(), fwd, nil, SoftRate)
 }
