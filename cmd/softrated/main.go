@@ -62,7 +62,6 @@ func run() int {
 		algo        = flag.String("algo", "softrate", "default algorithm for links whose feedback doesn't name one ("+strings.Join(ctl.Names(), "|")+"); a record may select any registered algorithm per link")
 		shards      = flag.Int("shards", 64, "lock stripes in the link store (rounded up to a power of two)")
 		ttl         = flag.Duration("ttl", 60*time.Second, "idle TTL before a link is evicted from the hot map (0 = never)")
-		dropOnEvict = flag.Bool("drop-on-evict", false, "discard evicted link state instead of archiving it")
 		statsEvery  = flag.Duration("stats", 0, "print service stats to stderr at this interval (0 = only at exit)")
 		expected    = flag.Int("expected-links", 0, "pre-size shard maps and state slabs for this many links (0 = grow on demand)")
 		adminAddr   = flag.String("admin", "", "serve the HTTP ops plane on this address (/statusz /metrics /healthz /drainz /debug/pprof); empty = off")
@@ -84,6 +83,10 @@ func run() int {
 	spec, ok := ctl.ByName(*algo)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "softrated: unknown -algo %q (registered: %s)\n", *algo, strings.Join(ctl.Names(), ", "))
+		return 2
+	}
+	if *shards < 1 || *shmRings < 1 {
+		fmt.Fprintf(os.Stderr, "softrated: -shards %d, -shm-rings %d: each must be at least 1\n", *shards, *shmRings)
 		return 2
 	}
 
@@ -120,7 +123,6 @@ func run() int {
 		Shards:        *shards,
 		DefaultAlgo:   spec.ID,
 		TTL:           *ttl,
-		DropOnEvict:   *dropOnEvict,
 		ExpectedLinks: *expected,
 		Cold:          cold,
 		ColdFront:     *coldFront,
@@ -134,7 +136,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "softrated: listening on %s (%d shards, ttl %v, default algo %s)\n", l.Addr(), *shards, *ttl, spec.Name)
+	fmt.Fprintf(os.Stderr, "softrated: listening on %s (%d shards, ttl %v, default algo %s)\n", l.Addr(), srv.Store().NumShards(), *ttl, spec.Name)
 
 	if *adminAddr != "" {
 		admin := &obs.Admin{
@@ -182,9 +184,6 @@ func run() int {
 		}
 	}()
 	if *shmPath != "" {
-		if *shmRings < 1 {
-			*shmRings = 1
-		}
 		regions := make([]*shmring.Region, *shmRings)
 		for i := range regions {
 			p := server.RingPath(*shmPath, i)

@@ -586,8 +586,12 @@ func TestAdminAndDrain(t *testing.T) {
 		}()
 	}
 
+	// requests_total counts a request when it is read, before its batch
+	// is decided: wait for each fleet's algorithm to have decided one too,
+	// or /statusz below may not list it yet.
 	m := c.await(t, errs, "softrated_batches_total", "softrated_requests_total",
-		"softrated_udp_datagrams_rx_total", "softrated_udp_bursts_total")
+		"softrated_udp_datagrams_rx_total", "softrated_udp_bursts_total",
+		`softrated_batches_by_algo_total{algo="softrate"}`, `softrated_batches_by_algo_total{algo="rraa"}`)
 	if v, ok := m["softrated_framing_errors_total"]; !ok || v != 0 {
 		t.Errorf("softrated_framing_errors_total %v (present %v), want 0", v, ok)
 	}
@@ -659,5 +663,47 @@ func TestFailedStartRemovesRings(t *testing.T) {
 	}
 	if _, err := os.Stat(ring); !os.IsNotExist(err) {
 		t.Fatalf("ring %s outlived the failed start (stat: %v)", ring, err)
+	}
+}
+
+// TestRejectsBadCounts: a shard or ring count below one exits 2 before any
+// listener or ring file exists.
+func TestRejectsBadCounts(t *testing.T) {
+	for _, args := range [][]string{
+		{"-shards", "0"},
+		{"-shards", "-5"},
+		{"-shm-rings", "0"},
+		{"-shm-rings", "-1"},
+	} {
+		ring := filepath.Join(t.TempDir(), "R")
+		cmd := childCmd(append([]string{"-addr", "127.0.0.1:0", "-shm", ring}, args...)...)
+		var out strings.Builder
+		cmd.Stdout, cmd.Stderr = &out, &out
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// A softrated that accepts the counts serves until killed.
+		kill := time.AfterFunc(5*time.Second, func() { cmd.Process.Kill() })
+		err := cmd.Wait()
+		kill.Stop()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("softrated %q: %v, want exit 2\n%s", args, err, out.String())
+		}
+		if strings.Contains(out.String(), "listening on") {
+			t.Errorf("softrated %q opened a listener:\n%s", args, out.String())
+		}
+		if _, err := os.Stat(ring); !os.IsNotExist(err) {
+			t.Errorf("softrated %q created ring %s (stat: %v)", args, ring, err)
+		}
+	}
+}
+
+// TestBannerReportsStoreShards: the banner gives the shard count the store
+// runs, -shards rounded up to a power of two.
+func TestBannerReportsStoreShards(t *testing.T) {
+	c := startChild(t, "-addr", "127.0.0.1:0", "-shards", "100")
+	if log := c.logText(); !strings.Contains(log, " (128 shards, ") {
+		t.Errorf("-shards 100: banner does not report 128 shards:\n%s", log)
 	}
 }

@@ -27,7 +27,6 @@ const DefaultOscillators = 16
 // which is what lets the trace generator present an *identical* fading
 // process to every bit rate (the consistency requirement of §6.1).
 type Rayleigh struct {
-	doppler float64
 	// Per-oscillator angular frequencies and phases, packed I rail
 	// (0..n-1) then Q rail (n..2n-1), so one cosine sweep covers both.
 	w, phi []float64
@@ -42,10 +41,9 @@ func NewRayleigh(rng *rand.Rand, dopplerHz float64, n int) *Rayleigh {
 		n = DefaultOscillators
 	}
 	r := &Rayleigh{
-		doppler: dopplerHz,
-		w:       make([]float64, 2*n),
-		phi:     make([]float64, 2*n),
-		scale:   1 / math.Sqrt(float64(n)),
+		w:     make([]float64, 2*n),
+		phi:   make([]float64, 2*n),
+		scale: 1 / math.Sqrt(float64(n)),
 	}
 	theta := (rng.Float64()*2 - 1) * math.Pi
 	wd := 2 * math.Pi * dopplerHz
@@ -59,9 +57,6 @@ func NewRayleigh(rng *rand.Rand, dopplerHz float64, n int) *Rayleigh {
 	}
 	return r
 }
-
-// Doppler returns the maximum Doppler shift of the process in Hz.
-func (r *Rayleigh) Doppler() float64 { return r.doppler }
 
 // Gain returns the complex channel gain at time t (seconds). With the
 // AVX2 kernel it is gainScalar's value bit for bit: the same cosines,

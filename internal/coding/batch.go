@@ -24,14 +24,10 @@ import (
 // either way.
 //
 // The batch path is contractually bit-identical to the single-frame
-// decoders: for every job, DecodeBCJRBatch produces exactly the bytes and
-// float bits of Workspace.DecodeBCJR, and DecodeViterbiBatch exactly those
-// of Workspace.DecodeViterbi (NaN LLR inputs may yield NaN outputs whose
-// payload bits differ; they compare equal as NaNs). The equivalence suite
-// in batch_test.go and FuzzBatchDecodeMatchesSingle pin this. Exact log-MAP
-// remains the default everywhere; the optional Quantized flag enables a
-// float32 max-log fast path that trades exactness for speed and is never
-// used by the experiment harnesses.
+// decoder: for every job, DecodeBCJRBatch produces exactly the bytes and
+// float bits of Workspace.DecodeBCJR (NaN LLR inputs may yield NaN outputs
+// whose payload bits differ; they compare equal as NaNs). The equivalence
+// suite in batch_test.go and FuzzBatchDecodeMatchesSingle pin this.
 //
 // Jobs are grouped by trellis length (frames with equal step counts run in
 // lockstep; mixed-length batches form one group per length) and each group
@@ -53,7 +49,7 @@ type BatchJob struct {
 }
 
 // BatchResult holds one job's outputs. Both slices alias the workspace and
-// are valid until its next Decode call. LLR is nil for Viterbi decodes.
+// are valid until its next Decode call.
 type BatchResult struct {
 	Info []byte
 	LLR  []float64
@@ -66,32 +62,12 @@ type BatchResult struct {
 // may lend one half of each phase to the package's helper goroutine; the
 // call returns only after the helper is done with it.
 type BatchWorkspace struct {
-	// Quantized enables the float32 max-log fast path for
-	// DecodeBCJRBatch(..., MaxLog). It is an approximate mode: outputs are
-	// NOT bit-identical to the exact decoders and no experiment harness
-	// uses it. LogMAP decodes ignore the flag.
-	Quantized bool
-
 	llrP   []float64 // [2*steps][lanes] transposed channel LLRs
 	alphaP []float64 // [(steps+1)*numStates][lanes] forward plane
 	betaP  []float64 // [(steps+1)*numStates][lanes] backward plane
 	g      bcjrGroup
 	half   [2]bcjrHalf
 	task   splitTask
-
-	bmP     []float64 // [4][lanes] Viterbi per-step branch metric rows
-	metricP []float64 // [numStates][lanes] Viterbi path metrics
-	nextP   []float64 // [numStates][lanes]
-	survP   []uint8   // [steps][numStates][lanes] Viterbi traceback
-
-	qMetric []float32 // quantized fast path planes
-	qNext   []float32
-	qAlpha  []float32
-	qBetaA  []float32
-	qBetaB  []float32
-	qBM     []float32
-	qNum    []float32
-	qDen    []float32
 
 	infoFlat []byte
 	llrFlat  []float64
@@ -170,26 +146,16 @@ func (w *BatchWorkspace) split(phase func(*BatchWorkspace, int)) {
 	t.done.Wait()
 }
 
-// grow32 is growF for float32 slices.
-func grow32(buf []float32, n int) []float32 {
-	if cap(buf) < n {
-		return make([]float32, n)
-	}
-	return buf[:n]
-}
-
 // prepare sizes the per-job output buffers and sorts job indices by trellis
 // length so equal-length frames run in lockstep. The sort is a stable
 // insertion sort to stay allocation-free (batches are small).
-func (w *BatchWorkspace) prepare(jobs []BatchJob, withLLR bool) {
+func (w *BatchWorkspace) prepare(jobs []BatchJob) {
 	tot := 0
 	for i := range jobs {
 		tot += jobs[i].NInfo
 	}
 	w.infoFlat = growB(w.infoFlat, tot)
-	if withLLR {
-		w.llrFlat = growF(w.llrFlat, tot)
-	}
+	w.llrFlat = growF(w.llrFlat, tot)
 	if cap(w.results) < len(jobs) {
 		w.results = make([]BatchResult, len(jobs))
 	}
@@ -197,11 +163,10 @@ func (w *BatchWorkspace) prepare(jobs []BatchJob, withLLR bool) {
 	off := 0
 	for i := range jobs {
 		n := jobs[i].NInfo
-		r := BatchResult{Info: w.infoFlat[off : off+n : off+n]}
-		if withLLR {
-			r.LLR = w.llrFlat[off : off+n : off+n]
+		w.results[i] = BatchResult{
+			Info: w.infoFlat[off : off+n : off+n],
+			LLR:  w.llrFlat[off : off+n : off+n],
 		}
-		w.results[i] = r
 		off += n
 	}
 	if cap(w.order) < len(jobs) {
@@ -281,7 +246,7 @@ func stepBM(bmP, llrP []float64, t, L int) {
 	}
 }
 
-// fillRow sets every element of a metric row to the sentinel except state 0,
+// anchorRow sets every element of a metric row to the sentinel except state 0,
 // which anchors the terminated trellis at zero.
 func anchorRow(row []float64, L int) {
 	for i := range row {
@@ -289,12 +254,6 @@ func anchorRow(row []float64, L int) {
 	}
 	for l := 0; l < L; l++ {
 		row[l] = 0
-	}
-}
-
-func sentinelRow(row []float64) {
-	for i := range row {
-		row[i] = bcjrNegInf
 	}
 }
 
@@ -349,10 +308,7 @@ func (h *bcjrHalf) normalizeLanes(plane []float64, L int) {
 // calling Workspace.DecodeBCJR per job. Results alias the workspace and are
 // valid until the next Decode call on it.
 func (w *BatchWorkspace) DecodeBCJRBatch(jobs []BatchJob, mode BCJRMode) []BatchResult {
-	if w.Quantized && mode == MaxLog {
-		return w.decodeBCJRBatchQuantized(jobs)
-	}
-	w.prepare(jobs, true)
+	w.prepare(jobs)
 	w.groups(jobs, func(lanes []int) {
 		w.decodeBCJRGroup(jobs, lanes, mode)
 	})
@@ -492,77 +448,6 @@ func (w *BatchWorkspace) app(h int) {
 					r.Info[t] = 0
 				}
 			}
-		}
-	}
-}
-
-// DecodeViterbiBatch decodes every job with the soft-decision Viterbi
-// decoder in lockstep. Outputs are bit-identical to calling
-// Workspace.DecodeViterbi per job; Result.LLR is nil (Viterbi yields no
-// per-bit confidences). Results alias the workspace and are valid until the
-// next Decode call on it.
-func (w *BatchWorkspace) DecodeViterbiBatch(jobs []BatchJob) []BatchResult {
-	w.prepare(jobs, false)
-	w.groups(jobs, func(lanes []int) {
-		w.decodeViterbiGroup(jobs, lanes)
-	})
-	return w.results
-}
-
-func (w *BatchWorkspace) decodeViterbiGroup(jobs []BatchJob, lanes []int) {
-	L := len(lanes)
-	nInfo := jobs[lanes[0]].NInfo
-	steps := nInfo + TailBits
-	tr := theTrellis
-	w.transposeLLRs(jobs, lanes, steps)
-	llrP := w.llrP
-	w.bmP = growF(w.bmP, 4*L)
-	bmP := w.bmP
-
-	rowSz := numStates * L
-	w.metricP = growF(w.metricP, rowSz)
-	w.nextP = growF(w.nextP, rowSz)
-	w.survP = growB(w.survP, steps*rowSz)
-	metric, next := w.metricP, w.nextP
-	surv := w.survP
-	clear(surv)
-	anchorRow(metric, L)
-	for t := 0; t < steps; t++ {
-		stepBM(bmP, llrP, t, L)
-		row := surv[t*rowSz : (t+1)*rowSz : (t+1)*rowSz]
-		sentinelRow(next)
-		for s := 0; s < numStates; s++ {
-			mrow := metric[s*L : (s+1)*L : (s+1)*L]
-			for u := 0; u < 2; u++ {
-				ns := int(tr.nextState[s][u])
-				o := int(tr.output[s][u])
-				nrow := next[ns*L : (ns+1)*L : (ns+1)*L]
-				brow := bmP[o*L : (o+1)*L : (o+1)*L]
-				srow := row[ns*L : (ns+1)*L : (ns+1)*L]
-				for l := 0; l < L; l++ {
-					m := mrow[l]
-					if m <= bcjrNegInf {
-						continue
-					}
-					if cand := m + brow[l]; cand > nrow[l] {
-						nrow[l] = cand
-						srow[l] = uint8(s)
-					}
-				}
-			}
-		}
-		metric, next = next, metric
-	}
-	w.metricP, w.nextP = metric, next
-	// Per-lane traceback from state 0.
-	for l, ji := range lanes {
-		info := w.results[ji].Info
-		state := uint8(0)
-		for t := steps - 1; t >= 0; t-- {
-			if t < nInfo {
-				info[t] = state >> (Constraint - 2) & 1
-			}
-			state = surv[t*rowSz+int(state)*L+l]
 		}
 	}
 }

@@ -85,37 +85,6 @@ func TestDecodeBCJRBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-func TestDecodeViterbiBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var bw BatchWorkspace
-	rates := []CodeRate{Rate12, Rate23, Rate34}
-	for _, B := range batchSizes() {
-		jobs := make([]BatchJob, B)
-		for i := range jobs {
-			nBytes := []int{4, 7, 31, 40}[rng.Intn(4)]
-			rate := rates[rng.Intn(len(rates))]
-			sigma := []float64{0.2, 0.7, 1.5}[rng.Intn(3)]
-			jobs[i] = makeBatchJob(rng, nBytes, rate, sigma)
-		}
-		got := bw.DecodeViterbiBatch(jobs)
-		for i, j := range jobs {
-			var sw Workspace
-			want := sw.DecodeViterbi(j.LLRs, j.NInfo)
-			if len(got[i].Info) != len(want) {
-				t.Fatalf("B=%d job=%d: length mismatch %d != %d", B, i, len(got[i].Info), len(want))
-			}
-			if got[i].LLR != nil {
-				t.Fatalf("B=%d job=%d: Viterbi result has non-nil LLR", B, i)
-			}
-			for k := range want {
-				if got[i].Info[k] != want[k] {
-					t.Fatalf("B=%d job=%d bit %d: %d != %d", B, i, k, got[i].Info[k], want[k])
-				}
-			}
-		}
-	}
-}
-
 // TestDecodeBCJRBatchShortAndEmptyInputs pins the zero-extension contract:
 // short (even empty) LLR slices behave exactly like the single-frame
 // decoders' padLLRs path.
@@ -143,38 +112,6 @@ func TestDecodeBCJRBatchShortAndEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchQuantizedSanity checks the quantized fast path against the
-// exact max-log decoder on clean (noise-free) inputs, where quantization
-// cannot flip any decision.
-func TestDecodeBatchQuantizedSanity(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	bw := BatchWorkspace{Quantized: true}
-	nInfo := 24 * 8
-	info := make([]byte, nInfo)
-	for i := range info {
-		info[i] = byte(rng.Intn(2))
-	}
-	llrs := HardToLLR(AppendPuncture(nil, Encode(info), Rate12), 8)
-	jobs := []BatchJob{{LLRs: llrs, NInfo: nInfo}, {LLRs: llrs, NInfo: nInfo}}
-	got := bw.DecodeBCJRBatch(jobs, MaxLog)
-	for i := range got {
-		for k, b := range info {
-			if got[i].Info[k] != b {
-				t.Fatalf("quantized job %d bit %d: %d != %d", i, k, got[i].Info[k], b)
-			}
-		}
-	}
-	// The flag must not affect exact log-MAP decodes.
-	exact := bw.DecodeBCJRBatch(jobs, LogMAP)
-	var sw Workspace
-	wantInfo, wantLLR := sw.DecodeBCJR(llrs, nInfo, LogMAP)
-	for k := range wantInfo {
-		if exact[0].Info[k] != wantInfo[k] || !sameBits(exact[0].LLR[k], wantLLR[k]) {
-			t.Fatalf("LogMAP under Quantized flag diverged at bit %d", k)
-		}
-	}
-}
-
 // TestBatchDecodeDoesNotAllocateSteadyState extends the single-frame
 // allocation pin to warm batch workspaces at every batch size.
 func TestBatchDecodeDoesNotAllocateSteadyState(t *testing.T) {
@@ -186,16 +123,10 @@ func TestBatchDecodeDoesNotAllocateSteadyState(t *testing.T) {
 		}
 		var bw BatchWorkspace
 		bw.DecodeBCJRBatch(jobs, LogMAP)
-		bw.DecodeViterbiBatch(jobs)
 		if n := testing.AllocsPerRun(3, func() {
 			bw.DecodeBCJRBatch(jobs, LogMAP)
 		}); n != 0 {
 			t.Errorf("B=%d: DecodeBCJRBatch allocates %v/op when warm", B, n)
-		}
-		if n := testing.AllocsPerRun(3, func() {
-			bw.DecodeViterbiBatch(jobs)
-		}); n != 0 {
-			t.Errorf("B=%d: DecodeViterbiBatch allocates %v/op when warm", B, n)
 		}
 	}
 }
@@ -250,16 +181,6 @@ func FuzzBatchDecodeMatchesSingle(f *testing.F) {
 				if !sameBits(got[i].LLR[k], wantLLR[k]) {
 					t.Fatalf("BCJR job %d bit %d: llr bits %x != %x", i, k,
 						math.Float64bits(got[i].LLR[k]), math.Float64bits(wantLLR[k]))
-				}
-			}
-		}
-		gotV := bw.DecodeViterbiBatch(jobs)
-		for i, j := range jobs {
-			var sw Workspace
-			want := sw.DecodeViterbi(j.LLRs, j.NInfo)
-			for k := range want {
-				if gotV[i].Info[k] != want[k] {
-					t.Fatalf("Viterbi job %d bit %d: %d != %d", i, k, gotV[i].Info[k], want[k])
 				}
 			}
 		}

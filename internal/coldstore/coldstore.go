@@ -55,13 +55,15 @@
 //
 // The store never decodes controller state — bytes in are bytes out,
 // which is what keeps decisions byte-identical across evict → spill →
-// restore (the link store's -verify contract extends over this tier).
+// restore (linkstore's tests check restored links against bare
+// controllers across this tier).
 package coldstore
 
 import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -133,7 +135,7 @@ type Config struct {
 	// CompactRatio is the dead/total byte ratio past which a sealed
 	// segment is compacted, in (0, 1]; 1 rewrites only fully-dead
 	// segments (which are always reclaimed). 0 means
-	// DefaultCompactRatio.
+	// DefaultCompactRatio; Open rejects NaN.
 	CompactRatio float64
 	// Sync fsyncs after every committed batch. Off by default: the tier
 	// targets crash-*restart* recovery (process death), not power-loss
@@ -247,6 +249,9 @@ func Open(cfg Config) (*Store, error) {
 	}
 	if int64(cfg.SegmentBytes) > maxSegOffset {
 		return nil, fmt.Errorf("coldstore: SegmentBytes %d is beyond the %d-byte offset an index entry carries", cfg.SegmentBytes, int64(maxSegOffset))
+	}
+	if math.IsNaN(cfg.CompactRatio) { // NaN passes both bounds below
+		return nil, fmt.Errorf("coldstore: CompactRatio is NaN")
 	}
 	if cfg.CompactRatio <= 0 {
 		cfg.CompactRatio = DefaultCompactRatio

@@ -3,6 +3,7 @@ package coldstore
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -658,4 +659,13 @@ func FuzzSegmentRecovery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOpenRejectsNaNCompactRatio: NaN passes both the "<= 0 means the
+// default" and the "> 1 means 1" bounds, so Open must refuse it outright.
+func TestOpenRejectsNaNCompactRatio(t *testing.T) {
+	if s, err := Open(Config{Dir: t.TempDir(), CompactRatio: math.NaN()}); err == nil {
+		s.Close()
+		t.Fatal("Open accepted CompactRatio NaN")
+	}
 }

@@ -44,20 +44,17 @@ type ErrorRecovery interface {
 // worked example (§3.3), the break-even frame loss rate is 1/3 (an 18→12
 // Mbps step), giving β = -ln(1 - 1/3)/L for L-bit frames — order 1e-5 for
 // 10^4-bit frames, exactly the paper's number.
-type FrameARQ struct {
-	// LossTolerance is the break-even frame loss rate (default 1/3).
-	LossTolerance float64
-}
+type FrameARQ struct{}
+
+// frameLossTolerance is FrameARQ's break-even frame loss rate, §3.3's 1/3.
+const frameLossTolerance = 1.0 / 3
 
 // UpperBER implements ErrorRecovery.
-func (f FrameARQ) UpperBER(_ rate.Rate, frameBits int) float64 {
-	tol := f.LossTolerance
-	if tol <= 0 {
-		tol = 1.0 / 3
-	}
+func (FrameARQ) UpperBER(_ rate.Rate, frameBits int) float64 {
 	if frameBits <= 0 {
 		frameBits = 10000
 	}
+	tol := float64(frameLossTolerance) // 1 - tol rounds in float64, not as an exact constant
 	return -math.Log(1-tol) / float64(frameBits)
 }
 
@@ -66,23 +63,18 @@ func (f FrameARQ) UpperBER(_ rate.Rate, frameBits int) float64 {
 // few bit errors are cheap to repair, so a rate stays profitable up to a
 // much higher BER; the paper's example sets β at 1e-3 for 10^4-bit frames,
 // i.e. about bit-errors-per-frame ≈ 10 being the break-even point.
-type HybridARQ struct {
-	// TolerableErrorsPerFrame is the number of bit errors per frame at
-	// which the retransmission overhead cancels the rate gain
-	// (default 10).
-	TolerableErrorsPerFrame float64
-}
+type HybridARQ struct{}
+
+// tolerableErrorsPerFrame is the number of bit errors per frame at which
+// HybridARQ's retransmission overhead cancels the rate gain: §3.3's 10.
+const tolerableErrorsPerFrame = 10
 
 // UpperBER implements ErrorRecovery.
-func (h HybridARQ) UpperBER(_ rate.Rate, frameBits int) float64 {
-	tol := h.TolerableErrorsPerFrame
-	if tol <= 0 {
-		tol = 10
-	}
+func (HybridARQ) UpperBER(_ rate.Rate, frameBits int) float64 {
 	if frameBits <= 0 {
 		frameBits = 10000
 	}
-	return tol / float64(frameBits)
+	return tolerableErrorsPerFrame / float64(frameBits)
 }
 
 // Config parameterizes the SoftRate algorithm.

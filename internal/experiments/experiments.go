@@ -37,13 +37,12 @@ type Options struct {
 	// any worker count: every trial derives its randomness from Seed and
 	// its own trial index, and the engine aggregates in trial order.
 	Workers int
-	// DecodeBatch sets how many frames the PHY-driven harnesses queue
-	// before decoding them as one lockstep batch (the fast path). Zero
-	// means the default of 8; negative disables batching (per-frame
-	// delivery). The batch decoder is exact, so output is byte-identical
-	// at every setting — the knob trades nothing but speed.
-	DecodeBatch int
 }
+
+// decodeBatch is how many frames the PHY-driven harnesses queue before
+// decoding them as one lockstep batch. The batch decoder is exact, so
+// output is byte-identical at every size (at least 1); tests vary it.
+var decodeBatch = 8
 
 // DefaultOptions returns the CI-scale defaults.
 func DefaultOptions() Options { return Options{Scale: 0.25, Seed: 1} }
@@ -55,18 +54,6 @@ func (o *Options) fill() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-}
-
-// decodeBatch resolves the DecodeBatch option: 0 means the default of 8,
-// negative disables batching (returns 0).
-func (o Options) decodeBatch() int {
-	switch {
-	case o.DecodeBatch == 0:
-		return 8
-	case o.DecodeBatch < 0:
-		return 0
-	}
-	return o.DecodeBatch
 }
 
 // scaled returns max(1, round(n*Scale)).

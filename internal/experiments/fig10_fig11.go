@@ -34,7 +34,7 @@ const (
 // transmits with random jitter of about one packet time, mirroring the
 // paper's static interference experiment. It returns outcome counts and
 // detection accuracy.
-func runInterferenceTrial(ws *phy.Workspace, o Options, relPowerDB float64, ri int, frames int, seed int64) (counts [4]int, accuracy float64) {
+func runInterferenceTrial(ws *phy.Workspace, relPowerDB float64, ri int, frames int, seed int64) (counts [4]int, accuracy float64) {
 	cfg := phy.DefaultConfig()
 	const senderSNR = 17.0
 	link := &phy.Link{
@@ -48,7 +48,6 @@ func runInterferenceTrial(ws *phy.Workspace, o Options, relPowerDB float64, ri i
 
 	payload := make([]byte, 480)
 	flagged, errored := 0, 0
-	batch := o.decodeBatch()
 	classify := func(rx *phy.Reception) {
 		switch {
 		case !rx.Detected:
@@ -76,16 +75,12 @@ func runInterferenceTrial(ws *phy.Workspace, o Options, relPowerDB float64, ri i
 		offset := (rng.Float64()*2 - 1) * air
 		start := float64(i) * 0.02
 		burst := phy.Burst{Start: start + offset, End: start + offset + air, Power: iPow}
-		if batch > 0 {
-			link.QueueDeliver(tx, start, []phy.Burst{burst})
-			if ws.PendingReceives() == batch || i == frames-1 {
-				for _, rx := range link.FlushDeliveries() {
-					classify(rx)
-				}
+		link.QueueDeliver(tx, start, []phy.Burst{burst})
+		if ws.PendingReceives() == decodeBatch || i == frames-1 {
+			for _, rx := range link.FlushDeliveries() {
+				classify(rx)
 			}
-			continue
 		}
-		classify(link.Deliver(tx, start, []phy.Burst{burst}))
 	}
 	if errored > 0 {
 		accuracy = float64(flagged) / float64(errored)
@@ -114,7 +109,7 @@ func runFig10(o Options) []*Table {
 		if i == len(rels) {
 			return powerTrial{fp: falsePositiveRate(ws, o)}
 		}
-		counts, acc := runInterferenceTrial(ws, o, rels[i], 3, frames, o.Seed+int64(rels[i]*13))
+		counts, acc := runInterferenceTrial(ws, rels[i], 3, frames, o.Seed+int64(rels[i]*13))
 		return powerTrial{counts: counts, acc: acc}
 	})
 	okAll := true
@@ -152,7 +147,6 @@ func falsePositiveRate(ws *phy.Workspace, o Options) float64 {
 	det := softphy.DefaultDetector()
 	payload := make([]byte, 480)
 	flagged, errored := 0, 0
-	batch := o.decodeBatch()
 	classify := func(rx *phy.Reception) {
 		if !rx.Detected || rx.BitErrors == 0 {
 			return
@@ -166,16 +160,12 @@ func falsePositiveRate(ws *phy.Workspace, o Options) float64 {
 	for i := 0; i < n; i++ {
 		rng.Read(payload)
 		tx := phy.TransmitWS(ws, cfg, phy.Frame{Header: []byte{7}, Payload: payload, Rate: rate.ByIndex(3)})
-		if batch > 0 {
-			link.QueueDeliver(tx, float64(i)*0.023, nil)
-			if ws.PendingReceives() == batch || i == n-1 {
-				for _, rx := range link.FlushDeliveries() {
-					classify(rx)
-				}
+		link.QueueDeliver(tx, float64(i)*0.023, nil)
+		if ws.PendingReceives() == decodeBatch || i == n-1 {
+			for _, rx := range link.FlushDeliveries() {
+				classify(rx)
 			}
-			continue
 		}
-		classify(link.Deliver(tx, float64(i)*0.023, nil))
 	}
 	if errored == 0 {
 		return 0
@@ -198,7 +188,7 @@ func runFig11(o Options) []*Table {
 		acc    float64
 	}
 	res := engine.MapWith(o.Workers, nRates, phy.NewWorkspace, func(ws *phy.Workspace, ri int) rateTrial {
-		counts, acc := runInterferenceTrial(ws, o, -4, ri, frames, o.Seed+int64(ri)*101)
+		counts, acc := runInterferenceTrial(ws, -4, ri, frames, o.Seed+int64(ri)*101)
 		return rateTrial{counts, acc}
 	})
 	for ri := 0; ri < nRates; ri++ {

@@ -32,10 +32,9 @@ type frameSample struct {
 // collectFrames runs the real PHY over a channel model and gathers one
 // sample per delivered frame. ws is the worker's reusable PHY scratch;
 // every frame of the loop transmits, delivers and summarizes through it
-// without allocating. batch > 0 queues that many frames and decodes them
-// as one lockstep batch (see phy.Link.QueueDeliver); the samples are
-// bit-identical to the per-frame path in either case.
-func collectFrames(ws *phy.Workspace, cfg phy.Config, model *channel.Model, rates []rate.Rate, frames int, payload int, spacing float64, seed int64, batch int) []frameSample {
+// without allocating. It queues decodeBatch frames at a time and decodes
+// them as one lockstep batch (see phy.Link.QueueDeliver).
+func collectFrames(ws *phy.Workspace, cfg phy.Config, model *channel.Model, rates []rate.Rate, frames int, payload int, spacing float64, seed int64) []frameSample {
 	rng := rand.New(rand.NewSource(seed))
 	link := &phy.Link{Cfg: cfg, Model: model, Rng: rand.New(rand.NewSource(seed + 1)), WS: ws}
 	var out []frameSample
@@ -68,28 +67,12 @@ func collectFrames(ws *phy.Workspace, cfg phy.Config, model *channel.Model, rate
 		for _, r := range rates {
 			rng.Read(pl)
 			tx := phy.TransmitWS(ws, cfg, phy.Frame{Header: []byte{9, 9, 9, 9}, Payload: pl, Rate: r})
-			if batch > 0 {
-				link.QueueDeliver(tx, t, nil)
-				metas = append(metas, txMeta{bits: len(tx.InfoBits()), rateIdx: r.Index})
-				t += spacing
-				if len(metas) == batch {
-					flush()
-				}
-				continue
-			}
-			rx := link.Deliver(tx, t, nil)
+			link.QueueDeliver(tx, t, nil)
+			metas = append(metas, txMeta{bits: len(tx.InfoBits()), rateIdx: r.Index})
 			t += spacing
-			if !rx.Detected {
-				continue
+			if len(metas) == decodeBatch {
+				flush()
 			}
-			out = append(out, frameSample{
-				estBER:  softphy.FrameBER(rx.Hints),
-				trueBER: rx.TrueBER,
-				errs:    rx.BitErrors,
-				bits:    len(tx.InfoBits()),
-				snrDB:   rx.SNREstDB,
-				rateIdx: r.Index,
-			})
 		}
 	}
 	if len(metas) > 0 {
@@ -110,7 +93,7 @@ func runFig7(o Options) []*Table {
 	snrs := snrSweep(1, 21, 20)
 	perPoint := engine.MapWith(o.Workers, len(snrs), phy.NewWorkspace, func(ws *phy.Workspace, i int) []frameSample {
 		model := channel.NewStaticModel(snrs[i], nil)
-		return collectFrames(ws, cfg, model, rate.Evaluation(), framesPerPoint, 240, 0.01, o.Seed+int64(i)*31, o.decodeBatch())
+		return collectFrames(ws, cfg, model, rate.Evaluation(), framesPerPoint, 240, 0.01, o.Seed+int64(i)*31)
 	})
 	var samples []frameSample
 	for _, p := range perPoint {
@@ -227,7 +210,7 @@ func runFig8(o Options) []*Table {
 	}
 	collect := func(ws *phy.Workspace, doppler float64, seed int64) []stats.Bin {
 		model := channel.NewStaticModel(11, channel.NewRayleigh(rand.New(rand.NewSource(seed)), doppler, 0))
-		samples := collectFrames(ws, cfg, model, []rate.Rate{rate.ByIndex(2), rate.ByIndex(3)}, frames, 240, 0.017, seed+5, o.decodeBatch())
+		samples := collectFrames(ws, cfg, model, []rate.Rate{rate.ByIndex(2), rate.ByIndex(3)}, frames, 240, 0.017, seed+5)
 		var xs, ys []float64
 		for _, s := range samples {
 			if s.errs > 0 {
@@ -302,7 +285,7 @@ func runFig9(o Options) []*Table {
 	}
 	collect := func(ws *phy.Workspace, doppler float64, seed int64) []stats.Bin {
 		model := channel.NewStaticModel(13, channel.NewRayleigh(rand.New(rand.NewSource(seed)), doppler, 0))
-		samples := collectFrames(ws, cfg, model, []rate.Rate{rate.ByIndex(4)}, frames, 240, 0.019, seed+5, o.decodeBatch())
+		samples := collectFrames(ws, cfg, model, []rate.Rate{rate.ByIndex(4)}, frames, 240, 0.019, seed+5)
 		var xs, ys []float64
 		for _, s := range samples {
 			xs = append(xs, s.snrDB)

@@ -10,8 +10,9 @@
 // same seed and the same logical sequence of file operations produce the
 // same faults on every run. (The cold tier serializes its file operations
 // under one store mutex, which makes the operation sequence itself
-// deterministic for a deterministic workload — the property the chaos
-// smoke's exact-verify depends on.)
+// deterministic for a deterministic workload — the property linkstore's
+// TestColdChaosChurnExact and softrated's TestCrashRestartUnderFaults
+// depend on.)
 package faultfs
 
 import (
@@ -123,8 +124,9 @@ func (OS) Remove(path string) error { return os.Remove(path) }
 type Rates struct {
 	// ReadErr fails a ReadAt with ErrIO. NOTE: the cold tier answers a
 	// failed restore with a fresh controller, so read faults change
-	// decisions by design — leave this zero in exact-verify chaos runs
-	// and use it only in tests that assert the fallthrough itself.
+	// decisions by design — leave this zero in chaos runs whose decisions
+	// are checked exactly, and use it only in tests that assert the
+	// fallthrough itself.
 	ReadErr float64
 	// WriteErr fails a WriteAt with ErrIO before any byte lands.
 	WriteErr float64

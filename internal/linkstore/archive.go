@@ -44,22 +44,16 @@ func (sh *shard) reviveLocked(st *Store, e *entry) {
 }
 
 // evictLocked takes one live link out of service. Its state stays where
-// it is and the entry is tagged with the current archive generation —
-// unless DropOnEvict discards it, when evictLocked reports true for the
-// caller's walk to delete the slot. Caller holds sh.mu.
-func (sh *shard) evictLocked(st *Store, e *entry) (drop bool) {
+// it is and the entry is tagged with the current archive generation.
+// Caller holds sh.mu.
+func (sh *shard) evictLocked(st *Store, e *entry) {
 	c := &sh.perAlgo[e.algo]
 	c.evictions++
 	c.live--
-	if st.cfg.DropOnEvict {
-		sh.freeStateLocked(st, e)
-		return true
-	}
 	e.tier = sh.curTier
 	sh.genLen[e.tier]++
 	c.archived++
 	c.archivedBytes += int64(st.widths[e.algo])
-	return false
 }
 
 // freeStateLocked returns a wide state's slab slot, ahead of the entry's
@@ -99,9 +93,7 @@ func (sh *shard) walkLocked(st *Store, nowTick, minAge uint32, sc *walkScratch) 
 				return false
 			}
 			evicted++
-			if sh.evictLocked(st, e) {
-				return true
-			}
+			sh.evictLocked(st, e)
 		}
 		sc.at[e.tier] = append(sc.at[e.tier], int32(i))
 		return false

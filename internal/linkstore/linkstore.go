@@ -89,10 +89,6 @@ type Config struct {
 	// TTL is the idle time after which a link is evicted from the hot table
 	// (0 disables eviction).
 	TTL time.Duration
-	// DropOnEvict discards evicted state instead of archiving it: a
-	// returning link restarts from a fresh controller. Default false —
-	// eviction is transparent.
-	DropOnEvict bool
 	// Clock returns the current time in nanoseconds (default
 	// time.Now().UnixNano; injectable for deterministic tests).
 	Clock func() int64
@@ -104,13 +100,6 @@ type Config struct {
 	// through O(log n) table and slab regrowths, each a full copy under
 	// the shard lock — the batch_max_ns cold spikes. 0 starts small.
 	ExpectedLinks int
-	// ExpectedLinksPerAlgo refines the slab reserve for stores serving a
-	// mix of algorithms: each algorithm's slabs reserve for about this
-	// many links store-wide instead of ExpectedLinks. 0 defaults to
-	// ExpectedLinks — right when all links run one algorithm, but a
-	// factor-of-algorithms memory overcommit for a heterogeneous fleet
-	// of wide-state links.
-	ExpectedLinksPerAlgo int
 	// Cold is the tier idle links overflow to past a RAM front of about
 	// ColdFront links, one group-committed batch per filled generation.
 	// Nil opens it over a fresh faultfs.Mem: idle links then stay in this
@@ -417,9 +406,6 @@ func New(cfg Config) *Store {
 		perShard = cfg.ExpectedLinks/n + 1
 	}
 	st.slabReserve = perShard
-	if cfg.ExpectedLinksPerAlgo > 0 {
-		st.slabReserve = cfg.ExpectedLinksPerAlgo/n + 1
-	}
 	if st.cold = cfg.Cold; st.cold == nil {
 		var err error
 		if st.cold, err = coldstore.Open(coldstore.Config{FS: new(faultfs.Mem), SegmentBytes: memSegmentBytes}); err != nil {
@@ -439,13 +425,11 @@ func New(cfg Config) *Store {
 	// past its TTL: the live links are those touched within 5/4 of one.
 	// A shard's share of them is Poisson around its mean: three standard
 	// deviations of room and a shard in a thousand grows. The front sits
-	// in the same table, and only a store that archives reserves it.
+	// in the same table, and only a store that evicts reserves it.
 	live, archive := perShard, 0
 	if st.ttl > 0 {
 		live += live / 4
-		if !cfg.DropOnEvict {
-			archive = 2 * st.genCap
-		}
+		archive = 2 * st.genCap
 	}
 	tableLinks := live + 3*int(math.Sqrt(float64(live))) + archive
 	for i := range st.shards {
@@ -581,7 +565,7 @@ func (sh *shard) applyShardLocked(st *Store, ops []Op, idxs []int32, out []int32
 			// exactly as the op-at-a-time accounting would report.
 			sh.reviveLocked(st, e)
 			sh.hits += uint64(len(run) - 1)
-		} else if st.cfg.DropOnEvict || st.cold.Len() == 0 {
+		} else if st.cold.Len() == 0 {
 			// Not in RAM, and nothing to ask an empty tier for (only this
 			// shard spills this link, under sh.mu): a new link.
 			e = sh.links.put(id, sh.freshLocked(st, st.resolveAlgo(ops[run[0]].Algo)))

@@ -138,26 +138,6 @@ func TestTTLEvictionArchivesAndRestoresTransparently(t *testing.T) {
 	}
 }
 
-func TestDropOnEvictForgetsState(t *testing.T) {
-	clk := &fakeClock{}
-	st := New(Config{Shards: 4, TTL: time.Second, Clock: clk.Now, DropOnEvict: true})
-	ref := core.New(core.DefaultConfig())
-	st.Apply(Op{LinkID: 9, Kind: core.KindBER, RateIndex: 0, BER: berFor(ref, 0, 1)})
-	clk.Advance(2 * time.Second)
-	st.EvictIdle()
-	if _, _, ok := st.Peek(9); ok {
-		t.Fatal("DropOnEvict kept state after eviction")
-	}
-	// Recreated from scratch: starts at the lowest rate again.
-	got := st.Apply(Op{LinkID: 9, Kind: core.KindBER, RateIndex: 0, BER: berFor(ref, 0, 0)})
-	if got != 0 {
-		t.Fatalf("recreated link decided %d, want 0 (fresh controller)", got)
-	}
-	if s := st.Stats(); s.Creates != 2 || s.Restores != 0 {
-		t.Fatalf("stats %+v, want 2 creates and no restores", s)
-	}
-}
-
 func TestIncrementalSweepEvictsDuringTraffic(t *testing.T) {
 	// Idle links must be evicted by ongoing traffic to *other* links,
 	// without anyone calling EvictIdle.

@@ -44,9 +44,6 @@ type Config struct {
 	// (0.8 for the implemented detector per §5.3/§6.4; 1.0 for the
 	// "ideal" SoftRate variant).
 	InterferenceDetectionProb float64
-	// FeedbackBERNoise is the multiplicative jitter already baked into
-	// trace BERs; kept for documentation symmetry (no extra noise here).
-	FeedbackBERNoise float64
 }
 
 // DefaultConfig returns 802.11a-like timings over the simulation OFDM mode.

@@ -61,9 +61,6 @@ func (m *Medium) NewStation(adapter ratectl.Adapter, fwd *trace.LinkTrace) *Stat
 	return s
 }
 
-// Stations returns the registered stations.
-func (m *Medium) Stations() []*Station { return m.stations }
-
 // ackAirtime returns the feedback frame's airtime (lowest rate, with
 // postamble if the configuration uses them).
 func (m *Medium) ackAirtime() float64 {

@@ -8,7 +8,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 
 	"softrate/internal/ctl"
@@ -39,9 +38,6 @@ type Config struct {
 	CSProb float64
 	// RecordTx enables per-attempt logs on the client stations.
 	RecordTx bool
-	// QueueDebug, when set, receives periodic MAC queue depth samples
-	// for diagnosis.
-	QueueDebug func(t float64, who string, qlen int)
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -215,17 +211,6 @@ func RunUplink(cfg Config, fwdTraces, revTraces []*trace.LinkTrace, factory Adap
 	for i := 0; i < n; i++ {
 		i := i
 		eng.Schedule(float64(i)*1e-3, senders[i].Start)
-	}
-	if cfg.QueueDebug != nil {
-		var sample func()
-		sample = func() {
-			for i, c := range clients {
-				cfg.QueueDebug(eng.Now(), fmt.Sprintf("client%d", i), c.QueueLen())
-			}
-			cfg.QueueDebug(eng.Now(), "ap", ap.QueueLen())
-			eng.Schedule(0.1, sample)
-		}
-		eng.Schedule(0.05, sample)
 	}
 	eng.Run(cfg.Duration)
 

@@ -9,9 +9,7 @@
 // change to decisions. Counters and gauges are single atomics. Latency
 // histograms are striped: writers rotate across latStripes independently
 // locked stats.Histogram shards (the per-stripe critical section is one
-// bucket increment), and readers merge the stripes into one snapshot —
-// the same mergeable-layout trick the load generator uses across client
-// goroutines, applied inside one process.
+// bucket increment), and readers merge the stripes into one snapshot.
 package obs
 
 import (

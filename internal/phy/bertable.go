@@ -61,12 +61,6 @@ type CalibrationConfig struct {
 	// each frame's consumption is known up front) and only the pure decode
 	// work fans out.
 	Workers int
-	// DecodeBatch sets how many frames each worker claims and decodes as
-	// one lockstep batch (QueueReceive/FlushReceptions). Zero means the
-	// default of 8; negative disables batching (per-frame ReceiveWS).
-	// Results are bit-identical at every setting — the batch decoder is
-	// exact — so the knob trades nothing but speed.
-	DecodeBatch int
 }
 
 // DefaultCalibrationGrid returns the standard grid: -2..30 dB in 1 dB
@@ -131,7 +125,7 @@ func eachWithWorkspace(workers, n int, fn func(ws *Workspace, i int)) {
 	wg.Wait()
 }
 
-// calFrame is one pre-generated calibration frame: everything Receive
+// calFrame is one pre-generated calibration frame: everything ReceiveWS
 // needs, with its randomness already drawn from the master stream.
 type calFrame struct {
 	tx       *Transmission
@@ -177,7 +171,15 @@ func calSummarize(rx *Reception, f calFrame) calResult {
 // its own Workspace, replaying the pre-drawn noise. Results are aggregated
 // in frame order, so the output is byte-identical at any worker count —
 // including to the historical fully-serial implementation.
-func Calibrate(cc CalibrationConfig) *BERModel {
+func Calibrate(cc CalibrationConfig) *BERModel { return calibrate(cc, calibrationBatch) }
+
+// calibrationBatch is how many frames each decode-stage worker claims and
+// decodes as one lockstep batch (QueueReceive/FlushReceptions).
+const calibrationBatch = 8
+
+// calibrate is Calibrate at a given batch size (at least 1). The batch
+// decoder is exact, so the tables are bit-identical at every size.
+func calibrate(cc CalibrationConfig, batch int) *BERModel {
 	if cc.FramesPerPoint <= 0 {
 		cc.FramesPerPoint = 8
 	}
@@ -221,38 +223,23 @@ func Calibrate(cc CalibrationConfig) *BERModel {
 		}
 
 		// Stage 2 (parallel, pure): decode each frame from its replayed
-		// noise stream. With batching on, each worker claims a contiguous
-		// chunk of frames, replays their noise through the queued front end
-		// and decodes the chunk in one lockstep batch — bit-identical to
-		// the per-frame path, since the batch decoder is exact and each
-		// frame consumes only its own pre-drawn variates.
+		// noise stream. Each worker claims a contiguous chunk of frames,
+		// replays their noise through the queued front end and decodes the
+		// chunk in one lockstep batch — bit-identical to per-frame
+		// ReceiveWS, since the batch decoder is exact and each frame
+		// consumes only its own pre-drawn variates.
 		results := make([]calResult, len(frames))
-		batch := cc.DecodeBatch
-		if batch == 0 {
-			batch = 8
-		}
-		if batch < 1 {
-			eachWithWorkspace(cc.Workers, len(frames), func(ws *Workspace, i int) {
+		nChunks := (len(frames) + batch - 1) / batch
+		eachWithWorkspace(cc.Workers, nChunks, func(ws *Workspace, c int) {
+			lo, hi := c*batch, min((c+1)*batch, len(frames))
+			for i := lo; i < hi; i++ {
 				f := frames[i]
-				rx := ReceiveWS(ws, cc.PHY, f.tx, f.gains, f.ivar, &replayNorms{v: f.noise})
-				results[i] = calSummarize(rx, f)
-			})
-		} else {
-			nChunks := (len(frames) + batch - 1) / batch
-			eachWithWorkspace(cc.Workers, nChunks, func(ws *Workspace, c int) {
-				lo, hi := c*batch, (c+1)*batch
-				if hi > len(frames) {
-					hi = len(frames)
-				}
-				for i := lo; i < hi; i++ {
-					f := frames[i]
-					ws.QueueReceive(cc.PHY, f.tx, f.gains, f.ivar, &replayNorms{v: f.noise})
-				}
-				for k, rx := range ws.FlushReceptions() {
-					results[lo+k] = calSummarize(rx, frames[lo+k])
-				}
-			})
-		}
+				ws.QueueReceive(cc.PHY, f.tx, f.gains, f.ivar, &replayNorms{v: f.noise})
+			}
+			for k, rx := range ws.FlushReceptions() {
+				results[lo+k] = calSummarize(rx, frames[lo+k])
+			}
+		})
 
 		// Stage 3 (serial): fold per-point sums in frame order — the same
 		// floating-point summation the historical loop performed.

@@ -171,9 +171,9 @@ func TestCalibrateSmall(t *testing.T) {
 
 func TestCalibrateBatchedMatchesSequential(t *testing.T) {
 	// The batched decode stage must not change a single output bit: the
-	// same config must produce deeply equal tables with batching off
-	// (historical per-frame path, one worker) and on (any chunk size, any
-	// worker count).
+	// same config must produce deeply equal tables at batch 1 on one
+	// worker (which TestQueueReceiveMatchesSequential ties to per-frame
+	// ReceiveWS) and at any chunk size and worker count.
 	if testing.Short() {
 		t.Skip("Monte Carlo calibration is slow")
 	}
@@ -185,13 +185,12 @@ func TestCalibrateBatchedMatchesSequential(t *testing.T) {
 		PayloadBytes:   120,
 		Seed:           11,
 		Workers:        1,
-		DecodeBatch:    -1,
 	}
-	want := Calibrate(cc)
+	want := calibrate(cc, 1)
 	for _, batch := range []int{1, 3, 8} {
 		for _, workers := range []int{1, 4} {
-			cc.DecodeBatch, cc.Workers = batch, workers
-			got := Calibrate(cc)
+			cc.Workers = workers
+			got := calibrate(cc, batch)
 			for ri := range want.BER {
 				for k := range want.BER[ri] {
 					if math.Float64bits(got.BER[ri][k]) != math.Float64bits(want.BER[ri][k]) ||

@@ -187,7 +187,7 @@ func (t *Transmission) dataSymbolOffset() int {
 	return ofdm.PreambleSymbols + len(t.hdrSyms)
 }
 
-// NoiseDraws returns the number of NormFloat64 variates Receive consumes
+// NoiseDraws returns the number of NormFloat64 variates ReceiveWS consumes
 // for this transmission given the preamble-detection outcome (which is
 // itself pure — see PreambleDetects). The calibration pipeline uses this
 // to pre-draw each frame's noise from the sequential master stream and

@@ -119,22 +119,16 @@ func burstPower(bursts []Burst, t0, t1 float64) float64 {
 	return p
 }
 
-// Receive runs the receiver chain over per-symbol channel gains and
+// ReceiveWS runs the receiver chain over per-symbol channel gains and
 // interference variances (gains[j], ivar[j] for OFDM symbol j of the whole
 // transmission, preamble first). The receiver knows the channel gain
 // (genie CSI, standing in for pilot-based estimation) and the thermal
 // noise floor, but — crucially — not the interference power: that is what
 // makes interference manifest as a spike in the SoftPHY-estimated BER.
-// This entry point allocates a fresh Reception per call; the simulation
-// hot path uses ReceiveWS.
-func Receive(cfg Config, tx *Transmission, gains []complex128, ivar []float64, ns NormSource) *Reception {
-	return ReceiveWS(nil, cfg, tx, gains, ivar, ns)
-}
-
-// ReceiveWS is Receive backed by per-worker scratch: the returned
-// Reception and the slices it references live inside ws and are valid
-// until the next ReceiveWS call on it. A nil ws falls back to a fresh
-// throwaway workspace (equivalent to Receive).
+//
+// It runs on per-worker scratch: the returned Reception and the
+// slices it references live inside ws and are valid until the next
+// ReceiveWS call on it. A nil ws falls back to a fresh throwaway workspace.
 func ReceiveWS(ws *Workspace, cfg Config, tx *Transmission, gains []complex128, ivar []float64, ns NormSource) *Reception {
 	if ws == nil {
 		ws = NewWorkspace()

@@ -13,7 +13,7 @@ import (
 //
 // Reuse is contractually invisible: for identical inputs (including the
 // noise stream), the workspace chain produces bit-for-bit the same frames,
-// hints and verdicts as the allocating Transmit/Receive entry points.
+// hints and verdicts as a fresh workspace (and as the allocating Transmit).
 type Workspace struct {
 	// Coding is the decoder scratch (BCJR/Viterbi planes, depuncture
 	// lattice), exported so callers driving the decoders directly can share

@@ -34,10 +34,6 @@ func (r Rate) Name() string {
 	return fmt.Sprintf("%v %v", r.Scheme, r.Code)
 }
 
-// CodedBitsPerSubcarrier returns the coded bits carried on one data
-// subcarrier in one OFDM symbol.
-func (r Rate) CodedBitsPerSubcarrier() int { return r.Scheme.BitsPerSymbol() }
-
 // InfoBitsPerSubcarrier returns the information bits per data subcarrier
 // per OFDM symbol (coded bits × code rate). It is fractional for rate 3/4
 // BPSK, hence float.

@@ -2,7 +2,7 @@
 // should this link transmit at next?" for batches of per-frame feedback.
 // Per-link SoftRate controllers live in a sharded linkstore; the server
 // adds the request/response surface — an in-process API for embedding
-// (the load generator, simulators, a future MAC offload path) and three
+// (the benchmark, simulators, a future MAC offload path) and three
 // wire transports (TCP, UDP datagrams, shared-memory rings) that are thin
 // carriers under one serving loop (serve.go) and one wire framing
 // (codec.go) — plus service-level counters.

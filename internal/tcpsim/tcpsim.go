@@ -42,11 +42,6 @@ type Config struct {
 	RWnd int64
 	// MinRTO floors the retransmission timeout (default 200 ms).
 	MinRTO float64
-	// MaxCwnd optionally caps the window in bytes (0 = uncapped).
-	MaxCwnd float64
-	// Debug, when set, receives trace events (timeouts, fast
-	// retransmits) for diagnosis: (event, time, arg1, arg2).
-	Debug func(ev string, t, a, b float64)
 }
 
 // DefaultConfig returns the configuration used in the experiments.
@@ -118,9 +113,6 @@ func (s *Sender) window() float64 {
 	if float64(s.cfg.RWnd) < w {
 		w = float64(s.cfg.RWnd)
 	}
-	if s.cfg.MaxCwnd > 0 && w > s.cfg.MaxCwnd {
-		w = s.cfg.MaxCwnd
-	}
 	return w
 }
 
@@ -161,9 +153,6 @@ func (s *Sender) onTimer(gen int) {
 	}
 	s.Timeouts++
 	s.Retransmits++
-	if s.cfg.Debug != nil {
-		s.cfg.Debug("timeout", s.eng.Now(), float64(s.sndUna), s.rto)
-	}
 	// Classic Reno timeout response: collapse the window and go back to
 	// snd_una. Rewinding sndNext makes trySend retransmit the whole lost
 	// window in slow start as ACKs return — without it, a whole-window
@@ -213,9 +202,6 @@ func (s *Sender) OnAck(ackNo int64, echoedSentAt float64) {
 		s.dupAcks++
 		if s.dupAcks == 3 && !s.inRecovery {
 			// Fast retransmit.
-			if s.cfg.Debug != nil {
-				s.cfg.Debug("fastretx", s.eng.Now(), float64(s.sndUna), s.cwnd)
-			}
 			s.FastRetx++
 			s.Retransmits++
 			flight := float64(s.sndNext - s.sndUna)
