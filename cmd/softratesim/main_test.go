@@ -18,6 +18,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-duration", "NaN"},
 		{"-alg", "foo"},
 		{"-channel", "foo"},
+		{"-channel", "static", "-snr", "NaN"},
+		{"-channel", "fading", "-snr", "+Inf"},
+		{"-channel", "fading", "-doppler", "NaN"},
 		{"-bogus"},
 	} {
 		var out bytes.Buffer

@@ -21,7 +21,8 @@ import (
 func main() { os.Exit(run(os.Args[1:])) }
 
 // run generates and writes one trace and returns the exit status: 2 for
-// bad flags, 1 when the trace cannot be written.
+// bad flags (before any trace is generated), 1 when the trace cannot be
+// written.
 func run(args []string) int {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	var (
@@ -38,6 +39,10 @@ func run(args []string) int {
 	}
 	if !(*duration >= trace.DefaultInterval) {
 		fmt.Fprintf(os.Stderr, "-duration %v is shorter than one %v s slot\n", *duration, trace.DefaultInterval)
+		return 2
+	}
+	if *payload < 1 {
+		fmt.Fprintf(os.Stderr, "-payload %d: need at least one byte\n", *payload)
 		return 2
 	}
 

@@ -8,14 +8,26 @@ import (
 	"softrate/internal/trace"
 )
 
+// TestRejectsDurationUnderOneSlot: a duration under one slot, and the
+// other bad inputs, exit 2 before any trace is generated or written.
 func TestRejectsDurationUnderOneSlot(t *testing.T) {
-	for _, d := range []string{"0.0005", "0", "-1", "NaN"} {
+	for _, args := range [][]string{
+		{"-kind", "static", "-duration", "0.0005"},
+		{"-kind", "static", "-duration", "0"},
+		{"-kind", "static", "-duration", "-1"},
+		{"-kind", "static", "-duration", "NaN"},
+		{"-kind", "static", "-snr", "NaN"},
+		{"-kind", "fading", "-snr", "-Inf"},
+		{"-kind", "fading", "-doppler", "NaN"},
+		{"-kind", "static", "-payload", "-5"},
+		{"-kind", "static", "-payload", "0"},
+	} {
 		path := filepath.Join(t.TempDir(), "z.gz")
-		if code := run([]string{"-kind", "static", "-duration", d, "-o", path}); code != 2 {
-			t.Errorf("-duration %s: exit %d, want 2", d, code)
+		if code := run(append(args, "-o", path)); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
 		}
 		if _, err := os.Stat(path); err == nil {
-			t.Errorf("-duration %s: wrote %s", d, path)
+			t.Errorf("%v: wrote %s", args, path)
 		}
 	}
 }

@@ -244,17 +244,24 @@ func NewTable4Walking(rng *rand.Rand) *Model {
 // NewKind builds a channel by the name the command-line tools take:
 // "walking" (Table 4's walking channel; snrDB and dopplerHz unused),
 // "fading" (Rayleigh fading at dopplerHz around a constant snrDB) or
-// "static" (a constant snrDB, no fading).
+// "static" (a constant snrDB, no fading). A non-finite snrDB (fading,
+// static) or dopplerHz (fading) is an error, returned before any draw
+// from rng.
 func NewKind(kind string, rng *rand.Rand, snrDB, dopplerHz float64) (*Model, error) {
-	switch kind {
-	case "walking":
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case kind == "walking":
 		return NewTable4Walking(rng), nil
-	case "fading":
-		return NewStaticModel(snrDB, NewRayleigh(rng, dopplerHz, 0)), nil
-	case "static":
+	case kind != "fading" && kind != "static":
+		return nil, fmt.Errorf("unknown channel kind %q (want walking | fading | static)", kind)
+	case !finite(snrDB):
+		return nil, fmt.Errorf("%s channel: mean SNR %v dB is not finite", kind, snrDB)
+	case kind == "static":
 		return NewStaticModel(snrDB, nil), nil
+	case !finite(dopplerHz):
+		return nil, fmt.Errorf("fading channel: Doppler spread %v Hz is not finite", dopplerHz)
 	}
-	return nil, fmt.Errorf("unknown channel kind %q (want walking | fading | static)", kind)
+	return NewStaticModel(snrDB, NewRayleigh(rng, dopplerHz, 0)), nil
 }
 
 // Gain returns the composite complex gain at time t. |Gain|^2 is the

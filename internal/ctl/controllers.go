@@ -7,14 +7,13 @@ import (
 	"sync"
 
 	"softrate/internal/core"
-	"softrate/internal/ofdm"
 	"softrate/internal/phy"
 	"softrate/internal/rate"
 	"softrate/internal/ratectl"
 )
 
-// nominalFrameBytes is the frame size behind every serving-configuration
-// constant: the paper's 1400-byte evaluation frame.
+// nominalFrameBytes is the frame size behind the serving SNR thresholds:
+// the paper's 1400-byte evaluation frame.
 const nominalFrameBytes = 1400
 
 // servingWindowCap bounds SampleRate's per-rate sample ring in the
@@ -24,28 +23,9 @@ const nominalFrameBytes = 1400
 const servingWindowCap = 16
 
 var (
-	nominalOnce     sync.Once
-	nominalAirtime  []float64
 	servingSNROnce  sync.Once
 	servingSNRThres []float64
 )
-
-// NominalAirtimes returns the lossless airtime of a 1400-byte frame at
-// each evaluation rate in simulation mode — the constant vector SampleRate
-// and RRAA derive their thresholds from, and the virtual-clock fallback
-// for feedback that carries no measured airtime.
-func NominalAirtimes() []float64 {
-	nominalOnce.Do(func() {
-		rates := rate.Evaluation()
-		nominalAirtime = make([]float64, len(rates))
-		for i, r := range rates {
-			nominalAirtime[i] = ofdm.Simulation.PayloadAirtime(nominalFrameBytes, r, false)
-		}
-	})
-	out := make([]float64, len(nominalAirtime))
-	copy(out, nominalAirtime)
-	return out
-}
 
 // ServingSNRThresholds returns the registry's SNR/CHARM threshold vector:
 // for each evaluation rate, the lowest SNR (0.5 dB grid) at which the
@@ -86,17 +66,12 @@ func ServingSNRThresholds() []float64 {
 
 // --- SoftRate ---
 
-// SoftRate adapts core.SoftRate to the Controller contract. Its snapshot
-// is the same 8 bytes as core.State (rate index and silent-loss run, both
-// int32 little-endian), so the store's SoftRate path stays as small and
-// as fast as it was when the store knew only SoftRate.
+// SoftRate serves core.SoftRate. Its snapshot is the same 8 bytes as
+// core.State (rate index and silent-loss run, both int32 little-endian),
+// so the store's SoftRate path stays as small and as fast as it was when
+// the store knew only SoftRate.
 type SoftRate struct {
-	*ratectl.SoftRateAdapter
-}
-
-// NewSoftRate builds a SoftRate controller with the given core config.
-func NewSoftRate(cfg core.Config) *SoftRate {
-	return &SoftRate{ratectl.NewSoftRate(cfg)}
+	SR *core.SoftRate
 }
 
 // softRateStateBytes is core.State encoded: RateIndex i32, SilentRun i32.
@@ -131,53 +106,34 @@ func (c *SoftRate) DecodeState(src []byte) error {
 
 // --- clocked: glue for the frame-level ratectl algorithms ---
 
-// stateCodec is the snapshot surface the ratectl algorithms implement.
-type stateCodec interface {
+// algorithm is a frame-level ratectl algorithm with a fixed-width
+// snapshot: what clocked serves.
+type algorithm interface {
+	ratectl.Adapter
 	StateLen() int
 	EncodeState(dst []byte)
 	DecodeState(src []byte) error
 }
 
-// clocked lifts a ratectl.Adapter into a Controller. The frame-level
-// algorithms reason in transmission time (SampleRate's window, RRAA's
-// ordering), which the decision service does not have — so clocked keeps
-// a per-link virtual clock advanced by each frame's airtime (measured
-// when the feedback carries it, the rate's nominal airtime otherwise) and
-// snapshots the clock alongside the algorithm state, making window
-// arithmetic relocate with the link. codec is nil for stateless adapters
-// (Fixed, Omniscient): their snapshot is just the 8-byte clock.
+// clocked serves a frame-level ratectl algorithm. The algorithms reason in
+// transmission time (SampleRate's window, RRAA's ordering), which the
+// decision service does not have — so clocked keeps a per-link virtual
+// clock advanced by each frame's airtime (measured when the feedback
+// carries it, the rate's nominal airtime otherwise) and snapshots the
+// clock ahead of the algorithm state, making window arithmetic relocate
+// with the link.
 type clocked struct {
-	a       ratectl.Adapter
-	codec   stateCodec
+	a       algorithm
 	nominal []float64
 	clock   float64
 }
 
-// Name implements Controller.
-func (c *clocked) Name() string { return c.a.Name() }
-
-// NextRate implements Controller.
-func (c *clocked) NextRate(now float64) int { return c.a.NextRate(now) }
-
-// WantRTS implements Controller.
-func (c *clocked) WantRTS() bool { return c.a.WantRTS() }
-
-// OnResult implements Controller. Simulator-driven results carry their
-// own timestamps; the virtual clock tracks them so a controller moved
-// between the two worlds stays monotonic.
-func (c *clocked) OnResult(res Result) {
-	if res.Time > c.clock {
-		c.clock = res.Time
-	}
-	c.a.OnResult(res)
-}
-
 // resultFor maps one service-side feedback to the simulator Result the
-// wrapped algorithm consumes, advancing the given virtual clock by the
+// algorithm consumes, advancing the given virtual clock by the
 // frame's airtime (measured when the feedback carries it, the rate's
 // nominal airtime otherwise). Both Apply and ApplyInPlace go through
 // this one mapping, so the two serving paths cannot diverge.
-func (c *clocked) resultFor(fb Feedback, clock float64) (Result, float64) {
+func (c *clocked) resultFor(fb Feedback, clock float64) (ratectl.Result, float64) {
 	at := fb.Airtime
 	if !(at > 0) || math.IsInf(at, 0) {
 		ri := fb.RateIndex
@@ -190,7 +146,7 @@ func (c *clocked) resultFor(fb Feedback, clock float64) (Result, float64) {
 		at = c.nominal[ri]
 	}
 	clock += at
-	res := Result{
+	res := ratectl.Result{
 		Time:      clock,
 		RateIndex: fb.RateIndex,
 		Airtime:   at,
@@ -233,14 +189,14 @@ const clockBytes = 8
 // the clock prefix, which clocked manages itself).
 type inPlaceCodec interface {
 	InPlaceOK() bool
-	ApplyEncoded(state []byte, res Result) (int, bool)
+	ApplyEncoded(state []byte, res ratectl.Result) (int, bool)
 }
 
-// InPlaceOK implements InPlace: true when the wrapped algorithm's codec
-// can run against its encoded state (currently SampleRate in the serving
+// InPlaceOK implements InPlace: true when the algorithm can run against
+// its encoded state (currently SampleRate in the serving
 // configuration — bounded window, relocatable SplitMix PRNG).
 func (c *clocked) InPlaceOK() bool {
-	ip, ok := c.codec.(inPlaceCodec)
+	ip, ok := c.a.(inPlaceCodec)
 	return ok && ip.InPlaceOK()
 }
 
@@ -248,7 +204,7 @@ func (c *clocked) InPlaceOK() bool {
 // but the clock is read from and written to the snapshot and the
 // algorithm state never leaves the buffer.
 func (c *clocked) ApplyInPlace(state []byte, fb Feedback) (int, bool) {
-	ip, ok := c.codec.(inPlaceCodec)
+	ip, ok := c.a.(inPlaceCodec)
 	if !ok || len(state) < c.StateLen() {
 		return 0, false
 	}
@@ -262,127 +218,58 @@ func (c *clocked) ApplyInPlace(state []byte, fb Feedback) (int, bool) {
 }
 
 // StateLen implements Controller.
-func (c *clocked) StateLen() int {
-	n := clockBytes
-	if c.codec != nil {
-		n += c.codec.StateLen()
-	}
-	return n
-}
+func (c *clocked) StateLen() int { return clockBytes + c.a.StateLen() }
 
 // EncodeState implements Controller.
 func (c *clocked) EncodeState(dst []byte) {
 	binary.LittleEndian.PutUint64(dst[0:8], math.Float64bits(c.clock))
-	if c.codec != nil {
-		c.codec.EncodeState(dst[clockBytes:])
-	}
+	c.a.EncodeState(dst[clockBytes:])
 }
 
 // DecodeState implements Controller.
 func (c *clocked) DecodeState(src []byte) error {
 	if len(src) < c.StateLen() {
-		return fmt.Errorf("ctl: %s state is %d bytes, need %d", c.Name(), len(src), c.StateLen())
+		return fmt.Errorf("ctl: %s state is %d bytes, need %d", c.a.Name(), len(src), c.StateLen())
 	}
 	c.clock = math.Float64frombits(binary.LittleEndian.Uint64(src[0:8]))
-	if c.codec != nil {
-		return c.codec.DecodeState(src[clockBytes:])
-	}
-	return nil
-}
-
-// Wrap lifts any ratectl.Adapter into a Controller. The frame-level
-// algorithm types get their real relocatable snapshot; unknown adapters
-// (Fixed, Omniscient, experiment oracles) get a clock-only snapshot —
-// fine for simulators, which never relocate, and honest about the fact
-// that an oracle closure cannot be serialized. A value that already is a
-// Controller passes through unchanged.
-func Wrap(a ratectl.Adapter) Controller {
-	switch v := a.(type) {
-	case Controller:
-		return v
-	case *ratectl.SoftRateAdapter:
-		return &SoftRate{v}
-	case *ratectl.SampleRate:
-		return &clocked{a: v, codec: srCodec{v}, nominal: v.LosslessAirtime}
-	case *ratectl.RRAA:
-		return &clocked{a: v, codec: v, nominal: NominalAirtimes()}
-	case *ratectl.SNRBased:
-		return &clocked{a: v, codec: v, nominal: NominalAirtimes()}
-	default:
-		return &clocked{a: a, nominal: NominalAirtimes()}
-	}
-}
-
-// srCodec guards SampleRate's snapshot surface: an unbounded instance
-// (WindowCap 0, the simulator configuration) has no fixed state width, so
-// it is treated as snapshot-less rather than letting StateLen panic deep
-// inside a store.
-type srCodec struct{ s *ratectl.SampleRate }
-
-func (c srCodec) StateLen() int {
-	if c.s.WindowCap <= 0 {
-		return 0
-	}
-	return c.s.StateLen()
-}
-
-func (c srCodec) EncodeState(dst []byte) {
-	if c.s.WindowCap > 0 {
-		c.s.EncodeState(dst)
-	}
-}
-
-func (c srCodec) DecodeState(src []byte) error {
-	if c.s.WindowCap > 0 {
-		return c.s.DecodeState(src)
-	}
-	return nil
-}
-
-func (c srCodec) InPlaceOK() bool { return c.s.InPlaceOK() }
-
-func (c srCodec) ApplyEncoded(state []byte, res Result) (int, bool) {
-	return c.s.ApplyEncoded(state, res)
+	return c.a.DecodeState(src[clockBytes:])
 }
 
 // --- registry ---
 
 func init() {
-	nominal := NominalAirtimes
-	Register(Spec{
+	nominal := ratectl.NominalAirtimes
+	register(Spec{
 		ID: AlgoSoftRate, Name: "softrate", StateLen: softRateStateBytes,
-		New: func() Controller { return NewSoftRate(core.DefaultConfig()) },
+		New: func() Controller { return &SoftRate{SR: core.New(core.DefaultConfig())} },
 	})
 	srLen := clockBytes + 16 + len(rate.Evaluation())*(2+servingWindowCap*17)
-	Register(Spec{
+	register(Spec{
 		ID: AlgoSampleRate, Name: "samplerate", StateLen: srLen,
 		New: func() Controller {
 			s := ratectl.NewSampleRate(rate.Evaluation(), nominal(), ratectl.NewSplitMix(1))
 			s.WindowCap = servingWindowCap
-			return &clocked{a: s, codec: srCodec{s}, nominal: s.LosslessAirtime}
+			return &clocked{a: s, nominal: s.LosslessAirtime}
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		ID: AlgoRRAA, Name: "rraa", StateLen: clockBytes + 8,
 		New: func() Controller {
 			// No adaptive RTS in the serving configuration: the decision
 			// service answers rates, the sender owns its RTS policy.
-			r := ratectl.NewRRAA(rate.Evaluation(), nominal(), false)
-			return &clocked{a: r, codec: r, nominal: nominal()}
+			return &clocked{a: ratectl.NewRRAA(rate.Evaluation(), nominal(), false), nominal: nominal()}
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		ID: AlgoSNR, Name: "snr", StateLen: clockBytes + 12,
 		New: func() Controller {
-			s := ratectl.NewSNRBased(ServingSNRThresholds(), "SNR")
-			return &clocked{a: s, codec: s, nominal: nominal()}
+			return &clocked{a: ratectl.NewSNRBased(ServingSNRThresholds(), "SNR"), nominal: nominal()}
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		ID: AlgoCHARM, Name: "charm", StateLen: clockBytes + 12,
 		New: func() Controller {
-			s := ratectl.NewCHARM(ServingSNRThresholds())
-			return &clocked{a: s, codec: s, nominal: nominal()}
+			return &clocked{a: ratectl.NewCHARM(ServingSNRThresholds()), nominal: nominal()}
 		},
 	})
 }

@@ -1,19 +1,16 @@
-// Package ctl defines the relocatable rate-controller contract that
-// unifies the repository's two controller worlds: the simulator-facing
-// ratectl.Adapter algorithms of §6.1 (SampleRate, RRAA, the SNR-based
-// schemes) and the serving-stack core.SoftRate controller behind
-// linkstore/server/softrated. A Controller is an Adapter that can
-// additionally (a) consume one service-side Feedback and answer with the
-// next rate in a single call, and (b) snapshot and restore its complete
-// dynamic state as a fixed number of bytes — so a store can hold millions
-// of per-link states and rebuild any algorithm's controller on demand,
-// exactly as it always could for SoftRate's 8-byte State.
+// Package ctl is the decision service's controller contract and its
+// algorithm registry. A Controller consumes one service-side Feedback and
+// answers with the link's next rate in a single call, and snapshots and
+// restores its complete dynamic state as a fixed number of bytes, so a
+// store can hold millions of per-link states and rebuild any algorithm's
+// controller on demand.
 //
-// The package also keeps the algorithm registry: each servable algorithm
-// has a stable one-byte ID (part of the softrated v2 wire protocol), a
-// name for CLI flags, a fixed state width, and a constructor producing the
-// canonical serving configuration. Stores and the wire codec resolve
-// algorithms through it.
+// The registry gives each served algorithm a stable one-byte ID (part of
+// the softrated v2 wire protocol), a name for CLI flags, a fixed state
+// width, and a constructor producing its serving configuration; New is
+// the only way to build a served controller. The simulator's §6.1
+// comparison set is ratectl's Adapters, listed by netsim.Algorithms; its
+// configurations differ from the served ones as PAPER.md records.
 package ctl
 
 import (
@@ -21,13 +18,7 @@ import (
 	"sort"
 
 	"softrate/internal/core"
-	"softrate/internal/ratectl"
 )
-
-// Result aliases ratectl.Result: every Controller is also a full
-// simulator-side Adapter, so the MAC can drive served algorithms and the
-// service can host simulated ones through one type.
-type Result = ratectl.Result
 
 // Feedback is one frame's worth of sender-side information, the superset
 // every §6.1 algorithm needs: SoftRate reads Kind/RateIndex/BER,
@@ -52,20 +43,10 @@ type Feedback struct {
 	Delivered bool
 }
 
-// Controller is a relocatable per-link rate controller. It is a full
-// simulator Adapter (NextRate/WantRTS/OnResult drive the MAC) plus the
-// decision-service surface: Apply for one-call feedback→rate, and a
-// fixed-width binary snapshot of the dynamic state.
+// Controller is a relocatable per-link rate controller: Apply for
+// one-call feedback→rate, and a fixed-width binary snapshot of the
+// dynamic state.
 type Controller interface {
-	// Name identifies the algorithm in experiment output and logs.
-	Name() string
-	// NextRate returns the rate index to use for the next frame.
-	NextRate(now float64) int
-	// WantRTS reports whether the next frame should use RTS/CTS.
-	WantRTS() bool
-	// OnResult feeds back the outcome of a simulated transmission.
-	OnResult(res Result)
-
 	// Apply consumes one service-side feedback and returns the rate index
 	// for the link's next frame.
 	Apply(fb Feedback) int
@@ -148,11 +129,11 @@ var (
 	isRegistered [256]bool
 )
 
-// Register adds an algorithm to the registry. It panics on a duplicate ID
+// register adds an algorithm to the registry. It panics on a duplicate ID
 // or name, on AlgoDefault, or on a Spec whose constructor's StateLen
 // disagrees with the declared one — registration is an init-time,
 // single-goroutine affair.
-func Register(s Spec) {
+func register(s Spec) {
 	if s.ID == AlgoDefault {
 		panic("ctl: cannot register AlgoDefault")
 	}

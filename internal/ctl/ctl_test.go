@@ -211,14 +211,14 @@ func TestInPlaceGating(t *testing.T) {
 		}
 	}
 	// A SampleRate on a shared *rand.Rand has no relocatable PRNG state.
-	s := ratectl.NewSampleRate(rate.Evaluation(), NominalAirtimes(), rand.New(rand.NewSource(1)))
+	s := ratectl.NewSampleRate(rate.Evaluation(), ratectl.NominalAirtimes(), rand.New(rand.NewSource(1)))
 	s.WindowCap = servingWindowCap
-	if Wrap(s).(InPlace).InPlaceOK() {
+	if s.InPlaceOK() {
 		t.Fatal("shared-PRNG SampleRate must not run in place")
 	}
 	// And the unbounded simulator configuration has no fixed-width state.
-	u := ratectl.NewSampleRate(rate.Evaluation(), NominalAirtimes(), ratectl.NewSplitMix(1))
-	if Wrap(u).(InPlace).InPlaceOK() {
+	u := ratectl.NewSampleRate(rate.Evaluation(), ratectl.NominalAirtimes(), ratectl.NewSplitMix(1))
+	if u.InPlaceOK() {
 		t.Fatal("unbounded SampleRate must not run in place")
 	}
 	if _, ok := New(AlgoSoftRate).(InPlace); ok {
@@ -230,7 +230,7 @@ func TestInPlaceGating(t *testing.T) {
 // the MAC's (mac.resToRatectl): same kinds, same flags.
 func TestFeedbackKindMapping(t *testing.T) {
 	probe := &recordingAdapter{}
-	c := &clocked{a: probe, nominal: NominalAirtimes()}
+	c := &clocked{a: probe, nominal: ratectl.NominalAirtimes()}
 
 	c.Apply(Feedback{Kind: core.KindBER, RateIndex: 2, BER: 1e-4, SNRdB: 17, Delivered: true})
 	r := probe.last
@@ -258,48 +258,19 @@ func TestFeedbackKindMapping(t *testing.T) {
 }
 
 type recordingAdapter struct {
-	last  Result
+	last  ratectl.Result
 	times []float64
 }
 
-func (a *recordingAdapter) Name() string         { return "probe" }
-func (a *recordingAdapter) NextRate(float64) int { return 0 }
-func (a *recordingAdapter) WantRTS() bool        { return false }
-func (a *recordingAdapter) OnResult(res Result) {
+func (a *recordingAdapter) Name() string             { return "probe" }
+func (a *recordingAdapter) NextRate(float64) int     { return 0 }
+func (a *recordingAdapter) WantRTS() bool            { return false }
+func (a *recordingAdapter) StateLen() int            { return 0 }
+func (a *recordingAdapter) EncodeState([]byte)       {}
+func (a *recordingAdapter) DecodeState([]byte) error { return nil }
+func (a *recordingAdapter) OnResult(res ratectl.Result) {
 	a.last = res
 	a.times = append(a.times, res.Time)
-}
-
-func TestWrap(t *testing.T) {
-	// Controllers pass through.
-	sr := NewSoftRate(core.DefaultConfig())
-	if Wrap(sr) != Controller(sr) {
-		t.Fatal("Wrap re-wrapped a Controller")
-	}
-	// The known frame-level types get their real snapshot widths.
-	lossless := NominalAirtimes()
-	s := ratectl.NewSampleRate(rate.Evaluation(), lossless, ratectl.NewSplitMix(7))
-	s.WindowCap = 4
-	if got := Wrap(s).StateLen(); got != 8+16+len(rate.Evaluation())*(2+4*17) {
-		t.Fatalf("wrapped SampleRate state width %d", got)
-	}
-	if got := Wrap(ratectl.NewRRAA(rate.Evaluation(), lossless, false)).StateLen(); got != 16 {
-		t.Fatalf("wrapped RRAA state width %d, want 16", got)
-	}
-	// An unbounded SampleRate (simulator config) degrades to a clock-only
-	// snapshot instead of panicking.
-	unbounded := ratectl.NewSampleRate(rate.Evaluation(), lossless, ratectl.NewSplitMix(7))
-	if got := Wrap(unbounded).StateLen(); got != 8 {
-		t.Fatalf("wrapped unbounded SampleRate state width %d, want clock-only 8", got)
-	}
-	// Stateless adapters wrap to a clock-only snapshot too.
-	w := Wrap(&ratectl.Fixed{Index: 3})
-	if w.StateLen() != 8 || w.NextRate(0) != 3 || w.Name() != "Fixed" {
-		t.Fatalf("wrapped Fixed: len %d rate %d name %q", w.StateLen(), w.NextRate(0), w.Name())
-	}
-	// Every Controller is a ratectl.Adapter (the MAC's contract).
-	var _ ratectl.Adapter = w
-	var _ ratectl.Adapter = sr
 }
 
 func TestServingSNRThresholds(t *testing.T) {
@@ -322,11 +293,11 @@ func TestServingSNRThresholds(t *testing.T) {
 	}
 }
 
-// TestSoftRateParityWithCoreApply pins the SoftRate wrapper to the exact
-// semantics the PR 2 store had: Apply == core.SoftRate.Apply.
+// TestSoftRateParityWithCoreApply pins the served SoftRate to
+// core.SoftRate.Apply.
 func TestSoftRateParityWithCoreApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := NewSoftRate(core.DefaultConfig())
+	c := New(AlgoSoftRate)
 	bare := core.New(core.DefaultConfig())
 	rate := 0
 	for i := 0; i < 2000; i++ {
@@ -335,7 +306,7 @@ func TestSoftRateParityWithCoreApply(t *testing.T) {
 		got := c.Apply(Feedback{Kind: kind, RateIndex: rate, BER: ber, SNRdB: 10, Airtime: 1e-3, Delivered: true})
 		want := bare.Apply(kind, rate, ber)
 		if got != want {
-			t.Fatalf("step %d: wrapper %d != core %d", i, got, want)
+			t.Fatalf("step %d: served %d != core %d", i, got, want)
 		}
 		rate = got
 	}

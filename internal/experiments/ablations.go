@@ -8,11 +8,11 @@ import (
 	"softrate/internal/channel"
 	"softrate/internal/coding"
 	"softrate/internal/core"
-	"softrate/internal/ctl"
 	"softrate/internal/experiments/engine"
 	"softrate/internal/netsim"
 	"softrate/internal/phy"
 	"softrate/internal/rate"
+	"softrate/internal/ratectl"
 	"softrate/internal/softphy"
 	"softrate/internal/trace"
 )
@@ -214,10 +214,10 @@ func runAblationSilent(o Options) []*Table {
 		cfg.Duration = dur
 		cfg.Seed = o.Seed + 93
 		cfg.CSProb = 0.5
-		res := netsim.RunUplink(cfg, fwd, rev, func(*trace.LinkTrace, *rand.Rand) ctl.Controller {
+		res := netsim.RunUplink(cfg, fwd, rev, func(*trace.LinkTrace, *rand.Rand) ratectl.Adapter {
 			c := core.DefaultConfig()
 			c.SilentLossRun = run
-			return ctl.NewSoftRate(c)
+			return ratectl.NewSoftRate(c)
 		})
 		return res.AggregateBps
 	})

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"softrate/internal/ctl"
 	"softrate/internal/experiments/engine"
 	"softrate/internal/mac"
 	"softrate/internal/rate"
@@ -117,7 +116,7 @@ func runFig15(o Options) []*Table {
 	// One trial per algorithm timeline; adapters are stateful, so each
 	// trial constructs its own. They are bare adapters, not netsim's: a
 	// timeline has no netsim rng, so SampleRate is seeded from o.Seed.
-	rates, lossless := rate.Evaluation(), ctl.NominalAirtimes()
+	rates, lossless := rate.Evaluation(), ratectl.NominalAirtimes()
 	timelines := engine.Map(o.Workers, 2, func(i int) []mac.TxRecord {
 		if i == 0 {
 			return rateTimeline(ratectl.NewRRAA(rates, lossless, false), dur, o.Seed+1)

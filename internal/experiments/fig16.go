@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"softrate/internal/channel"
-	"softrate/internal/ctl"
 	"softrate/internal/experiments/engine"
 	"softrate/internal/netsim"
 	"softrate/internal/rate"
@@ -60,15 +59,15 @@ func runFig16(o Options) []*Table {
 	})
 	// SNR trained on walking traces and RRAA without adaptive RTS are this
 	// figure's own configurations, so only three entries come from netsim.
-	rates, lossless := rate.Evaluation(), ctl.NominalAirtimes()
+	rates, lossless := rate.Evaluation(), ratectl.NominalAirtimes()
 	algs := []netsim.AdapterFactory{
 		netsim.Omniscient,
 		netsim.SoftRate,
-		func(*trace.LinkTrace, *rand.Rand) ctl.Controller {
-			return ctl.Wrap(ratectl.NewSNRBased(walkTrained, "SNR (untrained)"))
+		func(*trace.LinkTrace, *rand.Rand) ratectl.Adapter {
+			return ratectl.NewSNRBased(walkTrained, "SNR (untrained)")
 		},
-		func(*trace.LinkTrace, *rand.Rand) ctl.Controller {
-			return ctl.Wrap(ratectl.NewRRAA(rates, lossless, false))
+		func(*trace.LinkTrace, *rand.Rand) ratectl.Adapter {
+			return ratectl.NewRRAA(rates, lossless, false)
 		},
 		netsim.SampleRate,
 	}

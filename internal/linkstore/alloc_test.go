@@ -29,7 +29,7 @@ func TestWarmApplyBatchAllocFree(t *testing.T) {
 		{"samplerate-inplace", ctl.AlgoSampleRate, nil},
 	} {
 		const nLinks = 1024
-		st := New(Config{ExpectedLinks: nLinks, NewController: tc.build})
+		st := New(Config{ExpectedLinks: nLinks, newController: tc.build})
 		all := benchOps(tc.algo, nLinks)
 		out := make([]int32, len(all[0]))
 		for _, ops := range all {

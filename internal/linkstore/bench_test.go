@@ -68,7 +68,7 @@ func BenchmarkSampleRateCodec(b *testing.B) {
 	st := New(Config{
 		Shards:        64,
 		ExpectedLinks: nLinks,
-		NewController: func(a ctl.Algo) ctl.Controller { return maskInPlace{ctl.New(a)} },
+		newController: func(a ctl.Algo) ctl.Controller { return maskInPlace{ctl.New(a)} },
 	})
 	benchApply(b, st, benchOps(ctl.AlgoSampleRate, nLinks))
 }

@@ -81,11 +81,12 @@ type Config struct {
 	// (which v1 wire records and zero-valued Ops do). Zero means
 	// ctl.AlgoSoftRate.
 	DefaultAlgo ctl.Algo
-	// NewController overrides how per-algorithm controllers are built
-	// (default ctl.New). Controllers it returns must keep the registered
-	// Spec's StateLen — the store slab-allocates at that width — and all
+	// newController overrides how per-algorithm controllers are built
+	// (default ctl.New); tests set it to hide a controller's in-place
+	// path. Controllers it returns must keep the registered Spec's
+	// StateLen — the store slab-allocates at that width — and all
 	// controllers of one algorithm must be interchangeable up to state.
-	NewController func(ctl.Algo) ctl.Controller
+	newController func(ctl.Algo) ctl.Controller
 	// TTL is the idle time after which a link is evicted from the hot table
 	// (0 disables eviction).
 	TTL time.Duration
@@ -377,7 +378,7 @@ func New(cfg Config) *Store {
 	if st.defaultAlgo == ctl.AlgoDefault {
 		st.defaultAlgo = ctl.AlgoSoftRate
 	}
-	st.build = cfg.NewController
+	st.build = cfg.newController
 	if st.build == nil {
 		st.build = ctl.New
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"softrate/internal/core"
-	"softrate/internal/ctl"
 	"softrate/internal/rate"
 	"softrate/internal/ratectl"
 	"softrate/internal/trace"
@@ -39,31 +38,31 @@ func Algorithms() []Algorithm {
 // write them, so all links share one copy.
 var (
 	evalRates       = rate.Evaluation()
-	nominalAirtimes = ctl.NominalAirtimes()
+	nominalAirtimes = ratectl.NominalAirtimes()
 )
 
 // Omniscient picks every frame's best rate from the link's own trace: the
 // §6.1 upper bound, not a realizable protocol.
-func Omniscient(fwd *trace.LinkTrace, _ *rand.Rand) ctl.Controller {
-	return ctl.Wrap(&ratectl.Omniscient{Oracle: fwd.BestRateAt})
+func Omniscient(fwd *trace.LinkTrace, _ *rand.Rand) ratectl.Adapter {
+	return &ratectl.Omniscient{Oracle: fwd.BestRateAt}
 }
 
 // SoftRate is the paper's algorithm in its default configuration, the
 // same controller ctl's registry serves as "softrate".
-func SoftRate(*trace.LinkTrace, *rand.Rand) ctl.Controller {
-	return ctl.NewSoftRate(core.DefaultConfig())
+func SoftRate(*trace.LinkTrace, *rand.Rand) ratectl.Adapter {
+	return ratectl.NewSoftRate(core.DefaultConfig())
 }
 
 // TrainedSNR is the per-frame SNR protocol with thresholds trained on the
 // link's own trace (§6.1 computes SNR-BER relationships "from the traces
 // used for evaluation").
-func TrainedSNR(fwd *trace.LinkTrace, _ *rand.Rand) ctl.Controller {
-	return ctl.Wrap(ratectl.NewSNRBased(trainedThresholds(fwd), "SNR (trained)"))
+func TrainedSNR(fwd *trace.LinkTrace, _ *rand.Rand) ratectl.Adapter {
+	return ratectl.NewSNRBased(trainedThresholds(fwd), "SNR (trained)")
 }
 
 // TrainedCHARM is CHARM trained the same way as TrainedSNR.
-func TrainedCHARM(fwd *trace.LinkTrace, _ *rand.Rand) ctl.Controller {
-	return ctl.Wrap(ratectl.NewCHARM(trainedThresholds(fwd)))
+func TrainedCHARM(fwd *trace.LinkTrace, _ *rand.Rand) ratectl.Adapter {
+	return ratectl.NewCHARM(trainedThresholds(fwd))
 }
 
 func trainedThresholds(fwd *trace.LinkTrace) []float64 {
@@ -71,12 +70,12 @@ func trainedThresholds(fwd *trace.LinkTrace) []float64 {
 }
 
 // RRAA is RRAA with adaptive RTS on.
-func RRAA(*trace.LinkTrace, *rand.Rand) ctl.Controller {
-	return ctl.Wrap(ratectl.NewRRAA(evalRates, nominalAirtimes, true))
+func RRAA(*trace.LinkTrace, *rand.Rand) ratectl.Adapter {
+	return ratectl.NewRRAA(evalRates, nominalAirtimes, true)
 }
 
 // SampleRate is SampleRate with its own math/rand source, seeded by one
 // draw from the run's rng.
-func SampleRate(_ *trace.LinkTrace, rng *rand.Rand) ctl.Controller {
-	return ctl.Wrap(ratectl.NewSampleRate(evalRates, nominalAirtimes, rand.New(rand.NewSource(rng.Int63()))))
+func SampleRate(_ *trace.LinkTrace, rng *rand.Rand) ratectl.Adapter {
+	return ratectl.NewSampleRate(evalRates, nominalAirtimes, rand.New(rand.NewSource(rng.Int63())))
 }

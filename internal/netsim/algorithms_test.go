@@ -2,12 +2,16 @@ package netsim
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"softrate/internal/channel"
+	"softrate/internal/core"
 	"softrate/internal/ctl"
+	"softrate/internal/ratectl"
 	"softrate/internal/trace"
 )
 
@@ -40,30 +44,49 @@ func TestAlgorithmKeysAreRegistryNames(t *testing.T) {
 }
 
 // TestSoftRateIsTheServedController: SoftRate is simulated in the exact
-// configuration the registry serves, so over one replay both give the same
-// decisions and the same encoded state after every frame.
+// configuration the registry serves. Over one replay the simulated adapter,
+// fed the Results the MAC builds, and the served controller, fed the same
+// frames as service feedback, pick the same rate after every frame, and the
+// adapter's core state encodes to the served 8-byte snapshot.
 func TestSoftRateIsTheServedController(t *testing.T) {
 	lt := trace.Generate(trace.GenConfig{
 		Model:    channel.NewTable4Walking(rand.New(rand.NewSource(3))),
 		Duration: 0.5,
 		Seed:     4,
 	})
-	sim := SoftRate(lt, rand.New(rand.NewSource(1)))
+	sim := SoftRate(lt, rand.New(rand.NewSource(1))).(*ratectl.SoftRateAdapter)
 	served := ctl.New(ctl.AlgoSoftRate)
-	if sim.StateLen() != served.StateLen() {
-		t.Fatalf("state widths %d and %d", sim.StateLen(), served.StateLen())
+	if served.StateLen() != 8 {
+		t.Fatalf("served SoftRate state width %d, want 8", served.StateLen())
 	}
-	a, b := make([]byte, sim.StateLen()), make([]byte, served.StateLen())
+	a, b := make([]byte, 8), make([]byte, 8)
+	airtimes := ratectl.NominalAirtimes()
 	it := lt.FramesMix(5, trace.Mix{CollisionProb: 0.2, PreambleLossProb: 0.3, PostambleProb: 0.5})
-	cur := sim.NextRate(0)
-	for i := 0; i < it.Len(); i++ {
+	now := 0.0
+	cur := sim.NextRate(now)
+	// Two passes: the first holds no collision inside a silent-loss run,
+	// where only the Collision flag keeps the run from being cleared.
+	for i := 0; i < 2*it.Len(); i++ {
 		ev, _ := it.Next(cur)
-		fb := ctl.Feedback{Kind: ev.Kind, RateIndex: ev.RateIndex, BER: ev.BER, SNRdB: ev.SNRdB, Delivered: ev.Delivered}
-		cur = sim.Apply(fb)
-		if got := served.Apply(fb); got != cur {
-			t.Fatalf("frame %d: simulated rate %d, served %d", i, cur, got)
+		now += airtimes[ev.RateIndex]
+		res := ratectl.Result{Time: now, RateIndex: ev.RateIndex, Airtime: airtimes[ev.RateIndex], SNRdB: math.NaN()}
+		switch ev.Kind {
+		case core.KindBER:
+			res.FeedbackReceived, res.Delivered, res.BER, res.SNRdB = true, ev.Delivered, ev.BER, ev.SNRdB
+		case core.KindCollision:
+			res.FeedbackReceived, res.Collision, res.BER, res.SNRdB = true, true, ev.BER, ev.SNRdB
+		case core.KindPostamble:
+			res.FeedbackReceived, res.PostambleOnly = true, true
 		}
-		sim.EncodeState(a)
+		sim.OnResult(res)
+		cur = sim.NextRate(now)
+		fb := ctl.Feedback{Kind: ev.Kind, RateIndex: ev.RateIndex, BER: ev.BER, SNRdB: ev.SNRdB, Delivered: ev.Delivered}
+		if got := served.Apply(fb); got != cur {
+			t.Fatalf("frame %d (%v): simulated rate %d, served %d", i, ev.Kind, cur, got)
+		}
+		st := sim.SR.Snapshot()
+		binary.LittleEndian.PutUint32(a[0:4], uint32(st.RateIndex))
+		binary.LittleEndian.PutUint32(a[4:8], uint32(st.SilentRun))
 		served.EncodeState(b)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("frame %d: simulated state %x, served %x", i, a, b)

@@ -10,7 +10,6 @@ package netsim
 import (
 	"math/rand"
 
-	"softrate/internal/ctl"
 	"softrate/internal/mac"
 	"softrate/internal/ratectl"
 	"softrate/internal/sim"
@@ -57,14 +56,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// AdapterFactory builds a rate controller for one link, on the unified
-// ctl.Controller contract — the same interface the softrated decision
-// service stores and relocates, so any algorithm evaluated here is
-// servable and vice versa (wrap bare ratectl adapters with ctl.Wrap). The
+// AdapterFactory builds the rate adaptation algorithm for one link. The
 // factory receives the link's forward trace so oracle- and training-based
 // algorithms can be constructed; honest algorithms must only use it for
 // training, never for lookahead. Algorithms lists the §6.1 factories.
-type AdapterFactory func(fwd *trace.LinkTrace, rng *rand.Rand) ctl.Controller
+type AdapterFactory func(fwd *trace.LinkTrace, rng *rand.Rand) ratectl.Adapter
 
 // FlowResult summarizes one TCP flow.
 type FlowResult struct {
@@ -160,7 +156,7 @@ func RunUplink(cfg Config, fwdTraces, revTraces []*trace.LinkTrace, factory Adap
 	down := &wiredLink{eng: eng, rate: cfg.WiredRate, delay: cfg.WiredDelay}
 
 	// AP: one station, per-client adapters and reverse traces.
-	apAdapters := make([]ctl.Controller, n)
+	apAdapters := make([]ratectl.Adapter, n)
 	for i := 0; i < n; i++ {
 		apAdapters[i] = factory(revTraces[i], rng)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"softrate/internal/channel"
-	"softrate/internal/ctl"
 	"softrate/internal/ratectl"
 	"softrate/internal/trace"
 )
@@ -33,8 +32,8 @@ func genTraces(n int, meanSNR float64, doppler float64, dur float64, seed int64)
 }
 
 func fixedFactory(idx int) AdapterFactory {
-	return func(*trace.LinkTrace, *rand.Rand) ctl.Controller {
-		return ctl.Wrap(&ratectl.Fixed{Index: idx})
+	return func(*trace.LinkTrace, *rand.Rand) ratectl.Adapter {
+		return &ratectl.Fixed{Index: idx}
 	}
 }
 

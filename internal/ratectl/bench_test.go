@@ -43,7 +43,7 @@ func benchAdapter(b *testing.B, mk func() Adapter) {
 
 func BenchmarkOnResult(b *testing.B) {
 	rates := rate.Evaluation()
-	lossless := lossless1400()
+	lossless := NominalAirtimes()
 	b.Run("SampleRate", func(b *testing.B) {
 		benchAdapter(b, func() Adapter {
 			return NewSampleRate(rates, lossless, NewSplitMix(1))
@@ -77,7 +77,7 @@ func BenchmarkOnResult(b *testing.B) {
 // pays per op for each relocatable algorithm.
 func BenchmarkEncodeDecodeState(b *testing.B) {
 	rates := rate.Evaluation()
-	lossless := lossless1400()
+	lossless := NominalAirtimes()
 
 	b.Run("SampleRate", func(b *testing.B) {
 		s := NewSampleRate(rates, lossless, NewSplitMix(1))
@@ -127,7 +127,7 @@ func BenchmarkEncodeDecodeState(b *testing.B) {
 // heap allocations for every algorithm.
 func TestOnResultDoesNotAllocateSteadyState(t *testing.T) {
 	rates := rate.Evaluation()
-	lossless := lossless1400()
+	lossless := NominalAirtimes()
 	mks := map[string]func() Adapter{
 		"SampleRate": func() Adapter { return NewSampleRate(rates, lossless, NewSplitMix(1)) },
 		"SampleRate/capped": func() Adapter {
@@ -159,7 +159,7 @@ func TestOnResultDoesNotAllocateSteadyState(t *testing.T) {
 // the ring is a memory bound, not a behaviour change, until it saturates.
 func TestSampleRateRingMatchesUnboundedHistory(t *testing.T) {
 	rates := rate.Evaluation()
-	lossless := lossless1400()
+	lossless := NominalAirtimes()
 	a := NewSampleRate(rates, lossless, NewSplitMix(9))
 	b := NewSampleRate(rates, lossless, NewSplitMix(9))
 	b.WindowCap = 255 // larger than one window's worth of frames below

@@ -8,8 +8,10 @@ package ratectl
 
 import (
 	"math"
+	"sync"
 
 	"softrate/internal/core"
+	"softrate/internal/ofdm"
 	"softrate/internal/rate"
 )
 
@@ -336,12 +338,27 @@ func TrainThresholds(samples []TrainingSample, nRates int, target float64) []flo
 	return th
 }
 
-// ratesAirtime is a helper giving the lossless airtime of each rate for a
-// given frame size, used by SampleRate and RRAA threshold computation.
-func ratesAirtime(rates []rate.Rate, airtime func(rate.Rate) float64) []float64 {
-	out := make([]float64, len(rates))
-	for i, r := range rates {
-		out[i] = airtime(r)
-	}
+// nominalFrameBytes is the paper's 1400-byte evaluation frame.
+const nominalFrameBytes = 1400
+
+var (
+	nominalOnce    sync.Once
+	nominalAirtime []float64
+)
+
+// NominalAirtimes returns the lossless airtime of a 1400-byte frame at
+// each evaluation rate in simulation mode: the vector SampleRate and RRAA
+// derive their thresholds from, and the airtime the served controllers
+// assume for feedback that carries none. Each call returns a fresh copy.
+func NominalAirtimes() []float64 {
+	nominalOnce.Do(func() {
+		rates := rate.Evaluation()
+		nominalAirtime = make([]float64, len(rates))
+		for i, r := range rates {
+			nominalAirtime[i] = ofdm.Simulation.PayloadAirtime(nominalFrameBytes, r, false)
+		}
+	})
+	out := make([]float64, len(nominalAirtime))
+	copy(out, nominalAirtime)
 	return out
 }

@@ -6,15 +6,8 @@ import (
 	"testing"
 
 	"softrate/internal/core"
-	"softrate/internal/ofdm"
 	"softrate/internal/rate"
 )
-
-func lossless1400() []float64 {
-	return ratesAirtime(rate.Evaluation(), func(r rate.Rate) float64 {
-		return ofdm.Simulation.PayloadAirtime(1400, r, false)
-	})
-}
 
 func TestFixed(t *testing.T) {
 	f := &Fixed{Index: 3}
@@ -172,7 +165,7 @@ func TestTrainThresholdsEmptyRate(t *testing.T) {
 }
 
 func TestSampleRateStartsOptimistic(t *testing.T) {
-	sr := NewSampleRate(rate.Evaluation(), lossless1400(), rand.New(rand.NewSource(2)))
+	sr := NewSampleRate(rate.Evaluation(), NominalAirtimes(), rand.New(rand.NewSource(2)))
 	// With no data, every rate looks lossless, so the highest (shortest
 	// airtime) wins.
 	if got := sr.NextRate(0); got != 5 {
@@ -183,12 +176,12 @@ func TestSampleRateStartsOptimistic(t *testing.T) {
 func TestSampleRateConvergesToBestRate(t *testing.T) {
 	// Channel: rates 0..3 always deliver, rates 4,5 always fail. The
 	// throughput-optimal choice is rate 3.
-	sr := NewSampleRate(rate.Evaluation(), lossless1400(), rand.New(rand.NewSource(3)))
+	sr := NewSampleRate(rate.Evaluation(), NominalAirtimes(), rand.New(rand.NewSource(3)))
 	now := 0.0
 	for i := 0; i < 300; i++ {
 		idx := sr.NextRate(now)
 		ok := idx <= 3
-		at := lossless1400()[idx]
+		at := NominalAirtimes()[idx]
 		if !ok {
 			at *= 2 // retries burn extra airtime
 		}
@@ -200,7 +193,7 @@ func TestSampleRateConvergesToBestRate(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		idx := sr.NextRate(now)
 		votes[idx]++
-		at := lossless1400()[idx]
+		at := NominalAirtimes()[idx]
 		now += at
 		sr.OnResult(Result{Time: now, RateIndex: idx, Airtime: at, Delivered: idx <= 3})
 	}
@@ -210,14 +203,14 @@ func TestSampleRateConvergesToBestRate(t *testing.T) {
 }
 
 func TestSampleRateProbes(t *testing.T) {
-	sr := NewSampleRate(rate.Evaluation(), lossless1400(), rand.New(rand.NewSource(4)))
+	sr := NewSampleRate(rate.Evaluation(), NominalAirtimes(), rand.New(rand.NewSource(4)))
 	sr.ProbeEvery = 5
 	now := 0.0
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
 		idx := sr.NextRate(now)
 		seen[idx] = true
-		at := lossless1400()[idx]
+		at := NominalAirtimes()[idx]
 		now += at
 		// Rate 2 is best; everything else fails.
 		sr.OnResult(Result{Time: now, RateIndex: idx, Airtime: at, Delivered: idx == 2})
@@ -233,7 +226,7 @@ func TestSampleRateProbes(t *testing.T) {
 func TestSampleRateWindowForgets(t *testing.T) {
 	// A rate that failed long ago must become eligible again once its
 	// failures age out of the window (via the optimistic default).
-	sr := NewSampleRate(rate.Evaluation(), lossless1400(), rand.New(rand.NewSource(5)))
+	sr := NewSampleRate(rate.Evaluation(), NominalAirtimes(), rand.New(rand.NewSource(5)))
 	sr.Window = 0.5
 	for i := 0; i < 4; i++ {
 		sr.OnResult(Result{Time: 0.01 * float64(i), RateIndex: 5, Airtime: 1e-3, Delivered: false})
@@ -250,7 +243,7 @@ func TestSampleRateWindowForgets(t *testing.T) {
 }
 
 func TestRRAAThresholds(t *testing.T) {
-	r := NewRRAA(rate.Evaluation(), lossless1400(), false)
+	r := NewRRAA(rate.Evaluation(), NominalAirtimes(), false)
 	for i := 1; i < 6; i++ {
 		if r.pmtl[i] <= 0 || r.pmtl[i] >= 1 {
 			t.Fatalf("P_MTL[%d] = %v out of (0,1)", i, r.pmtl[i])
@@ -267,7 +260,7 @@ func TestRRAAThresholds(t *testing.T) {
 }
 
 func TestRRAAStepsDownFastUnderLoss(t *testing.T) {
-	r := NewRRAA(rate.Evaluation(), lossless1400(), false)
+	r := NewRRAA(rate.Evaluation(), NominalAirtimes(), false)
 	r.cur = 5
 	frames := 0
 	for r.NextRate(0) == 5 && frames < 100 {
@@ -282,7 +275,7 @@ func TestRRAAStepsDownFastUnderLoss(t *testing.T) {
 }
 
 func TestRRAAStepsUpOnCleanWindows(t *testing.T) {
-	r := NewRRAA(rate.Evaluation(), lossless1400(), false)
+	r := NewRRAA(rate.Evaluation(), NominalAirtimes(), false)
 	if r.NextRate(0) != 0 {
 		t.Fatal("RRAA must start at the lowest rate")
 	}
@@ -296,7 +289,7 @@ func TestRRAAStepsUpOnCleanWindows(t *testing.T) {
 
 func TestRRAAHoldsInBand(t *testing.T) {
 	// Loss ratio between P_ORI and P_MTL: hold.
-	r := NewRRAA(rate.Evaluation(), lossless1400(), false)
+	r := NewRRAA(rate.Evaluation(), NominalAirtimes(), false)
 	r.cur = 3
 	p := (r.pori[3] + r.pmtl[3]) / 2
 	rng := rand.New(rand.NewSource(6))
@@ -309,7 +302,7 @@ func TestRRAAHoldsInBand(t *testing.T) {
 }
 
 func TestRRAAAdaptiveRTS(t *testing.T) {
-	r := NewRRAA(rate.Evaluation(), lossless1400(), true)
+	r := NewRRAA(rate.Evaluation(), NominalAirtimes(), true)
 	if r.WantRTS() {
 		t.Fatal("RTS must start off")
 	}
@@ -334,11 +327,24 @@ func TestRRAAAdaptiveRTS(t *testing.T) {
 }
 
 func TestRRAAWithoutARTSNeverRTS(t *testing.T) {
-	r := NewRRAA(rate.Evaluation(), lossless1400(), false)
+	r := NewRRAA(rate.Evaluation(), NominalAirtimes(), false)
 	for i := 0; i < 10; i++ {
 		r.OnResult(Result{RateIndex: 0, Delivered: false})
 		if r.WantRTS() {
 			t.Fatal("A-RTS disabled but RTS requested")
 		}
+	}
+}
+
+// TestStateWidths pins the snapshot widths the served controllers build
+// on: SampleRate's grows with WindowCap, RRAA's is fixed.
+func TestStateWidths(t *testing.T) {
+	s := NewSampleRate(rate.Evaluation(), NominalAirtimes(), NewSplitMix(7))
+	s.WindowCap = 4
+	if got, want := s.StateLen(), 16+len(rate.Evaluation())*(2+4*17); got != want {
+		t.Fatalf("SampleRate at WindowCap 4: state width %d, want %d", got, want)
+	}
+	if got := NewRRAA(rate.Evaluation(), NominalAirtimes(), false).StateLen(); got != 8 {
+		t.Fatalf("RRAA state width %d, want 8", got)
 	}
 }
