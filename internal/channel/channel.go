@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 )
 
 // DefaultOscillators is the number of sinusoids in the fading model.
@@ -296,8 +297,58 @@ func (m *Model) SampleSNRdB(dst []float64, t0, T float64) {
 	}
 }
 
-// DBToLinear converts decibels to a linear power ratio.
-func DBToLinear(db float64) float64 { return math.Pow(10, db/10) }
+// ln10 and frac10·2^exp10 are math.Log(10) and math.Frexp(10), which
+// math.Pow(10, y) recomputes on every call.
+var (
+	ln10          = math.Log(10)
+	frac10, exp10 = math.Frexp(10)
+)
+
+// DBToLinear converts decibels to a linear power ratio: math.Pow(10,
+// db/10) bit for bit. It runs Pow's own steps for x = 10 with ln10 and
+// Frexp(10) hoisted — split y into integer and fraction, take the
+// fraction as Exp(yf·ln10), multiply in the integer power by repeated
+// squaring of the mantissa while summing exponents, then Ldexp — and
+// leaves Pow the arguments it special-cases (and the one port whose Pow
+// is assembly).
+func DBToLinear(db float64) float64 {
+	y := db / 10
+	ay := math.Abs(y)
+	if !(ay < 1<<63) || y == 0 || y == 1 || ay == 0.5 || runtime.GOARCH == "s390x" {
+		return math.Pow(10, y) // NaN, ±Inf, huge, and Pow's shortcuts
+	}
+	yi, yf := math.Modf(ay)
+	a1, ae := 1.0, 0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = math.Exp(yf * ln10)
+	}
+	x1, xe := frac10, exp10
+	for i := int64(yi); i != 0; i >>= 1 {
+		if xe < -1<<12 || 1<<12 < xe {
+			ae += xe // Ldexp under- or overflows below
+			break
+		}
+		if i&1 == 1 {
+			a1 *= x1
+			ae += xe
+		}
+		x1 *= x1
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+	if y < 0 {
+		a1 = 1 / a1
+		ae = -ae
+	}
+	return math.Ldexp(a1, ae)
+}
 
 // LinearToDB converts a linear power ratio to decibels.
 func LinearToDB(lin float64) float64 {

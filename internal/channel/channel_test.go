@@ -249,6 +249,59 @@ func TestDBConversions(t *testing.T) {
 	}
 }
 
+// dbSeeds are decibel values on every branch of DBToLinear and of the
+// math.Pow it replays: Pow's special cases, a fraction either side of
+// one half, the squaring loop's long runs, overflow to +Inf, underflow
+// through the subnormals to 0, and |db/10| at and past 2^63.
+func dbSeeds() []float64 {
+	seeds := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		10, -10, 5, -5, 15, -15, 4.999999999999999, 5.000000000000001,
+		20, -20, 3, -3, 0.1, -0.1, 1e-300, -1e-300, 5e-324,
+		3080, 3082.5, 3083, 3090, -3070, -3079, -3083, -3240, -3250, -3300,
+		20480, -20480, 40960, -40960, 1e5, -1e5, 9.223372036854775e19, -9.223372036854775e19, 1e30, -1e30,
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	for db := -60.0; db <= 60; db += 0.37 {
+		seeds = append(seeds, db)
+	}
+	return seeds
+}
+
+func checkDBToLinear(t *testing.T, db float64) {
+	t.Helper()
+	got, want := DBToLinear(db), math.Pow(10, db/10)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("DBToLinear(%v) = %v (%#x), math.Pow(10, db/10) = %v (%#x)",
+			db, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+func TestDBToLinearMatchesPow(t *testing.T) {
+	for _, db := range dbSeeds() {
+		checkDBToLinear(t, db)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		checkDBToLinear(t, (rng.Float64()*2-1)*80)
+	}
+}
+
+func FuzzDBToLinear(f *testing.F) {
+	for _, db := range dbSeeds() {
+		f.Add(db)
+	}
+	f.Fuzz(checkDBToLinear)
+}
+
+var dbSink float64
+
+func BenchmarkDBToLinear(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		dbSink += DBToLinear(float64(i%4096)*0.01 - 5)
+	}
+}
+
 func BenchmarkRayleighGain(b *testing.B) {
 	r := NewRayleigh(rand.New(rand.NewSource(1)), 100, DefaultOscillators)
 	b.ResetTimer()

@@ -1,16 +1,14 @@
 package coding
 
-import "math/bits"
-
-// This file implements the row-combine primitives of the lockstep batch
-// decoder: folding one candidate branch metric per lane into an
-// accumulator row, with exactly the sentinel/maxStar semantics of the
-// single-frame decoder's inlined comb logic. The log-MAP form has a
-// vectorized amd64 implementation (combine_amd64.s) that replicates the
-// scalar math.Exp/math.Log1p operation sequences bit-for-bit; every other
-// configuration runs the scalar loops below. Both paths are contractually
-// bit-identical to the single-frame decoder (the batch equivalence suite
-// and FuzzBatchDecodeMatchesSingle pin this).
+// This file holds the combine primitives of the lockstep batch decoder:
+// folding one candidate branch metric into an accumulator with exactly
+// the sentinel/maxStar semantics of the single-frame decoder's inlined
+// comb logic. The log-MAP form has vectorized amd64 step kernels
+// (combine_amd64.s) that replicate the scalar math.Exp/math.Log1p
+// operation sequences bit-for-bit; every other configuration, and the
+// lanes the kernels flag, run the scalar combs below (combine_step.go).
+// Both paths are contractually bit-identical to the single-frame decoder
+// (the batch equivalence suite and FuzzBatchDecodeMatchesSingle pin this).
 
 // combLogMAP folds candidate m into accumulator x with the BCJR sentinel
 // semantics and the exact Jacobian combine. It mirrors the single-frame
@@ -37,81 +35,4 @@ func combMaxLog(x, m float64) float64 {
 		return m
 	}
 	return x
-}
-
-// combineRows2 performs, for every lane i:
-//
-//	if src[i] > sentinel { dst[i] = comb(dst[i], src[i]+bm[i]) }
-//
-// which is one (state, input) trellis transition applied across a batch.
-// len(dst) == len(src) == len(bm) and must be at most maxBatchLanes.
-func combineRows2(dst, src, bm []float64, mode BCJRMode) {
-	n := len(dst)
-	i := 0
-	if mode == LogMAP && hasFastJacobian && n >= 4 {
-		nv := n &^ 3
-		fix := combineRows2AVX2(&dst[0], &src[0], &bm[0], nv)
-		for fix != 0 {
-			j := bits.TrailingZeros64(fix)
-			fix &^= 1 << uint(j)
-			if a := src[j]; !(a <= bcjrNegInf) {
-				dst[j] = combLogMAP(dst[j], a+bm[j])
-			}
-		}
-		i = nv
-	}
-	if mode == LogMAP {
-		for ; i < n; i++ {
-			if a := src[i]; !(a <= bcjrNegInf) {
-				dst[i] = combLogMAP(dst[i], a+bm[i])
-			}
-		}
-		return
-	}
-	for ; i < n; i++ {
-		if a := src[i]; !(a <= bcjrNegInf) {
-			dst[i] = combMaxLog(dst[i], a+bm[i])
-		}
-	}
-}
-
-// combineRows3 performs, for every lane i:
-//
-//	if a[i] > sentinel && b[i] > sentinel {
-//		dst[i] = comb(dst[i], (a[i]+bm[i])+b[i])
-//	}
-//
-// which is one a-posteriori (alpha + branch + beta) accumulation across a
-// batch. All slices share a length of at most maxBatchLanes.
-func combineRows3(dst, a, bm, b []float64, mode BCJRMode) {
-	n := len(dst)
-	i := 0
-	if mode == LogMAP && hasFastJacobian && n >= 4 {
-		nv := n &^ 3
-		fix := combineRows3AVX2(&dst[0], &a[0], &bm[0], &b[0], nv)
-		for fix != 0 {
-			j := bits.TrailingZeros64(fix)
-			fix &^= 1 << uint(j)
-			av, bv := a[j], b[j]
-			if !(av <= bcjrNegInf) && !(bv <= bcjrNegInf) {
-				dst[j] = combLogMAP(dst[j], (av+bm[j])+bv)
-			}
-		}
-		i = nv
-	}
-	if mode == LogMAP {
-		for ; i < n; i++ {
-			av, bv := a[i], b[i]
-			if !(av <= bcjrNegInf) && !(bv <= bcjrNegInf) {
-				dst[i] = combLogMAP(dst[i], (av+bm[i])+bv)
-			}
-		}
-		return
-	}
-	for ; i < n; i++ {
-		av, bv := a[i], b[i]
-		if !(av <= bcjrNegInf) && !(bv <= bcjrNegInf) {
-			dst[i] = combMaxLog(dst[i], (av+bm[i])+bv)
-		}
-	}
 }

@@ -4,7 +4,7 @@ package coding
 
 import "softrate/internal/cpufeat"
 
-// The vectorized log-MAP row combine requires AVX2 (256-bit integer ops)
+// The vectorized log-MAP combine kernels require AVX2 (256-bit integer ops)
 // and FMA3. On such hardware math.Exp's amd64 assembly takes its FMA path
 // (math.useFMA is AVX&&FMA), which is the operation sequence the kernels
 // in combine_amd64.s replicate lane-for-lane — packed IEEE-754 ops are
@@ -12,8 +12,8 @@ import "softrate/internal/cpufeat"
 // the floats the scalar decoder produces. Rare inputs whose math.Log1p
 // control flow leaves the replicated fast paths (NaNs, Inf-Inf candidate
 // collisions, arguments within ulps of u==2 inside Log1p) are reported in
-// the returned fixup mask and re-run through the scalar code by the
-// wrappers in combine.go.
+// the fixup masks and re-run through the scalar code (applyStepFixups and
+// appLane in combine_step.go).
 var hasFastJacobian = cpufeat.AVX2 && cpufeat.FMA
 
 // hasAVX512Jacobian additionally requires AVX512 F/DQ/VL (and OS ZMM+opmask
@@ -23,19 +23,6 @@ var hasFastJacobian = cpufeat.AVX2 && cpufeat.FMA
 // so the bit-identity contract is unchanged; the wider vectors halve the
 // number of long-latency Jacobian chains per trellis step.
 var hasAVX512Jacobian = hasFastJacobian && cpufeat.AVX512
-
-// combineRows2AVX2 is the vector form of combineRows2's LogMAP loop over
-// n&^3 lanes (n must be a multiple of 4 and at most maxBatchLanes). Lanes
-// whose control flow cannot be replicated in-vector are left untouched and
-// reported in the returned bitmask (bit i = lane i).
-//
-//go:noescape
-func combineRows2AVX2(dst, src, bm *float64, n int) uint64
-
-// combineRows3AVX2 is the vector form of combineRows3's LogMAP loop.
-//
-//go:noescape
-func combineRows3AVX2(dst, a, bm, b *float64, n int) uint64
 
 // stepCombineDualAVX2 walks two legs of 32 table entries each (see
 // combine_step.go) over n lanes, n a multiple of 4; the batch decoder

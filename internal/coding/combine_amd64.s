@@ -24,19 +24,15 @@
 // — are excluded from the result store and reported in a fixup bitmask for
 // the Go wrapper to redo with scalar code.
 //
-// Two granularities share one core:
-//
-//   - combineRows2/combineRows3: one transition row per call (the testing
-//     primitives and ragged-tail helpers).
-//   - stepCombineDualAVX2/stepAPPBlockAVX2: one whole trellis recursion step
-//     (or a block of APP steps) per call, driven by a 64-entry table
-//     (combine_step.go). Every entry's Jacobian work is independent, so one
-//     call exposes ~128 overlapping evaluation pipelines to the out-of-order
-//     core instead of the two a per-row call can. The APP kernel additionally
-//     interleaves a block of trellis steps per call, because each step's
-//     accumulation is a serial maxStar chain: with K steps in flight the
-//     chains overlap and the kernel runs at Jacobian throughput instead of
-//     chain latency.
+// The kernels (stepCombineDualAVX2/stepAPPBlockAVX2 and their AVX-512
+// forms) take one whole trellis recursion step (or a block of APP steps)
+// per call, driven by a 64-entry table (combine_step.go). Every entry's
+// Jacobian work is independent, so one call exposes ~128 overlapping
+// evaluation pipelines to the out-of-order core instead of the two a
+// per-row call can. The APP kernel additionally interleaves a block of
+// trellis steps per call, because each step's accumulation is a serial
+// maxStar chain: with K steps in flight the chains overlap and the kernel
+// runs at Jacobian throughput instead of chain latency.
 
 // 8-lane broadcast float64/uint64 constants. The AVX2 kernels read the low
 // 32 bytes, the AVX-512 kernels the full 64.
@@ -92,8 +88,8 @@ DATA jcBias<>+16(SB)/8, $0x000003FF000003FF
 DATA jcBias<>+24(SB)/8, $0x000003FF000003FF
 GLOBL jcBias<>(SB), RODATA|NOPTR, $32
 
-// The combine core is split into composable pieces so the row kernels and
-// the whole-step kernels can share it with different prologues/epilogues.
+// The combine core is split into composable pieces so the recursion-step
+// and APP kernels can share it with different prologues/epilogues.
 //
 // Common register contract:
 //   Inputs:  Y0 = x (accumulator), Y1 = m (candidates), Y2 = skip mask,
@@ -232,15 +228,6 @@ GLOBL jcBias<>(SB), RODATA|NOPTR, $32
 	SHLQ CX, AX                         \
 	ORQ AX, R8
 
-// Row-kernel epilogue: skip lanes keep their dst memory (masked store),
-// fixup lanes are left for the Go wrapper.
-#define CORE_STORE_ROW \
-	VORPD Y5, Y2, Y12                   \
-	VPCMPEQD Y14, Y14, Y14              \
-	VANDNPD Y14, Y12, Y14               /* store unless skip or fixup   */ \
-	VMASKMOVPD Y13, Y14, (DI)           \
-	CORE_FIXBITS
-
 // Step-kernel epilogue: the destination row is fully overwritten (skip
 // lanes resolve to the in-register x). Fixup lanes are stored too — their
 // values are garbage, but the scalar redo recomputes them from the source
@@ -258,94 +245,6 @@ GLOBL jcBias<>(SB), RODATA|NOPTR, $32
 #define CORE_ACC \
 	VBLENDVPD Y2, Y0, Y13, Y13          /* skip lanes keep x            */ \
 	CORE_FIXBITS
-
-// func combineRows2AVX2(dst, src, bm *float64, n int) uint64
-TEXT ·combineRows2AVX2(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ bm+16(FP), DX
-	MOVQ n+24(FP), R10
-	SHRQ $2, R10
-	XORQ R8, R8
-	XORQ R9, R9
-	VMOVUPD jcOne<>(SB), Y15
-	JMP  r2cond
-
-r2loop:
-	VMOVUPD (DI), Y0                    // x
-	VMOVUPD (SI), Y1                    // src state metric
-	VCMPPD  $2, jcNegInf<>(SB), Y1, Y2  // Kskip = src <= sentinel
-	VADDPD  (DX), Y1, Y1                // m = src + bm
-	CORE_MASKS
-	JE r2fast
-	CORE_JACOBIAN
-	JMP r2blend
-
-r2fast:
-	VMOVUPD Y8, Y13                     // no lane needs the correction
-
-r2blend:
-	CORE_BLEND
-	CORE_STORE_ROW
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $4, R9
-	DECQ R10
-
-r2cond:
-	TESTQ R10, R10
-	JNZ   r2loop
-	VZEROUPPER
-	MOVQ  R8, ret+32(FP)
-	RET
-
-// func combineRows3AVX2(dst, a, bm, b *float64, n int) uint64
-TEXT ·combineRows3AVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ bm+16(FP), DX
-	MOVQ b+24(FP), BX
-	MOVQ n+32(FP), R10
-	SHRQ $2, R10
-	XORQ R8, R8
-	XORQ R9, R9
-	VMOVUPD jcOne<>(SB), Y15
-	JMP  r3cond
-
-r3loop:
-	VMOVUPD (DI), Y0                    // x
-	VMOVUPD (SI), Y1                    // alpha
-	VMOVUPD (BX), Y4                    // beta
-	VCMPPD  $2, jcNegInf<>(SB), Y1, Y2
-	VCMPPD  $2, jcNegInf<>(SB), Y4, Y3
-	VORPD   Y3, Y2, Y2                  // Kskip = either sentinel
-	VADDPD  (DX), Y1, Y1
-	VADDPD  Y4, Y1, Y1                  // m = (alpha + bm) + beta
-	CORE_MASKS
-	JE r3fast
-	CORE_JACOBIAN
-	JMP r3blend
-
-r3fast:
-	VMOVUPD Y8, Y13
-
-r3blend:
-	CORE_BLEND
-	CORE_STORE_ROW
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $32, BX
-	ADDQ $4, R9
-	DECQ R10
-
-r3cond:
-	TESTQ R10, R10
-	JNZ   r3loop
-	VZEROUPPER
-	MOVQ  R8, ret+40(FP)
-	RET
 
 // func stepCombineDualAVX2(dstA, srcA, bmA, dstB, srcB, bmB *float64, tableA, tableB *uint8, fixA, fixB *uint64, n, stride int) uint64
 //

@@ -7,14 +7,6 @@ package coding
 const hasFastJacobian = false
 const hasAVX512Jacobian = false
 
-func combineRows2AVX2(dst, src, bm *float64, n int) uint64 {
-	panic("coding: combineRows2AVX2 without amd64 vector support")
-}
-
-func combineRows3AVX2(dst, a, bm, b *float64, n int) uint64 {
-	panic("coding: combineRows3AVX2 without amd64 vector support")
-}
-
 func stepCombineDualAVX2(dstA, srcA, bmA, dstB, srcB, bmB *float64, tableA, tableB *uint8, fixA, fixB *uint64, n, stride int) uint64 {
 	panic("coding: stepCombineDualAVX2 without amd64 vector support")
 }

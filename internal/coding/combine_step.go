@@ -66,9 +66,7 @@ func combRows(x, m float64, mode BCJRMode) float64 {
 
 // stepCombineEntry computes one destination lane of a whole-step combine
 // from scratch: candidate A is assigned first (a sentinel source leaves the
-// sentinel), candidate B folds in with the full comb semantics. This is
-// exactly sentinel-init followed by the two combineRows2 applications of
-// the per-row formulation.
+// sentinel), candidate B folds in with the full comb semantics.
 func stepCombineEntry(ent []uint8, src, bm []float64, L, l int, mode BCJRMode) float64 {
 	x := bcjrNegInf
 	if a := src[int(ent[1])*L+l]; !(a <= bcjrNegInf) {

@@ -14,57 +14,6 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// referenceRows2 is the scalar semantics combineRows2 must match bit-for-bit.
-func referenceRows2(dst, src, bm []float64, mode BCJRMode) {
-	for i := range dst {
-		a := src[i]
-		if a <= bcjrNegInf {
-			continue
-		}
-		m := a + bm[i]
-		x := dst[i]
-		if x <= bcjrNegInf {
-			dst[i] = m
-			continue
-		}
-		if m <= bcjrNegInf {
-			continue
-		}
-		if mode == MaxLog {
-			if !(x > m) {
-				dst[i] = m
-			}
-			continue
-		}
-		dst[i] = maxStar(x, m)
-	}
-}
-
-func referenceRows3(dst, a, bm, b []float64, mode BCJRMode) {
-	for i := range dst {
-		av, bv := a[i], b[i]
-		if av <= bcjrNegInf || bv <= bcjrNegInf {
-			continue
-		}
-		m := (av + bm[i]) + bv
-		x := dst[i]
-		if x <= bcjrNegInf {
-			dst[i] = m
-			continue
-		}
-		if m <= bcjrNegInf {
-			continue
-		}
-		if mode == MaxLog {
-			if !(x > m) {
-				dst[i] = m
-			}
-			continue
-		}
-		dst[i] = maxStar(x, m)
-	}
-}
-
 // adversarialValue draws from a pool of values chosen to hit every branch of
 // the combine: sentinels, ±Inf, NaN, exact ties (d == ±0 so exp(-d) == 1,
 // the Log1p u == 2 fixup), differences straddling the maxStar range cutoff
@@ -104,66 +53,106 @@ func adversarialValue(rng *rand.Rand, base float64) float64 {
 	}
 }
 
-func fillCombineCase(rng *rand.Rand, dst, other []float64) {
-	for i := range dst {
-		base := rng.NormFloat64() * 20
-		dst[i] = adversarialValue(rng, base)
-		other[i] = adversarialValue(rng, base)
+// stepCombineVector runs one whole-step log-MAP combine the way the batch
+// decoder's recursion does on this host: a vector step kernel (the
+// 8-lane one if wide) over the leading lanes, the scalar redo of its
+// flagged lanes, then the scalar walk over the ragged tail.
+func stepCombineVector(dst, src, bm []float64, table *[512]uint8, L int, wide bool) {
+	nv := L &^ 3
+	if wide {
+		nv = L &^ 7
+	}
+	if nv > 0 {
+		var fix [64]uint64
+		var fixed uint64
+		if wide {
+			fixed = stepCombineDualAVX512(&dst[0], &src[0], &bm[0], &dst[0], &src[0], &bm[0],
+				&table[0], &table[256], &fix[0], &fix[32], nv, L*8)
+		} else {
+			fixed = stepCombineDualAVX2(&dst[0], &src[0], &bm[0], &dst[0], &src[0], &bm[0],
+				&table[0], &table[256], &fix[0], &fix[32], nv, L*8)
+		}
+		if fixed != 0 {
+			applyStepFixups(&fix, dst, src, bm, table, L, LogMAP)
+		}
+	}
+	if nv < L {
+		stepCombineLanes(dst, src, bm, table, nv, L, L, LogMAP)
 	}
 }
 
-func TestCombineRowsMatchesScalar(t *testing.T) {
+// kernelWidths lists the step kernels this host runs: false for the
+// 4-lane AVX2 kernel, true for the 8-lane AVX-512 one.
+func kernelWidths(t *testing.T) []bool {
 	if !hasFastJacobian {
-		t.Log("no vector Jacobian on this host; exercising scalar path only")
+		t.Skip("no vector Jacobian on this host")
 	}
+	if hasAVX512Jacobian {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// checkStepCombine holds stepCombineVector to the scalar walk over every
+// lane, bit for bit.
+func checkStepCombine(t *testing.T, src, bm []float64, table *[512]uint8, L int, wide bool) {
+	t.Helper()
+	want := make([]float64, numStates*L)
+	stepCombineLanes(want, src, bm, table, 0, L, L, LogMAP)
+	got := make([]float64, numStates*L)
+	for i := range got {
+		got[i] = math.NaN() // every destination row must be rebuilt
+	}
+	stepCombineVector(got, src, bm, table, L, wide)
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("L=%d wide=%v row %d lane %d: got %x (%v), scalar %x (%v)",
+				L, wide, i/L, i%L, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+func TestStepCombineMatchesScalar(t *testing.T) {
+	widths := kernelWidths(t)
 	rng := rand.New(rand.NewSource(61))
-	sizes := []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 31, 64}
-	for _, mode := range []BCJRMode{LogMAP, MaxLog} {
-		for _, n := range sizes {
-			dst := make([]float64, n)
-			ref := make([]float64, n)
-			src := make([]float64, n)
-			bm := make([]float64, n)
-			b := make([]float64, n)
-			iters := 4000
-			if testing.Short() {
-				iters = 400
-			}
+	iters := 300
+	if testing.Short() {
+		iters = 30
+	}
+	for _, wide := range widths {
+		for _, L := range []int{4, 5, 8, 12, 16, 31, 64} {
+			src := make([]float64, numStates*L)
+			bm := make([]float64, 4*L)
 			for it := 0; it < iters; it++ {
-				fillCombineCase(rng, dst, src)
-				for i := range bm {
-					bm[i] = adversarialValue(rng, rng.NormFloat64()*5)
-					b[i] = adversarialValue(rng, rng.NormFloat64()*5)
-				}
-				copy(ref, dst)
-				referenceRows2(ref, src, bm, mode)
-				got := append([]float64(nil), dst...)
-				combineRows2(got, src, bm, mode)
-				for i := range got {
-					if !sameBits(got[i], ref[i]) {
-						t.Fatalf("rows2 mode=%v n=%d iter=%d lane %d: got %x (%v) want %x (%v); dst=%v src=%v bm=%v",
-							mode, n, it, i, math.Float64bits(got[i]), got[i], math.Float64bits(ref[i]), ref[i], dst[i], src[i], bm[i])
+				for l := 0; l < L; l++ {
+					base := rng.NormFloat64() * 20
+					for r := 0; r < numStates; r++ {
+						src[r*L+l] = adversarialValue(rng, base)
+					}
+					for r := 0; r < 4; r++ {
+						bm[r*L+l] = adversarialValue(rng, rng.NormFloat64()*5)
 					}
 				}
-				copy(ref, dst)
-				referenceRows3(ref, src, bm, b, mode)
-				got3 := append([]float64(nil), dst...)
-				combineRows3(got3, src, bm, b, mode)
-				for i := range got3 {
-					if !sameBits(got3[i], ref[i]) {
-						t.Fatalf("rows3 mode=%v n=%d iter=%d lane %d: got %x (%v) want %x (%v); dst=%v a=%v bm=%v b=%v",
-							mode, n, it, i, math.Float64bits(got3[i]), got3[i], math.Float64bits(ref[i]), ref[i], dst[i], src[i], bm[i], b[i])
-					}
-				}
+				checkStepCombine(t, src, bm, &fwdStepTable, L, wide)
+				checkStepCombine(t, src, bm, &bwdStepTable, L, wide)
 			}
 		}
 	}
 }
 
-// TestCombineRowsDenseSweep sweeps the difference d = x-m through a dense
-// grid focused on the Jacobian's sensitive regions so every exponent of
-// exp(-d) and both Log1p normalization branches get exercised.
-func TestCombineRowsDenseSweep(t *testing.T) {
+// TestStepCombineDenseSweep sweeps the candidates' difference d through a
+// dense grid focused on the Jacobian's sensitive regions, so every
+// exponent of exp(-d) and both Log1p normalization branches get exercised.
+// Its table pairs source row e with row e±32 over zero branch metrics:
+// rows 0..31 carry the grid and rows 32..63 zero, so each entry combines
+// d with 0, in both orders.
+func TestStepCombineDenseSweep(t *testing.T) {
+	widths := kernelWidths(t)
+	var table [512]uint8
+	for e := 0; e < numStates; e++ {
+		ent := table[e*8 : e*8+8]
+		ent[0], ent[1], ent[2], ent[3], ent[4] = uint8(e), uint8(e), 0, uint8((e+32)%numStates), 1
+	}
 	var ds []float64
 	for d := -12.0; d <= 12.0; d += 0.00097 {
 		ds = append(ds, d)
@@ -182,26 +171,15 @@ func TestCombineRowsDenseSweep(t *testing.T) {
 			d = math.Nextafter(d, -100)
 		}
 	}
-	n := 4
-	for base := 0; base < len(ds); base += n {
-		dst := make([]float64, n)
-		src := make([]float64, n)
-		bm := make([]float64, n)
-		for i := 0; i < n; i++ {
-			d := ds[(base+i)%len(ds)]
-			dst[i] = d // x - m = d with m = 0
-			src[i] = 0
-			bm[i] = 0
-		}
-		ref := append([]float64(nil), dst...)
-		referenceRows2(ref, src, bm, LogMAP)
-		got := append([]float64(nil), dst...)
-		combineRows2(got, src, bm, LogMAP)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("dense sweep d=%v: got %x (%v) want %x (%v)",
-					dst[i], math.Float64bits(got[i]), got[i], math.Float64bits(ref[i]), ref[i])
+	const L = 8
+	src := make([]float64, numStates*L)
+	bm := make([]float64, 4*L)
+	for _, wide := range widths {
+		for base := 0; base < len(ds); base += 32 * L {
+			for i := 0; i < 32*L; i++ {
+				src[i] = ds[(base+i)%len(ds)]
 			}
+			checkStepCombine(t, src, bm, &table, L, wide)
 		}
 	}
 }

@@ -131,14 +131,17 @@ func runFig15(o Options) []*Table {
 		Header: []string{"t(ms)", "optimal", "RRAA", "SampleRate"},
 	}
 	sample := func(recs []mac.TxRecord, t float64) string {
-		last := "-"
+		last := -1
 		for _, r := range recs {
 			if r.Time > t {
 				break
 			}
-			last = rates[r.RateIndex].Name()
+			last = r.RateIndex
 		}
-		return last
+		if last < 0 {
+			return "-"
+		}
+		return rates[last].Name()
 	}
 	for ms := 900; ms <= 2400; ms += 50 {
 		t := float64(ms) / 1000

@@ -140,4 +140,22 @@ type Station struct {
 	pending bool // an attempt is scheduled or in flight
 	cw      int
 	retries int
+
+	// A station has at most one frame on the air (pending), so that
+	// frame's parameters live here, and the engine runs attempt and
+	// complete through method values bound once: scheduling them
+	// allocates nothing.
+	air                   inFlight
+	attemptFn, completeFn func()
+}
+
+// inFlight is what complete needs of the frame transmit put on the air.
+type inFlight struct {
+	tx      *onAir
+	p       Packet
+	ri      int
+	usedRTS bool
+	airtime float64
+	adapter ratectl.Adapter
+	fwd     *trace.LinkTrace
 }

@@ -361,3 +361,34 @@ func TestQueueBound(t *testing.T) {
 		t.Fatalf("queue %d, want 5", st.QueueLen())
 	}
 }
+
+// TestAllocsPerFrame pins what a transmitted frame costs the heap: its
+// onAir record, which the medium keeps until overlapping frames resolve,
+// plus the queue's amortized regrowth. The frame's parameters ride on the
+// Station and its engine callbacks are bound once, so a closure or method
+// value per frame or per backoff would show here as one more.
+func TestAllocsPerFrame(t *testing.T) {
+	var eng sim.Engine
+	m := NewMedium(&eng, DefaultConfig(), rand.New(rand.NewSource(1)))
+	st := m.NewStation(&ratectl.Fixed{Index: 3}, perfectTrace(6, 3, 1, 1e-3))
+	// Every delivered packet goes straight back on the queue, so the
+	// station stays busy with four packets queued.
+	st.OnDeliver = func(p Packet, at float64) { st.Enqueue(p) }
+	for seq := int64(0); seq < 4; seq++ {
+		st.Enqueue(Packet{Bytes: 1400, Seq: seq})
+	}
+	const frames = 256
+	batch := func() {
+		for end := st.Stats.Attempts + frames; st.Stats.Attempts < end; {
+			eng.Run(eng.Now() + 1e-3)
+		}
+	}
+	batch() // warm: the event queue and medium reach their working size
+	start := st.Stats.Attempts
+	allocs := testing.AllocsPerRun(20, batch)
+	perFrame := allocs * 21 / float64(st.Stats.Attempts-start)
+	t.Logf("%.3f allocations per frame", perFrame)
+	if perFrame > 1.5 {
+		t.Fatalf("%.3f allocations per transmitted frame, want at most 1.5", perFrame)
+	}
+}

@@ -57,6 +57,7 @@ func (m *Medium) NewStation(adapter ratectl.Adapter, fwd *trace.LinkTrace) *Stat
 		med:     m,
 		cw:      m.Cfg.CWMin,
 	}
+	s.attemptFn, s.completeFn = s.attempt, s.complete
 	m.stations = append(m.stations, s)
 	return s
 }

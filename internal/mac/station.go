@@ -38,7 +38,7 @@ func (s *Station) backoff() float64 {
 
 func (s *Station) scheduleAttempt(delay float64) {
 	s.pending = true
-	s.med.Eng.Schedule(delay, s.attempt)
+	s.med.Eng.Schedule(delay, s.attemptFn)
 }
 
 // attempt fires when DIFS+backoff expires: sense, then transmit or defer.
@@ -99,27 +99,29 @@ func (s *Station) transmit() {
 	tx := &onAir{from: s.ID, airStart: now, start: start, dataEnd: dataEnd, busyEnd: busyEnd, protected: useRTS}
 	m.active = append(m.active, tx)
 	s.Stats.Attempts++
-	m.Eng.At(dataEnd, func() { s.complete(tx, p, ri, useRTS, air+prefix, adapter, fwd) })
+	s.air = inFlight{tx: tx, p: p, ri: ri, usedRTS: useRTS, airtime: air + prefix, adapter: adapter, fwd: fwd}
+	m.Eng.At(dataEnd, s.completeFn)
 }
 
-// complete resolves the outcome of a finished transmission and runs
-// feedback and ARQ.
-func (s *Station) complete(tx *onAir, p Packet, ri int, usedRTS bool, airtime float64, adapter routeAdapter, fwd *trace.LinkTrace) {
+// complete resolves the outcome of the frame in flight and runs feedback
+// and ARQ.
+func (s *Station) complete() {
+	f := s.air
 	m := s.med
 	now := m.Eng.Now()
-	snap := fwd.At(ri, tx.start)
+	snap := f.fwd.At(f.ri, f.tx.start)
 
-	others := m.overlaps(tx)
+	others := m.overlaps(f.tx)
 
 	rec := TxRecord{
-		Time:        tx.start,
-		RateIndex:   ri,
-		OracleIndex: fwd.BestRateAt(tx.start),
+		Time:        f.tx.start,
+		RateIndex:   f.ri,
+		OracleIndex: f.fwd.BestRateAt(f.tx.start),
 	}
 
 	var res resultOutcome
 	switch {
-	case tx.protected && len(others) > 0:
+	case f.tx.protected && len(others) > 0:
 		// Overlap hit the unshielded RTS/CTS exchange (or leaked into
 		// the reservation): no CTS, no transmission worth speaking of —
 		// a silent loss from the sender's perspective.
@@ -128,7 +130,7 @@ func (s *Station) complete(tx *onAir, p Packet, ri int, usedRTS bool, airtime fl
 		res = resultOutcome{}
 	case len(others) > 0:
 		rec.Collided = true
-		res = s.collisionOutcome(tx, others, snap, &rec)
+		res = s.collisionOutcome(f.tx, others, snap, &rec)
 	default:
 		res = s.cleanOutcome(snap)
 	}
@@ -140,17 +142,17 @@ func (s *Station) complete(tx *onAir, p Packet, ri int, usedRTS bool, airtime fl
 
 	// Inform the adapter. SNR feedback rides every ACK; silent losses
 	// give NaN.
-	adapter.OnResult(resToRatectl(res, tx.start, ri, airtime, usedRTS))
+	f.adapter.OnResult(resToRatectl(res, f.tx.start, f.ri, f.airtime, f.usedRTS))
 
 	// ARQ.
 	if res.delivered {
 		s.queue = s.queue[1:]
 		s.Stats.Delivered++
-		s.Stats.BytesDelivered += int64(p.Bytes)
+		s.Stats.BytesDelivered += int64(f.p.Bytes)
 		s.retries = 0
 		s.cw = m.Cfg.CWMin
 		if s.OnDeliver != nil {
-			s.OnDeliver(p, now)
+			s.OnDeliver(f.p, now)
 		}
 	} else {
 		s.retries++
@@ -161,7 +163,7 @@ func (s *Station) complete(tx *onAir, p Packet, ri int, usedRTS bool, airtime fl
 			s.retries = 0
 			s.cw = m.Cfg.CWMin
 			if s.OnDrop != nil {
-				s.OnDrop(p, now)
+				s.OnDrop(f.p, now)
 			}
 		}
 	}

@@ -53,16 +53,31 @@ type srSample struct {
 	time    float64
 	airtime float64
 	ok      bool
+	// okBefore is the ring's delivered count before this sample (unbounded
+	// rings only), so the delivered samples in any suffix of the ring are
+	// one subtraction away.
+	okBefore int
 }
 
 // srRing is a FIFO of samples in a power-of-two ring buffer: appends at
 // the tail, expires from the head, and (under WindowCap) overwrites the
 // oldest entry when full — the per-frame bookkeeping never allocates once
 // the ring has grown to its working size.
+//
+// An unbounded ring also keeps what avgTxTime's fast window reads: while
+// sample times never decrease, the in-window samples are a suffix of the
+// ring, found by binary search, and their airtime sum is either a memoised
+// run of equal airtimes or a loop over that suffix alone.
 type srRing struct {
 	buf  []srSample
 	head int // index of the oldest sample
 	n    int
+
+	delivered int  // delivered samples ever tracked
+	unsorted  bool // some sample was earlier than (or NaN beside) its predecessor
+	run       int  // newest samples (maybe more than n) whose airtime bits are sumAir
+	sumAir    uint64
+	sums      []float64 // sums[k]: k copies of sumAir added in turn to zero
 }
 
 func (r *srRing) at(i int) *srSample { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
@@ -103,6 +118,32 @@ func (r *srRing) popFront() {
 	r.n--
 }
 
+// track fills in sm's running delivered count and updates the fast
+// window's sortedness flag and airtime run, before sm is pushed onto an
+// unbounded ring.
+func (r *srRing) track(sm *srSample) {
+	sm.okBefore = r.delivered
+	if sm.ok {
+		r.delivered++
+	}
+	if r.n > 0 && !(sm.time >= r.at(r.n-1).time) {
+		r.unsorted = true
+	}
+	if bits := math.Float64bits(sm.airtime); bits != r.sumAir || len(r.sums) == 0 {
+		r.sumAir, r.sums, r.run = bits, append(r.sums[:0], 0), 0
+	}
+	r.run++
+}
+
+// sum returns sums[m], extending the memo as far as m.
+func (r *srRing) sum(m int) float64 {
+	air := math.Float64frombits(r.sumAir)
+	for len(r.sums) <= m {
+		r.sums = append(r.sums, r.sums[len(r.sums)-1]+air)
+	}
+	return r.sums[m]
+}
+
 // NewSampleRate builds a SampleRate instance.
 func NewSampleRate(rates []rate.Rate, lossless []float64, rng Intner) *SampleRate {
 	return &SampleRate{
@@ -127,7 +168,50 @@ func (s *SampleRate) WantRTS() bool { return false }
 // avgTxTime returns the average airtime per delivered frame at rate i over
 // the window ending at now; +Inf if nothing was delivered, and the
 // optimistic lossless airtime if the rate is untried in the window.
+//
+// On an unbounded ring whose times never went backwards it returns
+// avgTxTimeScan's bits in O(log n): the samples the scan would skip are a
+// prefix, the delivered count is a difference of running counts, and the
+// airtime total is the same additions in the same order, taken from the
+// memo when every in-window sample shares the newest airtime.
 func (s *SampleRate) avgTxTime(i int, now float64) float64 {
+	r := &s.rings[i]
+	if s.WindowCap != 0 || r.unsorted {
+		return s.avgTxTimeScan(i, now)
+	}
+	winStart := now - s.Window
+	lo, hi := 0, r.n // first sample the scan would count
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.at(mid).time < winStart {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	m := r.n - lo
+	if m == 0 {
+		return s.LosslessAirtime[i] // optimistic: untried rates look good
+	}
+	ok := r.delivered - r.at(lo).okBefore
+	if ok == 0 {
+		return math.Inf(1)
+	}
+	var total float64
+	if m <= r.run {
+		total = r.sum(m)
+	} else {
+		for k := lo; k < r.n; k++ {
+			total += r.at(k).airtime
+		}
+	}
+	return total / float64(ok)
+}
+
+// avgTxTimeScan is avgTxTime by a full scan of the ring: the path for
+// bounded rings and for rings whose times went backwards, and the
+// reference the fast window is tested against.
+func (s *SampleRate) avgTxTimeScan(i int, now float64) float64 {
 	var total float64
 	n, ok := 0, 0
 	r := &s.rings[i]
@@ -198,7 +282,11 @@ func (s *SampleRate) OnResult(res Result) {
 		return
 	}
 	r := &s.rings[i]
-	r.push(srSample{res.Time, res.Airtime, res.Delivered}, s.WindowCap)
+	sm := srSample{time: res.Time, airtime: res.Airtime, ok: res.Delivered}
+	if s.WindowCap == 0 {
+		r.track(&sm)
+	}
+	r.push(sm, s.WindowCap)
 	// Expire samples outside the window to bound memory.
 	cut := res.Time - 2*s.Window
 	for r.n > 0 && r.at(0).time < cut {

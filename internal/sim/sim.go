@@ -2,15 +2,23 @@
 // substrate standing in for ns-3 in the trace-driven evaluation (§4.1).
 // Events fire in timestamp order with FIFO tie-breaking, so a simulation
 // driven by seeded PRNGs is exactly reproducible.
+//
+// The queue is a binary heap of event values, so once it has grown to its
+// working depth, Schedule, At and Run allocate nothing: the only
+// allocation an event costs is whatever its fn closure costs the caller.
+// A NaN event time has no place in that order, and At panics on one.
 package sim
 
-import "container/heap"
+import (
+	"fmt"
+	"math"
+)
 
 // Engine is a discrete-event scheduler. The zero value is ready to use.
 type Engine struct {
 	now float64
 	seq int64
-	pq  eventQueue
+	pq  []event // binary min-heap under before
 }
 
 type event struct {
@@ -19,24 +27,11 @@ type event struct {
 	fn   func()
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+// before is the queue order: by time, then by scheduling order. No two
+// events share a seq, so it is a strict total order and the firing order
+// does not depend on how the heap is laid out.
+func (a *event) before(b *event) bool {
+	return a.time < b.time || a.time == b.time && a.seq < b.seq
 }
 
 // Now returns the current simulation time in seconds.
@@ -53,24 +48,71 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 }
 
 // At runs fn at absolute simulation time t; times in the past are clamped
-// to now.
+// to now. It panics if t is NaN.
 func (e *Engine) At(t float64, fn func()) {
+	if math.IsNaN(t) {
+		panic(fmt.Sprintf("sim: event time %v is not a number (now %v)", t, e.now))
+	}
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.pq, &event{time: t, seq: e.seq, fn: fn})
+	e.push(event{time: t, seq: e.seq, fn: fn})
+}
+
+// push adds ev to the heap, sifting it up from the tail.
+func (e *Engine) push(ev event) {
+	e.pq = append(e.pq, ev)
+	q := e.pq
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+}
+
+// pop removes and returns the earliest event. The vacated tail slot is
+// cleared so the queue does not keep fired closures alive.
+func (e *Engine) pop() event {
+	q := e.pq
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q[n] = event{}
+	q = q[:n]
+	e.pq = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&x) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = x
+	return top
 }
 
 // Run processes events in order until the queue is empty or the next event
 // lies beyond the until time; the clock never exceeds until.
 func (e *Engine) Run(until float64) {
-	for len(e.pq) > 0 {
-		next := e.pq[0]
-		if next.time > until {
-			break
-		}
-		heap.Pop(&e.pq)
+	for len(e.pq) > 0 && e.pq[0].time <= until {
+		next := e.pop()
 		e.now = next.time
 		next.fn()
 	}
@@ -84,7 +126,7 @@ func (e *Engine) Run(until float64) {
 // to terminate.
 func (e *Engine) RunAll() {
 	for len(e.pq) > 0 {
-		next := heap.Pop(&e.pq).(*event)
+		next := e.pop()
 		e.now = next.time
 		next.fn()
 	}
