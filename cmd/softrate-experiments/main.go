@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runIDs  = fs.String("run", "", "comma-separated experiment IDs to run")
 		all     = fs.Bool("all", false, "run every experiment")
 		scale   = fs.Float64("scale", 0.25, "sample-size scale (1.0 = paper scale)")
-		seed    = fs.Int64("seed", 1, "PRNG seed")
+		seed    = fs.Int64("seed", 1, "PRNG seed (nonzero)")
 		workers = fs.Int("workers", 0, "max concurrent trials (0 = one per CPU)")
 		format  = fs.String("format", "text", "output format: text, json or csv")
 	)
@@ -63,6 +63,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if !(*scale > 0) || math.IsInf(*scale, 1) {
 		return bad("-scale %v: want a finite value above 0", *scale)
+	}
+	if *seed == 0 {
+		return bad("-seed 0: want a nonzero seed (0 would run seed 1)")
 	}
 	switch *format {
 	case "text", "json", "csv":

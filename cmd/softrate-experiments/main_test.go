@@ -12,6 +12,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-run", "fig15", "-scale", "+Inf"},
 		{"-run", "fig15", "-scale", "0"},
 		{"-run", "fig15", "-scale", "-1"},
+		{"-run", "tab2", "-seed", "0"},
 		{"-run", "tab2", "-format", "xml"},
 		{"-run", "tab2,nope"},
 		{"-run", "nope,tab2"},

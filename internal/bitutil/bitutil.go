@@ -19,9 +19,8 @@ var HashSeed = randv2.Uint64
 // Mix64 applies the SplitMix64 finalizer (Steele, Lea & Flood: "Fast
 // splittable pseudorandom number generators", OOPSLA 2014): an invertible
 // avalanche mix in which every input bit affects every output bit. It is
-// the shared bit-mixing primitive behind the experiment engine's per-trial
-// seeding and the link store's shard hashing — one source of truth for the
-// constants.
+// the shared bit-mixing primitive behind SampleRate's SplitMix PRNG and the
+// link store's shard hashing — one source of truth for the constants.
 func Mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

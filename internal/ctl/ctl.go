@@ -6,7 +6,7 @@
 // controller on demand.
 //
 // The registry gives each served algorithm a stable one-byte ID (part of
-// the softrated v2 wire protocol), a name for CLI flags, a fixed state
+// the softrated wire protocol), a name for CLI flags, a fixed state
 // width, and a constructor producing its serving configuration; New is
 // the only way to build a served controller. The simulator's §6.1
 // comparison set is ratectl's Adapters, listed by netsim.Algorithms; its
@@ -33,8 +33,8 @@ type Feedback struct {
 	RateIndex int
 	// BER is the interference-free BER estimate (KindBER/KindCollision).
 	BER float64
-	// SNRdB is the receiver's SNR estimate; NaN when unknown (v1 wire
-	// records carry none). Ignored for kinds without a received preamble.
+	// SNRdB is the receiver's SNR estimate; NaN when unknown (as a wire
+	// record says it). Ignored for kinds without a received preamble.
 	SNRdB float64
 	// Airtime is the transmission's airtime in seconds; 0 means unknown
 	// and lets the controller substitute the rate's nominal airtime.
@@ -85,12 +85,13 @@ type InPlace interface {
 }
 
 // Algo is a registered algorithm's stable one-byte ID. IDs are part of
-// the softrated v2 wire protocol — never renumber.
+// the softrated wire protocol — never renumber.
 type Algo uint8
 
 const (
 	// AlgoDefault means "whatever the store is configured to default to";
-	// it is what v1 wire records and zero-valued ops carry.
+	// it is what zero-valued ops and wire records with algorithm byte 0
+	// carry.
 	AlgoDefault Algo = 0
 	// AlgoSoftRate is the paper's §3.3 algorithm (core.SoftRate).
 	AlgoSoftRate Algo = 1

@@ -84,10 +84,7 @@ func runAblationDecoder(o Options) []*Table {
 // excision is disabled in an interference-dominated channel: collision
 // losses then read as noise losses and drag the rate down.
 func runAblationExcision(o Options) []*Table {
-	dur := 10 * o.Scale
-	if dur < 2 {
-		dur = 2
-	}
+	dur := o.netDuration()
 	fwd, rev := staticShortRangeTraces(o.Workers, 5, dur, o.Seed+4100)
 	out := &Table{
 		ID:     "ablation-excision",
@@ -196,10 +193,7 @@ func runAblationHARQ(o Options) []*Table {
 // collisions masquerade as weak signal (spurious rate drops), too large
 // and genuine signal loss lingers at a dead rate.
 func runAblationSilent(o Options) []*Table {
-	dur := 10 * o.Scale
-	if dur < 2 {
-		dur = 2
-	}
+	dur := o.netDuration()
 	out := &Table{
 		ID:     "ablation-silent",
 		Title:  "Silent-loss run threshold sweep (5 hidden-terminal flows, Pr[CS]=0.5, no postambles)",

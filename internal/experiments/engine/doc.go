@@ -12,9 +12,9 @@
 // Determinism rests on two rules the API enforces or makes easy:
 //
 //   - Per-trial seeding. A trial's randomness derives only from a base
-//     seed and the trial's index (Seed, Rand), never from goroutine
-//     scheduling, wall-clock time or a PRNG shared across trials.
-//   - Ordered aggregation. Map and RunSeeded return results indexed by
+//     seed and the trial's index, never from goroutine scheduling,
+//     wall-clock time or a PRNG shared across trials.
+//   - Ordered aggregation. Map and MapWith return results indexed by
 //     trial, regardless of completion order, so any reduction the caller
 //     performs (sums, means, table rows) visits trials in a fixed order
 //     and floating-point accumulation order is stable.
@@ -23,13 +23,7 @@
 // read-only structures (trace.LinkTrace, phy.BERModel, rate tables) are
 // safe; anything stateful — channel models with construction-time
 // randomness, PHY links, MAC simulations — must be built inside the
-// trial from the trial's own seed.
-//
-// Two seeding styles coexist. New experiments should declare Trial
-// closures and let RunSeeded hand each one a golden-gamma-separated PCG
-// stream. The harnesses ported from the original serial implementation
-// instead keep their historical explicit `Options.Seed + offset`
-// derivations inside Map closures: those offsets are part of the
-// published outputs (the shape-check tests are tuned to them), so
-// re-seeding them through Seed/Rand would change every table.
+// trial from the trial's own seed. The harnesses derive that seed as
+// Options.Seed plus a fixed per-trial offset; the offsets are part of the
+// published outputs.
 package engine

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,7 +19,8 @@ func DefaultWorkers() int { return runtime.NumCPU() }
 //
 // trial must be safe to call concurrently with itself: it may read shared
 // immutable state but must not write anything another trial reads, and
-// any PRNG it uses must be created inside the call (see Rand).
+// any PRNG it uses must be created inside the call and seeded from the
+// trial's index.
 func Map[T any](workers, n int, trial func(i int) T) []T {
 	return MapWith(workers, n, func() struct{} { return struct{}{} },
 		func(_ struct{}, i int) T { return trial(i) })
@@ -72,19 +72,4 @@ func MapWith[S, T any](workers, n int, state func() S, trial func(ws S, i int) T
 	}
 	wg.Wait()
 	return out
-}
-
-// Trial is one independent unit of an experiment. It receives a private
-// deterministic PRNG and must derive all of its randomness from it (or
-// from seeds it computes itself); it may read shared immutable state but
-// must not mutate anything reachable from other trials.
-type Trial[T any] func(rng *rand.Rand) T
-
-// RunSeeded executes the declared trials across the worker pool, handing
-// trial i a PCG-backed PRNG seeded deterministically from (seed, i), and
-// returns the results in declaration order.
-func RunSeeded[T any](workers int, seed int64, trials []Trial[T]) []T {
-	return Map(workers, len(trials), func(i int) T {
-		return trials[i](Rand(seed, i))
-	})
 }

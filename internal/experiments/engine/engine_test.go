@@ -84,7 +84,7 @@ func TestMapWithEdgeCases(t *testing.T) {
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []int64 {
 		return Map(workers, 50, func(i int) int64 {
-			rng := Rand(42, i)
+			rng := rand.New(rand.NewSource(42 + int64(i)))
 			var s int64
 			for k := 0; k < 100; k++ {
 				s += rng.Int63n(1000)
@@ -97,53 +97,5 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 		if got := run(w); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d diverged from workers=1", w)
 		}
-	}
-}
-
-func TestRunSeededHandsEachTrialItsOwnStream(t *testing.T) {
-	mk := make([]Trial[int64], 20)
-	for i := range mk {
-		mk[i] = func(rng *rand.Rand) int64 { return rng.Int63() }
-	}
-	a := RunSeeded(1, 7, mk)
-	b := RunSeeded(8, 7, mk)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("RunSeeded results depend on worker count")
-	}
-	seen := map[int64]bool{}
-	for _, v := range a {
-		if seen[v] {
-			t.Fatalf("two trials drew the same first value %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSeedScramblesAdjacentInputs(t *testing.T) {
-	seen := map[int64]bool{}
-	for base := int64(0); base < 10; base++ {
-		for trial := 0; trial < 10; trial++ {
-			s := Seed(base, trial)
-			if seen[s] {
-				t.Fatalf("seed collision at base=%d trial=%d", base, trial)
-			}
-			seen[s] = true
-			if s2 := Seed(base, trial); s2 != s {
-				t.Fatal("Seed is not stable")
-			}
-		}
-	}
-}
-
-func TestRandStable(t *testing.T) {
-	a, b := Rand(3, 5), Rand(3, 5)
-	for i := 0; i < 1000; i++ {
-		if a.Int63() != b.Int63() {
-			t.Fatal("same (base, trial) produced different streams")
-		}
-	}
-	c, d := Rand(3, 6), Rand(4, 5)
-	if c.Int63() == b.Int63() || d.Int63() == a.Int63() {
-		t.Fatal("distinct (base, trial) pairs produced identical draws")
 	}
 }

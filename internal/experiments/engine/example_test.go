@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"fmt"
-	"math/rand"
 
 	"softrate/internal/experiments/engine"
 )
@@ -13,7 +12,7 @@ func ExampleMap() {
 	snrs := []float64{5, 10, 15, 20}
 	bers := engine.Map(4, len(snrs), func(i int) float64 {
 		// Stand-in for a Monte-Carlo run at snrs[i]; a real trial would
-		// build its channel and PHY from engine.Rand or its own seed.
+		// build its channel and PHY from a seed derived from i.
 		return 1 / (snrs[i] * snrs[i])
 	})
 	for i, b := range bers {
@@ -24,41 +23,4 @@ func ExampleMap() {
 	// 10 dB -> 0.0100
 	// 15 dB -> 0.0044
 	// 20 dB -> 0.0025
-}
-
-// Declared trials receive a private PCG stream derived from the base
-// seed and their declaration index, so the fan-out is reproducible at
-// any worker count.
-func ExampleRunSeeded() {
-	trials := make([]engine.Trial[int], 3)
-	for i := range trials {
-		trials[i] = func(rng *rand.Rand) int { return rng.Intn(100) }
-	}
-	serial := engine.RunSeeded(1, 1234, trials)
-	parallel := engine.RunSeeded(8, 1234, trials)
-	fmt.Println(equalInts(serial, parallel))
-	// Output:
-	// true
-}
-
-// Seed is a pure function of (base, trial): the same pair always yields
-// the same derived seed, and nearby pairs are decorrelated.
-func ExampleSeed() {
-	fmt.Println(engine.Seed(1, 0) == engine.Seed(1, 0))
-	fmt.Println(engine.Seed(1, 0) == engine.Seed(1, 1))
-	// Output:
-	// true
-	// false
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -65,6 +65,16 @@ func (o Options) scaled(n int) int {
 	return v
 }
 
+// netDuration returns the simulated seconds of a trace-driven network
+// experiment: 10 s times Scale, but never under 2 s.
+func (o Options) netDuration() float64 {
+	dur := 10 * o.Scale
+	if dur < 2 {
+		dur = 2
+	}
+	return dur
+}
+
 // Table is one experiment output: an identifier tying it to the paper, a
 // header row and data rows, plus free-form notes (e.g. the shape checks
 // the paper's prose asserts).

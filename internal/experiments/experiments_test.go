@@ -49,14 +49,11 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// runAndCheck executes an experiment at tiny scale and sanity-checks its
-// output structure.
+// runAndCheck sanity-checks the output structure of an experiment's
+// shared tiny-scale run (tinyRender).
 func runAndCheck(t *testing.T, id string, minRows int) []*Table {
 	t.Helper()
-	tables, err := Run(id, tiny())
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
+	tables, _ := tinyRender(t, id)
 	if len(tables) == 0 {
 		t.Fatalf("%s: no tables", id)
 	}

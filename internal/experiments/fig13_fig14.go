@@ -37,10 +37,7 @@ func walkingLinkTraces(workers, n int, dur float64, seed int64) (fwd, rev []*tra
 // runFig13 reproduces Figure 13: aggregate TCP throughput versus number of
 // clients over slow-fading walking channels, for all six algorithms.
 func runFig13(o Options) []*Table {
-	dur := 10 * o.Scale
-	if dur < 2 {
-		dur = 2
-	}
+	dur := o.netDuration()
 	maxN := 5
 	// Average over independent trace sets (the paper's ten walking runs
 	// play the same variance-damping role). Stage 1: every trace is an
@@ -125,10 +122,7 @@ func mean(v []float64) float64 {
 // in the mobile slow-fading channel — the fraction of frames sent above,
 // at, and below the highest bit rate that would have succeeded.
 func runFig14(o Options) []*Table {
-	dur := 10 * o.Scale
-	if dur < 2 {
-		dur = 2
-	}
+	dur := o.netDuration()
 	fwd, rev := walkingLinkTraces(o.Workers, 1, dur, o.Seed+9000)
 	out := &Table{
 		ID:     "fig14",

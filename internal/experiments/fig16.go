@@ -35,10 +35,7 @@ func fastFadingTraces(coherence float64, dur float64, seed int64) (fwd, rev *tra
 // trained on *walking* traces (40 Hz), so its thresholds are wrong at
 // vehicular speeds — the paper's central retraining argument.
 func runFig16(o Options) []*Table {
-	dur := 10 * o.Scale
-	if dur < 2 {
-		dur = 2
-	}
+	dur := o.netDuration()
 	// Train the SNR protocol on a walking-speed channel, as in §6.3.
 	walkFwd, _ := walkingLinkTraces(o.Workers, 1, dur, o.Seed+333)
 	walkTrained := ratectl.TrainThresholds(walkFwd[0].TrainingSamples(), walkFwd[0].NumRates(), 0.9)

@@ -51,10 +51,7 @@ var interferenceAlgorithms = []struct {
 // uploading clients as the pairwise carrier-sense probability sweeps from
 // 0 (all hidden terminals) to 1 (no interference losses).
 func runFig17(o Options) []*Table {
-	dur := 10 * o.Scale
-	if dur < 2 {
-		dur = 2
-	}
+	dur := o.netDuration()
 	const nClients = 5
 	fwd, rev := staticShortRangeTraces(o.Workers, nClients, dur, o.Seed)
 
@@ -99,10 +96,7 @@ func runFig17(o Options) []*Table {
 // runFig18 reproduces Figure 18: rate-selection accuracy at carrier sense
 // probability 0.8.
 func runFig18(o Options) []*Table {
-	dur := 10 * o.Scale
-	if dur < 2 {
-		dur = 2
-	}
+	dur := o.netDuration()
 	const nClients = 5
 	fwd, rev := staticShortRangeTraces(o.Workers, nClients, dur, o.Seed+400)
 	out := &Table{

@@ -78,8 +78,8 @@ type Config struct {
 	// (default 64).
 	Shards int
 	// DefaultAlgo is the algorithm used for ops carrying ctl.AlgoDefault
-	// (which v1 wire records and zero-valued Ops do). Zero means
-	// ctl.AlgoSoftRate.
+	// (as zero-valued Ops and wire records with algorithm byte 0 do). Zero
+	// means ctl.AlgoSoftRate.
 	DefaultAlgo ctl.Algo
 	// newController overrides how per-algorithm controllers are built
 	// (default ctl.New); tests set it to hide a controller's in-place
@@ -123,7 +123,7 @@ type Op struct {
 	// BER is the interference-free BER estimate (KindBER/KindCollision).
 	BER float64
 	// SNRdB is the receiver's SNR estimate, NaN when unknown (consumed by
-	// the SNR-based algorithms; v1 wire records decode to NaN).
+	// the SNR-based algorithms; a wire record says unknown with NaN).
 	SNRdB float32
 	// Airtime is the frame's airtime in seconds, 0 when unknown (consumed
 	// by SampleRate's transmission-time metric).

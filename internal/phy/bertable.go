@@ -3,11 +3,10 @@ package phy
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"softrate/internal/channel"
+	"softrate/internal/experiments/engine"
 	"softrate/internal/ofdm"
 	"softrate/internal/rate"
 	"softrate/internal/softphy"
@@ -55,7 +54,7 @@ type CalibrationConfig struct {
 	// Seed makes the calibration reproducible.
 	Seed int64
 	// Workers bounds the decode-stage parallelism; zero or negative means
-	// one worker per CPU, matching the experiment engine. The calibration
+	// one worker per CPU, as in engine.MapWith, which runs it. The calibration
 	// is byte-identical at any worker count: payloads and receiver noise
 	// are drawn serially from the master stream (detection is pure, so
 	// each frame's consumption is known up front) and only the pure decode
@@ -85,44 +84,6 @@ func (r *replayNorms) NormFloat64() float64 {
 	x := r.v[r.i]
 	r.i++
 	return x
-}
-
-// eachWithWorkspace runs fn(ws, i) for every i in [0, n) across a worker
-// pool, each worker owning one Workspace. workers <= 0 means one per CPU.
-// It mirrors the experiment engine's MapWith contract (indexed claims,
-// per-worker scratch, worker-count-independent results) without making the
-// low-level PHY package depend on experiment-harness infrastructure.
-func eachWithWorkspace(workers, n int, fn func(ws *Workspace, i int)) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		ws := NewWorkspace()
-		for i := 0; i < n; i++ {
-			fn(ws, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			ws := NewWorkspace()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(ws, i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // calFrame is one pre-generated calibration frame: everything ReceiveWS
@@ -230,7 +191,7 @@ func calibrate(cc CalibrationConfig, batch int) *BERModel {
 		// consumes only its own pre-drawn variates.
 		results := make([]calResult, len(frames))
 		nChunks := (len(frames) + batch - 1) / batch
-		eachWithWorkspace(cc.Workers, nChunks, func(ws *Workspace, c int) {
+		engine.MapWith(cc.Workers, nChunks, NewWorkspace, func(ws *Workspace, c int) struct{} {
 			lo, hi := c*batch, min((c+1)*batch, len(frames))
 			for i := lo; i < hi; i++ {
 				f := frames[i]
@@ -239,6 +200,7 @@ func calibrate(cc CalibrationConfig, batch int) *BERModel {
 			for k, rx := range ws.FlushReceptions() {
 				results[lo+k] = calSummarize(rx, frames[lo+k])
 			}
+			return struct{}{}
 		})
 
 		// Stage 3 (serial): fold per-point sums in frame order — the same

@@ -347,6 +347,22 @@ func TestTransportConformance(t *testing.T) {
 	}
 }
 
+// These names predate the table; each runs its row over its carrier.
+func TestTCPEndToEndMatchesInProcess(t *testing.T)       { runConformance(t, "tcp", "byte-identity") }
+func TestPipelinedEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "tcp", "window") }
+func TestPipelineSlotHeldUntilWaited(t *testing.T) {
+	runConformance(t, "tcp", "slot-held-until-waited")
+}
+func TestValidationErrorsDoNotPoison(t *testing.T) {
+	runConformance(t, "tcp", "validation-does-not-poison")
+}
+func TestDrainAnswersInFlight(t *testing.T)        { runConformance(t, "tcp", "drain-answers-in-flight") }
+func TestUDPEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "udp", "byte-identity") }
+func TestServeUDPDrain(t *testing.T)               { runConformance(t, "udp", "drain-answers-in-flight") }
+func TestSHMEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "shm", "byte-identity") }
+func TestSHMPipelinedWaitOrderFree(t *testing.T)   { runConformance(t, "shm", "window") }
+func TestSHMDrain(t *testing.T)                    { runConformance(t, "shm", "drain-answers-in-flight") }
+
 // confByteIdentity: stop-and-wait batches answer exactly as in-process
 // Decide does, and the carrier's counters saw exactly those requests.
 func confByteIdentity(h *confHarness) {

@@ -211,10 +211,6 @@ func TestDecideDoesNotAllocateSteadyState(t *testing.T) {
 	}
 }
 
-// See TestTCPEndToEndMatchesInProcess: this name runs its row of the
-// conformance table over TCP.
-func TestDrainAnswersInFlight(t *testing.T) { runConformance(t, "tcp", "drain-answers-in-flight") }
-
 // TestTransportCounters serves a request and a violation over TCP and a
 // request over UDP, then checks each transport's own counters and the
 // exposition.

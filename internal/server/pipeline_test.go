@@ -12,16 +12,6 @@ import (
 	"softrate/internal/linkstore"
 )
 
-// See TestTCPEndToEndMatchesInProcess: these names run their rows of the
-// conformance table over TCP.
-func TestPipelinedEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "tcp", "window") }
-func TestPipelineSlotHeldUntilWaited(t *testing.T) {
-	runConformance(t, "tcp", "slot-held-until-waited")
-}
-func TestValidationErrorsDoNotPoison(t *testing.T) {
-	runConformance(t, "tcp", "validation-does-not-poison")
-}
-
 // misbehavingServer accepts one connection, answers its first request
 // with a response claiming the wrong record count, and keeps the
 // connection open so the stray bytes stay on the wire.

@@ -240,10 +240,6 @@ func startTCP(t *testing.T, srv *Server) string {
 	return l.Addr().String()
 }
 
-// The conformance table (conformance_test.go) holds the exchange each of
-// these names checks; they run their rows over their carrier.
-func TestTCPEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "tcp", "byte-identity") }
-
 func TestTCPConcurrentClients(t *testing.T) {
 	srv := New(Config{Store: linkstore.Config{Shards: 32, TTL: 50 * time.Millisecond}})
 	addr := startTCP(t, srv)

@@ -49,12 +49,6 @@ func TestRingPath(t *testing.T) {
 	}
 }
 
-// See TestTCPEndToEndMatchesInProcess: these names run their rows of the
-// conformance table over the rings.
-func TestSHMEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "shm", "byte-identity") }
-func TestSHMPipelinedWaitOrderFree(t *testing.T)   { runConformance(t, "shm", "window") }
-func TestSHMDrain(t *testing.T)                    { runConformance(t, "shm", "drain-answers-in-flight") }
-
 // TestSHMMultiRingConcurrentClients runs one client per ring from
 // separate goroutines, disjoint link cohorts, all against one serve
 // loop — the co-located many-process shape, in-process.

@@ -33,11 +33,6 @@ func startUDP(t *testing.T, srv *Server) string {
 	return conn.LocalAddr().String()
 }
 
-// See TestTCPEndToEndMatchesInProcess: these names run their rows of the
-// conformance table over UDP.
-func TestUDPEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "udp", "byte-identity") }
-func TestServeUDPDrain(t *testing.T)               { runConformance(t, "udp", "drain-answers-in-flight") }
-
 // TestUDPWindowedMatchesInProcess exercises the windowed client (several
 // datagrams in flight, so the server actually forms multi-datagram
 // bursts) with disjoint link cohorts per slot, as a windowed sender must
