@@ -13,9 +13,10 @@ package channel
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"runtime"
+
+	"softrate/internal/vmath"
 )
 
 // DefaultOscillators is the number of sinusoids in the fading model.
@@ -59,19 +60,16 @@ func NewRayleigh(rng *rand.Rand, dopplerHz float64, n int) *Rayleigh {
 	return r
 }
 
-// Gain returns the complex channel gain at time t (seconds). With the
-// AVX2 kernel it is gainScalar's value bit for bit: the same cosines,
-// summed per rail from zero in ascending oscillator order.
+// Gain returns the complex channel gain at time t (seconds): the cosines
+// of both rails from vmath.CosLanes, each rail summed from zero in
+// ascending oscillator order.
 func (r *Rayleigh) Gain(t float64) complex128 {
-	if !hasCosKernel {
-		return r.gainScalar(t)
-	}
 	n := len(r.w) / 2
 	var c [cosBlock]float64
 	var hi, hq float64
 	for base := 0; base < 2*n; base += cosBlock {
 		m := min(cosBlock, 2*n-base)
-		cosLanes(c[:m], r.w[base:base+m], r.phi[base:base+m], t)
+		vmath.CosLanes(c[:m], r.w[base:base+m], r.phi[base:base+m], t)
 		split := min(max(n-base, 0), m) // lanes of c before the Q rail
 		for _, v := range c[:split] {
 			hi += v
@@ -83,35 +81,17 @@ func (r *Rayleigh) Gain(t float64) complex128 {
 	return complex(hi*r.scale, hq*r.scale)
 }
 
-// gainScalar is Gain without the vector kernel: the path on hosts without
-// AVX2 and off amd64, and the reference the kernel is tested against.
-func (r *Rayleigh) gainScalar(t float64) complex128 {
-	n := len(r.w) / 2
-	var hi, hq float64
-	for k := 0; k < n; k++ {
-		hi += math.Cos(r.w[k]*t + r.phi[k])
-		hq += math.Cos(r.w[n+k]*t + r.phi[n+k])
-	}
-	return complex(hi*r.scale, hq*r.scale)
-}
-
-// cosBlock is how many lanes Gain evaluates per kernel call: both rails
+// cosBlock is how many lanes Gain evaluates per CosLanes call: both rails
 // of DefaultOscillators in one.
 const cosBlock = 2 * DefaultOscillators
 
-// cosLanes sets dst[i] = math.Cos(w[i]*t + phi[i]) bit for bit, len(dst)
-// at most 64, with the kernel over the leading multiple of four lanes.
-func cosLanes(dst, w, phi []float64, t float64) {
-	n := len(dst) &^ 3
-	if n > 0 {
-		for fix := cosLanesAVX2(&dst[0], &w[0], &phi[0], t, n); fix != 0; fix &= fix - 1 {
-			i := bits.TrailingZeros64(fix)
-			dst[i] = math.Cos(w[i]*t + phi[i])
-		}
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = math.Cos(w[i]*t + phi[i])
-	}
+// railSums sets hi[j] and hq[j] to the I and Q rail sums Gain(ts[j])
+// scales, for up to sweepBlock times: each rail summed a lane per time by
+// vmath.CosSums, the same cosines added in the same order as Gain's.
+func (r *Rayleigh) railSums(hi, hq, ts []float64) {
+	n := len(r.w) / 2
+	vmath.CosSums(hi, ts, r.w[:n], r.phi[:n])
+	vmath.CosSums(hq, ts, r.w[n:], r.phi[n:])
 }
 
 // CoherenceTime returns the approximate channel coherence time for a given
@@ -282,8 +262,12 @@ func (m *Model) SNR(t float64) float64 {
 }
 
 // SampleSNRdB fills dst with the instantaneous SNR in dB at len(dst)
-// consecutive symbol midpoints: dst[j] is the SNR at t0 + (j+0.5)·T. A
-// constant-mean model without fading evaluates its one value once.
+// consecutive symbol midpoints: dst[j] is the SNR at t0 + (j+0.5)·T,
+// LinearToDB(m.SNR(t)) bit for bit. A constant-mean model without fading
+// evaluates its one value once. Otherwise the symbols go in blocks: the
+// mean SNR per symbol (once for a constant mean), DBToLinear's Exp and
+// LinearToDB's Log through vmath's lanes, and the block's fading gains in
+// one call.
 func (m *Model) SampleSNRdB(dst []float64, t0, T float64) {
 	if m.constMean && m.Fading == nil {
 		v := LinearToDB(m.SNR(t0))
@@ -292,10 +276,42 @@ func (m *Model) SampleSNRdB(dst []float64, t0, T float64) {
 		}
 		return
 	}
-	for j := range dst {
-		dst[j] = LinearToDB(m.SNR(t0 + (float64(j)+0.5)*T))
+	var ts, hi, hq [sweepBlock]float64
+	for base := 0; base < len(dst); base += sweepBlock {
+		out := dst[base:min(base+sweepBlock, len(dst))]
+		for j := range out {
+			ts[j] = t0 + (float64(base+j)+0.5)*T
+		}
+		// out holds the linear mean SNR until the last step.
+		if m.constMean {
+			v := DBToLinear(m.MeanSNRdB(ts[0]))
+			for j := range out {
+				out[j] = v
+			}
+		} else {
+			for j := range out {
+				out[j] = m.MeanSNRdB(ts[j])
+			}
+			dbToLinearLanes(out, out)
+		}
+		if m.Fading != nil {
+			m.Fading.railSums(hi[:len(out)], hq[:len(out)], ts[:len(out)])
+		}
+		for j := range out {
+			// Gain's and SNR's expressions, so the bits are theirs; hi
+			// takes the linear SNR.
+			g := complex(math.Sqrt(out[j]), 0)
+			if f := m.Fading; f != nil {
+				g *= complex(hi[j]*f.scale, hq[j]*f.scale)
+			}
+			hi[j] = real(g)*real(g) + imag(g)*imag(g)
+		}
+		linearToDBLanes(out, hi[:len(out)])
 	}
 }
+
+// sweepBlock is how many symbols SampleSNRdB evaluates per batch.
+const sweepBlock = 32
 
 // ln10 and frac10·2^exp10 are math.Log(10) and math.Frexp(10), which
 // math.Pow(10, y) recomputes on every call.
@@ -312,20 +328,63 @@ var (
 // leaves Pow the arguments it special-cases (and the one port whose Pow
 // is assembly).
 func DBToLinear(db float64) float64 {
-	y := db / 10
-	ay := math.Abs(y)
-	if !(ay < 1<<63) || y == 0 || y == 1 || ay == 0.5 || runtime.GOARCH == "s390x" {
-		return math.Pow(10, y) // NaN, ±Inf, huge, and Pow's shortcuts
+	y, yi, yf, ok := pow10Split(db)
+	if !ok {
+		return math.Pow(10, y)
 	}
-	yi, yf := math.Modf(ay)
-	a1, ae := 1.0, 0
+	a1 := 1.0
 	if yf != 0 {
-		if yf > 0.5 {
-			yf--
-			yi++
-		}
 		a1 = math.Exp(yf * ln10)
 	}
+	return pow10Join(y, yi, a1)
+}
+
+// dbToLinearLanes sets dst[j] = DBToLinear(db[j]) for up to sweepBlock
+// lanes, the Exp calls batched through vmath.ExpLanes. dst may be db. A
+// lane without a fraction takes Exp(0), which is 1 as DBToLinear's a1.
+func dbToLinearLanes(dst, db []float64) {
+	var y, yi [sweepBlock]float64
+	var pow uint64 // lanes left to math.Pow
+	for j, v := range db {
+		yj, yij, yf, ok := pow10Split(v)
+		y[j], yi[j] = yj, yij
+		if !ok {
+			pow |= 1 << j
+		}
+		dst[j] = yf * ln10
+	}
+	vmath.ExpLanes(dst, dst)
+	for j := range dst {
+		if pow&(1<<j) != 0 {
+			dst[j] = math.Pow(10, y[j])
+		} else {
+			dst[j] = pow10Join(y[j], yi[j], dst[j])
+		}
+	}
+}
+
+// pow10Split is math.Pow(10, y), y = db/10, up to its Exp: ok false
+// means Pow special-cases y (NaN, ±Inf, huge, and its shortcuts), and
+// otherwise |y| splits into integer part yi and fraction yf in (-0.5,
+// 0.5], zero when Pow takes no Exp.
+func pow10Split(db float64) (y, yi, yf float64, ok bool) {
+	y = db / 10
+	ay := math.Abs(y)
+	if !(ay < 1<<63) || y == 0 || y == 1 || ay == 0.5 || runtime.GOARCH == "s390x" {
+		return y, 0, 0, false
+	}
+	yi, yf = math.Modf(ay)
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	return y, yi, yf, true
+}
+
+// pow10Join finishes math.Pow(10, y) from pow10Split's yi and a1 =
+// Exp(yf·ln10): the integer power by repeated squaring, then Ldexp.
+func pow10Join(y, yi, a1 float64) float64 {
+	ae := 0
 	x1, xe := frac10, exp10
 	for i := int64(yi); i != 0; i >>= 1 {
 		if xe < -1<<12 || 1<<12 < xe {
@@ -356,4 +415,25 @@ func LinearToDB(lin float64) float64 {
 		return math.Inf(-1)
 	}
 	return 10 * math.Log10(lin)
+}
+
+// linearToDBLanes sets dst[j] = LinearToDB(lin[j]), the logarithms
+// batched through vmath.LogLanes: math.Log10(x) is Log(x)*(1/Ln10) on
+// every port but s390x, whose Log10 is its own assembly. dst must not
+// overlap lin.
+func linearToDBLanes(dst, lin []float64) {
+	if runtime.GOARCH == "s390x" {
+		for j, v := range lin {
+			dst[j] = LinearToDB(v)
+		}
+		return
+	}
+	vmath.LogLanes(dst, lin)
+	for j, v := range lin {
+		if v <= 0 {
+			dst[j] = math.Inf(-1)
+		} else {
+			dst[j] = 10 * (dst[j] * (1 / math.Ln10))
+		}
+	}
 }

@@ -4,14 +4,31 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"softrate/internal/vmath"
 )
 
-// checkCosLanes runs cosLanes over lanes w[i]*t + phi[i] and fails on the
+// hasCosKernel reports whether vmath.CosLanes runs a vector kernel here.
+var hasCosKernel = vmath.Host >= vmath.AVX2
+
+// gainScalar is Gain as a plain loop over math.Cos, interleaving the
+// rails: the reference Gain is held to bit for bit.
+func (r *Rayleigh) gainScalar(t float64) complex128 {
+	n := len(r.w) / 2
+	var hi, hq float64
+	for k := 0; k < n; k++ {
+		hi += math.Cos(r.w[k]*t + r.phi[k])
+		hq += math.Cos(r.w[n+k]*t + r.phi[n+k])
+	}
+	return complex(hi*r.scale, hq*r.scale)
+}
+
+// checkCosLanes runs vmath.CosLanes over lanes w[i]*t + phi[i] and fails on the
 // first lane whose bits differ from math.Cos of the same argument.
 func checkCosLanes(t *testing.T, w, phi []float64, tm float64) {
 	t.Helper()
 	got := make([]float64, len(w))
-	cosLanes(got, w, phi, tm)
+	vmath.CosLanes(got, w, phi, tm)
 	for i, g := range got {
 		x := w[i]*tm + phi[i]
 		if want := math.Cos(x); math.Float64bits(g) != math.Float64bits(want) {
@@ -34,7 +51,7 @@ func nudge(x float64, k int) float64 {
 
 func FuzzCosLanes(f *testing.F) {
 	if !hasCosKernel {
-		f.Skip("no AVX2 cosine kernel on this host")
+		f.Skip("no vector cosine kernel on this host")
 	}
 	seeds := []float64{
 		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
@@ -73,7 +90,7 @@ func FuzzCosLanes(f *testing.F) {
 
 func TestCosLanesRandomArguments(t *testing.T) {
 	if !hasCosKernel {
-		t.Skip("no AVX2 cosine kernel on this host")
+		t.Skip("no vector cosine kernel on this host")
 	}
 	rng := rand.New(rand.NewSource(1))
 	w := make([]float64, 64)

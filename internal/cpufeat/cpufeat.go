@@ -1,5 +1,5 @@
 // Package cpufeat reports the x86 vector extensions the vector kernels in
-// internal/coding and internal/channel need. A feature counts only when
+// internal/coding and internal/vmath need. A feature counts only when
 // the CPU has it and the OS saves the register state it uses, so a true
 // flag means the kernel may run. Other architectures report no features.
 package cpufeat

@@ -10,6 +10,7 @@ import (
 	"softrate/internal/ofdm"
 	"softrate/internal/rate"
 	"softrate/internal/softphy"
+	"softrate/internal/vmath"
 )
 
 // BERModel is an empirical characterization of this PHY: for each rate and
@@ -251,25 +252,31 @@ func (m *BERModel) LambdaAt(ri int, snrDB float64) float64 {
 // survives a sequence of per-symbol SNRs, each symbol carrying bitsPerSym
 // info bits: P = exp(-Σ λ(snr_j)·bits_j).
 func (m *BERModel) DeliverProb(ri int, snrsDB []float64, bitsPerSym float64) float64 {
-	return m.DeliverProbOver(ri, m.Locate(nil, snrsDB), bitsPerSym)
+	_, dp := m.FrameOver(ri, m.Locate(nil, snrsDB), len(snrsDB), bitsPerSym)
+	return dp
 }
 
 // MeanBER returns the mean post-decode BER over a sequence of per-symbol
 // SNRs at rate ri.
 func (m *BERModel) MeanBER(ri int, snrsDB []float64) float64 {
-	return m.MeanBEROver(ri, m.Locate(nil, snrsDB))
+	ber, _ := m.FrameOver(ri, m.Locate(nil, snrsDB), len(snrsDB), 0)
+	return ber
 }
 
-// Cursor is one SNR sample located on a model's calibration grid: which
-// grid segment it falls in and how far along it. Locating is the part of
-// an interpolation that depends only on the sample, so one Cursor serves
-// the BER and λ tables of every rate — the trace generator locates each
-// symbol of a time slot once and evaluates all rates from the result. A
-// Cursor is only meaningful to the model that produced it.
+// Cursor is a run of bit-identical SNR samples located on a model's
+// calibration grid: which grid segment they fall in, how far along it,
+// and how many samples the run holds. Locating is the part of an
+// interpolation that depends only on the sample, so one Cursor serves the
+// BER and λ tables of every rate — the trace generator locates each
+// symbol of a time slot once and evaluates all rates from the result,
+// each rate over the prefix its frame occupies. A Cursor is only
+// meaningful to the model that produced it.
 type Cursor struct {
 	// seg is the interior segment k (SNRdB[k] < snr <= SNRdB[k+1]), or
 	// segBelow / segAbove beyond the grid.
 	seg int32
+	// n is the number of samples in the run, at least 1.
+	n int32
 	// frac is the position within the segment in [0, 1]; above the grid
 	// it is the distance past the last grid point in dB.
 	frac float64
@@ -289,9 +296,9 @@ func (m *BERModel) locate(snrDB float64, hint int) Cursor {
 	g := m.SNRdB
 	switch {
 	case snrDB <= g[0]:
-		return Cursor{seg: segBelow}
+		return Cursor{seg: segBelow, n: 1}
 	case snrDB >= g[len(g)-1]:
-		return Cursor{seg: segAbove, frac: snrDB - g[len(g)-1]}
+		return Cursor{seg: segAbove, n: 1, frac: snrDB - g[len(g)-1]}
 	}
 	k := hint
 	for k > 0 && !(g[k] < snrDB) {
@@ -300,34 +307,40 @@ func (m *BERModel) locate(snrDB float64, hint int) Cursor {
 	for k+1 < len(g) && g[k+1] < snrDB {
 		k++
 	}
-	return Cursor{seg: int32(k), frac: (snrDB - g[k]) / (g[k+1] - g[k])}
+	return Cursor{seg: int32(k), n: 1, frac: (snrDB - g[k]) / (g[k+1] - g[k])}
 }
 
-// Locate appends the cursor of every sample of snrsDB to dst and returns
-// the extended slice.
+// Locate appends to dst one cursor per run of bit-identical samples of
+// snrsDB — every symbol of a frame on a fading-free link is one run — and
+// returns the extended slice.
 func (m *BERModel) Locate(dst []Cursor, snrsDB []float64) []Cursor {
 	hint := 0
-	for _, s := range snrsDB {
+	for i := 0; i < len(snrsDB); {
+		s := snrsDB[i]
+		j := i + 1
+		for j < len(snrsDB) && math.Float64bits(snrsDB[j]) == math.Float64bits(s) {
+			j++
+		}
 		c := m.locate(s, hint)
 		if c.seg >= 0 {
 			hint = int(c.seg)
 		}
+		c.n = int32(j - i)
 		dst = append(dst, c)
+		i = j
 	}
 	return dst
 }
 
-// MeanBEROver is MeanBER over already-located samples.
-func (m *BERModel) MeanBEROver(ri int, cur []Cursor) float64 {
-	if len(cur) == 0 {
-		return 0
+// FrameOver returns MeanBER and DeliverProb for rate ri over the first n
+// samples of already-located runs, both tables evaluated in one pass.
+func (m *BERModel) FrameOver(ri int, cur []Cursor, n int, bitsPerSym float64) (meanBER, deliverProb float64) {
+	t := m.tables()
+	ber, lam := frameSums(&t.ber[ri], &t.lam[ri], cur, n, bitsPerSym)
+	if n > 0 {
+		meanBER = ber / float64(n)
 	}
-	return m.tables().ber[ri].sum(cur, 1) / float64(len(cur))
-}
-
-// DeliverProbOver is DeliverProb over already-located samples.
-func (m *BERModel) DeliverProbOver(ri int, cur []Cursor, bitsPerSym float64) float64 {
-	return math.Exp(-m.tables().lam[ri].sum(cur, bitsPerSym))
+	return meanBER, math.Exp(-lam)
 }
 
 // logTable is one rate's BER or λ row prepared for interpolation of
@@ -407,7 +420,11 @@ func (t *logTable) at(c Cursor) float64 {
 		}
 		x = a + c.frac*t.d[c.seg]
 	}
-	val := math.Exp(x)
+	return t.clamp(math.Exp(x))
+}
+
+// clamp bounds an Exp result to [floor, ceil]; NaN stays NaN.
+func (t *logTable) clamp(val float64) float64 {
 	if val > t.ceil {
 		return t.ceil
 	}
@@ -417,19 +434,52 @@ func (t *logTable) at(c Cursor) float64 {
 	return val
 }
 
-// sum returns Σ at(cur[j])·w, added in sample order. A run of identical
-// cursors — every symbol of a frame on a fading-free link — is evaluated
-// once.
-func (t *logTable) sum(cur []Cursor, w float64) float64 {
-	var s, val float64
-	prev := Cursor{seg: math.MinInt32}
-	for _, c := range cur {
-		if c != prev {
-			val, prev = t.at(c), c
+// sumBlock is how many runs frameSums evaluates per vmath.ExpLanes call.
+const sumBlock = 16
+
+// frameSums returns Σ ber.at(c) and Σ lam.at(c)·bitsPerSym over the first
+// n samples of cur, each run's value added once per sample, in sample
+// order. For a block of runs, the Exps of both tables inside the grid go
+// through one vmath.ExpLanes call (the rest take at), and the two sums
+// advance together.
+func frameSums(ber, lam *logTable, cur []Cursor, n int, bitsPerSym float64) (sb, sl float64) {
+	var xs, exps [2 * sumBlock]float64 // lane 2i is run i's BER, 2i+1 its λ
+	for n > 0 && len(cur) > 0 {
+		// The block: runs up to the one holding sample n.
+		var direct uint64 // lanes whose xs entry is at's value
+		m, covered := 0, 0
+		for ; m < min(sumBlock, len(cur)) && covered < n; m++ {
+			c := cur[m]
+			for ti, t := range [2]*logTable{ber, lam} {
+				if i := 2*m + ti; c.seg >= 0 && !math.IsInf(t.a[c.seg], -1) {
+					xs[i] = t.a[c.seg] + c.frac*t.d[c.seg] // at's exponent
+				} else {
+					direct |= 1 << i
+					xs[i] = t.at(c)
+				}
+			}
+			covered += int(c.n)
 		}
-		s += val * w
+		vmath.ExpLanes(exps[:2*m], xs[:2*m])
+		for i, c := range cur[:m] {
+			vb, vl := xs[2*i], xs[2*i+1]
+			if direct&(1<<(2*i)) == 0 {
+				vb = ber.clamp(exps[2*i])
+			}
+			if direct&(1<<(2*i+1)) == 0 {
+				vl = lam.clamp(exps[2*i+1])
+			}
+			vl *= bitsPerSym
+			k := min(int(c.n), n)
+			n -= k
+			for ; k > 0; k-- {
+				sb += vb
+				sl += vl
+			}
+		}
+		cur = cur[m:]
 	}
-	return s
+	return sb, sl
 }
 
 // berTables is the interpolation form of a BERModel's BER and Lambda rows.

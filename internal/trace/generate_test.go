@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"softrate/internal/ofdm"
 	"softrate/internal/phy"
 	"softrate/internal/rate"
+	"softrate/internal/vmath"
 )
 
 // referenceGenerate is Generate as it stood before the channel sweep was
@@ -218,14 +220,64 @@ func TestGenerateAllocations(t *testing.T) {
 	}
 }
 
+// TestGenerateSameAtEveryKernelLevel generates every genChannels case
+// with vmath's kernels off and at each level the host runs — on an
+// AVX-512 host that includes the four-lane cosine — and requires the same
+// trace.
+func TestGenerateSameAtEveryKernelLevel(t *testing.T) {
+	prev := vmath.SetLevel(vmath.Scalar)
+	defer vmath.SetLevel(prev)
+	mk := func(ch string) GenConfig {
+		return GenConfig{Model: mkChannel(ch, 1), Duration: 0.1, PayloadBytes: 250, Seed: 4}
+	}
+	for _, ch := range genChannels {
+		vmath.SetLevel(vmath.Scalar)
+		want := Generate(mk(ch))
+		for l := vmath.AVX2; l <= vmath.Host; l++ {
+			vmath.SetLevel(l)
+			t.Run(fmt.Sprintf("%s/level%d", ch, l), func(t *testing.T) {
+				requireSameTrace(t, Generate(mk(ch)), want)
+			})
+		}
+	}
+}
+
+// TestGenerateRejectsDurationUnderOneSlot: a trace shorter than one slot
+// has no slot to replay, so Generate refuses it up front, naming both
+// values, instead of returning a trace whose first lookup divides by zero.
+func TestGenerateRejectsDurationUnderOneSlot(t *testing.T) {
+	for _, gc := range []GenConfig{
+		{Duration: 0.0005},
+		{Duration: 0.0015, Interval: 0.002},
+		{Duration: math.NaN()},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				interval := gc.Interval
+				if interval == 0 {
+					interval = DefaultInterval
+				}
+				if !strings.Contains(msg, fmt.Sprint(gc.Duration)) || !strings.Contains(msg, fmt.Sprint(interval)) {
+					t.Errorf("Duration %v, Interval %v: panic %q, want one naming both", gc.Duration, interval, msg)
+				}
+			}()
+			gc.Model = channel.NewStaticModel(10, nil)
+			Generate(gc)
+		}()
+	}
+}
+
 func BenchmarkGenerate(b *testing.B) {
 	for _, ch := range []string{"walking", "static", "fastfade"} {
 		b.Run(ch, func(b *testing.B) {
 			model := mkChannel(ch, 1)
 			b.ReportAllocs()
+			slots := 0
 			for b.Loop() {
-				Generate(GenConfig{Model: model, Duration: 2, Seed: 2})
+				slots += len(Generate(GenConfig{Model: model, Duration: 2, Seed: 2}).Snapshots[0])
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slots), "ns/slot")
 		})
 	}
 }

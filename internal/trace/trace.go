@@ -19,6 +19,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -218,8 +219,14 @@ func (gc *GenConfig) fill() {
 // generator is part of what a Seed means and it is rate-major: per rate,
 // per slot, BER jitter, the delivery draw when the preamble is detected,
 // SNR noise.
+//
+// Generate panics if Duration is shorter than one Interval: a trace needs
+// at least one slot.
 func Generate(gc GenConfig) *LinkTrace {
 	gc.fill()
+	if !(gc.Duration >= gc.Interval) {
+		panic(fmt.Sprintf("trace: Duration %v s is shorter than one Interval of %v s", gc.Duration, gc.Interval))
+	}
 	rng := rand.New(rand.NewSource(gc.Seed))
 	nSlots := int(gc.Duration / gc.Interval)
 	lt := &LinkTrace{
@@ -272,15 +279,14 @@ func Generate(gc GenConfig) *LinkTrace {
 
 		cur = gc.BERModel.Locate(cur[:0], dataSNR)
 		for ri := range gc.Rates {
-			frame := cur[:nSym[ri]]
-			dp := gc.BERModel.DeliverProbOver(ri, frame, bitsPerSym[ri])
+			ber, dp := gc.BERModel.FrameOver(ri, cur, nSym[ri], bitsPerSym[ri])
 			if !detected {
 				dp = 0
 			}
 			lt.Snapshots[ri][s] = Snapshot{
 				Detected:    detected,
 				DeliverProb: dp,
-				BER:         gc.BERModel.MeanBEROver(ri, frame),
+				BER:         ber,
 				SNRdB:       preDB,
 			}
 		}
