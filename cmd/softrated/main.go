@@ -85,9 +85,30 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "softrated: unknown -algo %q (registered: %s)\n", *algo, strings.Join(ctl.Names(), ", "))
 		return 2
 	}
-	if *shards < 1 || *shmRings < 1 {
-		fmt.Fprintf(os.Stderr, "softrated: -shards %d, -shm-rings %d: each must be at least 1\n", *shards, *shmRings)
-		return 2
+	// Every count, size, fraction and duration is checked before the cold
+	// tier, a listener or a ring exists. NaN fails every range.
+	ringOK := *shmBytes == 0 || *shmBytes >= shmring.MinCapacity && *shmBytes&(*shmBytes-1) == 0
+	for _, c := range []struct {
+		flag, want string
+		ok         bool
+	}{
+		{"shards", "at least 1", *shards >= 1},
+		{"shm-rings", "at least 1", *shmRings >= 1},
+		{"shm-ring-bytes", fmt.Sprintf("0 or a power of two of at least %d", shmring.MinCapacity), ringOK},
+		{"cold-front", "at least 0", *coldFront >= 0},
+		{"expected-links", "at least 0", *expected >= 0},
+		{"max-inflight", "at least 0", *maxInflight >= 0},
+		{"compact-ratio", "0 or in (0,1]", *compactRat >= 0 && *compactRat <= 1},
+		{"chaos-cold", "a probability in [0,1]", *chaosCold >= 0 && *chaosCold <= 1},
+		{"ttl", "at least 0", *ttl >= 0},
+		{"stats", "at least 0", *statsEvery >= 0},
+		{"drain-grace", "at least 0", *drainGrace >= 0},
+		{"tcp-write-timeout", "at least 0", *writeTO >= 0},
+	} {
+		if !c.ok {
+			fmt.Fprintf(os.Stderr, "softrated: -%s %v: must be %s\n", c.flag, flag.Lookup(c.flag).Value, c.want)
+			return 2
+		}
 	}
 
 	var cold *coldstore.Store

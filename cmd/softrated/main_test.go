@@ -666,17 +666,39 @@ func TestFailedStartRemovesRings(t *testing.T) {
 	}
 }
 
-// TestRejectsBadCounts: a shard or ring count below one exits 2 before any
-// listener or ring file exists.
+// TestRejectsBadCounts: a count, ring size, fraction or duration out of
+// its range — a shard or ring count below one, a ring size that is not 0
+// or a power of two of at least shmring.MinCapacity, a negative front,
+// pre-size or in-flight bound, a compaction ratio or chaos rate outside
+// [0,1] (NaN included), a negative TTL, stats interval, drain grace or
+// write timeout — exits 2 before the cold tier opens or any listener or
+// ring file exists.
 func TestRejectsBadCounts(t *testing.T) {
 	for _, args := range [][]string{
 		{"-shards", "0"},
 		{"-shards", "-5"},
 		{"-shm-rings", "0"},
 		{"-shm-rings", "-1"},
+		{"-shm-ring-bytes", "1000"},
+		{"-shm-ring-bytes", "-65536"},
+		{"-shm-ring-bytes", "98304"},
+		{"-cold-front", "-1"},
+		{"-expected-links", "-1"},
+		{"-max-inflight", "-1"},
+		{"-compact-ratio", "1.5"},
+		{"-compact-ratio", "-1"},
+		{"-compact-ratio", "NaN"},
+		{"-chaos-cold", "2"},
+		{"-chaos-cold", "-1"},
+		{"-chaos-cold", "NaN"},
+		{"-ttl", "-1s"},
+		{"-stats", "-1s"},
+		{"-drain-grace", "-1s"},
+		{"-tcp-write-timeout", "-1s"},
 	} {
-		ring := filepath.Join(t.TempDir(), "R")
-		cmd := childCmd(append([]string{"-addr", "127.0.0.1:0", "-shm", ring}, args...)...)
+		dir := t.TempDir()
+		ring, cold := filepath.Join(dir, "R"), filepath.Join(dir, "cold")
+		cmd := childCmd(append([]string{"-addr", "127.0.0.1:0", "-shm", ring, "-cold-dir", cold}, args...)...)
 		var out strings.Builder
 		cmd.Stdout, cmd.Stderr = &out, &out
 		if err := cmd.Start(); err != nil {
@@ -693,8 +715,10 @@ func TestRejectsBadCounts(t *testing.T) {
 		if strings.Contains(out.String(), "listening on") {
 			t.Errorf("softrated %q opened a listener:\n%s", args, out.String())
 		}
-		if _, err := os.Stat(ring); !os.IsNotExist(err) {
-			t.Errorf("softrated %q created ring %s (stat: %v)", args, ring, err)
+		for _, p := range []string{ring, cold} {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Errorf("softrated %q created %s (stat: %v)", args, p, err)
+			}
 		}
 	}
 }

@@ -15,14 +15,14 @@
 //     syscall (group commit). Records are CRC-framed — [width u16,
 //     algo u8, linkID u64, state, crc32 over all of it] — so a torn
 //     tail is detectable.
-//   - The index (index.go) is an open-addressing table of [linkID u64,
-//     segment slot u16, offset u32, state width u16] entries. It carries
-//     the record's length, so a read is exact and superseding or
-//     restoring a record needs no I/O to account its bytes dead. Linear
-//     probing in hash order, backward-shift deletion, and 64 partitions
-//     that grow one at a time, so no insert rehashes the whole index. The
-//     hash is keyed per process: link IDs come off the wire, and nobody
-//     outside can aim them at one slot.
+//   - The index (index.go) maps linkID u64 to [segment slot u16, offset
+//     u32, state width u16]. It carries the record's length, so a read is
+//     exact and superseding or restoring a record needs no I/O to account
+//     its bytes dead. It is 64 partitions, each an idtable.Table (the
+//     link-ID table linkstore's shards use too) grown one at a time, so
+//     no insert rehashes the whole index. The hash is keyed per process:
+//     link IDs come off the wire, and nobody outside can aim them at one
+//     slot.
 //   - Reads go through a small read-through cache of aligned segment
 //     blocks (blockcache.go). Append-only segments make it coherent
 //     without invalidation: committed bytes never change, the growing
@@ -460,7 +460,7 @@ func (s *Store) scanSegment(sg *segment) error {
 // indexPut points the index at a freshly scanned or written record of
 // state width w, marking any superseded record dead in its segment.
 func (s *Store) indexPut(id uint64, algo uint8, sg *segment, off int64, w int) {
-	if old, ok := s.index.put(id, makeLoc(sg.slot, off, w)); ok {
+	if old := s.index.put(id, makeLoc(sg.slot, off, w)); old != 0 {
 		s.markDead(old)
 	} else {
 		s.perAlgo[algo]++
@@ -695,7 +695,7 @@ func (s *Store) TakeBatch(ids []uint64, dst []byte, out []Taken) ([]byte, []Take
 	stateBytes := 0
 	for i, id := range ids {
 		out = append(out, Taken{})
-		if l, ok := s.index.get(id); ok {
+		if l := s.index.get(id); l != 0 {
 			refs = append(refs, takeRef{loc: l, pos: int32(i)})
 			stateBytes += l.width()
 		}
@@ -763,8 +763,8 @@ func (s *Store) Take(id uint64, dst []byte) (algo uint8, state []byte, ok bool, 
 func (s *Store) Peek(id uint64, dst []byte) (algo uint8, state []byte, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l, ok := s.index.get(id)
-	if !ok {
+	l := s.index.get(id)
+	if l == 0 {
 		return 0, nil, false, nil
 	}
 	a, view, err := s.readRecord(id, l)
@@ -901,7 +901,7 @@ func (s *Store) compactSliceLocked(c *compaction) error {
 			break
 		}
 		id := binary.LittleEndian.Uint64(rec[3:11])
-		if l, ok := s.index.get(id); ok && l == makeLoc(c.victim.slot, c.off+int64(rel), w) {
+		if s.index.get(id) == makeLoc(c.victim.slot, c.off+int64(rel), w) {
 			c.live = append(c.live, Record{LinkID: id, Algo: rec[2], State: rec[recHeaderLen : recHeaderLen+w]})
 		}
 		rel += n

@@ -3,12 +3,14 @@ package coldstore
 import (
 	"math/rand"
 	"testing"
+
+	"softrate/internal/idtable"
 )
 
-// checkIndex verifies ix holds exactly want, that every partition keeps
-// the layout lookups rely on — entries in hash order, each at or after
-// its home with no empty slot in between, the last slot empty — and that
-// the counts agree.
+// checkIndex verifies ix holds exactly want: that each made partition
+// holds just the links that belong in it, each once and with its model
+// location, that the counts agree, and that every link is found. The
+// layout lookups rely on is idtable's to check.
 func checkIndex(t *testing.T, ix *index, want map[uint64]uint64) {
 	t.Helper()
 	if ix.len() != len(want) {
@@ -17,36 +19,25 @@ func checkIndex(t *testing.T, ix *index, want map[uint64]uint64) {
 	seen := 0
 	for k := range ix.parts {
 		p := &ix.parts[k]
-		if len(p.slots) == 0 {
+		if ix.made&(1<<k) == 0 {
+			if p.Len() != 0 {
+				t.Fatalf("partition %d holds %d links, never made", k, p.Len())
+			}
 			continue
 		}
-		if p.slots[len(p.slots)-1].loc != 0 {
-			t.Fatalf("partition %d: last slot is filled", k)
-		}
-		used, prev, lastEmpty := 0, uint32(0), -1
-		for i, s := range p.slots {
-			if s.loc == 0 {
-				lastEmpty = i
-				continue
-			}
+		used := 0
+		p.Walk(func(i int, id uint64, l *loc) bool {
 			used++
-			if got, ok := want[s.key]; !ok || loc(got) != s.loc {
-				t.Fatalf("partition %d slot %d: link %d → %#x, model has %#x (present %v)", k, i, s.key, s.loc, got, ok)
+			if got, ok := want[id]; !ok || loc(got) != *l {
+				t.Fatalf("partition %d slot %d: link %d → %#x, model has %#x (present %v)", k, i, id, *l, got, ok)
 			}
-			if pk, _ := part(s.key); pk != k {
-				t.Fatalf("link %d sits in partition %d, belongs in %d", s.key, k, pk)
+			if pk, _ := part(id); pk != k {
+				t.Fatalf("link %d sits in partition %d, belongs in %d", id, k, pk)
 			}
-			h := hash32(s.key)
-			if h < prev {
-				t.Fatalf("partition %d slot %d: hash order broken", k, i)
-			}
-			prev = h
-			if home := p.home(h); home > i || home <= lastEmpty {
-				t.Fatalf("partition %d slot %d: home %d, nearest empty slot before it %d", k, i, home, lastEmpty)
-			}
-		}
-		if used != p.used {
-			t.Fatalf("partition %d: %d entries, used says %d", k, used, p.used)
+			return false
+		})
+		if used != p.Len() {
+			t.Fatalf("partition %d: %d entries, Len says %d", k, used, p.Len())
 		}
 		seen += used
 	}
@@ -54,10 +45,24 @@ func checkIndex(t *testing.T, ix *index, want map[uint64]uint64) {
 		t.Fatalf("partitions hold %d entries, model %d", seen, len(want))
 	}
 	for id, l := range want {
-		if got, ok := ix.get(id); !ok || got != loc(l) {
-			t.Fatalf("get(%d) = %#x, %v; model has %#x", id, got, ok, l)
+		if got := ix.get(id); got != loc(l) {
+			t.Fatalf("get(%d) = %#x; model has %#x", id, got, l)
 		}
 	}
+}
+
+// slotRange returns the lowest and highest slots partition k holds links
+// in.
+func slotRange(ix *index, k int) (lo, hi int) {
+	lo, hi = -1, -1
+	ix.parts[k].Walk(func(i int, _ uint64, _ *loc) bool {
+		if lo < 0 {
+			lo = i
+		}
+		hi = i
+		return false
+	})
+	return lo, hi
 }
 
 // TestIndexAgainstMap drives the flat index and a Go map with the same
@@ -81,34 +86,31 @@ func TestIndexAgainstMap(t *testing.T) {
 		switch r := rng.Intn(10); {
 		case r < 2 && len(ids) > 0: // supersede, or re-put a deleted link
 			id, l := ids[rng.Intn(len(ids))], newLoc()
-			old, replaced := ix.put(id, loc(l))
-			if want, ok := model[id]; ok != replaced || loc(want) != old {
-				t.Fatalf("step %d: put(%d) replaced %#x, %v; model had %#x, %v", step, id, old, replaced, want, ok)
+			if old := ix.put(id, loc(l)); old != loc(model[id]) {
+				t.Fatalf("step %d: put(%d) replaced %#x; model had %#x", step, id, old, model[id])
 			}
 			model[id] = l
 		case r < 3: // miss
 			id := rng.Uint64()
 			if _, ok := model[id]; !ok {
-				if l, ok := ix.get(id); ok {
+				if l := ix.get(id); l != 0 {
 					t.Fatalf("step %d: get(%d) found %#x, never put", step, id, l)
 				}
-				if l, ok := ix.del(id); ok {
+				if l := ix.del(id); l != 0 {
 					t.Fatalf("step %d: del(%d) removed %#x, never put", step, id, l)
 				}
 			}
 		case (r < 8) == growing || len(ids) == 0: // insert
 			id, l := rng.Uint64()>>rng.Intn(64), newLoc() // small and large ids alike
-			old, replaced := ix.put(id, loc(l))
-			if want, ok := model[id]; ok != replaced || loc(want) != old {
-				t.Fatalf("step %d: put(%d) replaced %#x, %v; model had %#x, %v", step, id, old, replaced, want, ok)
+			if old := ix.put(id, loc(l)); old != loc(model[id]) {
+				t.Fatalf("step %d: put(%d) replaced %#x; model had %#x", step, id, old, model[id])
 			}
 			model[id] = l
 			ids = append(ids, id)
 		default: // delete
 			id := ids[rng.Intn(len(ids))]
-			old, ok := ix.del(id)
-			if want, had := model[id]; had != ok || loc(want) != old {
-				t.Fatalf("step %d: del(%d) = %#x, %v; model had %#x, %v", step, id, old, ok, want, had)
+			if old := ix.del(id); old != loc(model[id]) {
+				t.Fatalf("step %d: del(%d) = %#x; model had %#x", step, id, old, model[id])
 			}
 			delete(model, id)
 		}
@@ -128,11 +130,13 @@ func TestIndexEndOfTableCluster(t *testing.T) {
 	var ix index
 	model := make(map[uint64]uint64)
 	// Collect ids of partition 0 whose hash lands on the last home of the
-	// partition's first table.
-	firstHomes := indexFirstHomes
+	// partition's first table: more than its slack holds, and past its
+	// load threshold.
+	first := idtable.New[loc](hashSeed, indexFirstLinks, idtable.Dense)
+	lastHome := first.Home(^uint64(0))
 	var tail []uint64
-	for id := uint64(0); len(tail) < indexSlack+8; id++ {
-		if k, h := part(id); k == 0 && int(uint64(h)*uint64(firstHomes)>>32) == firstHomes-1 {
+	for id := uint64(0); len(tail) < 72; id++ {
+		if k, m := part(id); k == 0 && first.Home(m) == lastHome {
 			tail = append(tail, id)
 		}
 	}
@@ -141,8 +145,11 @@ func TestIndexEndOfTableCluster(t *testing.T) {
 		model[id] = uint64(makeLoc(1, int64(headerLen+i), 8))
 		checkIndex(t, &ix, model)
 	}
+	if ix.parts[0].Home(^uint64(0)) == lastHome {
+		t.Fatalf("%d links never grew partition 0 past its first %d homes", len(tail), lastHome+1)
+	}
 	for _, id := range tail[:len(tail)/2] {
-		if _, ok := ix.del(id); !ok {
+		if ix.del(id) == 0 {
 			t.Fatalf("del(%d) missed", id)
 		}
 		delete(model, id)
@@ -157,23 +164,22 @@ func TestIndexSlackExhaustedLengthens(t *testing.T) {
 	var ix index
 	model := make(map[uint64]uint64)
 	// A table with many homes and few entries, all hashing to its last
-	// home: the load threshold is far away, the slack is not.
-	const homes = 4096
-	p := &ix.parts[0]
-	p.homes = homes
-	p.slots = make([]indexSlot, homes+indexSlack)
-	n := 0
-	for id := uint64(0); n < indexSlack+4; id++ {
-		if k, h := part(id); k == 0 && p.home(h) == p.homes-1 {
-			l := makeLoc(2, int64(headerLen+n), 8)
+	// home: the load threshold is far away, the slack (32 slots) is not.
+	ix.parts[0] = idtable.New[loc](hashSeed, 3400, idtable.Dense)
+	ix.made = 1
+	lastHome := ix.parts[0].Home(^uint64(0))
+	const n = 100
+	for id := uint64(0); len(model) < n; id++ {
+		if k, m := part(id); k == 0 && ix.parts[0].Home(m) == lastHome {
+			l := makeLoc(2, int64(headerLen+len(model)), 8)
 			ix.put(id, l)
 			model[id] = uint64(l)
-			n++
 			checkIndex(t, &ix, model)
 		}
 	}
-	if p.homes != homes || len(p.slots) != homes+n {
-		t.Fatalf("%d links on the last home: %d homes, %d slots; want %d homes and the slack lengthened to %d slots", n, p.homes, len(p.slots), homes, homes+n)
+	if lo, hi := slotRange(&ix, 0); ix.parts[0].Home(^uint64(0)) != lastHome || lo != lastHome || hi != lastHome+n-1 {
+		t.Fatalf("%d links on the last home %d: in slots %d to %d, last home now %d; want one run from it and no growth",
+			n, lastHome, lo, hi, ix.parts[0].Home(^uint64(0)))
 	}
 }
 
@@ -195,19 +201,19 @@ func unmix64(x uint64) uint64 {
 
 // TestIndexIdenticalHashesAtTop inserts several slacks' worth of links
 // whose hash is the largest there is, all in one partition: no growth
-// step can spread them, so each insert has to make its own room — in
-// space proportional to the pile — and growth steps along the way have
-// to carry the pile over. (Crafting them takes the process's hash seed.)
+// step can spread them, so each insert has to make its own room, and
+// growth steps along the way have to carry the pile over. (Crafting them
+// takes the process's hash seed.)
 func TestIndexIdenticalHashesAtTop(t *testing.T) {
 	var ix index
 	model := make(map[uint64]uint64)
 	const k = indexParts - 1
-	n := 5 * indexSlack
-	ids := make([]uint64, n)
+	ids := make([]uint64, 160)
 	for i := range ids {
-		ids[i] = unmix64(uint64(k)<<indexPartShift|0xFFFFFFFF<<24|uint64(i)) ^ hashSeed
-		if pk, h := part(ids[i]); pk != k || h != 0xFFFFFFFF {
-			t.Fatalf("crafted id %d lands in partition %d with hash %#x", i, pk, h)
+		m := uint64(0xFFFFFFFF)<<32 | uint64(i)*indexParts | k
+		ids[i] = unmix64(m) ^ hashSeed
+		if pk, pm := part(ids[i]); pk != k || pm != m {
+			t.Fatalf("crafted id %d lands in partition %d with mix %#x", i, pk, pm)
 		}
 	}
 	for i, id := range ids {
@@ -216,12 +222,11 @@ func TestIndexIdenticalHashesAtTop(t *testing.T) {
 		model[id] = uint64(l)
 		checkIndex(t, &ix, model)
 	}
-	p := &ix.parts[k]
-	if len(p.slots) > p.homes+n {
-		t.Fatalf("%d same-hash links took %d slots past %d homes", n, len(p.slots)-p.homes, p.homes)
+	if lo, hi := slotRange(&ix, k); lo != ix.parts[k].Home(^uint64(0)) || hi != lo+len(ids)-1 {
+		t.Fatalf("%d same-hash links sit in slots %d to %d, want one run from the last home %d", len(ids), lo, hi, ix.parts[k].Home(^uint64(0)))
 	}
-	for _, id := range ids[:n/2] {
-		if _, ok := ix.del(id); !ok {
+	for _, id := range ids[:len(ids)/2] {
+		if ix.del(id) == 0 {
 			t.Fatalf("del(%d) missed", id)
 		}
 		delete(model, id)

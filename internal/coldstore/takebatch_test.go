@@ -247,7 +247,7 @@ func TestSegmentOffsetBound(t *testing.T) {
 		}
 		peekT(t, s, 2, 8)
 		s.mu.Lock()
-		l, _ := s.index.get(2)
+		l := s.index.get(2)
 		s.mu.Unlock()
 		if l.off() != headerLen {
 			t.Fatalf("link 2 indexed at offset %d, want the head of the fresh segment", l.off())

@@ -71,7 +71,7 @@ func TestEvictReviveInPlace(t *testing.T) {
 		// where returns the link's entry and the state bytes behind it.
 		where := func(s *Store, id uint64) (entry, []byte) {
 			sh := &s.shards[0]
-			e := sh.links.get(id)
+			e := sh.links.Get(id, sh.links.Mix(id))
 			if e == nil {
 				t.Fatalf("algo %d: link %d is not in the table", algo, id)
 			}

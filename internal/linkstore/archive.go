@@ -87,7 +87,7 @@ var walkPool = sync.Pool{New: func() any { return new(walkScratch) }}
 // sc, the ones it just evicted included, by tier. Caller holds sh.mu.
 func (sh *shard) walkLocked(st *Store, nowTick, minAge uint32, sc *walkScratch) int {
 	evicted := 0
-	sh.links.walk(func(i int, _ uint64, e *entry) bool {
+	sh.links.Walk(func(i int, _ uint64, e *entry) bool {
 		if e.tier == tierLive {
 			if nowTick-e.lastUsed < minAge { // wrapping age in ticks
 				return false
@@ -158,8 +158,8 @@ func (sh *shard) spillTierLocked(st *Store, tier uint8, now int64, sc *walkScrat
 	}
 	recs := sc.recs[:0]
 	for _, i := range sc.at[tier] {
-		s := &sh.links.slots[i]
-		recs = append(recs, coldstore.Record{LinkID: s.id, Algo: uint8(s.algo), State: sh.stateOf(st, &s.entry)})
+		id, e := sh.links.At(int(i))
+		recs = append(recs, coldstore.Record{LinkID: id, Algo: uint8(e.algo), State: sh.stateOf(st, e)})
 	}
 	err := st.cold.PutBatch(recs)
 	clear(recs) // the pool must not pin the table the records point into
@@ -193,12 +193,12 @@ func (sh *shard) dropSpilledLocked(st *Store, sc *walkScratch) {
 		} else {
 			i, b = b[len(b)-1], b[:len(b)-1]
 		}
-		e := &sh.links.slots[i].entry
+		_, e := sh.links.At(int(i))
 		c := &sh.perAlgo[e.algo]
 		c.archived--
 		c.archivedBytes -= int64(st.widths[e.algo])
 		sh.freeStateLocked(st, e)
-		sh.links.delAt(int(i))
+		sh.links.DelAt(int(i))
 	}
 	for t := range sc.at {
 		sc.at[t] = sc.at[t][:0]

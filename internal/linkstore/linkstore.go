@@ -11,9 +11,10 @@
 //     core.Step, shares one read-only controller store-wide). Controllers
 //     are thus relocatable between shards, processes, and machines.
 //   - Every link a shard holds in RAM, live or archived, sits in one flat
-//     open-addressing table (table.go) whose 24-byte slots hold key, state,
-//     stamp, algorithm and tier tag together: a decision that hits probes
-//     once and updates the slot in place.
+//     open-addressing table (an idtable.Table at the Fast load, the
+//     link-ID table coldstore's index uses too) whose 24-byte slots hold
+//     key, state, stamp, algorithm and tier tag together: a decision that
+//     hits probes once and updates the slot in place.
 //   - State wider than a slot's 8 bytes lives in per-shard, per-algorithm
 //     slabs (flat byte arrays of fixed-width slots with a free list), so
 //     the hot path touches no per-op heap allocation regardless of
@@ -70,6 +71,7 @@ import (
 	"softrate/internal/core"
 	"softrate/internal/ctl"
 	"softrate/internal/faultfs"
+	"softrate/internal/idtable"
 )
 
 // Config parameterizes a Store.
@@ -277,6 +279,31 @@ type algoCounters struct {
 	archivedBytes                int64
 }
 
+// inlineState is the largest encoded state kept inline in the entry.
+const inlineState = 8
+
+// tierLive is the tier tag of a link in service. Any other tag is one of
+// the RAM archive's two generations (1 and 2): the link idled out and is
+// waiting, where it was, to come back or be spilled.
+const tierLive = 0
+
+// entry is a link in RAM, deliberately 16 bytes: with its key, a 24-byte
+// table slot, so a hit touches one cache line (two for the slot in four
+// that straddles). A state that fits inlineState bytes (SoftRate's 8)
+// lives in the entry; a wider one in the per-algorithm slab, its slot
+// overlaid on the state bytes. Eviction and revival change tier and
+// nothing else. algo comes first: the table's test for an empty (zero)
+// slot then stops at a filled slot's first byte.
+type entry struct {
+	algo     ctl.Algo          // never ctl.AlgoDefault for a stored link
+	tier     uint8             // tierLive or an archive generation
+	lastUsed uint32            // ticks since the store epoch
+	state    [inlineState]byte // encoded state (w <= 8) or LE slab slot in [0:4)
+}
+
+func (e *entry) slot() uint32     { return binary.LittleEndian.Uint32(e.state[0:4]) }
+func (e *entry) setSlot(v uint32) { binary.LittleEndian.PutUint32(e.state[0:4], v) }
+
 // shard is one lock stripe: its fields, padded to a whole number of cache
 // lines on every GOARCH, so a visit never writes a line another shard's
 // lock is on.
@@ -291,8 +318,8 @@ const cacheLine = 64
 // table header, hit counter, sweep stamp — fills the first cache line.
 type shardFields struct {
 	mu        sync.Mutex
-	links     linkTable // every link in RAM: live, or tagged archived
-	hits      uint64    // ops that found their link live
+	links     idtable.Table[entry] // every link in RAM: live, or tagged archived
+	hits      uint64               // ops that found their link live
 	lastSweep int64
 	// genLen counts the table's archived links by tier tag (1 or 2; index
 	// tierLive is unused), and curTier is the tag evictions stamp. A filled
@@ -434,7 +461,7 @@ func New(cfg Config) *Store {
 	}
 	tableLinks := live + 3*int(math.Sqrt(float64(live))) + archive
 	for i := range st.shards {
-		st.shards[i].links = newLinkTable(seed, tableLinks)
+		st.shards[i].links = idtable.New[entry](seed, tableLinks, idtable.Fast)
 		st.shards[i].curTier = 1
 		st.shards[i].slabs = make([]slab, nAlgos)
 		st.shards[i].scratch = make([]ctl.Controller, nAlgos)
@@ -558,7 +585,8 @@ func (sh *shard) applyShardLocked(st *Store, ops []Op, idxs []int32, out []int32
 		run := idxs[k:j]
 		// Hot path: the link exists and its algorithm is already bound, so
 		// the op's Algo field doesn't even need resolving.
-		e := sh.links.get(id)
+		m := sh.links.Mix(id)
+		e := sh.links.Get(id, m)
 		if e != nil && e.tier == tierLive {
 			sh.hits += uint64(len(run))
 		} else if e != nil {
@@ -569,7 +597,7 @@ func (sh *shard) applyShardLocked(st *Store, ops []Op, idxs []int32, out []int32
 		} else if st.cold.Len() == 0 {
 			// Not in RAM, and nothing to ask an empty tier for (only this
 			// shard spills this link, under sh.mu): a new link.
-			e = sh.links.put(id, sh.freshLocked(st, st.resolveAlgo(ops[run[0]].Algo)))
+			e, _ = sh.links.Put(id, m, sh.freshLocked(st, st.resolveAlgo(ops[run[0]].Algo)))
 			sh.hits += uint64(len(run) - 1)
 		} else {
 			sh.coldIDs = append(sh.coldIDs, id)
@@ -595,11 +623,12 @@ func (sh *shard) applyColdRunsLocked(st *Store, ops []Op, idxs []int32, out []in
 		run := idxs[r[0]:r[1]]
 		// A link deferred twice in one visit was restored by its first run
 		// and is hot for the second, whose own (absent) answer goes unused.
-		e := sh.links.get(id)
+		m := sh.links.Mix(id)
+		e := sh.links.Get(id, m)
 		if e != nil {
 			sh.hits += uint64(len(run))
 		} else {
-			e = sh.links.put(id, sh.fromColdLocked(st, &sh.coldOut[i], ops[run[0]].Algo))
+			e, _ = sh.links.Put(id, m, sh.fromColdLocked(st, &sh.coldOut[i], ops[run[0]].Algo))
 			sh.hits += uint64(len(run) - 1)
 		}
 		sh.applyRunLocked(st, e, ops, run, out, nowTick)
@@ -769,7 +798,7 @@ func (st *Store) Peek(id uint64) (ctl.Algo, []byte, bool) {
 	sh := st.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e := sh.links.get(id); e != nil { // in service or archived alike
+	if e := sh.links.Get(id, sh.links.Mix(id)); e != nil { // in service or archived alike
 		return e.algo, bytes.Clone(sh.stateOf(st, e)), true
 	}
 	if algoB, state, ok, err := st.cold.Peek(id, nil); err == nil && ok {
@@ -831,7 +860,7 @@ func (st *Store) Stats() Stats {
 // statsLocked snapshots the shard's counters. Caller holds sh.mu.
 func (sh *shard) statsLocked() ShardStats {
 	archived := sh.archivedLen()
-	s := ShardStats{Hits: sh.hits, Live: sh.links.len() - archived, Archived: archived}
+	s := ShardStats{Hits: sh.hits, Live: sh.links.Len() - archived, Archived: archived}
 	for a := range sh.perAlgo {
 		c := &sh.perAlgo[a]
 		s.Creates += c.creates

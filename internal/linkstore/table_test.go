@@ -8,17 +8,27 @@ import (
 	"unsafe"
 
 	"softrate/internal/ctl"
+	"softrate/internal/idtable"
 )
+
+// linkTable is a shard's table of links in RAM.
+type linkTable = idtable.Table[entry]
+
+func newLinkTable(seed uint64, links int) linkTable {
+	return idtable.New[entry](seed, links, idtable.Fast)
+}
+
+// tableHash is the hash a table keyed by seed orders link id by.
+func tableHash(seed, id uint64) uint32 { return uint32(idtable.Mix(seed, id) >> 32) }
 
 // tableKeys returns n link IDs for the table tests to draw from. Under
 // seed the first n/2+n/8 hash into the top sixteenth of the hash range,
 // so at any table size they pile up against the last home slots and past
 // them into the slack; the rest hash anywhere.
 func tableKeys(seed uint64, n int) []uint64 {
-	t := linkTable{seed: seed}
 	keys := make([]uint64, 0, n)
 	for id := uint64(1); len(keys) < n; id++ {
-		if len(keys) >= n/2+n/8 || t.hash(id) >= 0xF0000000 {
+		if len(keys) >= n/2+n/8 || tableHash(seed, id) >= 0xF0000000 {
 			keys = append(keys, id)
 		}
 	}
@@ -27,50 +37,60 @@ func tableKeys(seed uint64, n int) []uint64 {
 
 // scan is a walk over the links of one tier: it shows visit only those
 // and deletes the ones it reports true for, as each is visited.
-func (t *linkTable) scan(tier uint8, visit func(id uint64, e *entry) bool) int {
-	return t.walk(func(_ int, id uint64, e *entry) bool { return e.tier == tier && visit(id, e) })
+func scan(t *linkTable, tier uint8, visit func(id uint64, e *entry) bool) int {
+	return t.Walk(func(_ int, id uint64, e *entry) bool { return e.tier == tier && visit(id, e) })
 }
 
-// checkTable verifies the table's structural invariants and that it holds
-// exactly model.
+// slotted is a table's content slot by slot, as a walk shows it.
+type slotted struct {
+	i  int
+	id uint64
+	e  entry
+}
+
+func contents(tb *linkTable) []slotted {
+	var out []slotted
+	tb.Walk(func(i int, id uint64, e *entry) bool {
+		out = append(out, slotted{i, id, *e})
+		return false
+	})
+	return out
+}
+
+// checkTable verifies that the table holds exactly model, that a walk
+// shows every link once, in hash order — the order a spill writes — and
+// that every link is found where the walk saw it.
 func checkTable(t *testing.T, tb *linkTable, model map[uint64]entry) {
 	t.Helper()
-	if tb.len() != len(model) {
-		t.Fatalf("table holds %d links, model %d", tb.len(), len(model))
+	if tb.Len() != len(model) {
+		t.Fatalf("table holds %d links, model %d", tb.Len(), len(model))
 	}
-	if last := tb.slots[len(tb.slots)-1]; last.algo != ctl.AlgoDefault {
-		t.Fatalf("last slot is filled: %+v", last)
-	}
-	seen, prev := 0, uint32(0)
-	for i := range tb.slots {
-		s := &tb.slots[i]
-		if s.algo == ctl.AlgoDefault {
-			continue
-		}
+	seen, prev, last := 0, uint32(0), -1
+	tb.Walk(func(i int, id uint64, e *entry) bool {
 		seen++
-		h := tb.hash(s.id)
-		if home := tb.home(h); home > i {
-			t.Fatalf("slot %d holds link %d before its home %d", i, s.id, home)
-		} else if home < i && tb.slots[i-1].algo == ctl.AlgoDefault {
-			t.Fatalf("slot %d holds link %d displaced from %d across an empty slot", i, s.id, home)
+		if i <= last {
+			t.Fatalf("walk showed slot %d after slot %d", i, last)
 		}
-		if h < prev {
+		last = i
+		if h := uint32(tb.Mix(id) >> 32); h < prev {
 			t.Fatalf("slot %d holds hash %#x after %#x: not in hash order", i, h, prev)
+		} else {
+			prev = h
 		}
-		prev = h
-		if want, ok := model[s.id]; !ok || want != s.entry {
-			t.Fatalf("slot %d holds link %d = %+v, model %+v (present %v)", i, s.id, s.entry, want, ok)
+		if want, ok := model[id]; !ok || want != *e {
+			t.Fatalf("slot %d holds link %d = %+v, model %+v (present %v)", i, id, *e, want, ok)
 		}
-	}
+		if got, e2 := tb.At(i); got != id || e2 != e {
+			t.Fatalf("At(%d) = %d, %p; the walk saw %d, %p", i, got, e2, id, e)
+		}
+		return false
+	})
 	if seen != len(model) {
-		t.Fatalf("%d filled slots, model holds %d", seen, len(model))
+		t.Fatalf("walk showed %d links, model holds %d", seen, len(model))
 	}
 	for id, want := range model {
-		if e := tb.get(id); e == nil || *e != want {
+		if e := tb.Get(id, tb.Mix(id)); e == nil || *e != want {
 			t.Fatalf("get(%d) = %v, model %+v", id, e, want)
-		}
-		if i, found := tb.find(id); !found || tb.slots[i].id != id {
-			t.Fatalf("find(%d) = %d, %v", id, i, found)
 		}
 	}
 }
@@ -87,17 +107,18 @@ func driveTable(t *testing.T, seed uint64, prog []byte) {
 	for pc := 0; pc+1 < len(prog); pc += 2 {
 		op, arg := prog[pc], prog[pc+1]
 		id := keys[int(arg)%len(keys)]
+		m := tb.Mix(id)
 		stamp++
 		switch op % 9 {
 		case 0, 1: // put: insert, or replace the link's entry
 			e := entry{lastUsed: stamp, algo: ctl.Algo(1 + arg%5)}
 			binary.LittleEndian.PutUint64(e.state[:], uint64(stamp)<<8|uint64(arg))
-			if got := tb.put(id, e); *got != e {
+			if got, _ := tb.Put(id, m, e); *got != e {
 				t.Fatalf("step %d: put(%d) handed back %+v, stored %+v", pc, id, *got, e)
 			}
 			model[id] = e
 		case 2: // update in place through the pointer get hands back
-			e, want := tb.get(id), model[id]
+			e, want := tb.Get(id, m), model[id]
 			if _, ok := model[id]; ok != (e != nil) {
 				t.Fatalf("step %d: get(%d) = %v, model present %v", pc, id, e, ok)
 			}
@@ -108,16 +129,21 @@ func driveTable(t *testing.T, seed uint64, prog []byte) {
 				model[id] = want
 			}
 		case 3: // miss
-			if e := tb.get(^id); e != nil {
+			if e := tb.Get(^id, tb.Mix(^id)); e != nil {
 				t.Fatalf("step %d: get of a key never stored = %+v", pc, *e)
 			}
-		case 4: // delete
-			i, found := tb.find(id)
-			if _, ok := model[id]; ok != found {
-				t.Fatalf("step %d: find(%d) found %v, model present %v", pc, id, found, ok)
+		case 4: // delete, by the slot a walk finds the link in
+			i := -1
+			for _, s := range contents(&tb) {
+				if s.id == id {
+					i = s.i
+				}
 			}
-			if found {
-				tb.delAt(i)
+			if _, ok := model[id]; ok != (i >= 0) {
+				t.Fatalf("step %d: a walk found %d in slot %d, model present %v", pc, id, i, ok)
+			}
+			if i >= 0 {
+				tb.DelAt(i)
 				delete(model, id)
 			}
 		case 5: // scan one tier and evict its links whose stamp arg selects
@@ -129,7 +155,7 @@ func driveTable(t *testing.T, seed uint64, prog []byte) {
 				}
 			}
 			visits := map[uint64]int{}
-			n := tb.scan(tier, func(id uint64, e *entry) bool {
+			n := scan(&tb, tier, func(id uint64, e *entry) bool {
 				visits[id]++
 				if want, ok := model[id]; !ok || want != *e || e.tier != tier {
 					t.Fatalf("step %d: scan of tier %d saw link %d = %+v, model %+v (present %v)", pc, tier, id, *e, want, ok)
@@ -152,7 +178,7 @@ func driveTable(t *testing.T, seed uint64, prog []byte) {
 				t.Fatalf("step %d: evict's count is off by %d", pc, n)
 			}
 		case 6, 7: // tag as one of two generations (6), or revive (7), in place
-			e, want := tb.get(id), model[id]
+			e, want := tb.Get(id, m), model[id]
 			if _, ok := model[id]; ok != (e != nil) {
 				t.Fatalf("step %d: get(%d) = %v, model present %v", pc, id, e, ok)
 			}
@@ -167,7 +193,7 @@ func driveTable(t *testing.T, seed uint64, prog []byte) {
 		case 8: // spill a generation: collect it in one scan, delete it in the next
 			gen := 1 + arg&1
 			var collected []uint64
-			if n := tb.scan(gen, func(id uint64, _ *entry) bool {
+			if n := scan(&tb, gen, func(id uint64, _ *entry) bool {
 				collected = append(collected, id)
 				return false
 			}); n != 0 {
@@ -178,12 +204,12 @@ func driveTable(t *testing.T, seed uint64, prog []byte) {
 				if model[id].tier != gen {
 					t.Fatalf("step %d: collected link %d, tier %d in the model", pc, id, model[id].tier)
 				}
-				if k > 0 && tb.hash(id) < tb.hash(collected[k-1]) {
+				if k > 0 && tableHash(seed, id) < tableHash(seed, collected[k-1]) {
 					t.Fatalf("step %d: link %d collected out of table order", pc, id)
 				}
 				delete(model, id)
 			}
-			if n := tb.scan(gen, func(uint64, *entry) bool { return true }); n != len(collected) {
+			if n := scan(&tb, gen, func(uint64, *entry) bool { return true }); n != len(collected) {
 				t.Fatalf("step %d: deleted %d links of generation %d, collected %d", pc, n, gen, len(collected))
 			}
 		}
@@ -220,25 +246,29 @@ func FuzzLinkTable(f *testing.F) {
 	})
 }
 
+// tableSlack is the slack idtable starts a table with past its last home.
+const tableSlack = 32
+
 // TestLinkTableSlackGrows pins the case the model test reaches only by
 // chance: more links hashing to the last home than the slack has slots.
 func TestLinkTableSlackGrows(t *testing.T) {
 	const seed = 7
 	tb := newLinkTable(seed, 0)
-	slots := len(tb.slots)
 	model := map[uint64]entry{}
 	for id := uint64(1); len(model) < 2*tableSlack; id++ {
-		if tb.hash(id) < 0xFFF00000 {
+		if tableHash(seed, id) < 0xFFF00000 {
 			continue
 		}
 		model[id] = entry{algo: ctl.AlgoSoftRate, lastUsed: uint32(id)}
-		tb.put(id, model[id])
+		tb.Put(id, tb.Mix(id), model[id])
 		checkTable(t, &tb, model)
 	}
-	if len(tb.slots) <= slots+tableSlack {
-		t.Fatalf("table has %d slots after %d links at its last home, started with %d", len(tb.slots), len(model), slots)
+	lastHome := tb.Home(^uint64(0))
+	c := contents(&tb)
+	if lo, hi := c[0].i, c[len(c)-1].i; lo != lastHome || hi != lastHome+len(model)-1 {
+		t.Fatalf("%d links at the last home %d sit in slots %d to %d, want one run from it", len(model), lastHome, lo, hi)
 	}
-	if n := tb.scan(tierLive, func(uint64, *entry) bool { return true }); n != 2*tableSlack {
+	if n := scan(&tb, tierLive, func(uint64, *entry) bool { return true }); n != 2*tableSlack {
 		t.Fatalf("evicted %d links, want %d", n, 2*tableSlack)
 	}
 	checkTable(t, &tb, map[uint64]entry{})
@@ -254,34 +284,33 @@ func TestLinkTableDescendingDeletes(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		for _, n := range []int{10, 64, 300, 1000} {
 			keys := tableKeys(seed, n)
-			a := newLinkTable(seed, 0)
+			a, b := newLinkTable(seed, 0), newLinkTable(seed, 0)
 			for _, id := range keys {
-				a.put(id, entry{algo: ctl.AlgoSoftRate, lastUsed: uint32(id)})
+				a.Put(id, a.Mix(id), entry{algo: ctl.AlgoSoftRate, lastUsed: uint32(id)})
+				b.Put(id, b.Mix(id), entry{algo: ctl.AlgoSoftRate, lastUsed: uint32(id)})
 			}
-			if len(a.slots) > int(a.homes)+tableSlack {
+			if c := contents(&a); c[len(c)-1].i >= a.Home(^uint64(0))+tableSlack {
 				grown++
 			}
-			b := a
-			b.slots = slices.Clone(a.slots)
 			doomed, model := map[uint64]bool{}, map[uint64]entry{}
 			for _, id := range keys {
 				if rng.Intn(3) == 0 {
 					doomed[id] = true
 				} else {
-					model[id] = *a.get(id)
+					model[id] = *a.Get(id, a.Mix(id))
 				}
 			}
-			a.scan(tierLive, func(id uint64, _ *entry) bool { return doomed[id] })
+			scan(&a, tierLive, func(id uint64, _ *entry) bool { return doomed[id] })
 			var at []int
-			for i, s := range b.slots {
-				if s.algo != ctl.AlgoDefault && doomed[s.id] {
-					at = append(at, i)
+			for _, s := range contents(&b) {
+				if doomed[s.id] {
+					at = append(at, s.i)
 				}
 			}
 			for k := len(at) - 1; k >= 0; k-- {
-				b.delAt(at[k])
+				b.DelAt(at[k])
 			}
-			if !slices.Equal(a.slots, b.slots) || a.used != b.used {
+			if !slices.Equal(contents(&a), contents(&b)) || a.Len() != b.Len() {
 				t.Fatalf("seed %d, %d links: deleting %d slots highest first leaves a different table than a walk", seed, n, len(at))
 			}
 			checkTable(t, &b, model)
@@ -294,10 +323,13 @@ func TestLinkTableDescendingDeletes(t *testing.T) {
 
 // probeLens returns the mean and the longest probe sequence over ids.
 func probeLens(tb *linkTable, ids []uint64) (mean float64, longest int) {
+	slot := map[uint64]int{}
+	for _, s := range contents(tb) {
+		slot[s.id] = s.i
+	}
 	total := 0
 	for _, id := range ids {
-		i, _ := tb.find(id)
-		n := i - tb.home(tb.hash(id)) + 1
+		n := slot[id] - tb.Home(tb.Mix(id)) + 1
 		total += n
 		longest = max(longest, n)
 	}
@@ -310,17 +342,16 @@ func probeLens(tb *linkTable, ids []uint64) (mean float64, longest int) {
 // they spread like random ones.
 func TestLinkTableKeyedAgainstChosenIDs(t *testing.T) {
 	const seedA, seedB = 0x0123456789abcdef, 0xfedcba9876543210
-	a := linkTable{seed: seedA}
 	ids := make([]uint64, 0, 4096)
 	for id := uint64(1); len(ids) < cap(ids); id++ {
-		if a.hash(id)>>20 == 0 {
+		if tableHash(seedA, id)>>20 == 0 {
 			ids = append(ids, id)
 		}
 	}
 	fill := func(seed uint64) *linkTable {
 		tb := newLinkTable(seed, 0)
 		for _, id := range ids {
-			tb.put(id, entry{algo: ctl.AlgoSoftRate})
+			tb.Put(id, tb.Mix(id), entry{algo: ctl.AlgoSoftRate})
 		}
 		return &tb
 	}
@@ -354,7 +385,21 @@ func TestShardLayout(t *testing.T) {
 			t.Fatalf("%s ends at byte %d, outside the first cache line", name, end)
 		}
 	}
-	if size := unsafe.Sizeof(tableSlot{}); size != 24 {
+	// A stored link's algo is never ctl.AlgoDefault, so with algo at
+	// offset 0 the table's zero-entry test on the hot path stops at an
+	// occupied slot's first byte; and a 16-byte entry makes a 24-byte
+	// slot, which a decision that hits touches in one cache line three
+	// times in four.
+	if off := unsafe.Offsetof(entry{}.algo); off != 0 {
+		t.Fatalf("entry.algo at offset %d, want 0: the empty-slot test reads it first", off)
+	}
+	if size := unsafe.Sizeof(entry{}); size != 16 {
+		t.Fatalf("entry is %d bytes, want 16", size)
+	}
+	if size := unsafe.Sizeof(struct {
+		id uint64
+		entry
+	}{}); size != 24 {
 		t.Fatalf("table slot is %d bytes, want 24", size)
 	}
 }
@@ -362,17 +407,19 @@ func TestShardLayout(t *testing.T) {
 func BenchmarkLinkTable(b *testing.B) {
 	const n = 1 << 14
 	tb := newLinkTable(1, n)
+	put := func(id uint64) { tb.Put(id, tb.Mix(id), entry{algo: ctl.AlgoSoftRate}) }
 	for id := uint64(0); id < n; id++ {
-		tb.put(id, entry{algo: ctl.AlgoSoftRate})
+		put(id)
 	}
 	b.Run("hit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tb.get(uint64(i)*0x9e3779b9%n).lastUsed++
+			id := uint64(i) * 0x9e3779b9 % n
+			tb.Get(id, tb.Mix(id)).lastUsed++
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if tb.get(n+uint64(i)) != nil {
+			if tb.Get(n+uint64(i), tb.Mix(n+uint64(i))) != nil {
 				b.Fatal("found a link never stored")
 			}
 		}
@@ -381,13 +428,13 @@ func BenchmarkLinkTable(b *testing.B) {
 		// One pass evicts the idle half of a full table; refilling it is
 		// untimed.
 		for i := 0; i < b.N; i++ {
-			evicted := tb.scan(tierLive, func(id uint64, _ *entry) bool { return id&1 == 0 })
+			evicted := scan(&tb, tierLive, func(id uint64, _ *entry) bool { return id&1 == 0 })
 			b.StopTimer()
 			if evicted != n/2 {
 				b.Fatalf("evicted %d links, want %d", evicted, n/2)
 			}
 			for id := uint64(0); id < n; id += 2 {
-				tb.put(id, entry{algo: ctl.AlgoSoftRate})
+				put(id)
 			}
 			b.StartTimer()
 		}
