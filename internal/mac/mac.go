@@ -17,6 +17,7 @@ import (
 	"softrate/internal/ofdm"
 	"softrate/internal/rate"
 	"softrate/internal/ratectl"
+	"softrate/internal/sim"
 	"softrate/internal/trace"
 )
 
@@ -64,15 +65,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// Packet is one link-layer SDU queued at a station.
+// Packet is one link-layer SDU queued at a station. It holds no pointers,
+// so queueing one costs the garbage collector nothing.
 type Packet struct {
 	// Bytes is the payload size.
 	Bytes int
-	// Seq is a caller-assigned identifier.
+	// Seq is the caller's handle, carried through the MAC untouched: an
+	// upper layer that needs context back in RouteFor, OnDeliver or
+	// OnDrop keeps it in a table of its own and puts the index here.
 	Seq int64
-	// UserData carries upper-layer context (e.g. a TCP segment) through
-	// the MAC untouched.
-	UserData interface{}
 }
 
 // TxRecord logs one completed transmission attempt for the accuracy
@@ -136,7 +137,7 @@ type Station struct {
 	Stats Stats
 
 	med     *Medium
-	queue   []Packet
+	queue   sim.FIFO[Packet]
 	pending bool // an attempt is scheduled or in flight
 	cw      int
 	retries int
@@ -147,6 +148,11 @@ type Station struct {
 	// allocates nothing.
 	air                   inFlight
 	attemptFn, completeFn func()
+
+	// airBytes is the size of the last frame sent, and airtimes its
+	// airtime at each rate: a station's frames rarely change size.
+	airBytes int
+	airtimes []float64
 }
 
 // inFlight is what complete needs of the frame transmit put on the air.

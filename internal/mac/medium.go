@@ -14,7 +14,8 @@ import (
 type Medium struct {
 	// Eng is the discrete-event engine driving the simulation.
 	Eng *sim.Engine
-	// Cfg is the MAC configuration.
+	// Cfg is the MAC configuration. NewMedium derives frame airtimes
+	// from it, so it must not change afterwards.
 	Cfg Config
 	// Rng drives carrier sense draws, backoff and detection coin flips.
 	Rng *rand.Rand
@@ -25,6 +26,11 @@ type Medium struct {
 
 	stations []*Station
 	active   []*onAir
+	free     []*onAir // records gc dropped, for transmit to reuse
+	others   []*onAir // overlaps' result
+
+	ackAir    float64 // the feedback frame (lowest rate, no postamble)
+	rtsPrefix float64 // RTS+SIFS+CTS+SIFS
 }
 
 // onAir is a transmission occupying the channel, including its SIFS+ACK
@@ -40,11 +46,16 @@ type onAir struct {
 
 // NewMedium builds an empty medium.
 func NewMedium(eng *sim.Engine, cfg Config, rng *rand.Rand) *Medium {
+	low := cfg.Rates[0]
 	return &Medium{
 		Eng:    eng,
 		Cfg:    cfg,
 		Rng:    rng,
 		CSProb: func(a, b int) float64 { return 1 },
+		ackAir: cfg.Mode.PayloadAirtime(cfg.AckBytes, low, false),
+		rtsPrefix: cfg.Mode.PayloadAirtime(cfg.RTSBytes, low, false) +
+			cfg.Mode.PayloadAirtime(cfg.CTSBytes, low, false) +
+			2*cfg.SIFS,
 	}
 }
 
@@ -62,17 +73,14 @@ func (m *Medium) NewStation(adapter ratectl.Adapter, fwd *trace.LinkTrace) *Stat
 	return s
 }
 
-// ackAirtime returns the feedback frame's airtime (lowest rate, with
-// postamble if the configuration uses them).
-func (m *Medium) ackAirtime() float64 {
-	return m.Cfg.Mode.PayloadAirtime(m.Cfg.AckBytes, m.Cfg.Rates[0], false)
-}
-
-// rtsOverhead returns the RTS+SIFS+CTS+SIFS time prefix.
-func (m *Medium) rtsOverhead() float64 {
-	return m.Cfg.Mode.PayloadAirtime(m.Cfg.RTSBytes, m.Cfg.Rates[0], false) +
-		m.Cfg.Mode.PayloadAirtime(m.Cfg.CTSBytes, m.Cfg.Rates[0], false) +
-		2*m.Cfg.SIFS
+// newOnAir returns a record for transmit to fill, reusing one gc dropped.
+func (m *Medium) newOnAir() *onAir {
+	if n := len(m.free); n > 0 {
+		tx := m.free[n-1]
+		m.free = m.free[:n-1]
+		return tx
+	}
+	return new(onAir)
 }
 
 // senses reports whether station id perceives the channel busy at time
@@ -104,9 +112,10 @@ func (m *Medium) senses(id int, now float64) (busy bool, until float64) {
 }
 
 // overlaps returns the transmissions (other than tx) whose on-air energy
-// (RTS included) overlaps tx's full on-air span.
+// (RTS included) overlaps tx's full on-air span. The slice is the
+// medium's, valid until the next call.
 func (m *Medium) overlaps(tx *onAir) []*onAir {
-	var out []*onAir
+	out := m.others[:0]
 	for _, o := range m.active {
 		if o == tx || o.from == tx.from {
 			continue
@@ -115,18 +124,24 @@ func (m *Medium) overlaps(tx *onAir) []*onAir {
 			out = append(out, o)
 		}
 	}
+	m.others = out
 	return out
 }
 
-// gc drops finished transmissions from the active list. Called whenever a
-// transmission completes; entries must survive until every overlapping
-// frame has resolved its outcome, so we keep anything whose busy window
-// extends past the earliest still-active start.
+// gc drops finished transmissions from the active list, keeping their
+// order, and hands the dropped records to newOnAir. Called whenever a
+// transmission completes, it keeps a record until 1 ms after its busyEnd.
+// That is shorter than a long frame (1440 bytes at 6 Mbps: 245 symbols of
+// 8 µs, 1.96 ms), so a record can go while a frame that overlapped it is
+// still on the air, and that frame then resolves as if the overlap never
+// happened.
 func (m *Medium) gc(now float64) {
 	kept := m.active[:0]
 	for _, tx := range m.active {
 		if tx.busyEnd > now-1e-3 {
 			kept = append(kept, tx)
+		} else {
+			m.free = append(m.free, tx)
 		}
 	}
 	m.active = kept

@@ -15,21 +15,21 @@ type routeAdapter = ratectl.Adapter
 // Enqueue hands a packet to the station's interface queue, dropping it if
 // the queue is full (tail drop — the congestion signal TCP sees).
 func (s *Station) Enqueue(p Packet) {
-	if s.MaxQueue > 0 && len(s.queue) >= s.MaxQueue {
+	if s.MaxQueue > 0 && s.queue.Len() >= s.MaxQueue {
 		if s.OnDrop != nil {
 			s.OnDrop(p, s.med.Eng.Now())
 		}
 		return
 	}
 	s.Stats.Enqueued++
-	s.queue = append(s.queue, p)
+	s.queue.Push(p)
 	if !s.pending {
 		s.scheduleAttempt(s.med.Cfg.DIFS + s.backoff())
 	}
 }
 
 // QueueLen returns the interface queue depth (for BDP-sized-queue checks).
-func (s *Station) QueueLen() int { return len(s.queue) }
+func (s *Station) QueueLen() int { return s.queue.Len() }
 
 // backoff draws a uniform backoff from the current contention window.
 func (s *Station) backoff() float64 {
@@ -43,7 +43,7 @@ func (s *Station) scheduleAttempt(delay float64) {
 
 // attempt fires when DIFS+backoff expires: sense, then transmit or defer.
 func (s *Station) attempt() {
-	if len(s.queue) == 0 {
+	if s.queue.Len() == 0 {
 		s.pending = false
 		return
 	}
@@ -72,7 +72,7 @@ func (s *Station) route(p Packet) (adapter routeAdapter, fwd *trace.LinkTrace) {
 func (s *Station) transmit() {
 	m := s.med
 	now := m.Eng.Now()
-	p := s.queue[0]
+	p := s.queue.Front()
 	adapter, fwd := s.route(p)
 	ri := adapter.NextRate(now)
 	if ri < 0 {
@@ -85,22 +85,36 @@ func (s *Station) transmit() {
 
 	prefix := 0.0
 	if useRTS {
-		prefix = m.rtsOverhead()
+		prefix = m.rtsPrefix
 	}
-	air := m.Cfg.Mode.PayloadAirtime(p.Bytes, m.Cfg.Rates[ri], m.Cfg.Postamble)
+	air := s.payloadAirtime(p.Bytes, ri)
 	start := now + prefix
 	dataEnd := start + air
-	busyEnd := dataEnd + m.Cfg.SIFS + m.ackAirtime()
+	busyEnd := dataEnd + m.Cfg.SIFS + m.ackAir
 	// The RTS/CTS exchange occupies [now, start) unprotected: the RTS
 	// itself is an ordinary short frame and collides like one. Protection
 	// takes effect only once the CTS reservation is out — so under
 	// relentless hidden-terminal pressure RTS fails as often as data does
 	// (the paper finds RRAA's adaptive RTS "ineffective", §6.4).
-	tx := &onAir{from: s.ID, airStart: now, start: start, dataEnd: dataEnd, busyEnd: busyEnd, protected: useRTS}
+	tx := m.newOnAir()
+	*tx = onAir{from: s.ID, airStart: now, start: start, dataEnd: dataEnd, busyEnd: busyEnd, protected: useRTS}
 	m.active = append(m.active, tx)
 	s.Stats.Attempts++
 	s.air = inFlight{tx: tx, p: p, ri: ri, usedRTS: useRTS, airtime: air + prefix, adapter: adapter, fwd: fwd}
 	m.Eng.At(dataEnd, s.completeFn)
+}
+
+// payloadAirtime returns the airtime of a bytes-long data frame at rate
+// index ri.
+func (s *Station) payloadAirtime(bytes, ri int) float64 {
+	if bytes != s.airBytes || s.airtimes == nil {
+		cfg := &s.med.Cfg
+		s.airBytes, s.airtimes = bytes, s.airtimes[:0]
+		for _, r := range cfg.Rates {
+			s.airtimes = append(s.airtimes, cfg.Mode.PayloadAirtime(bytes, r, cfg.Postamble))
+		}
+	}
+	return s.airtimes[ri]
 }
 
 // complete resolves the outcome of the frame in flight and runs feedback
@@ -146,7 +160,7 @@ func (s *Station) complete() {
 
 	// ARQ.
 	if res.delivered {
-		s.queue = s.queue[1:]
+		s.queue.Pop()
 		s.Stats.Delivered++
 		s.Stats.BytesDelivered += int64(f.p.Bytes)
 		s.retries = 0
@@ -158,7 +172,7 @@ func (s *Station) complete() {
 		s.retries++
 		s.cw = clampCW(s.cw*2+1, m.Cfg.CWMin, m.Cfg.CWMax)
 		if s.retries > m.Cfg.RetryLimit {
-			s.queue = s.queue[1:]
+			s.queue.Pop()
 			s.Stats.Dropped++
 			s.retries = 0
 			s.cw = m.Cfg.CWMin
@@ -169,8 +183,8 @@ func (s *Station) complete() {
 	}
 
 	m.gc(now)
-	if len(s.queue) > 0 {
-		s.scheduleAttempt(m.Cfg.SIFS + m.ackAirtime() + m.Cfg.DIFS + s.backoff())
+	if s.queue.Len() > 0 {
+		s.scheduleAttempt(m.Cfg.SIFS + m.ackAir + m.Cfg.DIFS + s.backoff())
 	} else {
 		s.pending = false
 	}

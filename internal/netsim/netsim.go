@@ -84,46 +84,80 @@ type Result struct {
 	APStats mac.Stats
 }
 
-// wiredLink is a FIFO rate+delay pipe (one direction of the point-to-point
-// link).
+// wiredLink is one direction of the point-to-point link: a FIFO rate and
+// delay pipe. Every segment on it propagates for the same delay, so
+// segments arrive in the order they finish serializing and each arrival
+// event delivers the head of flight. Both events are method values bound
+// once, so a segment on the wire costs the heap nothing.
 type wiredLink struct {
-	eng   *sim.Engine
-	rate  float64
-	delay float64
-	busy  bool
-	queue []func() // deliveries pending serialization, FIFO
-	sizes []int
+	eng              *sim.Engine
+	rate, delay      float64
+	deliver          func(flowSeg)
+	queue            sim.FIFO[flowSeg] // the head is serializing while busy
+	flight           sim.FIFO[flowSeg] // serialized, propagating
+	busy             bool
+	sentFn, arriveFn func()
 }
 
-func (w *wiredLink) send(bytes int, deliver func()) {
-	w.queue = append(w.queue, deliver)
-	w.sizes = append(w.sizes, bytes)
+// flowSeg is a TCP segment of one flow, with its size on the link.
+type flowSeg struct {
+	bytes, flow int
+	seg         tcpsim.Segment
+}
+
+func newWiredLink(eng *sim.Engine, cfg Config, deliver func(flowSeg)) *wiredLink {
+	w := &wiredLink{eng: eng, rate: cfg.WiredRate, delay: cfg.WiredDelay, deliver: deliver}
+	w.sentFn, w.arriveFn = w.sent, w.arrive
+	return w
+}
+
+func (w *wiredLink) send(f flowSeg) {
+	w.queue.Push(f)
 	if !w.busy {
 		w.pump()
 	}
 }
 
+// pump starts serializing the head segment, if there is one.
 func (w *wiredLink) pump() {
-	if len(w.queue) == 0 {
-		w.busy = false
-		return
+	w.busy = w.queue.Len() > 0
+	if w.busy {
+		txTime := float64(w.queue.Front().bytes+20) * 8 / w.rate
+		w.eng.Schedule(txTime, w.sentFn)
 	}
-	w.busy = true
-	deliver := w.queue[0]
-	bytes := w.sizes[0]
-	w.queue = w.queue[1:]
-	w.sizes = w.sizes[1:]
-	txTime := float64(bytes+20) * 8 / w.rate
-	w.eng.Schedule(txTime, func() {
-		w.eng.Schedule(w.delay, deliver)
-		w.pump()
-	})
 }
 
-// segEnvelope carries a TCP segment and its flow through the MAC.
-type segEnvelope struct {
-	flow int
-	seg  tcpsim.Segment
+func (w *wiredLink) sent() {
+	w.flight.Push(w.queue.Pop())
+	w.eng.Schedule(w.delay, w.arriveFn)
+	w.pump()
+}
+
+func (w *wiredLink) arrive() { w.deliver(w.flight.Pop()) }
+
+// segSlab holds the segments riding the MAC: a packet's Seq is its slot,
+// and a slot is reused once the MAC delivers or drops the packet.
+type segSlab struct {
+	segs []flowSeg
+	free []int64
+}
+
+// packet stores f and returns the MAC packet that carries it.
+func (s *segSlab) packet(f flowSeg) mac.Packet {
+	h := int64(len(s.segs))
+	if n := len(s.free); n > 0 {
+		h, s.free = s.free[n-1], s.free[:n-1]
+		s.segs[h] = f
+	} else {
+		s.segs = append(s.segs, f)
+	}
+	return mac.Packet{Bytes: f.bytes, Seq: h}
+}
+
+// take returns the segment p carries and frees its slot.
+func (s *segSlab) take(p mac.Packet) flowSeg {
+	s.free = append(s.free, p.Seq)
+	return s.segs[p.Seq]
 }
 
 // RunUplink simulates N uplink TCP flows (clients → wired hosts), one per
@@ -151,9 +185,8 @@ func RunUplink(cfg Config, fwdTraces, revTraces []*trace.LinkTrace, factory Adap
 	clients := make([]*mac.Station, n)
 	senders := make([]*tcpsim.Sender, n)
 	receivers := make([]*tcpsim.Receiver, n)
-
-	up := &wiredLink{eng: eng, rate: cfg.WiredRate, delay: cfg.WiredDelay}
-	down := &wiredLink{eng: eng, rate: cfg.WiredRate, delay: cfg.WiredDelay}
+	var slab segSlab
+	drop := func(p mac.Packet, at float64) { slab.take(p) }
 
 	// AP: one station, per-client adapters and reverse traces.
 	apAdapters := make([]ratectl.Adapter, n)
@@ -163,14 +196,18 @@ func RunUplink(cfg Config, fwdTraces, revTraces []*trace.LinkTrace, factory Adap
 	ap := med.NewStation(apAdapters[0], revTraces[0])
 	ap.MaxQueue = cfg.APQueue
 	ap.RouteFor = func(p mac.Packet) (ratectl.Adapter, *trace.LinkTrace) {
-		env := p.UserData.(segEnvelope)
-		return apAdapters[env.flow], revTraces[env.flow]
+		flow := slab.segs[p.Seq].flow
+		return apAdapters[flow], revTraces[flow]
 	}
 	// AP wireless delivery: TCP ACK arrives at the client's sender.
 	ap.OnDeliver = func(p mac.Packet, at float64) {
-		env := p.UserData.(segEnvelope)
-		senders[env.flow].OnAck(env.seg.AckNo, env.seg.SentAt)
+		f := slab.take(p)
+		senders[f.flow].OnAck(f.seg.AckNo, f.seg.SentAt)
 	}
+	ap.OnDrop = drop
+
+	up := newWiredLink(eng, cfg, func(f flowSeg) { receivers[f.flow].OnSegment(f.seg) })
+	down := newWiredLink(eng, cfg, func(f flowSeg) { ap.Enqueue(slab.packet(f)) })
 
 	for i := 0; i < n; i++ {
 		i := i
@@ -183,24 +220,12 @@ func RunUplink(cfg Config, fwdTraces, revTraces []*trace.LinkTrace, factory Adap
 
 		// Client → AP (wireless) → wired host.
 		senders[i].Output = func(seg tcpsim.Segment) {
-			clients[i].Enqueue(mac.Packet{
-				Bytes:    seg.Len + 40,
-				UserData: segEnvelope{flow: i, seg: seg},
-			})
+			clients[i].Enqueue(slab.packet(flowSeg{seg.Len + 40, i, seg}))
 		}
-		clients[i].OnDeliver = func(p mac.Packet, at float64) {
-			env := p.UserData.(segEnvelope)
-			up.send(p.Bytes, func() { receivers[env.flow].OnSegment(env.seg) })
-		}
+		clients[i].OnDeliver = func(p mac.Packet, at float64) { up.send(slab.take(p)) }
+		clients[i].OnDrop = drop
 		// Wired host → AP (wired) → client (wireless ACK frame).
-		receivers[i].Output = func(seg tcpsim.Segment) {
-			down.send(40, func() {
-				ap.Enqueue(mac.Packet{
-					Bytes:    40,
-					UserData: segEnvelope{flow: i, seg: seg},
-				})
-			})
-		}
+		receivers[i].Output = func(seg tcpsim.Segment) { down.send(flowSeg{40, i, seg}) }
 	}
 
 	// Stagger flow starts slightly to avoid pathological synchronization.

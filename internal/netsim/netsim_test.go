@@ -135,3 +135,32 @@ func TestMismatchedTracesPanic(t *testing.T) {
 	fwd, _ := genTraces(2, 20, 0, 1, 51)
 	RunUplink(DefaultConfig(), fwd, nil, SoftRate)
 }
+
+// TestAllocsPerSegment pins what a delivered TCP segment costs the heap:
+// segments ride the MAC by slab handle and cross the wired link in a
+// typed FIFO whose events are bound once, and the RTO is one resettable
+// timer per flow. Hidden terminals add collisions, retries, MAC drops and
+// TCP timeouts. Run set-up cancels out of the difference between a short
+// and a long run; what is left is the receivers' out-of-order maps and the
+// slab's and queues' growth to their working depth.
+func TestAllocsPerSegment(t *testing.T) {
+	fwd, rev := genTraces(5, 20, 0, 4, 61)
+	run := func(dur float64) (allocs float64, segs int64) {
+		cfg := DefaultConfig()
+		cfg.Duration = dur
+		cfg.CSProb = 0.5 // hidden terminals: collisions, retries, drops
+		var res Result
+		allocs = testing.AllocsPerRun(2, func() { res = RunUplink(cfg, fwd, rev, SoftRate) })
+		for _, f := range res.Flows {
+			segs += f.BytesDelivered / int64(cfg.TCP.MSS)
+		}
+		return allocs, segs
+	}
+	a1, s1 := run(1)
+	a2, s2 := run(4)
+	perSeg := (a2 - a1) / float64(s2-s1)
+	t.Logf("%.4f allocations per delivered segment (%d segments)", perSeg, s2-s1)
+	if perSeg > 0.05 {
+		t.Fatalf("%.4f allocations per delivered segment, want at most 0.05", perSeg)
+	}
+}

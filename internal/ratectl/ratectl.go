@@ -278,24 +278,31 @@ type TrainingSample struct {
 // TrainThresholds computes SNR thresholds from samples for nRates rates.
 func TrainThresholds(samples []TrainingSample, nRates int, target float64) []float64 {
 	const binW = 0.5
-	type bin struct{ ok, n int }
-	perRate := make([]map[int]*bin, nRates)
-	for i := range perRate {
-		perRate[i] = map[int]*bin{}
+	binOf := func(s TrainingSample) int { return int(math.Floor(s.SNRdB / binW)) }
+	// Rate i's bins lo[i]..hi[i] are bins[off[i]:], found in a first pass.
+	lo, hi, off := make([]int, nRates), make([]int, nRates), make([]int, nRates+1)
+	for i := range lo {
+		lo[i], hi[i] = math.MaxInt32, math.MinInt32
 	}
 	for _, s := range samples {
-		if s.RateIndex < 0 || s.RateIndex >= nRates {
-			continue
+		if s.RateIndex >= 0 && s.RateIndex < nRates {
+			k := binOf(s)
+			lo[s.RateIndex] = min(lo[s.RateIndex], k)
+			hi[s.RateIndex] = max(hi[s.RateIndex], k)
 		}
-		k := int(math.Floor(s.SNRdB / binW))
-		b := perRate[s.RateIndex][k]
-		if b == nil {
-			b = &bin{}
-			perRate[s.RateIndex][k] = b
-		}
-		b.n++
-		if s.Delivered {
-			b.ok++
+	}
+	for i := range lo {
+		off[i+1] = off[i] + max(hi[i]-lo[i]+1, 0)
+	}
+	type bin struct{ ok, n int }
+	bins := make([]bin, off[nRates])
+	for _, s := range samples {
+		if s.RateIndex >= 0 && s.RateIndex < nRates {
+			b := &bins[off[s.RateIndex]+binOf(s)-lo[s.RateIndex]]
+			b.n++
+			if s.Delivered {
+				b.ok++
+			}
 		}
 	}
 	th := make([]float64, nRates)
@@ -303,24 +310,11 @@ func TrainThresholds(samples []TrainingSample, nRates int, target float64) []flo
 		th[i] = math.Inf(1)
 		// Scan bins from high SNR downwards, tracking cumulative delivery
 		// above each candidate threshold.
-		lo, hi := math.MaxInt32, math.MinInt32
-		for k := range perRate[i] {
-			if k < lo {
-				lo = k
-			}
-			if k > hi {
-				hi = k
-			}
-		}
-		if hi < lo {
-			continue
-		}
 		cumOK, cumN := 0, 0
-		for k := hi; k >= lo; k-- {
-			if b := perRate[i][k]; b != nil {
-				cumOK += b.ok
-				cumN += b.n
-			}
+		for k := hi[i]; k >= lo[i]; k-- {
+			b := bins[off[i]+k-lo[i]]
+			cumOK += b.ok
+			cumN += b.n
 			if cumN >= 10 && float64(cumOK)/float64(cumN) >= target {
 				th[i] = float64(k) * binW
 			}

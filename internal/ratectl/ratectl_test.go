@@ -164,6 +164,103 @@ func TestTrainThresholdsEmptyRate(t *testing.T) {
 	}
 }
 
+// trainThresholdsMaps is TrainThresholds as it was built on a map of
+// pointer bins per rate: the reference the dense bin arrays must match.
+func trainThresholdsMaps(samples []TrainingSample, nRates int, target float64) []float64 {
+	const binW = 0.5
+	type bin struct{ ok, n int }
+	perRate := make([]map[int]*bin, nRates)
+	for i := range perRate {
+		perRate[i] = map[int]*bin{}
+	}
+	for _, s := range samples {
+		if s.RateIndex < 0 || s.RateIndex >= nRates {
+			continue
+		}
+		k := int(math.Floor(s.SNRdB / binW))
+		b := perRate[s.RateIndex][k]
+		if b == nil {
+			b = &bin{}
+			perRate[s.RateIndex][k] = b
+		}
+		b.n++
+		if s.Delivered {
+			b.ok++
+		}
+	}
+	th := make([]float64, nRates)
+	for i := range th {
+		th[i] = math.Inf(1)
+		lo, hi := math.MaxInt32, math.MinInt32
+		for k := range perRate[i] {
+			if k < lo {
+				lo = k
+			}
+			if k > hi {
+				hi = k
+			}
+		}
+		if hi < lo {
+			continue
+		}
+		cumOK, cumN := 0, 0
+		for k := hi; k >= lo; k-- {
+			if b := perRate[i][k]; b != nil {
+				cumOK += b.ok
+				cumN += b.n
+			}
+			if cumN >= 10 && float64(cumOK)/float64(cumN) >= target {
+				th[i] = float64(k) * binW
+			}
+		}
+	}
+	if math.IsInf(th[0], 1) {
+		th[0] = -30
+	}
+	for i := 1; i < nRates; i++ {
+		if th[i] < th[i-1] {
+			th[i] = th[i-1]
+		}
+	}
+	return th
+}
+
+// TestTrainThresholdsMatchesMaps holds the dense bins to the map version
+// bit for bit: negative SNR bins, rates with no samples or fewer than 10,
+// out-of-range rate indices, and targets on either side of the data.
+func TestTrainThresholdsMatchesMaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		nRates := 1 + rng.Intn(8)
+		samples := make([]TrainingSample, rng.Intn(400))
+		for i := range samples {
+			snr := rng.Float64()*80 - 30
+			if rng.Intn(4) == 0 {
+				snr = math.Round(snr*2) / 2 // on a bin edge
+			}
+			samples[i] = TrainingSample{
+				RateIndex: rng.Intn(nRates+2) - 1,
+				SNRdB:     snr,
+				Delivered: rng.Float64() < (snr+30)/60,
+			}
+			if trial%3 == 0 && samples[i].RateIndex == nRates-1 {
+				samples[i].RateIndex = 0 // leaves the top rate empty
+			}
+		}
+		if trial%5 == 0 && len(samples) > 8 {
+			samples = samples[:rng.Intn(9)] // under 10 samples in all
+		}
+		target := []float64{0.5, 0.9, 0.99, 1}[rng.Intn(4)]
+		got := TrainThresholds(samples, nRates, target)
+		want := trainThresholdsMaps(samples, nRates, target)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: threshold[%d] = %v, map version %v (all %v vs %v)", trial, i, got[i], want[i], got, want)
+			}
+		}
+	}
+}
+
 func TestSampleRateStartsOptimistic(t *testing.T) {
 	sr := NewSampleRate(rate.Evaluation(), NominalAirtimes(), rand.New(rand.NewSource(2)))
 	// With no data, every rate looks lossless, so the highest (shortest

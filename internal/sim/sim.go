@@ -4,9 +4,12 @@
 // driven by seeded PRNGs is exactly reproducible.
 //
 // The queue is a binary heap of event values, so once it has grown to its
-// working depth, Schedule, At and Run allocate nothing: the only
-// allocation an event costs is whatever its fn closure costs the caller.
-// A NaN event time has no place in that order, and At panics on one.
+// working depth, Schedule, At and Run allocate nothing: an event costs the
+// heap only what its fn costs the caller, and a method value bound once
+// costs nothing. A Timer re-arms without queueing an event per arm, so the
+// heap stays near the number of live events. FIFO is the queue simulated
+// nodes keep. A NaN event time has no place in the order, and At panics on
+// one.
 package sim
 
 import (
@@ -18,19 +21,25 @@ import (
 type Engine struct {
 	now float64
 	seq int64
+	cur int64   // seq of the event running now
 	pq  []event // binary min-heap under before
 }
 
-type event struct {
+// key is an event's place in the queue order.
+type key struct {
 	time float64
 	seq  int64
-	fn   func()
+}
+
+type event struct {
+	key
+	fn func()
 }
 
 // before is the queue order: by time, then by scheduling order. No two
 // events share a seq, so it is a strict total order and the firing order
 // does not depend on how the heap is laid out.
-func (a *event) before(b *event) bool {
+func (a *key) before(b *key) bool {
 	return a.time < b.time || a.time == b.time && a.seq < b.seq
 }
 
@@ -50,14 +59,20 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 // At runs fn at absolute simulation time t; times in the past are clamped
 // to now. It panics if t is NaN.
 func (e *Engine) At(t float64, fn func()) {
+	t = e.clamp(t)
+	e.seq++
+	e.push(event{key{t, e.seq}, fn})
+}
+
+// clamp returns t, or now if t lies in the past. It panics if t is NaN.
+func (e *Engine) clamp(t float64) float64 {
 	if math.IsNaN(t) {
 		panic(fmt.Sprintf("sim: event time %v is not a number (now %v)", t, e.now))
 	}
 	if t < e.now {
-		t = e.now
+		return e.now
 	}
-	e.seq++
-	e.push(event{time: t, seq: e.seq, fn: fn})
+	return t
 }
 
 // push adds ev to the heap, sifting it up from the tail.
@@ -67,7 +82,7 @@ func (e *Engine) push(ev event) {
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !ev.before(&q[p]) {
+		if !ev.before(&q[p].key) {
 			break
 		}
 		q[i] = q[p]
@@ -95,10 +110,10 @@ func (e *Engine) pop() event {
 		if c >= n {
 			break
 		}
-		if c+1 < n && q[c+1].before(&q[c]) {
+		if c+1 < n && q[c+1].before(&q[c].key) {
 			c++
 		}
-		if !q[c].before(&x) {
+		if !q[c].before(&x.key) {
 			break
 		}
 		q[i] = q[c]
@@ -113,7 +128,7 @@ func (e *Engine) pop() event {
 func (e *Engine) Run(until float64) {
 	for len(e.pq) > 0 && e.pq[0].time <= until {
 		next := e.pop()
-		e.now = next.time
+		e.now, e.cur = next.time, next.seq
 		next.fn()
 	}
 	if e.now < until {
@@ -127,7 +142,7 @@ func (e *Engine) Run(until float64) {
 func (e *Engine) RunAll() {
 	for len(e.pq) > 0 {
 		next := e.pop()
-		e.now = next.time
+		e.now, e.cur = next.time, next.seq
 		next.fn()
 	}
 }

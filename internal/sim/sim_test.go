@@ -216,7 +216,7 @@ func (e *refEngine) Schedule(delay float64, fn func()) {
 	}
 	t := e.now + delay
 	e.seq++
-	heap.Push(&e.pq, &event{time: t, seq: e.seq, fn: fn})
+	heap.Push(&e.pq, &event{key{t, e.seq}, fn})
 }
 
 func (e *refEngine) Run(until float64) {

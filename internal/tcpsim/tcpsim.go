@@ -69,7 +69,7 @@ type Sender struct {
 	srtt, rttvar float64
 	haveRTT      bool
 	rto          float64
-	timerGen     int
+	timer        *sim.Timer // the RTO
 	timerSet     bool
 
 	// Stats
@@ -92,13 +92,15 @@ func NewSender(eng *sim.Engine, cfg Config) *Sender {
 	if cfg.MinRTO <= 0 {
 		cfg.MinRTO = 0.2
 	}
-	return &Sender{
+	s := &Sender{
 		cfg:  cfg,
 		eng:  eng,
 		cwnd: float64(cfg.InitialWindow * cfg.MSS),
 		ssth: math.Inf(1),
 		rto:  1.0,
 	}
+	s.timer = sim.NewTimer(eng, s.onTimer)
+	return s
 }
 
 // Cwnd returns the current congestion window in bytes.
@@ -132,24 +134,24 @@ func (s *Sender) armTimer() {
 		return
 	}
 	s.timerSet = true
-	gen := s.timerGen
-	s.eng.Schedule(s.rto, func() { s.onTimer(gen) })
+	s.timer.Reset(s.rto)
 }
 
-// resetTimer cancels the pending timer logically (by generation) and
-// re-arms if data is in flight.
+// resetTimer cancels the pending timer and re-arms it if data is in
+// flight.
 func (s *Sender) resetTimer() {
-	s.timerGen++
+	s.timer.Stop()
 	s.timerSet = false
 	if s.sndNext > s.sndUna {
 		s.armTimer()
 	}
 }
 
-// onTimer fires the RTO.
-func (s *Sender) onTimer(gen int) {
-	if gen != s.timerGen || s.sndUna >= s.sndNext {
-		return // stale timer
+// onTimer fires the RTO. A timeout with nothing in flight leaves the
+// timer marked set until the next ACK resets it.
+func (s *Sender) onTimer() {
+	if s.sndUna >= s.sndNext {
+		return
 	}
 	s.Timeouts++
 	s.Retransmits++
@@ -164,7 +166,6 @@ func (s *Sender) onTimer(gen int) {
 	s.dupAcks = 0
 	s.inRecovery = false
 	s.rto = math.Min(s.rto*2, 60)
-	s.timerGen++
 	s.timerSet = false
 	s.sndNext = s.sndUna
 	s.trySend()

@@ -76,7 +76,11 @@ func LoadFile(path string) (*LinkTrace, error) {
 // computes "the SNR-BER relationships ... from the traces used for
 // evaluation" (§6.1).
 func (lt *LinkTrace) TrainingSamples() []ratectl.TrainingSample {
-	var out []ratectl.TrainingSample
+	n := 0
+	for _, snaps := range lt.Snapshots {
+		n += len(snaps)
+	}
+	out := make([]ratectl.TrainingSample, 0, n) // undetected slots leave some spare
 	for ri, snaps := range lt.Snapshots {
 		for _, s := range snaps {
 			if !s.Detected {
