@@ -77,6 +77,25 @@ func (HybridARQ) UpperBER(_ rate.Rate, frameBits int) float64 {
 	return tolerableErrorsPerFrame / float64(frameBits)
 }
 
+// NominalFrameBytes is the paper's 1400-byte evaluation frame (§6.1): the
+// frame size the default thresholds, and the serving controllers' SNR
+// thresholds and lossless airtimes, are computed for.
+const NominalFrameBytes = 1400
+
+// The threshold margins of §3.3's worked example.
+const (
+	// upMargin is the per-level safety factor between β_i and the
+	// increase threshold: α_i = β_i / upMargin. 100 encodes the paper's
+	// worked example (β=1e-5 ⇒ α=1e-7) and covers rate steps that cost
+	// up to two orders of magnitude in BER.
+	upMargin float64 = 100
+	// downMargin is the per-extra-level factor for multi-level down
+	// jumps: jump n levels down when BER > β_i · downMargin^(n-1). 1000
+	// encodes the example "BER above 1e-2 ⇒ jump two rates below an 1e-5
+	// threshold".
+	downMargin float64 = 1000
+)
+
 // Config parameterizes the SoftRate algorithm.
 type Config struct {
 	// Rates is the available rate set in increasing order (default: the
@@ -86,16 +105,6 @@ type Config struct {
 	FrameBits int
 	// Recovery selects the error recovery model (default FrameARQ).
 	Recovery ErrorRecovery
-	// UpMargin is the per-level safety factor between β_i and the
-	// increase threshold: α_i = β_i / UpMargin. The default 100 encodes
-	// the paper's worked example (β=1e-5 ⇒ α=1e-7) and covers rate steps
-	// that cost up to two orders of magnitude in BER.
-	UpMargin float64
-	// DownMargin is the per-extra-level factor for multi-level down
-	// jumps: jump n levels down when BER > β_i · DownMargin^(n-1). The
-	// default 1000 encodes the example "BER above 1e-2 ⇒ jump two rates
-	// below an 1e-5 threshold".
-	DownMargin float64
 	// MaxJump bounds the levels moved per decision (the implementation in
 	// the paper does up to two).
 	MaxJump int
@@ -110,10 +119,8 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Rates:         rate.Evaluation(),
-		FrameBits:     1400 * 8,
+		FrameBits:     NominalFrameBytes * 8,
 		Recovery:      FrameARQ{},
-		UpMargin:      100,
-		DownMargin:    1000,
 		MaxJump:       2,
 		SilentLossRun: 3,
 	}
@@ -203,8 +210,8 @@ type SoftRate struct {
 	bands []band // per-rate (α_i, β_i)
 
 	// Precomputed multi-level jump thresholds, flattened with stride
-	// MaxJump-1: downJump[i*stride+n-1] = β_i·DownMargin^n and
-	// upJump[i*stride+n-1] = β_i/UpMargin^(n+1) for n in 1..MaxJump-1.
+	// MaxJump-1: downJump[i*stride+n-1] = β_i·downMargin^n and
+	// upJump[i*stride+n-1] = β_i/upMargin^(n+1) for n in 1..MaxJump-1.
 	// Precomputing keeps math.Pow out of the per-feedback hot path, which
 	// must stay allocation-free and branch-cheap for the decision service.
 	downJump []float64
@@ -217,16 +224,10 @@ func New(cfg Config) *SoftRate {
 		cfg.Rates = rate.Evaluation()
 	}
 	if cfg.FrameBits <= 0 {
-		cfg.FrameBits = 1400 * 8
+		cfg.FrameBits = NominalFrameBytes * 8
 	}
 	if cfg.Recovery == nil {
 		cfg.Recovery = FrameARQ{}
-	}
-	if cfg.UpMargin <= 1 {
-		cfg.UpMargin = 100
-	}
-	if cfg.DownMargin <= 1 {
-		cfg.DownMargin = 1000
 	}
 	if cfg.MaxJump <= 0 {
 		cfg.MaxJump = 2
@@ -241,10 +242,10 @@ func New(cfg Config) *SoftRate {
 	s.upJump = make([]float64, len(cfg.Rates)*stride)
 	for i, r := range cfg.Rates {
 		beta := cfg.Recovery.UpperBER(r, cfg.FrameBits)
-		s.bands[i] = band{alpha: beta / cfg.UpMargin, beta: beta}
+		s.bands[i] = band{alpha: beta / upMargin, beta: beta}
 		for n := 1; n < cfg.MaxJump; n++ {
-			s.downJump[i*stride+n-1] = beta * math.Pow(cfg.DownMargin, float64(n))
-			s.upJump[i*stride+n-1] = beta / math.Pow(cfg.UpMargin, float64(n+1))
+			s.downJump[i*stride+n-1] = beta * math.Pow(downMargin, float64(n))
+			s.upJump[i*stride+n-1] = beta / math.Pow(upMargin, float64(n+1))
 		}
 	}
 	return s
@@ -296,7 +297,7 @@ func (s *SoftRate) Step(st State, kind FeedbackKind, rateIndex int, ber float64)
 		stride := s.cfg.MaxJump - 1
 		switch {
 		case ber > th.beta:
-			// Jump n levels down while the BER exceeds β_i by DownMargin per
+			// Jump n levels down while the BER exceeds β_i by downMargin per
 			// extra level.
 			n := 1
 			for n < s.cfg.MaxJump && ber > s.downJump[i*stride+n-1] {
@@ -304,7 +305,7 @@ func (s *SoftRate) Step(st State, kind FeedbackKind, rateIndex int, ber float64)
 			}
 			cur = max(i-n, 0)
 		case ber < th.alpha:
-			// Jump n levels up while the BER clears α_i by UpMargin per
+			// Jump n levels up while the BER clears α_i by upMargin per
 			// extra level.
 			n := 1
 			for n < s.cfg.MaxJump && ber < s.upJump[i*stride+n-1] {

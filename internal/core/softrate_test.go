@@ -23,8 +23,8 @@ func TestFrameARQThresholdsMatchPaperExample(t *testing.T) {
 	if alpha < 1e-7/3 || alpha > 1e-6 {
 		t.Errorf("alpha = %v, want order 1e-7", alpha)
 	}
-	if math.Abs(alpha*cfg.UpMargin-beta) > 1e-15 {
-		t.Errorf("alpha must be beta/UpMargin")
+	if math.Abs(alpha*upMargin-beta) > 1e-15 {
+		t.Errorf("alpha must be beta/upMargin")
 	}
 }
 
@@ -77,7 +77,7 @@ func TestRateJumpsTwoUpOnVeryLowBER(t *testing.T) {
 	s := New(DefaultConfig())
 	s.st.RateIndex = 2
 	_, beta := s.Thresholds(2)
-	// BER below beta/UpMargin^2 justifies a two-level jump (e.g. 1e-9
+	// BER below beta/upMargin^2 justifies a two-level jump (e.g. 1e-9
 	// against an 1e-5 threshold, the paper's example).
 	s.OnFeedback(Feedback{RateIndex: 2, BER: beta / (100 * 100 * 10)})
 	if s.CurrentIndex() != 4 {
@@ -420,8 +420,8 @@ func TestPrecomputedJumpThresholdsMatchFormula(t *testing.T) {
 	stride := cfg.MaxJump - 1
 	for i := range s.cfg.Rates {
 		for n := 1; n < cfg.MaxJump; n++ {
-			wantDown := s.bands[i].beta * math.Pow(cfg.DownMargin, float64(n))
-			wantUp := s.bands[i].beta / math.Pow(cfg.UpMargin, float64(n+1))
+			wantDown := s.bands[i].beta * math.Pow(downMargin, float64(n))
+			wantUp := s.bands[i].beta / math.Pow(upMargin, float64(n+1))
 			if s.downJump[i*stride+n-1] != wantDown {
 				t.Fatalf("downJump[%d][%d] = %v, want %v", i, n-1, s.downJump[i*stride+n-1], wantDown)
 			}
@@ -439,9 +439,6 @@ func TestDefaultsFilledIn(t *testing.T) {
 	}
 	if s.cfg.MaxJump != 2 || s.cfg.SilentLossRun != 3 {
 		t.Fatal("default jump/silent-loss parameters not applied")
-	}
-	if s.cfg.UpMargin != 100 || s.cfg.DownMargin != 1000 {
-		t.Fatal("default margins not applied")
 	}
 }
 

@@ -12,10 +12,6 @@ import (
 	"softrate/internal/ratectl"
 )
 
-// nominalFrameBytes is the frame size behind the serving SNR thresholds:
-// the paper's 1400-byte evaluation frame.
-const nominalFrameBytes = 1400
-
 // servingWindowCap bounds SampleRate's per-rate sample ring in the
 // serving configuration: the averaging metric sees at most the last 16
 // transmissions per rate, which keeps the relocatable snapshot at a fixed
@@ -37,7 +33,7 @@ var (
 func ServingSNRThresholds() []float64 {
 	servingSNROnce.Do(func() {
 		rates := rate.Evaluation()
-		bits := float64(nominalFrameBytes * 8)
+		bits := float64(core.NominalFrameBytes * 8)
 		servingSNRThres = make([]float64, len(rates))
 		for i := range rates {
 			th := math.Inf(1)

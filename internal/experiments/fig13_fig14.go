@@ -5,7 +5,9 @@ import (
 
 	"softrate/internal/channel"
 	"softrate/internal/experiments/engine"
+	"softrate/internal/mac"
 	"softrate/internal/netsim"
+	"softrate/internal/stats"
 	"softrate/internal/trace"
 )
 
@@ -98,24 +100,13 @@ func runFig13(o Options) []*Table {
 	}
 
 	// Shape checks from §6.2.
-	soft := mean(results["SoftRate"])
+	soft := stats.Mean(results["SoftRate"])
 	out.AddNote("SoftRate/omniscient ratio (mean over N): %.2f (paper: SoftRate comes closest to omniscient)",
-		soft/mean(results["Omniscient"]))
-	out.AddNote("SoftRate/SNR-trained: %.2fx (paper: up to ~1.2x)", soft/mean(results["SNR (trained)"]))
-	out.AddNote("SoftRate/RRAA: %.2fx (paper: up to ~2x)", soft/mean(results["RRAA"]))
-	out.AddNote("SoftRate/SampleRate: %.2fx (paper: up to ~4x)", soft/mean(results["SampleRate"]))
+		soft/stats.Mean(results["Omniscient"]))
+	out.AddNote("SoftRate/SNR-trained: %.2fx (paper: up to ~1.2x)", soft/stats.Mean(results["SNR (trained)"]))
+	out.AddNote("SoftRate/RRAA: %.2fx (paper: up to ~2x)", soft/stats.Mean(results["RRAA"]))
+	out.AddNote("SoftRate/SampleRate: %.2fx (paper: up to ~4x)", soft/stats.Mean(results["SampleRate"]))
 	return []*Table{out}
-}
-
-func mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
 }
 
 // runFig14 reproduces Figure 14: rate-selection accuracy with one TCP flow
@@ -129,7 +120,6 @@ func runFig14(o Options) []*Table {
 		Title:  "Rate selection accuracy, one TCP flow, slow-fading mobile channel",
 		Header: []string{"algorithm", "underselect", "accurate", "overselect"},
 	}
-	type acc struct{ under, ok, over float64 }
 	// One trial per algorithm; Omniscient is skipped (trivially accurate).
 	var algs []netsim.Algorithm
 	for _, alg := range netsim.Algorithms() {
@@ -137,38 +127,56 @@ func runFig14(o Options) []*Table {
 			algs = append(algs, alg)
 		}
 	}
-	counts := engine.Map(o.Workers, len(algs), func(i int) [3]int {
+	counts := engine.Map(o.Workers, len(algs), func(i int) tally {
 		cfg := netsim.DefaultConfig()
 		cfg.Duration = dur
 		cfg.Seed = o.Seed + 17
 		cfg.RecordTx = true
 		res := netsim.RunUplink(cfg, fwd, rev, algs[i].Factory)
-		var c [3]int
-		for _, r := range res.ClientStats[0].Records {
-			switch {
-			case r.RateIndex < r.OracleIndex:
-				c[0]++
-			case r.RateIndex == r.OracleIndex:
-				c[1]++
-			default:
-				c[2]++
-			}
-		}
+		var c tally
+		c.add(res.ClientStats[0].Records)
 		return c
 	})
-	accs := map[string]acc{}
+	softOK, softFound := 0.0, false
 	for i, alg := range algs {
-		under, ok, over := counts[i][0], counts[i][1], counts[i][2]
-		total := float64(under + ok + over)
-		if total == 0 {
+		under, ok, over, found := counts[i].shares()
+		if !found {
 			continue
 		}
-		a := acc{float64(under) / total, float64(ok) / total, float64(over) / total}
-		accs[alg.Name] = a
-		out.AddRow(alg.Name, fmtPct(a.under), fmtPct(a.ok), fmtPct(a.over))
+		out.AddRow(alg.Name, fmtPct(under), fmtPct(ok), fmtPct(over))
+		if alg.Name == "SoftRate" {
+			softOK, softFound = ok, true
+		}
 	}
-	if a, found := accs["SoftRate"]; found {
-		out.AddNote("SoftRate accurate fraction: %s (paper: over 80%%)", fmtPct(a.ok))
+	if softFound {
+		out.AddNote("SoftRate accurate fraction: %s (paper: over 80%%)", fmtPct(softOK))
 	}
 	return []*Table{out}
+}
+
+// tally counts a transmission log's rate picks below, at and above the
+// omniscient oracle's (Figures 14 and 18).
+type tally struct{ under, ok, over int }
+
+func (t *tally) add(recs []mac.TxRecord) {
+	for _, r := range recs {
+		switch {
+		case r.RateIndex < r.OracleIndex:
+			t.under++
+		case r.RateIndex == r.OracleIndex:
+			t.ok++
+		default:
+			t.over++
+		}
+	}
+}
+
+// shares returns the three counts as fractions of their sum, and false
+// for an empty log.
+func (t tally) shares() (under, ok, over float64, found bool) {
+	total := float64(t.under + t.ok + t.over)
+	if total == 0 {
+		return 0, 0, 0, false
+	}
+	return float64(t.under) / total, float64(t.ok) / total, float64(t.over) / total, true
 }

@@ -106,7 +106,7 @@ func runFig18(o Options) []*Table {
 	}
 	// One trial per algorithm, counting (under, accurate, over) picks.
 	algs := interferenceAlgorithms
-	counts := engine.Map(o.Workers, len(algs), func(i int) [3]int {
+	counts := engine.Map(o.Workers, len(algs), func(i int) tally {
 		alg := algs[i]
 		cfg := netsim.DefaultConfig()
 		cfg.Duration = dur
@@ -116,33 +116,22 @@ func runFig18(o Options) []*Table {
 		cfg.MAC.Postamble = alg.postamble
 		cfg.MAC.InterferenceDetectionProb = alg.detectP
 		res := netsim.RunUplink(cfg, fwd, rev, alg.factory)
-		var c [3]int
+		var c tally
 		for _, st := range res.ClientStats {
-			for _, r := range st.Records {
-				switch {
-				case r.RateIndex < r.OracleIndex:
-					c[0]++
-				case r.RateIndex == r.OracleIndex:
-					c[1]++
-				default:
-					c[2]++
-				}
-			}
+			c.add(st.Records)
 		}
 		return c
 	})
 	for i, alg := range algs {
-		under, ok, over := counts[i][0], counts[i][1], counts[i][2]
-		total := float64(under + ok + over)
-		if total == 0 {
+		c := counts[i]
+		under, ok, over, found := c.shares()
+		if !found {
 			continue
 		}
-		out.AddRow(alg.name,
-			fmtPct(float64(under)/total),
-			fmtPct(float64(ok)/total),
-			fmtPct(float64(over)/total))
-		if alg.name == "RRAA" && float64(under)/total < 0.05 {
-			out.AddNote("expected RRAA to underselect under collisions (it lowers rate on interference losses); got %.1f%%", 100*float64(under)/total)
+		out.AddRow(alg.name, fmtPct(under), fmtPct(ok), fmtPct(over))
+		if alg.name == "RRAA" && under < 0.05 {
+			out.AddNote("expected RRAA to underselect under collisions (it lowers rate on interference losses); got %.1f%%",
+				100*float64(c.under)/float64(c.under+c.ok+c.over))
 		}
 	}
 	out.AddNote("paper: RRAA frequently underselects because it reduces bit rate in response to collision losses")

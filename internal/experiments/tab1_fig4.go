@@ -6,6 +6,7 @@ import (
 
 	"softrate/internal/experiments/engine"
 	"softrate/internal/mac"
+	"softrate/internal/rate"
 	"softrate/internal/ratectl"
 	"softrate/internal/sim"
 	"softrate/internal/stats"
@@ -58,9 +59,10 @@ func silentLossRun(o Options, bytes1, bytes2 int, dur float64) (f [2]float64, ru
 	rng := rand.New(rand.NewSource(o.Seed))
 	med := mac.NewMedium(&eng, cfg, rng)
 	med.CSProb = func(a, b int) float64 { return 0 }
+	nRates := len(rate.Evaluation())
 
 	mkStation := func(bytes int, seed int64) *mac.Station {
-		st := med.NewStation(&randomRateAdapter{rng: rand.New(rand.NewSource(seed)), n: len(cfg.Rates)}, cleanTrace(len(cfg.Rates), 1, 1e-3))
+		st := med.NewStation(&randomRateAdapter{rng: rand.New(rand.NewSource(seed)), n: nRates}, cleanTrace(nRates, 1, 1e-3))
 		st.RecordTx = true
 		// Saturated UDP source.
 		var feed func()

@@ -21,22 +21,8 @@ import (
 	"softrate/internal/trace"
 )
 
-// Config collects MAC timing and protocol parameters.
+// Config collects the MAC's protocol options.
 type Config struct {
-	// Mode is the OFDM mode, which sets frame airtimes.
-	Mode ofdm.Mode
-	// Rates is the rate set shared with the adaptation algorithms.
-	Rates []rate.Rate
-	// SIFS, DIFS and SlotTime are the 802.11 interframe timings.
-	SIFS, DIFS, SlotTime float64
-	// CWMin and CWMax bound the contention window (in slots).
-	CWMin, CWMax int
-	// RetryLimit drops a frame after this many failed attempts.
-	RetryLimit int
-	// AckBytes is the feedback frame size (sent at the lowest rate).
-	AckBytes int
-	// RTSBytes/CTSBytes size the RTS/CTS exchange.
-	RTSBytes, CTSBytes int
 	// Postamble appends postambles to data frames and enables
 	// postamble-only feedback (§3.2).
 	Postamble bool
@@ -47,23 +33,43 @@ type Config struct {
 	InterferenceDetectionProb float64
 }
 
-// DefaultConfig returns 802.11a-like timings over the simulation OFDM mode.
+// DefaultConfig returns the implemented detector without postambles.
 func DefaultConfig() Config {
-	return Config{
-		Mode:                      ofdm.Simulation,
-		Rates:                     rate.Evaluation(),
-		SIFS:                      16e-6,
-		DIFS:                      34e-6,
-		SlotTime:                  9e-6,
-		CWMin:                     15,
-		CWMax:                     1023,
-		RetryLimit:                7,
-		AckBytes:                  14,
-		RTSBytes:                  20,
-		CTSBytes:                  14,
-		InterferenceDetectionProb: 0.8,
-	}
+	return Config{InterferenceDetectionProb: 0.8}
 }
+
+// 802.11a's MAC timing and control frames (the OFDM PHY's parameters in
+// IEEE 802.11a-1999, as the paper's §6.1 setup uses them). Frames are
+// timed in ofdm.Simulation at the rates of rate.Evaluation(), the set the
+// adaptation algorithms share.
+const (
+	// sifs, difs and slotTime are the interframe timings in seconds.
+	sifs     float64 = 16e-6
+	difs     float64 = 34e-6
+	slotTime float64 = 9e-6
+	// cwMin and cwMax bound the contention window in slots.
+	cwMin = 15
+	cwMax = 1023
+	// retryLimit is how many retries a frame gets after its first
+	// attempt before it is dropped.
+	retryLimit = 7
+	// ackBytes is the feedback frame size (sent at the lowest rate), and
+	// rtsBytes and ctsBytes size the RTS/CTS exchange.
+	ackBytes = 14
+	rtsBytes = 20
+	ctsBytes = 14
+)
+
+var (
+	// rates is the rate set shared with the adaptation algorithms.
+	rates = rate.Evaluation()
+	// ackAir is the feedback frame's airtime (lowest rate, no postamble)
+	// and rtsPrefix that of RTS+SIFS+CTS+SIFS.
+	ackAir    = ofdm.Simulation.PayloadAirtime(ackBytes, rates[0], false)
+	rtsPrefix = ofdm.Simulation.PayloadAirtime(rtsBytes, rates[0], false) +
+		ofdm.Simulation.PayloadAirtime(ctsBytes, rates[0], false) +
+		2*sifs
+)
 
 // Packet is one link-layer SDU queued at a station. It holds no pointers,
 // so queueing one costs the garbage collector nothing.

@@ -94,9 +94,7 @@ func TestSingleStationDelivers(t *testing.T) {
 
 func TestBadRateRetriesAndDrops(t *testing.T) {
 	var eng sim.Engine
-	cfg := DefaultConfig()
-	cfg.RetryLimit = 3
-	m := NewMedium(&eng, cfg, rand.New(rand.NewSource(2)))
+	m := NewMedium(&eng, DefaultConfig(), rand.New(rand.NewSource(2)))
 	tr := perfectTrace(6, 2, 1, 1e-3) // rate 5 never delivers
 	st := m.NewStation(&ratectl.Fixed{Index: 5}, tr)
 	dropped := 0
@@ -106,8 +104,8 @@ func TestBadRateRetriesAndDrops(t *testing.T) {
 	if dropped != 1 {
 		t.Fatalf("dropped %d, want 1", dropped)
 	}
-	if st.Stats.Attempts != cfg.RetryLimit+1 {
-		t.Fatalf("attempts %d, want %d", st.Stats.Attempts, cfg.RetryLimit+1)
+	if st.Stats.Attempts != retryLimit+1 {
+		t.Fatalf("attempts %d, want %d", st.Stats.Attempts, retryLimit+1)
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 type Medium struct {
 	// Eng is the discrete-event engine driving the simulation.
 	Eng *sim.Engine
-	// Cfg is the MAC configuration. NewMedium derives frame airtimes
-	// from it, so it must not change afterwards.
+	// Cfg is the MAC configuration.
 	Cfg Config
 	// Rng drives carrier sense draws, backoff and detection coin flips.
 	Rng *rand.Rand
@@ -28,9 +27,6 @@ type Medium struct {
 	active   []*onAir
 	free     []*onAir // records gc dropped, for transmit to reuse
 	others   []*onAir // overlaps' result
-
-	ackAir    float64 // the feedback frame (lowest rate, no postamble)
-	rtsPrefix float64 // RTS+SIFS+CTS+SIFS
 }
 
 // onAir is a transmission occupying the channel, including its SIFS+ACK
@@ -46,16 +42,11 @@ type onAir struct {
 
 // NewMedium builds an empty medium.
 func NewMedium(eng *sim.Engine, cfg Config, rng *rand.Rand) *Medium {
-	low := cfg.Rates[0]
 	return &Medium{
 		Eng:    eng,
 		Cfg:    cfg,
 		Rng:    rng,
 		CSProb: func(a, b int) float64 { return 1 },
-		ackAir: cfg.Mode.PayloadAirtime(cfg.AckBytes, low, false),
-		rtsPrefix: cfg.Mode.PayloadAirtime(cfg.RTSBytes, low, false) +
-			cfg.Mode.PayloadAirtime(cfg.CTSBytes, low, false) +
-			2*cfg.SIFS,
 	}
 }
 
@@ -66,7 +57,7 @@ func (m *Medium) NewStation(adapter ratectl.Adapter, fwd *trace.LinkTrace) *Stat
 		Adapter: adapter,
 		Fwd:     fwd,
 		med:     m,
-		cw:      m.Cfg.CWMin,
+		cw:      cwMin,
 	}
 	s.attemptFn, s.completeFn = s.attempt, s.complete
 	m.stations = append(m.stations, s)
@@ -85,14 +76,14 @@ func (m *Medium) newOnAir() *onAir {
 
 // senses reports whether station id perceives the channel busy at time
 // now. A transmission is sensed with probability CSProb(id, from), except
-// during its first SlotTime, which models the detection blind spot that
+// during its first slotTime, which models the detection blind spot that
 // makes same-slot collisions possible even with perfect carrier sense.
 func (m *Medium) senses(id int, now float64) (busy bool, until float64) {
 	for _, tx := range m.active {
 		if tx.from == id || now >= tx.busyEnd {
 			continue
 		}
-		if now < tx.start+m.Cfg.SlotTime {
+		if now < tx.start+slotTime {
 			continue // blind spot: energy not yet detectable
 		}
 		p := m.CSProb(id, tx.from)
@@ -161,20 +152,10 @@ func overlapCovers(others []*onAir, a, b float64) bool {
 // preambleTime returns the duration of the preamble at the head of every
 // frame.
 func (m *Medium) preambleTime() float64 {
-	return float64(ofdm.PreambleSymbols) * m.Cfg.Mode.SymbolTime()
+	return float64(ofdm.PreambleSymbols) * ofdm.Simulation.SymbolTime()
 }
 
 // postambleTime returns the postamble duration.
 func (m *Medium) postambleTime() float64 {
-	return float64(ofdm.PostambleSymbols) * m.Cfg.Mode.SymbolTime()
-}
-
-func clampCW(cw, lo, hi int) int {
-	if cw < lo {
-		return lo
-	}
-	if cw > hi {
-		return hi
-	}
-	return cw
+	return float64(ofdm.PostambleSymbols) * ofdm.Simulation.SymbolTime()
 }

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"softrate/internal/ofdm"
 	"softrate/internal/ratectl"
 	"softrate/internal/trace"
 )
@@ -24,7 +25,7 @@ func (s *Station) Enqueue(p Packet) {
 	s.Stats.Enqueued++
 	s.queue.Push(p)
 	if !s.pending {
-		s.scheduleAttempt(s.med.Cfg.DIFS + s.backoff())
+		s.scheduleAttempt(difs + s.backoff())
 	}
 }
 
@@ -33,7 +34,7 @@ func (s *Station) QueueLen() int { return s.queue.Len() }
 
 // backoff draws a uniform backoff from the current contention window.
 func (s *Station) backoff() float64 {
-	return float64(s.med.Rng.Intn(s.cw+1)) * s.med.Cfg.SlotTime
+	return float64(s.med.Rng.Intn(s.cw+1)) * slotTime
 }
 
 func (s *Station) scheduleAttempt(delay float64) {
@@ -53,7 +54,7 @@ func (s *Station) attempt() {
 		// Defer: wait out the perceived busy period, then DIFS + fresh
 		// backoff (no freeze-resume; the redraw preserves the fairness
 		// and collision structure the experiments depend on).
-		s.scheduleAttempt(until - now + m.Cfg.DIFS + s.backoff())
+		s.scheduleAttempt(until - now + difs + s.backoff())
 		return
 	}
 	s.transmit()
@@ -78,19 +79,19 @@ func (s *Station) transmit() {
 	if ri < 0 {
 		ri = 0
 	}
-	if ri >= len(m.Cfg.Rates) {
-		ri = len(m.Cfg.Rates) - 1
+	if ri >= len(rates) {
+		ri = len(rates) - 1
 	}
 	useRTS := adapter.WantRTS()
 
 	prefix := 0.0
 	if useRTS {
-		prefix = m.rtsPrefix
+		prefix = rtsPrefix
 	}
 	air := s.payloadAirtime(p.Bytes, ri)
 	start := now + prefix
 	dataEnd := start + air
-	busyEnd := dataEnd + m.Cfg.SIFS + m.ackAir
+	busyEnd := dataEnd + sifs + ackAir
 	// The RTS/CTS exchange occupies [now, start) unprotected: the RTS
 	// itself is an ordinary short frame and collides like one. Protection
 	// takes effect only once the CTS reservation is out — so under
@@ -108,10 +109,9 @@ func (s *Station) transmit() {
 // index ri.
 func (s *Station) payloadAirtime(bytes, ri int) float64 {
 	if bytes != s.airBytes || s.airtimes == nil {
-		cfg := &s.med.Cfg
 		s.airBytes, s.airtimes = bytes, s.airtimes[:0]
-		for _, r := range cfg.Rates {
-			s.airtimes = append(s.airtimes, cfg.Mode.PayloadAirtime(bytes, r, cfg.Postamble))
+		for _, r := range rates {
+			s.airtimes = append(s.airtimes, ofdm.Simulation.PayloadAirtime(bytes, r, s.med.Cfg.Postamble))
 		}
 	}
 	return s.airtimes[ri]
@@ -164,18 +164,18 @@ func (s *Station) complete() {
 		s.Stats.Delivered++
 		s.Stats.BytesDelivered += int64(f.p.Bytes)
 		s.retries = 0
-		s.cw = m.Cfg.CWMin
+		s.cw = cwMin
 		if s.OnDeliver != nil {
 			s.OnDeliver(f.p, now)
 		}
 	} else {
 		s.retries++
-		s.cw = clampCW(s.cw*2+1, m.Cfg.CWMin, m.Cfg.CWMax)
-		if s.retries > m.Cfg.RetryLimit {
+		s.cw = min(s.cw*2+1, cwMax)
+		if s.retries > retryLimit {
 			s.queue.Pop()
 			s.Stats.Dropped++
 			s.retries = 0
-			s.cw = m.Cfg.CWMin
+			s.cw = cwMin
 			if s.OnDrop != nil {
 				s.OnDrop(f.p, now)
 			}
@@ -184,7 +184,7 @@ func (s *Station) complete() {
 
 	m.gc(now)
 	if s.queue.Len() > 0 {
-		s.scheduleAttempt(m.Cfg.SIFS + m.ackAir + m.Cfg.DIFS + s.backoff())
+		s.scheduleAttempt(sifs + ackAir + difs + s.backoff())
 	} else {
 		s.pending = false
 	}

@@ -21,17 +21,8 @@ import (
 type Config struct {
 	// MAC is the link-layer configuration.
 	MAC mac.Config
-	// TCP is the transport configuration.
-	TCP tcpsim.Config
-	// WiredRate and WiredDelay describe the AP↔LAN point-to-point link
-	// (50 Mbps / 10 ms in the paper).
-	WiredRate  float64
-	WiredDelay float64
 	// Duration is the simulated time in seconds.
 	Duration float64
-	// ClientQueue and APQueue bound the MAC queues in packets; the paper
-	// sizes them slightly above the wireless BDP.
-	ClientQueue, APQueue int
 	// CSProb is the pairwise carrier sense probability between client
 	// stations (the AP hears and is heard by everyone). Default 1.
 	CSProb float64
@@ -44,17 +35,24 @@ type Config struct {
 // DefaultConfig returns the paper's evaluation parameters.
 func DefaultConfig() Config {
 	return Config{
-		MAC:         mac.DefaultConfig(),
-		TCP:         tcpsim.DefaultConfig(),
-		WiredRate:   50e6,
-		WiredDelay:  10e-3,
-		Duration:    10,
-		ClientQueue: 30,
-		APQueue:     60,
-		CSProb:      1,
-		Seed:        1,
+		MAC:      mac.DefaultConfig(),
+		Duration: 10,
+		CSProb:   1,
+		Seed:     1,
 	}
 }
+
+// The topology's fixed parameters (§6.1, Figure 12).
+const (
+	// wiredRate and wiredDelay describe the AP↔LAN point-to-point link:
+	// 50 Mbps, 10 ms.
+	wiredRate  float64 = 50e6
+	wiredDelay float64 = 10e-3
+	// clientQueue and apQueue bound the MAC queues in packets; the paper
+	// sizes them slightly above the wireless BDP.
+	clientQueue = 30
+	apQueue     = 60
+)
 
 // AdapterFactory builds the rate adaptation algorithm for one link. The
 // factory receives the link's forward trace so oracle- and training-based
@@ -91,7 +89,6 @@ type Result struct {
 // once, so a segment on the wire costs the heap nothing.
 type wiredLink struct {
 	eng              *sim.Engine
-	rate, delay      float64
 	deliver          func(flowSeg)
 	queue            sim.FIFO[flowSeg] // the head is serializing while busy
 	flight           sim.FIFO[flowSeg] // serialized, propagating
@@ -105,8 +102,8 @@ type flowSeg struct {
 	seg         tcpsim.Segment
 }
 
-func newWiredLink(eng *sim.Engine, cfg Config, deliver func(flowSeg)) *wiredLink {
-	w := &wiredLink{eng: eng, rate: cfg.WiredRate, delay: cfg.WiredDelay, deliver: deliver}
+func newWiredLink(eng *sim.Engine, deliver func(flowSeg)) *wiredLink {
+	w := &wiredLink{eng: eng, deliver: deliver}
 	w.sentFn, w.arriveFn = w.sent, w.arrive
 	return w
 }
@@ -122,14 +119,14 @@ func (w *wiredLink) send(f flowSeg) {
 func (w *wiredLink) pump() {
 	w.busy = w.queue.Len() > 0
 	if w.busy {
-		txTime := float64(w.queue.Front().bytes+20) * 8 / w.rate
+		txTime := float64(w.queue.Front().bytes+20) * 8 / wiredRate
 		w.eng.Schedule(txTime, w.sentFn)
 	}
 }
 
 func (w *wiredLink) sent() {
 	w.flight.Push(w.queue.Pop())
-	w.eng.Schedule(w.delay, w.arriveFn)
+	w.eng.Schedule(wiredDelay, w.arriveFn)
 	w.pump()
 }
 
@@ -194,7 +191,7 @@ func RunUplink(cfg Config, fwdTraces, revTraces []*trace.LinkTrace, factory Adap
 		apAdapters[i] = factory(revTraces[i], rng)
 	}
 	ap := med.NewStation(apAdapters[0], revTraces[0])
-	ap.MaxQueue = cfg.APQueue
+	ap.MaxQueue = apQueue
 	ap.RouteFor = func(p mac.Packet) (ratectl.Adapter, *trace.LinkTrace) {
 		flow := slab.segs[p.Seq].flow
 		return apAdapters[flow], revTraces[flow]
@@ -206,16 +203,16 @@ func RunUplink(cfg Config, fwdTraces, revTraces []*trace.LinkTrace, factory Adap
 	}
 	ap.OnDrop = drop
 
-	up := newWiredLink(eng, cfg, func(f flowSeg) { receivers[f.flow].OnSegment(f.seg) })
-	down := newWiredLink(eng, cfg, func(f flowSeg) { ap.Enqueue(slab.packet(f)) })
+	up := newWiredLink(eng, func(f flowSeg) { receivers[f.flow].OnSegment(f.seg) })
+	down := newWiredLink(eng, func(f flowSeg) { ap.Enqueue(slab.packet(f)) })
 
 	for i := 0; i < n; i++ {
 		i := i
 		clients[i] = med.NewStation(factory(fwdTraces[i], rng), fwdTraces[i])
-		clients[i].MaxQueue = cfg.ClientQueue
+		clients[i].MaxQueue = clientQueue
 		clients[i].RecordTx = cfg.RecordTx
 
-		senders[i] = tcpsim.NewSender(eng, cfg.TCP)
+		senders[i] = tcpsim.NewSender(eng)
 		receivers[i] = tcpsim.NewReceiver()
 
 		// Client → AP (wireless) → wired host.

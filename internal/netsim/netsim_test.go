@@ -7,6 +7,7 @@ import (
 
 	"softrate/internal/channel"
 	"softrate/internal/ratectl"
+	"softrate/internal/tcpsim"
 	"softrate/internal/trace"
 )
 
@@ -152,7 +153,7 @@ func TestAllocsPerSegment(t *testing.T) {
 		var res Result
 		allocs = testing.AllocsPerRun(2, func() { res = RunUplink(cfg, fwd, rev, SoftRate) })
 		for _, f := range res.Flows {
-			segs += f.BytesDelivered / int64(cfg.TCP.MSS)
+			segs += f.BytesDelivered / tcpsim.MSS
 		}
 		return allocs, segs
 	}

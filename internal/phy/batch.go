@@ -73,12 +73,12 @@ func (ws *Workspace) QueueReceive(cfg Config, tx *Transmission, gains []complex1
 
 	preSNREst := preambleSNREst(cfg, gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols], ns)
 	p.rec.SNREstDB = channel.LinearToDB(preSNREst)
-	p.rec.Detected = PreambleDetects(cfg, gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols])
+	p.rec.Detected = PreambleDetects(gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols])
 
 	if tx.Frame.Postamble {
 		off := tx.NumSymbols() - ofdm.PostambleSymbols
 		preambleSNREst(cfg, gains[off:], ivar[off:], ns)
-		p.rec.PostambleDetected = meanSINR(gains[off:], ivar[off:]) >= cfg.DetectSINR
+		p.rec.PostambleDetected = meanSINR(gains[off:], ivar[off:]) >= DetectSINR
 	}
 
 	if p.rec.Detected {

@@ -175,7 +175,7 @@ func calibrate(cc CalibrationConfig, batch int) *BERModel {
 				for j := 0; j < n; j++ {
 					gains[j] = model.Gain(start + float64(j)*T + T/2)
 				}
-				det := PreambleDetects(cc.PHY, gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols])
+				det := PreambleDetects(gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols])
 				noise := make([]float64, tx.NoiseDraws(det))
 				for j := range noise {
 					noise[j] = rng.NormFloat64()

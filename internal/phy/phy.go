@@ -25,23 +25,19 @@ type Config struct {
 	Mode ofdm.Mode
 	// Decoder selects exact log-MAP (reference) or max-log BCJR.
 	Decoder coding.BCJRMode
-	// ExactDemap selects the full log-sum-exp soft demapper; false uses
-	// max-log.
-	ExactDemap bool
-	// DetectSINR is the linear preamble/postamble SINR above which the
-	// receiver synchronizes with a frame. The default corresponds to
-	// roughly -1 dB, below which even BPSK 1/2 is hopeless.
-	DetectSINR float64
 }
+
+// DetectSINR is the linear preamble/postamble SINR above which a receiver
+// synchronizes with a frame: roughly -1 dB, below which even BPSK 1/2 is
+// hopeless (a model choice; trace generation applies the same threshold).
+const DetectSINR float64 = 0.8
 
 // DefaultConfig returns the configuration used by the experiments:
 // simulation mode (20 MHz, 128 tones), exact log-MAP decoding.
 func DefaultConfig() Config {
 	return Config{
-		Mode:       ofdm.Simulation,
-		Decoder:    coding.LogMAP,
-		ExactDemap: true,
-		DetectSINR: 0.8,
+		Mode:    ofdm.Simulation,
+		Decoder: coding.LogMAP,
 	}
 }
 

@@ -151,7 +151,7 @@ func ReceiveWS(ws *Workspace, cfg Config, tx *Transmission, gains []complex128, 
 	// what lets the calibration pipeline pre-draw noise streams.
 	preSNREst := preambleSNREst(cfg, gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols], ns)
 	rx.SNREstDB = channel.LinearToDB(preSNREst)
-	rx.Detected = PreambleDetects(cfg, gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols])
+	rx.Detected = PreambleDetects(gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols])
 
 	// --- Postamble detection (independent of preamble). ---
 	if tx.Frame.Postamble {
@@ -159,7 +159,7 @@ func ReceiveWS(ws *Workspace, cfg Config, tx *Transmission, gains []complex128, 
 		// The power measurement consumes the same variates it always has,
 		// even though only the pure SINR decides postamble sync.
 		preambleSNREst(cfg, gains[off:], ivar[off:], ns)
-		rx.PostambleDetected = meanSINR(gains[off:], ivar[off:]) >= cfg.DetectSINR
+		rx.PostambleDetected = meanSINR(gains[off:], ivar[off:]) >= DetectSINR
 	}
 
 	if !rx.Detected {
@@ -241,8 +241,8 @@ func meanSINR(gains []complex128, ivar []float64) float64 {
 // variances. It is pure — the detection decision consumes no randomness —
 // so the calibration pipeline can predict a frame's noise consumption
 // before decoding it.
-func PreambleDetects(cfg Config, gains []complex128, ivar []float64) bool {
-	det := meanSINR(gains, ivar) >= cfg.DetectSINR
+func PreambleDetects(gains []complex128, ivar []float64) bool {
+	det := meanSINR(gains, ivar) >= DetectSINR
 	if sig, inter := meanPower(gains), meanVar(ivar); inter > sig/2 {
 		det = false
 	}
@@ -320,7 +320,8 @@ func (ws *Workspace) segmentLLRs(cfg Config, syms [][]complex128, nInfo int, r r
 		}
 		noiseEst := estimateNoiseEVM(r.Scheme, rx[:len(sym)], h)
 		for _, y := range rx[:len(sym)] {
-			chanLLRs = modulation.Demap(r.Scheme, y, h, noiseEst, cfg.ExactDemap, chanLLRs)
+			// Exact log-sum-exp demapping; max-log is a bench probe only.
+			chanLLRs = modulation.Demap(r.Scheme, y, h, noiseEst, true, chanLLRs)
 		}
 	}
 	ws.chanLLRs = chanLLRs

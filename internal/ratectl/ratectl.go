@@ -332,9 +332,6 @@ func TrainThresholds(samples []TrainingSample, nRates int, target float64) []flo
 	return th
 }
 
-// nominalFrameBytes is the paper's 1400-byte evaluation frame.
-const nominalFrameBytes = 1400
-
 var (
 	nominalOnce    sync.Once
 	nominalAirtime []float64
@@ -349,7 +346,7 @@ func NominalAirtimes() []float64 {
 		rates := rate.Evaluation()
 		nominalAirtime = make([]float64, len(rates))
 		for i, r := range rates {
-			nominalAirtime[i] = ofdm.Simulation.PayloadAirtime(nominalFrameBytes, r, false)
+			nominalAirtime[i] = ofdm.Simulation.PayloadAirtime(core.NominalFrameBytes, r, false)
 		}
 	})
 	out := make([]float64, len(nominalAirtime))

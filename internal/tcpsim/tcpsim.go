@@ -29,29 +29,24 @@ type Segment struct {
 	SentAt float64
 }
 
-// Config parameterizes a sender.
-type Config struct {
-	// MSS is the maximum segment size in bytes (default 1400, the
-	// paper's frame payload).
-	MSS int
-	// InitialWindow is the initial congestion window in segments
-	// (default 2).
-	InitialWindow int
-	// RWnd is the receiver window in bytes (default 1 MiB — effectively
-	// unlimited, so the congestion window governs).
-	RWnd int64
-	// MinRTO floors the retransmission timeout (default 200 ms).
-	MinRTO float64
-}
-
-// DefaultConfig returns the configuration used in the experiments.
-func DefaultConfig() Config {
-	return Config{MSS: 1400, InitialWindow: 2, RWnd: 1 << 20, MinRTO: 0.2}
-}
+// The sender's fixed parameters.
+const (
+	// MSS is the maximum segment size in bytes: the paper's 1400-byte
+	// frame payload (§6.1).
+	MSS = 1400
+	// initialWindow is the initial congestion window in segments: RFC
+	// 2581's two.
+	initialWindow = 2
+	// rwnd is the receiver window in bytes: 1 MiB, effectively
+	// unlimited, so the congestion window governs (a model choice).
+	rwnd = 1 << 20
+	// minRTO floors the retransmission timeout: 200 ms, Linux's floor (RFC
+	// 6298 allows 1 s; a model choice).
+	minRTO = 0.2
+)
 
 // Sender is one TCP sending endpoint with an infinite data source.
 type Sender struct {
-	cfg Config
 	eng *sim.Engine
 	// Output transmits a segment toward the receiver; wired up by the
 	// network layer.
@@ -79,23 +74,10 @@ type Sender struct {
 }
 
 // NewSender builds a sender bound to the engine; call Start to begin.
-func NewSender(eng *sim.Engine, cfg Config) *Sender {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1400
-	}
-	if cfg.InitialWindow <= 0 {
-		cfg.InitialWindow = 2
-	}
-	if cfg.RWnd <= 0 {
-		cfg.RWnd = 1 << 20
-	}
-	if cfg.MinRTO <= 0 {
-		cfg.MinRTO = 0.2
-	}
+func NewSender(eng *sim.Engine) *Sender {
 	s := &Sender{
-		cfg:  cfg,
 		eng:  eng,
-		cwnd: float64(cfg.InitialWindow * cfg.MSS),
+		cwnd: initialWindow * MSS,
 		ssth: math.Inf(1),
 		rto:  1.0,
 	}
@@ -110,19 +92,13 @@ func (s *Sender) Cwnd() float64 { return s.cwnd }
 func (s *Sender) Start() { s.trySend() }
 
 // window returns the effective send window in bytes.
-func (s *Sender) window() float64 {
-	w := s.cwnd
-	if float64(s.cfg.RWnd) < w {
-		w = float64(s.cfg.RWnd)
-	}
-	return w
-}
+func (s *Sender) window() float64 { return min(s.cwnd, rwnd) }
 
 // trySend emits new segments while the window allows.
 func (s *Sender) trySend() {
-	for float64(s.sndNext-s.sndUna)+float64(s.cfg.MSS) <= s.window() {
-		seg := Segment{Seq: s.sndNext, Len: s.cfg.MSS, SentAt: s.eng.Now()}
-		s.sndNext += int64(s.cfg.MSS)
+	for float64(s.sndNext-s.sndUna)+MSS <= s.window() {
+		seg := Segment{Seq: s.sndNext, Len: MSS, SentAt: s.eng.Now()}
+		s.sndNext += MSS
 		s.armTimer()
 		s.Output(seg)
 	}
@@ -161,8 +137,8 @@ func (s *Sender) onTimer() {
 	// loss would crawl forward one segment per (exponentially backed-off)
 	// RTO, which is not how any real TCP behaves.
 	flight := float64(s.sndNext - s.sndUna)
-	s.ssth = math.Max(flight/2, float64(2*s.cfg.MSS))
-	s.cwnd = float64(s.cfg.MSS)
+	s.ssth = math.Max(flight/2, 2*MSS)
+	s.cwnd = MSS
 	s.dupAcks = 0
 	s.inRecovery = false
 	s.rto = math.Min(s.rto*2, 60)
@@ -191,12 +167,12 @@ func (s *Sender) OnAck(ackNo int64, echoedSentAt float64) {
 			} else {
 				// Partial ACK (NewReno): retransmit next hole.
 				s.Retransmits++
-				s.Output(Segment{Seq: s.sndUna, Len: s.cfg.MSS})
+				s.Output(Segment{Seq: s.sndUna, Len: MSS})
 			}
 		} else if s.cwnd < s.ssth {
 			s.cwnd += acked // slow start
 		} else {
-			s.cwnd += float64(s.cfg.MSS) * acked / s.cwnd // AIMD
+			s.cwnd += MSS * acked / s.cwnd // AIMD
 		}
 		s.resetTimer()
 	case ackNo == s.sndUna && s.sndNext > s.sndUna:
@@ -206,13 +182,13 @@ func (s *Sender) OnAck(ackNo int64, echoedSentAt float64) {
 			s.FastRetx++
 			s.Retransmits++
 			flight := float64(s.sndNext - s.sndUna)
-			s.ssth = math.Max(flight/2, float64(2*s.cfg.MSS))
-			s.cwnd = s.ssth + 3*float64(s.cfg.MSS)
+			s.ssth = math.Max(flight/2, 2*MSS)
+			s.cwnd = s.ssth + 3*MSS
 			s.inRecovery = true
 			s.recoverTo = s.sndNext
-			s.Output(Segment{Seq: s.sndUna, Len: s.cfg.MSS})
+			s.Output(Segment{Seq: s.sndUna, Len: MSS})
 		} else if s.inRecovery {
-			s.cwnd += float64(s.cfg.MSS) // window inflation
+			s.cwnd += MSS // window inflation
 		}
 	}
 	s.trySend()
@@ -232,7 +208,7 @@ func (s *Sender) sampleRTT(rtt float64) {
 		s.rttvar = (1-beta)*s.rttvar + beta*math.Abs(s.srtt-rtt)
 		s.srtt = (1-alpha)*s.srtt + alpha*rtt
 	}
-	s.rto = math.Max(s.srtt+4*s.rttvar, s.cfg.MinRTO)
+	s.rto = math.Max(s.srtt+4*s.rttvar, minRTO)
 }
 
 // Receiver is the TCP receiving endpoint: cumulative ACKs with

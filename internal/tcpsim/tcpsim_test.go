@@ -67,7 +67,7 @@ func (p *pipe) sendAck(seg Segment) {
 }
 
 func setup(eng *sim.Engine, delay, rateBps float64, queueCap int) (*Sender, *Receiver, *pipe) {
-	snd := NewSender(eng, DefaultConfig())
+	snd := NewSender(eng)
 	rcv := NewReceiver()
 	p := newPipe(eng, delay, rateBps, queueCap)
 	snd.Output = p.sendData
@@ -99,8 +99,8 @@ func TestSlowStartDoubles(t *testing.T) {
 	// After ~3 RTTs of slow start, cwnd should have grown well beyond
 	// the initial window and below the (infinite) ssthresh.
 	eng.Run(0.32)
-	if snd.Cwnd() < 8*float64(snd.cfg.MSS) {
-		t.Fatalf("cwnd %.0f after 3 RTTs, want >= 8 MSS", snd.Cwnd()/float64(snd.cfg.MSS))
+	if snd.Cwnd() < 8*MSS {
+		t.Fatalf("cwnd %.0f after 3 RTTs, want >= 8 MSS", snd.Cwnd()/MSS)
 	}
 }
 
@@ -231,7 +231,7 @@ func TestRTTEstimation(t *testing.T) {
 	if snd.srtt < 0.045 || snd.srtt > 0.12 {
 		t.Fatalf("SRTT %v, want ~0.05-0.1", snd.srtt)
 	}
-	if snd.rto < snd.cfg.MinRTO {
+	if snd.rto < minRTO {
 		t.Fatalf("RTO %v below floor", snd.rto)
 	}
 }
@@ -265,7 +265,7 @@ func TestAIMDSawtooth(t *testing.T) {
 		variance += (c - mean) * (c - mean)
 	}
 	variance /= float64(len(cwndSamples))
-	if math.Sqrt(variance) < float64(snd.cfg.MSS) {
+	if math.Sqrt(variance) < MSS {
 		t.Fatal("cwnd shows no sawtooth variation under periodic loss")
 	}
 }

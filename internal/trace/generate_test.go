@@ -19,26 +19,26 @@ import (
 // shared across rates: every rate re-samples the fading process and
 // consumes the generator as it goes. It is the specification Generate is
 // pinned to, bit for bit.
-func referenceGenerate(gc GenConfig) *LinkTrace {
+func referenceGenerate(gc GenConfig, rates []rate.Rate, interval float64) *LinkTrace {
 	gc.fill()
 	rng := rand.New(rand.NewSource(gc.Seed))
-	nSlots := int(gc.Duration / gc.Interval)
+	nSlots := int(gc.Duration / interval)
 	lt := &LinkTrace{
-		Interval:  gc.Interval,
+		Interval:  interval,
 		FrameBits: (gc.PayloadBytes + 4) * 8,
 	}
-	T := gc.Mode.SymbolTime()
+	T := ofdm.Simulation.SymbolTime()
 	effJitter := make([]float64, nSlots)
 	for s := range effJitter {
-		effJitter[s] = rng.NormFloat64() * gc.EffJitterDB
+		effJitter[s] = rng.NormFloat64() * effJitterDB
 	}
-	for ri, r := range gc.Rates {
+	for ri, r := range rates {
 		snaps := make([]Snapshot, nSlots)
 		num, den := r.Code.Fraction()
-		nSym := gc.Mode.DataSymbols((lt.FrameBits+6)*den/num, r.Scheme)
-		bitsPerSym := float64(gc.Mode.InfoBitsPerSymbol(r))
+		nSym := ofdm.Simulation.DataSymbols((lt.FrameBits+6)*den/num, r.Scheme)
+		bitsPerSym := float64(ofdm.Simulation.InfoBitsPerSymbol(r))
 		for s := 0; s < nSlots; s++ {
-			t0 := float64(s) * gc.Interval
+			t0 := float64(s) * interval
 			preSNR := referenceSampleSNR(gc.Model, t0, T, ofdm.PreambleSymbols)
 			dataSNR := referenceSampleSNR(gc.Model, t0+float64(ofdm.PreambleSymbols)*T, T, nSym)
 			for j := range dataSNR {
@@ -49,10 +49,10 @@ func referenceGenerate(gc GenConfig) *LinkTrace {
 				preLin += channel.DBToLinear(s)
 			}
 			preLin /= float64(len(preSNR))
-			detected := preLin >= gc.DetectSINR
+			detected := preLin >= phy.DetectSINR
 
 			ber := gc.BERModel.MeanBER(ri, dataSNR)
-			ber *= math.Exp(rng.NormFloat64() * gc.BERJitter)
+			ber *= math.Exp(rng.NormFloat64() * berJitter)
 			if ber > 0.5 {
 				ber = 0.5
 			}
@@ -65,7 +65,7 @@ func referenceGenerate(gc GenConfig) *LinkTrace {
 				Delivered:   detected && rng.Float64() < dp,
 				DeliverProb: dp,
 				BER:         ber,
-				SNRdB:       channel.LinearToDB(preLin) + rng.NormFloat64()*gc.SNRNoiseDB,
+				SNRdB:       channel.LinearToDB(preLin) + rng.NormFloat64()*snrNoiseDB,
 			}
 		}
 		lt.Snapshots = append(lt.Snapshots, snaps)
@@ -140,7 +140,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 		name  string
 		rates []rate.Rate
 	}{
-		{"six", nil},
+		{"six", eval},
 		// The longer frame second, so the shared sweep is not sized by
 		// the first rate.
 		{"two", []rate.Rate{eval[3], eval[0]}},
@@ -156,15 +156,13 @@ func TestGenerateMatchesReference(t *testing.T) {
 							mk := func() GenConfig {
 								return GenConfig{
 									Model:        mkChannel(ch, seed),
-									Rates:        rs.rates,
 									Duration:     0.06,
-									Interval:     interval,
 									PayloadBytes: payload,
 									Seed:         seed + 100,
 								}
 							}
-							want := referenceGenerate(mk())
-							requireSameTrace(t, Generate(mk()), want)
+							want := referenceGenerate(mk(), rs.rates, interval)
+							requireSameTrace(t, generate(mk(), rs.rates, interval), want)
 							if ch == "lowfade" {
 								for _, sn := range want.Snapshots[0] {
 									detected[sn.Detected]++
@@ -246,24 +244,24 @@ func TestGenerateSameAtEveryKernelLevel(t *testing.T) {
 // has no slot to replay, so Generate refuses it up front, naming both
 // values, instead of returning a trace whose first lookup divides by zero.
 func TestGenerateRejectsDurationUnderOneSlot(t *testing.T) {
-	for _, gc := range []GenConfig{
-		{Duration: 0.0005},
-		{Duration: 0.0015, Interval: 0.002},
-		{Duration: math.NaN()},
+	for _, c := range []struct{ duration, interval float64 }{
+		{0.0005, DefaultInterval},
+		{0.0015, 0.002},
+		{math.NaN(), DefaultInterval},
 	} {
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
-				interval := gc.Interval
-				if interval == 0 {
-					interval = DefaultInterval
-				}
-				if !strings.Contains(msg, fmt.Sprint(gc.Duration)) || !strings.Contains(msg, fmt.Sprint(interval)) {
-					t.Errorf("Duration %v, Interval %v: panic %q, want one naming both", gc.Duration, interval, msg)
+				if !strings.Contains(msg, fmt.Sprint(c.duration)) || !strings.Contains(msg, fmt.Sprint(c.interval)) {
+					t.Errorf("Duration %v, Interval %v: panic %q, want one naming both", c.duration, c.interval, msg)
 				}
 			}()
-			gc.Model = channel.NewStaticModel(10, nil)
-			Generate(gc)
+			gc := GenConfig{Model: channel.NewStaticModel(10, nil), Duration: c.duration}
+			if c.interval == DefaultInterval {
+				Generate(gc)
+			} else {
+				generate(gc, rate.Evaluation(), c.interval)
+			}
 		}()
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"math/rand"
 
 	"softrate/internal/channel"
+	"softrate/internal/core"
 	"softrate/internal/ofdm"
 	"softrate/internal/phy"
 	"softrate/internal/rate"
@@ -137,70 +138,45 @@ type GenConfig struct {
 	Model *channel.Model
 	// BERModel is the PHY calibration (default phy.DefaultBERModel).
 	BERModel *phy.BERModel
-	// Rates is the traced rate set (default rate.Evaluation()).
-	Rates []rate.Rate
-	// Mode is the OFDM mode (default ofdm.Simulation).
-	Mode ofdm.Mode
-	// Duration is the trace length in seconds.
+	// Duration is the trace length in seconds (default 10).
 	Duration float64
-	// Interval is the snapshot spacing (default DefaultInterval).
-	Interval float64
-	// PayloadBytes is the frame size snapshots describe (default 1400).
+	// PayloadBytes is the frame size snapshots describe (default
+	// core.NominalFrameBytes).
 	PayloadBytes int
-	// DetectSINR is the linear preamble detection threshold (default 0.8).
-	DetectSINR float64
-	// SNRNoiseDB is the σ of Gaussian measurement noise on the SNR
-	// estimate (default 0.7 dB, matching the preamble estimator's
-	// finite-sample spread).
-	SNRNoiseDB float64
-	// BERJitter is the σ (natural-log units) of lognormal noise on the
-	// hint-estimated BER. The default 0.23 reproduces the paper's
-	// measured estimator spread of "below one-tenth of one order of
-	// magnitude" (§5.2).
-	BERJitter float64
-	// EffJitterDB is the σ (dB) of the gap between the preamble SNR
+	// Seed drives all randomness in generation.
+	Seed int64
+}
+
+// DefaultInterval is Generate's snapshot spacing: 1 ms, the paper's trace
+// slot. Generate traces rate.Evaluation() in ofdm.Simulation timing.
+const DefaultInterval = 1e-3
+
+// The measurement noise of the traced receiver.
+const (
+	// snrNoiseDB is the σ of Gaussian measurement noise on the SNR
+	// estimate: 0.7 dB, the preamble estimator's finite-sample spread
+	// (calibration).
+	snrNoiseDB = 0.7
+	// berJitter is the σ (natural-log units) of lognormal noise on the
+	// hint-estimated BER: 0.23 reproduces the estimator spread "below
+	// one-tenth of one order of magnitude" the paper measures (§5.2).
+	berJitter = 0.23
+	// effJitterDB is the σ (dB) of the gap between the preamble SNR
 	// estimate and the SNR that actually governs the frame body's BER.
 	// Physically this is frequency-selective fading across the band plus
 	// receiver calibration error — the reason the paper's Figure 7(c)
 	// scatter is so wide and SNR-based protocols misfire even when
 	// trained in situ. One draw per time slot, shared by all rates, so
-	// cross-rate BER consistency is preserved. Default 2 dB.
-	EffJitterDB float64
-	// Seed drives all randomness in generation.
-	Seed int64
-}
-
-// DefaultInterval is Generate's snapshot spacing when GenConfig.Interval
-// is unset: 1 ms, the paper's trace slot.
-const DefaultInterval = 1e-3
+	// cross-rate BER consistency is preserved. 2 dB is a model choice.
+	effJitterDB = 2
+)
 
 func (gc *GenConfig) fill() {
 	if gc.BERModel == nil {
 		gc.BERModel = phy.DefaultBERModel
 	}
-	if len(gc.Rates) == 0 {
-		gc.Rates = rate.Evaluation()
-	}
-	if gc.Mode.Tones == 0 {
-		gc.Mode = ofdm.Simulation
-	}
-	if gc.Interval <= 0 {
-		gc.Interval = DefaultInterval
-	}
 	if gc.PayloadBytes <= 0 {
-		gc.PayloadBytes = 1400
-	}
-	if gc.DetectSINR <= 0 {
-		gc.DetectSINR = 0.8
-	}
-	if gc.SNRNoiseDB == 0 {
-		gc.SNRNoiseDB = 0.7
-	}
-	if gc.BERJitter == 0 {
-		gc.BERJitter = 0.23
-	}
-	if gc.EffJitterDB == 0 {
-		gc.EffJitterDB = 2
+		gc.PayloadBytes = core.NominalFrameBytes
 	}
 	if gc.Duration <= 0 {
 		gc.Duration = 10
@@ -220,39 +196,42 @@ func (gc *GenConfig) fill() {
 // per slot, BER jitter, the delivery draw when the preamble is detected,
 // SNR noise.
 //
-// Generate panics if Duration is shorter than one Interval: a trace needs
-// at least one slot.
-func Generate(gc GenConfig) *LinkTrace {
+// Generate panics if Duration is shorter than one DefaultInterval: a
+// trace needs at least one slot.
+func Generate(gc GenConfig) *LinkTrace { return generate(gc, rate.Evaluation(), DefaultInterval) }
+
+// generate is Generate over any rate set and slot spacing.
+func generate(gc GenConfig, rates []rate.Rate, interval float64) *LinkTrace {
 	gc.fill()
-	if !(gc.Duration >= gc.Interval) {
-		panic(fmt.Sprintf("trace: Duration %v s is shorter than one Interval of %v s", gc.Duration, gc.Interval))
+	if !(gc.Duration >= interval) {
+		panic(fmt.Sprintf("trace: Duration %v s is shorter than one Interval of %v s", gc.Duration, interval))
 	}
 	rng := rand.New(rand.NewSource(gc.Seed))
-	nSlots := int(gc.Duration / gc.Interval)
+	nSlots := int(gc.Duration / interval)
 	lt := &LinkTrace{
-		Interval:  gc.Interval,
+		Interval:  interval,
 		FrameBits: (gc.PayloadBytes + 4) * 8,
 	}
-	T := gc.Mode.SymbolTime()
+	T := ofdm.Simulation.SymbolTime()
 	// Per-slot effective-SNR offset, invisible to the preamble estimator
 	// and shared across rates (a channel property, not a rate property).
 	effJitter := make([]float64, nSlots)
 	for s := range effJitter {
-		effJitter[s] = rng.NormFloat64() * gc.EffJitterDB
+		effJitter[s] = rng.NormFloat64() * effJitterDB
 	}
 
 	// Per-rate frame length in symbols (the precise count for the
 	// punctured stream) and info bits per symbol.
-	nSym := make([]int, len(gc.Rates))
-	bitsPerSym := make([]float64, len(gc.Rates))
+	nSym := make([]int, len(rates))
+	bitsPerSym := make([]float64, len(rates))
 	maxSym := 0
-	for ri, r := range gc.Rates {
+	for ri, r := range rates {
 		num, den := r.Code.Fraction()
-		nSym[ri] = gc.Mode.DataSymbols((lt.FrameBits+6)*den/num, r.Scheme)
-		bitsPerSym[ri] = float64(gc.Mode.InfoBitsPerSymbol(r))
+		nSym[ri] = ofdm.Simulation.DataSymbols((lt.FrameBits+6)*den/num, r.Scheme)
+		bitsPerSym[ri] = float64(ofdm.Simulation.InfoBitsPerSymbol(r))
 		maxSym = max(maxSym, nSym[ri])
 	}
-	lt.Snapshots = make([][]Snapshot, len(gc.Rates))
+	lt.Snapshots = make([][]Snapshot, len(rates))
 	for ri := range lt.Snapshots {
 		lt.Snapshots[ri] = make([]Snapshot, nSlots)
 	}
@@ -262,7 +241,7 @@ func Generate(gc GenConfig) *LinkTrace {
 	dataSNR := make([]float64, maxSym)
 	cur := make([]phy.Cursor, 0, maxSym)
 	for s := 0; s < nSlots; s++ {
-		t0 := float64(s) * gc.Interval
+		t0 := float64(s) * interval
 		// Per-symbol SNR across the frame duration, preamble first.
 		gc.Model.SampleSNRdB(preSNR, t0, T)
 		gc.Model.SampleSNRdB(dataSNR, t0+float64(ofdm.PreambleSymbols)*T, T)
@@ -274,11 +253,11 @@ func Generate(gc GenConfig) *LinkTrace {
 			preLin += channel.DBToLinear(s)
 		}
 		preLin /= float64(len(preSNR))
-		detected := preLin >= gc.DetectSINR
+		detected := preLin >= phy.DetectSINR
 		preDB := channel.LinearToDB(preLin)
 
 		cur = gc.BERModel.Locate(cur[:0], dataSNR)
-		for ri := range gc.Rates {
+		for ri := range rates {
 			ber, dp := gc.BERModel.FrameOver(ri, cur, nSym[ri], bitsPerSym[ri])
 			if !detected {
 				dp = 0
@@ -296,12 +275,12 @@ func Generate(gc GenConfig) *LinkTrace {
 	for _, snaps := range lt.Snapshots {
 		for s := range snaps {
 			sn := &snaps[s]
-			sn.BER *= math.Exp(rng.NormFloat64() * gc.BERJitter)
+			sn.BER *= math.Exp(rng.NormFloat64() * berJitter)
 			if sn.BER > 0.5 {
 				sn.BER = 0.5
 			}
 			sn.Delivered = sn.Detected && rng.Float64() < sn.DeliverProb
-			sn.SNRdB += rng.NormFloat64() * gc.SNRNoiseDB
+			sn.SNRdB += rng.NormFloat64() * snrNoiseDB
 		}
 	}
 	return lt
