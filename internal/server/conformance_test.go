@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -322,17 +323,43 @@ var confRows = []struct {
 	{"drain-answers-in-flight", confDrain},
 }
 
-// TestTransportConformance runs every row over every carrier, as
-// TestTransportConformance/<carrier>/<row>.
+// runConformance runs the named rows (all when none are named) over the
+// named carrier.
+func runConformance(t *testing.T, carrier string, rows ...string) {
+	for _, car := range confCarriers {
+		if car.name != carrier {
+			continue
+		}
+		for _, row := range confRows {
+			if len(rows) > 0 && !slices.Contains(rows, row.name) {
+				continue
+			}
+			t.Run(row.name, func(t *testing.T) { row.run(newConfHarness(t, car)) })
+		}
+		return
+	}
+	t.Fatalf("no carrier %q", carrier)
+}
+
 func TestTransportConformance(t *testing.T) {
 	for _, car := range confCarriers {
-		t.Run(car.name, func(t *testing.T) {
-			for _, row := range confRows {
-				t.Run(row.name, func(t *testing.T) { row.run(newConfHarness(t, car)) })
-			}
-		})
+		t.Run(car.name, func(t *testing.T) { runConformance(t, car.name) })
 	}
 }
+
+// These names predate the table; each runs its row over its carrier.
+func TestTCPEndToEndMatchesInProcess(t *testing.T)       { runConformance(t, "tcp", "byte-identity") }
+func TestPipelinedEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "tcp", "window") }
+func TestPipelineSlotHeldUntilWaited(t *testing.T) {
+	runConformance(t, "tcp", "slot-held-until-waited")
+}
+func TestValidationErrorsDoNotPoison(t *testing.T) {
+	runConformance(t, "tcp", "validation-does-not-poison")
+}
+func TestUDPEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "udp", "byte-identity") }
+func TestSHMEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "shm", "byte-identity") }
+func TestSHMPipelinedWaitOrderFree(t *testing.T)   { runConformance(t, "shm", "window") }
+func TestSHMDrain(t *testing.T)                    { runConformance(t, "shm", "drain-answers-in-flight") }
 
 // confByteIdentity: stop-and-wait batches answer exactly as in-process
 // Decide does, and the carrier's counters saw exactly those requests.
