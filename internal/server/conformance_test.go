@@ -356,7 +356,9 @@ func TestPipelineSlotHeldUntilWaited(t *testing.T) {
 func TestValidationErrorsDoNotPoison(t *testing.T) {
 	runConformance(t, "tcp", "validation-does-not-poison")
 }
+func TestDrainAnswersInFlight(t *testing.T)        { runConformance(t, "tcp", "drain-answers-in-flight") }
 func TestUDPEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "udp", "byte-identity") }
+func TestServeUDPDrain(t *testing.T)               { runConformance(t, "udp", "drain-answers-in-flight") }
 func TestSHMEndToEndMatchesInProcess(t *testing.T) { runConformance(t, "shm", "byte-identity") }
 func TestSHMPipelinedWaitOrderFree(t *testing.T)   { runConformance(t, "shm", "window") }
 func TestSHMDrain(t *testing.T)                    { runConformance(t, "shm", "drain-answers-in-flight") }

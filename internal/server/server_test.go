@@ -64,6 +64,29 @@ func fullOps(rng *rand.Rand, n int) []linkstore.Op {
 	return append(ops, linkstore.Op{LinkID: math.MaxUint64, Algo: ctl.AlgoDefault, Kind: core.KindPostamble, RateIndex: 255, BER: 0.5, SNRdB: float32(math.NaN())})
 }
 
+func TestCodecRoundTrip(t *testing.T) {
+	ops := fullOps(rand.New(rand.NewSource(1)), 500)
+	buf := AppendOpsV3(nil, 0xdeadbeef, ops)
+	if want := headerSizeV3 + len(ops)*RecordSizeV2; len(buf) != want {
+		t.Fatalf("encoded %d bytes for %d ops, want %d", len(buf), len(ops), want)
+	}
+	got, reqID, tagged, err := DecodeRequest(buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tagged || reqID != 0xdeadbeef {
+		t.Fatalf("decoded tagged=%v reqID=%#x, want true/0xdeadbeef", tagged, reqID)
+	}
+	if len(got) != len(ops) {
+		t.Fatalf("decoded %d ops, want %d", len(got), len(ops))
+	}
+	for i := range ops {
+		if !opsEqual(got[i], ops[i]) {
+			t.Fatalf("op %d: %+v != %+v", i, got[i], ops[i])
+		}
+	}
+}
+
 // TestCodecV2RoundTrip pins the record encoder requests are built on
 // (and bench/gen.go digests with): AppendOpsV2's block is the 0x02 byte
 // plus exactly the records of a request, and re-headed as a request it
