@@ -23,17 +23,30 @@ import (
 // itself when another workspace holds it. The arithmetic is the same
 // either way.
 //
-// The batch path is contractually bit-identical to the single-frame
-// decoder: for every job, DecodeBCJRBatch produces exactly the bytes and
-// float bits of Workspace.DecodeBCJR (NaN LLR inputs may yield NaN outputs
-// whose payload bits differ; they compare equal as NaNs). The equivalence
-// suite in batch_test.go and FuzzBatchDecodeMatchesSingle pin this.
+// The batch path is contractually bit-identical to the scalar single-frame
+// decoder (the recursion kept in the tests as refDecodeBCJR): a job comes
+// out with the same bytes and float bits in any batch, alone — which is
+// what Workspace.DecodeBCJR runs — or in a group of any width (NaN LLR
+// inputs may yield NaN outputs whose payload bits differ; they compare
+// equal as NaNs). The equivalence suite in batch_test.go,
+// FuzzBatchDecodeMatchesSingle and FuzzDecodeWorkspaceReuse pin this.
 //
 // Jobs are grouped by trellis length (frames with equal step counts run in
 // lockstep; mixed-length batches form one group per length) and each group
-// is capped at maxBatchLanes lanes.
+// is capped at maxBatchLanes lanes. A log-MAP group on AVX2 hardware runs
+// no scalar lanes (planGroup): one to maxNarrowLanes frames take the
+// narrow kernels, which put four trellis states in a vector instead of
+// four frames and keep each frame's planes apart, and a wider group is
+// padded with inert lanes to a multiple of four and runs the
+// frame-parallel kernels only. The MaxLog mode and hosts without the
+// vector kernels run the scalar walk (stepCombineLanes, appLane) over the
+// frames as they are.
 
 const maxBatchLanes = 64
+
+// maxNarrowLanes is the widest group the narrow kernels take; from four
+// frames up, padding to the frame-parallel kernels' width costs less.
+const maxNarrowLanes = 3
 
 // appBlockT is how many trellis steps the backward sweep materializes (and
 // the APP block kernel interleaves) at a time.
@@ -62,9 +75,12 @@ type BatchResult struct {
 // may lend one half of each phase to the package's helper goroutine; the
 // call returns only after the helper is done with it.
 type BatchWorkspace struct {
-	llrP   []float64 // [2*steps][lanes] transposed channel LLRs
-	alphaP []float64 // [(steps+1)*numStates][lanes] forward plane
-	betaP  []float64 // [(steps+1)*numStates][lanes] backward plane
+	llrP []float64 // [2*steps][lanes] transposed channel LLRs
+	// alphaP and betaP are the forward and backward planes, stored
+	// [(steps+1)*numStates][lanes] — or, on the narrow path, one
+	// [(steps+1)*numStates] plane per lane, lane after lane.
+	alphaP []float64
+	betaP  []float64
 	g      bcjrGroup
 	half   [2]bcjrHalf
 	task   splitTask
@@ -78,12 +94,36 @@ type BatchWorkspace struct {
 // bcjrGroup is the BCJR group being decoded. decodeBCJRGroup writes it
 // before the phases start; the halves only read it.
 type bcjrGroup struct {
-	lanes           []int
+	lanes           []int // job index of each real lane
 	mode            BCJRMode
-	L, nInfo, steps int
-	mid             int  // Phase 2 split, an appBlockT boundary
-	nv              int  // lanes through the vector kernels
-	wide            bool // ... and those are the AVX-512 ones
+	L, nInfo, steps int // L counts the pad lanes too
+	mid             int // Phase 2 split, an appBlockT boundary
+	path            groupPath
+	nw              int // on the vector path, the leading lanes through the AVX-512 kernels
+}
+
+// groupPath is how a group's recursions and APP pass run.
+type groupPath uint8
+
+const (
+	scalarPath groupPath = iota // stepCombineLanes and appLane, lane by lane
+	narrowPath                  // the state-parallel kernels, frame by frame
+	vectorPath                  // the frame-parallel kernels over all L lanes
+)
+
+// planGroup picks the path of a group of n frames and its plane width.
+func planGroup(n int, mode BCJRMode) (path groupPath, L, nw int) {
+	switch {
+	case mode != LogMAP || !hasFastJacobian:
+		return scalarPath, n, 0
+	case n <= maxNarrowLanes:
+		return narrowPath, n, 0
+	}
+	L = (n + 3) &^ 3
+	if hasAVX512Jacobian {
+		nw = L &^ 7
+	}
+	return vectorPath, L, nw
 }
 
 // bcjrHalf is one half's scratch: in Phase 1 half 0 runs the forward
@@ -97,6 +137,11 @@ type bcjrHalf struct {
 	numBlk []float64  // [appBlockT][lanes] APP accumulators, input 1
 	denBlk []float64  // [appBlockT][lanes] APP accumulators, input 0
 	appAcc []uint64   // [appBlockT*17] block kernel acc records + fix words
+	// The narrow APP pass hands the block kernel four consecutive trellis
+	// steps of one frame as its four lanes: alphaQ and betaQ are
+	// [appBlockT][numStates][4] transposes of α_t and β_{t+1}, and bmBlk
+	// holds [appBlockT][4][4] branch metrics.
+	alphaQ, betaQ []float64
 }
 
 // splitTask hands half 1 of a phase to the helper goroutine. Each
@@ -207,12 +252,17 @@ func (w *BatchWorkspace) groups(jobs []BatchJob, fn func(lanes []int)) {
 	}
 }
 
-// transposeLLRs fills w.llrP with the group's LLRs in [t][lane] order,
-// zero-extending short inputs exactly like padLLRs.
-func (w *BatchWorkspace) transposeLLRs(jobs []BatchJob, lanes []int, steps int) {
-	L := len(lanes)
+// transposeLLRs fills w.llrP with the group's LLRs in [t][lane] order over
+// L lanes, zero-extending short inputs exactly like padLLRs; the pad lanes
+// past len(lanes) get zeros.
+func (w *BatchWorkspace) transposeLLRs(jobs []BatchJob, lanes []int, steps, L int) {
 	w.llrP = growF(w.llrP, 2*steps*L)
 	llrP := w.llrP
+	for l := len(lanes); l < L; l++ {
+		for t := 0; t < 2*steps; t++ {
+			llrP[t*L+l] = 0
+		}
+	}
 	for l, ji := range lanes {
 		src := jobs[ji].LLRs
 		if len(src) > 2*steps {
@@ -246,25 +296,28 @@ func stepBM(bmP, llrP []float64, t, L int) {
 	}
 }
 
-// anchorRow sets every element of a metric row to the sentinel except state 0,
-// which anchors the terminated trellis at zero.
-func anchorRow(row []float64, L int) {
+// anchorRow sets every element of a metric row to the sentinel except
+// state 0 of the first n lanes, which anchors the terminated trellis at
+// zero. A pad lane's row stays all sentinel, and so does every row its
+// recursion builds from it: the kernels skip sentinel candidates without a
+// Jacobian or a fixup, so pad lanes are inert.
+func anchorRow(row []float64, n int) {
 	for i := range row {
 		row[i] = bcjrNegInf
 	}
-	for l := 0; l < L; l++ {
+	for l := 0; l < n; l++ {
 		row[l] = 0
 	}
 }
 
-// normalizeLanes applies the single-frame normalize to each lane of a
-// [numStates][lanes] plane row: subtract the lane's maximum unless the lane
-// is entirely sentinel. Full 4-lane groups run through the vector kernel on
-// AVX2 hardware (bit-identical; normalization is mode-independent
-// arithmetic, so both BCJR modes use it); the ragged tail — and non-AVX2
-// configurations in full — run the scalar passes with the per-lane maxima
-// staged in h.maxP. Per lane the comparison and subtraction order matches
-// the single-frame normalize exactly.
+// normalizeLanes applies normalize to each lane of a [numStates][lanes]
+// plane row: subtract the lane's maximum unless the lane is entirely
+// sentinel. Full 4-lane groups run through the vector kernel on AVX2
+// hardware (bit-identical; normalization is mode-independent arithmetic,
+// so both BCJR modes use it); the ragged tail of a MaxLog group — and
+// non-AVX2 configurations in full — run the scalar passes with the
+// per-lane maxima staged in h.maxP. Per lane the comparison and
+// subtraction order matches normalize exactly.
 func (h *bcjrHalf) normalizeLanes(plane []float64, L int) {
 	lo := 0
 	if hasAVX512Jacobian {
@@ -316,25 +369,18 @@ func (w *BatchWorkspace) DecodeBCJRBatch(jobs []BatchJob, mode BCJRMode) []Batch
 }
 
 func (w *BatchWorkspace) decodeBCJRGroup(jobs []BatchJob, lanes []int, mode BCJRMode) {
-	L := len(lanes)
 	nInfo := jobs[lanes[0]].NInfo
 	steps := nInfo + TailBits
-	w.transposeLLRs(jobs, lanes, steps)
+	path, L, nw := planGroup(len(lanes), mode)
+	w.transposeLLRs(jobs, lanes, steps, L)
 	w.alphaP = growF(w.alphaP, (steps+1)*numStates*L)
 	w.betaP = growF(w.betaP, (steps+1)*numStates*L)
-
-	// Each recursion step runs as one whole-step table walk: the first nv
-	// lanes through the vector kernels (log-MAP on AVX2 hardware), the
-	// ragged tail — and the MaxLog / non-AVX2 configurations in full —
-	// through the scalar walk. Both rebuild every destination row, so no
-	// sentinel initialization pass is needed.
-	w.g = bcjrGroup{lanes: lanes, mode: mode, L: L, nInfo: nInfo, steps: steps, mid: nInfo / 2 / appBlockT * appBlockT}
-	if mode == LogMAP {
-		if hasAVX512Jacobian && L >= 8 {
-			w.g.nv, w.g.wide = L&^7, true
-		} else if hasFastJacobian {
-			w.g.nv = L &^ 3
-		}
+	w.g = bcjrGroup{lanes: lanes, mode: mode, L: L, nInfo: nInfo, steps: steps,
+		mid: nInfo / 2 / appBlockT * appBlockT, path: path, nw: nw}
+	if path == narrowPath {
+		w.split((*BatchWorkspace).recursionNarrow)
+		w.split((*BatchWorkspace).appNarrow)
+		return
 	}
 	w.split((*BatchWorkspace).recursion)
 	w.split((*BatchWorkspace).app)
@@ -343,8 +389,10 @@ func (w *BatchWorkspace) decodeBCJRGroup(jobs []BatchJob, lanes []int, mode BCJR
 // recursion is Phase 1 for half h: the forward recursion over alphaP (h ==
 // 0) or the backward one over betaP (h == 1). Each step's work depends on
 // the step before, but the two directions never read each other's plane.
-// The vector kernel walks the step table's two 32-entry halves as its two
-// legs, which keeps two independent Jacobian chains in the reorder window.
+// Each step is one whole-step table walk, which rebuilds every destination
+// row, so no sentinel initialization pass is needed: on the vector path
+// the kernels walk the table's two 32-entry halves as their two legs,
+// which keeps two independent Jacobian chains in the reorder window.
 func (w *BatchWorkspace) recursion(h int) {
 	g, hs := &w.g, &w.half[h]
 	L, steps, rowSz := g.L, g.steps, numStates*g.L
@@ -354,7 +402,7 @@ func (w *BatchWorkspace) recursion(h int) {
 	if h == 1 {
 		plane, table, anchor = w.betaP, &bwdStepTable, steps
 	}
-	anchorRow(plane[anchor*rowSz:(anchor+1)*rowSz], L)
+	anchorRow(plane[anchor*rowSz:(anchor+1)*rowSz], len(g.lanes))
 	for k := 0; k < steps; k++ {
 		t, src, dst := k, k, k+1
 		if h == 1 {
@@ -364,21 +412,17 @@ func (w *BatchWorkspace) recursion(h int) {
 		stepBM(bm, w.llrP, t, L)
 		s := plane[src*rowSz : (src+1)*rowSz : (src+1)*rowSz]
 		d := plane[dst*rowSz : (dst+1)*rowSz : (dst+1)*rowSz]
-		if g.nv > 0 {
-			var fixed uint64
-			if g.wide {
-				fixed = stepCombineDualAVX512(&d[0], &s[0], &bm[0], &d[0], &s[0], &bm[0],
-					&table[0], &table[256], &hs.fix[0], &hs.fix[32], g.nv, L*8)
-			} else {
-				fixed = stepCombineDualAVX2(&d[0], &s[0], &bm[0], &d[0], &s[0], &bm[0],
-					&table[0], &table[256], &hs.fix[0], &hs.fix[32], g.nv, L*8)
-			}
-			if fixed != 0 {
+		if g.path == scalarPath {
+			stepCombineLanes(d, s, bm, table, 0, L, L, g.mode)
+		} else {
+			if g.nw > 0 && stepCombineDualAVX512(&d[0], &s[0], &bm[0], &d[0], &s[0], &bm[0],
+				&table[0], &table[256], &hs.fix[0], &hs.fix[32], g.nw, L*8) != 0 {
 				applyStepFixups(&hs.fix, d, s, bm, table, L, g.mode)
 			}
-		}
-		if g.nv < L {
-			stepCombineLanes(d, s, bm, table, g.nv, L, L, g.mode)
+			if lo := g.nw; lo < L && stepCombineDualAVX2(&d[lo], &s[lo], &bm[lo], &d[lo], &s[lo], &bm[lo],
+				&table[0], &table[256], &hs.fix[0], &hs.fix[32], L-lo, L*8) != 0 {
+				applyStepFixups(&hs.fix, d[lo:], s[lo:], bm[lo:], table, L, g.mode)
+			}
 		}
 		hs.normalizeLanes(d, L)
 	}
@@ -392,61 +436,179 @@ func (w *BatchWorkspace) recursion(h int) {
 // write disjoint outputs.
 func (w *BatchWorkspace) app(h int) {
 	g, hs := &w.g, &w.half[h]
-	L, rowSz, stride, mode := g.L, numStates*g.L, g.L*8, g.mode
+	L, rowSz, stride := g.L, numStates*g.L, g.L*8
 	lo, hi := 0, g.mid
 	if h == 1 {
 		lo, hi = g.mid, g.nInfo
 	}
 	alphaP, betaP := w.alphaP, w.betaP
-	hs.bmBlk = growF(hs.bmBlk, appBlockT*4*L)
-	hs.numBlk = growF(hs.numBlk, appBlockT*L)
-	hs.denBlk = growF(hs.denBlk, appBlockT*L)
-	recW := 9 // acc record: {den[4], num[4], fix}
-	if g.wide {
-		recW = 17 // {den[8], num[8], fix}
-	}
-	if cap(hs.appAcc) < appBlockT*17 {
-		hs.appAcc = make([]uint64, appBlockT*17)
-	}
-	hs.appAcc = hs.appAcc[:appBlockT*17]
+	hs.growAPP(L)
 	bmBlk, numBlk, denBlk := hs.bmBlk, hs.numBlk, hs.denBlk
 	for t0 := lo; t0 < hi; t0 += appBlockT {
 		ka := min(appBlockT, hi-t0)
 		for j := 0; j < ka; j++ {
 			stepBM(bmBlk[j*4*L:(j+1)*4*L:(j+1)*4*L], w.llrP, t0+j, L)
 		}
-		if g.nv > 0 {
-			if g.wide {
-				stepAPPBlockAVX512(&numBlk[0], &denBlk[0], &alphaP[t0*rowSz], &betaP[(t0+1)*rowSz], &bmBlk[0], &appStepTable[0], &hs.appAcc[0], g.nv, stride, ka)
-			} else {
-				stepAPPBlockAVX2(&numBlk[0], &denBlk[0], &alphaP[t0*rowSz], &betaP[(t0+1)*rowSz], &bmBlk[0], &appStepTable[0], &hs.appAcc[0], g.nv, stride, ka)
+		if g.path == scalarPath {
+			for j := 0; j < ka; j++ {
+				w.appRedo(hs, t0, j, 0, ^uint64(0)>>(64-L))
+			}
+		} else {
+			if g.nw > 0 {
+				stepAPPBlockAVX512(&numBlk[0], &denBlk[0], &alphaP[t0*rowSz], &betaP[(t0+1)*rowSz], &bmBlk[0], &appStepTable[0], &hs.appAcc[0], g.nw, stride, ka)
+				for j := 0; j < ka; j++ {
+					w.appRedo(hs, t0, j, 0, hs.appAcc[j*17+16]) // acc record {den[8], num[8], fix}
+				}
+			}
+			if l0 := g.nw; l0 < L {
+				stepAPPBlockAVX2(&numBlk[l0], &denBlk[l0], &alphaP[t0*rowSz+l0], &betaP[(t0+1)*rowSz+l0], &bmBlk[l0], &appStepTable[0], &hs.appAcc[0], L-l0, stride, ka)
+				for j := 0; j < ka; j++ {
+					w.appRedo(hs, t0, j, l0, hs.appAcc[j*9+8]) // acc record {den[4], num[4], fix}
+				}
 			}
 		}
 		for j := 0; j < ka; j++ {
-			t := t0 + j
-			at := alphaP[t*rowSz : (t+1)*rowSz : (t+1)*rowSz]
-			bt := betaP[(t+1)*rowSz : (t+2)*rowSz : (t+2)*rowSz]
-			bmj := bmBlk[j*4*L : (j+1)*4*L : (j+1)*4*L]
-			if g.nv > 0 {
-				mask := hs.appAcc[j*recW+recW-1]
-				for mask != 0 {
-					l := bits.TrailingZeros64(mask)
-					mask &^= 1 << uint(l)
-					numBlk[j*L+l], denBlk[j*L+l] = appLane(at, bt, bmj, L, l, mode)
-				}
-			}
-			for l := g.nv; l < L; l++ {
-				numBlk[j*L+l], denBlk[j*L+l] = appLane(at, bt, bmj, L, l, mode)
-			}
 			for l, ji := range g.lanes {
-				r := &w.results[ji]
-				llr := numBlk[j*L+l] - denBlk[j*L+l]
-				r.LLR[t] = llr
-				if llr >= 0 {
-					r.Info[t] = 1
-				} else {
-					r.Info[t] = 0
+				w.results[ji].put(t0+j, numBlk[j*L+l]-denBlk[j*L+l])
+			}
+		}
+	}
+}
+
+// growAPP sizes the APP block scratch for L lanes.
+func (hs *bcjrHalf) growAPP(L int) {
+	hs.bmBlk = growF(hs.bmBlk, appBlockT*4*L)
+	hs.numBlk = growF(hs.numBlk, appBlockT*L)
+	hs.denBlk = growF(hs.denBlk, appBlockT*L)
+	if cap(hs.appAcc) < appBlockT*17 {
+		hs.appAcc = make([]uint64, appBlockT*17)
+	}
+	hs.appAcc = hs.appAcc[:appBlockT*17]
+}
+
+// put stores information bit t's APP LLR and hard decision.
+func (r *BatchResult) put(t int, llr float64) {
+	r.LLR[t] = llr
+	if llr >= 0 {
+		r.Info[t] = 1
+	} else {
+		r.Info[t] = 0
+	}
+}
+
+// appRedo recomputes with appLane the APP accumulators of block step j
+// (trellis step t0+j) for the lanes l0+l with bit l set in mask.
+func (w *BatchWorkspace) appRedo(hs *bcjrHalf, t0, j, l0 int, mask uint64) {
+	g := &w.g
+	L, rowSz, t := g.L, numStates*g.L, t0+j
+	at := w.alphaP[t*rowSz : (t+1)*rowSz : (t+1)*rowSz]
+	bt := w.betaP[(t+1)*rowSz : (t+2)*rowSz : (t+2)*rowSz]
+	bmj := hs.bmBlk[j*4*L : (j+1)*4*L : (j+1)*4*L]
+	for mask != 0 {
+		l := l0 + bits.TrailingZeros64(mask)
+		mask &= mask - 1
+		hs.numBlk[j*L+l], hs.denBlk[j*L+l] = appLane(at, bt, bmj, L, l, g.mode)
+	}
+}
+
+// stepNarrow runs one narrow recursion step over a frame's [state] rows,
+// forward (dir 0) or backward (dir 1), and redoes the flagged states with
+// stepCombineEntry.
+func stepNarrow(dir int, dst, src []float64, bm *[4]float64) {
+	_, _ = dst[numStates-1], src[numStates-1]
+	table := &fwdStepTable
+	var fixed uint64
+	if dir == 0 {
+		fixed = stepNarrowFwdAVX2(&dst[0], &src[0], &bm[0], &narrowPerm[0][0][0][0])
+	} else {
+		table = &bwdStepTable
+		fixed = stepNarrowBwdAVX2(&dst[0], &src[0], &bm[0], &narrowPerm[1][0][0][0])
+	}
+	for ; fixed != 0; fixed &= fixed - 1 {
+		ent := table[bits.TrailingZeros64(fixed)*8:][:8]
+		dst[ent[0]] = stepCombineEntry(ent, src, bm[:], 1, 0, LogMAP)
+	}
+}
+
+// recursionNarrow is Phase 1 on the narrow path: half h runs its direction
+// frame after frame, each over the frame's own plane, with one narrow
+// kernel call and one normalize per step.
+func (w *BatchWorkspace) recursionNarrow(h int) {
+	g := &w.g
+	L, steps := g.L, g.steps
+	planeSz := (steps + 1) * numStates
+	planes, anchor := w.alphaP, 0
+	if h == 1 {
+		planes, anchor = w.betaP, steps
+	}
+	for l := 0; l < L; l++ {
+		plane := planes[l*planeSz : (l+1)*planeSz : (l+1)*planeSz]
+		anchorRow(plane[anchor*numStates:(anchor+1)*numStates], 1)
+		for k := 0; k < steps; k++ {
+			t, src, dst := k, k, k+1
+			if h == 1 {
+				t = steps - 1 - k
+				src, dst = t+1, t
+			}
+			bm := branchMetrics(w.llrP[2*t*L+l], w.llrP[(2*t+1)*L+l])
+			d := plane[dst*numStates : (dst+1)*numStates : (dst+1)*numStates]
+			stepNarrow(h, d, plane[src*numStates:(src+1)*numStates], &bm)
+			normalize(d)
+		}
+	}
+}
+
+// appNarrow is Phase 2 on the narrow path: half h accumulates its range
+// frame after frame, in blocks of up to appBlockT quads of consecutive
+// trellis steps. A quad's α_t and β_{t+1} rows are transposed so that its
+// steps sit side by side like the lanes of a frame-parallel group; a block
+// may run up to three steps past the range (the planes hold TailBits more)
+// and those outputs are dropped.
+func (w *BatchWorkspace) appNarrow(h int) {
+	const q = 4 // consecutive trellis steps per block kernel lane group
+	g, hs := &w.g, &w.half[h]
+	L, planeSz := g.L, (g.steps+1)*numStates
+	lo, hi := 0, g.mid
+	if h == 1 {
+		lo, hi = g.mid, g.nInfo
+	}
+	hs.growAPP(q)
+	hs.alphaQ = growF(hs.alphaQ, appBlockT*numStates*q)
+	hs.betaQ = growF(hs.betaQ, appBlockT*numStates*q)
+	numBlk, denBlk := hs.numBlk, hs.denBlk
+	for l, ji := range g.lanes {
+		alpha := w.alphaP[l*planeSz : (l+1)*planeSz : (l+1)*planeSz]
+		beta := w.betaP[l*planeSz : (l+1)*planeSz : (l+1)*planeSz]
+		bmAt := func(t int) [4]float64 { return branchMetrics(w.llrP[2*t*L+l], w.llrP[(2*t+1)*L+l]) }
+		r := &w.results[ji]
+		for t0 := lo; t0 < hi; t0 += q * appBlockT {
+			n := min(q*appBlockT, hi-t0)
+			k := (n + q - 1) / q
+			for i := 0; i < k*q; i++ {
+				t, j, c := t0+i, i/q, i%q
+				aq := hs.alphaQ[j*numStates*q : (j+1)*numStates*q]
+				bq := hs.betaQ[j*numStates*q : (j+1)*numStates*q]
+				for s, v := range alpha[t*numStates : (t+1)*numStates] {
+					aq[s*q+c] = v
 				}
+				for s, v := range beta[(t+1)*numStates : (t+2)*numStates] {
+					bq[s*q+c] = v
+				}
+				for o, v := range bmAt(t) {
+					hs.bmBlk[(j*4+o)*q+c] = v
+				}
+			}
+			stepAPPBlockAVX2(&numBlk[0], &denBlk[0], &hs.alphaQ[0], &hs.betaQ[0], &hs.bmBlk[0], &appStepTable[0], &hs.appAcc[0], q, q*8, k)
+			for j := 0; j < k; j++ {
+				for mask := hs.appAcc[j*9+8]; mask != 0; mask &= mask - 1 {
+					i := j*q + bits.TrailingZeros64(mask)
+					t := t0 + i
+					bm := bmAt(t)
+					numBlk[i], denBlk[i] = appLane(alpha[t*numStates:(t+1)*numStates], beta[(t+1)*numStates:(t+2)*numStates], bm[:], 1, 0, g.mode)
+				}
+			}
+			for i := 0; i < n; i++ {
+				r.put(t0+i, numBlk[i]-denBlk[i])
 			}
 		}
 	}

@@ -31,16 +31,18 @@ func makeBatchJob(rng *rand.Rand, nInfoBytes int, rate CodeRate, sigma float64) 
 	return BatchJob{LLRs: DepunctureLLR(soft, rate, len(coded)), NInfo: nInfo}
 }
 
-// 12 lands between the vector widths: on AVX-512 hardware a 12-lane group
-// runs 8 lanes through the ZMM kernels, the next 4 through the AVX2
-// normalize, and the rest through the scalar tails.
-func batchSizes() []int { return []int{1, 2, 7, 12, 64} }
+// batchSizes covers every way a log-MAP group runs on AVX2 hardware: 1, 2
+// and 3 lanes take the narrow kernels; 5, 7 and 9 are padded (to 8, 8 and
+// 12); 4 and 64 need no pad; and 12 lands between the vector widths, so on
+// AVX-512 hardware it runs 8 lanes through the ZMM kernels and 4 through
+// the AVX2 ones (as do 9's padded 12). MaxLog runs them all scalar.
+func batchSizes() []int { return []int{1, 2, 3, 4, 5, 7, 9, 12, 64} }
 
 // TestDecodeBCJRBatchMatchesSingle is the batch-vs-single equivalence
-// suite: every job in every batch must come out bit-identical to a fresh
-// single-frame decode, across batch sizes, modes, puncture patterns, mixed
-// frame lengths, and dirty-workspace reuse (one BatchWorkspace serves all
-// cases without reset).
+// suite: every job in every batch must come out bit-identical to the
+// scalar single-frame decoder (refDecodeBCJR), across batch sizes, modes,
+// puncture patterns, mixed frame lengths, and dirty-workspace reuse (one
+// BatchWorkspace serves all cases without reset).
 func TestDecodeBCJRBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var bw BatchWorkspace // reused across all subcases: dirty reuse is part of the contract
@@ -49,12 +51,11 @@ func TestDecodeBCJRBatchMatchesSingle(t *testing.T) {
 		for _, B := range batchSizes() {
 			jobs := make([]BatchJob, B)
 			for i := range jobs {
-				// Mixed frame lengths and rates within one batch — except
-				// B=12, which stays uniform-length so the whole batch forms
-				// one 12-lane group (the deterministic 8+4 width split on
-				// AVX-512 hardware).
+				// Mixed frame lengths and rates within the 64-job batch;
+				// every smaller batch stays uniform-length, so it forms one
+				// group of exactly B lanes.
 				nBytes := []int{4, 7, 31, 40}[rng.Intn(4)]
-				if B == 12 {
+				if B < 64 {
 					nBytes = 31
 				}
 				rate := rates[rng.Intn(len(rates))]
@@ -66,8 +67,7 @@ func TestDecodeBCJRBatchMatchesSingle(t *testing.T) {
 				t.Fatalf("mode=%v B=%d: got %d results", mode, B, len(got))
 			}
 			for i, j := range jobs {
-				var sw Workspace
-				wantInfo, wantLLR := sw.DecodeBCJR(j.LLRs, j.NInfo, mode)
+				wantInfo, wantLLR := refDecodeBCJR(j.LLRs, j.NInfo, mode)
 				if len(got[i].Info) != len(wantInfo) || len(got[i].LLR) != len(wantLLR) {
 					t.Fatalf("mode=%v B=%d job=%d: length mismatch", mode, B, i)
 				}
@@ -86,26 +86,63 @@ func TestDecodeBCJRBatchMatchesSingle(t *testing.T) {
 }
 
 // TestDecodeBCJRBatchShortAndEmptyInputs pins the zero-extension contract:
-// short (even empty) LLR slices behave exactly like the single-frame
-// decoders' padLLRs path.
+// short (even empty) LLR slices behave exactly like the scalar single-frame
+// decoders' padLLRs path. The three kinds of job repeat to fill one group
+// of each batchSizes width: zero LLRs make every combine an exact tie, so
+// the kernels flag states and lanes for the scalar redo at every lane
+// position, past a padded group's AVX-512/AVX2 boundary too.
 func TestDecodeBCJRBatchShortAndEmptyInputs(t *testing.T) {
 	var bw BatchWorkspace
-	jobs := []BatchJob{
+	kinds := []BatchJob{
 		{LLRs: nil, NInfo: 16},
 		{LLRs: []float64{3, -1, 0.5}, NInfo: 16},
 		{LLRs: make([]float64, 2*(16+TailBits)+10), NInfo: 16}, // over-long: extra entries ignored
 	}
-	for i := range jobs[2].LLRs {
-		jobs[2].LLRs[i] = float64(i%5) - 2
+	for i := range kinds[2].LLRs {
+		kinds[2].LLRs[i] = float64(i%5) - 2
 	}
-	for _, mode := range []BCJRMode{LogMAP, MaxLog} {
-		got := bw.DecodeBCJRBatch(jobs, mode)
-		for i, j := range jobs {
-			var sw Workspace
-			wantInfo, wantLLR := sw.DecodeBCJR(j.LLRs, j.NInfo, mode)
-			for k := range wantInfo {
-				if got[i].Info[k] != wantInfo[k] || !sameBits(got[i].LLR[k], wantLLR[k]) {
-					t.Fatalf("mode=%v job=%d bit %d mismatch", mode, i, k)
+	for _, B := range batchSizes() {
+		jobs := make([]BatchJob, B)
+		for i := range jobs {
+			jobs[i] = kinds[i%len(kinds)]
+		}
+		for _, mode := range []BCJRMode{LogMAP, MaxLog} {
+			got := bw.DecodeBCJRBatch(jobs, mode)
+			for i, j := range jobs {
+				wantInfo, wantLLR := refDecodeBCJR(j.LLRs, j.NInfo, mode)
+				for k := range wantInfo {
+					if got[i].Info[k] != wantInfo[k] || !sameBits(got[i].LLR[k], wantLLR[k]) {
+						t.Fatalf("mode=%v B=%d job=%d bit %d mismatch", mode, B, i, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPadLanesStayInert checks that a padded group's pad lanes hold the
+// sentinel in every row of both planes, so the kernels never spend a
+// Jacobian or a scalar redo on them.
+func TestPadLanesStayInert(t *testing.T) {
+	if !hasFastJacobian {
+		t.Skip("no vector Jacobian on this host: groups are not padded")
+	}
+	rng := rand.New(rand.NewSource(5))
+	var bw BatchWorkspace
+	for _, B := range []int{5, 7, 9} {
+		jobs := make([]BatchJob, B)
+		for i := range jobs {
+			jobs[i] = makeBatchJob(rng, 6, Rate34, 0.7)
+		}
+		bw.DecodeBCJRBatch(jobs, LogMAP)
+		L := bw.g.L
+		if L != (B+3)&^3 {
+			t.Fatalf("B=%d: plane width %d, want %d", B, L, (B+3)&^3)
+		}
+		for i := 0; i < len(bw.alphaP)/L; i++ {
+			for l := B; l < L; l++ {
+				if a, b := bw.alphaP[i*L+l], bw.betaP[i*L+l]; a != bcjrNegInf || b != bcjrNegInf {
+					t.Fatalf("B=%d row %d pad lane %d: alpha %v beta %v, want the sentinel", B, i, l, a, b)
 				}
 			}
 		}
@@ -133,15 +170,22 @@ func TestBatchDecodeDoesNotAllocateSteadyState(t *testing.T) {
 
 // FuzzBatchDecodeMatchesSingle drives arbitrary LLR lattices — including
 // non-finite values — through a reused BatchWorkspace and requires
-// bit-identical outputs vs fresh single-frame references (NaN payloads
-// compare as NaN).
+// bit-identical outputs vs refDecodeBCJR (NaN payloads compare as NaN).
 func FuzzBatchDecodeMatchesSingle(f *testing.F) {
 	f.Add(uint16(3), uint16(2), int64(1), false)
 	f.Add(uint16(17), uint16(40), int64(9), true)
 	f.Add(uint16(64), uint16(1), int64(77), false)
+	f.Add(uint16(0), uint16(30), int64(5), false)
+	f.Add(uint16(2), uint16(95), int64(11), false)
+	f.Add(uint16(4), uint16(50), int64(13), true)
+	f.Add(uint16(6), uint16(12), int64(17), false)
+	f.Add(uint16(0x0102), uint16(7), int64(19), false)
 	var bw BatchWorkspace // deliberately shared across fuzz iterations
 	f.Fuzz(func(t *testing.T, rawB, rawLen uint16, seed int64, maxlog bool) {
-		B := int(rawB)%8 + 1
+		// B jobs, 1 to 9; rawB's high byte spreads their lengths, and 0
+		// makes them one group of B lanes.
+		B := int(rawB)%9 + 1
+		spread := int(rawB >> 8)
 		rng := rand.New(rand.NewSource(seed))
 		mode := LogMAP
 		if maxlog {
@@ -149,7 +193,7 @@ func FuzzBatchDecodeMatchesSingle(f *testing.F) {
 		}
 		jobs := make([]BatchJob, B)
 		for i := range jobs {
-			nInfo := (int(rawLen)+i)%96 + 1
+			nInfo := (int(rawLen)+i*spread)%96 + 1
 			nLLR := rng.Intn(2*(nInfo+TailBits) + 8)
 			llrs := make([]float64, nLLR)
 			for k := range llrs {
@@ -172,8 +216,7 @@ func FuzzBatchDecodeMatchesSingle(f *testing.F) {
 		}
 		got := bw.DecodeBCJRBatch(jobs, mode)
 		for i, j := range jobs {
-			var sw Workspace
-			wantInfo, wantLLR := sw.DecodeBCJR(j.LLRs, j.NInfo, mode)
+			wantInfo, wantLLR := refDecodeBCJR(j.LLRs, j.NInfo, mode)
 			for k := range wantInfo {
 				if got[i].Info[k] != wantInfo[k] {
 					t.Fatalf("BCJR job %d bit %d: info %d != %d", i, k, got[i].Info[k], wantInfo[k])
@@ -225,13 +268,12 @@ func splitJobs(rng *rand.Rand, L int) []BatchJob {
 	return jobs
 }
 
-// checkSplitBatch decodes jobs on bw and requires every result to match a
-// fresh single-frame decode bit for bit.
+// checkSplitBatch decodes jobs on bw and requires every result to match
+// refDecodeBCJR bit for bit.
 func checkSplitBatch(bw *BatchWorkspace, jobs []BatchJob, mode BCJRMode) error {
 	got := bw.DecodeBCJRBatch(jobs, mode)
 	for i, j := range jobs {
-		var sw Workspace
-		wantInfo, wantLLR := sw.DecodeBCJR(j.LLRs, j.NInfo, mode)
+		wantInfo, wantLLR := refDecodeBCJR(j.LLRs, j.NInfo, mode)
 		for k := range wantInfo {
 			if got[i].Info[k] != wantInfo[k] || !sameBits(got[i].LLR[k], wantLLR[k]) {
 				return fmt.Errorf("mode=%v job %d (nInfo %d) bit %d: info %d llr %v, want %d %v",
@@ -243,7 +285,7 @@ func checkSplitBatch(bw *BatchWorkspace, jobs []BatchJob, mode BCJRMode) error {
 }
 
 // TestBatchSplitMatchesSingle runs the two halves of each phase on two
-// goroutines and requires the single-frame bits: first one workspace, which
+// goroutines and requires refDecodeBCJR's bits: first one workspace, which
 // must have used the helper, then four decoding at once, so the helper is
 // busy for some of them and they run both halves themselves.
 func TestBatchSplitMatchesSingle(t *testing.T) {
@@ -308,6 +350,16 @@ func BenchmarkDecodeBCJRBatch8(b *testing.B) {
 
 func BenchmarkDecodeBCJRBatch64(b *testing.B) {
 	benchDecodeBatch(b, 64)
+}
+
+// BenchmarkDecodeBCJRNarrow times the groups narrower than the vector
+// kernels at the phy-chain frame shape: 1, 2 and 3 frames through the
+// narrow kernels, 4 through the 4-lane ones (what padding 3 would cost),
+// and 7 padded to 8 (compare BenchmarkDecodeBCJRBatch8).
+func BenchmarkDecodeBCJRNarrow(b *testing.B) {
+	for _, L := range []int{1, 2, 3, 4, 7} {
+		b.Run(fmt.Sprintf("L=%d", L), func(b *testing.B) { benchDecodeBatch(b, L) })
+	}
 }
 
 func benchDecodeBatch(b *testing.B, B int) {

@@ -34,6 +34,18 @@ var hasAVX512Jacobian = hasFastJacobian && cpufeat.AVX512
 //go:noescape
 func stepCombineDualAVX2(dstA, srcA, bmA, dstB, srcB, bmB *float64, tableA, tableB *uint8, fixA, fixB *uint64, n, stride int) uint64
 
+// stepNarrowFwdAVX2 and stepNarrowBwdAVX2 run one forward or backward
+// recursion step of a single frame's [state] rows, four destination states
+// per vector (see combine_amd64.s). bm points at the step's four branch
+// metrics and perm at narrowPerm[0] or narrowPerm[1]. The result has bit e
+// set for each destination state left for the scalar redo.
+//
+//go:noescape
+func stepNarrowFwdAVX2(dst, src, bm *float64, perm *uint32) uint64
+
+//go:noescape
+func stepNarrowBwdAVX2(dst, src, bm *float64, perm *uint32) uint64
+
 // stepAPPBlockAVX2 runs k consecutive APP accumulation steps in one call,
 // interleaving their serial accumulation chains so the Jacobian latency
 // overlaps across steps (see combine_amd64.s for the pointer and acc record

@@ -32,7 +32,9 @@
 // per-row call can. The APP kernel additionally interleaves a block of
 // trellis steps per call, because each step's accumulation is a serial
 // maxStar chain: with K steps in flight the chains overlap and the kernel
-// runs at Jacobian throughput instead of chain latency.
+// runs at Jacobian throughput instead of chain latency. The narrow
+// kernels (stepNarrowFwdAVX2/stepNarrowBwdAVX2) take one step of a single
+// frame, with trellis states as the lanes.
 
 // 8-lane broadcast float64/uint64 constants. The AVX2 kernels read the low
 // 32 bytes, the AVX-512 kernels the full 64.
@@ -627,6 +629,160 @@ nlsub:
 
 nldone:
 	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------------
+// Narrow (state-parallel) recursion steps for groups of one to three
+// frames, each frame's planes stored alone as [t][state]. Four destination
+// states share a YMM instead of four frames. The trellis fixes both
+// kernels' lane pattern: nextState[s][u] = u<<5 | s>>1, so forward
+// destination ns folds candidate A from state 2m, then B from state 2m+1
+// (m = ns&31, input u = ns>>5), and backward state s folds β[s>>1], then
+// β[32|s>>1]. That is the step tables' candidate order (combine_step.go),
+// so every lane runs the scalar fold order. The branch-metric row of each
+// candidate comes from a VPERMD over the step's four metrics, with index
+// vectors the Go side derives from the step tables (narrowPerm). The
+// returned mask has bit e set for each destination state the Go wrapper
+// must redo in scalar code (stored garbage, as in CORE_STORE_STEP).
+//
+// Register use beyond the core contract: DI = destination row, SI = source
+// row cursor, BX = the step's four branch metrics, DX = index vector
+// cursor (128 bytes per iteration: leg A's candidate A and B vectors, then
+// leg B's), R9 = the leg's first destination state, R10 = its byte offset.
+
+// NARROW_CANDS loads one leg's candidates from the stack slots a (A) and b
+// (B), adds the branch metrics chosen by the index vectors at ia(DX) and
+// ib(DX), and classifies the lanes (CORE_MASKS, so JE must follow).
+#define NARROW_CANDS(a, b, ia, ib) \
+	VMOVUPD a, Y1                       \
+	VCMPPD $2, jcNegInf<>(SB), Y1, Y2   /* KskipA                       */ \
+	VMOVDQU ia(DX), Y6                  \
+	VPERMD (BX), Y6, Y6                 /* candidate A's bm row         */ \
+	VADDPD Y6, Y1, Y1                   \
+	VBLENDVPD Y2, jcNegInf<>(SB), Y1, Y0 /* x = skipA ? sentinel : A    */ \
+	VMOVUPD b, Y1                       \
+	VCMPPD $2, jcNegInf<>(SB), Y1, Y2   /* Kskip = KskipB               */ \
+	VMOVDQU ib(DX), Y6                  \
+	VPERMD (BX), Y6, Y6                 \
+	VADDPD Y6, Y1, Y1                   /* m = B                        */ \
+	CORE_MASKS
+
+// func stepNarrowFwdAVX2(dst, src, bm *float64, perm *uint32) uint64
+//
+// One forward step: iteration h reads sources 8h..8h+7 once and splits
+// them into even (candidate A) and odd (candidate B) states; leg A builds
+// destinations 4h..4h+3 (u = 0), leg B 32+4h..32+4h+3 (u = 1).
+TEXT ·stepNarrowFwdAVX2(SB), NOSPLIT, $64-40
+	VMOVUPD jcOne<>(SB), Y15
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ bm+16(FP), BX
+	MOVQ perm+24(FP), DX
+	XORQ R8, R8
+	XORQ R9, R9
+
+nfloop:
+	VMOVUPD (SI), Y6
+	VMOVUPD 32(SI), Y7
+	VUNPCKLPD Y7, Y6, Y1
+	VPERMPD $0xD8, Y1, Y1               // sources 2m, m = 4h..4h+3
+	VMOVUPD Y1, 0(SP)
+	VUNPCKHPD Y7, Y6, Y1
+	VPERMPD $0xD8, Y1, Y1               // sources 2m+1
+	VMOVUPD Y1, 32(SP)
+	MOVQ R9, R10
+	SHLQ $3, R10
+	NARROW_CANDS(0(SP), 32(SP), 0, 32)
+	JE nfafast
+	CORE_JACOBIAN
+	JMP nfablend
+
+nfafast:
+	VMOVUPD Y8, Y13
+
+nfablend:
+	CORE_BLEND
+	CORE_STORE_STEP
+	ADDQ $32, R9                        // leg B: destinations 32+4h..
+	ADDQ $256, R10
+	NARROW_CANDS(0(SP), 32(SP), 64, 96)
+	JE nfbfast
+	CORE_JACOBIAN
+	JMP nfbblend
+
+nfbfast:
+	VMOVUPD Y8, Y13
+
+nfbblend:
+	CORE_BLEND
+	CORE_STORE_STEP
+	SUBQ $28, R9                        // next iteration's 4h
+	ADDQ $64, SI
+	ADDQ $128, DX
+	CMPQ R9, $32
+	JLT  nfloop
+	VZEROUPPER
+	MOVQ R8, ret+32(FP)
+	RET
+
+// func stepNarrowBwdAVX2(dst, src, bm *float64, perm *uint32) uint64
+//
+// One backward step: iteration h reads successors 4h..4h+3 (u = 0) and
+// 32+4h..32+4h+3 (u = 1) and pairs each with the two states it follows;
+// leg A builds states 8h..8h+3, leg B 8h+4..8h+7.
+TEXT ·stepNarrowBwdAVX2(SB), NOSPLIT, $128-40
+	VMOVUPD jcOne<>(SB), Y15
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ bm+16(FP), BX
+	MOVQ perm+24(FP), DX
+	XORQ R8, R8
+	XORQ R9, R9
+
+nbloop:
+	VMOVUPD (SI), Y6                    // β[4h..4h+3]
+	VMOVUPD 256(SI), Y7                 // β[32+4h..32+4h+3]
+	VPERMPD $0x50, Y6, Y1               // s>>1 for s = 8h..8h+3
+	VMOVUPD Y1, 0(SP)
+	VPERMPD $0x50, Y7, Y1               // 32|s>>1
+	VMOVUPD Y1, 32(SP)
+	VPERMPD $0xFA, Y6, Y1               // s>>1 for s = 8h+4..8h+7
+	VMOVUPD Y1, 64(SP)
+	VPERMPD $0xFA, Y7, Y1
+	VMOVUPD Y1, 96(SP)
+	MOVQ R9, R10
+	SHLQ $3, R10
+	NARROW_CANDS(0(SP), 32(SP), 0, 32)
+	JE nbafast
+	CORE_JACOBIAN
+	JMP nbablend
+
+nbafast:
+	VMOVUPD Y8, Y13
+
+nbablend:
+	CORE_BLEND
+	CORE_STORE_STEP
+	ADDQ $4, R9                         // leg B: states 8h+4..
+	ADDQ $32, R10
+	NARROW_CANDS(64(SP), 96(SP), 64, 96)
+	JE nbbfast
+	CORE_JACOBIAN
+	JMP nbbblend
+
+nbbfast:
+	VMOVUPD Y8, Y13
+
+nbbblend:
+	CORE_BLEND
+	CORE_STORE_STEP
+	ADDQ $4, R9
+	ADDQ $32, SI
+	ADDQ $128, DX
+	CMPQ R9, $64
+	JLT  nbloop
+	VZEROUPPER
+	MOVQ R8, ret+32(FP)
 	RET
 
 // ---------------------------------------------------------------------------

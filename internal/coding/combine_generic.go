@@ -11,6 +11,14 @@ func stepCombineDualAVX2(dstA, srcA, bmA, dstB, srcB, bmB *float64, tableA, tabl
 	panic("coding: stepCombineDualAVX2 without amd64 vector support")
 }
 
+func stepNarrowFwdAVX2(dst, src, bm *float64, perm *uint32) uint64 {
+	panic("coding: stepNarrowFwdAVX2 without amd64 vector support")
+}
+
+func stepNarrowBwdAVX2(dst, src, bm *float64, perm *uint32) uint64 {
+	panic("coding: stepNarrowBwdAVX2 without amd64 vector support")
+}
+
 func stepAPPBlockAVX2(num, den, alpha, beta, bm *float64, table *uint8, acc *uint64, n, stride, k int) {
 	panic("coding: stepAPPBlockAVX2 without amd64 vector support")
 }

@@ -22,6 +22,13 @@ var (
 	appStepTable [512]uint8
 )
 
+// narrowPerm holds the narrow step kernels' VPERMD index vectors, forward
+// then backward: for loop iteration h, leg A's candidate A and B vectors,
+// then leg B's, each lane's branch-metric row as the two dwords of one
+// double. The kernels derive candidate sources from the state number
+// alone; init checks that the step tables agree.
+var narrowPerm [2][8][4][8]uint32
+
 func init() {
 	tr := theTrellis
 	var seen [numStates]int
@@ -54,6 +61,26 @@ func init() {
 		a[3] = tr.output[s][1]
 		a[4] = tr.nextState[s][1]
 	}
+	for h := 0; h < 8; h++ {
+		for leg := 0; leg < 2; leg++ {
+			for i := 0; i < 4; i++ {
+				ns := 32*leg + 4*h + i // forward destination
+				f := fwdStepTable[ns*8 : ns*8+8]
+				s := 8*h + 4*leg + i // backward state
+				b := bwdStepTable[s*8 : s*8+8]
+				if int(f[1]) != 2*(ns&31) || int(f[3]) != 2*(ns&31)+1 || int(b[1]) != s>>1 || int(b[3]) != 32|s>>1 {
+					panic("coding: step tables do not match the narrow kernels' source pattern")
+				}
+				for c := 0; c < 2; c++ {
+					for d, ent := range [2][]uint8{f, b} {
+						o := uint32(ent[2+2*c])
+						narrowPerm[d][h][2*leg+c][2*i] = 2 * o
+						narrowPerm[d][h][2*leg+c][2*i+1] = 2*o + 1
+					}
+				}
+			}
+		}
+	}
 }
 
 // combRows folds candidate m into accumulator x with the mode's comb.
@@ -79,8 +106,8 @@ func stepCombineEntry(ent []uint8, src, bm []float64, L, l int, mode BCJRMode) f
 }
 
 // stepCombineLanes is the scalar whole-step combine for lanes [lo, hi): the
-// non-AVX2 fallback, the MaxLog path, and the ragged-tail lanes next to the
-// vector step kernel. Every destination row is fully written.
+// non-AVX2 fallback and the MaxLog path (a log-MAP group on AVX2 hardware
+// has no scalar lanes). Every destination row is fully written.
 func stepCombineLanes(dst, src, bm []float64, table *[512]uint8, lo, hi, L int, mode BCJRMode) {
 	for e := 0; e < numStates; e++ {
 		ent := table[e*8 : e*8+8]

@@ -183,3 +183,54 @@ func TestStepCombineDenseSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestStepNarrowMatchesScalar holds the narrow step kernels, with their
+// scalar redo of flagged states (stepNarrow), to stepCombineEntry on every
+// destination state of one frame's rows. Sources and branch metrics come
+// from adversarialValue (sentinels, ±Inf, NaN, ties, differences at and
+// around the maxStar cutoff); every other round uses an integer base and
+// zero branch metrics, so candidate pairs differ by exactly 10 where
+// adversarialValue puts the cutoff.
+func TestStepNarrowMatchesScalar(t *testing.T) {
+	if !hasFastJacobian {
+		t.Skip("no vector Jacobian on this host")
+	}
+	rng := rand.New(rand.NewSource(67))
+	iters := 3000
+	if testing.Short() {
+		iters = 300
+	}
+	src := make([]float64, numStates)
+	got := make([]float64, numStates)
+	var bm [4]float64
+	for it := 0; it < iters; it++ {
+		exact := it%2 == 1
+		base := rng.NormFloat64() * 20
+		if exact {
+			base = float64(rng.Intn(41) - 20)
+		}
+		for s := range src {
+			src[s] = adversarialValue(rng, base)
+		}
+		for r := range bm {
+			bm[r] = 0
+			if !exact {
+				bm[r] = adversarialValue(rng, rng.NormFloat64()*5)
+			}
+		}
+		for dir, table := range []*[512]uint8{&fwdStepTable, &bwdStepTable} {
+			for i := range got {
+				got[i] = math.NaN() // every destination state must be rebuilt
+			}
+			stepNarrow(dir, got, src, &bm)
+			for e := 0; e < numStates; e++ {
+				ent := table[e*8 : e*8+8]
+				want := stepCombineEntry(ent, src, bm[:], 1, 0, LogMAP)
+				if g := got[ent[0]]; !sameBits(g, want) {
+					t.Fatalf("iter %d dir %d state %d: got %x (%v), scalar %x (%v)",
+						it, dir, ent[0], math.Float64bits(g), g, math.Float64bits(want), want)
+				}
+			}
+		}
+	}
+}

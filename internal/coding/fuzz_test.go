@@ -14,7 +14,8 @@ var fuzzWS Workspace
 // FuzzDecodeWorkspaceReuse feeds arbitrary LLR lattices (including
 // non-finite values) through depuncture and both decoders twice — once
 // through the persistent dirty workspace, once through the allocating
-// package-level functions — and requires bit-for-bit identical outputs.
+// package-level functions — and requires bit-for-bit identical outputs;
+// the BCJR outputs must also match the scalar decoder (refDecodeBCJR).
 // This is the coding-layer analogue of the server's FuzzDecodeBatch: the
 // property under test is that buffer reuse is contractually invisible.
 func FuzzDecodeWorkspaceReuse(f *testing.F) {
@@ -55,6 +56,9 @@ func FuzzDecodeWorkspaceReuse(f *testing.F) {
 		}
 
 		wantInfo, wantLLR := DecodeBCJR(wantLat, nInfo, mode)
+		// The scalar decoder is the reference; the vector kernels may carry
+		// a different NaN payload, so against it NaNs compare as NaNs.
+		refInfo, refLLR := refDecodeBCJR(wantLat, nInfo, mode)
 		// Decode from the workspace's own lattice: the decoder must not
 		// corrupt its input, and reuse must not change the result.
 		gotInfo, gotLLR := fuzzWS.DecodeBCJR(gotLat, nInfo, mode)
@@ -65,6 +69,10 @@ func FuzzDecodeWorkspaceReuse(f *testing.F) {
 			if math.Float64bits(gotLLR[k]) != math.Float64bits(wantLLR[k]) {
 				t.Fatalf("BCJR LLR %d differs: reused %v (bits %x), fresh %v (bits %x)",
 					k, gotLLR[k], math.Float64bits(gotLLR[k]), wantLLR[k], math.Float64bits(wantLLR[k]))
+			}
+			if gotInfo[k] != refInfo[k] || !sameBits(gotLLR[k], refLLR[k]) {
+				t.Fatalf("BCJR bit %d differs from the scalar decoder: info %d llr %v, want %d %v",
+					k, gotInfo[k], gotLLR[k], refInfo[k], refLLR[k])
 			}
 		}
 

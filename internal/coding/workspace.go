@@ -12,21 +12,23 @@ package coding
 // produces bit-for-bit the same output as the allocating package-level
 // functions (FuzzDecodeWorkspaceReuse pins this).
 type Workspace struct {
-	// alpha and beta are the BCJR forward/backward trellis planes, stored
-	// row-major: plane[t*numStates+s].
-	alpha, beta []float64
+	// bcjr runs DecodeBCJR as a one-job batch: its planes are the BCJR
+	// trellis planes and its results back the decoded-bit and APP-LLR
+	// return values. job is that batch.
+	bcjr BatchWorkspace
+	job  [1]BatchJob
 	// metric and next are the Viterbi path-metric rows.
 	metric, next []float64
-	// survivors is the Viterbi traceback plane, row-major like alpha.
+	// survivors is the Viterbi traceback plane, stored row-major:
+	// survivors[t*numStates+s].
 	survivors []uint8
 	// padded holds zero-extended channel LLRs when a caller passes a short
-	// slice.
+	// slice to DecodeViterbi.
 	padded []float64
 	// depunct is the DepunctureLLR output lattice.
 	depunct []float64
-	// info and llrOut back the decoded-bit and APP-LLR return values.
-	info   []byte
-	llrOut []float64
+	// info backs DecodeViterbi's return value.
+	info []byte
 }
 
 // growF returns buf resized to n, reallocating only when capacity is

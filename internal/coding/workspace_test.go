@@ -26,7 +26,8 @@ func mkNoisyLLRs(rng *rand.Rand, nInfo int, r CodeRate, sigma float64) []float64
 
 // TestWorkspaceDecodeMatchesFresh drives a single warm workspace through a
 // mixed sequence of frame sizes, rates and modes and requires bit- and
-// LLR-identical output versus the allocating package-level decoders.
+// LLR-identical output versus the scalar BCJR decoder (refDecodeBCJR) and
+// the allocating package-level Viterbi decoder.
 func TestWorkspaceDecodeMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var ws Workspace
@@ -37,7 +38,7 @@ func TestWorkspaceDecodeMatchesFresh(t *testing.T) {
 		sigma := 0.4 + rng.Float64()*1.2
 		llrs := mkNoisyLLRs(rng, nInfo, r, sigma)
 
-		wantInfo, wantLLR := DecodeBCJR(llrs, nInfo, mode)
+		wantInfo, wantLLR := refDecodeBCJR(llrs, nInfo, mode)
 		gotInfo, gotLLR := ws.DecodeBCJR(llrs, nInfo, mode)
 		for k := range wantInfo {
 			if gotInfo[k] != wantInfo[k] {
@@ -85,7 +86,8 @@ func TestWorkspaceDepunctureMatchesFresh(t *testing.T) {
 
 // TestDecodeDoesNotAllocateSteadyState pins the hot-path requirement
 // (mirroring ratectl's steady-state tests): with a warm workspace, BCJR
-// decode, Viterbi decode and depuncture perform zero heap allocations.
+// decode (a one-job batch, narrow kernels and helper split included),
+// Viterbi decode and depuncture perform zero heap allocations.
 func TestDecodeDoesNotAllocateSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	const nInfo = 1952 // the Fig 7/9 payload shape (244 bytes)

@@ -33,7 +33,9 @@ import (
 
 // ErrorRecovery abstracts the link layer's error recovery scheme for
 // threshold computation. UpperBER returns β_i: the channel BER at rate r
-// above which dropping to the next lower rate wins.
+// above which dropping to the next lower rate wins, for frames of
+// frameBits > 0 bits (New always passes Config.FrameBits, which it fills
+// with NominalFrameBytes*8 when unset).
 type ErrorRecovery interface {
 	UpperBER(r rate.Rate, frameBits int) float64
 }
@@ -51,9 +53,6 @@ const frameLossTolerance = 1.0 / 3
 
 // UpperBER implements ErrorRecovery.
 func (FrameARQ) UpperBER(_ rate.Rate, frameBits int) float64 {
-	if frameBits <= 0 {
-		frameBits = 10000
-	}
 	tol := float64(frameLossTolerance) // 1 - tol rounds in float64, not as an exact constant
 	return -math.Log(1-tol) / float64(frameBits)
 }
@@ -71,9 +70,6 @@ const tolerableErrorsPerFrame = 10
 
 // UpperBER implements ErrorRecovery.
 func (HybridARQ) UpperBER(_ rate.Rate, frameBits int) float64 {
-	if frameBits <= 0 {
-		frameBits = 10000
-	}
 	return tolerableErrorsPerFrame / float64(frameBits)
 }
 

@@ -452,3 +452,27 @@ func TestThresholdsMonotoneAcrossFrameSize(t *testing.T) {
 		t.Fatalf("beta(100k bits)=%v not below beta(1k bits)=%v", bb, bs)
 	}
 }
+
+// TestDefaultFrameBitsPinsBeta pins both recoveries' β_i at New's default
+// frame size (NominalFrameBytes*8 = 11 200 bits), bit for bit: the
+// recoveries take the frame size from New and have no default of their own.
+func TestDefaultFrameBitsPinsBeta(t *testing.T) {
+	cases := []struct {
+		rec  ErrorRecovery
+		bits uint64
+	}{
+		{FrameARQ{}, 0x3f02fafb8e71ce79},  // -ln(2/3)/11200 ≈ 3.62e-05
+		{HybridARQ{}, 0x3f4d41d41d41d41d}, // 10/11200 ≈ 8.93e-04
+	}
+	for _, c := range cases {
+		s := New(Config{Recovery: c.rec})
+		if s.cfg.FrameBits != NominalFrameBytes*8 {
+			t.Fatalf("%T: FrameBits %d, want %d", c.rec, s.cfg.FrameBits, NominalFrameBytes*8)
+		}
+		for i := range s.cfg.Rates {
+			if _, beta := s.Thresholds(i); math.Float64bits(beta) != c.bits {
+				t.Errorf("%T rate %d: beta %v (%#x), want %v", c.rec, i, beta, math.Float64bits(beta), math.Float64frombits(c.bits))
+			}
+		}
+	}
+}
