@@ -75,7 +75,10 @@ type BatchResult struct {
 // may lend one half of each phase to the package's helper goroutine; the
 // call returns only after the helper is done with it.
 type BatchWorkspace struct {
-	llrP []float64 // [2*steps][lanes] transposed channel LLRs
+	// llrP is the group's [2*steps][lanes] channel LLRs: llrT, or a lone
+	// frame's own lattice read in place (transposeLLRs).
+	llrP []float64
+	llrT []float64 // the transposed LLRs of a group of two or more
 	// alphaP and betaP are the forward and backward planes, stored
 	// [(steps+1)*numStates][lanes] — or, on the narrow path, one
 	// [(steps+1)*numStates] plane per lane, lane after lane.
@@ -83,7 +86,8 @@ type BatchWorkspace struct {
 	betaP  []float64
 	g      bcjrGroup
 	half   [2]bcjrHalf
-	task   splitTask
+	task   Splitter
+	phase  phaseHalves
 
 	infoFlat []byte
 	llrFlat  []float64
@@ -139,56 +143,78 @@ type bcjrHalf struct {
 	appAcc []uint64   // [appBlockT*17] block kernel acc records + fix words
 	// The narrow APP pass hands the block kernel four consecutive trellis
 	// steps of one frame as its four lanes: alphaQ and betaQ are
-	// [appBlockT][numStates][4] transposes of α_t and β_{t+1}, and bmBlk
-	// holds [appBlockT][4][4] branch metrics.
+	// [narrowQuads][numStates][4] transposes of α_t and β_{t+1}, and bmBlk
+	// holds [narrowQuads][4][4] branch metrics.
 	alphaQ, betaQ []float64
 }
 
-// splitTask hands half 1 of a phase to the helper goroutine. Each
-// BatchWorkspace owns one, so the handoff allocates nothing.
-type splitTask struct {
-	w     *BatchWorkspace
-	phase func(*BatchWorkspace, int)
-	done  sync.WaitGroup
+// Halves is work that runs as two independent halves, Half(0) and
+// Half(1), which may run at the same time on two goroutines.
+type Halves interface{ Half(h int) }
+
+// Splitter hands half 1 of a Halves to the helper goroutine, one per
+// process and shared by every package that splits work. Its zero value is
+// ready; each owner keeps one, so a handoff allocates nothing, and runs
+// one Split on it at a time.
+type Splitter struct {
+	x    Halves
+	done sync.WaitGroup
 }
 
-func (t *splitTask) run() {
-	t.phase(t.w, 1)
-	t.done.Done()
+func (s *Splitter) run() {
+	s.x.Half(1)
+	s.done.Done()
 }
 
 // The helper goroutine starts with the first split and lives for the rest
-// of the process, parked in its receive while no decode needs it.
+// of the process, parked in its receive while no split needs it.
 var (
 	helperOnce  sync.Once
-	helperTasks chan *splitTask // unbuffered: a send succeeds only while the helper waits
-	helperRuns  atomic.Uint64   // halves the helper has run; tests read it
+	helperTasks chan *Splitter // unbuffered: a send succeeds only while the helper waits
+	helperRuns  atomic.Uint64  // halves the helper has run; tests read it
 )
 
 func splitHelper() {
-	for t := range helperTasks {
+	for s := range helperTasks {
 		helperRuns.Add(1)
-		t.run()
+		s.run()
 	}
 }
 
-// split runs phase over both halves and returns when both are done: half 1
-// on the helper goroutine if it is idle, otherwise here, then half 0 here.
-func (w *BatchWorkspace) split(phase func(*BatchWorkspace, int)) {
+// Split runs x's two halves and returns when both are done: half 1 on the
+// helper goroutine if it is idle, otherwise here, then half 0 here. It
+// reports whether the helper ran half 1.
+func (s *Splitter) Split(x Halves) (helped bool) {
 	helperOnce.Do(func() {
-		helperTasks = make(chan *splitTask)
+		helperTasks = make(chan *Splitter)
 		go splitHelper()
 	})
-	t := &w.task
-	t.w, t.phase = w, phase
-	t.done.Add(1)
+	s.x = x
+	s.done.Add(1)
 	select {
-	case helperTasks <- t:
+	case helperTasks <- s:
+		helped = true
 	default:
-		t.run()
+		s.run()
 	}
-	phase(w, 0)
-	t.done.Wait()
+	x.Half(0)
+	s.done.Wait()
+	s.x = nil
+	return helped
+}
+
+// phaseHalves is one phase of the group being decoded as a Halves.
+type phaseHalves struct {
+	w  *BatchWorkspace
+	fn func(*BatchWorkspace, int)
+}
+
+func (p *phaseHalves) Half(h int) { p.fn(p.w, h) }
+
+// split runs phase over both halves through the workspace's Splitter.
+func (w *BatchWorkspace) split(phase func(*BatchWorkspace, int)) {
+	w.phase = phaseHalves{w, phase}
+	w.task.Split(&w.phase)
 }
 
 // prepare sizes the per-job output buffers and sorts job indices by trellis
@@ -252,12 +278,19 @@ func (w *BatchWorkspace) groups(jobs []BatchJob, fn func(lanes []int)) {
 	}
 }
 
-// transposeLLRs fills w.llrP with the group's LLRs in [t][lane] order over
+// transposeLLRs points w.llrP at the group's LLRs in [t][lane] order over
 // L lanes, zero-extending short inputs exactly like padLLRs; the pad lanes
-// past len(lanes) get zeros.
+// past len(lanes) get zeros. A lone frame whose lattice is long enough is
+// already in that order and is read in place; any other group is copied
+// into w.llrT.
 func (w *BatchWorkspace) transposeLLRs(jobs []BatchJob, lanes []int, steps, L int) {
-	w.llrP = growF(w.llrP, 2*steps*L)
-	llrP := w.llrP
+	if src := jobs[lanes[0]].LLRs; L == 1 && len(src) >= 2*steps {
+		w.llrP = src[:2*steps]
+		return
+	}
+	w.llrT = growF(w.llrT, 2*steps*L)
+	llrP := w.llrT
+	w.llrP = llrP
 	for l := len(lanes); l < L; l++ {
 		for t := 0; t < 2*steps; t++ {
 			llrP[t*L+l] = 0
@@ -365,6 +398,7 @@ func (w *BatchWorkspace) DecodeBCJRBatch(jobs []BatchJob, mode BCJRMode) []Batch
 	w.groups(jobs, func(lanes []int) {
 		w.decodeBCJRGroup(jobs, lanes, mode)
 	})
+	w.llrP = nil // may alias a job's lattice
 	return w.results
 }
 
@@ -558,8 +592,12 @@ func (w *BatchWorkspace) recursionNarrow(h int) {
 	}
 }
 
+// narrowQuads is how many quads of trellis steps one narrow APP block
+// kernel call interleaves.
+const narrowQuads = 4
+
 // appNarrow is Phase 2 on the narrow path: half h accumulates its range
-// frame after frame, in blocks of up to appBlockT quads of consecutive
+// frame after frame, in blocks of up to narrowQuads quads of consecutive
 // trellis steps. A quad's α_t and β_{t+1} rows are transposed so that its
 // steps sit side by side like the lanes of a frame-parallel group; a block
 // may run up to three steps past the range (the planes hold TailBits more)
@@ -573,16 +611,16 @@ func (w *BatchWorkspace) appNarrow(h int) {
 		lo, hi = g.mid, g.nInfo
 	}
 	hs.growAPP(q)
-	hs.alphaQ = growF(hs.alphaQ, appBlockT*numStates*q)
-	hs.betaQ = growF(hs.betaQ, appBlockT*numStates*q)
+	hs.alphaQ = growF(hs.alphaQ, narrowQuads*numStates*q)
+	hs.betaQ = growF(hs.betaQ, narrowQuads*numStates*q)
 	numBlk, denBlk := hs.numBlk, hs.denBlk
 	for l, ji := range g.lanes {
 		alpha := w.alphaP[l*planeSz : (l+1)*planeSz : (l+1)*planeSz]
 		beta := w.betaP[l*planeSz : (l+1)*planeSz : (l+1)*planeSz]
 		bmAt := func(t int) [4]float64 { return branchMetrics(w.llrP[2*t*L+l], w.llrP[(2*t+1)*L+l]) }
 		r := &w.results[ji]
-		for t0 := lo; t0 < hi; t0 += q * appBlockT {
-			n := min(q*appBlockT, hi-t0)
+		for t0 := lo; t0 < hi; t0 += q * narrowQuads {
+			n := min(q*narrowQuads, hi-t0)
 			k := (n + q - 1) / q
 			for i := 0; i < k*q; i++ {
 				t, j, c := t0+i, i/q, i%q

@@ -6,10 +6,14 @@ import (
 	"testing"
 )
 
-// fuzzWS is the shared dirty workspace the fuzzer drives: carrying state
-// from one input to the next is the point — any residue that leaks into a
-// decode shows up as a divergence from the fresh-allocation reference.
-var fuzzWS Workspace
+// fuzzWS and fuzzLat are the shared dirty workspace and depuncture
+// lattice the fuzzer drives: carrying state from one input to the next is
+// the point — any residue that leaks into a decode shows up as a
+// divergence from the fresh-allocation reference.
+var (
+	fuzzWS  Workspace
+	fuzzLat []float64
+)
 
 // FuzzDecodeWorkspaceReuse feeds arbitrary LLR lattices (including
 // non-finite values) through depuncture and both decoders twice — once
@@ -48,7 +52,8 @@ func FuzzDecodeWorkspaceReuse(f *testing.F) {
 		}
 
 		wantLat := DepunctureLLR(llrs, r, nCoded)
-		gotLat := fuzzWS.DepunctureLLR(llrs, r, nCoded)
+		fuzzLat = growF(fuzzLat, nCoded)
+		gotLat := DepunctureInto(fuzzLat, llrs, r)
 		for i := range wantLat {
 			if math.Float64bits(gotLat[i]) != math.Float64bits(wantLat[i]) {
 				t.Fatalf("depuncture position %d differs: reused %v, fresh %v", i, gotLat[i], wantLat[i])

@@ -117,20 +117,14 @@ func PuncturedLen(n int, r CodeRate) int {
 // It returns an error-shaped panic-free nil if llrs is shorter than the
 // punctured length implies; callers validate sizes upstream.
 func DepunctureLLR(llrs []float64, r CodeRate, nCoded int) []float64 {
-	return depunctureInto(make([]float64, nCoded), llrs, r)
+	return DepunctureInto(make([]float64, nCoded), llrs, r)
 }
 
-// DepunctureLLR is the workspace form of the package-level DepunctureLLR:
-// same semantics, zero steady-state allocations. The returned slice
-// aliases the workspace and is valid until its next call.
-func (w *Workspace) DepunctureLLR(llrs []float64, r CodeRate, nCoded int) []float64 {
-	w.depunct = growF(w.depunct, nCoded)
-	clear(w.depunct)
-	return depunctureInto(w.depunct, llrs, r)
-}
-
-// depunctureInto scatters llrs into the zeroed rate-1/2 lattice out.
-func depunctureInto(out []float64, llrs []float64, r CodeRate) []float64 {
+// DepunctureInto is DepunctureLLR writing the rate-1/2 lattice of
+// len(out) entries into out, which it zeroes first, so a reused buffer
+// gives the same lattice as a fresh one; it returns out.
+func DepunctureInto(out, llrs []float64, r CodeRate) []float64 {
+	clear(out)
 	pat := r.puncturePattern()
 	j := 0
 	for i := 0; i < len(out) && j < len(llrs); i++ {

@@ -25,8 +25,6 @@ type Workspace struct {
 	// padded holds zero-extended channel LLRs when a caller passes a short
 	// slice to DecodeViterbi.
 	padded []float64
-	// depunct is the DepunctureLLR output lattice.
-	depunct []float64
 	// info backs DecodeViterbi's return value.
 	info []byte
 }

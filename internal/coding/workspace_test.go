@@ -57,12 +57,15 @@ func TestWorkspaceDecodeMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestWorkspaceDepunctureMatchesFresh checks the scratch depuncture
-// lattice against the allocating form, including the trailing erasures a
-// short input leaves behind.
+// TestWorkspaceDepunctureMatchesFresh checks DepunctureInto over a reused,
+// dirty lattice buffer against the allocating form, including the
+// trailing erasures a short input leaves behind.
 func TestWorkspaceDepunctureMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	var ws Workspace
+	buf := make([]float64, 400)
+	for i := range buf {
+		buf[i] = rng.NormFloat64()
+	}
 	for trial := 0; trial < 200; trial++ {
 		r := CodeRate(rng.Intn(3))
 		nCoded := rng.Intn(400)
@@ -72,7 +75,7 @@ func TestWorkspaceDepunctureMatchesFresh(t *testing.T) {
 			llrs[i] = rng.NormFloat64() * 10
 		}
 		want := DepunctureLLR(llrs, r, nCoded)
-		got := ws.DepunctureLLR(llrs, r, nCoded)
+		got := DepunctureInto(buf[:nCoded], llrs, r)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: length %d want %d", trial, len(got), len(want))
 		}
@@ -87,7 +90,8 @@ func TestWorkspaceDepunctureMatchesFresh(t *testing.T) {
 // TestDecodeDoesNotAllocateSteadyState pins the hot-path requirement
 // (mirroring ratectl's steady-state tests): with a warm workspace, BCJR
 // decode (a one-job batch, narrow kernels and helper split included),
-// Viterbi decode and depuncture perform zero heap allocations.
+// Viterbi decode and depuncture into a caller's lattice perform zero heap
+// allocations.
 func TestDecodeDoesNotAllocateSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	const nInfo = 1952 // the Fig 7/9 payload shape (244 bytes)
@@ -97,16 +101,16 @@ func TestDecodeDoesNotAllocateSteadyState(t *testing.T) {
 		punct[i] = rng.NormFloat64() * 4
 	}
 	var ws Workspace
+	lattice := make([]float64, CodedLen(nInfo))
 	// Warm every scratch plane once.
 	ws.DecodeBCJR(llrs, nInfo, LogMAP)
 	ws.DecodeViterbi(llrs, nInfo)
-	ws.DepunctureLLR(punct, Rate34, CodedLen(nInfo))
 
 	cases := map[string]func(){
 		"DecodeBCJR/LogMAP": func() { ws.DecodeBCJR(llrs, nInfo, LogMAP) },
 		"DecodeBCJR/MaxLog": func() { ws.DecodeBCJR(llrs, nInfo, MaxLog) },
 		"DecodeViterbi":     func() { ws.DecodeViterbi(llrs, nInfo) },
-		"DepunctureLLR":     func() { ws.DepunctureLLR(punct, Rate34, CodedLen(nInfo)) },
+		"DepunctureInto":    func() { DepunctureInto(lattice, punct, Rate34) },
 	}
 	for name, fn := range cases {
 		if avg := testing.AllocsPerRun(5, fn); avg != 0 {

@@ -56,10 +56,17 @@ func TestAppendModulateMatchesModulate(t *testing.T) {
 
 // TestHotPathDoesNotAllocate pins the per-tone operations the receiver
 // runs thousands of times per frame: soft demap into a warm buffer, the
-// EVM hard decision, and modulation into a warm buffer.
+// EVM hard decision, and modulation into a warm buffer; and the
+// per-symbol demap on a warm Demapper.
 func TestHotPathDoesNotAllocate(t *testing.T) {
 	out := make([]float64, 0, 64)
 	sym := make([]complex128, 0, 64)
+	tones := make([]complex128, 96)
+	for k := range tones {
+		tones[k] = complex(float64(k%7)*0.2-0.6, float64(k%5)*0.3-0.6)
+	}
+	var dm Demapper
+	llrs := dm.DemapSymbol(QAM64, tones, 0.9, nil)
 	bits := []byte{1, 0, 1, 1, 0, 1}
 	z := complex(0.31, -0.4)
 	for _, s := range allSchemes {
@@ -67,6 +74,11 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 			out = Demap(s, z, 1, 0.3, true, out[:0])
 		}); avg != 0 {
 			t.Errorf("%v: Demap allocates %v per tone, want 0", s, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			llrs = dm.DemapSymbol(s, tones, complex(0.9, 0.1), llrs[:0])
+		}); avg != 0 {
+			t.Errorf("%v: DemapSymbol allocates %v per symbol, want 0", s, avg)
 		}
 		if avg := testing.AllocsPerRun(100, func() {
 			_ = HardDecision(s, z)

@@ -3,15 +3,22 @@
 // that produce per-coded-bit channel log-likelihood ratios.
 //
 // All constellations are normalized to unit average symbol energy so that
-// SNR is E_s/N_0 directly. The demappers take the received sample, the
-// (complex) channel gain and the total complex noise variance, and emit one
-// LLR per coded bit with the convention LLR > 0 ⇔ bit 1.
+// SNR is E_s/N_0 directly. The demappers emit one LLR per coded bit with
+// the convention LLR > 0 ⇔ bit 1. Demap takes one received sample, the
+// (complex) channel gain and the total complex noise variance. The
+// receiver's demapper, Demapper.DemapSymbol, takes a whole OFDM symbol's
+// tones under one gain, estimates the noise from the symbol itself, and
+// runs the exact log-sum-exp over all its tones at once through
+// vmath.LogAddLanes — the same bits as Demap's exact branch per tone.
 package modulation
 
 import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
+
+	"softrate/internal/vmath"
 )
 
 // Scheme identifies a modulation.
@@ -247,7 +254,7 @@ func demapAxis(v float64, levels []float64, bpa int, sigma2 float64, exact bool,
 				if first1 {
 					m1, first1 = metric, false
 				} else if exact {
-					m1 = logAdd(m1, metric)
+					m1 = vmath.LogAdd(m1, metric)
 				} else if metric > m1 {
 					m1 = metric
 				}
@@ -255,7 +262,7 @@ func demapAxis(v float64, levels []float64, bpa int, sigma2 float64, exact bool,
 				if first0 {
 					m0, first0 = metric, false
 				} else if exact {
-					m0 = logAdd(m0, metric)
+					m0 = vmath.LogAdd(m0, metric)
 				} else if metric > m0 {
 					m0 = metric
 				}
@@ -266,16 +273,158 @@ func demapAxis(v float64, levels []float64, bpa int, sigma2 float64, exact bool,
 	return out
 }
 
-// logAdd returns log(exp(a)+exp(b)) stably.
-func logAdd(a, b float64) float64 {
-	if a < b {
-		a, b = b, a
+// Demapper is the lane scratch of the per-symbol exact demapper. Its zero
+// value is ready; it grows to the widest symbol it has demapped and then
+// allocates nothing. One goroutine uses a Demapper at a time.
+type Demapper struct {
+	v   []float64 // the equalized tones' axis values: real parts, then imaginary parts
+	m   []float64 // [level][lane] metrics
+	acc []float64 // [2][lane] the bit-1 and bit-0 folds, and the estimate's scratch
+}
+
+// noiseFloor is the least noise variance DemapSymbol's estimate returns.
+const noiseFloor = 0.1
+
+// DemapSymbol appends the exact LLRs of one OFDM symbol to out and returns
+// the extended slice: y holds the symbol's received tones, all under the
+// flat channel gain h. It equalizes each tone once, z = y/h, estimates the
+// noise variance from those z, and demaps every tone with it exactly as
+// Demap(s, y, h, noise, true, out) would, bit for bit. A gain with |h|² <
+// 1e-18 carries no information: every LLR is 0.
+//
+// The estimate is the symbol's decision-directed error vector magnitude
+// (EVM) — the mean squared distance from each z to its HardDecision,
+// rescaled by |h|² to the received plane, and at least noiseFloor — which
+// is what a real OFDM receiver obtains from pilots. It is what makes
+// SoftPHY hints collapse under interference: an unmodeled interferer
+// inflates the measured EVM, the LLRs deflate accordingly, and the
+// per-symbol BER estimate spikes (Figure 3). With a fixed assumed noise
+// floor the LLRs would instead stay (wrongly) confident and the collision
+// would be invisible to the hints. At low SINR decision errors bias the
+// estimate low; the floor keeps the LLR scale sane, and the bias only
+// makes the receiver slightly optimistic in a regime where the BER
+// estimate is enormous anyway.
+func (d *Demapper) DemapSymbol(s Scheme, y []complex128, h complex128, out []float64) []float64 {
+	bps := s.BitsPerSymbol()
+	n := len(y)
+	hm2 := real(h)*real(h) + imag(h)*imag(h)
+	if hm2 < 1e-18 {
+		for range n * bps {
+			out = append(out, 0)
+		}
+		return out
 	}
-	d := a - b
-	if d > 30 {
-		return a
+	if n == 0 {
+		return out
 	}
-	return a + math.Log1p(math.Exp(-d))
+	levels := s.axisLevels()
+	lanes := n
+	if s != BPSK {
+		lanes = 2 * n
+	}
+	d.v = growF(d.v, 2*n)
+	v := d.v
+	for k, yk := range y {
+		z := yk / h
+		v[k], v[n+k] = real(z), imag(z)
+	}
+	d.acc = growF(d.acc, 2*lanes)
+	noise := d.noiseEVM(s, v, n, lanes, hm2)
+
+	// Demap's arithmetic, a lane per axis value: each level's metric
+	// -(v-level)²/σ² once, then per bit the two sets of levels folded in
+	// ascending Gray order.
+	inv := 1 / (noise / hm2)
+	d.m = growF(d.m, len(levels)*lanes)
+	for g, lv := range levels {
+		m := d.m[g*lanes : (g+1)*lanes]
+		for i, x := range v[:lanes] {
+			dv := x - lv
+			m[i] = -dv * dv * inv
+		}
+	}
+	bpa := s.bitsPerAxis()
+	base := len(out)
+	out = slices.Grow(out, n*bps)[:base+n*bps]
+	o := out[base:]
+	for j := 0; j < bpa; j++ {
+		mask := 1 << (bpa - 1 - j)
+		m1 := d.fold(levels, lanes, mask, mask, d.acc[:lanes])
+		m0 := d.fold(levels, lanes, mask, 0, d.acc[lanes:])
+		for k := 0; k < n; k++ {
+			o[k*bps+j] = m1[k] - m0[k]
+		}
+		if s != BPSK {
+			for k := 0; k < n; k++ {
+				o[k*bps+bpa+j] = m1[n+k] - m0[n+k]
+			}
+		}
+	}
+	return out
+}
+
+// fold log-sum-exps the metric lanes of the levels g with g&mask == bit,
+// in ascending g, and returns the result: the one level's own metric lanes
+// when the set has one level, acc otherwise.
+func (d *Demapper) fold(levels []float64, lanes, mask, bit int, acc []float64) []float64 {
+	var first []float64
+	for g := range levels {
+		if g&mask != bit {
+			continue
+		}
+		m := d.m[g*lanes : (g+1)*lanes]
+		if first == nil {
+			first = m
+			continue
+		}
+		vmath.LogAddLanes(acc, first, m)
+		first = acc
+	}
+	return first
+}
+
+// noiseEVM is DemapSymbol's noise estimate over the axis values v of n
+// equalized tones: each lane's squared distance to its nearest level —
+// nearestLevelIndex's choice, so each tone's to its HardDecision point —
+// summed tone by tone. BPSK's nearest point is on the real axis.
+func (d *Demapper) noiseEVM(s Scheme, v []float64, n, lanes int, hm2 float64) float64 {
+	levels := s.axisLevels()
+	bd, sq := d.acc[:lanes], d.acc[lanes:2*lanes]
+	for i, x := range v[:lanes] {
+		e := x - levels[0]
+		bd[i], sq[i] = math.Abs(e), e*e
+	}
+	for _, lv := range levels[1:] {
+		for i, x := range v[:lanes] {
+			if e := x - lv; math.Abs(e) < bd[i] {
+				bd[i], sq[i] = math.Abs(e), e*e
+			}
+		}
+	}
+	var sum float64
+	for k := 0; k < n; k++ {
+		if s == BPSK {
+			sum += sq[k] + v[n+k]*v[n+k]
+		} else {
+			sum += sq[k] + sq[n+k]
+		}
+	}
+	// EVM is measured post-equalization (variance scaled by 1/|h|^2);
+	// rescale back to the received plane.
+	est := sum / float64(n) * hm2
+	if est < noiseFloor {
+		est = noiseFloor
+	}
+	return est
+}
+
+// growF returns buf resized to n entries, reallocating only when its
+// capacity is short. Contents are unspecified.
+func growF(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // SymbolEnergy returns the average energy of the constellation (should be

@@ -3,7 +3,10 @@ package phy
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"softrate/internal/channel"
 	"softrate/internal/coding"
@@ -140,30 +143,107 @@ func runScenario(ws *Workspace, cfg Config, frames []batchTestFrame, seed int64,
 // bit-identity contract: for the same noise stream, QueueDeliver +
 // FlushReceptions must reproduce Deliver's Receptions exactly — every
 // verdict, every hint bit pattern — at any flush interval, on a dirty
-// workspace, for both decoder modes.
+// workspace, for both decoder modes, with the queued tails split onto the
+// helper goroutine while it is idle and run here while it is busy.
 func TestQueueReceiveMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	frames := batchScenario()
-	for _, mode := range []coding.BCJRMode{coding.LogMAP, coding.MaxLog} {
-		cfg := DefaultConfig()
-		cfg.Decoder = mode
-		want := runScenario(NewWorkspace(), cfg, frames, 42, 0)
-		for _, flushEvery := range []int{1, 3, len(frames), 100} {
-			ws := NewWorkspace()
-			// Dirty the workspace (including the batch queue) with a
-			// different scenario first; reuse must be invisible.
-			runScenario(ws, cfg, frames[:4], 7, 2)
-			got := runScenario(ws, cfg, frames, 42, flushEvery)
-			if len(got) != len(want) {
-				t.Fatalf("mode %v flush %d: got %d receptions, want %d", mode, flushEvery, len(got), len(want))
-			}
-			for i := range want {
-				if !sameRx(got[i], want[i]) {
-					t.Errorf("mode %v flush %d: frame %d reception differs from sequential:\n got %+v\nwant %+v",
-						mode, flushEvery, i, got[i], want[i])
+	check := func(t *testing.T) {
+		for _, mode := range []coding.BCJRMode{coding.LogMAP, coding.MaxLog} {
+			cfg := DefaultConfig()
+			cfg.Decoder = mode
+			want := runScenario(NewWorkspace(), cfg, frames, 42, 0)
+			for _, flushEvery := range []int{1, 3, len(frames), 100} {
+				ws := NewWorkspace()
+				// Dirty the workspace (including the batch queue) with a
+				// different scenario first; reuse must be invisible.
+				runScenario(ws, cfg, frames[:4], 7, 2)
+				got := runScenario(ws, cfg, frames, 42, flushEvery)
+				if len(got) != len(want) {
+					t.Fatalf("mode %v flush %d: got %d receptions, want %d", mode, flushEvery, len(got), len(want))
+				}
+				for i := range want {
+					if !sameRx(got[i], want[i]) {
+						t.Errorf("mode %v flush %d: frame %d reception differs from sequential:\n got %+v\nwant %+v",
+							mode, flushEvery, i, got[i], want[i])
+					}
 				}
 			}
 		}
 	}
+	t.Run("helper idle", func(t *testing.T) {
+		before := tailsHelped.Load()
+		check(t)
+		if tailsHelped.Load() == before {
+			t.Fatal("the helper goroutine never ran half of a flush's tails")
+		}
+	})
+	t.Run("helper busy", func(t *testing.T) {
+		release := holdHelper(t)
+		defer release()
+		before := tailsHelped.Load()
+		check(t)
+		if n := tailsHelped.Load() - before; n != 0 {
+			t.Fatalf("the held helper goroutine ran the tails of %d flushes", n)
+		}
+	})
+}
+
+// holdHelper occupies the coding package's helper goroutine until the
+// returned release is called: a split whose half 1 waits is handed to it
+// and held there. A try that finds the helper busy runs that half inline
+// instead; holdHelper then lets it go and tries again.
+func holdHelper(t *testing.T) (release func()) {
+	for range 100 {
+		h := &heldHalf{started: make(chan struct{}), release: make(chan struct{})}
+		done := make(chan struct{})
+		go func() {
+			var s coding.Splitter
+			s.Split(h)
+			close(done)
+		}()
+		<-h.started
+		held := h.onHelper()
+		if held {
+			return func() {
+				close(h.release)
+				<-done
+			}
+		}
+		close(h.release)
+		<-done
+	}
+	t.Fatal("the helper goroutine was never idle")
+	return nil
+}
+
+// heldHalf is a Halves whose half 1 blocks until release, and whose half
+// 0 records that it ran.
+type heldHalf struct {
+	started, release chan struct{}
+	half0            atomic.Bool
+}
+
+func (h *heldHalf) Half(i int) {
+	if i == 0 {
+		h.half0.Store(true)
+		return
+	}
+	close(h.started)
+	<-h.release
+}
+
+// onHelper reports whether the waiting half 1 runs on the helper
+// goroutine: Split runs an inline half 1 before half 0, so half 0 runs
+// while half 1 waits only when the helper took it.
+func (h *heldHalf) onHelper() bool {
+	for range 1000 {
+		if h.half0.Load() {
+			return true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
 }
 
 // TestQueueReceiveScenarioCoverage guards the scenario itself: it must

@@ -280,78 +280,58 @@ func preambleSNREst(cfg Config, gains []complex128, ivar []float64, ns NormSourc
 
 // decodeSegment passes one encoded segment (header or payload) through the
 // channel symbols and the soft receive pipeline, returning decoded info
-// bits and their a-posteriori LLRs (both aliasing the workspace).
-//
-// The receiver estimates the noise variance of each OFDM symbol from the
-// decision-directed error vector magnitude (EVM) of its tones — what a
-// real OFDM receiver obtains from pilots. This per-symbol estimate is what
-// makes SoftPHY hints collapse under interference: an unmodeled interferer
-// inflates the measured EVM, the LLRs deflate accordingly, and the
-// per-symbol BER estimate spikes (Figure 3). With a fixed assumed noise
-// floor the LLRs would instead stay (wrongly) confident and the collision
-// would be invisible to the hints.
+// bits and their a-posteriori LLRs (both aliasing the workspace). It runs
+// the receive front end's two halves back to back — appendTones, which
+// draws the noise, and the pure tail rxTail.segmentLLRs — then the decode.
 func (ws *Workspace) decodeSegment(cfg Config, syms [][]complex128, infoRef []byte, r rate.Rate, gains []complex128, ivar []float64, ns NormSource) (info []byte, llrs []float64) {
-	depunct := ws.segmentLLRs(cfg, syms, len(infoRef), r, gains, ivar, ns)
-	return ws.Coding.DecodeBCJR(depunct, len(infoRef), cfg.Decoder)
+	ws.tones = appendTones(ws.tones[:0], syms, gains, ivar, ns)
+	ws.lattice = growF(ws.lattice, coding.CodedLen(len(infoRef)))
+	ws.bq.tail[0].segmentLLRs(r, cfg.Mode.CodedBitsPerSymbol(r.Scheme), ws.tones, gains[:len(syms)], ws.lattice)
+	return ws.Coding.DecodeBCJR(ws.lattice, len(infoRef), cfg.Decoder)
 }
 
-// segmentLLRs is decodeSegment's front end: everything up to (and
-// including) depuncturing, i.e. every stage that consumes noise variates.
-// The returned rate-1/2 LLR lattice aliases the workspace and is valid
-// until the next segmentLLRs call; the batched receive path copies it out
-// and defers the decode itself, which consumes no randomness, to a later
-// whole-batch BCJR pass.
-func (ws *Workspace) segmentLLRs(cfg Config, syms [][]complex128, nInfo int, r rate.Rate, gains []complex128, ivar []float64, ns NormSource) []float64 {
-	ncbps := cfg.Mode.CodedBitsPerSymbol(r.Scheme)
-	perm := ofdm.CachedPermutation(ncbps, r.Scheme.BitsPerSymbol())
-	if cap(ws.chanLLRs) < len(syms)*ncbps {
-		ws.chanLLRs = make([]float64, 0, len(syms)*ncbps)
-	}
-	chanLLRs := ws.chanLLRs[:0]
-	ws.tones = growC(ws.tones, cfg.Mode.DataTones)
-	rx := ws.tones
+// appendTones is the first half of a segment's receive front end: it
+// appends the segment's received data tones to dst — OFDM symbol j's
+// transmitted tones through its gain gains[j], plus complex Gaussian noise
+// of the actual variance 1+ivar[j], which includes the interference the
+// receiver does not know about. It is the only stage after the preamble
+// that consumes noise variates: two per tone, in tone order.
+func appendTones(dst []complex128, syms [][]complex128, gains []complex128, ivar []float64, ns NormSource) []complex128 {
 	for j, sym := range syms {
 		h := gains[j]
-		// Actual noise variance includes the interference the receiver
-		// does not know about.
 		sd := math.Sqrt((1 + ivar[j]) / 2)
-		for k, x := range sym {
-			rx[k] = h*x + complex(sd*ns.NormFloat64(), sd*ns.NormFloat64())
-		}
-		noiseEst := estimateNoiseEVM(r.Scheme, rx[:len(sym)], h)
-		for _, y := range rx[:len(sym)] {
-			// Exact log-sum-exp demapping; max-log is a bench probe only.
-			chanLLRs = modulation.Demap(r.Scheme, y, h, noiseEst, true, chanLLRs)
+		for _, x := range sym {
+			dst = append(dst, h*x+complex(sd*ns.NormFloat64(), sd*ns.NormFloat64()))
 		}
 	}
-	ws.chanLLRs = chanLLRs
-	ws.deint = growF(ws.deint, len(chanLLRs))
-	deint := ofdm.DeinterleaveLLRsInto(ws.deint, chanLLRs, perm)
-	return ws.Coding.DepunctureLLR(deint, r.Code, coding.CodedLen(nInfo))
+	return dst
 }
 
-// estimateNoiseEVM measures the decision-directed EVM of one OFDM symbol:
-// the mean squared distance between each received tone and its nearest
-// constellation point, rescaled to the receiver's reference plane. At low
-// SINR decision errors bias the estimate low; the floor keeps the LLR
-// scale sane, and the bias only makes the receiver slightly optimistic in
-// a regime where the BER estimate is enormous anyway.
-func estimateNoiseEVM(s modulation.Scheme, rx []complex128, h complex128) float64 {
-	hm2 := real(h)*real(h) + imag(h)*imag(h)
-	if hm2 < 1e-18 || len(rx) == 0 {
-		return 1
+// rxTail is the scratch of the receive front end's pure tail, one per
+// goroutine that runs tails.
+type rxTail struct {
+	dm    modulation.Demapper
+	sym   []float64 // one OFDM symbol's channel LLRs
+	deint []float64 // the segment's deinterleaved coded stream
+}
+
+// segmentLLRs is the second half of a segment's receive front end, a pure
+// function of its received tones and gains: symbol j's tones (an equal
+// share of tones) under gains[j]. Per OFDM symbol it equalizes each tone
+// once, estimates the symbol's noise variance from the decision-directed
+// EVM of those tones, demaps them exactly
+// (modulation.Demapper.DemapSymbol) and deinterleaves them; then it
+// depunctures the stream into out, the segment's rate-1/2 LLR lattice of
+// coding.CodedLen(information bits) entries. It consumes no randomness, so
+// the batched receive path defers it to the flush, where two goroutines
+// share the queued tails, each with its own rxTail.
+func (t *rxTail) segmentLLRs(r rate.Rate, ncbps int, tones, gains []complex128, out []float64) {
+	perm := ofdm.CachedPermutation(ncbps, r.Scheme.BitsPerSymbol())
+	t.deint = growF(t.deint, len(gains)*ncbps)
+	for j, h := range gains {
+		w := len(tones) / len(gains)
+		t.sym = t.dm.DemapSymbol(r.Scheme, tones[j*w:(j+1)*w], h, t.sym[:0])
+		ofdm.DeinterleaveLLRsInto(t.deint[j*ncbps:(j+1)*ncbps], t.sym, perm)
 	}
-	var sum float64
-	for _, y := range rx {
-		z := y / h
-		d := z - modulation.HardDecision(s, z)
-		sum += real(d)*real(d) + imag(d)*imag(d)
-	}
-	// EVM is measured post-equalization (variance scaled by 1/|h|^2);
-	// rescale back to the received plane.
-	est := sum / float64(len(rx)) * hm2
-	if est < 0.1 {
-		est = 0.1
-	}
-	return est
+	coding.DepunctureInto(out, t.deint, r.Code)
 }

@@ -15,17 +15,16 @@ import (
 // noise stream), the workspace chain produces bit-for-bit the same frames,
 // hints and verdicts as a fresh workspace (and as the allocating Transmit).
 type Workspace struct {
-	// Coding is the decoder scratch (BCJR/Viterbi planes, depuncture
-	// lattice), exported so callers driving the decoders directly can share
-	// one set of planes with the full receive chain.
+	// Coding is the decoder scratch (BCJR/Viterbi planes), exported so
+	// callers driving the decoders directly can share one set of planes
+	// with the full receive chain.
 	Coding coding.Workspace
 
 	// Receive-side scratch.
 	gains    []complex128
 	ivar     []float64
-	tones    []complex128
-	chanLLRs []float64
-	deint    []float64
+	tones    []complex128 // one segment's received tones
+	lattice  []float64    // its depunctured LLRs
 	hints    []float64
 	hdrBytes []byte
 	body     []byte

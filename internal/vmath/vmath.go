@@ -1,19 +1,24 @@
-// Package vmath evaluates package math's Exp, Log and Cos over slices of
-// lanes. On amd64 the lanes run through vector kernels that replay, lane
-// for lane, the operation sequence package math runs for one value, so
-// every lane holds the exact float64 package math returns:
+// Package vmath evaluates package math's Exp, Log and Cos, and the
+// log-sum-exp LogAdd built on Exp and Log1p, over slices of lanes. On
+// amd64 the lanes run through vector kernels that replay, lane for lane,
+// the operation sequence package math runs for one value, so every lane
+// holds the exact float64 package math returns:
 //
 //   - ExpLanes replays exp_amd64.s's FMA path in AVX2 (math.Exp takes
 //     that path on every CPU with AVX and FMA);
 //   - LogLanes replays log_amd64.s in AVX2;
+//   - LogAddLanes replays LogAdd in AVX2 and FMA: the swap, the d > 30
+//     cutoff, ExpLanes' sequence for Exp(-d) and the pure-Go
+//     math.Log1p's branches for its argument in [e^-30, 1];
 //   - CosLanes and CosSums replay the pure-Go math.Cos (sin.go) in AVX2,
 //     CosSums eight lanes a step with AVX-512.
 //
 // Each kernel returns a fixup mask of the lanes package math special-cases
 // (non-finite input, overflow, a subnormal result, x ≤ 0, a huge cosine
-// argument), and those lanes are redone with package math. Everywhere
-// else — off amd64, on 386, without the CPU features, or when the init
-// probe against package math disagrees — every lane runs package math.
+// argument, a NaN or zero log-sum-exp difference), and those lanes are
+// redone with package math. Everywhere else — off amd64, on 386, without
+// the CPU features, or when the init probe against package math
+// disagrees — every lane runs package math.
 package vmath
 
 import (
@@ -28,7 +33,7 @@ const (
 	// Scalar evaluates every lane with package math.
 	Scalar Level = iota
 	// AVX2 runs the four-lane kernels: the cosine and Log need AVX2, Exp
-	// also FMA.
+	// and LogAdd also FMA.
 	AVX2
 	// AVX512 is AVX2 with CosSums on eight lanes.
 	AVX512
@@ -40,9 +45,9 @@ const (
 var Host = hostLevel()
 
 var (
-	level          Level
-	cosWidth       int // lanes per CosSums kernel step; 0 runs math.Cos
-	useExp, useLog bool
+	level                  Level
+	cosWidth               int // lanes per CosSums kernel step; 0 runs math.Cos
+	useExp, useLog, useAdd bool
 )
 
 func init() { SetLevel(Host) }
@@ -56,6 +61,7 @@ func SetLevel(l Level) (prev Level) {
 	level = l
 	useExp = l >= AVX2 && expKernelOK
 	useLog = l >= AVX2 && logKernelOK
+	useAdd = l >= AVX2 && addKernelOK
 	cosWidth = 0
 	switch {
 	case l >= AVX512 && cos8KernelOK:
@@ -70,7 +76,7 @@ func hostLevel() Level {
 	switch {
 	case cos8KernelOK:
 		return AVX512
-	case cos4KernelOK || expKernelOK || logKernelOK:
+	case cos4KernelOK || expKernelOK || logKernelOK || addKernelOK:
 		return AVX2
 	}
 	return Scalar
@@ -101,6 +107,50 @@ func LogLanes(dst, x []float64) {
 	for ; i < len(dst); i++ {
 		dst[i] = math.Log(x[i])
 	}
+}
+
+// LogAdd returns log(exp(a)+exp(b)) stably: the larger argument plus
+// Log1p(Exp(-d)) of their difference d, the correction dropped when d >
+// 30. It is the reference LogAddLanes replays.
+func LogAdd(a, b float64) float64 {
+	if a < b {
+		a, b = b, a
+	}
+	d := a - b
+	if d > 30 {
+		return a
+	}
+	return a + math.Log1p(math.Exp(-d))
+}
+
+// LogAddLanes sets dst[i] = LogAdd(a[i], b[i]) for every i < len(dst). a
+// and b must be at least as long as dst; dst may be a itself but must not
+// overlap b.
+func LogAddLanes(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	i := 0
+	if useAdd {
+		i = addKernel(dst, a, b)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = LogAdd(a[i], b[i])
+	}
+}
+
+// addKernel runs the LogAdd kernel over the leading multiple of four
+// lanes, at most 64 a call, redoes the lanes it flags with LogAdd, and
+// returns how many lanes it covered. A flagged lane keeps a[j] in dst, so
+// the redo reads it even when dst is a.
+func addKernel(dst, a, b []float64) int {
+	n := len(dst) &^ 3
+	for i := 0; i < n; i += 64 {
+		fix := logAddLanesAVX2(&dst[i], &a[i], &b[i], min(64, n-i))
+		for ; fix != 0; fix &= fix - 1 {
+			j := i + bits.TrailingZeros64(fix)
+			dst[j] = LogAdd(a[j], b[j])
+		}
+	}
+	return n
 }
 
 // fn names a unary kernel and its package math function.

@@ -13,6 +13,7 @@ import (
 var (
 	expKernelOK  = cpufeat.AVX2 && cpufeat.FMA && probeUnary(expFn, math.Exp, expProbes())
 	logKernelOK  = cpufeat.AVX2 && probeUnary(logFn, math.Log, logProbes())
+	addKernelOK  = cpufeat.AVX2 && cpufeat.FMA && probeLogAdd()
 	cos4KernelOK = cpufeat.AVX2 && probeCos(4)
 	cos8KernelOK = cos4KernelOK && cpufeat.AVX512 && probeCos(8)
 )
@@ -28,6 +29,13 @@ func expLanesAVX2(dst, x *float64, n int) uint64
 //
 //go:noescape
 func logLanesAVX2(dst, x *float64, n int) uint64
+
+// logAddLanesAVX2 sets dst[i] = LogAdd(a[i], b[i]) over n lanes (n a
+// multiple of 4, at most 64) and returns the fixup mask (bit i = lane i)
+// of the lanes it left holding a[i].
+//
+//go:noescape
+func logAddLanesAVX2(dst, a, b *float64, n int) uint64
 
 // cosLanesAVX2 sets dst[i] = math.Cos(w[i]*t + phi[i]) over n lanes (n a
 // multiple of 4, at most 64), except the lanes flagged in the returned
@@ -66,6 +74,35 @@ func logProbes() []float64 {
 		xs = append(xs, math.Ldexp(0.5+float64(i)/512, i*8-1020))
 	}
 	return xs
+}
+
+// probeLogAdd reports whether the LogAdd kernel returns LogAdd's bits on
+// differences across every branch it replays: zero, Log1p's k = 1 and k =
+// 0 paths around √2-1, its x - x*x/2 path below 2^-29 (d above 20.1, and
+// at 21.6146… where that path and the k = 0 one round apart), the cutoff
+// at 30 and past it, both argument orders and negative sums.
+func probeLogAdd() bool {
+	var a, b, dst [64]float64
+	for i := range a {
+		d := float64(i) * 0.49
+		if i == 63 {
+			d = 30
+		}
+		a[i] = -float64(i%7) * 3.3
+		b[i] = a[i] - d
+		if i%2 == 1 {
+			a[i], b[i] = b[i], a[i]
+		}
+	}
+	b[5] = a[5] - math.Nextafter(-math.Log(math.Sqrt2-1), 0)
+	a[6], b[6] = 0, -21.614653927312236
+	addKernel(dst[:], a[:], b[:])
+	for i := range dst {
+		if math.Float64bits(dst[i]) != math.Float64bits(LogAdd(a[i], b[i])) {
+			return false
+		}
+	}
+	return true
 }
 
 // probeCos reports whether the four-lane cosine kernel and the width-lane

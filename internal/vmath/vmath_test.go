@@ -104,6 +104,102 @@ func FuzzLogLanes(f *testing.F) {
 	})
 }
 
+// checkLogAdd runs LogAddLanes over a and b, once into a fresh slice and
+// once in place over a, and fails on the first lane whose bits differ
+// from LogAdd's.
+func checkLogAdd(t *testing.T, a, b []float64) {
+	t.Helper()
+	got := make([]float64, len(a))
+	LogAddLanes(got, a, b)
+	inPlace := append([]float64(nil), a...)
+	LogAddLanes(inPlace, inPlace, b)
+	for i := range a {
+		want := math.Float64bits(LogAdd(a[i], b[i]))
+		if math.Float64bits(got[i]) != want || math.Float64bits(inPlace[i]) != want {
+			t.Fatalf("lane %d of %d: LogAdd(%v, %v) = %v (%#x), in place %v, scalar %v (%#x)",
+				i, len(a), a[i], b[i], got[i], math.Float64bits(got[i]), inPlace[i], LogAdd(a[i], b[i]), want)
+		}
+	}
+}
+
+// logAddDiffs are differences d = hi - lo where LogAdd's kernel changes
+// branch: zero (an exact tie), Log1p's switch at √2-1 and its x - x*x/2
+// path from 2^-29 (d above 29·ln 2 ≈ 20.1) down to e^-30, the cutoff at
+// 30, and past it. At 20.4388… and 21.6146… that path's result differs
+// from the k = 0 path's, which it otherwise mostly matches.
+var logAddDiffs = []float64{
+	0, 5e-324, 1e-300, 1e-17, 1e-9, 0.5, 1, math.Ln2,
+	-math.Log(math.Sqrt2 - 1), 29 * math.Ln2, 20.1, 20.438874088719786, 21.614653927312236,
+	25, 29.999, 30, 30.001, 31, 745, 1e300,
+}
+
+// logAddLanes builds, from one base value and each difference nudged by
+// up to two ulps either way, pairs in both argument orders.
+func logAddLanes(base float64) (a, b []float64) {
+	for _, d := range logAddDiffs {
+		for k := -2; k <= 2; k++ {
+			dd := nudge(d, k)
+			if dd < 0 {
+				continue
+			}
+			a = append(a, base, base-dd)
+			b = append(b, base-dd, base)
+		}
+	}
+	return a, b
+}
+
+func FuzzLogAddLanes(f *testing.F) {
+	if !useAdd {
+		f.Skip("no LogAdd kernel on this host")
+	}
+	for _, x := range append([]float64{-1e-300, -3.7, -30, -745, -1e300, 1e300}, specials...) {
+		f.Add(x, x-30)
+		f.Add(x, x-20.5)
+		f.Add(x, x)
+	}
+	f.Fuzz(func(t *testing.T, a0, b0 float64) {
+		a, b := logAddLanes(a0)
+		ab, bb := logAddLanes(b0)
+		a, b = append(a, ab...), append(b, bb...)
+		for i := -4; i <= 4; i++ {
+			a, b = append(a, nudge(a0, i), b0), append(b, b0, nudge(b0, i))
+		}
+		checkLogAdd(t, a, b)
+	})
+}
+
+// TestLogAddLanesBranches holds LogAddLanes to LogAdd at every level on
+// the branch edges, the special values in every pairing, random pairs
+// and every length up to two 64-lane kernel calls.
+func TestLogAddLanesBranches(t *testing.T) {
+	atLevels(t, func(t *testing.T) {
+		for _, base := range []float64{0, -3.3, -41.5, 1e-310, -1e200, 7e15} {
+			a, b := logAddLanes(base)
+			checkLogAdd(t, a, b)
+		}
+		var a, b []float64
+		for _, x := range specials {
+			for _, y := range specials {
+				a, b = append(a, x), append(b, y)
+			}
+		}
+		checkLogAdd(t, a, b)
+		rng := rand.New(rand.NewSource(1))
+		a, b = make([]float64, 140), make([]float64, 140)
+		for n := 0; n <= len(a); n++ {
+			for i := range a {
+				a[i] = -rng.ExpFloat64() * 40
+				b[i] = a[i] - rng.Float64()*35
+				if rng.Intn(2) == 0 {
+					a[i], b[i] = b[i], a[i]
+				}
+			}
+			checkLogAdd(t, a[:n], b[:n])
+		}
+	})
+}
+
 // atLevels runs fn once at every level this host runs, restoring the
 // level after.
 func atLevels(t *testing.T, fn func(t *testing.T)) {
@@ -190,6 +286,7 @@ func TestKernelsPassTheirProbes(t *testing.T) {
 	}{
 		{"Exp, AVX2", fma, expKernelOK},
 		{"Log, AVX2", cpufeat.AVX2, logKernelOK},
+		{"LogAdd, AVX2", fma, addKernelOK},
 		{"cosine, AVX2", cpufeat.AVX2, cos4KernelOK},
 		{"cosine sums, AVX-512", cpufeat.AVX2 && cpufeat.AVX512, cos8KernelOK},
 	} {
@@ -202,8 +299,8 @@ func TestKernelsPassTheirProbes(t *testing.T) {
 func TestSetLevel(t *testing.T) {
 	prev := SetLevel(Scalar)
 	defer SetLevel(prev)
-	if useExp || useLog || cosWidth != 0 {
-		t.Fatalf("Scalar level left kernels on: exp %v log %v cos width %d", useExp, useLog, cosWidth)
+	if useExp || useLog || useAdd || cosWidth != 0 {
+		t.Fatalf("Scalar level left kernels on: exp %v log %v logadd %v cos width %d", useExp, useLog, useAdd, cosWidth)
 	}
 	if got := SetLevel(AVX512 + 1); got != Scalar {
 		t.Fatalf("SetLevel returned %d, want the Scalar level set before", got)
@@ -247,6 +344,25 @@ func BenchmarkLogLanes(b *testing.B) {
 		xs[i] = 0.01 + float64(i)*13.7
 	}
 	benchLanes(b, LogLanes, xs)
+}
+
+func BenchmarkLogAddLanes(b *testing.B) {
+	a, c := make([]float64, 64), make([]float64, 64)
+	for i := range a {
+		a[i] = -float64(i%9) * 2.5
+		c[i] = a[i] - float64(i)*0.45
+	}
+	dst := make([]float64, 64)
+	for l := Scalar; l <= min(Host, AVX2); l++ {
+		b.Run(fmt.Sprintf("level%d", l), func(b *testing.B) {
+			prev := SetLevel(l)
+			defer SetLevel(prev)
+			for b.Loop() {
+				LogAddLanes(dst, a, c)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(a)), "ns/lane")
+		})
+	}
 }
 
 func BenchmarkCosLanes(b *testing.B) {
