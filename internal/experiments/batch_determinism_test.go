@@ -9,8 +9,8 @@ import (
 // end-to-end contract at the harness level: the rendered tables of the
 // PHY-driven experiments must be byte-identical at the default batch on
 // one worker (the shared tinyRender), at batch 1 on one worker (frame by
-// frame, which TestQueueReceiveMatchesSequential in phy ties to per-frame
-// ReceiveWS), and at an odd batch size that forces ragged final flushes
+// frame, which TestQueueReceiveMatchesSequential in phy ties to the
+// per-frame oracle refReceive), and at an odd batch size that forces ragged final flushes
 // on eight workers. TestParallelByteIdentical covers the default batch
 // on three workers, so together they guarantee the batch size changes
 // nothing but speed.

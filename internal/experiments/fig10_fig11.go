@@ -77,7 +77,7 @@ func runInterferenceTrial(ws *phy.Workspace, relPowerDB float64, ri int, frames 
 		burst := phy.Burst{Start: start + offset, End: start + offset + air, Power: iPow}
 		link.QueueDeliver(tx, start, []phy.Burst{burst})
 		if ws.PendingReceives() == decodeBatch || i == frames-1 {
-			for _, rx := range link.FlushDeliveries() {
+			for _, rx := range ws.FlushReceptions() {
 				classify(rx)
 			}
 		}
@@ -162,7 +162,7 @@ func falsePositiveRate(ws *phy.Workspace, o Options) float64 {
 		tx := phy.TransmitWS(ws, cfg, phy.Frame{Header: []byte{7}, Payload: payload, Rate: rate.ByIndex(3)})
 		link.QueueDeliver(tx, float64(i)*0.023, nil)
 		if ws.PendingReceives() == decodeBatch || i == n-1 {
-			for _, rx := range link.FlushDeliveries() {
+			for _, rx := range ws.FlushReceptions() {
 				classify(rx)
 			}
 		}

@@ -47,7 +47,7 @@ func collectFrames(ws *phy.Workspace, cfg phy.Config, model *channel.Model, rate
 	type txMeta struct{ bits, rateIdx int }
 	var metas []txMeta
 	flush := func() {
-		for k, rx := range link.FlushDeliveries() {
+		for k, rx := range ws.FlushReceptions() {
 			if !rx.Detected {
 				continue
 			}

@@ -12,20 +12,21 @@ import (
 	"softrate/internal/rate"
 )
 
-// This file implements the batched receive path. The receiver front end
-// runs in two halves. The first half consumes noise variates and runs per
-// frame at queue time, in exactly the order of a sequential ReceiveWS
-// call: the preamble and postamble estimates, and the noise draws into
-// each segment's received tones (appendTones), which the queue keeps. The
-// second half, the tail (rxTail.segmentLLRs: equalize, EVM noise
-// estimate, exact demap, deinterleave, depuncture), is a pure function of
-// those tones and the gains, and so is the BCJR decode after it: both are
-// deferred to the flush. There the queued tails run as two halves, the
-// second on the coding package's helper goroutine when it is idle (and
-// here when it is not), and then the decodes run as one lockstep batch
-// through coding.BatchWorkspace, which splits its own phases the same way.
-// The split makes the batch path bit-identical to the sequential path on
-// the same noise stream, which the tests pin; it exists because the tail
+// This file implements the receive path: a queue and a flush. The
+// receiver front end runs in two halves. The first half consumes noise
+// variates and runs per frame at queue time, in queue order: the preamble
+// and postamble estimates, and the noise draws into each segment's
+// received tones (appendTones), which the queue keeps. The second half,
+// the tail (rxTail.segmentLLRs: equalize, EVM noise estimate, exact demap,
+// deinterleave, depuncture), is a pure function of those tones and the
+// gains, and so is the BCJR decode after it: both are deferred to the
+// flush. There the queued tails run as two halves, the second on the
+// coding package's helper goroutine when it is idle (and here when it is
+// not), and then the decodes run as one lockstep batch through
+// coding.BatchWorkspace, which splits its own phases the same way. Since
+// nothing after the noise draws consumes randomness and the batch decoder
+// is exact, a frame's Reception is the same bits at any batch size;
+// ReceiveWS is a flush of one frame. The batch exists because the tail
 // and the decoder dominate receive cost, the batch decoder runs several
 // frames per trellis step, and a flush can use a second core.
 
@@ -73,7 +74,6 @@ type batchQueue struct {
 
 	// The flush runs pend[:mid]'s tails on tail[0] and the rest on
 	// tail[1] (Half); split hands half 1 to the helper goroutine.
-	// ReceiveWS runs its tails on tail[0] too.
 	tail  [2]rxTail
 	mid   int
 	split coding.Splitter
@@ -90,10 +90,10 @@ type batchQueue struct {
 var tailsHelped atomic.Uint64
 
 // QueueReceive runs the first half of the receiver front end for one
-// transmission now — consuming the same noise variates in the same order
-// as ReceiveWS — and queues the rest, the tails and the decodes, for the
-// next FlushReceptions. All receptions queued between two flushes must
-// use the same cfg.Decoder.
+// transmission now — consuming every noise variate the frame takes (see
+// NoiseDraws) from ns — and queues the rest, the tails and the decodes,
+// for the next FlushReceptions. All receptions queued between two flushes
+// must use the same cfg.Decoder.
 //
 // The transmission and the gains may be overwritten before the flush:
 // everything the deferred work needs is copied out here.
@@ -102,10 +102,14 @@ func (ws *Workspace) QueueReceive(cfg Config, tx *Transmission, gains []complex1
 	var p pendRx
 	dataOff := tx.dataSymbolOffset()
 
+	// Preamble: the noisy power measurement consumes its variates; the
+	// detection decision itself is pure (PreambleDetects).
 	preSNREst := preambleSNREst(cfg, gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols], ns)
 	p.rec.SNREstDB = channel.LinearToDB(preSNREst)
 	p.rec.Detected = PreambleDetects(gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols])
 
+	// Postamble, independent of the preamble: the power measurement
+	// consumes its variates, though only the pure SINR decides sync.
 	if tx.Frame.Postamble {
 		off := tx.NumSymbols() - ofdm.PostambleSymbols
 		preambleSNREst(cfg, gains[off:], ivar[off:], ns)
@@ -205,11 +209,10 @@ func (p *pendRx) codedBits() int {
 func (ws *Workspace) PendingReceives() int { return len(ws.bq.pend) }
 
 // FlushReceptions decodes every queued reception in one lockstep batch and
-// returns the completed Receptions in queue order, each bit-identical to
-// what a sequential ReceiveWS call would have produced on the same noise
-// stream. The returned slice and the Receptions' fields alias the
-// workspace and are valid until the next FlushReceptions call (queueing
-// more receptions does not disturb them).
+// returns the completed Receptions in queue order, each the same bits
+// whatever else shares the batch. The returned slice and the Receptions'
+// fields alias the workspace and are valid until the next FlushReceptions
+// or ReceiveWS call (queueing more receptions does not disturb them).
 func (ws *Workspace) FlushReceptions() []*Reception {
 	q := &ws.bq
 	q.runTails()
@@ -246,7 +249,7 @@ func (ws *Workspace) FlushReceptions() []*Reception {
 			continue
 		}
 
-		// Header: CRC-16 over the re-assembled bytes, as in ReceiveWS.
+		// Header: CRC-16 over the re-assembled bytes.
 		hdrBits := results[j].Info
 		j++
 		hStart := len(q.hdrBuf)
@@ -287,33 +290,4 @@ func (ws *Workspace) FlushReceptions() []*Reception {
 	q.llrBuf, q.infoBuf = q.llrBuf[:0], q.infoBuf[:0]
 	q.haveMode = false
 	return q.recPtrs
-}
-
-// QueueDeliver is Deliver's queued form: it samples the channel and runs
-// the receiver front end now (consuming the link's noise stream exactly as
-// Deliver would) and defers the decodes to the next FlushReceptions on the
-// link's workspace. Requires l.WS.
-func (l *Link) QueueDeliver(tx *Transmission, start float64, bursts []Burst) {
-	if l.WS == nil {
-		panic("phy: Link.QueueDeliver requires a Workspace")
-	}
-	T := l.Cfg.Mode.SymbolTime()
-	n := tx.NumSymbols()
-	l.WS.gains = growC(l.WS.gains, n)
-	l.WS.ivar = growF(l.WS.ivar, n)
-	gains, ivar := l.WS.gains, l.WS.ivar
-	for j := 0; j < n; j++ {
-		t0 := start + float64(j)*T
-		gains[j] = l.Model.Gain(t0 + T/2)
-		ivar[j] = burstPower(bursts, t0, t0+T)
-	}
-	l.WS.QueueReceive(l.Cfg, tx, gains, ivar, l.Rng)
-}
-
-// FlushDeliveries completes every queued delivery; see FlushReceptions.
-func (l *Link) FlushDeliveries() []*Reception {
-	if l.WS == nil {
-		panic("phy: Link.FlushDeliveries requires a Workspace")
-	}
-	return l.WS.FlushReceptions()
 }

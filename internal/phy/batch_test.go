@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -8,10 +9,137 @@ import (
 	"testing"
 	"time"
 
+	"softrate/internal/bitutil"
 	"softrate/internal/channel"
 	"softrate/internal/coding"
+	"softrate/internal/ofdm"
 	"softrate/internal/rate"
 )
+
+// refScratch is refReceive's own scratch: a single-frame decoder
+// workspace, a demap tail, and the buffers its Reception aliases.
+type refScratch struct {
+	Coding   coding.Workspace
+	tail     rxTail
+	gains    []complex128
+	ivar     []float64
+	tones    []complex128 // one segment's received tones
+	lattice  []float64    // its depunctured LLRs
+	hints    []float64
+	hdrBytes []byte
+	body     []byte
+	rec      Reception
+}
+
+// refDeliver samples the link's channel for tx as Link.Deliver does and
+// receives it through refReceive.
+func refDeliver(l *Link, ws *refScratch, tx *Transmission, start float64, bursts []Burst) *Reception {
+	T := l.Cfg.Mode.SymbolTime()
+	n := tx.NumSymbols()
+	ws.gains = growC(ws.gains, n)
+	ws.ivar = growF(ws.ivar, n)
+	gains, ivar := ws.gains, ws.ivar
+	for j := 0; j < n; j++ {
+		t0 := start + float64(j)*T
+		gains[j] = l.Model.Gain(t0 + T/2)
+		ivar[j] = burstPower(bursts, t0, t0+T)
+	}
+	return refReceive(ws, l.Cfg, tx, gains, ivar, l.Rng)
+}
+
+// refReceive is the per-frame receiver the tests hold the queued path to:
+// it runs the whole chain for one frame inline — the front end's two
+// halves back to back, then a single-frame decode through
+// coding.Workspace.DecodeBCJR — with no queue, no flush and no batch
+// decoder. The returned Reception aliases ws.
+func refReceive(ws *refScratch, cfg Config, tx *Transmission, gains []complex128, ivar []float64, ns NormSource) *Reception {
+	if ws == nil {
+		ws = &refScratch{}
+	}
+	rx := &ws.rec
+	*rx = Reception{}
+	T := cfg.Mode
+	dataOff := tx.dataSymbolOffset()
+
+	// --- Preamble: SNR estimation and detection. ---
+	// The preamble is a known unit-power pattern on every data tone. The
+	// receiver measures received power and infers SNR; detection requires
+	// the true SINR to clear the sync threshold. Additionally, a colliding
+	// transmission whose power approaches the signal's corrupts the
+	// synchronization correlation (or captures the receiver outright) —
+	// the paper's footnote 1: "if the interferer's signal is much stronger
+	// than the sender's, some PHYs will resynchronize with the interferer
+	// and abort the sender's frame". The noisy power measurement consumes
+	// its variates first; the detection decision itself is pure, which is
+	// what lets the calibration pipeline pre-draw noise streams.
+	preSNREst := preambleSNREst(cfg, gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols], ns)
+	rx.SNREstDB = channel.LinearToDB(preSNREst)
+	rx.Detected = PreambleDetects(gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols])
+
+	// --- Postamble detection (independent of preamble). ---
+	if tx.Frame.Postamble {
+		off := tx.NumSymbols() - ofdm.PostambleSymbols
+		// The power measurement consumes the same variates it always has,
+		// even though only the pure SINR decides postamble sync.
+		preambleSNREst(cfg, gains[off:], ivar[off:], ns)
+		rx.PostambleDetected = meanSINR(gains[off:], ivar[off:]) >= DetectSINR
+	}
+
+	if !rx.Detected {
+		return rx
+	}
+
+	// --- Header: lowest rate, CRC-16. ---
+	hr := headerRate()
+	hdrBits, _ := ws.decodeSegment(cfg, tx.hdrSyms, tx.hdrInfoBits, hr,
+		gains[ofdm.PreambleSymbols:dataOff], ivar[ofdm.PreambleSymbols:dataOff], ns)
+	ws.hdrBytes = bitutil.AppendBitsToBytes(ws.hdrBytes[:0], hdrBits)
+	hdrBytes := ws.hdrBytes
+	// Strip to the original header + CRC16 length.
+	want := len(tx.Frame.Header) + 2
+	if len(hdrBytes) >= want {
+		hdrBytes = hdrBytes[:want]
+		crc := uint16(hdrBytes[want-2])<<8 | uint16(hdrBytes[want-1])
+		if bitutil.CRC16CCITT(hdrBytes[:want-2]) == crc {
+			rx.HeaderOK = true
+			rx.Header = hdrBytes[:want-2]
+		}
+	}
+
+	// --- Payload: frame rate, SoftPHY hints, CRC-32. ---
+	r := tx.Frame.Rate
+	info, llrs := ws.decodeSegment(cfg, tx.dataSyms, tx.infoBits, r,
+		gains[dataOff:dataOff+len(tx.dataSyms)], ivar[dataOff:dataOff+len(tx.dataSyms)], ns)
+	ws.hints = growF(ws.hints, len(llrs))
+	rx.Hints = ws.hints
+	for i, l := range llrs {
+		rx.Hints[i] = math.Abs(l)
+	}
+	rx.InfoBitsPerSymbol = T.InfoBitsPerSymbol(r)
+	rx.BitErrors = bitutil.CountBitErrors(info, tx.infoBits)
+	rx.TrueBER = float64(rx.BitErrors) / float64(len(tx.infoBits))
+	ws.body = bitutil.AppendBitsToBytes(ws.body[:0], info)
+	bodyLen := len(tx.Frame.Payload) + 4
+	if len(ws.body) >= bodyLen {
+		if payload, ok := bitutil.CheckCRC32(ws.body[:bodyLen]); ok {
+			rx.PayloadOK = true
+			rx.Payload = payload
+		}
+	}
+	return rx
+}
+
+// decodeSegment passes one encoded segment (header or payload) through the
+// channel symbols and the soft receive pipeline, returning decoded info
+// bits and their a-posteriori LLRs (both aliasing the scratch). It runs
+// the receive front end's two halves back to back — appendTones, which
+// draws the noise, and the pure tail rxTail.segmentLLRs — then the decode.
+func (ws *refScratch) decodeSegment(cfg Config, syms [][]complex128, infoRef []byte, r rate.Rate, gains []complex128, ivar []float64, ns NormSource) (info []byte, llrs []float64) {
+	ws.tones = appendTones(ws.tones[:0], syms, gains, ivar, ns)
+	ws.lattice = growF(ws.lattice, coding.CodedLen(len(infoRef)))
+	ws.tail.segmentLLRs(r, cfg.Mode.CodedBitsPerSymbol(r.Scheme), ws.tones, gains[:len(syms)], ws.lattice)
+	return ws.Coding.DecodeBCJR(ws.lattice, len(infoRef), cfg.Decoder)
+}
 
 // rxSnapshot deep-copies a Reception out of workspace-aliased storage so
 // sequential and batched runs can be compared after their buffers are
@@ -75,7 +203,7 @@ type batchTestFrame struct {
 
 // batchScenario mixes rates, payload lengths, SNRs (including frames below
 // the detection threshold), postambles and interference bursts so the
-// queued path must reproduce every branch of ReceiveWS.
+// queued path must reproduce every branch of refReceive.
 func batchScenario() []batchTestFrame {
 	return []batchTestFrame{
 		{240, 0, 12, false, false},
@@ -90,13 +218,21 @@ func batchScenario() []batchTestFrame {
 	}
 }
 
-// runScenario pushes the scenario through one link, either sequentially or
-// queued with the given flush interval, and returns per-frame snapshots.
+// runScenario's flushEvery values that receive frame by frame.
+const (
+	viaRef     = 0  // refReceive, the oracle
+	viaDeliver = -1 // Link.Deliver, a one-frame queue and flush
+)
+
+// runScenario pushes the scenario through one link — frame by frame
+// (viaRef, viaDeliver) or queued with the given flush interval — and
+// returns per-frame snapshots.
 func runScenario(ws *Workspace, cfg Config, frames []batchTestFrame, seed int64, flushEvery int) []rxSnapshot {
 	rng := rand.New(rand.NewSource(seed + 1))
 	payload := make([]byte, 512)
 	out := make([]rxSnapshot, 0, len(frames))
 	queued := 0
+	var ref refScratch
 	var link *Link
 	for i, f := range frames {
 		// One static-SNR link per frame keeps per-frame SNR control while
@@ -118,33 +254,38 @@ func runScenario(ws *Workspace, cfg Config, frames []batchTestFrame, seed int64,
 			air := tx.Airtime()
 			bursts = []Burst{{Start: start + air*0.3, End: start + air*0.9, Power: 40}}
 		}
-		if flushEvery <= 0 {
+		switch flushEvery {
+		case viaRef:
+			out = append(out, snapshotRx(refDeliver(link, &ref, tx, start, bursts)))
+			continue
+		case viaDeliver:
 			out = append(out, snapshotRx(link.Deliver(tx, start, bursts)))
 			continue
 		}
 		link.QueueDeliver(tx, start, bursts)
 		queued++
 		if queued == flushEvery {
-			for _, rx := range link.FlushDeliveries() {
+			for _, rx := range ws.FlushReceptions() {
 				out = append(out, snapshotRx(rx))
 			}
 			queued = 0
 		}
 	}
 	if flushEvery > 0 && queued > 0 {
-		for _, rx := range link.FlushDeliveries() {
+		for _, rx := range ws.FlushReceptions() {
 			out = append(out, snapshotRx(rx))
 		}
 	}
 	return out
 }
 
-// TestQueueReceiveMatchesSequential pins the batched receive path's
-// bit-identity contract: for the same noise stream, QueueDeliver +
-// FlushReceptions must reproduce Deliver's Receptions exactly — every
-// verdict, every hint bit pattern — at any flush interval, on a dirty
-// workspace, for both decoder modes, with the queued tails split onto the
-// helper goroutine while it is idle and run here while it is busy.
+// TestQueueReceiveMatchesSequential pins the receive path's bit-identity
+// contract: for the same noise stream, QueueDeliver + FlushReceptions must
+// reproduce refReceive's Receptions exactly — every verdict, every hint
+// bit pattern — at any flush interval and through Link.Deliver (a flush
+// of one), on a dirty workspace, for both decoder modes, with the queued
+// tails split onto the helper goroutine while it is idle and run here
+// while it is busy.
 func TestQueueReceiveMatchesSequential(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	frames := batchScenario()
@@ -152,20 +293,24 @@ func TestQueueReceiveMatchesSequential(t *testing.T) {
 		for _, mode := range []coding.BCJRMode{coding.LogMAP, coding.MaxLog} {
 			cfg := DefaultConfig()
 			cfg.Decoder = mode
-			want := runScenario(NewWorkspace(), cfg, frames, 42, 0)
-			for _, flushEvery := range []int{1, 3, len(frames), 100} {
+			want := runScenario(NewWorkspace(), cfg, frames, 42, viaRef)
+			for _, flushEvery := range []int{viaDeliver, 1, 3, len(frames), 100} {
+				row := fmt.Sprintf("flush %d", flushEvery)
+				if flushEvery == viaDeliver {
+					row = "Deliver"
+				}
 				ws := NewWorkspace()
 				// Dirty the workspace (including the batch queue) with a
 				// different scenario first; reuse must be invisible.
 				runScenario(ws, cfg, frames[:4], 7, 2)
 				got := runScenario(ws, cfg, frames, 42, flushEvery)
 				if len(got) != len(want) {
-					t.Fatalf("mode %v flush %d: got %d receptions, want %d", mode, flushEvery, len(got), len(want))
+					t.Fatalf("mode %v %s: got %d receptions, want %d", mode, row, len(got), len(want))
 				}
 				for i := range want {
 					if !sameRx(got[i], want[i]) {
-						t.Errorf("mode %v flush %d: frame %d reception differs from sequential:\n got %+v\nwant %+v",
-							mode, flushEvery, i, got[i], want[i])
+						t.Errorf("mode %v %s: frame %d reception differs from refReceive:\n got %+v\nwant %+v",
+							mode, row, i, got[i], want[i])
 					}
 				}
 			}
@@ -278,7 +423,7 @@ func TestQueuedDeliveriesSurviveRequeue(t *testing.T) {
 	cfg := DefaultConfig()
 	frames := batchScenario()
 	ws := NewWorkspace()
-	want := runScenario(NewWorkspace(), cfg, frames, 9, 0)
+	want := runScenario(NewWorkspace(), cfg, frames, 9, viaRef)
 
 	rng := rand.New(rand.NewSource(10))
 	payload := make([]byte, 512)
@@ -306,7 +451,7 @@ func TestQueuedDeliveriesSurviveRequeue(t *testing.T) {
 		if lastFlush != nil {
 			snaps = append(snaps, snapshotRx(lastFlush[0]))
 		}
-		lastFlush = link.FlushDeliveries()
+		lastFlush = ws.FlushReceptions()
 	}
 	snaps = append(snaps, snapshotRx(lastFlush[0]))
 	if len(snaps) != len(want) {
@@ -316,6 +461,55 @@ func TestQueuedDeliveriesSurviveRequeue(t *testing.T) {
 		if !sameRx(snaps[i], want[i]) {
 			t.Errorf("frame %d reception mutated by queueing the next batch", i)
 		}
+	}
+}
+
+// countNorms counts the variates drawn through it.
+type countNorms struct {
+	ns NormSource
+	n  int
+}
+
+func (c *countNorms) NormFloat64() float64 {
+	c.n++
+	return c.ns.NormFloat64()
+}
+
+// TestReceiveWSPanicsOnQueuedWorkspace pins ReceiveWS's guard: on a
+// workspace that holds a queued reception it panics before drawing any
+// noise, and the next flush still returns that reception unchanged.
+func TestReceiveWSPanicsOnQueuedWorkspace(t *testing.T) {
+	cfg := DefaultConfig()
+	ws := NewWorkspace()
+	payload := make([]byte, 240)
+	rand.New(rand.NewSource(1)).Read(payload)
+	tx := TransmitWS(ws, cfg, Frame{Header: []byte{1, 2}, Payload: payload, Rate: rate.ByIndex(3)})
+	gains := make([]complex128, tx.NumSymbols())
+	ivar := make([]float64, tx.NumSymbols())
+	for j := range gains {
+		gains[j] = complex(2.5, 1.5)
+	}
+	want := snapshotRx(refReceive(nil, cfg, tx, gains, ivar, rand.New(rand.NewSource(2))))
+	ws.QueueReceive(cfg, tx, gains, ivar, rand.New(rand.NewSource(2)))
+
+	ns := &countNorms{ns: rand.New(rand.NewSource(3))}
+	panicked := func() (p bool) {
+		defer func() { p = recover() != nil }()
+		ReceiveWS(ws, cfg, tx, gains, ivar, ns)
+		return false
+	}()
+	if !panicked {
+		t.Fatal("ReceiveWS on a workspace with a queued reception did not panic")
+	}
+	if ns.n != 0 {
+		t.Fatalf("the refused ReceiveWS drew %d noise variates", ns.n)
+	}
+	got := ws.FlushReceptions()
+	if len(got) != 1 {
+		t.Fatalf("flush after the refused ReceiveWS returned %d receptions, want 1", len(got))
+	}
+	if !sameRx(snapshotRx(got[0]), want) {
+		t.Fatalf("queued reception changed by the refused ReceiveWS:\n got %+v\nwant %+v", snapshotRx(got[0]), want)
 	}
 }
 
@@ -342,7 +536,7 @@ func TestBatchReceiveDoesNotAllocateSteadyState(t *testing.T) {
 			tx := TransmitWS(ws, cfg, frame)
 			link.QueueDeliver(tx, float64(i)*0.02, nil)
 		}
-		if got := link.FlushDeliveries(); len(got) != 4 {
+		if got := ws.FlushReceptions(); len(got) != 4 {
 			t.Fatalf("flushed %d receptions, want 4", len(got))
 		}
 	}
@@ -379,11 +573,11 @@ func benchReceive(b *testing.B, batch int) {
 		link.QueueDeliver(tx, float64(i)*0.02, nil)
 		i++
 		if ws.PendingReceives() == batch {
-			link.FlushDeliveries()
+			ws.FlushReceptions()
 		}
 	}
 	if batch > 0 {
-		link.FlushDeliveries()
+		ws.FlushReceptions()
 	}
 }
 

@@ -87,7 +87,7 @@ func (r *replayNorms) NormFloat64() float64 {
 	return x
 }
 
-// calFrame is one pre-generated calibration frame: everything ReceiveWS
+// calFrame is one pre-generated calibration frame: everything QueueReceive
 // needs, with its randomness already drawn from the master stream.
 type calFrame struct {
 	tx       *Transmission
@@ -187,9 +187,9 @@ func calibrate(cc CalibrationConfig, batch int) *BERModel {
 		// Stage 2 (parallel, pure): decode each frame from its replayed
 		// noise stream. Each worker claims a contiguous chunk of frames,
 		// replays their noise through the queued front end and decodes the
-		// chunk in one lockstep batch — bit-identical to per-frame
-		// ReceiveWS, since the batch decoder is exact and each frame
-		// consumes only its own pre-drawn variates.
+		// chunk in one lockstep batch — the same bits at any chunk size,
+		// since the batch decoder is exact and each frame consumes only
+		// its own pre-drawn variates.
 		results := make([]calResult, len(frames))
 		nChunks := (len(frames) + batch - 1) / batch
 		engine.MapWith(cc.Workers, nChunks, NewWorkspace, func(ws *Workspace, c int) struct{} {

@@ -172,8 +172,8 @@ func TestCalibrateSmall(t *testing.T) {
 func TestCalibrateBatchedMatchesSequential(t *testing.T) {
 	// The batched decode stage must not change a single output bit: the
 	// same config must produce deeply equal tables at batch 1 on one
-	// worker (which TestQueueReceiveMatchesSequential ties to per-frame
-	// ReceiveWS) and at any chunk size and worker count.
+	// worker (which TestQueueReceiveMatchesSequential ties to the
+	// per-frame oracle refReceive) and at any chunk size and worker count.
 	if testing.Short() {
 		t.Skip("Monte Carlo calibration is slow")
 	}

@@ -183,11 +183,12 @@ func (t *Transmission) dataSymbolOffset() int {
 	return ofdm.PreambleSymbols + len(t.hdrSyms)
 }
 
-// NoiseDraws returns the number of NormFloat64 variates ReceiveWS consumes
-// for this transmission given the preamble-detection outcome (which is
-// itself pure — see PreambleDetects). The calibration pipeline uses this
-// to pre-draw each frame's noise from the sequential master stream and
-// decode frames in parallel with byte-identical results.
+// NoiseDraws returns the number of NormFloat64 variates the receiver
+// (QueueReceive, and so ReceiveWS and Link.Deliver) consumes for this
+// transmission given the preamble-detection outcome (itself pure — see
+// PreambleDetects). The calibration pipeline uses this to pre-draw each
+// frame's noise from the sequential master stream and decode frames in
+// parallel with byte-identical results.
 func (t *Transmission) NoiseDraws(detected bool) int {
 	perSym := 2 * t.Cfg.Mode.DataTones
 	draws := ofdm.PreambleSymbols * perSym

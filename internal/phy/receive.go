@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"softrate/internal/bitutil"
 	"softrate/internal/channel"
 	"softrate/internal/coding"
 	"softrate/internal/modulation"
@@ -76,34 +75,51 @@ type Link struct {
 	Model *channel.Model
 	// Rng drives the noise; deliveries consume from it.
 	Rng *rand.Rand
-	// WS optionally holds per-worker scratch; when set, Deliver reuses its
-	// buffers and the returned Reception aliases them (valid until the
-	// next delivery). When nil every delivery allocates, as before.
+	// WS optionally holds per-worker scratch; when set, deliveries reuse
+	// its buffers and the returned Receptions alias them (valid until the
+	// next delivery or flush). When nil, Deliver runs on a throwaway
+	// workspace and QueueDeliver panics.
 	WS *Workspace
 }
 
 // Deliver passes a transmission through the channel starting at time start
 // (seconds) with optional interference bursts, and runs the full receive
-// chain. Gains are sampled once per OFDM symbol.
+// chain: a one-frame QueueDeliver and flush (see ReceiveWS).
 func (l *Link) Deliver(tx *Transmission, start float64, bursts []Burst) *Reception {
+	ws := l.WS
+	if ws == nil {
+		ws = NewWorkspace()
+	}
+	gains, ivar := l.sample(ws, tx, start, bursts)
+	return ReceiveWS(ws, l.Cfg, tx, gains, ivar, l.Rng)
+}
+
+// QueueDeliver is Deliver's queued form: it samples the channel and runs
+// the receiver front end now (consuming the link's noise stream exactly as
+// Deliver would) and defers the rest to the next FlushReceptions on the
+// link's workspace. Requires l.WS.
+func (l *Link) QueueDeliver(tx *Transmission, start float64, bursts []Burst) {
+	if l.WS == nil {
+		panic("phy: Link.QueueDeliver requires a Workspace")
+	}
+	gains, ivar := l.sample(l.WS, tx, start, bursts)
+	l.WS.QueueReceive(l.Cfg, tx, gains, ivar, l.Rng)
+}
+
+// sample fills ws's gain and interference scratch for tx's OFDM symbols
+// from time start: the channel gain at each symbol's midpoint and the
+// burst power over the symbol.
+func (l *Link) sample(ws *Workspace, tx *Transmission, start float64, bursts []Burst) ([]complex128, []float64) {
 	T := l.Cfg.Mode.SymbolTime()
 	n := tx.NumSymbols()
-	var gains []complex128
-	var ivar []float64
-	if l.WS != nil {
-		l.WS.gains = growC(l.WS.gains, n)
-		l.WS.ivar = growF(l.WS.ivar, n)
-		gains, ivar = l.WS.gains, l.WS.ivar
-	} else {
-		gains = make([]complex128, n)
-		ivar = make([]float64, n)
-	}
+	ws.gains = growC(ws.gains, n)
+	ws.ivar = growF(ws.ivar, n)
 	for j := 0; j < n; j++ {
 		t0 := start + float64(j)*T
-		gains[j] = l.Model.Gain(t0 + T/2)
-		ivar[j] = burstPower(bursts, t0, t0+T)
+		ws.gains[j] = l.Model.Gain(t0 + T/2)
+		ws.ivar[j] = burstPower(bursts, t0, t0+T)
 	}
-	return ReceiveWS(l.WS, l.Cfg, tx, gains, ivar, l.Rng)
+	return ws.gains, ws.ivar
 }
 
 // burstPower sums the interference power active during [t0, t1), weighting
@@ -126,84 +142,19 @@ func burstPower(bursts []Burst, t0, t1 float64) float64 {
 // noise floor, but — crucially — not the interference power: that is what
 // makes interference manifest as a spike in the SoftPHY-estimated BER.
 //
-// It runs on per-worker scratch: the returned Reception and the
-// slices it references live inside ws and are valid until the next
-// ReceiveWS call on it. A nil ws falls back to a fresh throwaway workspace.
+// It is a one-frame QueueReceive and FlushReceptions on ws: the returned
+// Reception and the slices it references live inside ws and are valid
+// until the next ReceiveWS or FlushReceptions call on it. A nil ws falls
+// back to a fresh throwaway workspace; a ws holding queued receptions
+// panics, untouched.
 func ReceiveWS(ws *Workspace, cfg Config, tx *Transmission, gains []complex128, ivar []float64, ns NormSource) *Reception {
 	if ws == nil {
 		ws = NewWorkspace()
+	} else if ws.PendingReceives() > 0 {
+		panic("phy: ReceiveWS on a workspace with queued receptions")
 	}
-	rx := &ws.rec
-	*rx = Reception{}
-	T := cfg.Mode
-	dataOff := tx.dataSymbolOffset()
-
-	// --- Preamble: SNR estimation and detection. ---
-	// The preamble is a known unit-power pattern on every data tone. The
-	// receiver measures received power and infers SNR; detection requires
-	// the true SINR to clear the sync threshold. Additionally, a colliding
-	// transmission whose power approaches the signal's corrupts the
-	// synchronization correlation (or captures the receiver outright) —
-	// the paper's footnote 1: "if the interferer's signal is much stronger
-	// than the sender's, some PHYs will resynchronize with the interferer
-	// and abort the sender's frame". The noisy power measurement consumes
-	// its variates first; the detection decision itself is pure, which is
-	// what lets the calibration pipeline pre-draw noise streams.
-	preSNREst := preambleSNREst(cfg, gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols], ns)
-	rx.SNREstDB = channel.LinearToDB(preSNREst)
-	rx.Detected = PreambleDetects(gains[:ofdm.PreambleSymbols], ivar[:ofdm.PreambleSymbols])
-
-	// --- Postamble detection (independent of preamble). ---
-	if tx.Frame.Postamble {
-		off := tx.NumSymbols() - ofdm.PostambleSymbols
-		// The power measurement consumes the same variates it always has,
-		// even though only the pure SINR decides postamble sync.
-		preambleSNREst(cfg, gains[off:], ivar[off:], ns)
-		rx.PostambleDetected = meanSINR(gains[off:], ivar[off:]) >= DetectSINR
-	}
-
-	if !rx.Detected {
-		return rx
-	}
-
-	// --- Header: lowest rate, CRC-16. ---
-	hr := headerRate()
-	hdrBits, _ := ws.decodeSegment(cfg, tx.hdrSyms, tx.hdrInfoBits, hr,
-		gains[ofdm.PreambleSymbols:dataOff], ivar[ofdm.PreambleSymbols:dataOff], ns)
-	ws.hdrBytes = bitutil.AppendBitsToBytes(ws.hdrBytes[:0], hdrBits)
-	hdrBytes := ws.hdrBytes
-	// Strip to the original header + CRC16 length.
-	want := len(tx.Frame.Header) + 2
-	if len(hdrBytes) >= want {
-		hdrBytes = hdrBytes[:want]
-		crc := uint16(hdrBytes[want-2])<<8 | uint16(hdrBytes[want-1])
-		if bitutil.CRC16CCITT(hdrBytes[:want-2]) == crc {
-			rx.HeaderOK = true
-			rx.Header = hdrBytes[:want-2]
-		}
-	}
-
-	// --- Payload: frame rate, SoftPHY hints, CRC-32. ---
-	r := tx.Frame.Rate
-	info, llrs := ws.decodeSegment(cfg, tx.dataSyms, tx.infoBits, r,
-		gains[dataOff:dataOff+len(tx.dataSyms)], ivar[dataOff:dataOff+len(tx.dataSyms)], ns)
-	ws.hints = growF(ws.hints, len(llrs))
-	rx.Hints = ws.hints
-	for i, l := range llrs {
-		rx.Hints[i] = math.Abs(l)
-	}
-	rx.InfoBitsPerSymbol = T.InfoBitsPerSymbol(r)
-	rx.BitErrors = bitutil.CountBitErrors(info, tx.infoBits)
-	rx.TrueBER = float64(rx.BitErrors) / float64(len(tx.infoBits))
-	ws.body = bitutil.AppendBitsToBytes(ws.body[:0], info)
-	bodyLen := len(tx.Frame.Payload) + 4
-	if len(ws.body) >= bodyLen {
-		if payload, ok := bitutil.CheckCRC32(ws.body[:bodyLen]); ok {
-			rx.PayloadOK = true
-			rx.Payload = payload
-		}
-	}
-	return rx
+	ws.QueueReceive(cfg, tx, gains, ivar, ns)
+	return ws.FlushReceptions()[0]
 }
 
 // meanPower averages |h|^2 over a gain slice.
@@ -238,7 +189,12 @@ func meanSINR(gains []complex128, ivar []float64) float64 {
 
 // PreambleDetects reports whether the receiver synchronizes with a frame
 // whose preamble experienced the given per-symbol gains and interference
-// variances. It is pure — the detection decision consumes no randomness —
+// variances: the true SINR must clear the sync threshold, and an
+// interferer above half the signal's power corrupts the synchronization
+// correlation or captures the receiver outright — the paper's footnote 1:
+// "if the interferer's signal is much stronger than the sender's, some
+// PHYs will resynchronize with the interferer and abort the sender's
+// frame". It is pure — the detection decision consumes no randomness —
 // so the calibration pipeline can predict a frame's noise consumption
 // before decoding it.
 func PreambleDetects(gains []complex128, ivar []float64) bool {
@@ -276,18 +232,6 @@ func preambleSNREst(cfg Config, gains []complex128, ivar []float64, ns NormSourc
 		snrEst = 1e-3
 	}
 	return snrEst
-}
-
-// decodeSegment passes one encoded segment (header or payload) through the
-// channel symbols and the soft receive pipeline, returning decoded info
-// bits and their a-posteriori LLRs (both aliasing the workspace). It runs
-// the receive front end's two halves back to back — appendTones, which
-// draws the noise, and the pure tail rxTail.segmentLLRs — then the decode.
-func (ws *Workspace) decodeSegment(cfg Config, syms [][]complex128, infoRef []byte, r rate.Rate, gains []complex128, ivar []float64, ns NormSource) (info []byte, llrs []float64) {
-	ws.tones = appendTones(ws.tones[:0], syms, gains, ivar, ns)
-	ws.lattice = growF(ws.lattice, coding.CodedLen(len(infoRef)))
-	ws.bq.tail[0].segmentLLRs(r, cfg.Mode.CodedBitsPerSymbol(r.Scheme), ws.tones, gains[:len(syms)], ws.lattice)
-	return ws.Coding.DecodeBCJR(ws.lattice, len(infoRef), cfg.Decoder)
 }
 
 // appendTones is the first half of a segment's receive front end: it

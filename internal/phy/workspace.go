@@ -1,36 +1,24 @@
 package phy
 
-import (
-	"softrate/internal/coding"
-)
-
 // Workspace holds the per-worker scratch memory of the PHY chain so that
 // steady-state transmit and receive perform zero heap allocations. A
 // Workspace is owned by one goroutine at a time — the experiment engine
 // hands one to each worker — and the Transmission and Reception values
-// produced through it alias its internal buffers: they are valid until the
-// next TransmitWS / ReceiveWS call on the same Workspace.
+// produced through it alias its internal buffers: a Transmission is valid
+// until the next TransmitWS call on the same Workspace, a Reception until
+// the next ReceiveWS or FlushReceptions call. Every reception, one frame
+// or a batch, runs through the receive queue (batch.go).
 //
 // Reuse is contractually invisible: for identical inputs (including the
 // noise stream), the workspace chain produces bit-for-bit the same frames,
 // hints and verdicts as a fresh workspace (and as the allocating Transmit).
 type Workspace struct {
-	// Coding is the decoder scratch (BCJR/Viterbi planes), exported so
-	// callers driving the decoders directly can share one set of planes
-	// with the full receive chain.
-	Coding coding.Workspace
+	// Receive-side scratch: one delivery's per-symbol gains and
+	// interference variances.
+	gains []complex128
+	ivar  []float64
 
-	// Receive-side scratch.
-	gains    []complex128
-	ivar     []float64
-	tones    []complex128 // one segment's received tones
-	lattice  []float64    // its depunctured LLRs
-	hints    []float64
-	hdrBytes []byte
-	body     []byte
-	rec      Reception
-
-	// Batched receive state (QueueReceive / FlushReceptions, batch.go).
+	// The receive queue (QueueReceive / FlushReceptions, batch.go).
 	bq batchQueue
 
 	// Transmit-side scratch.
