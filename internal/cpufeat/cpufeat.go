@@ -1,5 +1,6 @@
 // Package cpufeat reports the x86 vector extensions the vector kernels in
-// internal/coding and internal/vmath need. A feature counts only when
+// internal/coding and internal/vmath need: AVX2 and FMA for both, AVX-512
+// for coding's eight-lane log-MAP kernels only. A feature counts only when
 // the CPU has it and the OS saves the register state it uses, so a true
 // flag means the kernel may run. Other architectures report no features.
 package cpufeat

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"softrate/internal/channel"
 	"softrate/internal/experiments/engine"
@@ -86,14 +87,7 @@ func runFig1(o Options) []*Table {
 }
 
 func median(v []float64) float64 {
-	s := append([]float64(nil), v...)
-	for i := range s {
-		for j := i + 1; j < len(s); j++ {
-			if s[j] < s[i] {
-				s[i], s[j] = s[j], s[i]
-			}
-		}
-	}
+	s := slices.Sorted(slices.Values(v))
 	return s[len(s)/2]
 }
 

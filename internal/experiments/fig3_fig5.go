@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"softrate/internal/channel"
 	"softrate/internal/experiments/engine"
@@ -191,7 +192,7 @@ func runFig5(o Options) []*Table {
 	for k := range bins {
 		keys = append(keys, k)
 	}
-	sortInts(keys)
+	slices.Sort(keys)
 	monoOK, spacingOK, spacingTotal, total := 0, 0, 0, 0
 	for _, k := range keys {
 		a := bins[k]
@@ -252,14 +253,4 @@ func pow10(k int) float64 {
 		v /= 10
 	}
 	return v
-}
-
-func sortInts(v []int) {
-	for i := range v {
-		for j := i + 1; j < len(v); j++ {
-			if v[j] < v[i] {
-				v[i], v[j] = v[j], v[i]
-			}
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"softrate/internal/channel"
 	"softrate/internal/experiments/engine"
@@ -154,7 +155,7 @@ func runFig7(o Options) []*Table {
 	for k := range pools {
 		keys = append(keys, k)
 	}
-	sortInts(keys)
+	slices.Sort(keys)
 	agree := 0
 	measurable := 0
 	for _, k := range keys {
@@ -243,7 +244,7 @@ func runFig8(o Options) []*Table {
 	for c := range idx {
 		centers = append(centers, c)
 	}
-	sortFloats(centers)
+	slices.Sort(centers)
 	agreeBoth := 0
 	nBoth := 0
 	for _, c := range centers {
@@ -319,7 +320,7 @@ func runFig9(o Options) []*Table {
 	for c := range idx {
 		centers = append(centers, c)
 	}
-	sortFloats(centers)
+	slices.Sort(centers)
 	diverge := 0
 	shared := 0
 	for _, c := range centers {
@@ -353,14 +354,4 @@ func snrSweep(lo, hi float64, n int) []float64 {
 		out[i] = lo + (hi-lo)*float64(i)/float64(n-1)
 	}
 	return out
-}
-
-func sortFloats(v []float64) {
-	for i := range v {
-		for j := i + 1; j < len(v); j++ {
-			if v[j] < v[i] {
-				v[i], v[j] = v[j], v[i]
-			}
-		}
-	}
 }

@@ -219,9 +219,8 @@ func TestGenerateAllocations(t *testing.T) {
 }
 
 // TestGenerateSameAtEveryKernelLevel generates every genChannels case
-// with vmath's kernels off and at each level the host runs — on an
-// AVX-512 host that includes the four-lane cosine — and requires the same
-// trace.
+// with vmath's kernels off and at each level the host runs, and requires
+// the same trace.
 func TestGenerateSameAtEveryKernelLevel(t *testing.T) {
 	prev := vmath.SetLevel(vmath.Scalar)
 	defer vmath.SetLevel(prev)

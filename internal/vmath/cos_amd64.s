@@ -3,55 +3,45 @@
 #include "textflag.h"
 
 // The kernels here evaluate math.Cos(w*t + phi) four lanes at a time
-// (AVX2), and cosSumsAVX512 eight, by replaying the operation sequence of
-// math's pure-Go cos (sin.go) lane for lane: the argument as a multiply
-// then an add, |x|, x*(4/Pi) truncated to the octant j, the odd-octant
-// bump, the three-part Cody-Waite reduction, the octant's Cephes
-// polynomial in Go's evaluation order, and the sign flip. Packed IEEE-754
-// ops are lane-wise identical to their scalar forms and no FMA is used,
-// so every in-range lane is the exact float64 math.Cos returns. Lanes that
-// math.Cos sends elsewhere — NaN, ±Inf and |x| >= 2^29 (its Payne-Hanek
-// trigReduce path) — are stored as garbage and reported in the returned
-// fixup mask for the Go wrapper to redo. cosLanesAVX2 takes one t and a
-// lane per (w, phi); cosSums* take a lane per t and loop over the (w, phi)
-// pairs, adding each lane's cosines from zero in ascending pair order. The
-// AVX-512 body is the AVX2 one on ZMM registers, with opmask blends; the
-// constants are 64 bytes wide and the AVX2 kernels read their first 32.
+// (AVX2) by replaying the operation sequence of math's pure-Go cos
+// (sin.go) lane for lane: the argument as a multiply then an add, |x|,
+// x*(4/Pi) truncated to the octant j, the odd-octant bump, the three-part
+// Cody-Waite reduction, the octant's Cephes polynomial in Go's evaluation
+// order, and the sign flip. Packed IEEE-754 ops are lane-wise identical
+// to their scalar forms and no FMA is used, so every in-range lane is the
+// exact float64 math.Cos returns. Lanes that math.Cos sends elsewhere —
+// NaN, ±Inf and |x| >= 2^29 (its Payne-Hanek trigReduce path) — are
+// stored as garbage and reported in the returned fixup mask for the Go
+// wrapper to redo. cosLanesAVX2 takes one t and a lane per (w, phi);
+// cosSumsAVX2 takes a lane per t and loops over the (w, phi) pairs,
+// adding each lane's cosines from zero in ascending pair order. Each
+// constant is as wide as the register that reads it.
 
-#define CONST8(name, bits) \
+#define CONST4(name, bits) \
 	DATA name<>+0(SB)/8, $bits \
 	DATA name<>+8(SB)/8, $bits \
 	DATA name<>+16(SB)/8, $bits \
 	DATA name<>+24(SB)/8, $bits \
-	DATA name<>+32(SB)/8, $bits \
-	DATA name<>+40(SB)/8, $bits \
-	DATA name<>+48(SB)/8, $bits \
-	DATA name<>+56(SB)/8, $bits \
-	GLOBL name<>(SB), RODATA|NOPTR, $64
+	GLOBL name<>(SB), RODATA|NOPTR, $32
 
-CONST8(cosAbs, 0x7FFFFFFFFFFFFFFF)
-CONST8(cosSign, 0x8000000000000000)
-CONST8(cosReduce, 0x41C0000000000000)  // reduceThreshold = 2^29
-CONST8(cos4OverPi, 0x3FF45F306DC9C883) // 4/Pi
-CONST8(cosPI4A, 0x3FE921FB40000000)
-CONST8(cosPI4B, 0x3E64442D00000000)
-CONST8(cosPI4C, 0x3CE8469898CC5170)
-CONST8(cosHalf, 0x3FE0000000000000)
-CONST8(cosOne, 0x3FF0000000000000)
-CONST8(cosBit1, 2)
-// _cos[i] and _sin[i] of sin.go side by side in each 128-bit quarter, so
+CONST4(cosAbs, 0x7FFFFFFFFFFFFFFF)
+CONST4(cosSign, 0x8000000000000000)
+CONST4(cosReduce, 0x41C0000000000000)  // reduceThreshold = 2^29
+CONST4(cos4OverPi, 0x3FF45F306DC9C883) // 4/Pi
+CONST4(cosPI4A, 0x3FE921FB40000000)
+CONST4(cosPI4B, 0x3E64442D00000000)
+CONST4(cosPI4C, 0x3CE8469898CC5170)
+CONST4(cosHalf, 0x3FE0000000000000)
+CONST4(cosOne, 0x3FF0000000000000)
+// _cos[i] and _sin[i] of sin.go side by side in each 128-bit half, so
 // VPERMILPD with j as its control picks each lane's coefficient: bit 1 of
-// a control qword selects the quarter's second element.
+// a control qword selects the half's second element.
 #define PAIR4(name, cbits, sbits) \
 	DATA name<>+0(SB)/8, $cbits \
 	DATA name<>+8(SB)/8, $sbits \
 	DATA name<>+16(SB)/8, $cbits \
 	DATA name<>+24(SB)/8, $sbits \
-	DATA name<>+32(SB)/8, $cbits \
-	DATA name<>+40(SB)/8, $sbits \
-	DATA name<>+48(SB)/8, $cbits \
-	DATA name<>+56(SB)/8, $sbits \
-	GLOBL name<>(SB), RODATA|NOPTR, $64
+	GLOBL name<>(SB), RODATA|NOPTR, $32
 
 PAIR4(cosP0, 0xBDA8FA49A0861A9B, 0x3DE5D8FD1FD19CCD)
 PAIR4(cosP1, 0x3E21EE9D7B4E3F05, 0xBE5AE5E5A9291F5D)
@@ -60,12 +50,10 @@ PAIR4(cosP3, 0x3EFA01A019C844F5, 0xBF2A01A019BFDF03)
 PAIR4(cosP4, 0xBF56C16C16C14F91, 0x3F8111111110F7D0)
 PAIR4(cosP5, 0x3FA555555555554B, 0xBFC5555555555548)
 
-// int32 1 in each of eight lanes, for the odd-octant bump.
+// int32 1 in each of four lanes, for the odd-octant bump.
 DATA cosOdd<>+0(SB)/8, $0x0000000100000001
 DATA cosOdd<>+8(SB)/8, $0x0000000100000001
-DATA cosOdd<>+16(SB)/8, $0x0000000100000001
-DATA cosOdd<>+24(SB)/8, $0x0000000100000001
-GLOBL cosOdd<>(SB), RODATA|NOPTR, $32
+GLOBL cosOdd<>(SB), RODATA|NOPTR, $16
 
 // COS4 sets Y8 = cos(Y0) for Y0 = |x| in range, clobbering Y1-Y10:
 // j = uint64(x * (4/Pi)), bumped to even (j&7 is then 0, 2, 4 or 6);
@@ -125,58 +113,6 @@ GLOBL cosOdd<>(SB), RODATA|NOPTR, $32
 	VPSLLQ $61, Y10, Y10 \
 	VANDPD cosSign<>(SB), Y10, Y10 \
 	VXORPD Y10, Y8, Y8
-
-// COS8 is COS4 on Z0-Z10, the sine octants selected by opmask K2.
-#define COS8 \
-	VMULPD cos4OverPi<>(SB), Z0, Z2 \
-	VCVTTPD2DQ Z2, Y2 \
-	VPAND cosOdd<>(SB), Y2, Y3 \
-	VPADDD Y3, Y2, Y2 \
-	VCVTDQ2PD Y2, Z3 \
-	VMULPD cosPI4A<>(SB), Z3, Z4 \
-	VSUBPD Z4, Z0, Z0 \
-	VMULPD cosPI4B<>(SB), Z3, Z4 \
-	VSUBPD Z4, Z0, Z0 \
-	VMULPD cosPI4C<>(SB), Z3, Z4 \
-	VSUBPD Z4, Z0, Z0 \
-	VMULPD Z0, Z0, Z1 \
-	VPMOVZXDQ Y2, Z2 \
-	VMOVUPD cosP0<>(SB), Z4 \
-	VPERMILPD Z2, Z4, Z4 \
-	VMULPD Z1, Z4, Z4 \
-	VMOVUPD cosP1<>(SB), Z5 \
-	VPERMILPD Z2, Z5, Z5 \
-	VADDPD Z5, Z4, Z4 \
-	VMULPD Z1, Z4, Z4 \
-	VMOVUPD cosP2<>(SB), Z5 \
-	VPERMILPD Z2, Z5, Z5 \
-	VADDPD Z5, Z4, Z4 \
-	VMULPD Z1, Z4, Z4 \
-	VMOVUPD cosP3<>(SB), Z5 \
-	VPERMILPD Z2, Z5, Z5 \
-	VADDPD Z5, Z4, Z4 \
-	VMULPD Z1, Z4, Z4 \
-	VMOVUPD cosP4<>(SB), Z5 \
-	VPERMILPD Z2, Z5, Z5 \
-	VADDPD Z5, Z4, Z4 \
-	VMULPD Z1, Z4, Z4 \
-	VMOVUPD cosP5<>(SB), Z5 \
-	VPERMILPD Z2, Z5, Z5 \
-	VADDPD Z5, Z4, Z4 \
-	VPTESTMQ cosBit1<>(SB), Z2, K2 \
-	VMULPD cosHalf<>(SB), Z1, Z7 \
-	VMOVUPD cosOne<>(SB), Z8 \
-	VSUBPD Z7, Z8, Z8 \
-	VBLENDMPD Z0, Z8, K2, Z8 \
-	VBLENDMPD Z0, Z1, K2, Z6 \
-	VMULPD Z1, Z6, Z6 \
-	VMULPD Z4, Z6, Z6 \
-	VADDPD Z6, Z8, Z8 \
-	VPSLLQ $1, Z2, Z10 \
-	VPXORQ Z2, Z10, Z10 \
-	VPSLLQ $61, Z10, Z10 \
-	VPANDQ cosSign<>(SB), Z10, Z10 \
-	VPXORQ Z10, Z8, Z8
 
 // func cosLanesAVX2(dst, w, phi *float64, t float64, n int) uint64
 //
@@ -268,58 +204,6 @@ sums4osc:
 sums4cond:
 	TESTQ R10, R10
 	JNZ   sums4
-	VZEROUPPER
-	MOVQ  R8, ret+48(FP)
-	RET
-
-// func cosSumsAVX512(dst, ts, w, phi *float64, n, m int) uint64
-//
-// cosSumsAVX2 on eight lanes: m is a multiple of 8.
-TEXT ·cosSumsAVX512(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ ts+8(FP), SI
-	MOVQ w+16(FP), R11
-	MOVQ phi+24(FP), R12
-	MOVQ n+32(FP), R13
-	MOVQ m+40(FP), R10
-	SHRQ $3, R10
-	XORQ R8, R8                         // fixup mask
-	XORQ CX, CX                         // lane base
-	VMOVUPD cosAbs<>(SB), Z14
-	VMOVUPD cosReduce<>(SB), Z13
-	JMP  sums8cond
-
-sums8:
-	VMOVUPD (SI), Z15                   // t
-	VPXORQ Z12, Z12, Z12                // sum = +0
-	KXORB K3, K3, K3                    // lanes out of range
-	XORQ BX, BX                         // k
-
-sums8osc:
-	VBROADCASTSD (R11)(BX*8), Z0
-	VMULPD Z15, Z0, Z0                  // w*t
-	VBROADCASTSD (R12)(BX*8), Z1
-	VADDPD Z1, Z0, Z0                   // x = w*t + phi
-	VPANDQ Z14, Z0, Z0                  // x = |x|
-	VCMPPD $5, Z13, Z0, K1              // out of range: !(x < 2^29), true on NaN
-	KORB K1, K3, K3
-	COS8
-	VADDPD Z8, Z12, Z12                 // sum += cos
-	INCQ BX
-	CMPQ BX, R13
-	JLT  sums8osc
-	VMOVUPD Z12, (DI)
-	KMOVB K3, AX
-	SHLQ CX, AX
-	ORQ  AX, R8
-	ADDQ $64, DI
-	ADDQ $64, SI
-	ADDQ $8, CX
-	DECQ R10
-
-sums8cond:
-	TESTQ R10, R10
-	JNZ   sums8
 	VZEROUPPER
 	MOVQ  R8, ret+48(FP)
 	RET

@@ -10,8 +10,7 @@
 //   - LogAddLanes replays LogAdd in AVX2 and FMA: the swap, the d > 30
 //     cutoff, ExpLanes' sequence for Exp(-d) and the pure-Go
 //     math.Log1p's branches for its argument in [e^-30, 1];
-//   - CosLanes and CosSums replay the pure-Go math.Cos (sin.go) in AVX2,
-//     CosSums eight lanes a step with AVX-512.
+//   - CosLanes and CosSums replay the pure-Go math.Cos (sin.go) in AVX2.
 //
 // Each kernel returns a fixup mask of the lanes package math special-cases
 // (non-finite input, overflow, a subnormal result, x ≤ 0, a huge cosine
@@ -35,8 +34,6 @@ const (
 	// AVX2 runs the four-lane kernels: the cosine and Log need AVX2, Exp
 	// and LogAdd also FMA.
 	AVX2
-	// AVX512 is AVX2 with CosSums on eight lanes.
-	AVX512
 )
 
 // Host is the highest level this CPU runs, and the level in force unless
@@ -45,9 +42,8 @@ const (
 var Host = hostLevel()
 
 var (
-	level                  Level
-	cosWidth               int // lanes per CosSums kernel step; 0 runs math.Cos
-	useExp, useLog, useAdd bool
+	level                          Level
+	useExp, useLog, useAdd, useCos bool
 )
 
 func init() { SetLevel(Host) }
@@ -62,21 +58,12 @@ func SetLevel(l Level) (prev Level) {
 	useExp = l >= AVX2 && expKernelOK
 	useLog = l >= AVX2 && logKernelOK
 	useAdd = l >= AVX2 && addKernelOK
-	cosWidth = 0
-	switch {
-	case l >= AVX512 && cos8KernelOK:
-		cosWidth = 8
-	case l >= AVX2 && cos4KernelOK:
-		cosWidth = 4
-	}
+	useCos = l >= AVX2 && cosKernelOK
 	return prev
 }
 
 func hostLevel() Level {
-	switch {
-	case cos8KernelOK:
-		return AVX512
-	case cos4KernelOK || expKernelOK || logKernelOK || addKernelOK:
+	if cosKernelOK || expKernelOK || logKernelOK || addKernelOK {
 		return AVX2
 	}
 	return Scalar
@@ -193,7 +180,7 @@ func unary(f fn, dst, x []float64) int {
 func CosLanes(dst, w, phi []float64, t float64) {
 	w, phi = w[:len(dst)], phi[:len(dst)]
 	i := 0
-	if cosWidth != 0 {
+	if useCos {
 		i = cosKernel(len(dst)&^3, dst, w, phi, t)
 	}
 	for ; i < len(dst); i++ {
@@ -217,20 +204,19 @@ func cosKernel(n int, dst, w, phi []float64, t float64) int {
 // CosSums sets dst[j] = Σ_k math.Cos(w[k]*ts[j] + phi[k]) over every k <
 // len(w), each sum added from zero in ascending k, for every j < len(dst).
 // ts must be at least as long as dst and phi as w, and none may overlap
-// dst. The kernels take a lane per time, so the cosines of one (w, phi)
+// dst. The kernel takes a lane per time, so the cosines of one (w, phi)
 // pair run side by side and each lane keeps its own running sum.
 func CosSums(dst, ts, w, phi []float64) {
 	ts, phi = ts[:len(dst)], phi[:len(w)]
-	if cosWidth == 0 || len(w) == 0 {
+	if !useCos || len(w) == 0 {
 		for j, t := range ts {
 			dst[j] = cosSum(t, w, phi)
 		}
 		return
 	}
-	n := len(dst) &^ (cosWidth - 1)
+	n := len(dst) &^ 3
 	for j := 0; j < n; j += 64 {
-		m := min(64, n-j)
-		fix := cosSumsKernel(cosWidth, &dst[j], &ts[j], w, phi, m)
+		fix := cosSumsAVX2(&dst[j], &ts[j], &w[0], &phi[0], len(w), min(64, n-j))
 		for ; fix != 0; fix &= fix - 1 {
 			i := j + bits.TrailingZeros64(fix)
 			dst[i] = cosSum(ts[i], w, phi)
@@ -238,27 +224,18 @@ func CosSums(dst, ts, w, phi []float64) {
 	}
 	if rem := len(dst) - n; rem > 0 {
 		// The tail through one kernel step, padded with its first time.
-		var tt, out [8]float64
+		var tt, out [4]float64
 		copy(tt[:], ts[n:])
-		for i := rem; i < cosWidth; i++ {
+		for i := rem; i < len(tt); i++ {
 			tt[i] = ts[n]
 		}
-		fix := cosSumsKernel(cosWidth, &out[0], &tt[0], w, phi, cosWidth)
+		fix := cosSumsAVX2(&out[0], &tt[0], &w[0], &phi[0], len(w), len(tt))
 		copy(dst[n:], out[:rem])
 		for fix &= 1<<rem - 1; fix != 0; fix &= fix - 1 {
 			i := n + bits.TrailingZeros64(fix)
 			dst[i] = cosSum(ts[i], w, phi)
 		}
 	}
-}
-
-// cosSumsKernel runs the width-lane cosine-sum kernel over m lanes and
-// returns its fixup mask.
-func cosSumsKernel(width int, dst, ts *float64, w, phi []float64, m int) uint64 {
-	if width == 8 {
-		return cosSumsAVX512(dst, ts, &w[0], &phi[0], len(w), m)
-	}
-	return cosSumsAVX2(dst, ts, &w[0], &phi[0], len(w), m)
 }
 
 // cosSum is one lane of CosSums with package math.

@@ -11,11 +11,10 @@ import (
 // Each kernel runs only where its CPU features hold and its init probe
 // returns package math's bits on every probe lane.
 var (
-	expKernelOK  = cpufeat.AVX2 && cpufeat.FMA && probeUnary(expFn, math.Exp, expProbes())
-	logKernelOK  = cpufeat.AVX2 && probeUnary(logFn, math.Log, logProbes())
-	addKernelOK  = cpufeat.AVX2 && cpufeat.FMA && probeLogAdd()
-	cos4KernelOK = cpufeat.AVX2 && probeCos(4)
-	cos8KernelOK = cos4KernelOK && cpufeat.AVX512 && probeCos(8)
+	expKernelOK = cpufeat.AVX2 && cpufeat.FMA && probeUnary(expFn, math.Exp, expProbes())
+	logKernelOK = cpufeat.AVX2 && probeUnary(logFn, math.Log, logProbes())
+	addKernelOK = cpufeat.AVX2 && cpufeat.FMA && probeLogAdd()
+	cosKernelOK = cpufeat.AVX2 && probeCos()
 )
 
 // expLanesAVX2 sets dst[i] = math.Exp(x[i]) over n lanes (n a multiple
@@ -105,10 +104,9 @@ func probeLogAdd() bool {
 	return true
 }
 
-// probeCos reports whether the four-lane cosine kernel and the width-lane
-// sums kernel return math.Cos's bits, and its sums, on a spread of
-// arguments in every octant.
-func probeCos(width int) bool {
+// probeCos reports whether the cosine kernel and the sums kernel return
+// math.Cos's bits, and its sums, on a spread of arguments in every octant.
+func probeCos() bool {
 	var dst, w, phi [64]float64
 	for i := range w {
 		w[i] = float64(i-32) * 97.3
@@ -122,8 +120,8 @@ func probeCos(width int) bool {
 		}
 	}
 	ts := [8]float64{0, t, 0.5, 1, 2.25, 3, 7.5, 9}
-	cosSumsKernel(width, &dst[0], &ts[0], w[:], phi[:], width)
-	for j, d := range dst[:width] {
+	cosSumsAVX2(&dst[0], &ts[0], &w[0], &phi[0], len(w), len(ts))
+	for j, d := range dst[:len(ts)] {
 		if math.Float64bits(d) != math.Float64bits(cosSum(ts[j], w[:], phi[:])) {
 			return false
 		}
@@ -138,8 +136,3 @@ func probeCos(width int) bool {
 //
 //go:noescape
 func cosSumsAVX2(dst, ts, w, phi *float64, n, m int) uint64
-
-// cosSumsAVX512 is cosSumsAVX2 eight lanes a step: m is a multiple of 8.
-//
-//go:noescape
-func cosSumsAVX512(dst, ts, w, phi *float64, n, m int) uint64

@@ -4,11 +4,10 @@ package vmath
 
 // Off amd64 every lane runs package math.
 const (
-	expKernelOK  = false
-	logKernelOK  = false
-	addKernelOK  = false
-	cos4KernelOK = false
-	cos8KernelOK = false
+	expKernelOK = false
+	logKernelOK = false
+	addKernelOK = false
+	cosKernelOK = false
 )
 
 func expLanesAVX2(dst, x *float64, n int) uint64 { panic("vmath: no vector kernels off amd64") }
@@ -23,9 +22,5 @@ func cosLanesAVX2(dst, w, phi *float64, t float64, n int) uint64 {
 }
 
 func cosSumsAVX2(dst, ts, w, phi *float64, n, m int) uint64 {
-	panic("vmath: no vector kernels off amd64")
-}
-
-func cosSumsAVX512(dst, ts, w, phi *float64, n, m int) uint64 {
 	panic("vmath: no vector kernels off amd64")
 }

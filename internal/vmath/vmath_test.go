@@ -287,8 +287,7 @@ func TestKernelsPassTheirProbes(t *testing.T) {
 		{"Exp, AVX2", fma, expKernelOK},
 		{"Log, AVX2", cpufeat.AVX2, logKernelOK},
 		{"LogAdd, AVX2", fma, addKernelOK},
-		{"cosine, AVX2", cpufeat.AVX2, cos4KernelOK},
-		{"cosine sums, AVX-512", cpufeat.AVX2 && cpufeat.AVX512, cos8KernelOK},
+		{"cosine, AVX2", cpufeat.AVX2, cosKernelOK},
 	} {
 		if k.has && !k.ok {
 			t.Errorf("the %s kernel disagreed with package math at init", k.name)
@@ -299,18 +298,14 @@ func TestKernelsPassTheirProbes(t *testing.T) {
 func TestSetLevel(t *testing.T) {
 	prev := SetLevel(Scalar)
 	defer SetLevel(prev)
-	if useExp || useLog || useAdd || cosWidth != 0 {
-		t.Fatalf("Scalar level left kernels on: exp %v log %v logadd %v cos width %d", useExp, useLog, useAdd, cosWidth)
+	if useExp || useLog || useAdd || useCos {
+		t.Fatalf("Scalar level left kernels on: exp %v log %v logadd %v cos %v", useExp, useLog, useAdd, useCos)
 	}
-	if got := SetLevel(AVX512 + 1); got != Scalar {
+	if got := SetLevel(AVX2 + 1); got != Scalar {
 		t.Fatalf("SetLevel returned %d, want the Scalar level set before", got)
 	}
 	if level != Host {
 		t.Fatalf("level %d above the host's %d", level, Host)
-	}
-	// On an AVX-512 host, level AVX2 still runs the four-lane sums.
-	if SetLevel(AVX2); cos4KernelOK && cosWidth != 4 {
-		t.Fatalf("level AVX2 runs CosSums %d lanes a step, want 4", cosWidth)
 	}
 }
 
@@ -318,7 +313,7 @@ func TestSetLevel(t *testing.T) {
 // arm being package math one lane at a time.
 func benchLanes(b *testing.B, lanes func(dst, x []float64), xs []float64) {
 	dst := make([]float64, len(xs))
-	for l := Scalar; l <= min(Host, AVX2); l++ {
+	for l := Scalar; l <= Host; l++ {
 		b.Run(fmt.Sprintf("level%d", l), func(b *testing.B) {
 			prev := SetLevel(l)
 			defer SetLevel(prev)
@@ -353,7 +348,7 @@ func BenchmarkLogAddLanes(b *testing.B) {
 		c[i] = a[i] - float64(i)*0.45
 	}
 	dst := make([]float64, 64)
-	for l := Scalar; l <= min(Host, AVX2); l++ {
+	for l := Scalar; l <= Host; l++ {
 		b.Run(fmt.Sprintf("level%d", l), func(b *testing.B) {
 			prev := SetLevel(l)
 			defer SetLevel(prev)
@@ -373,7 +368,7 @@ func BenchmarkCosLanes(b *testing.B) {
 		w[i] = float64(i+1) * 2 * math.Pi * 40
 		phi[i] = float64(i%7) - 3
 	}
-	for l := Scalar; l <= min(Host, AVX2); l++ {
+	for l := Scalar; l <= Host; l++ {
 		b.Run(fmt.Sprintf("level%d", l), func(b *testing.B) {
 			prev := SetLevel(l)
 			defer SetLevel(prev)
