@@ -63,29 +63,87 @@ type Mix struct {
 type FrameIter struct {
 	lt   *LinkTrace
 	mix  Mix
-	rng  *rand.Rand
-	pos  int // next slot, 0..Len()-1
+	rng  *rand.Rand // nil unless mix.CollisionProb > 0
+	pos  int        // next slot, 0..Len()-1
 	wrap int
 }
 
 // Frames returns a replay iterator over the trace, one frame per snapshot
-// slot. The seed drives the iterator's private randomness: the starting
-// slot offset (so concurrent replays of one shared trace don't walk in
-// lockstep) and nothing else — a zero-Mix replay visits every snapshot
-// deterministically.
+// slot. The seed picks only the starting slot offset (so concurrent replays
+// of one shared trace don't walk in lockstep): it is
+// rand.New(rand.NewSource(seed)).Intn(Len()) bit for bit, computed in O(1),
+// and the iterator holds no generator. A zero-Mix replay visits every
+// snapshot deterministically.
 func (lt *LinkTrace) Frames(seed int64) *FrameIter {
 	return lt.FramesMix(seed, Mix{})
 }
 
 // FramesMix is Frames with a synthetic interference overlay; the same seed
-// always yields the same event sequence for the same rate decisions.
+// always yields the same event sequence for the same rate decisions. The
+// start slot is math/rand's first draw for the seed, as in Frames; only a
+// Mix with a positive CollisionProb keeps that math/rand source, whose
+// later draws decide the collisions.
 func (lt *LinkTrace) FramesMix(seed int64, mix Mix) *FrameIter {
-	rng := rand.New(rand.NewSource(seed))
-	it := &FrameIter{lt: lt, mix: mix, rng: rng}
-	if n := it.Len(); n > 0 {
-		it.pos = rng.Intn(n)
+	it := &FrameIter{lt: lt, mix: mix}
+	n := it.Len()
+	switch {
+	case mix.CollisionProb > 0:
+		it.rng = rand.New(rand.NewSource(seed))
+		if n > 0 {
+			it.pos = it.rng.Intn(n)
+		}
+	case n > 0:
+		it.pos = firstIntn(seed, n)
 	}
 	return it
+}
+
+const int32max = 1<<31 - 1 // math/rand's Lehmer modulus
+
+// lehmerPow holds 48271^k mod (2^31−1) for k = 1020–1022 and 1839–1841.
+var lehmerPow = func() (p [6]uint64) {
+	x := uint64(1)
+	for k := 1; k <= 1841; k++ {
+		x = x * 48271 % int32max
+		if k >= 1020 && k <= 1022 {
+			p[k-1020] = x
+		} else if k >= 1839 {
+			p[k-1836] = x
+		}
+	}
+	return p
+}()
+
+// firstIntn returns rand.New(rand.NewSource(seed)).Intn(n) in O(1). Seeding
+// reduces the seed mod 2^31−1 and runs Lehmer's x_{k+1} = 48271·x_k
+// mod (2^31−1) from it; feedback word i is
+// x_{21+3i}<<40 ^ x_{22+3i}<<20 ^ x_{23+3i} ^ rngCooked[i], and the first
+// Uint64 is word 333 + word 606 (Go 1 compatibility freezes this stream).
+// A first draw that Int31n would reject, or n ≥ 2^31, takes the generator.
+func firstIntn(seed int64, n int) int {
+	if int64(n) <= int32max {
+		s := seed % int32max
+		if s < 0 {
+			s += int32max
+		}
+		if s == 0 {
+			s = 89482311
+		}
+		var x [6]int64 // x_k for the k of lehmerPow
+		for i, p := range lehmerPow {
+			x[i] = int64(uint64(s) * p % int32max)
+		}
+		// rngCooked[333] and rngCooked[606].
+		u := uint64((x[0]<<40 ^ x[1]<<20 ^ x[2] ^ -4633371852008891965) + (x[3]<<40 ^ x[4]<<20 ^ x[5] ^ 4152330101494654406))
+		v, n32 := int32(u&(1<<63-1)>>32), int32(n)
+		if n32&(n32-1) == 0 {
+			return int(v & (n32 - 1))
+		}
+		if v <= int32(int32max-(1<<31)%uint32(n32)) {
+			return int(v % n32)
+		}
+	}
+	return rand.New(rand.NewSource(seed)).Intn(n)
 }
 
 // Len returns the number of slots in one pass over the trace.

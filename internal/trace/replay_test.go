@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"softrate/internal/core"
@@ -184,5 +185,146 @@ func TestFramesDrivesControllerLikeDirectReplay(t *testing.T) {
 		if itRates[i] != handRates[i] {
 			t.Fatalf("step %d: iterator-driven rate %d != hand-walked rate %d", i, itRates[i], handRates[i])
 		}
+	}
+}
+
+// refFramesMix is FramesMix as it was before the start slot had a closed
+// form: every iterator seeds its own math/rand source and draws the start
+// slot from it. Kept verbatim as the oracle for FramesMix.
+func refFramesMix(lt *LinkTrace, seed int64, mix Mix) *FrameIter {
+	rng := rand.New(rand.NewSource(seed))
+	it := &FrameIter{lt: lt, mix: mix, rng: rng}
+	if n := it.Len(); n > 0 {
+		it.pos = rng.Intn(n)
+	}
+	return it
+}
+
+func TestFramesMixMatchesReference(t *testing.T) {
+	mixes := []Mix{{}, {CollisionProb: 0.3, PreambleLossProb: 0.4, PostambleProb: 0.5}}
+	var seeds []int64
+	for s := int64(-100); s <= 300; s++ {
+		seeds = append(seeds, s)
+	}
+	seeds = append(seeds, math.MinInt64, math.MaxInt64, 1<<31-1, 89482311, 1+19999*7919)
+	for _, nSlots := range []int{1, 7, 64, 250} {
+		lt := synthTrace(4, nSlots)
+		for _, mix := range mixes {
+			for _, seed := range seeds {
+				got, want := lt.FramesMix(seed, mix), refFramesMix(lt, seed, mix)
+				for i := 0; i < 2*nSlots; i++ {
+					ri := (i*7 + int(seed&3)) % 5 // 4 clamps to the top rate
+					eg, _ := got.Next(ri)
+					ew, _ := want.Next(ri)
+					if eg != ew || got.Epoch() != want.Epoch() {
+						t.Fatalf("slots %d mix %+v seed %d step %d: got %+v epoch %d, reference %+v epoch %d",
+							nSlots, mix, seed, i, eg, got.Epoch(), ew, want.Epoch())
+					}
+				}
+			}
+		}
+	}
+}
+
+// startSizes are the slot counts TestFramesStartMatchesMathRand and the
+// fuzz corpus cover: powers of two (masked), small and benchmark-sized
+// counts, 2^30+1 (about half of all first draws rejected), the largest
+// Int31n argument, and counts that take Int63n. Counts above the platform's
+// int are skipped.
+var startSizes = []int64{1, 2, 3, 64, 250, 10000, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1 << 40}
+
+// checkStart compares firstIntn with math/rand's first Intn for one case
+// and reports whether Int31n rejected that first draw (checked only for
+// sizes where that is likely enough to see).
+func checkStart(t *testing.T, seed, n int64) (rejected bool) {
+	t.Helper()
+	if n != int64(int(n)) {
+		return false
+	}
+	if got, want := firstIntn(seed, int(n)), rand.New(rand.NewSource(seed)).Intn(int(n)); got != want {
+		t.Fatalf("seed %d n %d: start %d, math/rand %d", seed, n, got, want)
+	}
+	if n <= 1<<30 || n > 1<<31-1 {
+		return false
+	}
+	return rand.New(rand.NewSource(seed)).Int31() > int32(1<<31-1-(1<<31)%uint32(n))
+}
+
+func TestFramesStartMatchesMathRand(t *testing.T) {
+	// One math/rand seeding per case keeps the test near a second; the two
+	// halves run on two cores.
+	t.Run("near-zero-and-edges", func(t *testing.T) {
+		t.Parallel()
+		rejected := 0
+		check := func(seed int64, sizes []int64) {
+			for _, n := range sizes {
+				if checkStart(t, seed, n) {
+					rejected++
+				}
+			}
+		}
+		for _, seed := range []int64{1<<31 - 1, -(1<<31 - 1), 2 * (1<<31 - 1), math.MinInt64, math.MaxInt64, 89482311} {
+			check(seed, startSizes)
+		}
+		for seed := int64(-2000); seed <= 2000; seed++ {
+			check(seed, startSizes[:8]) // n ≥ 2^31 is the fallback expression itself
+		}
+		if rejected == 0 {
+			t.Fatal("no first draw was rejected: the math/rand fallback never ran")
+		}
+	})
+	// The benchmark's per-sender seeds at its trace length, and random
+	// int64 seeds spread over the sizes.
+	t.Run("benchmark-and-random", func(t *testing.T) {
+		t.Parallel()
+		for i := int64(0); i < 20000; i++ {
+			checkStart(t, 1+i*7919, 250)
+		}
+		r := rand.New(rand.NewSource(46))
+		for i := 0; i < 20000; i++ {
+			checkStart(t, int64(r.Uint64()), startSizes[i%len(startSizes)])
+		}
+	})
+}
+
+func FuzzFramesStart(f *testing.F) {
+	for _, n := range startSizes {
+		f.Add(int64(1), n)
+		f.Add(int64(-7), n)
+		f.Add(int64(math.MinInt64), n)
+	}
+	f.Fuzz(func(t *testing.T, seed, n int64) {
+		if n <= 0 {
+			return
+		}
+		checkStart(t, seed, n)
+	})
+}
+
+func TestFramesMixAllocations(t *testing.T) {
+	lt := synthTrace(2, 250)
+	seed := int64(1)
+	var it *FrameIter
+	allocs := testing.AllocsPerRun(200, func() {
+		it = lt.FramesMix(seed, Mix{})
+		seed += 7919
+	})
+	if allocs != 1 {
+		t.Fatalf("zero-Mix FramesMix allocates %v times per iterator, want 1", allocs)
+	}
+	if it.rng != nil {
+		t.Fatal("zero-Mix FramesMix retained a math/rand generator")
+	}
+}
+
+var iterSink *FrameIter
+
+// BenchmarkFramesMix times one zero-Mix replay iterator over a
+// benchmark-sized trace, as the load generator builds one per sender.
+func BenchmarkFramesMix(b *testing.B) {
+	lt := synthTrace(2, 250)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		iterSink = lt.FramesMix(1+int64(i)*7919, Mix{})
 	}
 }
