@@ -13,15 +13,20 @@ import (
 // max*/comb combines amortize across the batch and run through the
 // vectorized row primitives of combine.go.
 //
-// A BCJR group runs in two phases of two halves each. Phase 1's halves are
-// the forward (α) and the backward (β) recursion, which do not read each
-// other; Phase 2's are the APP accumulation over two disjoint trellis
-// ranges, which read both planes and write disjoint outputs. Each half has
-// its own scratch (bcjrHalf), so the second half of each phase can run on
-// a package-level helper goroutine while the caller runs the first: a
-// decode uses two cores when the helper is idle and runs both halves
-// itself when another workspace holds it. The arithmetic is the same
-// either way.
+// A BCJR group runs in two phases of two halves each, over one trellis
+// plane whose row r holds α_r for r ≤ mid and β_r above it: the forward and
+// backward recursions meet in the middle. In Phase 1 half 0 runs α from the
+// anchor to row mid and half 1 runs β from row steps down to row mid+1;
+// neither reads the other's rows. In Phase 2 each half accumulates the APP
+// over its own trellis range, stepping the other direction on from the
+// meeting rows into a block buffer of its own: half 0 steps β backward
+// from row mid+1 over [0, mid), half 1 steps α forward from row mid over
+// [mid, nInfo). Each half has its own scratch (bcjrHalf), so the second
+// half of each phase can run on a package-level helper goroutine while the
+// caller runs the first: a decode uses two cores when the helper is idle
+// and runs both halves itself when another workspace holds it. The
+// arithmetic is the same either way, and each APP step reads the α_t and
+// β_{t+1} that full α and β planes would hold, made by the same kernels.
 //
 // The batch path is contractually bit-identical to the scalar single-frame
 // decoder (the recursion kept in the tests as refDecodeBCJR): a job comes
@@ -48,8 +53,8 @@ const maxBatchLanes = 64
 // frames up, padding to the frame-parallel kernels' width costs less.
 const maxNarrowLanes = 3
 
-// appBlockT is how many trellis steps the backward sweep materializes (and
-// the APP block kernel interleaves) at a time.
+// appBlockT is how many trellis steps Phase 2 steps on into a half's block
+// buffer (and the APP block kernel interleaves) at a time.
 const appBlockT = 8
 
 // BatchJob describes one frame's decode within a batch: the rate-1/2
@@ -79,15 +84,15 @@ type BatchWorkspace struct {
 	// frame's own lattice read in place (transposeLLRs).
 	llrP []float64
 	llrT []float64 // the transposed LLRs of a group of two or more
-	// alphaP and betaP are the forward and backward planes, stored
+	// plane is the group's trellis plane, stored
 	// [(steps+1)*numStates][lanes] — or, on the narrow path, one
-	// [(steps+1)*numStates] plane per lane, lane after lane.
-	alphaP []float64
-	betaP  []float64
-	g      bcjrGroup
-	half   [2]bcjrHalf
-	task   Splitter
-	phase  phaseHalves
+	// [(steps+1)*numStates] plane per lane, lane after lane. Row r holds
+	// α_r for r ≤ mid and β_r for r > mid.
+	plane []float64
+	g     bcjrGroup
+	half  [2]bcjrHalf
+	task  Splitter
+	phase phaseHalves
 
 	infoFlat []byte
 	llrFlat  []float64
@@ -101,7 +106,7 @@ type bcjrGroup struct {
 	lanes           []int // job index of each real lane
 	mode            BCJRMode
 	L, nInfo, steps int // L counts the pad lanes too
-	mid             int // Phase 2 split, an appBlockT boundary
+	mid             int // where α meets β and Phase 2 splits, an appBlockT boundary
 	path            groupPath
 	nw              int // on the vector path, the leading lanes through the AVX-512 kernels
 }
@@ -134,13 +139,18 @@ func planGroup(n int, mode BCJRMode) (path groupPath, L, nw int) {
 // recursion on it and half 1 the backward one; in Phase 2 half 0
 // accumulates the APP over [0, mid) and half 1 over [mid, nInfo).
 type bcjrHalf struct {
-	bm     []float64  // [4][lanes] recursion step branch metric rows
-	maxP   []float64  // [lanes] normalizeLanes per-lane maxima
-	fix    [64]uint64 // step kernel fixup lane masks, by table entry
-	bmBlk  []float64  // [appBlockT*4][lanes] APP block branch metric rows
-	numBlk []float64  // [appBlockT][lanes] APP accumulators, input 1
-	denBlk []float64  // [appBlockT][lanes] APP accumulators, input 0
-	appAcc []uint64   // [appBlockT*17] block kernel acc records + fix words
+	bm   []float64  // [4][lanes] recursion step branch metric rows
+	maxP []float64  // [lanes] normalizeLanes per-lane maxima
+	fix  [64]uint64 // step kernel fixup lane masks, by table entry
+	// blk holds the rows Phase 2 steps on past the meeting rows (stepOn),
+	// [appBlockT][numStates][lanes] — one frame's on the narrow path — with
+	// trellis step t's row at t%appBlockT: β_{t+1} for half 0, α_t for
+	// half 1.
+	blk    []float64
+	bmBlk  []float64 // [appBlockT*4][lanes] APP block branch metric rows
+	numBlk []float64 // [appBlockT][lanes] APP accumulators, input 1
+	denBlk []float64 // [appBlockT][lanes] APP accumulators, input 0
+	appAcc []uint64  // [appBlockT*17] block kernel acc records + fix words
 	// The narrow APP pass hands the block kernel four consecutive trellis
 	// steps of one frame as its four lanes: alphaQ and betaQ are
 	// [narrowQuads][numStates][4] transposes of α_t and β_{t+1}, and bmBlk
@@ -407,104 +417,199 @@ func (w *BatchWorkspace) decodeBCJRGroup(jobs []BatchJob, lanes []int, mode BCJR
 	steps := nInfo + TailBits
 	path, L, nw := planGroup(len(lanes), mode)
 	w.transposeLLRs(jobs, lanes, steps, L)
-	w.alphaP = growF(w.alphaP, (steps+1)*numStates*L)
-	w.betaP = growF(w.betaP, (steps+1)*numStates*L)
+	w.plane = growF(w.plane, (steps+1)*numStates*L)
 	w.g = bcjrGroup{lanes: lanes, mode: mode, L: L, nInfo: nInfo, steps: steps,
 		mid: nInfo / 2 / appBlockT * appBlockT, path: path, nw: nw}
+	w.split((*BatchWorkspace).recursion)
 	if path == narrowPath {
-		w.split((*BatchWorkspace).recursionNarrow)
 		w.split((*BatchWorkspace).appNarrow)
 		return
 	}
-	w.split((*BatchWorkspace).recursion)
 	w.split((*BatchWorkspace).app)
 }
 
-// recursion is Phase 1 for half h: the forward recursion over alphaP (h ==
-// 0) or the backward one over betaP (h == 1). Each step's work depends on
-// the step before, but the two directions never read each other's plane.
-// Each step is one whole-step table walk, which rebuilds every destination
-// row, so no sentinel initialization pass is needed: on the vector path
-// the kernels walk the table's two 32-entry halves as their two legs,
-// which keeps two independent Jacobian chains in the reorder window.
-func (w *BatchWorkspace) recursion(h int) {
-	g, hs := &w.g, &w.half[h]
-	L, steps, rowSz := g.L, g.steps, numStates*g.L
+// row returns plane row r: frame l's own row on the narrow path, the
+// group's row (l is 0) on the others.
+func (w *BatchWorkspace) row(l, r int) []float64 {
+	n, off := numStates*w.g.L, 0
+	if w.g.path == narrowPath {
+		n, off = numStates, l*(w.g.steps+1)*numStates
+	}
+	off += r * n
+	return w.plane[off : off+n : off+n]
+}
+
+// step runs one recursion step from row s into row d and normalizes d:
+// forward from α_t to α_{t+1} (dir 0) or backward from β_{t+1} to β_t
+// (dir 1), for the whole group or, on the narrow path, frame l. Each step
+// is one whole-step table walk, which rebuilds every destination row, so
+// no sentinel initialization pass is needed: on the vector path the
+// kernels walk the table's two 32-entry halves as their two legs, which
+// keeps two independent Jacobian chains in the reorder window.
+func (w *BatchWorkspace) step(hs *bcjrHalf, dir, t, l int, d, s []float64) {
+	g := &w.g
+	L := g.L
+	if g.path == narrowPath {
+		bm := branchMetrics(w.llrP[2*t*L+l], w.llrP[(2*t+1)*L+l])
+		stepNarrow(dir, d, s, &bm)
+		normalize(d)
+		return
+	}
+	table := &fwdStepTable
+	if dir == 1 {
+		table = &bwdStepTable
+	}
 	hs.bm = growF(hs.bm, 4*L)
 	bm := hs.bm
-	plane, table, anchor := w.alphaP, &fwdStepTable, 0
-	if h == 1 {
-		plane, table, anchor = w.betaP, &bwdStepTable, steps
+	stepBM(bm, w.llrP, t, L)
+	if g.path == scalarPath {
+		stepCombineLanes(d, s, bm, table, 0, L, L, g.mode)
+	} else {
+		if g.nw > 0 && stepCombineDualAVX512(&d[0], &s[0], &bm[0], &d[0], &s[0], &bm[0],
+			&table[0], &table[256], &hs.fix[0], &hs.fix[32], g.nw, L*8) != 0 {
+			applyStepFixups(&hs.fix, d, s, bm, table, L, g.mode)
+		}
+		if lo := g.nw; lo < L && stepCombineDualAVX2(&d[lo], &s[lo], &bm[lo], &d[lo], &s[lo], &bm[lo],
+			&table[0], &table[256], &hs.fix[0], &hs.fix[32], L-lo, L*8) != 0 {
+			applyStepFixups(&hs.fix, d[lo:], s[lo:], bm[lo:], table, L, g.mode)
+		}
 	}
-	anchorRow(plane[anchor*rowSz:(anchor+1)*rowSz], len(g.lanes))
-	for k := 0; k < steps; k++ {
-		t, src, dst := k, k, k+1
-		if h == 1 {
-			t = steps - 1 - k
-			src, dst = t+1, t
-		}
-		stepBM(bm, w.llrP, t, L)
-		s := plane[src*rowSz : (src+1)*rowSz : (src+1)*rowSz]
-		d := plane[dst*rowSz : (dst+1)*rowSz : (dst+1)*rowSz]
-		if g.path == scalarPath {
-			stepCombineLanes(d, s, bm, table, 0, L, L, g.mode)
-		} else {
-			if g.nw > 0 && stepCombineDualAVX512(&d[0], &s[0], &bm[0], &d[0], &s[0], &bm[0],
-				&table[0], &table[256], &hs.fix[0], &hs.fix[32], g.nw, L*8) != 0 {
-				applyStepFixups(&hs.fix, d, s, bm, table, L, g.mode)
+	hs.normalizeLanes(d, L)
+}
+
+// recursion is Phase 1 for half h: α from the anchor at row 0 up to row
+// mid (h == 0), or β from the anchor at row steps down to row mid+1 (h ==
+// 1), over the group's plane or frame after frame over the narrow path's.
+// Each step depends on the one before, but the halves write disjoint rows
+// and read none of each other's.
+func (w *BatchWorkspace) recursion(h int) {
+	g, hs := &w.g, &w.half[h]
+	frames, anchored := 1, len(g.lanes)
+	if g.path == narrowPath {
+		frames, anchored = g.L, 1
+	}
+	for l := 0; l < frames; l++ {
+		if h == 0 {
+			anchorRow(w.row(l, 0), anchored)
+			for t := 0; t < g.mid; t++ {
+				w.step(hs, 0, t, l, w.row(l, t+1), w.row(l, t))
 			}
-			if lo := g.nw; lo < L && stepCombineDualAVX2(&d[lo], &s[lo], &bm[lo], &d[lo], &s[lo], &bm[lo],
-				&table[0], &table[256], &hs.fix[0], &hs.fix[32], L-lo, L*8) != 0 {
-				applyStepFixups(&hs.fix, d[lo:], s[lo:], bm[lo:], table, L, g.mode)
-			}
+			continue
 		}
-		hs.normalizeLanes(d, L)
+		anchorRow(w.row(l, g.steps), anchored)
+		for t := g.steps - 1; t > g.mid; t-- {
+			w.step(hs, 1, t, l, w.row(l, t), w.row(l, t+1))
+		}
 	}
 }
 
-// app is Phase 2 for half h: APP accumulation over [0, mid) (h == 0) or
-// [mid, nInfo) (h == 1), in blocks of appBlockT trellis steps. Each step's
-// maxStar fold is serial by construction (the fold order is observable in
-// the output bits), but the steps are mutually independent, so the block
-// kernel interleaves them and hides the chain latency, and the two halves
-// write disjoint outputs.
+// stepOn steps half h's Phase 2 recursion on to trellis step t and returns
+// the row it made, hs.blk's row t%appBlockT: for half 0 β_{t+1}, stepped
+// backward from β_{t+2} (the plane's row mid+1 at t = mid-1); for half 1
+// α_t, stepped forward from α_{t-1} (at t = mid, a copy of the plane's
+// row). Half 0 goes down from t = mid-1 and half 1 up from t = mid, one
+// step at a time.
+func (w *BatchWorkspace) stepOn(hs *bcjrHalf, h, l, t int) []float64 {
+	n := len(w.row(l, 0))
+	ring := func(t int) []float64 {
+		r := t % appBlockT * n
+		return hs.blk[r : r+n : r+n]
+	}
+	switch mid := w.g.mid; {
+	case h == 0 && t == mid-1:
+		w.step(hs, 1, t+1, l, ring(t), w.row(l, t+2))
+	case h == 0:
+		w.step(hs, 1, t+1, l, ring(t), ring(t+1))
+	case t == mid:
+		copy(ring(t), w.row(l, t))
+	default:
+		w.step(hs, 0, t-1, l, ring(t), ring(t-1))
+	}
+	return ring(t)
+}
+
+// blocks calls fn(t0, n) for each block [t0, t0+n) of half h's Phase 2
+// range, n at most span, in the order its recursion runs: [0, mid) from
+// the last block back, [mid, nInfo) from the first on.
+func (g *bcjrGroup) blocks(h, span int, fn func(t0, n int)) {
+	if h == 0 {
+		for t0 := (g.mid - 1) &^ (span - 1); t0 >= 0; t0 -= span {
+			fn(t0, min(span, g.mid-t0))
+		}
+		return
+	}
+	for t0 := g.mid; t0 < g.nInfo; t0 += span {
+		fn(t0, min(span, g.nInfo-t0))
+	}
+}
+
+// app is Phase 2 for half h on the vector and scalar paths, in blocks of
+// appBlockT trellis steps whose stepped rows (stepOn) fill hs.blk in
+// order, each block's over the one before's: half 0 reads its α_t from the
+// plane and β_{t+1} from hs.blk, half 1 its α_t from hs.blk and β_{t+1}
+// from the plane.
 func (w *BatchWorkspace) app(h int) {
 	g, hs := &w.g, &w.half[h]
-	L, rowSz, stride := g.L, numStates*g.L, g.L*8
-	lo, hi := 0, g.mid
-	if h == 1 {
-		lo, hi = g.mid, g.nInfo
-	}
-	alphaP, betaP := w.alphaP, w.betaP
+	L, rowSz := g.L, numStates*g.L
 	hs.growAPP(L)
-	bmBlk, numBlk, denBlk := hs.bmBlk, hs.numBlk, hs.denBlk
-	for t0 := lo; t0 < hi; t0 += appBlockT {
-		ka := min(appBlockT, hi-t0)
-		for j := 0; j < ka; j++ {
-			stepBM(bmBlk[j*4*L:(j+1)*4*L:(j+1)*4*L], w.llrP, t0+j, L)
+	hs.blk = growF(hs.blk, appBlockT*rowSz)
+	g.blocks(h, appBlockT, func(t0, n int) {
+		alpha, beta := w.plane[t0*rowSz:], hs.blk
+		if h == 1 {
+			alpha, beta = hs.blk, w.plane[(t0+1)*rowSz:]
 		}
-		if g.path == scalarPath {
-			for j := 0; j < ka; j++ {
-				w.appRedo(hs, t0, j, 0, ^uint64(0)>>(64-L))
+		for i := 0; i < n; i++ {
+			j := i // half 0 steps β down, half 1 α up
+			if h == 0 {
+				j = n - 1 - i
 			}
-		} else {
-			if g.nw > 0 {
-				stepAPPBlockAVX512(&numBlk[0], &denBlk[0], &alphaP[t0*rowSz], &betaP[(t0+1)*rowSz], &bmBlk[0], &appStepTable[0], &hs.appAcc[0], g.nw, stride, ka)
-				for j := 0; j < ka; j++ {
-					w.appRedo(hs, t0, j, 0, hs.appAcc[j*17+16]) // acc record {den[8], num[8], fix}
-				}
-			}
-			if l0 := g.nw; l0 < L {
-				stepAPPBlockAVX2(&numBlk[l0], &denBlk[l0], &alphaP[t0*rowSz+l0], &betaP[(t0+1)*rowSz+l0], &bmBlk[l0], &appStepTable[0], &hs.appAcc[0], L-l0, stride, ka)
-				for j := 0; j < ka; j++ {
-					w.appRedo(hs, t0, j, l0, hs.appAcc[j*9+8]) // acc record {den[4], num[4], fix}
-				}
-			}
+			w.stepOn(hs, h, 0, t0+j)
+			stepBM(hs.bmBlk[j*4*L:(j+1)*4*L:(j+1)*4*L], w.llrP, t0+j, L)
 		}
-		for j := 0; j < ka; j++ {
+		hs.appKernel(g.path == scalarPath, g.nw, L, n, alpha, beta, g.mode)
+		for j := 0; j < n; j++ {
 			for l, ji := range g.lanes {
-				w.results[ji].put(t0+j, numBlk[j*L+l]-denBlk[j*L+l])
+				w.results[ji].put(t0+j, hs.numBlk[j*L+l]-hs.denBlk[j*L+l])
 			}
+		}
+	})
+}
+
+// appKernel accumulates k APP steps of L lanes — α_t rows from alpha[0],
+// β_{t+1} rows from beta[0], branch metric rows in hs.bmBlk — into
+// hs.numBlk and hs.denBlk. Each step's maxStar fold is serial by
+// construction (the fold order is observable in the output bits), but the
+// steps are mutually independent, so the block kernels interleave them and
+// hide the chain latency. Lanes they flag are redone with appLane, as is
+// every lane when scalar is set; nw leading lanes go through the AVX-512
+// kernel.
+func (hs *bcjrHalf) appKernel(scalar bool, nw, L, k int, alpha, beta []float64, mode BCJRMode) {
+	rowSz, stride := numStates*L, L*8
+	redo := func(j, l0 int, mask uint64) {
+		at := alpha[j*rowSz : (j+1)*rowSz : (j+1)*rowSz]
+		bt := beta[j*rowSz : (j+1)*rowSz : (j+1)*rowSz]
+		bmj := hs.bmBlk[j*4*L : (j+1)*4*L : (j+1)*4*L]
+		for ; mask != 0; mask &= mask - 1 {
+			l := l0 + bits.TrailingZeros64(mask)
+			hs.numBlk[j*L+l], hs.denBlk[j*L+l] = appLane(at, bt, bmj, L, l, mode)
+		}
+	}
+	if scalar {
+		for j := 0; j < k; j++ {
+			redo(j, 0, ^uint64(0)>>(64-L))
+		}
+		return
+	}
+	if nw > 0 {
+		stepAPPBlockAVX512(&hs.numBlk[0], &hs.denBlk[0], &alpha[0], &beta[0], &hs.bmBlk[0], &appStepTable[0], &hs.appAcc[0], nw, stride, k)
+		for j := 0; j < k; j++ {
+			redo(j, 0, hs.appAcc[j*17+16]) // acc record {den[8], num[8], fix}
+		}
+	}
+	if l0 := nw; l0 < L {
+		stepAPPBlockAVX2(&hs.numBlk[l0], &hs.denBlk[l0], &alpha[l0], &beta[l0], &hs.bmBlk[l0], &appStepTable[0], &hs.appAcc[0], L-l0, stride, k)
+		for j := 0; j < k; j++ {
+			redo(j, l0, hs.appAcc[j*9+8]) // acc record {den[4], num[4], fix}
 		}
 	}
 }
@@ -530,21 +635,6 @@ func (r *BatchResult) put(t int, llr float64) {
 	}
 }
 
-// appRedo recomputes with appLane the APP accumulators of block step j
-// (trellis step t0+j) for the lanes l0+l with bit l set in mask.
-func (w *BatchWorkspace) appRedo(hs *bcjrHalf, t0, j, l0 int, mask uint64) {
-	g := &w.g
-	L, rowSz, t := g.L, numStates*g.L, t0+j
-	at := w.alphaP[t*rowSz : (t+1)*rowSz : (t+1)*rowSz]
-	bt := w.betaP[(t+1)*rowSz : (t+2)*rowSz : (t+2)*rowSz]
-	bmj := hs.bmBlk[j*4*L : (j+1)*4*L : (j+1)*4*L]
-	for mask != 0 {
-		l := l0 + bits.TrailingZeros64(mask)
-		mask &= mask - 1
-		hs.numBlk[j*L+l], hs.denBlk[j*L+l] = appLane(at, bt, bmj, L, l, g.mode)
-	}
-}
-
 // stepNarrow runs one narrow recursion step over a frame's [state] rows,
 // forward (dir 0) or backward (dir 1), and redoes the flagged states with
 // stepCombineEntry.
@@ -564,90 +654,55 @@ func stepNarrow(dir int, dst, src []float64, bm *[4]float64) {
 	}
 }
 
-// recursionNarrow is Phase 1 on the narrow path: half h runs its direction
-// frame after frame, each over the frame's own plane, with one narrow
-// kernel call and one normalize per step.
-func (w *BatchWorkspace) recursionNarrow(h int) {
-	g := &w.g
-	L, steps := g.L, g.steps
-	planeSz := (steps + 1) * numStates
-	planes, anchor := w.alphaP, 0
-	if h == 1 {
-		planes, anchor = w.betaP, steps
-	}
-	for l := 0; l < L; l++ {
-		plane := planes[l*planeSz : (l+1)*planeSz : (l+1)*planeSz]
-		anchorRow(plane[anchor*numStates:(anchor+1)*numStates], 1)
-		for k := 0; k < steps; k++ {
-			t, src, dst := k, k, k+1
-			if h == 1 {
-				t = steps - 1 - k
-				src, dst = t+1, t
-			}
-			bm := branchMetrics(w.llrP[2*t*L+l], w.llrP[(2*t+1)*L+l])
-			d := plane[dst*numStates : (dst+1)*numStates : (dst+1)*numStates]
-			stepNarrow(h, d, plane[src*numStates:(src+1)*numStates], &bm)
-			normalize(d)
-		}
-	}
-}
-
 // narrowQuads is how many quads of trellis steps one narrow APP block
 // kernel call interleaves.
 const narrowQuads = 4
 
-// appNarrow is Phase 2 on the narrow path: half h accumulates its range
-// frame after frame, in blocks of up to narrowQuads quads of consecutive
-// trellis steps. A quad's α_t and β_{t+1} rows are transposed so that its
-// steps sit side by side like the lanes of a frame-parallel group; a block
-// may run up to three steps past the range (the planes hold TailBits more)
-// and those outputs are dropped.
+// appNarrow is Phase 2 on the narrow path: half h walks its range frame
+// after frame, in blocks of up to narrowQuads quads of consecutive trellis
+// steps, stepping its recursion on as app does. A quad's α_t and β_{t+1}
+// rows are transposed so that its steps sit side by side like the lanes of
+// a frame-parallel group. [0, mid) is a whole number of quads; a block of
+// [mid, nInfo) may run up to three steps past nInfo — α is stepped on into
+// them and the plane holds TailBits more rows of β — and those outputs are
+// dropped.
 func (w *BatchWorkspace) appNarrow(h int) {
 	const q = 4 // consecutive trellis steps per block kernel lane group
 	g, hs := &w.g, &w.half[h]
-	L, planeSz := g.L, (g.steps+1)*numStates
-	lo, hi := 0, g.mid
-	if h == 1 {
-		lo, hi = g.mid, g.nInfo
-	}
+	L := g.L
 	hs.growAPP(q)
 	hs.alphaQ = growF(hs.alphaQ, narrowQuads*numStates*q)
 	hs.betaQ = growF(hs.betaQ, narrowQuads*numStates*q)
-	numBlk, denBlk := hs.numBlk, hs.denBlk
+	hs.blk = growF(hs.blk, appBlockT*numStates)
 	for l, ji := range g.lanes {
-		alpha := w.alphaP[l*planeSz : (l+1)*planeSz : (l+1)*planeSz]
-		beta := w.betaP[l*planeSz : (l+1)*planeSz : (l+1)*planeSz]
-		bmAt := func(t int) [4]float64 { return branchMetrics(w.llrP[2*t*L+l], w.llrP[(2*t+1)*L+l]) }
 		r := &w.results[ji]
-		for t0 := lo; t0 < hi; t0 += q * narrowQuads {
-			n := min(q*narrowQuads, hi-t0)
+		g.blocks(h, q*narrowQuads, func(t0, n int) {
 			k := (n + q - 1) / q
-			for i := 0; i < k*q; i++ {
+			for x := 0; x < k*q; x++ {
+				i := x // half 0 steps β down, half 1 α up
+				if h == 0 {
+					i = k*q - 1 - x
+				}
 				t, j, c := t0+i, i/q, i%q
+				var at, bt []float64
+				if h == 0 {
+					at, bt = w.row(l, t), w.stepOn(hs, h, l, t)
+				} else {
+					at, bt = w.stepOn(hs, h, l, t), w.row(l, t+1)
+				}
 				aq := hs.alphaQ[j*numStates*q : (j+1)*numStates*q]
 				bq := hs.betaQ[j*numStates*q : (j+1)*numStates*q]
-				for s, v := range alpha[t*numStates : (t+1)*numStates] {
-					aq[s*q+c] = v
+				for s := 0; s < numStates; s++ {
+					aq[s*q+c], bq[s*q+c] = at[s], bt[s]
 				}
-				for s, v := range beta[(t+1)*numStates : (t+2)*numStates] {
-					bq[s*q+c] = v
-				}
-				for o, v := range bmAt(t) {
+				for o, v := range branchMetrics(w.llrP[2*t*L+l], w.llrP[(2*t+1)*L+l]) {
 					hs.bmBlk[(j*4+o)*q+c] = v
 				}
 			}
-			stepAPPBlockAVX2(&numBlk[0], &denBlk[0], &hs.alphaQ[0], &hs.betaQ[0], &hs.bmBlk[0], &appStepTable[0], &hs.appAcc[0], q, q*8, k)
-			for j := 0; j < k; j++ {
-				for mask := hs.appAcc[j*9+8]; mask != 0; mask &= mask - 1 {
-					i := j*q + bits.TrailingZeros64(mask)
-					t := t0 + i
-					bm := bmAt(t)
-					numBlk[i], denBlk[i] = appLane(alpha[t*numStates:(t+1)*numStates], beta[(t+1)*numStates:(t+2)*numStates], bm[:], 1, 0, g.mode)
-				}
-			}
+			hs.appKernel(false, 0, q, k, hs.alphaQ, hs.betaQ, g.mode)
 			for i := 0; i < n; i++ {
-				r.put(t0+i, numBlk[i]-denBlk[i])
+				r.put(t0+i, hs.numBlk[i]-hs.denBlk[i])
 			}
-		}
+		})
 	}
 }

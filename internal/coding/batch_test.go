@@ -121,8 +121,8 @@ func TestDecodeBCJRBatchShortAndEmptyInputs(t *testing.T) {
 }
 
 // TestPadLanesStayInert checks that a padded group's pad lanes hold the
-// sentinel in every row of both planes, so the kernels never spend a
-// Jacobian or a scalar redo on them.
+// sentinel in every row of the plane and of both halves' block buffers, so
+// the kernels never spend a Jacobian or a scalar redo on them.
 func TestPadLanesStayInert(t *testing.T) {
 	if !hasFastJacobian {
 		t.Skip("no vector Jacobian on this host: groups are not padded")
@@ -139,10 +139,12 @@ func TestPadLanesStayInert(t *testing.T) {
 		if L != (B+3)&^3 {
 			t.Fatalf("B=%d: plane width %d, want %d", B, L, (B+3)&^3)
 		}
-		for i := 0; i < len(bw.alphaP)/L; i++ {
-			for l := B; l < L; l++ {
-				if a, b := bw.alphaP[i*L+l], bw.betaP[i*L+l]; a != bcjrNegInf || b != bcjrNegInf {
-					t.Fatalf("B=%d row %d pad lane %d: alpha %v beta %v, want the sentinel", B, i, l, a, b)
+		for name, rows := range map[string][]float64{"plane": bw.plane, "half 0 block": bw.half[0].blk, "half 1 block": bw.half[1].blk} {
+			for i := 0; i < len(rows)/L; i++ {
+				for l := B; l < L; l++ {
+					if v := rows[i*L+l]; v != bcjrNegInf {
+						t.Fatalf("B=%d %s row %d pad lane %d: %v, want the sentinel", B, name, i, l, v)
+					}
 				}
 			}
 		}
@@ -166,6 +168,29 @@ func TestBatchDecodeDoesNotAllocateSteadyState(t *testing.T) {
 			t.Errorf("B=%d: DecodeBCJRBatch allocates %v/op when warm", B, n)
 		}
 	}
+}
+
+// wildLLRs draws n LLRs from a mix of ±Inf, NaN, 0, 1e30-scale and
+// ordinary values, which sends the kernels' lanes down every fixup path.
+func wildLLRs(rng *rand.Rand, n int) []float64 {
+	llrs := make([]float64, n)
+	for k := range llrs {
+		switch rng.Intn(12) {
+		case 0:
+			llrs[k] = math.Inf(1)
+		case 1:
+			llrs[k] = math.Inf(-1)
+		case 2:
+			llrs[k] = math.NaN()
+		case 3:
+			llrs[k] = 0
+		case 4:
+			llrs[k] = rng.NormFloat64() * 1e30
+		default:
+			llrs[k] = rng.NormFloat64() * 20
+		}
+	}
+	return llrs
 }
 
 // FuzzBatchDecodeMatchesSingle drives arbitrary LLR lattices — including
@@ -195,24 +220,7 @@ func FuzzBatchDecodeMatchesSingle(f *testing.F) {
 		for i := range jobs {
 			nInfo := (int(rawLen)+i*spread)%96 + 1
 			nLLR := rng.Intn(2*(nInfo+TailBits) + 8)
-			llrs := make([]float64, nLLR)
-			for k := range llrs {
-				switch rng.Intn(12) {
-				case 0:
-					llrs[k] = math.Inf(1)
-				case 1:
-					llrs[k] = math.Inf(-1)
-				case 2:
-					llrs[k] = math.NaN()
-				case 3:
-					llrs[k] = 0
-				case 4:
-					llrs[k] = rng.NormFloat64() * 1e30
-				default:
-					llrs[k] = rng.NormFloat64() * 20
-				}
-			}
-			jobs[i] = BatchJob{LLRs: llrs, NInfo: nInfo}
+			jobs[i] = BatchJob{LLRs: wildLLRs(rng, nLLR), NInfo: nInfo}
 		}
 		got := bw.DecodeBCJRBatch(jobs, mode)
 		for i, j := range jobs {
@@ -233,8 +241,7 @@ func FuzzBatchDecodeMatchesSingle(f *testing.F) {
 // splitJobs builds a batch of three groups of L lanes each, one per trellis
 // length: 200 and 37 information bits split Phase 2 at 96 and 16, and 5
 // leaves half 0 no APP steps at all. Every third job draws its LLRs from
-// FuzzBatchDecodeMatchesSingle's value mix (NaN, ±Inf, 0, 1e30-scale), the
-// rest are noisy codewords.
+// wildLLRs, the rest are noisy codewords.
 func splitJobs(rng *rand.Rand, L int) []BatchJob {
 	var jobs []BatchJob
 	for _, nInfo := range []int{200, 37, 5} {
@@ -245,24 +252,7 @@ func splitJobs(rng *rand.Rand, L int) []BatchJob {
 				jobs = append(jobs, j)
 				continue
 			}
-			llrs := make([]float64, 2*(nInfo+TailBits))
-			for k := range llrs {
-				switch rng.Intn(12) {
-				case 0:
-					llrs[k] = math.Inf(1)
-				case 1:
-					llrs[k] = math.Inf(-1)
-				case 2:
-					llrs[k] = math.NaN()
-				case 3:
-					llrs[k] = 0
-				case 4:
-					llrs[k] = rng.NormFloat64() * 1e30
-				default:
-					llrs[k] = rng.NormFloat64() * 20
-				}
-			}
-			jobs = append(jobs, BatchJob{LLRs: llrs, NInfo: nInfo})
+			jobs = append(jobs, BatchJob{LLRs: wildLLRs(rng, 2*(nInfo+TailBits)), NInfo: nInfo})
 		}
 	}
 	return jobs
@@ -376,4 +366,148 @@ func benchDecodeBatch(b *testing.B, B int) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*B)/b.Elapsed().Seconds(), "frames/s")
+	b.ReportMetric(float64(8*cap(bw.plane))/float64(B), "plane_B/frame")
+}
+
+// edgeJob is one frame of nInfo information bits for TestMeetInMiddleEdges,
+// cycling by kind through a noisy codeword, wildLLRs and a short lattice
+// the decoder zero-extends into exact ties.
+func edgeJob(rng *rand.Rand, nInfo, kind int) BatchJob {
+	switch kind % 3 {
+	case 0:
+		j := makeBatchJob(rng, (nInfo+7)/8, Rate23, 0.7)
+		j.NInfo = nInfo
+		return j
+	case 1:
+		return BatchJob{LLRs: wildLLRs(rng, 2*(nInfo+TailBits)), NInfo: nInfo}
+	}
+	llrs := make([]float64, nInfo)
+	for k := range llrs {
+		llrs[k] = rng.NormFloat64() * 4
+	}
+	return BatchJob{LLRs: llrs, NInfo: nInfo}
+}
+
+// TestMeetInMiddleEdges holds the lengths where the recursions' meeting row
+// and the Phase 2 blocks are at their edges to refDecodeBCJR's bits, in
+// both modes, at every batchSizes width: every nInfo up to 40 (mid 0, 8 and
+// 16), one either side of appBlockT multiples (a partial last forward
+// block) and 1–3 either side of 16-step multiples (partial narrow quads and
+// blocks). One workspace serves every case, and a last run alternates
+// narrow and vector groups of falling and rising lengths within and across
+// batches, so every group finds its plane and block buffers dirty from a
+// group of another path and length.
+func TestMeetInMiddleEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var bw BatchWorkspace
+	var lens []int
+	for n := 1; n <= 40; n++ {
+		lens = append(lens, n)
+	}
+	for _, k := range []int{6, 13} {
+		lens = append(lens, k*appBlockT-1, k*appBlockT+1)
+	}
+	for _, k := range []int{3, 7} {
+		for _, d := range []int{1, 2, 3} {
+			lens = append(lens, 16*k-d, 16*k+d)
+		}
+	}
+	sizes := batchSizes()
+	for _, mode := range []BCJRMode{LogMAP, MaxLog} {
+		for _, n := range lens {
+			// Each width decodes a prefix of one pool of jobs.
+			pool := make([]BatchJob, sizes[len(sizes)-1])
+			wantInfo, wantLLR := make([][]byte, len(pool)), make([][]float64, len(pool))
+			for i := range pool {
+				pool[i] = edgeJob(rng, n, i+n)
+				wantInfo[i], wantLLR[i] = refDecodeBCJR(pool[i].LLRs, n, mode)
+			}
+			for _, B := range sizes {
+				for i, r := range bw.DecodeBCJRBatch(pool[:B], mode) {
+					for k := range r.Info {
+						if r.Info[k] != wantInfo[i][k] || !sameBits(r.LLR[k], wantLLR[i][k]) {
+							t.Fatalf("mode=%v B=%d nInfo=%d job %d bit %d: info %d llr %v, want %d %v",
+								mode, B, n, i, k, r.Info[k], r.LLR[k], wantInfo[i][k], wantLLR[i][k])
+						}
+					}
+				}
+			}
+		}
+	}
+	for r, widths := range [][]int{{2, 9}, {5, 1}, {3, 12}, {1, 4, 2}} {
+		var jobs []BatchJob
+		for g, B := range widths {
+			n := []int{97, 15, 61, 8, 33, 130}[(r+g)%6]
+			for i := 0; i < B; i++ {
+				jobs = append(jobs, edgeJob(rng, n, i))
+			}
+		}
+		for _, mode := range []BCJRMode{LogMAP, MaxLog} {
+			if err := checkSplitBatch(&bw, jobs, mode); err != nil {
+				t.Fatalf("dirty run %d: %v", r, err)
+			}
+		}
+	}
+}
+
+// TestGroupPlaneIsOneTrellis pins the decoder's trellis memory: after a
+// group decode the workspace holds one plane of (steps+1)·numStates·L
+// floats, on the vector, narrow and scalar paths alike, and each half's
+// block buffer holds at most appBlockT+1 rows.
+func TestGroupPlaneIsOneTrellis(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, mode := range []BCJRMode{LogMAP, MaxLog} {
+		for _, B := range batchSizes() {
+			jobs := make([]BatchJob, B)
+			for i := range jobs {
+				jobs[i] = makeBatchJob(rng, 25, Rate12, 0.7)
+			}
+			var bw BatchWorkspace
+			bw.DecodeBCJRBatch(jobs, mode)
+			path, L, _ := planGroup(B, mode)
+			rowSz := numStates * L
+			if want := (200 + TailBits + 1) * rowSz; len(bw.plane) != want || cap(bw.plane) != want {
+				t.Errorf("mode=%v B=%d path %d: plane len %d cap %d, want %d", mode, B, path, len(bw.plane), cap(bw.plane), want)
+			}
+			for h := range bw.half {
+				if n := cap(bw.half[h].blk); n > (appBlockT+1)*rowSz {
+					t.Errorf("mode=%v B=%d path %d: half %d block buffer of %d floats, over %d rows", mode, B, path, h, n, appBlockT+1)
+				}
+			}
+		}
+	}
+}
+
+// TestNarrowOverrunReadsFreshAlpha checks that a narrow block running past
+// nInfo hands the APP kernel α rows stepped on from the frame's own
+// recursion, not rows a previous group left in the block buffer. Those
+// steps' outputs are dropped and the kernel's lanes are independent, so no
+// output shows it: the test reads the last block's transposed quads.
+func TestNarrowOverrunReadsFreshAlpha(t *testing.T) {
+	if !hasFastJacobian {
+		t.Skip("no vector Jacobian on this host: no narrow path")
+	}
+	rng := rand.New(rand.NewSource(13))
+	var bw BatchWorkspace
+	bw.DecodeBCJRBatch([]BatchJob{makeBatchJob(rng, 20, Rate12, 0.7)}, LogMAP) // dirty the buffers
+	const nInfo = 37                                                           // half 1's last block: [32, 37) plus three steps
+	job := makeBatchJob(rng, 5, Rate34, 0.7)
+	job.NInfo = nInfo
+	bw.DecodeBCJRBatch([]BatchJob{job}, LogMAP)
+	alpha := make([]float64, numStates)
+	next := make([]float64, numStates)
+	anchorRow(alpha, 1)
+	for step := 0; step < nInfo+3; step++ {
+		if step >= nInfo {
+			for s := 0; s < numStates; s++ {
+				if got := bw.half[1].alphaQ[numStates*4+s*4+step-nInfo+1]; !sameBits(got, alpha[s]) {
+					t.Fatalf("overrun step %d state %d: the kernel read α %v, want %v", step, s, got, alpha[s])
+				}
+			}
+		}
+		bm := branchMetrics(job.LLRs[2*step], job.LLRs[2*step+1])
+		stepCombineLanes(next, alpha, bm[:], &fwdStepTable, 0, 1, 1, LogMAP)
+		normalize(next)
+		alpha, next = next, alpha
+	}
 }
