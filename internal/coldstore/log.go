@@ -66,14 +66,12 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"softrate/internal/faultfs"
 	"softrate/internal/obs"
-	"softrate/internal/stats"
 )
 
 // segmentFile is the per-file I/O surface a segment needs. It is
@@ -298,80 +296,6 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// recover scans the directory and rebuilds segments and index.
-func (s *Store) recover() error {
-	names, err := s.fs.ReadDir(s.cfg.Dir)
-	if err != nil {
-		return err
-	}
-	var ids []uint32
-	for _, name := range names {
-		var id uint32
-		if n, _ := fmt.Sscanf(name, "seg-%08d.slog", &id); n == 1 && name == segName(id) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		sg, err := s.openSegment(id)
-		if err != nil {
-			return err
-		}
-		if err := s.addSegment(sg); err != nil {
-			sg.f.Close()
-			return err
-		}
-		if err := s.scanSegment(sg); err != nil {
-			return err
-		}
-		s.nextSeg = id + 1
-		// The highest segment resumes as the active one.
-		s.active = sg
-	}
-	if s.active != nil {
-		return nil
-	}
-	return s.rotateLocked() // an empty directory starts at segment 0
-}
-
-// openSegment opens an existing segment file, repairing a torn header
-// (a crash during creation) by rewriting it.
-func (s *Store) openSegment(id uint32) (*segment, error) {
-	f, err := s.fs.Open(s.segPath(id))
-	if err != nil {
-		return nil, err
-	}
-	sg := &segment{id: id, f: f}
-	size, err := f.Size()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if size < headerLen {
-		if err := s.writeHeader(sg); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return sg, nil
-	}
-	var hdr [headerLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != segMagic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != segVersion {
-		f.Close()
-		return nil, fmt.Errorf("coldstore: %s: not a cold-tier segment", s.segPath(id))
-	}
-	if size > maxSegOffset {
-		f.Close()
-		return nil, fmt.Errorf("coldstore: %s: %d bytes is beyond the %d-byte offset an index entry carries", s.segPath(id), size, int64(maxSegOffset))
-	}
-	sg.size = size
-	return sg, nil
-}
-
 // addSegment gives sg a slot in s.segs.
 func (s *Store) addSegment(sg *segment) error {
 	if n := len(s.freeSlots); n > 0 {
@@ -414,49 +338,6 @@ func (s *Store) writeHeader(sg *segment) error {
 	return nil
 }
 
-// scanSegment replays one segment's records into the index. The first
-// framing or CRC failure is a torn tail: everything before it is
-// committed, everything at and after it is truncated away.
-func (s *Store) scanSegment(sg *segment) error {
-	if sg.size <= headerLen {
-		return nil
-	}
-	data := make([]byte, sg.size-headerLen)
-	if _, err := sg.f.ReadAt(data, headerLen); err != nil {
-		return err
-	}
-	off := 0
-	for off < len(data) {
-		rec := data[off:]
-		if len(rec) < recOverhead {
-			break // torn: not even a frame
-		}
-		w := int(binary.LittleEndian.Uint16(rec[0:2]))
-		if len(rec) < recOverhead+w {
-			break // torn: width runs past the tail
-		}
-		n := recOverhead + w
-		want := binary.LittleEndian.Uint32(rec[n-4 : n])
-		if crc32IEEE(rec[:n-4]) != want {
-			break // torn: partial write inside the frame
-		}
-		algo := rec[2]
-		id := binary.LittleEndian.Uint64(rec[3:11])
-		s.indexPut(id, algo, sg, int64(headerLen+off), w)
-		off += n
-	}
-	if int64(headerLen+off) != sg.size {
-		// Torn tail: drop the unparseable suffix so a later append can
-		// never concatenate into it.
-		s.tornTails++
-		if err := sg.f.Truncate(int64(headerLen + off)); err != nil {
-			return err
-		}
-		sg.size = int64(headerLen + off)
-	}
-	return nil
-}
-
 // indexPut points the index at a freshly scanned or written record of
 // state width w, marking any superseded record dead in its segment.
 func (s *Store) indexPut(id uint64, algo uint8, sg *segment, off int64, w int) {
@@ -479,35 +360,6 @@ func (s *Store) markDead(l loc) {
 	sg.liveRecs--
 	sg.deadRecs++
 	s.kickIfCompactable(sg)
-}
-
-// compactable reports whether sg is sealed and either fully dead or
-// past the dead-ratio threshold.
-func (s *Store) compactable(sg *segment) bool {
-	return sg != s.active && (sg.liveRecs == 0 || sg.deadRatio() >= s.compactRatio)
-}
-
-// kickIfCompactable wakes the background compactor, starting it if it is
-// not running, when sg has become worth rewriting. A segment's standing
-// changes only when one of its records dies or when it is sealed, so
-// checking the segment just touched at those two points sees every
-// crossing without scanning the segment list per record. Caller holds
-// s.mu.
-func (s *Store) kickIfCompactable(sg *segment) {
-	if !s.compactable(sg) || s.closed {
-		return
-	}
-	s.kicked = true
-	if !s.compacting {
-		s.compacting = true
-		s.done.Add(1)
-		go s.compactLoop()
-		return
-	}
-	select { // cut short a running compactor's retry wait
-	case s.wake <- struct{}{}:
-	default:
-	}
 }
 
 // rotateLocked seals the active segment and starts a new one.
@@ -776,214 +628,6 @@ func (s *Store) Peek(id uint64, dst []byte) (algo uint8, state []byte, ok bool, 
 
 // Len returns the number of links in the tier.
 func (s *Store) Len() int { return int(s.links.Load()) }
-
-// compactLoop compacts until a pass reclaims nothing and no kick came in
-// meanwhile, or until Close. Kicks come only when a segment's standing
-// changes, so a compaction that fails — a transient read or write fault, a
-// Remove that did not take — would wait for some other segment's kick; the
-// loop kicks itself after compactRetry instead, or at once on a new kick.
-func (s *Store) compactLoop() {
-	defer s.done.Done()
-	for s.takeKick() {
-		progressed, err := s.CompactOnce()
-		for err == nil && progressed {
-			progressed, err = s.CompactOnce()
-		}
-		if err != nil {
-			select {
-			case <-s.stopCh:
-				continue
-			case <-s.wake:
-			case <-time.After(compactRetry):
-			}
-			s.mu.Lock()
-			s.kicked = true
-			s.mu.Unlock()
-		}
-	}
-}
-
-// takeKick consumes a pending kick for the compactor, or, with none
-// pending or the store closed, records that the compactor has stopped.
-func (s *Store) takeKick() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.kicked && !s.closed {
-		s.kicked = false
-		return true
-	}
-	s.compacting = false
-	return false
-}
-
-// CompactOnce rewrites (or, when fully dead, deletes) the sealed
-// segment with the worst dead ratio at or past the threshold. Returns
-// whether a segment was reclaimed. Exported for tests and for callers
-// that want compaction on their own schedule.
-//
-// The victim is rewritten a slice at a time, each slice under its own
-// hold of s.mu, so restores and spills run in between: a record may be
-// restored or superseded before its slice is read, and it is live only if
-// its index entry still points at it then. The victim is removed once no
-// live record is left in it. A failed slice leaves the records moved so
-// far where they went and the rest in the victim, for a later compaction
-// to finish.
-func (s *Store) CompactOnce() (bool, error) {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false, nil
-	}
-	var victim *segment
-	for _, sg := range s.segs {
-		if sg == nil || !s.compactable(sg) {
-			continue
-		}
-		if victim == nil || sg.deadRatio() > victim.deadRatio() {
-			victim = sg
-		}
-	}
-	if victim == nil {
-		return false, nil
-	}
-	c := compaction{victim: victim, off: headerLen}
-	if victim.liveRecs > 0 {
-		c.buf = make([]byte, compactSlice)
-	}
-	for victim.liveRecs > 0 && c.off < victim.size {
-		if err := s.compactSliceLocked(&c); err != nil {
-			return false, err
-		}
-		hook := s.betweenSlices
-		s.mu.Unlock()
-		if hook != nil {
-			hook()
-		}
-		s.mu.Lock()
-		if s.closed {
-			return false, nil
-		}
-	}
-	if err := s.removeSegment(victim); err != nil {
-		return false, err
-	}
-	s.compactions++
-	return true, nil
-}
-
-// compaction is one victim's rewrite in progress.
-type compaction struct {
-	victim *segment
-	off    int64    // where the next slice starts
-	buf    []byte   // the slice read, compactSlice bytes
-	live   []Record // the slice's live records, pointing into buf
-	out    []byte   // their serialization
-}
-
-// compactSliceLocked reads the victim's next slice and re-appends its
-// live records through the ordinary put path, which supersedes their
-// index entries (or, on error, changes none). A record the slice cuts off
-// starts the next one. Caller holds s.mu.
-func (s *Store) compactSliceLocked(c *compaction) error {
-	data := c.buf[:min(int64(len(c.buf)), c.victim.size-c.off)]
-	if _, err := c.victim.f.ReadAt(data, c.off); err != nil {
-		return err
-	}
-	c.live = c.live[:0]
-	rel := 0
-	for len(data)-rel >= recOverhead {
-		rec := data[rel:]
-		w := int(binary.LittleEndian.Uint16(rec[0:2]))
-		n := recOverhead + w
-		if n > len(rec) {
-			break
-		}
-		id := binary.LittleEndian.Uint64(rec[3:11])
-		if s.index.get(id) == makeLoc(c.victim.slot, c.off+int64(rel), w) {
-			c.live = append(c.live, Record{LinkID: id, Algo: rec[2], State: rec[recHeaderLen : recHeaderLen+w]})
-		}
-		rel += n
-	}
-	if rel == 0 {
-		// Every record is shorter than a slice: the bytes at off are not
-		// one, and retrying would never get past them.
-		return fmt.Errorf("coldstore: %s: no record at offset %d", s.segPath(c.victim.id), c.off)
-	}
-	var err error
-	if c.out, err = s.putLocked(c.live, c.out); err != nil {
-		return err
-	}
-	c.off += int64(rel)
-	return nil
-}
-
-// Stats is a point-in-time view of the tier.
-type Stats struct {
-	// Links is the number of links resident in the tier; Segments the
-	// number of on-disk log files.
-	Links    int `json:"links"`
-	Segments int `json:"segments"`
-	// LiveBytes/DeadBytes split the segment bytes by whether the index
-	// still references them; DiskBytes is their sum plus headers.
-	LiveBytes int64 `json:"live_bytes"`
-	DeadBytes int64 `json:"dead_bytes"`
-	DiskBytes int64 `json:"disk_bytes"`
-	// Spills and Restores count links written to and taken back from
-	// the tier (cumulative, this process).
-	Spills   uint64 `json:"spilled_links_total"`
-	Restores uint64 `json:"restored_links_total"`
-	// Compactions counts segments reclaimed; TornTails counts truncated
-	// partial tails found at recovery.
-	Compactions uint64 `json:"compactions_total"`
-	TornTails   uint64 `json:"torn_tails_total"`
-	// RestoreLatency digests the restore latency histogram; RestoreHist
-	// is the full merged histogram behind it (for the Prometheus renderer
-	// — omitted from JSON). A pointer, so taking a snapshot puts no
-	// histogram-sized frame on the polling goroutine's stack.
-	RestoreLatency obs.LatencySummary `json:"restore_latency"`
-	RestoreHist    *stats.Histogram   `json:"-"`
-	// AlgoLinks counts resident links per algorithm ID.
-	AlgoLinks map[uint8]int `json:"algo_links,omitempty"`
-}
-
-// Stats snapshots the tier's counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	lat := s.restoreLat
-	out := Stats{
-		Links:       s.index.len(),
-		Segments:    len(s.segs) - len(s.freeSlots),
-		Spills:      s.spills,
-		Restores:    s.restores,
-		Compactions: s.compactions,
-		TornTails:   s.tornTails,
-		RestoreHist: new(stats.Histogram),
-	}
-	for _, sg := range s.segs {
-		if sg == nil {
-			continue
-		}
-		out.LiveBytes += sg.liveBytes
-		out.DeadBytes += sg.deadBytes
-		out.DiskBytes += sg.size
-	}
-	for a, n := range &s.perAlgo {
-		if n != 0 {
-			if out.AlgoLinks == nil {
-				out.AlgoLinks = make(map[uint8]int)
-			}
-			out.AlgoLinks[uint8(a)] = int(n)
-		}
-	}
-	s.mu.Unlock()
-	if lat != nil {
-		lat.MergeInto(out.RestoreHist)
-	}
-	out.RestoreLatency = obs.Summarize(out.RestoreHist)
-	return out
-}
 
 func (s *Store) closeFiles() {
 	for _, sg := range s.segs {
