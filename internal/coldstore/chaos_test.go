@@ -2,6 +2,9 @@ package coldstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -80,6 +83,101 @@ func TestCompactOnceVictimReadFault(t *testing.T) {
 		t.Fatalf("CompactOnce retry on a healed disk: progressed=%v err=%v", progressed, err)
 	}
 	check("after successful compaction")
+}
+
+// TestCompactOnceChangedLiveRecord: a live record whose bytes changed on
+// disk must not come back valid from a compaction. Rewriting it would
+// give the changed bytes a fresh CRC; instead the compaction fails as on
+// a read fault, the record stays indexed, and Take reports the mismatch.
+func TestCompactOnceChangedLiveRecord(t *testing.T) {
+	const sealedRecs, stateW, live = 13, 64, 7
+	dir := t.TempDir()
+	s := openT(t, dir, Config{SegmentBytes: 1 << 10})
+	for id := uint64(1); id <= 24; id++ {
+		putOne(t, s, id, 1, stateFor(id, stateW))
+	}
+	s.mu.Lock()
+	l, seg0 := s.index.get(live), s.segs[0]
+	sealed := seg0 != s.active && seg0.liveRecs == sealedRecs
+	s.mu.Unlock()
+	if !sealed || l.slot() != seg0.slot {
+		t.Fatalf("want link %d among %d records of a sealed segment 0", live, sealedRecs)
+	}
+
+	// Change one state byte of the live record, then supersede the rest of
+	// its segment: only now is the segment a compaction victim.
+	f, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	at := l.off() + recHeaderLen + stateW/2
+	if _, err := f.ReadAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x20
+	if _, err := f.WriteAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for id := uint64(1); id <= sealedRecs; id++ {
+		if id != live {
+			putOne(t, s, id, 1, stateFor(id+1000, stateW))
+		}
+	}
+
+	if progressed, err := s.CompactOnce(); progressed || err == nil {
+		t.Errorf("CompactOnce over a changed live record: progressed=%v err=%v, want (false, error)", progressed, err)
+	}
+	if _, state, ok, err := s.Take(live, nil); ok || err == nil {
+		t.Errorf("Take(%d) of the changed record: ok=%v err=%v state %x, want a CRC error", live, ok, err, state)
+	}
+}
+
+// TestCompactOnceDeadFrameWidthChanged: a dead record whose width field
+// changed on disk makes the compaction's walk step over the live records
+// after it. The victim must then stay, and those records with it, rather
+// than be removed with index entries still pointing into it.
+func TestCompactOnceDeadFrameWidthChanged(t *testing.T) {
+	const sealedRecs, stateW, dead = 13, 64, 7
+	dir := t.TempDir()
+	s := openT(t, dir, Config{SegmentBytes: 1 << 10})
+	for id := uint64(1); id <= 24; id++ {
+		putOne(t, s, id, 1, stateFor(id, stateW))
+	}
+	s.mu.Lock()
+	l, seg0 := s.index.get(dead), s.segs[0]
+	end := seg0.size
+	s.mu.Unlock()
+	if l.slot() != seg0.slot || seg0.liveRecs != sealedRecs {
+		t.Fatalf("want link %d among %d records of a sealed segment 0", dead, sealedRecs)
+	}
+
+	// Widen the record to run to the segment's end, then supersede it and
+	// the ones before it: the segment is a victim whose last records are
+	// live.
+	f, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w [2]byte
+	binary.LittleEndian.PutUint16(w[:], uint16(end-l.off()-recOverhead))
+	if _, err := f.WriteAt(w[:], l.off()); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for id := uint64(1); id <= dead; id++ {
+		putOne(t, s, id, 1, stateFor(id+1000, stateW))
+	}
+
+	if progressed, err := s.CompactOnce(); progressed || err == nil {
+		t.Errorf("CompactOnce over a hidden live record: progressed=%v err=%v, want (false, error)", progressed, err)
+	}
+	for id := uint64(dead + 1); id <= sealedRecs; id++ {
+		if _, state, ok, err := s.Take(id, nil); !ok || err != nil || !bytes.Equal(state, stateFor(id, stateW)) {
+			t.Errorf("Take(%d) after the compaction: ok=%v err=%v", id, ok, err)
+		}
+	}
 }
 
 // TestFailedCompactionIsRetried: compaction kicks are sent only when a

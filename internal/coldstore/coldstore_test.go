@@ -183,9 +183,9 @@ func TestCompactorStopsWhenIdle(t *testing.T) {
 }
 
 // TestReopenCompactsDeadSegments: a directory with several fully dead
-// segments is reclaimed by the compactor that Open starts for the first of
-// them while it is still scanning the rest. Under -race this checks that
-// the scan and the compactor share the lock.
+// segments is reclaimed by the compactor that Open starts once recovery
+// has returned its tables. Under -race this checks that Open's kicks and
+// the compactor share the lock.
 func TestReopenCompactsDeadSegments(t *testing.T) {
 	// Two logs of the same links, the second one newer: appended to the
 	// first under later segment IDs, it supersedes every record there.
@@ -417,6 +417,11 @@ func TestTornTailTruncated(t *testing.T) {
 	r := openT(t, dir, Config{})
 	if _, _, ok, _ := r.Peek(999, nil); ok {
 		t.Fatalf("torn record 999 came back")
+	}
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if want := int64(len(data) - (recOverhead + 32)); fi.Size() != want {
+		t.Fatalf("the segment is %d bytes after recovery, want the torn record cut to %d", fi.Size(), want)
 	}
 	for i := 0; i < 10; i++ {
 		id := uint64(i + 1)
@@ -659,6 +664,41 @@ func FuzzSegmentRecovery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeRecordFrame: decodeRecord, the one reader of the record
+// frame, reads back what appendRecord wrote at SoftRate's 8-byte and
+// served SampleRate's 1668-byte state widths and stops at the frame's
+// end. After any change to any one byte of the frame — width, algorithm,
+// link ID, state or CRC — and for every strict prefix of it, the frame it
+// reads is refused as recovery refuses one: not whole, or not intact.
+func TestDecodeRecordFrame(t *testing.T) {
+	accepted := func(b []byte) bool {
+		_, n := decodeRecord(b)
+		return n <= len(b) && intact(b[:n])
+	}
+	for _, w := range []int{8, 1668} {
+		want := Record{LinkID: 0x0123456789abcdef, Algo: 3, State: stateFor(77, w)}
+		frame := appendRecord(nil, want)
+		r, n := decodeRecord(appendRecord(frame[:len(frame):len(frame)], Record{LinkID: 1, Algo: 1, State: stateFor(1, 8)}))
+		if n != recOverhead+w || !intact(frame) || r.LinkID != want.LinkID || r.Algo != want.Algo || !bytes.Equal(r.State, want.State) {
+			t.Fatalf("width %d: decoded %+v from %d bytes, intact %v; want %+v from %d", w, r, n, intact(frame), want, recOverhead+w)
+		}
+		for i := range frame {
+			for x := 1; x < 256; x++ {
+				frame[i] ^= byte(x)
+				if accepted(frame) {
+					t.Fatalf("width %d: byte %d changed by %#x is accepted", w, i, x)
+				}
+				frame[i] ^= byte(x)
+			}
+		}
+		for k := range frame {
+			if accepted(frame[:k]) {
+				t.Fatalf("width %d: a %d-byte prefix is accepted", w, k)
+			}
+		}
+	}
 }
 
 // TestOpenRejectsNaNCompactRatio: NaN passes both the "<= 0 means the

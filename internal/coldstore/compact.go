@@ -1,7 +1,6 @@
 package coldstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 )
@@ -9,17 +8,17 @@ import (
 // compactable reports whether sg is sealed and either fully dead or
 // past the dead-ratio threshold.
 func (s *Store) compactable(sg *segment) bool {
-	return sg != s.active && (sg.liveRecs == 0 || sg.deadRatio() >= s.compactRatio)
+	return sg != s.active && (sg.liveRecs == 0 || sg.deadRatio() >= s.cfg.CompactRatio)
 }
 
 // kickIfCompactable wakes the background compactor, starting it if it is
 // not running, when sg has become worth rewriting. A segment's standing
 // changes only when one of its records dies or when it is sealed, so
 // checking the segment just touched at those two points sees every
-// crossing without scanning the segment list per record. Caller holds
-// s.mu.
+// crossing without scanning the segment list per record. sg may be nil.
+// Caller holds s.mu.
 func (s *Store) kickIfCompactable(sg *segment) {
-	if !s.compactable(sg) || s.closed {
+	if sg == nil || !s.compactable(sg) || s.closed {
 		return
 	}
 	s.kicked = true
@@ -124,6 +123,10 @@ func (s *Store) CompactOnce() (bool, error) {
 			return false, nil
 		}
 	}
+	if victim.liveRecs > 0 {
+		// A dead frame whose width changed on disk hid the records after it.
+		return false, fmt.Errorf("coldstore: %s: %d live records not found", segPath(s.cfg.Dir, victim.id), victim.liveRecs)
+	}
 	if err := s.removeSegment(victim); err != nil {
 		return false, err
 	}
@@ -143,7 +146,10 @@ type compaction struct {
 // compactSliceLocked reads the victim's next slice and re-appends its
 // live records through the ordinary put path, which supersedes their
 // index entries (or, on error, changes none). A record the slice cuts off
-// starts the next one. Caller holds s.mu.
+// starts the next one. A live record whose frame fails its CRC fails the
+// slice as a read fault does: re-appending it would give changed bytes a
+// fresh CRC. It stays indexed where it is, and Take reports the mismatch.
+// A dead one is dropped like any dead record. Caller holds s.mu.
 func (s *Store) compactSliceLocked(c *compaction) error {
 	data := c.buf[:min(int64(len(c.buf)), c.victim.size-c.off)]
 	if _, err := c.victim.f.ReadAt(data, c.off); err != nil {
@@ -151,23 +157,23 @@ func (s *Store) compactSliceLocked(c *compaction) error {
 	}
 	c.live = c.live[:0]
 	rel := 0
-	for len(data)-rel >= recOverhead {
-		rec := data[rel:]
-		w := int(binary.LittleEndian.Uint16(rec[0:2]))
-		n := recOverhead + w
-		if n > len(rec) {
+	for rel < len(data) {
+		r, n := decodeRecord(data[rel:])
+		if n > len(data)-rel {
 			break
 		}
-		id := binary.LittleEndian.Uint64(rec[3:11])
-		if s.index.get(id) == makeLoc(c.victim.slot, c.off+int64(rel), w) {
-			c.live = append(c.live, Record{LinkID: id, Algo: rec[2], State: rec[recHeaderLen : recHeaderLen+w]})
+		if s.index.get(r.LinkID) == makeLoc(c.victim.slot, c.off+int64(rel), len(r.State)) {
+			if !intact(data[rel : rel+n]) {
+				return fmt.Errorf("coldstore: %s: link %d record failed its CRC", segPath(s.cfg.Dir, c.victim.id), r.LinkID)
+			}
+			c.live = append(c.live, r)
 		}
 		rel += n
 	}
 	if rel == 0 {
 		// Every record is shorter than a slice: the bytes at off are not
 		// one, and retrying would never get past them.
-		return fmt.Errorf("coldstore: %s: no record at offset %d", s.segPath(c.victim.id), c.off)
+		return fmt.Errorf("coldstore: %s: no record at offset %d", segPath(s.cfg.Dir, c.victim.id), c.off)
 	}
 	var err error
 	if c.out, err = s.putLocked(c.live, c.out); err != nil {

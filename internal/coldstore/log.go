@@ -14,7 +14,9 @@
 //     is serialized into a single buffer and committed with one write
 //     syscall (group commit). Records are CRC-framed — [width u16,
 //     algo u8, linkID u64, state, crc32 over all of it] — so a torn
-//     tail is detectable.
+//     tail is detectable. appendRecord is the frame's one writer and
+//     decodeRecord (with intact, its CRC check) its one reader, for
+//     recovery, restores and compaction alike.
 //   - The index (index.go) maps linkID u64 to [segment slot u16, offset
 //     u32, state width u16]. It carries the record's length, so a read is
 //     exact and superseding or restoring a record needs no I/O to account
@@ -40,23 +42,32 @@
 //     live records and deleting the file, so disk usage tracks the live
 //     population. It rewrites a segment 256 KiB at a time and releases
 //     the lock in between, so restores and spills never wait for a whole
-//     segment. It is woken when a record dies or a segment is sealed, and
-//     by its own timer after a compaction that failed.
-//   - Recovery is a scan. Open rebuilds the index by reading every
-//     segment in ID order (later segments supersede earlier ones, later
-//     offsets supersede earlier ones); the first CRC or framing failure
-//     in a segment is treated as a torn tail and truncated away, so a
-//     crash mid-commit recovers every fully-written record and never
-//     fabricates one. Take deletes only the index entry, so a link taken
-//     back into RAM and then lost to a crash resurrects at reopen with
-//     its spill-time state — best-available semantics; a clean shutdown
-//     (linkstore.SpillAll) supersedes every such record first, making
-//     restart exact.
+//     segment. It re-appends only records whose CRC it has checked: a
+//     live record that fails it fails the slice as a read fault does, and
+//     stays indexed for Take to report. It is woken when a record dies or
+//     a segment is sealed, and by its own timer after a compaction that
+//     failed.
+//   - Recovery is a function (recover.go) from a file system and a
+//     directory to the segment table, the index, the per-algorithm counts
+//     and the torn-tail count, with no Store, lock or goroutine; Open
+//     builds the store from its result and then starts the compactor on
+//     any segment worth it. It reads every segment in ID order (later
+//     segments supersede earlier ones, later offsets supersede earlier
+//     ones); the first CRC or framing failure in a segment is treated as
+//     a torn tail and truncated away, so a crash mid-commit recovers
+//     every fully-written record and never fabricates one. Take deletes
+//     only the index entry, so a link taken back into RAM and then lost
+//     to a crash resurrects at reopen with its spill-time state —
+//     best-available semantics; a clean shutdown (linkstore.SpillAll)
+//     supersedes every such record first, making restart exact.
 //
 // The store never decodes controller state — bytes in are bytes out,
 // which is what keeps decisions byte-identical across evict → spill →
 // restore (linkstore's tests check restored links against bare
 // controllers across this tier).
+//
+// log.go holds the Store, the frame and the put, take and rotation paths;
+// recover.go recovery, compact.go the compactor and stats.go Stats.
 package coldstore
 
 import (
@@ -70,15 +81,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"softrate/internal/bitutil"
 	"softrate/internal/faultfs"
 	"softrate/internal/obs"
 )
-
-// segmentFile is the per-file I/O surface a segment needs. It is
-// faultfs.File so a fault-injecting Config.FS reaches every read, write
-// and sync the tier ever issues — there is no *os.File fast path to slip
-// past the injector.
-type segmentFile = faultfs.File
 
 const (
 	// segMagic/segVersion head every segment file.
@@ -156,12 +162,12 @@ type Record struct {
 
 // segment is one on-disk log file.
 type segment struct {
-	id        uint32 // names the file; never reused
-	slot      uint16 // position in Store.segs, what index entries carry
-	f         segmentFile
-	size      int64 // committed bytes, including the header
-	liveBytes int64 // record bytes still referenced by the index
-	deadBytes int64 // record bytes superseded or restored
+	id        uint32       // names the file; never reused
+	slot      uint16       // position in tables.segs, what index entries carry
+	f         faultfs.File // no *os.File fast path: Config.FS sees every read, write and sync
+	size      int64        // committed bytes, including the header
+	liveBytes int64        // record bytes still referenced by the index
+	deadBytes int64        // record bytes superseded or restored
 	liveRecs  int64
 	deadRecs  int64
 }
@@ -174,32 +180,38 @@ func (sg *segment) deadRatio() float64 {
 	return float64(sg.deadBytes) / float64(total)
 }
 
-// Store is the disk-backed cold tier.
-type Store struct {
-	cfg          Config
-	fs           faultfs.FS
-	segmentBytes int64
-	compactRatio float64
-
-	mu sync.Mutex
+// tables is what the tier knows of its segments: the segment table, the
+// index over it, the per-algorithm link counts and the torn tails cut.
+// Recovery (recover.go) builds it from the segment files with no Store
+// around it; a Store keeps it under s.mu.
+type tables struct {
 	// segs holds the live segments by slot (nil = free slot). Index
 	// entries name a segment by slot, not by ID: IDs grow for the life of
 	// the directory, slots are reused, so 16 bits bound the segments live
 	// at once rather than the segments ever written.
 	segs      []*segment
 	freeSlots []uint16
-	maxSegs   int // maxSegSlots; a field so a test can reach the limit
-	active    *segment
-	nextSeg   uint32
+	maxSegs   int      // maxSegSlots; a field so a test can reach the limit
+	active    *segment // the segment appends go to
+	nextSeg   uint32   // the ID of the next segment created
 	// index is all an idle link keeps in RAM — the whole point of the
 	// tier.
 	index index
+	// perAlgo counts live indexed links per algorithm ID.
+	perAlgo   [256]int64
+	tornTails uint64
+}
+
+// Store is the disk-backed cold tier.
+type Store struct {
+	cfg Config
+
+	mu sync.Mutex
+	tables
 	// links is index.len(), stored under s.mu after every change so Len
 	// can read it without the lock: a link store asks it on every miss.
 	links atomic.Int64
 	cache blockCache
-	// perAlgo counts live indexed links per algorithm ID.
-	perAlgo [256]int64
 
 	batchBuf []byte    // PutBatch serialization buffer, reused
 	readBuf  []byte    // direct-read buffer for block-straddling records, reused
@@ -215,7 +227,6 @@ type Store struct {
 	spills      uint64
 	restores    uint64
 	compactions uint64
-	tornTails   uint64
 	// restoreLat is allocated by the first restore: its stripes are most of
 	// an empty store's footprint, and a tier that is never read from (a
 	// store whose links never idle out) should not carry them.
@@ -235,12 +246,13 @@ type Store struct {
 	closed     bool
 }
 
-func segName(id uint32) string            { return fmt.Sprintf("seg-%08d.slog", id) }
-func (s *Store) segPath(id uint32) string { return filepath.Join(s.cfg.Dir, segName(id)) }
+func segName(id uint32) string             { return fmt.Sprintf("seg-%08d.slog", id) }
+func segPath(dir string, id uint32) string { return filepath.Join(dir, segName(id)) }
 
-// Open creates or recovers a Store in cfg.Dir. Existing segments are
-// scanned to rebuild the index: later segments supersede earlier ones,
-// and a torn tail (partial final batch from a crash) is truncated away.
+// Open creates or recovers a Store in cfg.Dir. Recovery (recover.go)
+// rebuilds the segment table and the index from the segments already
+// there; the store is built from its result, and every segment it found
+// worth compacting starts the compactor.
 func Open(cfg Config) (*Store, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
@@ -254,41 +266,32 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.CompactRatio <= 0 {
 		cfg.CompactRatio = DefaultCompactRatio
 	}
-	if cfg.CompactRatio > 1 {
-		cfg.CompactRatio = 1
-	}
+	cfg.CompactRatio = min(cfg.CompactRatio, 1)
 	if cfg.FS == nil {
 		cfg.FS = faultfs.OS{}
 	}
 	if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
 		return nil, err
 	}
-	s := &Store{
-		cfg:          cfg,
-		fs:           cfg.FS,
-		segmentBytes: int64(cfg.SegmentBytes),
-		compactRatio: cfg.CompactRatio,
-		maxSegs:      maxSegSlots,
-		wake:         make(chan struct{}, 1),
-		stopCh:       make(chan struct{}),
-	}
-	// Recovery marks superseded records dead as it scans, and each kick
-	// that makes would start the compactor on a half-built store: hold it
-	// off as if it were running, and check every segment once the scan is
-	// done. The first kick there starts it, and it takes s.mu and may
-	// remove segments, so the check holds the lock.
-	s.compacting = true
-	if err := s.recover(); err != nil {
-		s.closeFiles()
+	t, err := recoverDir(cfg.FS, cfg.Dir)
+	if err != nil {
 		return nil, err
 	}
-	s.links.Store(int64(s.index.len()))
-	s.mu.Lock()
-	s.compacting, s.kicked = false, false
-	select {
-	case <-s.wake:
-	default:
+	s := &Store{
+		cfg:    cfg,
+		tables: t,
+		wake:   make(chan struct{}, 1),
+		stopCh: make(chan struct{}),
 	}
+	if s.active == nil {
+		if err := s.rotateLocked(); err != nil { // an empty directory starts at segment 0
+			return nil, err
+		}
+	}
+	s.links.Store(int64(s.index.len()))
+	// The first kick starts the compactor, which takes s.mu and may remove
+	// segments, so the check holds the lock.
+	s.mu.Lock()
 	for _, sg := range s.segs {
 		s.kickIfCompactable(sg)
 	}
@@ -296,17 +299,17 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// addSegment gives sg a slot in s.segs.
-func (s *Store) addSegment(sg *segment) error {
-	if n := len(s.freeSlots); n > 0 {
-		sg.slot = s.freeSlots[n-1]
-		s.freeSlots = s.freeSlots[:n-1]
-		s.segs[sg.slot] = sg
-	} else if len(s.segs) < s.maxSegs {
-		sg.slot = uint16(len(s.segs))
-		s.segs = append(s.segs, sg)
+// addSegment gives sg a slot in t.segs.
+func (t *tables) addSegment(sg *segment) error {
+	if n := len(t.freeSlots); n > 0 {
+		sg.slot = t.freeSlots[n-1]
+		t.freeSlots = t.freeSlots[:n-1]
+		t.segs[sg.slot] = sg
+	} else if len(t.segs) < t.maxSegs {
+		sg.slot = uint16(len(t.segs))
+		t.segs = append(t.segs, sg)
 	} else {
-		return fmt.Errorf("coldstore: %d segments are live, the most the index can name", s.maxSegs)
+		return fmt.Errorf("coldstore: %d segments are live, the most the index can name", t.maxSegs)
 	}
 	return nil
 }
@@ -315,7 +318,7 @@ func (s *Store) addSegment(sg *segment) error {
 // into, and releases its slot and cached blocks.
 func (s *Store) removeSegment(sg *segment) error {
 	sg.f.Close()
-	if err := s.fs.Remove(s.segPath(sg.id)); err != nil {
+	if err := s.cfg.FS.Remove(segPath(s.cfg.Dir, sg.id)); err != nil {
 		return err
 	}
 	s.cache.drop(sg)
@@ -324,7 +327,7 @@ func (s *Store) removeSegment(sg *segment) error {
 	return nil
 }
 
-func (s *Store) writeHeader(sg *segment) error {
+func writeHeader(sg *segment) error {
 	var hdr [headerLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], segMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
@@ -338,45 +341,48 @@ func (s *Store) writeHeader(sg *segment) error {
 	return nil
 }
 
-// indexPut points the index at a freshly scanned or written record of
-// state width w, marking any superseded record dead in its segment.
-func (s *Store) indexPut(id uint64, algo uint8, sg *segment, off int64, w int) {
-	if old := s.index.put(id, makeLoc(sg.slot, off, w)); old != 0 {
-		s.markDead(old)
+// place points the index at a freshly scanned or written record of state
+// width w at off in sg and counts its bytes live. A record it supersedes
+// is counted dead, and its segment, whose standing that changed, is
+// returned; nil if none.
+func (t *tables) place(id uint64, algo uint8, sg *segment, off int64, w int) (superseded *segment) {
+	if old := t.index.put(id, makeLoc(sg.slot, off, w)); old != 0 {
+		superseded = t.kill(old)
 	} else {
-		s.perAlgo[algo]++
+		t.perAlgo[algo]++
 	}
 	sg.liveBytes += int64(recOverhead + w)
 	sg.liveRecs++
+	return superseded
 }
 
-// markDead moves the record at l from live to dead accounting and wakes
-// the compactor if that tips its segment over the threshold.
-func (s *Store) markDead(l loc) {
-	sg := s.segs[l.slot()]
+// kill moves the record at l from live to dead accounting and returns its
+// segment.
+func (t *tables) kill(l loc) *segment {
+	sg := t.segs[l.slot()]
 	n := int64(l.recLen())
 	sg.liveBytes -= n
 	sg.deadBytes += n
 	sg.liveRecs--
 	sg.deadRecs++
-	s.kickIfCompactable(sg)
+	return sg
 }
 
 // rotateLocked seals the active segment and starts a new one.
 func (s *Store) rotateLocked() error {
 	id := s.nextSeg
-	f, err := s.fs.Create(s.segPath(id))
+	f, err := s.cfg.FS.Create(segPath(s.cfg.Dir, id))
 	if err != nil {
 		return err
 	}
 	sg := &segment{id: id, f: f}
-	err = s.writeHeader(sg)
+	err = writeHeader(sg)
 	if err == nil {
 		err = s.addSegment(sg)
 	}
 	if err != nil {
 		f.Close()
-		s.fs.Remove(s.segPath(id))
+		s.cfg.FS.Remove(segPath(s.cfg.Dir, id))
 		return err
 	}
 	s.nextSeg++
@@ -397,10 +403,31 @@ func appendRecord(buf []byte, r Record) []byte {
 	binary.LittleEndian.PutUint64(hdr[3:11], r.LinkID)
 	buf = append(buf, hdr[:]...)
 	buf = append(buf, r.State...)
-	crc := crc32IEEE(buf[start:])
+	crc := bitutil.CRC32(buf[start:])
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], crc)
 	return append(buf, tail[:]...)
+}
+
+// decodeRecord parses the frame at the head of b: the one reader of what
+// appendRecord writes. n is the frame's length as its width field says (at
+// least recOverhead). If all n bytes are in b, r is the record, its State
+// a view of b, and intact(b[:n]) says whether its CRC holds.
+func decodeRecord(b []byte) (r Record, n int) {
+	if len(b) < recOverhead {
+		return r, recOverhead
+	}
+	w := int(binary.LittleEndian.Uint16(b[0:2]))
+	if n = recOverhead + w; len(b) >= n {
+		r = Record{LinkID: binary.LittleEndian.Uint64(b[3:11]), Algo: b[2], State: b[recHeaderLen : recHeaderLen+w]}
+	}
+	return r, n
+}
+
+// intact reports whether a whole frame's CRC holds.
+func intact(frame []byte) bool {
+	n := len(frame) - 4
+	return bitutil.CRC32(frame[:n]) == binary.LittleEndian.Uint32(frame[n:])
 }
 
 // PutBatch group-commits a batch of encoded states: one serialization
@@ -446,7 +473,7 @@ func (s *Store) putLocked(recs []Record, buf []byte) ([]byte, error) {
 	}
 	// Rotate at the size threshold, and before a batch that would carry
 	// the segment past the largest offset an index entry can name.
-	if s.active.size >= s.segmentBytes || s.active.size+batchLen > maxSegOffset {
+	if s.active.size >= int64(s.cfg.SegmentBytes) || s.active.size+batchLen > maxSegOffset {
 		if err := s.rotateLocked(); err != nil {
 			return buf, err
 		}
@@ -474,7 +501,7 @@ func (s *Store) putLocked(recs []Record, buf []byte) ([]byte, error) {
 	off := sg.size
 	sg.size += int64(len(buf))
 	for _, r := range recs {
-		s.indexPut(r.LinkID, r.Algo, sg, off, len(r.State))
+		s.kickIfCompactable(s.place(r.LinkID, r.Algo, sg, off, len(r.State)))
 		off += int64(recOverhead + len(r.State))
 	}
 	s.links.Store(int64(s.index.len()))
@@ -486,24 +513,23 @@ func (s *Store) putLocked(recs []Record, buf []byte) ([]byte, error) {
 // (valid until the next call; caller holds s.mu).
 func (s *Store) readRecord(id uint64, l loc) (uint8, []byte, error) {
 	sg := s.segs[l.slot()]
-	w := l.width()
 	if l.off()+int64(l.recLen()) > sg.size {
 		return 0, nil, fmt.Errorf("coldstore: link %d record overruns its segment", id)
 	}
-	rec, err := s.cache.read(sg, l.off(), l.recLen(), &s.readBuf)
+	b, err := s.cache.read(sg, l.off(), l.recLen(), &s.readBuf)
 	if err != nil {
 		return 0, nil, err
 	}
-	if int(binary.LittleEndian.Uint16(rec[0:2])) != w {
+	switch r, n := decodeRecord(b); {
+	case n != len(b):
 		return 0, nil, fmt.Errorf("coldstore: link %d record is not the width its index entry says", id)
-	}
-	if got := binary.LittleEndian.Uint64(rec[3:11]); got != id {
-		return 0, nil, fmt.Errorf("coldstore: index for link %d points at link %d", id, got)
-	}
-	if crc32IEEE(rec[:len(rec)-4]) != binary.LittleEndian.Uint32(rec[len(rec)-4:]) {
+	case r.LinkID != id:
+		return 0, nil, fmt.Errorf("coldstore: index for link %d points at link %d", id, r.LinkID)
+	case !intact(b):
 		return 0, nil, fmt.Errorf("coldstore: link %d record failed its CRC", id)
+	default:
+		return r.Algo, r.State, nil
 	}
-	return rec[2], rec[recHeaderLen : recHeaderLen+w], nil
 }
 
 // Taken is TakeBatch's answer for one link.
@@ -576,7 +602,7 @@ func (s *Store) TakeBatch(ids []uint64, dst []byte, out []Taken) ([]byte, []Take
 		*t = Taken{State: dst[at:len(dst):len(dst)], Algo: algo, OK: true}
 		s.index.del(id)
 		s.perAlgo[algo]--
-		s.markDead(r.loc)
+		s.kickIfCompactable(s.kill(r.loc))
 		taken = r.loc
 		restored++
 	}
@@ -629,14 +655,6 @@ func (s *Store) Peek(id uint64, dst []byte) (algo uint8, state []byte, ok bool, 
 // Len returns the number of links in the tier.
 func (s *Store) Len() int { return int(s.links.Load()) }
 
-func (s *Store) closeFiles() {
-	for _, sg := range s.segs {
-		if sg != nil {
-			sg.f.Close()
-		}
-	}
-}
-
 // Close stops the compactor and closes every segment file. The store is
 // unusable afterwards; reopen with Open.
 func (s *Store) Close() error {
@@ -657,13 +675,9 @@ func (s *Store) Close() error {
 			continue
 		}
 		if s.cfg.Sync {
-			if e := sg.f.Sync(); e != nil && err == nil {
-				err = e
-			}
+			err = cmp.Or(err, sg.f.Sync())
 		}
-		if e := sg.f.Close(); e != nil && err == nil {
-			err = e
-		}
+		err = cmp.Or(err, sg.f.Close()) // the first error is the one returned
 	}
 	return err
 }

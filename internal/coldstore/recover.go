@@ -3,14 +3,20 @@ package coldstore
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+
+	"softrate/internal/faultfs"
 )
 
-// recover scans the directory and rebuilds segments and index.
-func (s *Store) recover() error {
-	names, err := s.fs.ReadDir(s.cfg.Dir)
+// recoverDir rebuilds the tier's tables from the segment files in dir. It
+// loads every segment in ID order, so later segments supersede earlier
+// ones (and later offsets earlier ones), and resumes the highest as the
+// active one; an empty directory gets no segment. On error every file it
+// opened is closed.
+func recoverDir(fs faultfs.FS, dir string) (t tables, err error) {
+	names, err := fs.ReadDir(dir)
 	if err != nil {
-		return err
+		return t, err
 	}
 	var ids []uint32
 	for _, name := range names {
@@ -19,106 +25,68 @@ func (s *Store) recover() error {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		sg, err := s.openSegment(id)
+	slices.Sort(ids)
+	t.maxSegs = maxSegSlots
+	defer func() {
 		if err != nil {
-			return err
+			for _, sg := range t.segs {
+				sg.f.Close()
+			}
 		}
-		if err := s.addSegment(sg); err != nil {
-			sg.f.Close()
-			return err
+	}()
+	for _, id := range ids {
+		f, err := fs.Open(segPath(dir, id))
+		if err != nil {
+			return t, err
 		}
-		if err := s.scanSegment(sg); err != nil {
-			return err
-		}
-		s.nextSeg = id + 1
-		// The highest segment resumes as the active one.
-		s.active = sg
-	}
-	if s.active != nil {
-		return nil
-	}
-	return s.rotateLocked() // an empty directory starts at segment 0
-}
-
-// openSegment opens an existing segment file, repairing a torn header
-// (a crash during creation) by rewriting it.
-func (s *Store) openSegment(id uint32) (*segment, error) {
-	f, err := s.fs.Open(s.segPath(id))
-	if err != nil {
-		return nil, err
-	}
-	sg := &segment{id: id, f: f}
-	size, err := f.Size()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if size < headerLen {
-		if err := s.writeHeader(sg); err != nil {
+		sg := &segment{id: id, f: f}
+		if err := t.addSegment(sg); err != nil {
 			f.Close()
-			return nil, err
+			return t, err
 		}
-		return sg, nil
+		if err := t.load(sg, segPath(dir, id)); err != nil {
+			return t, err
+		}
+		t.active, t.nextSeg = sg, id+1
 	}
-	var hdr [headerLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != segMagic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != segVersion {
-		f.Close()
-		return nil, fmt.Errorf("coldstore: %s: not a cold-tier segment", s.segPath(id))
-	}
-	if size > maxSegOffset {
-		f.Close()
-		return nil, fmt.Errorf("coldstore: %s: %d bytes is beyond the %d-byte offset an index entry carries", s.segPath(id), size, int64(maxSegOffset))
-	}
-	sg.size = size
-	return sg, nil
+	return t, nil
 }
 
-// scanSegment replays one segment's records into the index. The first
-// framing or CRC failure is a torn tail: everything before it is
-// committed, everything at and after it is truncated away.
-func (s *Store) scanSegment(sg *segment) error {
-	if sg.size <= headerLen {
-		return nil
-	}
-	data := make([]byte, sg.size-headerLen)
-	if _, err := sg.f.ReadAt(data, headerLen); err != nil {
+// load reads segment sg, whose file is at path, and places its records in
+// the index up to the first frame that is not whole and intact. It starts
+// a torn tail — a crash mid-commit — and load truncates it away, so a
+// later append can never concatenate into it, and counts it. A header
+// torn by a crash during creation is rewritten.
+func (t *tables) load(sg *segment, path string) error {
+	size, err := sg.f.Size()
+	if err != nil {
 		return err
 	}
-	off := 0
+	if size < headerLen {
+		return writeHeader(sg)
+	}
+	if size > maxSegOffset {
+		return fmt.Errorf("coldstore: %s: %d bytes is beyond the %d-byte offset an index entry carries", path, size, int64(maxSegOffset))
+	}
+	data := make([]byte, size)
+	if _, err := sg.f.ReadAt(data, 0); err != nil {
+		return err
+	}
+	if binary.LittleEndian.Uint32(data[0:4]) != segMagic || binary.LittleEndian.Uint32(data[4:8]) != segVersion {
+		return fmt.Errorf("coldstore: %s: not a cold-tier segment", path)
+	}
+	off := headerLen
 	for off < len(data) {
-		rec := data[off:]
-		if len(rec) < recOverhead {
-			break // torn: not even a frame
+		r, n := decodeRecord(data[off:])
+		if n > len(data)-off || !intact(data[off:off+n]) {
+			break // a short frame, a width past the tail or a partial write
 		}
-		w := int(binary.LittleEndian.Uint16(rec[0:2]))
-		if len(rec) < recOverhead+w {
-			break // torn: width runs past the tail
-		}
-		n := recOverhead + w
-		want := binary.LittleEndian.Uint32(rec[n-4 : n])
-		if crc32IEEE(rec[:n-4]) != want {
-			break // torn: partial write inside the frame
-		}
-		algo := rec[2]
-		id := binary.LittleEndian.Uint64(rec[3:11])
-		s.indexPut(id, algo, sg, int64(headerLen+off), w)
+		t.place(r.LinkID, r.Algo, sg, int64(off), len(r.State))
 		off += n
 	}
-	if int64(headerLen+off) != sg.size {
-		// Torn tail: drop the unparseable suffix so a later append can
-		// never concatenate into it.
-		s.tornTails++
-		if err := sg.f.Truncate(int64(headerLen + off)); err != nil {
-			return err
-		}
-		sg.size = int64(headerLen + off)
+	if sg.size = int64(off); off == len(data) {
+		return nil
 	}
-	return nil
+	t.tornTails++
+	return sg.f.Truncate(sg.size)
 }
