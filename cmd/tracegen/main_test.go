@@ -37,7 +37,12 @@ func TestWritesLoadableTrace(t *testing.T) {
 	if code := run([]string{"-kind", "static", "-duration", "0.001", "-o", path}); code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	lt, err := trace.LoadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lt, err := trace.Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}

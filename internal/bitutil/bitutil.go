@@ -27,20 +27,6 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// BytesToBits unpacks a byte slice into one bit per byte (values 0 or 1),
-// most-significant bit first, matching the transmission order used by the
-// PHY encoder.
-func BytesToBits(data []byte) []byte {
-	return AppendBytesToBits(make([]byte, 0, len(data)*8), data)
-}
-
-// BitsToBytes packs a bit slice (one bit per byte, MSB first) back into
-// bytes. If len(bits) is not a multiple of 8 the final byte is zero-padded
-// in its least-significant positions.
-func BitsToBytes(bits []byte) []byte {
-	return AppendBitsToBytes(make([]byte, 0, (len(bits)+7)/8), bits)
-}
-
 // AppendBitsToBytes appends the packed form of bits (MSB first, final byte
 // zero-padded) to dst and returns the extended slice, allocating nothing
 // when dst has sufficient capacity.
@@ -118,13 +104,4 @@ func RandomBits(rng *rand.Rand, n int) []byte {
 		bits[i] = byte(rng.Intn(2))
 	}
 	return bits
-}
-
-// RandomBytes returns n random bytes drawn from rng.
-func RandomBytes(rng *rand.Rand, n int) []byte {
-	data := make([]byte, n)
-	for i := range data {
-		data[i] = byte(rng.Intn(256))
-	}
-	return data
 }

@@ -8,30 +8,39 @@ import (
 )
 
 func TestBytesToBitsKnown(t *testing.T) {
-	bits := BytesToBits([]byte{0xA5})
+	bits := AppendBytesToBits(nil, []byte{0xA5})
 	want := []byte{1, 0, 1, 0, 0, 1, 0, 1}
 	if !bytes.Equal(bits, want) {
-		t.Fatalf("BytesToBits(0xA5) = %v, want %v", bits, want)
+		t.Fatalf("AppendBytesToBits(0xA5) = %v, want %v", bits, want)
 	}
 }
 
 func TestBitsToBytesPadding(t *testing.T) {
 	// 10 bits: the last byte must be zero-padded on the LSB side.
 	bits := []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	got := BitsToBytes(bits)
+	got := AppendBitsToBytes(nil, bits)
 	want := []byte{0xFF, 0xC0}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("BitsToBytes = %x, want %x", got, want)
+		t.Fatalf("AppendBitsToBytes = %x, want %x", got, want)
 	}
 }
 
 func TestBitsBytesRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
-		return bytes.Equal(BitsToBytes(BytesToBits(data)), data)
+		return bytes.Equal(AppendBitsToBytes(nil, AppendBytesToBits(nil, data)), data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomBytes returns n random bytes drawn from rng: the CRC tests' inputs.
+func randomBytes(rng *rand.Rand, n int) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(rng.Intn(256))
+	}
+	return data
 }
 
 func TestCountBitErrors(t *testing.T) {
@@ -115,8 +124,8 @@ func TestCRC32Linearity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(100)
-		a := RandomBytes(rng, n)
-		b := RandomBytes(rng, n)
+		a := randomBytes(rng, n)
+		b := randomBytes(rng, n)
 		ab := make([]byte, n)
 		for i := range a {
 			ab[i] = a[i] ^ b[i]
@@ -131,8 +140,8 @@ func TestCRC32Linearity(t *testing.T) {
 
 func TestAppendCheckCRC32(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	payload := RandomBytes(rng, 100)
-	frame := AppendCRC32(payload)
+	payload := randomBytes(rng, 100)
+	frame := AppendCRC32To(nil, payload)
 	got, ok := CheckCRC32(frame)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatal("CRC32 round trip failed")
@@ -162,7 +171,7 @@ func TestCRC16Known(t *testing.T) {
 
 func TestCRC16DetectsFlips(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	data := RandomBytes(rng, 16)
+	data := randomBytes(rng, 16)
 	orig := CRC16CCITT(data)
 	for i := range data {
 		data[i] ^= 1

@@ -30,12 +30,6 @@ func CRC16CCITT(data []byte) uint16 {
 // the switch still verify.
 func CRC32(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
-// AppendCRC32 returns data with its CRC-32 appended big-endian, forming the
-// over-the-air frame body the PHY encodes.
-func AppendCRC32(data []byte) []byte {
-	return AppendCRC32To(make([]byte, 0, len(data)+4), data)
-}
-
 // AppendCRC32To appends data followed by its big-endian CRC-32 to dst and
 // returns the extended slice, allocating nothing when dst has sufficient
 // capacity. It is the single source of the frame-body wire format that
@@ -46,7 +40,7 @@ func AppendCRC32To(dst []byte, data []byte) []byte {
 	return append(dst, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
 }
 
-// CheckCRC32 verifies a frame produced by AppendCRC32 and returns the
+// CheckCRC32 verifies a frame produced by AppendCRC32To and returns the
 // payload with the checksum stripped along with the verdict.
 func CheckCRC32(frame []byte) (payload []byte, ok bool) {
 	if len(frame) < 4 {

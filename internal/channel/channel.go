@@ -112,27 +112,6 @@ func DopplerForCoherence(tc float64) float64 {
 	return 0.4 / tc
 }
 
-// AWGN is a complex additive white Gaussian noise source with total
-// variance Var (Var/2 per real dimension).
-type AWGN struct {
-	rng *rand.Rand
-	sd  float64
-	v   float64
-}
-
-// NewAWGN builds a noise source of total complex variance variance.
-func NewAWGN(rng *rand.Rand, variance float64) *AWGN {
-	return &AWGN{rng: rng, sd: math.Sqrt(variance / 2), v: variance}
-}
-
-// Variance returns the total complex noise variance.
-func (a *AWGN) Variance() float64 { return a.v }
-
-// Sample draws one complex noise sample.
-func (a *AWGN) Sample() complex128 {
-	return complex(a.sd*a.rng.NormFloat64(), a.sd*a.rng.NormFloat64())
-}
-
 // PathLoss is a log-distance large-scale propagation model: the mean SNR at
 // distance d is SNR(d0) - 10*Exponent*log10(d/d0) dB.
 type PathLoss struct {

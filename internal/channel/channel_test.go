@@ -106,23 +106,6 @@ func TestCoherenceTimeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAWGNVariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := NewAWGN(rng, 2.5)
-	if a.Variance() != 2.5 {
-		t.Fatalf("Variance() = %v", a.Variance())
-	}
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		s := a.Sample()
-		sum += real(s)*real(s) + imag(s)*imag(s)
-	}
-	if got := sum / n; math.Abs(got-2.5) > 0.05 {
-		t.Fatalf("measured variance %v, want 2.5", got)
-	}
-}
-
 func TestPathLossMonotonic(t *testing.T) {
 	pl := PathLoss{RefSNRdB: 30, RefDist: 1, Exponent: 3}
 	prev := math.Inf(1)

@@ -58,7 +58,7 @@ const maxNarrowLanes = 3
 const appBlockT = 8
 
 // BatchJob describes one frame's decode within a batch: the rate-1/2
-// channel LLR lattice (after DepunctureLLR for punctured rates; short
+// channel LLR lattice (after DepunctureInto for punctured rates; short
 // slices are zero-extended exactly like the single-frame decoders) and the
 // number of information bits to recover.
 type BatchJob struct {

@@ -18,7 +18,7 @@ func makeBatchJob(rng *rand.Rand, nInfoBytes int, rate CodeRate, sigma float64) 
 	for i := range info {
 		info[i] = byte(rng.Intn(2))
 	}
-	coded := Encode(info)
+	coded := AppendEncode(nil, info)
 	punct := AppendPuncture(nil, coded, rate)
 	soft := make([]float64, len(punct))
 	for i, b := range punct {
@@ -28,7 +28,7 @@ func makeBatchJob(rng *rand.Rand, nInfoBytes int, rate CodeRate, sigma float64) 
 		}
 		soft[i] = 2 * (x + sigma*rng.NormFloat64()) / (sigma * sigma)
 	}
-	return BatchJob{LLRs: DepunctureLLR(soft, rate, len(coded)), NInfo: nInfo}
+	return BatchJob{LLRs: DepunctureInto(make([]float64, len(coded)), soft, rate), NInfo: nInfo}
 }
 
 // batchSizes covers every way a log-MAP group runs on AVX2 hardware: 1, 2

@@ -38,14 +38,14 @@ func maxStar(a, b float64) float64 {
 const bcjrNegInf = -1e30
 
 // DecodeBCJR runs the BCJR (log-MAP) algorithm over rate-1/2 channel LLRs
-// (after DepunctureLLR for punctured rates) and returns the hard decisions
+// (after DepunctureInto for punctured rates) and returns the hard decisions
 // together with the a-posteriori LLR for each information bit. |llrOut[k]|
 // is the SoftPHY hint s_k; Equation 3 of the paper converts it to the
 // probability that bit k was decoded in error:
 //
 //	p_k = 1 / (1 + exp(s_k))
 //
-// The trellis is terminated (Encode's tail), so both recursions are
+// The trellis is terminated (AppendEncode's tail), so both recursions are
 // anchored in state 0.
 //
 // This package-level form allocates fresh output and trellis planes per

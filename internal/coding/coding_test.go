@@ -12,7 +12,7 @@ import (
 func TestEncodeImpulseResponse(t *testing.T) {
 	// A single 1 followed by zeros must emit the generator polynomials as
 	// the two output streams: g0=1011011, g1=1111001.
-	coded := Encode([]byte{1})
+	coded := AppendEncode(nil, []byte{1})
 	wantOut0 := []byte{1, 0, 1, 1, 0, 1, 1}
 	wantOut1 := []byte{1, 1, 1, 1, 0, 0, 1}
 	for i := 0; i < 7; i++ {
@@ -24,7 +24,7 @@ func TestEncodeImpulseResponse(t *testing.T) {
 }
 
 func TestEncodeAllZeros(t *testing.T) {
-	coded := Encode(make([]byte, 20))
+	coded := AppendEncode(nil, make([]byte, 20))
 	for i, b := range coded {
 		if b != 0 {
 			t.Fatalf("all-zero input produced 1 at position %d", i)
@@ -43,7 +43,7 @@ func TestEncodeLinearity(t *testing.T) {
 		a := bitutil.RandomBits(rng, n)
 		b := bitutil.RandomBits(rng, n)
 		ab := bitutil.XORBits(a, b)
-		ea, eb, eab := Encode(a), Encode(b), Encode(ab)
+		ea, eb, eab := AppendEncode(nil, a), AppendEncode(nil, b), AppendEncode(nil, ab)
 		for i := range eab {
 			if eab[i] != ea[i]^eb[i] {
 				return false
@@ -67,7 +67,7 @@ func TestFreeDistance(t *testing.T) {
 				info[i] = byte(v >> i & 1)
 			}
 			w := 0
-			for _, b := range Encode(info) {
+			for _, b := range AppendEncode(nil, info) {
 				w += int(b)
 			}
 			if w < best {
@@ -82,13 +82,13 @@ func TestFreeDistance(t *testing.T) {
 
 func TestPunctureLengths(t *testing.T) {
 	coded := make([]byte, 24)
-	if got := len(Puncture(coded, Rate12)); got != 24 {
+	if got := len(AppendPuncture(nil, coded, Rate12)); got != 24 {
 		t.Fatalf("Rate12 puncture length %d, want 24", got)
 	}
-	if got := len(Puncture(coded, Rate23)); got != 18 {
+	if got := len(AppendPuncture(nil, coded, Rate23)); got != 18 {
 		t.Fatalf("Rate23 puncture length %d, want 18", got)
 	}
-	if got := len(Puncture(coded, Rate34)); got != 16 {
+	if got := len(AppendPuncture(nil, coded, Rate34)); got != 16 {
 		t.Fatalf("Rate34 puncture length %d, want 16", got)
 	}
 }
@@ -99,7 +99,17 @@ func TestPuncturedLenMatchesPuncture(t *testing.T) {
 		n := rng.Intn(200)
 		coded := bitutil.RandomBits(rng, n)
 		for _, r := range []CodeRate{Rate12, Rate23, Rate34} {
-			if len(Puncture(coded, r)) != PuncturedLen(n, r) {
+			// Each whole period of the pattern carries one coded bit per
+			// 1/(2·rate) mother-code bits; the tail keeps its pattern prefix.
+			pat := r.puncturePattern()
+			num, den := r.Fraction()
+			want := n / len(pat) * len(pat) * den / (2 * num)
+			for _, keep := range pat[:n%len(pat)] {
+				if keep {
+					want++
+				}
+			}
+			if len(AppendPuncture(nil, coded, r)) != want {
 				return false
 			}
 		}
@@ -121,7 +131,7 @@ func TestDepunctureInverse(t *testing.T) {
 	}
 	for _, r := range []CodeRate{Rate12, Rate23, Rate34} {
 		hard := make([]byte, nCoded)
-		punctured := Puncture(hard, r)
+		punctured := AppendPuncture(nil, hard, r)
 		keptLLR := make([]float64, 0, len(punctured))
 		pat := r.puncturePattern()
 		for i := 0; i < nCoded; i++ {
@@ -129,7 +139,7 @@ func TestDepunctureInverse(t *testing.T) {
 				keptLLR = append(keptLLR, llrs[i])
 			}
 		}
-		back := DepunctureLLR(keptLLR, r, nCoded)
+		back := DepunctureInto(make([]float64, nCoded), keptLLR, r)
 		for i := 0; i < nCoded; i++ {
 			if pat[i%len(pat)] {
 				if back[i] != llrs[i] {
@@ -175,8 +185,8 @@ func noiselessRoundTrip(t *testing.T, decode func([]float64, int) []byte) {
 		n := 1 + rng.Intn(200)
 		info := bitutil.RandomBits(rng, n)
 		for _, r := range []CodeRate{Rate12, Rate23, Rate34} {
-			tx := Puncture(Encode(info), r)
-			llrs := DepunctureLLR(HardToLLR(tx, 8), r, CodedLen(n))
+			tx := AppendPuncture(nil, AppendEncode(nil, info), r)
+			llrs := DepunctureInto(make([]float64, CodedLen(n)), HardToLLR(tx, 8), r)
 			got := decode(llrs, n)
 			if bitutil.CountBitErrors(got, info) != 0 {
 				return false
@@ -226,7 +236,7 @@ func TestViterbiCorrectsNoise(t *testing.T) {
 	totalErrs := 0
 	for trial := 0; trial < 20; trial++ {
 		info := bitutil.RandomBits(rng, n)
-		llrs := addAWGN(rng, Encode(info), 0.6)
+		llrs := addAWGN(rng, AppendEncode(nil, info), 0.6)
 		got := DecodeViterbi(llrs, n)
 		totalErrs += bitutil.CountBitErrors(got, info)
 	}
@@ -240,7 +250,7 @@ func TestBCJRMatchesViterbiAtHighSNR(t *testing.T) {
 	n := 256
 	for trial := 0; trial < 10; trial++ {
 		info := bitutil.RandomBits(rng, n)
-		llrs := addAWGN(rng, Encode(info), 0.5)
+		llrs := addAWGN(rng, AppendEncode(nil, info), 0.5)
 		v := DecodeViterbi(llrs, n)
 		b, _ := DecodeBCJR(llrs, n, LogMAP)
 		if bitutil.CountBitErrors(v, b) != 0 {
@@ -265,7 +275,7 @@ func TestBCJRLLRCalibration(t *testing.T) {
 	buckets := map[int]*bucket{}
 	for trial := 0; trial < 60; trial++ {
 		info := bitutil.RandomBits(rng, n)
-		llrs := addAWGN(rng, Encode(info), sigma)
+		llrs := addAWGN(rng, AppendEncode(nil, info), sigma)
 		got, app := DecodeBCJR(llrs, n, LogMAP)
 		for k := 0; k < n; k++ {
 			s := math.Abs(app[k])
@@ -314,7 +324,7 @@ func TestBCJRAverageBERTracksTruth(t *testing.T) {
 		var total float64
 		for trial := 0; trial < 15; trial++ {
 			info := bitutil.RandomBits(rng, n)
-			llrs := addAWGN(rng, Encode(info), sigma)
+			llrs := addAWGN(rng, AppendEncode(nil, info), sigma)
 			got, app := DecodeBCJR(llrs, n, LogMAP)
 			for k := 0; k < n; k++ {
 				predicted += 1 / (1 + math.Exp(math.Abs(app[k])))
@@ -348,8 +358,8 @@ func TestBCJRErasuresDecodable(t *testing.T) {
 	// decoder must still recover the message from clean kept bits.
 	rng := rand.New(rand.NewSource(23))
 	info := bitutil.RandomBits(rng, 300)
-	tx := Puncture(Encode(info), Rate34)
-	llrs := DepunctureLLR(HardToLLR(tx, 10), Rate34, CodedLen(300))
+	tx := AppendPuncture(nil, AppendEncode(nil, info), Rate34)
+	llrs := DepunctureInto(make([]float64, CodedLen(300)), HardToLLR(tx, 10), Rate34)
 	got, app := DecodeBCJR(llrs, 300, LogMAP)
 	if bitutil.CountBitErrors(got, info) != 0 {
 		t.Fatal("BCJR failed on punctured noiseless input")
@@ -367,14 +377,14 @@ func BenchmarkEncode1500B(b *testing.B) {
 	b.SetBytes(1500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Encode(info)
+		AppendEncode(nil, info)
 	}
 }
 
 func BenchmarkViterbi1500B(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	info := bitutil.RandomBits(rng, 1500*8)
-	llrs := addAWGN(rng, Encode(info), 0.7)
+	llrs := addAWGN(rng, AppendEncode(nil, info), 0.7)
 	b.SetBytes(1500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -385,7 +395,7 @@ func BenchmarkViterbi1500B(b *testing.B) {
 func BenchmarkBCJR1500B(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	info := bitutil.RandomBits(rng, 1500*8)
-	llrs := addAWGN(rng, Encode(info), 0.7)
+	llrs := addAWGN(rng, AppendEncode(nil, info), 0.7)
 	b.SetBytes(1500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -396,7 +406,7 @@ func BenchmarkBCJR1500B(b *testing.B) {
 func BenchmarkBCJRMaxLog1500B(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	info := bitutil.RandomBits(rng, 1500*8)
-	llrs := addAWGN(rng, Encode(info), 0.7)
+	llrs := addAWGN(rng, AppendEncode(nil, info), 0.7)
 	b.SetBytes(1500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

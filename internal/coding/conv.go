@@ -24,9 +24,9 @@ const Constraint = 7
 // numStates is the number of trellis states (2^(K-1)).
 const numStates = 1 << (Constraint - 1)
 
-// TailBits is the number of zero tail bits appended by Encode to terminate
-// the trellis in the all-zero state, which lets the decoders anchor the
-// backward recursion.
+// TailBits is the number of zero tail bits appended by AppendEncode to
+// terminate the trellis in the all-zero state, which lets the decoders
+// anchor the backward recursion.
 const TailBits = Constraint - 1
 
 // Generator polynomials, written with the current input bit as the MSB of a
@@ -66,16 +66,11 @@ func buildTrellis() *trellis {
 	return t
 }
 
-// Encode convolutionally encodes the information bits at rate 1/2 and
-// terminates the trellis by appending TailBits zero bits. The output has
-// 2*(len(info)+TailBits) coded bits, interleaved as out0, out1 per input.
-func Encode(info []byte) []byte {
-	return AppendEncode(make([]byte, 0, 2*(len(info)+TailBits)), info)
-}
-
-// AppendEncode appends the rate-1/2 coded stream (including the
-// terminating tail) to dst and returns the extended slice, allocating
-// nothing when dst has sufficient capacity.
+// AppendEncode convolutionally encodes the information bits at rate 1/2,
+// terminating the trellis by appending TailBits zero bits, appends the
+// 2*(len(info)+TailBits) coded bits (interleaved as out0, out1 per input)
+// to dst and returns the extended slice, allocating nothing when dst has
+// sufficient capacity.
 func AppendEncode(dst []byte, info []byte) []byte {
 	state := uint8(0)
 	tr := theTrellis
@@ -92,6 +87,6 @@ func AppendEncode(dst []byte, info []byte) []byte {
 	return dst
 }
 
-// CodedLen returns the number of rate-1/2 coded bits produced by Encode for
-// nInfo information bits (before puncturing).
+// CodedLen returns the number of rate-1/2 coded bits produced by
+// AppendEncode for nInfo information bits (before puncturing).
 func CodedLen(nInfo int) int { return 2 * (nInfo + TailBits) }

@@ -47,11 +47,11 @@ func FuzzDecodeWorkspaceReuse(f *testing.F) {
 		for i := range llrs {
 			llrs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		if want := PuncturedLen(nCoded, r); len(llrs) > want {
+		if want := len(AppendPuncture(nil, make([]byte, nCoded), r)); len(llrs) > want {
 			llrs = llrs[:want]
 		}
 
-		wantLat := DepunctureLLR(llrs, r, nCoded)
+		wantLat := DepunctureInto(make([]float64, nCoded), llrs, r)
 		fuzzLat = growF(fuzzLat, nCoded)
 		gotLat := DepunctureInto(fuzzLat, llrs, r)
 		for i := range wantLat {

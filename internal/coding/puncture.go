@@ -73,14 +73,10 @@ func (r CodeRate) puncturePattern() []bool {
 	panic("coding: unknown code rate")
 }
 
-// Puncture drops coded bits from the rate-1/2 stream according to the
-// pattern for r, producing the transmitted coded stream.
-func Puncture(coded []byte, r CodeRate) []byte {
-	return AppendPuncture(make([]byte, 0, len(coded)*3/4), coded, r)
-}
-
-// AppendPuncture appends the punctured stream to dst and returns the
-// extended slice, allocating nothing when dst has sufficient capacity.
+// AppendPuncture drops coded bits from the rate-1/2 stream according to
+// the pattern for r, appends the transmitted coded stream to dst and
+// returns the extended slice, allocating nothing when dst has sufficient
+// capacity.
 func AppendPuncture(dst []byte, coded []byte, r CodeRate) []byte {
 	pat := r.puncturePattern()
 	for i, b := range coded {
@@ -91,38 +87,11 @@ func AppendPuncture(dst []byte, coded []byte, r CodeRate) []byte {
 	return dst
 }
 
-// PuncturedLen returns the number of transmitted coded bits for a rate-1/2
-// stream of length n punctured at rate r.
-func PuncturedLen(n int, r CodeRate) int {
-	pat := r.puncturePattern()
-	full := n / len(pat)
-	kept := 0
-	for _, k := range pat {
-		if k {
-			kept++
-		}
-	}
-	total := full * kept
-	for i := full * len(pat); i < n; i++ {
-		if pat[i%len(pat)] {
-			total++
-		}
-	}
-	return total
-}
-
-// DepunctureLLR expands the received channel LLRs of a punctured stream
-// back to the rate-1/2 lattice, inserting zero LLRs (erasures) at punctured
-// positions. nCoded is the rate-1/2 coded length, i.e. CodedLen(nInfo).
-// It returns an error-shaped panic-free nil if llrs is shorter than the
-// punctured length implies; callers validate sizes upstream.
-func DepunctureLLR(llrs []float64, r CodeRate, nCoded int) []float64 {
-	return DepunctureInto(make([]float64, nCoded), llrs, r)
-}
-
-// DepunctureInto is DepunctureLLR writing the rate-1/2 lattice of
-// len(out) entries into out, which it zeroes first, so a reused buffer
-// gives the same lattice as a fresh one; it returns out.
+// DepunctureInto expands the received channel LLRs of a punctured stream
+// back to the rate-1/2 lattice of len(out) entries (CodedLen(nInfo)),
+// inserting zero LLRs (erasures) at punctured positions and past the end
+// of a short llrs. It zeroes out first, so a reused buffer gives the same
+// lattice as a fresh one, and returns out.
 func DepunctureInto(out, llrs []float64, r CodeRate) []float64 {
 	clear(out)
 	pat := r.puncturePattern()

@@ -1,9 +1,9 @@
 package coding
 
 // DecodeViterbi runs a soft-decision Viterbi decoder over the rate-1/2
-// channel LLRs (use DepunctureLLR first for punctured rates) and returns
+// channel LLRs (use DepunctureInto first for punctured rates) and returns
 // the nInfo decoded information bits. The trellis is assumed terminated in
-// the all-zero state by the TailBits appended by Encode.
+// the all-zero state by the TailBits appended by AppendEncode.
 //
 // Viterbi yields maximum-likelihood *sequence* decisions but no per-bit
 // confidence; it exists as the baseline decoder against which the
@@ -70,23 +70,6 @@ func (w *Workspace) DecodeViterbi(llrs []float64, nInfo int) []byte {
 		state = survivors[t*numStates+int(state)]
 	}
 	return info[:nInfo]
-}
-
-// branchMetric is the log-likelihood contribution of a branch emitting the
-// coded bit pair o (out0 in bit 1, out1 in bit 0) given channel LLRs l0,l1.
-// With the convention LLR>0 <=> bit 1, the metric for coded bit c with LLR
-// l is +l/2 if c=1, -l/2 if c=0 (the constant common term cancels). The
-// decoder inner loops use the per-step branchMetrics table instead; this
-// form remains for tests and documentation.
-func branchMetric(o uint8, l0, l1 float64) float64 {
-	m := -0.5 * (l0 + l1)
-	if o&2 != 0 {
-		m += l0
-	}
-	if o&1 != 0 {
-		m += l1
-	}
-	return m
 }
 
 // HardToLLR converts hard-decision bits into saturated LLRs of magnitude

@@ -129,6 +129,10 @@ func TestCompactOnceChangedLiveRecord(t *testing.T) {
 	if progressed, err := s.CompactOnce(); progressed || err == nil {
 		t.Errorf("CompactOnce over a changed live record: progressed=%v err=%v, want (false, error)", progressed, err)
 	}
+	// At least this pass failed; the background compactor may have too.
+	if n := s.Stats().CompactFailures; n < 1 {
+		t.Errorf("CompactFailures = %d after a failed pass, want >= 1", n)
+	}
 	if _, state, ok, err := s.Take(live, nil); ok || err == nil {
 		t.Errorf("Take(%d) of the changed record: ok=%v err=%v state %x, want a CRC error", live, ok, err, state)
 	}
@@ -172,6 +176,10 @@ func TestCompactOnceDeadFrameWidthChanged(t *testing.T) {
 
 	if progressed, err := s.CompactOnce(); progressed || err == nil {
 		t.Errorf("CompactOnce over a hidden live record: progressed=%v err=%v, want (false, error)", progressed, err)
+	}
+	// At least this pass failed; the background compactor may have too.
+	if n := s.Stats().CompactFailures; n < 1 {
+		t.Errorf("CompactFailures = %d after a failed pass, want >= 1", n)
 	}
 	for id := uint64(dead + 1); id <= sealedRecs; id++ {
 		if _, state, ok, err := s.Take(id, nil); !ok || err != nil || !bytes.Equal(state, stateFor(id, stateW)) {

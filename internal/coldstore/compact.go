@@ -85,11 +85,16 @@ func (s *Store) takeKick() bool {
 // live record is left in it. A failed slice leaves the records moved so
 // far where they went and the rest in the victim, for a later compaction
 // to finish.
-func (s *Store) CompactOnce() (bool, error) {
+func (s *Store) CompactOnce() (_ bool, err error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer func() { // runs before the unlock: every return holds s.mu
+		if err != nil {
+			s.compactFailures++
+		}
+	}()
 	if s.closed {
 		return false, nil
 	}

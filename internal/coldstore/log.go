@@ -224,9 +224,10 @@ type Store struct {
 	compactMu     sync.Mutex
 	betweenSlices func()
 
-	spills      uint64
-	restores    uint64
-	compactions uint64
+	spills          uint64
+	restores        uint64
+	compactions     uint64
+	compactFailures uint64
 	// restoreLat is allocated by the first restore: its stripes are most of
 	// an empty store's footprint, and a tier that is never read from (a
 	// store whose links never idle out) should not carry them.

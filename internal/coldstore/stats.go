@@ -20,10 +20,13 @@ type Stats struct {
 	// the tier (cumulative, this process).
 	Spills   uint64 `json:"spilled_links_total"`
 	Restores uint64 `json:"restored_links_total"`
-	// Compactions counts segments reclaimed; TornTails counts truncated
-	// partial tails found at recovery.
-	Compactions uint64 `json:"compactions_total"`
-	TornTails   uint64 `json:"torn_tails_total"`
+	// Compactions counts segments reclaimed and CompactFailures the
+	// CompactOnce calls that returned an error, the background
+	// compactor's retries included; TornTails counts truncated partial
+	// tails found at recovery.
+	Compactions     uint64 `json:"compactions_total"`
+	CompactFailures uint64 `json:"compaction_failures_total"`
+	TornTails       uint64 `json:"torn_tails_total"`
 	// RestoreLatency digests the restore latency histogram; RestoreHist
 	// is the full merged histogram behind it (for the Prometheus renderer
 	// — omitted from JSON). A pointer, so taking a snapshot puts no
@@ -39,13 +42,14 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	lat := s.restoreLat
 	out := Stats{
-		Links:       s.index.len(),
-		Segments:    len(s.segs) - len(s.freeSlots),
-		Spills:      s.spills,
-		Restores:    s.restores,
-		Compactions: s.compactions,
-		TornTails:   s.tornTails,
-		RestoreHist: new(stats.Histogram),
+		Links:           s.index.len(),
+		Segments:        len(s.segs) - len(s.freeSlots),
+		Spills:          s.spills,
+		Restores:        s.restores,
+		Compactions:     s.compactions,
+		CompactFailures: s.compactFailures,
+		TornTails:       s.tornTails,
+		RestoreHist:     new(stats.Histogram),
 	}
 	for _, sg := range s.segs {
 		if sg == nil {

@@ -23,20 +23,21 @@ func Example_quickstart() {
 		Rng:   rand.New(rand.NewSource(43)),
 	}
 	// The sender starts at 6 Mbps and adapts on per-frame BER feedback.
-	sr := core.New(core.DefaultConfig())
+	cfg := core.DefaultConfig()
+	sr := core.New(cfg)
 	detector := softphy.DefaultDetector()
 	payload := make([]byte, 300)
 	rng.Read(payload)
 
 	fmt.Println("frame  rate          SNRest   est BER    true BER   delivered  next rate")
 	for i := 0; i < 16; i++ {
-		r := sr.CurrentRate()
+		r := cfg.Rates[sr.CurrentIndex()]
 		tx := phy.Transmit(link.Cfg, phy.Frame{Header: []byte{0x01, 0x02}, Payload: payload, Rate: r})
 		rx := link.Deliver(tx, 0.02*float64(i), nil) // a frame every 20 ms
 		if !rx.Detected {
 			// No preamble, no feedback: a silent loss.
 			sr.OnSilentLoss()
-			fmt.Printf("%5d  %-12s  (silent loss)  %s\n", i, r.Name(), sr.CurrentRate().Name())
+			fmt.Printf("%5d  %-12s  (silent loss)  %s\n", i, r.Name(), cfg.Rates[sr.CurrentIndex()].Name())
 			continue
 		}
 		// Receiver side: hints -> per-symbol BERs -> interference-free
@@ -44,7 +45,7 @@ func Example_quickstart() {
 		a := softphy.Analyze(rx.Hints, softphy.BlockBits(rx.InfoBitsPerSymbol), detector)
 		sr.OnFeedback(core.Feedback{RateIndex: r.Index, BER: a.InterferenceFreeBER, Collision: a.Collision})
 		fmt.Printf("%5d  %-12s  %5.1fdB  %-9.2e  %-9.2e  %-9v  %s\n",
-			i, r.Name(), rx.SNREstDB, a.InterferenceFreeBER, rx.TrueBER, rx.PayloadOK, sr.CurrentRate().Name())
+			i, r.Name(), rx.SNREstDB, a.InterferenceFreeBER, rx.TrueBER, rx.PayloadOK, cfg.Rates[sr.CurrentIndex()].Name())
 	}
 	// Output:
 	// frame  rate          SNRest   est BER    true BER   delivered  next rate

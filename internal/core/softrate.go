@@ -247,9 +247,6 @@ func New(cfg Config) *SoftRate {
 	return s
 }
 
-// CurrentRate returns the rate the sender will use for the next frame.
-func (s *SoftRate) CurrentRate() rate.Rate { return s.cfg.Rates[s.st.RateIndex] }
-
 // CurrentIndex returns the index of the current rate in the configured set.
 func (s *SoftRate) CurrentIndex() int { return int(s.st.RateIndex) }
 

@@ -47,8 +47,8 @@ func TestHybridARQShiftsThresholdsUp(t *testing.T) {
 
 func TestStartsAtLowestRate(t *testing.T) {
 	s := New(DefaultConfig())
-	if s.CurrentRate().Mbps != 6 {
-		t.Fatalf("start rate %v, want 6 Mbps", s.CurrentRate())
+	if r := s.cfg.Rates[s.st.RateIndex]; r.Mbps != 6 {
+		t.Fatalf("start rate %v, want 6 Mbps", r)
 	}
 }
 

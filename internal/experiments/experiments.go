@@ -44,9 +44,6 @@ type Options struct {
 // output is byte-identical at every size (at least 1); tests vary it.
 var decodeBatch = 8
 
-// DefaultOptions returns the CI-scale defaults.
-func DefaultOptions() Options { return Options{Scale: 0.25, Seed: 1} }
-
 func (o *Options) fill() {
 	if o.Scale <= 0 {
 		o.Scale = 0.25

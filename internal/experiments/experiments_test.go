@@ -30,7 +30,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := Run("fig999", DefaultOptions()); err == nil {
+	if _, err := Run("fig999", Options{}); err == nil {
 		t.Fatal("expected error for unknown id")
 	}
 }
@@ -110,7 +110,7 @@ func TestFig5Monotone(t *testing.T) {
 	note := tables[0].Notes[0]
 	var ok, total int
 	if _, err := fmtSscanf(note, &ok, &total); err != nil {
-		t.Skipf("cannot parse note %q", note)
+		t.Fatalf("cannot parse note %q: %v", note, err)
 	}
 	if total > 0 && float64(ok)/float64(total) < 0.7 {
 		t.Fatalf("monotonicity only %d/%d bins", ok, total)
@@ -210,8 +210,11 @@ func TestAblationHARQShift(t *testing.T) {
 	tables := runAndCheck(t, "ablation-harq", 6)
 	// H-ARQ beta (col 4) must be above frame-ARQ beta (col 2) per row.
 	for _, row := range tables[0].Rows {
-		fb, _ := strconv.ParseFloat(row[2], 64)
-		hb, _ := strconv.ParseFloat(row[4], 64)
+		fb, err1 := strconv.ParseFloat(row[2], 64)
+		hb, err2 := strconv.ParseFloat(row[4], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("row %q: beta cells do not parse: %v, %v", row, err1, err2)
+		}
 		if hb <= fb {
 			t.Fatalf("H-ARQ beta %v not above frame-ARQ %v", hb, fb)
 		}
@@ -220,8 +223,11 @@ func TestAblationHARQShift(t *testing.T) {
 
 func TestAblationJumpsFaster(t *testing.T) {
 	tables := runAndCheck(t, "ablation-jumps", 2)
-	d1, _ := strconv.Atoi(tables[0].Rows[0][1])
-	d2, _ := strconv.Atoi(tables[0].Rows[1][1])
+	d1, err1 := strconv.Atoi(tables[0].Rows[0][1])
+	d2, err2 := strconv.Atoi(tables[0].Rows[1][1])
+	if err1 != nil || err2 != nil {
+		t.Fatalf("down-round cells do not parse: %v, %v", err1, err2)
+	}
 	if d2 > d1 {
 		t.Fatalf("2-level jumps (%d rounds) slower than 1-level (%d)", d2, d1)
 	}

@@ -89,7 +89,7 @@ func refNoiseEVM(s Scheme, rx []complex128, h complex128) float64 {
 	var sum float64
 	for _, y := range rx {
 		z := y / h
-		d := z - HardDecision(s, z)
+		d := z - hardDecision(s, z)
 		sum += real(d)*real(d) + imag(d)*imag(d)
 	}
 	// EVM is measured post-equalization (variance scaled by 1/|h|^2);
@@ -139,7 +139,7 @@ func checkDemapSymbol(t *testing.T, name string, s Scheme, y []complex128, h com
 }
 
 // levelPoints returns every constellation point of s times h, the
-// midpoints between adjacent levels on both axes (where HardDecision and
+// midpoints between adjacent levels on both axes (where hardDecision and
 // the log-sum-exp both meet exact ties), and the origin.
 func levelPoints(s Scheme, h complex128) []complex128 {
 	lv := s.axisLevels()

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestHardDecisionMatchesDemapModulateRoundTrip pins the allocation-free
-// hard decision against its definition, including tie-breaking: for any
-// sample z, HardDecision(s, z) == Modulate(s, HardDemap(s, z))[0] exactly.
+// TestHardDecisionMatchesDemapModulateRoundTrip pins refNoiseEVM's hard
+// decision against its definition, including tie-breaking: for any
+// sample z, hardDecision(s, z) is the point hardDemap's bits modulate to,
+// exactly.
 func TestHardDecisionMatchesDemapModulateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, s := range allSchemes {
@@ -21,16 +22,16 @@ func TestHardDecisionMatchesDemapModulateRoundTrip(t *testing.T) {
 					z += complex((lv[1]-lv[0])/2, 0)
 				}
 			}
-			want := Modulate(s, HardDemap(s, z))[0]
-			if got := HardDecision(s, z); got != want {
-				t.Fatalf("%v: HardDecision(%v) = %v, want %v", s, z, got, want)
+			want := AppendModulate(nil, s, hardDemap(s, z))[0]
+			if got := hardDecision(s, z); got != want {
+				t.Fatalf("%v: hardDecision(%v) = %v, want %v", s, z, got, want)
 			}
 		}
 	}
 }
 
-// TestAppendModulateMatchesModulate checks the appending modulator against
-// the allocating one, including reuse of a dirty destination.
+// TestAppendModulateMatchesModulate checks the appending modulator into a
+// reused, dirty destination against a fresh one.
 func TestAppendModulateMatchesModulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	buf := make([]complex128, 0, 256)
@@ -40,7 +41,7 @@ func TestAppendModulateMatchesModulate(t *testing.T) {
 			for i := range bits {
 				bits[i] = byte(rng.Intn(2))
 			}
-			want := Modulate(s, bits)
+			want := AppendModulate(nil, s, bits)
 			buf = AppendModulate(buf[:0], s, bits)
 			if len(buf) != len(want) {
 				t.Fatalf("%v: length %d want %d", s, len(buf), len(want))
@@ -55,9 +56,8 @@ func TestAppendModulateMatchesModulate(t *testing.T) {
 }
 
 // TestHotPathDoesNotAllocate pins the per-tone operations the receiver
-// runs thousands of times per frame: soft demap into a warm buffer, the
-// EVM hard decision, and modulation into a warm buffer; and the
-// per-symbol demap on a warm Demapper.
+// runs thousands of times per frame: soft demap and modulation into a
+// warm buffer, and the per-symbol demap on a warm Demapper.
 func TestHotPathDoesNotAllocate(t *testing.T) {
 	out := make([]float64, 0, 64)
 	sym := make([]complex128, 0, 64)
@@ -79,11 +79,6 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 			llrs = dm.DemapSymbol(s, tones, complex(0.9, 0.1), llrs[:0])
 		}); avg != 0 {
 			t.Errorf("%v: DemapSymbol allocates %v per symbol, want 0", s, avg)
-		}
-		if avg := testing.AllocsPerRun(100, func() {
-			_ = HardDecision(s, z)
-		}); avg != 0 {
-			t.Errorf("%v: HardDecision allocates %v per tone, want 0", s, avg)
 		}
 		if avg := testing.AllocsPerRun(100, func() {
 			sym = AppendModulate(sym[:0], s, bits)

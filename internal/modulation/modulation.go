@@ -15,7 +15,6 @@ package modulation
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"slices"
 
 	"softrate/internal/vmath"
@@ -73,7 +72,7 @@ func (s Scheme) bitsPerAxis() int {
 }
 
 // levelTables holds the per-scheme axis amplitude tables, built once at
-// init so that the per-tone hot path (Demap, HardDecision) never
+// init so that the per-tone hot path (Demap, DemapSymbol) never
 // allocates. levelTables[s][g] is the amplitude transmitted for per-axis
 // Gray bits g (MSB first), normalized to unit average symbol energy.
 var levelTables = [4][]float64{
@@ -123,17 +122,11 @@ func (s Scheme) axisLevels() []float64 {
 	return levelTables[s]
 }
 
-// Modulate maps coded bits onto constellation symbols. If len(bits) is not
-// a multiple of BitsPerSymbol the tail is zero-padded (the PHY pads frames
-// to whole OFDM symbols before calling this).
-func Modulate(s Scheme, bits []byte) []complex128 {
-	bps := s.BitsPerSymbol()
-	return AppendModulate(make([]complex128, 0, (len(bits)+bps-1)/bps), s, bits)
-}
-
-// AppendModulate appends the constellation symbols for bits to dst and
-// returns the extended slice, allocating nothing when dst has sufficient
-// capacity.
+// AppendModulate maps coded bits onto constellation symbols, appends them
+// to dst and returns the extended slice, allocating nothing when dst has
+// sufficient capacity. If len(bits) is not a multiple of BitsPerSymbol
+// the tail is zero-padded (the PHY pads frames to whole OFDM symbols
+// first).
 func AppendModulate(dst []complex128, s Scheme, bits []byte) []complex128 {
 	bps := s.BitsPerSymbol()
 	nSym := (len(bits) + bps - 1) / bps
@@ -162,51 +155,6 @@ func AppendModulate(dst []complex128, s Scheme, bits []byte) []complex128 {
 		dst = append(dst, complex(levels[gi], levels[gq]))
 	}
 	return dst
-}
-
-// nearestLevelIndex returns the Gray index of the axis level closest to v,
-// breaking ties toward the lowest index — the same order HardDemap has
-// always used.
-func nearestLevelIndex(levels []float64, v float64) int {
-	best, bd := 0, math.Inf(1)
-	for g, lv := range levels {
-		d := math.Abs(v - lv)
-		if d < bd {
-			bd, best = d, g
-		}
-	}
-	return best
-}
-
-// HardDemap maps a received (already equalized) symbol to the nearest
-// constellation point's bits, for hard-decision baselines and tests.
-func HardDemap(s Scheme, z complex128) []byte {
-	levels := s.axisLevels()
-	bpa := s.bitsPerAxis()
-	bits := make([]byte, 0, s.BitsPerSymbol())
-	appendGray := func(g int) {
-		for j := bpa - 1; j >= 0; j-- {
-			bits = append(bits, byte(g>>j&1))
-		}
-	}
-	appendGray(nearestLevelIndex(levels, real(z)))
-	if s != BPSK {
-		appendGray(nearestLevelIndex(levels, imag(z)))
-	}
-	return bits
-}
-
-// HardDecision returns the constellation point nearest to the (already
-// equalized) sample z — exactly Modulate(s, HardDemap(s, z))[0], including
-// tie-breaking — without allocating. It is the receiver's per-tone
-// decision-directed EVM reference.
-func HardDecision(s Scheme, z complex128) complex128 {
-	levels := s.axisLevels()
-	re := levels[nearestLevelIndex(levels, real(z))]
-	if s == BPSK {
-		return complex(re, 0)
-	}
-	return complex(re, levels[nearestLevelIndex(levels, imag(z))])
 }
 
 // Demap computes soft LLRs for the coded bits carried by received sample y
@@ -293,7 +241,7 @@ const noiseFloor = 0.1
 // 1e-18 carries no information: every LLR is 0.
 //
 // The estimate is the symbol's decision-directed error vector magnitude
-// (EVM) — the mean squared distance from each z to its HardDecision,
+// (EVM) — the mean squared distance from each z to its nearest point,
 // rescaled by |h|² to the received plane, and at least noiseFloor — which
 // is what a real OFDM receiver obtains from pilots. It is what makes
 // SoftPHY hints collapse under interference: an unmodeled interferer
@@ -384,9 +332,9 @@ func (d *Demapper) fold(levels []float64, lanes, mask, bit int, acc []float64) [
 }
 
 // noiseEVM is DemapSymbol's noise estimate over the axis values v of n
-// equalized tones: each lane's squared distance to its nearest level —
-// nearestLevelIndex's choice, so each tone's to its HardDecision point —
-// summed tone by tone. BPSK's nearest point is on the real axis.
+// equalized tones: each lane's squared distance to its nearest level
+// (ties to the lowest level), so each tone's to its nearest constellation
+// point, summed tone by tone. BPSK's nearest point is on the real axis.
 func (d *Demapper) noiseEVM(s Scheme, v []float64, n, lanes int, hm2 float64) float64 {
 	levels := s.axisLevels()
 	bd, sq := d.acc[:lanes], d.acc[lanes:2*lanes]
@@ -425,55 +373,4 @@ func growF(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// SymbolEnergy returns the average energy of the constellation (should be
-// 1.0 by construction; exposed for tests and sanity checks).
-func SymbolEnergy(s Scheme) float64 {
-	levels := s.axisLevels()
-	var e float64
-	for _, li := range levels {
-		if s == BPSK {
-			e += li * li
-		} else {
-			for _, lq := range levels {
-				e += li*li + lq*lq
-			}
-		}
-	}
-	if s == BPSK {
-		return e / float64(len(levels))
-	}
-	return e / float64(len(levels)*len(levels))
-}
-
-// MinDistance returns the minimum Euclidean distance between distinct
-// constellation points, which orders the schemes by noise robustness.
-func MinDistance(s Scheme) float64 {
-	pts := constellation(s)
-	min := math.Inf(1)
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			d := cmplx.Abs(pts[i] - pts[j])
-			if d < min {
-				min = d
-			}
-		}
-	}
-	return min
-}
-
-// constellation enumerates all points of the scheme.
-func constellation(s Scheme) []complex128 {
-	bps := s.BitsPerSymbol()
-	n := 1 << bps
-	pts := make([]complex128, 0, n)
-	for v := 0; v < n; v++ {
-		bits := make([]byte, bps)
-		for j := 0; j < bps; j++ {
-			bits[j] = byte(v >> (bps - 1 - j) & 1)
-		}
-		pts = append(pts, Modulate(s, bits)[0])
-	}
-	return pts
 }

@@ -22,7 +22,7 @@ func TestBitsPerSymbol(t *testing.T) {
 
 func TestUnitEnergy(t *testing.T) {
 	for _, s := range allSchemes {
-		if e := SymbolEnergy(s); math.Abs(e-1) > 1e-12 {
+		if e := symbolEnergy(s); math.Abs(e-1) > 1e-12 {
 			t.Errorf("%v: average energy %v, want 1", s, e)
 		}
 	}
@@ -34,7 +34,7 @@ func TestMinDistanceOrdering(t *testing.T) {
 	// rate at fixed SNR).
 	d := make([]float64, len(allSchemes))
 	for i, s := range allSchemes {
-		d[i] = MinDistance(s)
+		d[i] = minDistance(s)
 	}
 	for i := 1; i < len(d); i++ {
 		if d[i] >= d[i-1] {
@@ -79,10 +79,10 @@ func TestModulateHardDemapRoundTrip(t *testing.T) {
 		for _, s := range allSchemes {
 			n := s.BitsPerSymbol() * (1 + rng.Intn(50))
 			bits := bitutil.RandomBits(rng, n)
-			syms := Modulate(s, bits)
+			syms := AppendModulate(nil, s, bits)
 			got := make([]byte, 0, n)
 			for _, y := range syms {
-				got = append(got, HardDemap(s, y)...)
+				got = append(got, hardDemap(s, y)...)
 			}
 			if bitutil.CountBitErrors(bits, got) != 0 {
 				return false
@@ -97,11 +97,11 @@ func TestModulateHardDemapRoundTrip(t *testing.T) {
 
 func TestModulatePadding(t *testing.T) {
 	// 5 bits into QPSK -> 3 symbols, last padded with a zero bit.
-	syms := Modulate(QPSK, []byte{1, 1, 1, 1, 1})
+	syms := AppendModulate(nil, QPSK, []byte{1, 1, 1, 1, 1})
 	if len(syms) != 3 {
 		t.Fatalf("got %d symbols, want 3", len(syms))
 	}
-	bits := HardDemap(QPSK, syms[2])
+	bits := hardDemap(QPSK, syms[2])
 	if bits[0] != 1 || bits[1] != 0 {
 		t.Fatalf("padded symbol decoded to %v, want [1 0]", bits)
 	}
@@ -112,7 +112,7 @@ func TestDemapSignsNoiseless(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, s := range allSchemes {
 		bits := bitutil.RandomBits(rng, s.BitsPerSymbol()*64)
-		syms := Modulate(s, bits)
+		syms := AppendModulate(nil, s, bits)
 		for _, exact := range []bool{true, false} {
 			var llrs []float64
 			for _, y := range syms {
@@ -133,7 +133,7 @@ func TestDemapWithChannelGain(t *testing.T) {
 	h := complex(0.3, -0.7)
 	for _, s := range allSchemes {
 		bits := bitutil.RandomBits(rng, s.BitsPerSymbol()*32)
-		syms := Modulate(s, bits)
+		syms := AppendModulate(nil, s, bits)
 		var llrs []float64
 		for _, x := range syms {
 			llrs = Demap(s, h*x, h, 0.001, true, llrs)
@@ -168,7 +168,7 @@ func TestDemapLLRCalibration(t *testing.T) {
 		sd := math.Sqrt(noiseVar / 2)
 		nSym := 30000 / s.BitsPerSymbol()
 		bits := bitutil.RandomBits(rng, nSym*s.BitsPerSymbol())
-		syms := Modulate(s, bits)
+		syms := AppendModulate(nil, s, bits)
 		var llrs []float64
 		for _, x := range syms {
 			y := x + complex(sd*rng.NormFloat64(), sd*rng.NormFloat64())
@@ -196,7 +196,7 @@ func TestExactVsMaxLogAgreeAtHighSNR(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, s := range allSchemes {
 		bits := bitutil.RandomBits(rng, s.BitsPerSymbol()*128)
-		syms := Modulate(s, bits)
+		syms := AppendModulate(nil, s, bits)
 		noiseVar := 0.005
 		sd := math.Sqrt(noiseVar / 2)
 		var le, lm []float64
@@ -237,7 +237,7 @@ func TestConstellationComplete(t *testing.T) {
 func BenchmarkDemapQAM64Exact(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	bits := bitutil.RandomBits(rng, 6*1000)
-	syms := Modulate(QAM64, bits)
+	syms := AppendModulate(nil, QAM64, bits)
 	out := make([]float64, 0, 6*1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -251,7 +251,7 @@ func BenchmarkDemapQAM64Exact(b *testing.B) {
 func BenchmarkDemapQAM64MaxLog(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	bits := bitutil.RandomBits(rng, 6*1000)
-	syms := Modulate(QAM64, bits)
+	syms := AppendModulate(nil, QAM64, bits)
 	out := make([]float64, 0, 6*1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

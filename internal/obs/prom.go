@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"softrate/internal/stats"
 )
@@ -13,7 +12,7 @@ import (
 // encodings — so the two surfaces can never disagree about a value.
 //
 // A metric family must emit its TYPE header exactly once: single-sample
-// families use the PromCounter/PromGauge/PromHistogram conveniences;
+// families use the PromCounter/PromGauge conveniences; histograms and
 // families with one sample per label set (per algorithm, per shard, …)
 // call PromHeader once and then PromSample/PromHistogramSamples per set.
 
@@ -27,8 +26,9 @@ func PromHeader(w io.Writer, name, typ, help string) {
 }
 
 // PromSample writes one sample line. labels is either empty or a
-// comma-joined list of `name="value"` pairs (values pre-escaped by
-// PromLabel if they can contain specials).
+// comma-joined list of `name="value"` pairs, written as given: the
+// service's label values (algorithm and record-kind names, bucket bounds)
+// hold no character the format escapes.
 func PromSample(w io.Writer, name, labels string, v float64) {
 	promSample(w, name, labels, "", v)
 }
@@ -57,18 +57,6 @@ func PromCounter(w io.Writer, name, labels, help string, v uint64) {
 func PromGauge(w io.Writer, name, labels, help string, v float64) {
 	PromHeader(w, name, "gauge", help)
 	promSample(w, name, labels, "", v)
-}
-
-// PromHistogram writes a single-label-set histogram family.
-func PromHistogram(w io.Writer, name, labels, help string, h *stats.Histogram) {
-	PromHeader(w, name, "histogram", help)
-	PromHistogramSamples(w, name, labels, h)
-}
-
-// PromLabel escapes a label value per the exposition format.
-func PromLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
 }
 
 func promSample(w io.Writer, name, labels, extra string, v float64) {

@@ -54,25 +54,11 @@ func CachedPermutation(ncbps, nbpsc int) []int {
 	return p.([]int)
 }
 
-// Inverse returns the inverse of a permutation.
-func Inverse(perm []int) []int {
-	inv := make([]int, len(perm))
-	for k, v := range perm {
-		inv[v] = k
-	}
-	return inv
-}
-
-// InterleaveBits permutes the coded bits of a whole frame symbol-by-symbol
-// using perm (from Permutation). len(bits) must be a multiple of
-// len(perm); the PHY pads frames to whole OFDM symbols first.
-func InterleaveBits(bits []byte, perm []int) []byte {
-	return InterleaveBitsInto(make([]byte, len(bits)), bits, perm)
-}
-
-// InterleaveBitsInto is InterleaveBits writing into a caller-provided
-// buffer of len(bits) bytes (typically per-worker scratch); it returns
-// out. out must not alias bits.
+// InterleaveBitsInto permutes the coded bits of a whole frame
+// symbol-by-symbol using perm (from Permutation), writing into a
+// caller-provided buffer of len(bits) bytes (typically per-worker scratch);
+// it returns out. len(bits) must be a multiple of len(perm) — the PHY pads
+// frames to whole OFDM symbols first — and out must not alias bits.
 func InterleaveBitsInto(out, bits []byte, perm []int) []byte {
 	n := len(perm)
 	if len(bits)%n != 0 {
@@ -87,14 +73,9 @@ func InterleaveBitsInto(out, bits []byte, perm []int) []byte {
 	return out
 }
 
-// DeinterleaveLLRs inverts the interleaving on per-coded-bit LLRs,
-// restoring decoder order.
-func DeinterleaveLLRs(llrs []float64, perm []int) []float64 {
-	return DeinterleaveLLRsInto(make([]float64, len(llrs)), llrs, perm)
-}
-
-// DeinterleaveLLRsInto is DeinterleaveLLRs writing into a caller-provided
-// buffer of len(llrs) entries; it returns out. out must not alias llrs.
+// DeinterleaveLLRsInto inverts the interleaving on per-coded-bit LLRs,
+// restoring decoder order in a caller-provided buffer of len(llrs)
+// entries; it returns out. out must not alias llrs.
 func DeinterleaveLLRsInto(out, llrs []float64, perm []int) []float64 {
 	n := len(perm)
 	if len(llrs)%n != 0 {

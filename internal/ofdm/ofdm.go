@@ -44,9 +44,6 @@ var (
 	Standard   = Mode{Name: "802.11a", Bandwidth: 20e6, Tones: 64, DataTones: 48}
 )
 
-// Modes returns all defined modes in Table 3 order (plus Standard last).
-func Modes() []Mode { return []Mode{LongRange, ShortRange, Simulation, Standard} }
-
 // SymbolTime returns the duration of one OFDM symbol including its cyclic
 // prefix (one quarter of the useful part): T = 1.25 × Tones / Bandwidth.
 func (m Mode) SymbolTime() float64 {

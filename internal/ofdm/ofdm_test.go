@@ -11,6 +11,9 @@ import (
 	"softrate/internal/rate"
 )
 
+// allModes lists every defined mode in Table 3 order (plus Standard last).
+var allModes = []Mode{LongRange, ShortRange, Simulation, Standard}
+
 func TestSymbolTimesMatchTable3(t *testing.T) {
 	// Table 3: long range 2.6 ms, short range 160 us, simulation 8 us.
 	cases := []struct {
@@ -31,7 +34,7 @@ func TestSymbolTimesMatchTable3(t *testing.T) {
 }
 
 func TestDataTonesProportion(t *testing.T) {
-	for _, m := range Modes() {
+	for _, m := range allModes {
 		if m.DataTones*4 != m.Tones*3 {
 			t.Errorf("%s: %d data tones of %d, want 3/4", m.Name, m.DataTones, m.Tones)
 		}
@@ -40,7 +43,7 @@ func TestDataTonesProportion(t *testing.T) {
 
 func TestCodedBitsPerSymbolMultipleOf16(t *testing.T) {
 	// Required by the interleaver.
-	for _, m := range Modes() {
+	for _, m := range allModes {
 		for _, s := range []modulation.Scheme{modulation.BPSK, modulation.QPSK, modulation.QAM16, modulation.QAM64} {
 			if m.CodedBitsPerSymbol(s)%16 != 0 {
 				t.Errorf("%s/%v: N_CBPS=%d not a multiple of 16", m.Name, s, m.CodedBitsPerSymbol(s))
@@ -63,7 +66,7 @@ func TestAirtimeInverseToRate(t *testing.T) {
 	// Higher rates must never take longer for the same payload. (Ties are
 	// possible in modes with very large symbols, where two adjacent rates
 	// can need the same whole number of OFDM symbols.)
-	for _, m := range Modes() {
+	for _, m := range allModes {
 		prev := math.Inf(1)
 		for _, r := range rate.All() {
 			at := m.PayloadAirtime(1400, r, false)
@@ -90,7 +93,7 @@ func TestAirtime54MbpsApproximation(t *testing.T) {
 }
 
 func TestAirtimePostambleAddsTwoSymbols(t *testing.T) {
-	for _, m := range Modes() {
+	for _, m := range allModes {
 		r := rate.ByIndex(3)
 		d := m.PayloadAirtime(500, r, true) - m.PayloadAirtime(500, r, false)
 		want := float64(PostambleSymbols) * m.SymbolTime()
@@ -143,13 +146,13 @@ func TestInterleaveRoundTrip(t *testing.T) {
 		ncbps := Simulation.DataTones * nbpsc
 		perm := Permutation(ncbps, nbpsc)
 		bits := bitutil.RandomBits(rng, ncbps*3) // three symbols
-		inter := InterleaveBits(bits, perm)
+		inter := InterleaveBitsInto(make([]byte, len(bits)), bits, perm)
 		// Deinterleave via the LLR path to exercise both directions.
 		llrs := make([]float64, len(inter))
 		for i, b := range inter {
 			llrs[i] = float64(b)*2 - 1
 		}
-		back := DeinterleaveLLRs(llrs, perm)
+		back := DeinterleaveLLRsInto(make([]float64, len(llrs)), llrs, perm)
 		for i := range bits {
 			wantSign := float64(bits[i])*2 - 1
 			if back[i] != wantSign {
@@ -183,17 +186,7 @@ func TestInterleavePanicsOnPartialSymbol(t *testing.T) {
 			t.Fatal("expected panic for non-symbol-multiple input")
 		}
 	}()
-	InterleaveBits(make([]byte, 95), perm)
-}
-
-func TestInverse(t *testing.T) {
-	perm := Permutation(192, 2)
-	inv := Inverse(perm)
-	for k := range perm {
-		if inv[perm[k]] != k {
-			t.Fatalf("Inverse broken at %d", k)
-		}
-	}
+	InterleaveBitsInto(make([]byte, 95), make([]byte, 95), perm)
 }
 
 func TestHeaderSymbols(t *testing.T) {
@@ -205,7 +198,7 @@ func TestHeaderSymbols(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	for _, m := range Modes() {
+	for _, m := range allModes {
 		if m.String() == "" {
 			t.Fatal("empty mode string")
 		}

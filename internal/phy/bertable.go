@@ -256,13 +256,6 @@ func (m *BERModel) DeliverProb(ri int, snrsDB []float64, bitsPerSym float64) flo
 	return dp
 }
 
-// MeanBER returns the mean post-decode BER over a sequence of per-symbol
-// SNRs at rate ri.
-func (m *BERModel) MeanBER(ri int, snrsDB []float64) float64 {
-	ber, _ := m.FrameOver(ri, m.Locate(nil, snrsDB), len(snrsDB), 0)
-	return ber
-}
-
 // Cursor is a run of bit-identical SNR samples located on a model's
 // calibration grid: which grid segment they fall in, how far along it,
 // and how many samples the run holds. Locating is the part of an
@@ -332,8 +325,9 @@ func (m *BERModel) Locate(dst []Cursor, snrsDB []float64) []Cursor {
 	return dst
 }
 
-// FrameOver returns MeanBER and DeliverProb for rate ri over the first n
-// samples of already-located runs, both tables evaluated in one pass.
+// FrameOver returns the mean post-decode BER and DeliverProb for rate ri
+// over the first n samples of already-located runs, both tables evaluated
+// in one pass.
 func (m *BERModel) FrameOver(ri int, cur []Cursor, n int, bitsPerSym float64) (meanBER, deliverProb float64) {
 	t := m.tables()
 	ber, lam := frameSums(&t.ber[ri], &t.lam[ri], cur, n, bitsPerSym)

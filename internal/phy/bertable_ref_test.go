@@ -135,7 +135,7 @@ func TestInterpolationMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFrameSumsMatchReference pins MeanBER and DeliverProb — and so the
+// TestFrameSumsMatchReference pins FrameOver's mean BER and DeliverProb — and so the
 // reuse of a repeated sample's value — to per-sample reference sums.
 func TestFrameSumsMatchReference(t *testing.T) {
 	m := withOddRows()
@@ -168,8 +168,8 @@ func TestFrameSumsMatchReference(t *testing.T) {
 			if len(snrs) > 0 {
 				wantBER = sum / float64(len(snrs))
 			}
-			if got := m.MeanBER(ri, snrs); !sameFloat(got, wantBER) {
-				t.Errorf("%s: MeanBER(%d) = %v, reference %v", name, ri, got, wantBER)
+			if got, _ := m.FrameOver(ri, m.Locate(nil, snrs), len(snrs), 0); !sameFloat(got, wantBER) {
+				t.Errorf("%s: FrameOver(%d) mean BER = %v, reference %v", name, ri, got, wantBER)
 			}
 			if got, want := m.DeliverProb(ri, snrs, 144), math.Exp(-lam); !sameFloat(got, want) {
 				t.Errorf("%s: DeliverProb(%d) = %v, reference %v", name, ri, got, want)

@@ -165,9 +165,6 @@ func (t *Transmission) NumSymbols() int {
 	return n
 }
 
-// NumDataSymbols returns the number of payload OFDM symbols.
-func (t *Transmission) NumDataSymbols() int { return len(t.dataSyms) }
-
 // Airtime returns the on-air duration of the transmission.
 func (t *Transmission) Airtime() float64 {
 	return float64(t.NumSymbols()) * t.Cfg.Mode.SymbolTime()

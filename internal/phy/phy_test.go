@@ -157,7 +157,7 @@ func TestInterferenceBurstRaisesSymbolBER(t *testing.T) {
 	f := testFrame(rng, 600, rate.ByIndex(3))
 	tx := Transmit(link.Cfg, f)
 	T := link.Cfg.Mode.SymbolTime()
-	nd := tx.NumDataSymbols()
+	nd := len(tx.dataSyms)
 	dataStart := float64(tx.dataSymbolOffset()) * T
 	burst := Burst{
 		Start: dataStart + float64(nd/3)*T,

@@ -34,13 +34,6 @@ func (r Rate) Name() string {
 	return fmt.Sprintf("%v %v", r.Scheme, r.Code)
 }
 
-// InfoBitsPerSubcarrier returns the information bits per data subcarrier
-// per OFDM symbol (coded bits × code rate). It is fractional for rate 3/4
-// BPSK, hence float.
-func (r Rate) InfoBitsPerSubcarrier() float64 {
-	return float64(r.Scheme.BitsPerSymbol()) * r.Code.Value()
-}
-
 // table is the full 802.11a/g rate set (Table 2 of the paper). The paper's
 // prototype implemented the first six; we implement all eight and default
 // the experiments to the 6–36 Mbps subset the evaluation uses (§6.1).

@@ -39,9 +39,9 @@ func TestTableMatchesPaper(t *testing.T) {
 func TestMbpsProportionalToInfoBits(t *testing.T) {
 	// Nominal Mbps must be proportional to info bits per subcarrier: the
 	// 802.11 rates are all built on 48 data subcarriers and 4 us symbols,
-	// i.e. Mbps = 12 * InfoBitsPerSubcarrier.
+	// i.e. Mbps = 12 * info bits per subcarrier (coded bits × code rate).
 	for _, r := range All() {
-		want := 12 * r.InfoBitsPerSubcarrier()
+		want := 12 * float64(r.Scheme.BitsPerSymbol()) * r.Code.Value()
 		if math.Abs(r.Mbps-want) > 1e-9 {
 			t.Errorf("%v: Mbps %v but 12*infobits = %v", r, r.Mbps, want)
 		}

@@ -293,6 +293,7 @@ func TestDefaultServerExportsColdTier(t *testing.T) {
 	for _, want := range []string{
 		"\nsoftrated_cold_links 0\n",
 		"\nsoftrated_cold_spilled_links_total 0\n",
+		"\nsoftrated_cold_compaction_failures_total 0\n",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, sb.String())

@@ -263,5 +263,8 @@ func DialSHM(path string, depth int, timeout time.Duration) (*SHMClient, error) 
 		return nil, fmt.Errorf("server: shm region %s already has a client attached", path)
 	}
 	car := &ringCarrier{g: g, timeout: timeout}
-	return &Client{core: clientCore{car: car, maxMsg: MaxDatagram, ring: make([]Pending, depth)}}, nil
+	// A request the ring cannot always place, even empty, would stall
+	// Submit until the timeout poisons the client: refuse it up front.
+	maxMsg := min(MaxDatagram, g.Request().MaxMessage())
+	return &Client{core: clientCore{car: car, maxMsg: maxMsg, ring: make([]Pending, depth)}}, nil
 }

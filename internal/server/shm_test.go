@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,6 +91,35 @@ func TestSHMMultiRingConcurrentClients(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Frames != clients*50*64 {
 		t.Fatalf("served %d frames, want %d", st.Frames, clients*50*64)
+	}
+}
+
+// TestSHMOversizeBatchRefusedAtOnce: on a MinCapacity ring, a batch the
+// ring cannot place even when empty — here 42 005 bytes, with earlier
+// batches having moved the ring's offset to ~30 KiB, so it fits neither
+// the tail remainder nor the space before it — must fail Submit at once
+// on the message bound and leave the client usable, not spin out the
+// timeout and poison it.
+func TestSHMOversizeBatchRefusedAtOnce(t *testing.T) {
+	srv := New(Config{Store: linkstore.Config{Shards: 4}})
+	prefix := startSHM(t, srv, 1)
+	cli, err := DialSHM(prefix, 2, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	rng := rand.New(rand.NewSource(5))
+	out := make([]int32, 1500)
+	for i := 0; i < 11; i++ {
+		if _, err := cli.Decide(randOps(rng, 100, 1000), out); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if _, err := cli.Decide(randOps(rng, 1500, 1000), out); err == nil || !strings.Contains(err.Error(), "message bound") {
+		t.Fatalf("1500-record batch on a %d-byte ring: err %v, want the message-bound refusal", shmring.MinCapacity, err)
+	}
+	if _, err := cli.Decide(randOps(rng, 100, 1000), out); err != nil {
+		t.Fatalf("client unusable after the refused batch: %v", err)
 	}
 }
 

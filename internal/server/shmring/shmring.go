@@ -82,10 +82,6 @@ const (
 	StateClosing  = 2
 )
 
-// MaxMessage bounds one message's payload so a single message can never
-// deadlock a ring (it always fits with room to spare).
-func MaxMessage(capacity int) int { return capacity / 4 }
-
 // Ring is one direction of a region: an SPSC byte queue over shared
 // memory. Exactly one goroutine/process may produce and one may consume.
 type Ring struct {
@@ -94,6 +90,12 @@ type Ring struct {
 	data []byte
 	mask uint64
 }
+
+// MaxMessage bounds one message's payload so a single message can never
+// deadlock the ring: Push places a payload of up to this many bytes on an
+// empty ring whatever its offset, while a larger one can fail even then
+// (it fits neither the tail remainder nor the space before the offset).
+func (r *Ring) MaxMessage() int { return len(r.data) / 4 }
 
 // align4 rounds n up to a multiple of 4.
 func align4(n int) int { return (n + 3) &^ 3 }

@@ -89,7 +89,7 @@ func TestRingWrapMarker(t *testing.T) {
 func TestRingFullRejectsAndRecovers(t *testing.T) {
 	g := newRegion(t, MinCapacity)
 	r := g.Request()
-	msg := bytes.Repeat([]byte{1}, MaxMessage(MinCapacity))
+	msg := bytes.Repeat([]byte{1}, r.MaxMessage())
 	pushed := 0
 	for r.Push(msg) {
 		pushed++
@@ -107,6 +107,26 @@ func TestRingFullRejectsAndRecovers(t *testing.T) {
 	r.Advance()
 	if !r.Push(msg) {
 		t.Fatal("Push still fails after freeing a same-sized message")
+	}
+}
+
+// TestMaxMessageFitsEmptyRingAtEveryOffset pins the bound a client sizes
+// its requests by: an empty ring takes a MaxMessage payload at every
+// 4-byte offset, wrap marker included.
+func TestMaxMessageFitsEmptyRingAtEveryOffset(t *testing.T) {
+	g := newRegion(t, MinCapacity)
+	r := g.Request()
+	msg := bytes.Repeat([]byte{7}, r.MaxMessage())
+	for at := uint64(0); at < MinCapacity; at += 4 {
+		r.head.Store(at)
+		r.tail.Store(at)
+		if !r.Push(msg) {
+			t.Fatalf("empty ring at offset %d refused a %d-byte message", at, len(msg))
+		}
+		if got, ok := r.Peek(); !ok || len(got) != len(msg) {
+			t.Fatalf("offset %d: peeked %d bytes (ok %v), want %d", at, len(got), ok, len(msg))
+		}
+		r.Advance()
 	}
 }
 

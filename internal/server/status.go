@@ -304,6 +304,7 @@ func (s *Server) WritePrometheus(w io.Writer) {
 	obs.PromCounter(w, "softrated_cold_spilled_links_total", "", "links group-committed to the cold tier", c.Spills)
 	obs.PromCounter(w, "softrated_cold_restored_links_total", "", "links restored from the cold tier", c.Restores)
 	obs.PromCounter(w, "softrated_cold_compactions_total", "", "cold-tier segments reclaimed by compaction", c.Compactions)
+	obs.PromCounter(w, "softrated_cold_compaction_failures_total", "", "cold-tier compaction passes that failed (each is retried)", c.CompactFailures)
 	obs.PromCounter(w, "softrated_cold_torn_tails_total", "", "partial batch tails truncated at recovery", c.TornTails)
 	obs.PromCounter(w, "softrated_cold_errors_total", "", "failed cold-tier operations (the store fell back without losing state)", st.Store.ColdErrors)
 	obs.PromCounter(w, "softrated_cold_spill_errors_total", "", "failed generation spills (each kept its generation resident in RAM)", st.Store.ColdSpillErrors)

@@ -136,16 +136,5 @@ func (e *Engine) Run(until float64) {
 	}
 }
 
-// RunAll processes every queued event (including those scheduled by other
-// events) until the queue drains. Use only when the event graph is known
-// to terminate.
-func (e *Engine) RunAll() {
-	for len(e.pq) > 0 {
-		next := e.pop()
-		e.now, e.cur = next.time, next.seq
-		next.fn()
-	}
-}
-
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.pq) }

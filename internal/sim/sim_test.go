@@ -10,6 +10,17 @@ import (
 	"testing/quick"
 )
 
+// runAll processes every queued event (including those scheduled by other
+// events) until the queue drains, leaving the clock at the last event's
+// time — which Run, stopping at a horizon, does not.
+func (e *Engine) runAll() {
+	for len(e.pq) > 0 {
+		next := e.pop()
+		e.now, e.cur = next.time, next.seq
+		next.fn()
+	}
+}
+
 func TestEventsFireInOrder(t *testing.T) {
 	var e Engine
 	var got []float64
@@ -17,7 +28,7 @@ func TestEventsFireInOrder(t *testing.T) {
 		d := d
 		e.Schedule(d, func() { got = append(got, e.Now()) })
 	}
-	e.RunAll()
+	e.runAll()
 	if !sort.Float64sAreSorted(got) {
 		t.Fatalf("events out of order: %v", got)
 	}
@@ -33,7 +44,7 @@ func TestFIFOTieBreak(t *testing.T) {
 		i := i
 		e.At(1.0, func() { got = append(got, i) })
 	}
-	e.RunAll()
+	e.runAll()
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("same-time events reordered: %v", got)
@@ -49,7 +60,7 @@ func TestNestedScheduling(t *testing.T) {
 		e.Schedule(1, func() { trace = append(trace, "c") })
 		e.Schedule(0.5, func() { trace = append(trace, "b") })
 	})
-	e.RunAll()
+	e.runAll()
 	want := "abc"
 	var got string
 	for _, s := range trace {
@@ -98,7 +109,7 @@ func TestPastSchedulingClamps(t *testing.T) {
 			t.Errorf("negative delay fired at %v", e.Now())
 		}
 	})
-	e.RunAll()
+	e.runAll()
 }
 
 func TestClockNeverGoesBackwards(t *testing.T) {
@@ -122,7 +133,7 @@ func TestClockNeverGoesBackwards(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			e.Schedule(rng.Float64(), spawn)
 		}
-		e.RunAll()
+		e.runAll()
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -145,7 +156,7 @@ func TestDeterminism(t *testing.T) {
 			}
 		}
 		e.Schedule(0, spawn)
-		e.RunAll()
+		e.runAll()
 		return times
 	}
 	a, b := run(), run()

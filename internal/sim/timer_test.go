@@ -129,7 +129,7 @@ func TestTimerKeepsOneWakeUp(t *testing.T) {
 		}
 	}
 	e.Schedule(0, ack)
-	e.RunAll()
+	e.runAll()
 	if fired != 1 {
 		t.Fatalf("timer fired %d times, want 1", fired)
 	}

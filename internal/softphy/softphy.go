@@ -19,31 +19,10 @@ import "math"
 // p_k to 0 (an Expm1-based rearrangement would buy nothing). Out-of-domain
 // inputs degrade softly rather than trap — a negative hint yields
 // p_k ∈ (0.5, 1) (exact until exp underflows to 0 near s < -745, where p_k
-// saturates at 1), and a NaN propagates — but they indicate a caller bug;
-// ValidHints is the debug assertion test code uses to enforce the
-// contract.
+// saturates at 1), and a NaN propagates — but they indicate a caller bug,
+// which the tests assert against at package boundaries.
 func BitErrorProb(hint float64) float64 {
 	return 1 / (1 + math.Exp(hint))
-}
-
-// ValidHints reports whether every hint satisfies the SoftPHY contract:
-// non-negative and not NaN (+Inf is a legal "certainly correct" hint).
-// The receiver produces hints via math.Abs, so this holds by construction;
-// tests assert it at package boundaries to catch sign-convention bugs
-// before they silently halve every probability.
-func ValidHints(hints []float64) bool {
-	for _, s := range hints {
-		if math.IsNaN(s) || s < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// HintForProb inverts Equation 3: the hint magnitude corresponding to a
-// given error probability, s = log((1-p)/p).
-func HintForProb(p float64) float64 {
-	return math.Log((1 - p) / p)
 }
 
 // FrameBER averages p_k over all hints in a frame, the receiver's estimate

@@ -7,6 +7,26 @@ import (
 	"testing/quick"
 )
 
+// validHints reports whether every hint satisfies the SoftPHY contract:
+// non-negative and not NaN (+Inf is a legal "certainly correct" hint).
+// The receiver produces hints via math.Abs, so this holds by construction;
+// the tests assert it at package boundaries to catch sign-convention bugs
+// before they silently halve every probability.
+func validHints(hints []float64) bool {
+	for _, s := range hints {
+		if math.IsNaN(s) || s < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// hintForProb inverts Equation 3: the hint magnitude corresponding to a
+// given error probability, s = log((1-p)/p).
+func hintForProb(p float64) float64 {
+	return math.Log((1 - p) / p)
+}
+
 func TestEquation3KnownValues(t *testing.T) {
 	// s=0 means no information: p = 1/2. Large s means near-certain.
 	if p := BitErrorProb(0); p != 0.5 {
@@ -22,13 +42,13 @@ func TestEquation3KnownValues(t *testing.T) {
 }
 
 func TestEquation3Inverse(t *testing.T) {
-	// Property: HintForProb and BitErrorProb are inverses on (0, 1/2].
+	// Property: hintForProb and BitErrorProb are inverses on (0, 1/2].
 	f := func(raw float64) bool {
 		p := math.Mod(math.Abs(raw), 0.5)
 		if p < 1e-9 {
 			p = 0.25
 		}
-		back := BitErrorProb(HintForProb(p))
+		back := BitErrorProb(hintForProb(p))
 		return math.Abs(back-p) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -54,8 +74,8 @@ func TestFrameBER(t *testing.T) {
 	// Two bits: one certain (p~0), one coin-flip (p=0.5) -> 0.25.
 	hints := []float64{1000, 0}
 	// Debug assertion for the hints-are-|LLR| contract Equation 3 relies
-	// on: every stream this suite feeds FrameBER must pass ValidHints.
-	if !ValidHints(hints) {
+	// on: every stream this suite feeds FrameBER must pass validHints.
+	if !validHints(hints) {
 		t.Fatal("test hints violate the non-negative contract")
 	}
 	got := FrameBER(hints)
@@ -90,7 +110,7 @@ func TestBitErrorProbEdgeCases(t *testing.T) {
 	}
 }
 
-// TestValidHints pins the contract checker itself.
+// TestValidHints pins the contract checker the other tests assert with.
 func TestValidHints(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -105,8 +125,8 @@ func TestValidHints(t *testing.T) {
 		{"nan", []float64{1, math.NaN()}, false},
 	}
 	for _, c := range cases {
-		if got := ValidHints(c.hints); got != c.want {
-			t.Errorf("%s: ValidHints = %v, want %v", c.name, got, c.want)
+		if got := validHints(c.hints); got != c.want {
+			t.Errorf("%s: validHints = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -168,7 +188,7 @@ func TestSymbolBERsPanicsOnBadNbps(t *testing.T) {
 func mkHints(probs []float64, nbps int) []float64 {
 	hints := make([]float64, 0, len(probs)*nbps)
 	for _, p := range probs {
-		s := HintForProb(p)
+		s := hintForProb(p)
 		for i := 0; i < nbps; i++ {
 			hints = append(hints, s)
 		}

@@ -36,23 +36,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// GeoMean returns the geometric mean of strictly positive xs, ignoring
-// non-positive entries (log-domain averaging for BER data).
-func GeoMean(xs []float64) float64 {
-	var s float64
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			s += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
-
 // Bin is one aggregation bucket: values' mean, standard deviation and
 // count, keyed by the bucket center.
 type Bin struct {

@@ -23,20 +23,6 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1e-2, 1e-4})
-	if math.Abs(got-1e-3) > 1e-12 {
-		t.Fatalf("GeoMean = %v, want 1e-3", got)
-	}
-	// Non-positive values ignored.
-	if GeoMean([]float64{0, -1}) != 0 {
-		t.Fatal("all-invalid GeoMean must be 0")
-	}
-	if g := GeoMean([]float64{0, 4}); g != 4 {
-		t.Fatalf("GeoMean with zero = %v, want 4", g)
-	}
-}
-
 func TestLogBin(t *testing.T) {
 	xs := []float64{1e-5, 1.1e-5, 1e-3, 0, -1}
 	ys := []float64{1, 3, 10, 99, 99}

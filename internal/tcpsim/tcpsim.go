@@ -85,9 +85,6 @@ func NewSender(eng *sim.Engine) *Sender {
 	return s
 }
 
-// Cwnd returns the current congestion window in bytes.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
 // Start begins transmission.
 func (s *Sender) Start() { s.trySend() }
 

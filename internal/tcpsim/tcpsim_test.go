@@ -99,8 +99,8 @@ func TestSlowStartDoubles(t *testing.T) {
 	// After ~3 RTTs of slow start, cwnd should have grown well beyond
 	// the initial window and below the (infinite) ssthresh.
 	eng.Run(0.32)
-	if snd.Cwnd() < 8*MSS {
-		t.Fatalf("cwnd %.0f after 3 RTTs, want >= 8 MSS", snd.Cwnd()/MSS)
+	if snd.cwnd < 8*MSS {
+		t.Fatalf("cwnd %.0f after 3 RTTs, want >= 8 MSS", snd.cwnd/MSS)
 	}
 }
 
@@ -247,7 +247,7 @@ func TestAIMDSawtooth(t *testing.T) {
 	var cwndSamples []float64
 	var sample func()
 	sample = func() {
-		cwndSamples = append(cwndSamples, snd.Cwnd())
+		cwndSamples = append(cwndSamples, snd.cwnd)
 		eng.Schedule(0.1, sample)
 	}
 	eng.Schedule(1, sample)

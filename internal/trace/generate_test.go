@@ -51,7 +51,7 @@ func referenceGenerate(gc GenConfig, rates []rate.Rate, interval float64) *LinkT
 			preLin /= float64(len(preSNR))
 			detected := preLin >= phy.DetectSINR
 
-			ber := gc.BERModel.MeanBER(ri, dataSNR)
+			ber, _ := gc.BERModel.FrameOver(ri, gc.BERModel.Locate(nil, dataSNR), len(dataSNR), 0)
 			ber *= math.Exp(rng.NormFloat64() * berJitter)
 			if ber > 0.5 {
 				ber = 0.5

@@ -60,16 +60,6 @@ func SaveFile(path string, lt *LinkTrace) error {
 	return f.Close()
 }
 
-// LoadFile reads a trace from path.
-func LoadFile(path string) (*LinkTrace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
-
 // TrainingSamples converts every snapshot of the trace into labelled
 // (rate, SNR, delivered) samples for ratectl.TrainThresholds — the in-situ
 // training the paper performs for its "SNR (trained)" baseline, which

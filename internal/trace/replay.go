@@ -61,11 +61,10 @@ type Mix struct {
 // frame's fate. Iteration wraps past the end of the trace indefinitely —
 // use Len to bound a single pass.
 type FrameIter struct {
-	lt   *LinkTrace
-	mix  Mix
-	rng  *rand.Rand // nil unless mix.CollisionProb > 0
-	pos  int        // next slot, 0..Len()-1
-	wrap int
+	lt  *LinkTrace
+	mix Mix
+	rng *rand.Rand // nil unless mix.CollisionProb > 0
+	pos int        // next slot, 0..Len()-1
 }
 
 // Frames returns a replay iterator over the trace, one frame per snapshot
@@ -154,10 +153,6 @@ func (it *FrameIter) Len() int {
 	return len(it.lt.Snapshots[0])
 }
 
-// Epoch returns how many times the iterator has wrapped past the end of
-// the trace.
-func (it *FrameIter) Epoch() int { return it.wrap }
-
 // Next replays one frame sent at rateIndex (clamped into the traced rate
 // range) and advances. ok is false only for an empty trace.
 func (it *FrameIter) Next(rateIndex int) (ev FrameEvent, ok bool) {
@@ -175,7 +170,6 @@ func (it *FrameIter) Next(rateIndex int) (ev FrameEvent, ok bool) {
 	it.pos++
 	if it.pos == n {
 		it.pos = 0
-		it.wrap++
 	}
 	snap := it.lt.Snapshots[rateIndex][slot]
 	ev = FrameEvent{Slot: slot, RateIndex: rateIndex, SNRdB: snap.SNRdB}

@@ -50,6 +50,7 @@ func TestFramesWalksEverySlotOnce(t *testing.T) {
 func TestFramesEventsMatchSnapshots(t *testing.T) {
 	lt := synthTrace(3, 40)
 	it := lt.Frames(3)
+	start := it.pos
 	for i := 0; i < 2*it.Len(); i++ {
 		ri := i % 3
 		ev, _ := it.Next(ri)
@@ -64,8 +65,8 @@ func TestFramesEventsMatchSnapshots(t *testing.T) {
 			t.Fatalf("slot %d rate %d: event %+v does not match snapshot %+v", ev.Slot, ri, ev, snap)
 		}
 	}
-	if it.Epoch() != 2 {
-		t.Fatalf("Epoch = %d after two passes, want 2", it.Epoch())
+	if it.pos != start {
+		t.Fatalf("next slot %d after two passes, want the start slot %d", it.pos, start)
 	}
 }
 
@@ -216,9 +217,9 @@ func TestFramesMixMatchesReference(t *testing.T) {
 					ri := (i*7 + int(seed&3)) % 5 // 4 clamps to the top rate
 					eg, _ := got.Next(ri)
 					ew, _ := want.Next(ri)
-					if eg != ew || got.Epoch() != want.Epoch() {
-						t.Fatalf("slots %d mix %+v seed %d step %d: got %+v epoch %d, reference %+v epoch %d",
-							nSlots, mix, seed, i, eg, got.Epoch(), ew, want.Epoch())
+					if eg != ew || got.pos != want.pos {
+						t.Fatalf("slots %d mix %+v seed %d step %d: got %+v next slot %d, reference %+v next slot %d",
+							nSlots, mix, seed, i, eg, got.pos, ew, want.pos)
 					}
 				}
 			}
